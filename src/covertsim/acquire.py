@@ -2,10 +2,16 @@
 
 Masked queries hide the target behind fresh private randomness (send
 Z^r |+...+>, undo Z^r on return) or behind entanglement with a private
-register (CZ-coupled halves of a maximally entangled pair). Acquisition
-wrappers collect masked blocks, certify them with the shadow-overlap
-machinery, and emit the untouched output block; task wrappers robustify a
-decision algorithm on top.
+register (CZ-coupled halves of a maximally entangled pair). Two acquisition
+functions collect masked blocks, certify them with the shadow-overlap
+machinery, and emit the untouched output block: `acquire_unidirectional`
+unmasks every copy at query time and certifies non-i.i.d.;
+`acquire_ancilla_free` keeps the copies masked, certifies i.i.d., and unmasks
+only the output block. Both take the target kind from the oracle: QPh gives
+phase states of f; QMem of width w gives example states, acquired through
+phase kickback as phase states of f~(x, y) = y·f(x) and delivered after
+Hadamards on the out register. Task wrappers robustify a decision algorithm
+on top with one certify-then-vote round loop.
 
 Block register layout: in entangled modes the private mask register occupies
 the low qubits of every copy, the oracle-facing register the high ones.
@@ -19,7 +25,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import certify, qsim
-from .boolfunc import BooleanFunction
 from .certify import CertificationRecord, ProductBlock
 from .oracles import (
     ExampleMemView,
@@ -36,22 +41,15 @@ DEFAULT_BLOCKS = 20  # desk-scale override of the paper-formula block counts
 
 RANDOMNESS = "randomness"
 ENTANGLED = "entangled"
-QMEM_RANDOMNESS = "qmem-randomness"
-QMEM_ENTANGLED = "qmem-entangled"
 
 
 @dataclass
 class MaskedQueryContext:
-    """Mask-discipline bookkeeping: one fresh mask or register per query."""
+    """Fresh-mask discipline for callers that pass explicit masks."""
 
-    mode: str
-    n: int
-    w: int = 0
-    queries_made: int = 0
     _used_masks: set = field(default_factory=set)
 
-    def check_fresh(self, mask: Optional[int]):
-        self.queries_made += 1
+    def check_fresh(self, mask):
         if mask is None:
             return
         if mask in self._used_masks:
@@ -72,6 +70,13 @@ def eps_leak(delta_leak: float, m: int) -> float:
     """1 - (1 - delta_leak/2)^m, the per-block fidelity gap a measuring
     ancilla-free adversary cannot avoid."""
     return 1.0 - (1.0 - delta_leak / 2.0) ** m
+
+
+def ancilla_free_accuracy(eps: float, delta_leak: float, m: int) -> float:
+    """Certification accuracy min{eps, (1-c) eps_leak} of the ancilla-free
+    acquisition; plain eps when the adversary leaks nothing (eps_leak = 0)."""
+    e_leak = eps_leak(delta_leak, m)
+    return min(eps, (1.0 - AMPLIFICATION_SHRINK) * e_leak) if e_leak > 0 else eps
 
 
 # --- masked queries -----------------------------------------------------------
@@ -95,8 +100,7 @@ def masked_query_phase_randomness(
 
 
 def masked_query_phase_entangled(
-    oracle: QuantumChannelOracle, n: int, rng,
-    ctx: Optional[MaskedQueryContext] = None,
+    oracle: QuantumChannelOracle, n: int, rng
 ) -> PureState:
     """One covert phase-oracle query from entanglement.
 
@@ -104,8 +108,6 @@ def masked_query_phase_entangled(
     register high), send the query half; unmasking is deferred. The ideal
     2n-qubit response is the phase state of g(r, x) = r·x xor f(x).
     """
-    if ctx is not None:
-        ctx.check_fresh(None)
     state = qsim.tensor(qsim.uniform_state(n), qsim.uniform_state(n))
     for i in range(n):
         state = qsim.apply_gate(state, "CZ", [i, n + i])
@@ -126,22 +128,24 @@ def uncompute_entangled(state: PureState, n: int) -> PureState:
     return state
 
 
-def _kickback_wrap(state: PureState, n: int, w: int, aux_base: int) -> PureState:
-    """CNOT out->aux then Hadamards on aux (and the inverse, it is an
-    involution). The out register sits at aux_base - w."""
-    for j in range(w):
-        state = qsim.apply_gate(state, "CNOT", [aux_base - w + j, aux_base + j])
-    return qsim.apply_hadamards(state, range(aux_base, aux_base + w))
-
-
-def _unkickback(state: PureState, n: int, w: int, aux_base: int, rng) -> PureState:
-    state = qsim.apply_hadamards(state, range(aux_base, aux_base + w))
-    for j in range(w):
-        state = qsim.apply_gate(state, "CNOT", [aux_base - w + j, aux_base + j])
+def _kickback_query(oracle, state: PureState, in_qubits: list[int], w: int, rng):
+    """One QMem query by phase kickback onto the top w qubits of `state` (the
+    out register). A |0^w> ancilla takes CNOT out->aux and Hadamards, serves
+    as the oracle's output register, is rotated back and Z-measured away."""
+    out = range(state.n - w, state.n)
+    aux = list(range(state.n, state.n + w))
+    state = qsim.tensor(state, qsim.basis_state(w))
+    for o, a in zip(out, aux):
+        state = qsim.apply_gate(state, "CNOT", [o, a])
+    state = qsim.apply_hadamards(state, aux)
+    state = oracle.query(state, in_qubits, aux, rng=rng)
+    state = qsim.apply_hadamards(state, aux)
+    for o, a in zip(out, aux):
+        state = qsim.apply_gate(state, "CNOT", [o, a])
     # honest runs return the ancilla to |0^w> exactly; under attack the
     # Z-measurement is local post-processing and can only lower fidelity
-    a, state = qsim.measure_qubits(state, list(range(aux_base, aux_base + w)), "Z", rng)
-    return qsim.remove_qubits(state, list(range(aux_base, aux_base + w)), a)
+    outcome, state = qsim.measure_qubits(state, aux, "Z", rng)
+    return qsim.remove_qubits(state, aux, outcome)
 
 
 def masked_query_qmem_randomness(
@@ -166,42 +170,26 @@ def masked_query_qmem_randomness(
     state = qsim.tensor(
         qsim.apply_z_mask(qsim.uniform_state(n), r, range(n)),
         qsim.apply_z_mask(qsim.uniform_state(w), rt, range(w)),
-        qsim.basis_state(w),
     )
-    aux_base = n + w
-    state = _kickback_wrap(state, n, w, aux_base)
-    state = oracle.query(
-        state, list(range(n)), list(range(aux_base, aux_base + w)), rng=rng
-    )
-    state = _unkickback(state, n, w, aux_base, rng)
+    state = _kickback_query(oracle, state, list(range(n)), w, rng)
     return qsim.apply_z_mask(state, r | (rt << n), range(n + w))
 
 
 def masked_query_qmem_entangled(
-    oracle: QuantumChannelOracle, n: int, w: int, rng,
-    ctx: Optional[MaskedQueryContext] = None,
+    oracle: QuantumChannelOracle, n: int, w: int, rng
 ) -> PureState:
     """Entangled covert QMem query: the (n+w)-qubit mask register stays
     local while the kicked-back target register visits the oracle. Returns
     the 2(n+w)-qubit joint state; the ideal response is the phase state of
     G(rho, zeta) = rho·zeta xor f~(zeta)."""
-    if ctx is not None:
-        ctx.check_fresh(None)
     nw = n + w
     state = qsim.tensor(qsim.uniform_state(nw), qsim.uniform_state(nw))
     for i in range(nw):
         state = qsim.apply_gate(state, "CZ", [i, nw + i])
-    state = qsim.tensor(state, qsim.basis_state(w))
-    aux_base = 2 * nw
-    state = _kickback_wrap(state, n, w, aux_base)
-    in_qubits = list(range(nw, nw + n))
-    state = oracle.query(
-        state, in_qubits, list(range(aux_base, aux_base + w)), rng=rng
-    )
-    return _unkickback(state, n, w, aux_base, rng)
+    return _kickback_query(oracle, state, list(range(nw, nw + n)), w, rng)
 
 
-# --- acquisition protocols ----------------------------------------------------
+# --- acquisition pipeline -----------------------------------------------------
 
 
 @dataclass
@@ -215,6 +203,45 @@ class AcquisitionResult:
     paper_blocks: int
 
 
+def _masked_query(oracle, n: int, w: int, rng, entangled: bool, unmask: bool):
+    """One masked query for the (n+w)-qubit phase-state target; an entangled
+    response stays coupled to its mask register unless `unmask` is set
+    (randomness-masked responses always come back unmasked)."""
+    if not entangled:
+        if w:
+            return masked_query_qmem_randomness(oracle, n, w, rng)
+        return masked_query_phase_randomness(oracle, n, rng)
+    if w:
+        joint = masked_query_qmem_entangled(oracle, n, w, rng)
+    else:
+        joint = masked_query_phase_entangled(oracle, n, rng)
+    return unmask_entangled(joint, n + w, rng) if unmask else joint
+
+
+def _collect_blocks(oracle, n, w, m, count, rng, entangled, unmask):
+    """`count` blocks of m masked copies, queried in order."""
+    return [
+        ProductBlock(
+            [_masked_query(oracle, n, w, rng, entangled, unmask) for _ in range(m)]
+        )
+        for _ in range(count)
+    ]
+
+
+def _membership_view(mem: MemOracle, n: int, w: int, m: int, masked: bool):
+    """Private membership view of the m-fold target: f, or f~ when w > 0;
+    for still-masked copies, the masked g(r, z) = r·z xor target(z)."""
+    view = ExampleMemView(mem, n, w) if w else mem
+    if masked:
+        return TensorMemView(MaskedMemView(view, n + w), m=m, n_base=2 * (n + w))
+    return TensorMemView(view, m=m, n_base=n + w)
+
+
+def _delivered(copy: PureState, n: int, w: int) -> PureState:
+    """A certified copy as delivered: QMem example states need H^w on out."""
+    return qsim.apply_hadamards(copy, range(n, n + w)) if w else copy
+
+
 def acquire_unidirectional(
     oracle: QuantumChannelOracle,
     mem: MemOracle,
@@ -226,39 +253,75 @@ def acquire_unidirectional(
     n_blocks: int = DEFAULT_BLOCKS,
     mode: str = RANDOMNESS,
 ) -> AcquisitionResult:
-    """Covert verifiable phase states against unidirectional adversaries.
+    """Covert verifiable states against unidirectional adversaries.
 
-    N m masked queries assemble N blocks of m n-qubit copies (either masking
-    mode unmasks at query time here); non-i.i.d. certification against the
-    m-fold tensor-power function gates the output block.
+    N m masked queries assemble N blocks of m copies (either masking mode
+    unmasks at query time here); non-i.i.d. certification against the
+    m-fold tensor-power function gates the output block. n is the input
+    width; a QMem oracle's copies carry its w out qubits on top.
     """
+    if mode not in (RANDOMNESS, ENTANGLED):
+        raise ValueError(f"bad mode {mode!r} for acquisition")
+    w = oracle.f.w if oracle.kind == "QMem" else 0
     pub0, pri0 = oracle.count, mem.count
-    ctx = MaskedQueryContext(mode=mode, n=n)
-    blocks = []
-    for _ in range(n_blocks):
-        copies = []
-        for _ in range(m):
-            if mode == RANDOMNESS:
-                copies.append(
-                    masked_query_phase_randomness(oracle, n, rng, ctx=ctx)
-                )
-            elif mode == ENTANGLED:
-                joint = masked_query_phase_entangled(oracle, n, rng, ctx=ctx)
-                copies.append(unmask_entangled(joint, n, rng))
-            else:
-                raise ValueError(f"bad mode {mode!r} for phase acquisition")
-        blocks.append(ProductBlock(copies))
-    view = TensorMemView(mem, m=m, n_base=n)
-    record, out = certify.certify_state_noniid(blocks, view, eps, delta, rng)
-    return AcquisitionResult(
-        accepted=record.accepted,
-        output=None if out is None else list(out.copies),
-        record=record,
-        pub_queries=oracle.count - pub0,
-        pri_queries=mem.count - pri0,
-        blocks_used=n_blocks,
-        paper_blocks=paper_block_count_noniid(n * m, eps, delta),
+    blocks = _collect_blocks(
+        oracle, n, w, m, n_blocks, rng, entangled=mode == ENTANGLED, unmask=True
     )
+    view = _membership_view(mem, n, w, m, masked=False)
+    record, out = certify.certify_state_noniid(blocks, view, eps, delta, rng)
+    output = None if out is None else [_delivered(c, n, w) for c in out.copies]
+    return AcquisitionResult(
+        accepted=record.accepted, output=output, record=record,
+        pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,
+        blocks_used=n_blocks,
+        paper_blocks=paper_block_count_noniid((n + w) * m, eps, delta),
+    )
+
+
+def acquire_ancilla_free(
+    oracle: QuantumChannelOracle,
+    mem: MemOracle,
+    n: int,
+    m: int,
+    eps: float,
+    delta: float,
+    delta_leak: float,
+    rng,
+    n_blocks: Optional[int] = None,
+) -> AcquisitionResult:
+    """Covert verifiable states against i.i.d. ancilla-free adversaries.
+
+    (N+1) m entangled masked queries with deferred unmasking; i.i.d.
+    shadow-overlap certification of the N certification blocks against the
+    masked target (2(n+w) qubits per copy) at `ancilla_free_accuracy`; on
+    acceptance the output block is unmasked and returned.
+    """
+    w = oracle.f.w if oracle.kind == "QMem" else 0
+    pub0, pri0 = oracle.count, mem.count
+    accuracy = ancilla_free_accuracy(eps, delta_leak, m)
+    paper_blocks = certify.adaptive_copy_count(2 * (n + w) * m, accuracy, delta)
+    n_cert = paper_blocks if n_blocks is None else n_blocks
+    blocks = _collect_blocks(
+        oracle, n, w, m, n_cert + 1, rng, entangled=True, unmask=False
+    )
+    view = _membership_view(mem, n, w, m, masked=True)
+    record = certify.overlap_estimate_iid(
+        blocks[:n_cert], view, accuracy, delta, rng, rounds_override=n_cert
+    )
+    output = None
+    if record.accepted:
+        output = [
+            _delivered(unmask_entangled(c, n + w, rng), n, w)
+            for c in blocks[n_cert].copies
+        ]
+    return AcquisitionResult(
+        accepted=record.accepted, output=output, record=record,
+        pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,
+        blocks_used=n_cert + 1, paper_blocks=paper_blocks,
+    )
+
+
+# --- task wrappers ------------------------------------------------------------
 
 
 def amplification_rounds(delta: float, delta_a: float) -> int:
@@ -298,6 +361,27 @@ def cluster_estimate(votes: Sequence[float], eps_a: float) -> Optional[float]:
     return None
 
 
+def _task_rounds(
+    task: Callable[[list[PureState]], object],
+    rounds: int,
+    acquire_round: Callable[[], AcquisitionResult],
+    combine: Callable[[list], object],
+) -> TaskOutcome:
+    """Certify-then-run rounds: halt on the first rejected acquisition, else
+    run the task on every certified output and combine the votes; a combiner
+    that finds no answer (None) rejects."""
+    votes = []
+    for j in range(rounds):
+        res = acquire_round()
+        if not res.accepted:
+            return TaskOutcome(rejected=True, rounds=j + 1, votes=votes)
+        votes.append(task(res.output))
+    answer = combine(votes)
+    return TaskOutcome(
+        rejected=answer is None, answer=answer, rounds=rounds, votes=votes
+    )
+
+
 def amplified_task_unidirectional(
     task: Callable[[list[PureState]], object],
     oracle: QuantumChannelOracle,
@@ -314,68 +398,14 @@ def amplified_task_unidirectional(
 ) -> TaskOutcome:
     """ell certify-then-run rounds with immediate halt on any rejection,
     then a majority vote (or the cluster rule for estimation tasks)."""
-    ell = amplification_rounds(delta, delta_a)
-    votes = []
-    for j in range(ell):
-        res = acquire_unidirectional(
+    return _task_rounds(
+        task,
+        amplification_rounds(delta, delta_a),
+        lambda: acquire_unidirectional(
             oracle, mem, n, m, eps_a, delta_a, rng, n_blocks=n_blocks, mode=mode
-        )
-        if not res.accepted:
-            return TaskOutcome(rejected=True, rounds=j + 1, votes=votes)
-        votes.append(task(res.output))
-    if combiner == "majority":
-        return TaskOutcome(rejected=False, answer=majority_vote(votes), rounds=ell, votes=votes)
-    est = cluster_estimate(votes, eps_a)
-    if est is None:
-        return TaskOutcome(rejected=True, rounds=ell, votes=votes)
-    return TaskOutcome(rejected=False, answer=est, rounds=ell, votes=votes)
-
-
-def acquire_ancilla_free(
-    oracle: QuantumChannelOracle,
-    mem: MemOracle,
-    n: int,
-    m: int,
-    eps: float,
-    delta: float,
-    delta_leak: float,
-    rng,
-    n_blocks: Optional[int] = None,
-) -> AcquisitionResult:
-    """Covert verifiable phase states against i.i.d. ancilla-free adversaries.
-
-    (N+1) m entangled masked queries with deferred unmasking; i.i.d.
-    shadow-overlap certification of the N certification blocks against the
-    2n-qubit-per-copy masked phase state at accuracy min{eps, (1-c) eps_leak};
-    on acceptance the output block is unmasked and returned.
-    """
-    pub0, pri0 = oracle.count, mem.count
-    e_leak = eps_leak(delta_leak, m)
-    accuracy = min(eps, (1.0 - AMPLIFICATION_SHRINK) * e_leak) if e_leak > 0 else eps
-    n_cert = (
-        n_blocks
-        if n_blocks is not None
-        else certify.adaptive_copy_count(2 * n * m, accuracy, delta)
-    )
-    ctx = MaskedQueryContext(mode=ENTANGLED, n=n)
-    blocks = []
-    for _ in range(n_cert + 1):
-        copies = [
-            masked_query_phase_entangled(oracle, n, rng, ctx=ctx) for _ in range(m)
-        ]
-        blocks.append(ProductBlock(copies))
-    view = TensorMemView(MaskedMemView(mem, n), m=m, n_base=2 * n)
-    record = certify.overlap_estimate_iid(
-        blocks[:n_cert], view, accuracy, delta, rng, rounds_override=n_cert
-    )
-    output = None
-    if record.accepted:
-        output = [unmask_entangled(c, n, rng) for c in blocks[n_cert].copies]
-    return AcquisitionResult(
-        accepted=record.accepted, output=output, record=record,
-        pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,
-        blocks_used=n_cert + 1,
-        paper_blocks=certify.adaptive_copy_count(2 * n * m, accuracy, delta),
+        ),
+        majority_vote if combiner == "majority"
+        else lambda votes: cluster_estimate(votes, eps_a),
     )
 
 
@@ -394,110 +424,11 @@ def task_ancilla_free(
 ) -> TaskOutcome:
     """One certified acquisition feeding the task algorithm; optional
     ell-fold repetition with a majority vote for amplification."""
-    votes = []
-    for j in range(repeats):
-        res = acquire_ancilla_free(
+    return _task_rounds(
+        task,
+        repeats,
+        lambda: acquire_ancilla_free(
             oracle, mem, n, m, eps_a, delta, delta_leak, rng, n_blocks=n_blocks
-        )
-        if not res.accepted:
-            return TaskOutcome(rejected=True, rounds=j + 1, votes=votes)
-        votes.append(task(res.output))
-    return TaskOutcome(
-        rejected=False, answer=majority_vote(votes), rounds=repeats, votes=votes
-    )
-
-
-# --- QMem-backed acquisition (example states) ---------------------------------
-
-
-def acquire_unidirectional_qmem(
-    oracle: QuantumChannelOracle,
-    mem: MemOracle,
-    n: int,
-    w: int,
-    m: int,
-    eps: float,
-    delta: float,
-    rng,
-    n_blocks: int = DEFAULT_BLOCKS,
-) -> AcquisitionResult:
-    """Covert verifiable quantum example states from a public QMem oracle.
-
-    Copies are acquired as phase states of f~(x, y) = y·f(x) via the
-    kickback masking, certified against f~ with membership queries simulated
-    from the base function, and converted back to example states by the
-    output-register Hadamards on acceptance.
-    """
-    pub0, pri0 = oracle.count, mem.count
-    ctx = MaskedQueryContext(mode=QMEM_RANDOMNESS, n=n, w=w)
-    blocks = []
-    for _ in range(n_blocks):
-        copies = [
-            masked_query_qmem_randomness(oracle, n, w, rng, ctx=ctx)
-            for _ in range(m)
-        ]
-        blocks.append(ProductBlock(copies))
-    view = TensorMemView(ExampleMemView(mem, n, w), m=m, n_base=n + w)
-    record, out = certify.certify_state_noniid(blocks, view, eps, delta, rng)
-    output = None
-    if out is not None:
-        output = [
-            qsim.apply_hadamards(c, range(n, n + w)) for c in out.copies
-        ]
-    return AcquisitionResult(
-        accepted=record.accepted, output=output, record=record,
-        pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,
-        blocks_used=n_blocks,
-        paper_blocks=paper_block_count_noniid((n + w) * m, eps, delta),
-    )
-
-
-def acquire_ancilla_free_qmem(
-    oracle: QuantumChannelOracle,
-    mem: MemOracle,
-    n: int,
-    w: int,
-    m: int,
-    eps: float,
-    delta: float,
-    delta_leak: float,
-    rng,
-    n_blocks: Optional[int] = None,
-) -> AcquisitionResult:
-    """Ancilla-free variant over a public QMem oracle: entangled kickback
-    masking on the (n+w)-qubit target, certification on 2(n+w)-qubit copies."""
-    pub0, pri0 = oracle.count, mem.count
-    nw = n + w
-    e_leak = eps_leak(delta_leak, m)
-    accuracy = min(eps, (1.0 - AMPLIFICATION_SHRINK) * e_leak) if e_leak > 0 else eps
-    n_cert = (
-        n_blocks
-        if n_blocks is not None
-        else certify.adaptive_copy_count(2 * nw * m, accuracy, delta)
-    )
-    ctx = MaskedQueryContext(mode=QMEM_ENTANGLED, n=n, w=w)
-    blocks = []
-    for _ in range(n_cert + 1):
-        copies = [
-            masked_query_qmem_entangled(oracle, n, w, rng, ctx=ctx)
-            for _ in range(m)
-        ]
-        blocks.append(ProductBlock(copies))
-    view = TensorMemView(
-        MaskedMemView(ExampleMemView(mem, n, w), nw), m=m, n_base=2 * nw
-    )
-    record = certify.overlap_estimate_iid(
-        blocks[:n_cert], view, accuracy, delta, rng, rounds_override=n_cert
-    )
-    output = None
-    if record.accepted:
-        output = [
-            qsim.apply_hadamards(unmask_entangled(c, nw, rng), range(n, n + w))
-            for c in blocks[n_cert].copies
-        ]
-    return AcquisitionResult(
-        accepted=record.accepted, output=output, record=record,
-        pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,
-        blocks_used=n_cert + 1,
-        paper_blocks=certify.adaptive_copy_count(2 * nw * m, accuracy, delta),
+        ),
+        majority_vote,
     )

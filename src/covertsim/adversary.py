@@ -112,14 +112,17 @@ def _replace_register(
         )
     outcome, post = qsim.measure_qubits(state, list(qubits), "Z", rng)
     rest = qsim.remove_qubits(post, list(qubits), outcome)
-    joined = qsim.tensor(rest, replacement)  # replacement occupies high qubits
-    rest_qubits = [q for q in range(state.n) if q not in qubits]
-    perm = [0] * state.n
-    for new_pos, q in enumerate(rest_qubits):
-        perm[new_pos] = q
-    for new_pos, q in enumerate(qubits):
-        perm[rest.n + new_pos] = q
-    return qsim.permute_qubits(joined, perm)
+    return _reinsert_register(rest, replacement, qubits)
+
+
+def _reinsert_register(
+    rest: PureState, register: PureState, qubits: Sequence[int]
+) -> PureState:
+    """Inverse of splitting `qubits` off a state: tensor the register on top
+    of the remaining qubits, then move it back to positions `qubits`."""
+    n = rest.n + register.n
+    perm = [q for q in range(n) if q not in qubits] + list(qubits)
+    return qsim.permute_qubits(qsim.tensor(rest, register), perm)
 
 
 def _random_pauli(state: PureState, qubits: Sequence[int], rng) -> PureState:
@@ -215,15 +218,8 @@ def _swap_attack_tap(strategy, direction, state, qubits, memory, rng):
         # steal the learner's query register, send in a fresh uniform state
         stolen, rest = _extract_product_register(state, qubits)
         memory.store_quantum(stolen)
-        joined = qsim.tensor(rest, qsim.uniform_state(n_reg))
-        rest_qubits = [q for q in range(state.n) if q not in qubits]
-        perm = [0] * state.n
-        for pos, q in enumerate(rest_qubits):
-            perm[pos] = q
-        for pos, q in enumerate(qubits):
-            perm[rest.n + pos] = q
         memory.events.append({"round": memory.round, "action": "swapped_in_uniform"})
-        return qsim.permute_qubits(joined, perm)
+        return _reinsert_register(rest, qsim.uniform_state(n_reg), qubits)
     # response: the register now holds the true phase state; run the
     # single-copy Bernstein-Vazirani readout to learn the parity mask
     sub, rest = _extract_product_register(state, qubits)
@@ -238,14 +234,7 @@ def _swap_attack_tap(strategy, direction, state, qubits, memory, rng):
         memory.quantum, memory.learned_fn, range(n_reg)
     )
     memory.quantum = None
-    joined = qsim.tensor(rest, simulated)
-    rest_qubits = [q for q in range(state.n) if q not in qubits]
-    perm = [0] * state.n
-    for pos, q in enumerate(rest_qubits):
-        perm[pos] = q
-    for pos, q in enumerate(qubits):
-        perm[rest.n + pos] = q
-    return qsim.permute_qubits(joined, perm)
+    return _reinsert_register(rest, simulated, qubits)
 
 
 def _ancilla_free_tap(strategy, direction, state, qubits, memory, rng):

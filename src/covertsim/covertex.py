@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gf2, qsim
-from .boolfunc import BooleanFunction, quadratic_fn
+from .boolfunc import quadratic_fn
 from .oracles import (
     ExOracle,
     InfluenceQuery,
@@ -220,10 +220,6 @@ def random_quadratic_rows(n: int, rng) -> tuple[int, ...]:
                 mask |= 1 << j
         rows.append(mask)
     return tuple(rows)
-
-
-def quadratic_example_function(rows: Sequence[int], n: int) -> BooleanFunction:
-    return quadratic_fn(tuple(rows), n)
 
 
 def quadratic_transcript_distribution(rows: Sequence[int], n: int) -> np.ndarray:

@@ -86,22 +86,29 @@ class ConfigError(ValueError):
 def build_adversary(spec: Optional[dict]) -> Optional[adv.AdversaryStrategy]:
     if spec is None:
         return None
+    if not isinstance(spec, dict):
+        raise ConfigError(f"adversary spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
-    if kind in (None, "none", "identity"):
-        return adv.identity() if kind == "identity" else None
-    if kind == "depolarize":
-        return adv.response_depolarize(float(spec["p"]))
-    if kind == "replace_zero":
-        return adv.response_replace(qsim.basis_state(int(spec["n"]), 0))
-    if kind == "measure_z":
-        return adv.response_measure_z()
-    if kind == "swap_attack":
-        return adv.swap_attack()
-    if kind == "ancilla_free":
-        return adv.ancilla_free_iid(
-            float(spec["delta_leak"]),
-            extract_post=bool(spec.get("extract_post", True)),
-        )
+    try:
+        if kind in (None, "none", "identity"):
+            return adv.identity() if kind == "identity" else None
+        if kind == "depolarize":
+            return adv.response_depolarize(float(spec["p"]))
+        if kind == "replace_zero":
+            return adv.response_replace(qsim.basis_state(int(spec["n"]), 0))
+        if kind == "measure_z":
+            return adv.response_measure_z()
+        if kind == "swap_attack":
+            return adv.swap_attack()
+        if kind == "ancilla_free":
+            return adv.ancilla_free_iid(
+                float(spec["delta_leak"]),
+                extract_post=bool(spec.get("extract_post", True)),
+            )
+    except KeyError as e:
+        raise ConfigError(f"adversary {kind!r} needs the field {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad adversary spec {spec!r}: {e}") from None
     raise ConfigError(f"unknown adversary kind {kind!r}")
 
 
@@ -229,6 +236,15 @@ def _tapped_phase_oracle(f, adversary_spec):
     return oracles.QuantumChannelOracle(f, "QPh", tap=tap)
 
 
+def _fidelity_on_accept(res: acquire.AcquisitionResult, f) -> float:
+    """Product fidelity of the delivered copies with the phase state of f;
+    0 when the acquisition rejected."""
+    if not res.accepted:
+        return 0.0
+    target = qsim.prepare_phase_state(f)
+    return float(np.prod([qsim.fidelity(c, target) for c in res.output]))
+
+
 def _run_acquire_uni(params, adversary_spec, rng) -> dict:
     n, m = params["n"], params["m"]
     f = bf.random_truth_table(n, rng)
@@ -239,10 +255,7 @@ def _run_acquire_uni(params, adversary_spec, rng) -> dict:
         n_blocks=params.get("n_blocks", acquire.DEFAULT_BLOCKS),
         mode=params.get("mode", acquire.RANDOMNESS),
     )
-    fid = 0.0
-    if res.accepted:
-        target = qsim.prepare_phase_state(f)
-        fid = float(np.prod([qsim.fidelity(c, target) for c in res.output]))
+    fid = _fidelity_on_accept(res, f)
     return {
         "accepted": res.accepted,
         "fidelity": fid,
@@ -262,10 +275,7 @@ def _run_acquire_af(params, adversary_spec, rng) -> dict:
         oracle, mem, n, m, params["eps"], params["delta"],
         params["delta_leak"], rng, n_blocks=params.get("n_blocks"),
     )
-    fid = 0.0
-    if res.accepted:
-        target = qsim.prepare_phase_state(f)
-        fid = float(np.prod([qsim.fidelity(c, target) for c in res.output]))
+    fid = _fidelity_on_accept(res, f)
     return {
         "accepted": res.accepted,
         "fidelity": fid,
@@ -343,10 +353,7 @@ def _run_nogo_swap(params, adversary_spec, rng) -> dict:
         n_blocks=params.get("n_blocks", acquire.DEFAULT_BLOCKS),
     )
     learned = [r[1] for r in tap.memory.records if r[0] == "learned_parity"]
-    fid = 0.0
-    if res.accepted:
-        target = qsim.prepare_phase_state(f)
-        fid = float(np.prod([qsim.fidelity(c, target) for c in res.output]))
+    fid = _fidelity_on_accept(res, f)
     return {
         "accepted": res.accepted,
         "adversary_learned": bool(learned and learned[0] == s),
@@ -509,9 +516,8 @@ def resource_table(cfg: ExperimentConfig) -> dict:
         out["iid_copy_formula"] = certify.iid_copy_count(n_block, eps, delta)
     if cfg.scenario in ("acquire-af",):
         dl = p.get("delta_leak", 0.5)
-        el = acquire.eps_leak(dl, m)
-        out["eps_leak"] = el
-        acc = min(eps, (1 - acquire.AMPLIFICATION_SHRINK) * el)
+        out["eps_leak"] = acquire.eps_leak(dl, m)
+        acc = acquire.ancilla_free_accuracy(eps, dl, m)
         out["accuracy"] = acc
         out["paper_blocks_adaptive"] = certify.adaptive_copy_count(
             2 * (n or 3) * m, acc, delta

@@ -606,11 +606,3 @@ def bell_povm(n: int) -> Povm:
                     elements.append(f_op.conj().T @ f_op)
                     labels.append((y, z, (b1, b2)))
     return Povm(copies=2, qubits_per_copy=n + 1, elements=tuple(elements), labels=tuple(labels))
-
-
-def snapshot_json(state: PureState) -> dict:
-    """Debug snapshot: interleaved re/im amplitudes, little-endian index."""
-    flat = np.empty(2 * len(state.vec))
-    flat[0::2] = state.vec.real
-    flat[1::2] = state.vec.imag
-    return {"n": state.n, "amplitudes": flat.tolist()}

@@ -323,13 +323,13 @@ def covert_simon(
     copies_used = 0
     for _ in range(budget):
         if ancilla_free:
-            res = acquire.acquire_ancilla_free_qmem(
-                oracle, cert_mem, n, n, 1, 0.1, delta, delta_leak or 0.5, rng,
+            res = acquire.acquire_ancilla_free(
+                oracle, cert_mem, n, 1, 0.1, delta, delta_leak or 0.5, rng,
                 n_blocks=n_blocks,
             )
         else:
-            res = acquire.acquire_unidirectional_qmem(
-                oracle, cert_mem, n, n, 1, 0.1, delta, rng, n_blocks=n_blocks
+            res = acquire.acquire_unidirectional(
+                oracle, cert_mem, n, 1, 0.1, delta, rng, n_blocks=n_blocks
             )
         copies_used += 1
         if not res.accepted:

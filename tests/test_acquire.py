@@ -72,7 +72,7 @@ class TestMaskedQueries:
     def test_mask_reuse_faults(self):
         rng = np.random.default_rng(4)
         f = bf.constant_fn(2)
-        ctx = acquire.MaskedQueryContext(mode=acquire.RANDOMNESS, n=2)
+        ctx = acquire.MaskedQueryContext()
         acquire.masked_query_phase_randomness(phase_oracle(f), 2, rng, mask=1, ctx=ctx)
         with pytest.raises(RuntimeError):
             acquire.masked_query_phase_randomness(
@@ -232,6 +232,14 @@ class TestAcquireAncillaFree:
         assert acquire.eps_leak(0.5, 2) == pytest.approx(0.4375)
         assert acquire.eps_leak(1.0, 1) == pytest.approx(0.5)
 
+    def test_accuracy_rule(self):
+        assert acquire.ancilla_free_accuracy(0.1, 0.5, 1) == min(
+            0.1, 0.75 * acquire.eps_leak(0.5, 1)
+        )
+        assert acquire.ancilla_free_accuracy(0.5, 0.2, 1) == pytest.approx(0.75 * 0.1)
+        # an adversary that never leaks leaves the accuracy at eps
+        assert acquire.ancilla_free_accuracy(0.1, 0.0, 3) == 0.1
+
     def test_completeness_no_adversary(self):
         rng = np.random.default_rng(14)
         n, m = 2, 1
@@ -276,19 +284,38 @@ class TestQMemAcquisition:
         rng = np.random.default_rng(17)
         n, w = 2, 2
         f = bf.random_simon_fn(n, 0b11, rng)
-        res = acquire.acquire_unidirectional_qmem(
-            qmem_oracle(f), oracles.MemOracle(f), n, w, 1, 0.1, 0.1, rng,
+        res = acquire.acquire_unidirectional(
+            qmem_oracle(f), oracles.MemOracle(f), n, 1, 0.1, 0.1, rng,
             n_blocks=15,
         )
         assert res.accepted
         assert qsim.fidelity(res.output[0], qsim.prepare_example_state(f)) > 1 - 1e-9
 
+    def test_unidirectional_entangled_mode_example_states(self):
+        rng = np.random.default_rng(20)
+        n, w = 2, 1
+        f = bf.random_truth_table(n, rng, w=w)
+        res = acquire.acquire_unidirectional(
+            qmem_oracle(f), oracles.MemOracle(f), n, 1, 0.1, 0.1, rng,
+            n_blocks=10, mode=acquire.ENTANGLED,
+        )
+        assert res.accepted and res.pub_queries == 10
+        assert qsim.fidelity(res.output[0], qsim.prepare_example_state(f)) > 1 - 1e-9
+
+    def test_unknown_mode_rejected(self):
+        f = bf.constant_fn(2)
+        with pytest.raises(ValueError):
+            acquire.acquire_unidirectional(
+                phase_oracle(f), oracles.MemOracle(f), 2, 1, 0.1, 0.1,
+                np.random.default_rng(0), mode="bogus",
+            )
+
     def test_ancilla_free_example_states(self):
         rng = np.random.default_rng(18)
         n, w = 2, 1
         f = bf.random_truth_table(n, rng, w=w)
-        res = acquire.acquire_ancilla_free_qmem(
-            qmem_oracle(f), oracles.MemOracle(f), n, w, 1, 0.2, 0.1, 0.5, rng,
+        res = acquire.acquire_ancilla_free(
+            qmem_oracle(f), oracles.MemOracle(f), n, 1, 0.2, 0.1, 0.5, rng,
             n_blocks=30,
         )
         assert res.accepted
@@ -302,8 +329,8 @@ class TestQMemAcquisition:
         for t in range(20):
             trng = np.random.default_rng(950 + t)
             oracle = qmem_oracle(f, adv.ancilla_free_iid(1.0))
-            res = acquire.acquire_ancilla_free_qmem(
-                oracle, oracles.MemOracle(f), n, w, 1, 0.1, 0.1, 1.0, trng,
+            res = acquire.acquire_ancilla_free(
+                oracle, oracles.MemOracle(f), n, 1, 0.1, 0.1, 1.0, trng,
                 n_blocks=40,
             )
             accepts += res.accepted

@@ -37,6 +37,18 @@ class TestConfig:
         assert exp.build_adversary({"kind": "depolarize", "p": 0.3}).params["p"] == 0.3
         assert exp.build_adversary({"kind": "ancilla_free", "delta_leak": 1.0}).kind == "ancilla_free_iid"
 
+    @pytest.mark.parametrize("spec, needle", [
+        ({"kind": "depolarize"}, "'p'"),
+        ({"kind": "ancilla_free"}, "'delta_leak'"),
+        ({"kind": "replace_zero"}, "'n'"),
+        ({"kind": "depolarize", "p": "lots"}, "depolarize"),
+        ({"kind": "depolarize", "p": None}, "depolarize"),
+        (["depolarize"], "JSON object"),
+    ])
+    def test_malformed_adversary_is_a_config_error(self, spec, needle):
+        with pytest.raises(exp.ConfigError, match=needle):
+            exp.build_adversary(spec)
+
 
 class TestWilson:
     def test_interval_contains_rate(self):
@@ -143,6 +155,31 @@ class TestCli:
     def test_config_error_exit_code(self):
         out = self.run_cli("run", "--scenario", "not-a-scenario")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("spec, field", [
+        ('{"kind": "depolarize"}', "'p'"),
+        ('{"kind": "ancilla_free"}', "'delta_leak'"),
+    ])
+    def test_adversary_missing_field_exit_code(self, spec, field):
+        out = self.run_cli(
+            "run", "--scenario", "acquire-uni", "--trials", "1", "--adversary", spec
+        )
+        assert out.returncode == 2
+        assert field in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_zero_leak_runs_and_reports(self):
+        out = self.run_cli(
+            "resources", "--scenario", "acquire-af", "--param", "delta_leak=0"
+        )
+        assert out.returncode == 0, out.stderr
+        assert "accuracy" in out.stdout
+        out = self.run_cli(
+            "run", "--scenario", "acquire-af", "--trials", "2", "--seed", "3",
+            "--param", "n=2", "--param", "delta_leak=0", "--param", "n_blocks=10",
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["resources"]["accuracy"] == 0.1
 
     def test_replay_matches_run(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

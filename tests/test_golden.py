@@ -88,10 +88,10 @@ def _oracle(f, kind, strategy=None):
 
 def _qmem_unidirectional():
     rng = np.random.default_rng(17)
-    n, w = 2, 2
+    n = 2
     f = bf.random_simon_fn(n, 0b11, rng)
-    return [acquire.acquire_unidirectional_qmem(
-        _oracle(f, "QMem"), oracles.MemOracle(f), n, w, 1, 0.1, 0.1, rng,
+    return [acquire.acquire_unidirectional(
+        _oracle(f, "QMem"), oracles.MemOracle(f), n, 1, 0.1, 0.1, rng,
         n_blocks=15,
     )]
 
@@ -100,8 +100,8 @@ def _qmem_ancilla_free_honest():
     rng = np.random.default_rng(18)
     n, w = 2, 1
     f = bf.random_truth_table(n, rng, w=w)
-    return [acquire.acquire_ancilla_free_qmem(
-        _oracle(f, "QMem"), oracles.MemOracle(f), n, w, 1, 0.2, 0.1, 0.5, rng,
+    return [acquire.acquire_ancilla_free(
+        _oracle(f, "QMem"), oracles.MemOracle(f), n, 1, 0.2, 0.1, 0.5, rng,
         n_blocks=30,
     )]
 
@@ -111,9 +111,9 @@ def _qmem_ancilla_free_leaky():
     n, w = 2, 1
     f = bf.random_truth_table(n, rng, w=w)
     return [
-        acquire.acquire_ancilla_free_qmem(
+        acquire.acquire_ancilla_free(
             _oracle(f, "QMem", adv.ancilla_free_iid(1.0)), oracles.MemOracle(f),
-            n, w, 1, 0.1, 0.1, 1.0, np.random.default_rng(950 + t), n_blocks=40,
+            n, 1, 0.1, 0.1, 1.0, np.random.default_rng(950 + t), n_blocks=40,
         )
         for t in range(20)
     ]
