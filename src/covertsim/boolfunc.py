@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -79,6 +78,9 @@ class BooleanFunction:
     w: int
     body: Body
 
+    # truth table built lazily by eval_all, kept for the instance's lifetime
+    _table: list = field(default_factory=list, compare=False, hash=False, repr=False)
+
     def __post_init__(self):
         b = self.body
         if isinstance(b, TruthTable) and len(b.values) != 1 << self.n:
@@ -146,8 +148,7 @@ def evaluate(f: BooleanFunction, x: int) -> int:
     raise TypeError(f"unknown body {type(b)}")
 
 
-@lru_cache(maxsize=256)
-def _table_cache(f: BooleanFunction) -> np.ndarray:
+def _tabulate(f: BooleanFunction) -> np.ndarray:
     n = f.n
     b = f.body
     xs = np.arange(1 << n, dtype=np.uint64)
@@ -162,11 +163,11 @@ def _table_cache(f: BooleanFunction) -> np.ndarray:
             acc ^= xi & (np.bitwise_count(xs & np.uint64(b.rows[i])) & 1).astype(np.uint64)
         return acc
     if isinstance(b, PaddedXor):
-        tf = _table_cache(b.f)
-        tg = _table_cache(b.g)
+        tf = eval_all(b.f)
+        tg = eval_all(b.g)
         return tf[xs & np.uint64((1 << b.f.n) - 1)] ^ tg[xs >> np.uint64(b.f.n)]
     if isinstance(b, TensorPower):
-        tf = _table_cache(b.f)
+        tf = eval_all(b.f)
         acc = np.zeros(1 << n, dtype=np.uint64)
         y = xs.copy()
         mask = np.uint64((1 << b.f.n) - 1)
@@ -180,9 +181,11 @@ def _table_cache(f: BooleanFunction) -> np.ndarray:
 
 def eval_all(f: BooleanFunction) -> np.ndarray:
     """Vector of f(x) over all 2^n inputs (little-endian index)."""
-    if f.n > MAX_TABLE_ARITY:
-        raise ValueError(f"arity {f.n} too large to tabulate")
-    return _table_cache(f)
+    if not f._table:
+        if f.n > MAX_TABLE_ARITY:
+            raise ValueError(f"arity {f.n} too large to tabulate")
+        f._table.append(_tabulate(f))
+    return f._table[0]
 
 
 def sign_vector(f: BooleanFunction) -> np.ndarray:

@@ -133,7 +133,10 @@ def covert_parity_learn(
     candidates = list(space.members())
     tournament = run_tournament(candidates, pri_sq)
     winner = tournament.matches[-1].winner if tournament.matches else candidates[0]
-    assert pri_sq.count <= config.m_pri_cap
+    if pri_sq.count > config.m_pri_cap:
+        raise RuntimeError(
+            f"private SQ budget exceeded: {pri_sq.count} > {config.m_pri_cap}"
+        )
     return ParityLearnResult(
         s_hat=winner, aborted=False, public_samples=samples,
         pub_count=pub_ex.count, pri_count=pri_sq.count, tournament=tournament,

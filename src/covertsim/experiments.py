@@ -54,33 +54,101 @@ def trial_rng(master_seed: int, trial_index: int):
 
 @dataclass
 class ExperimentConfig:
+    """A validated experiment: construction raises ConfigError on an unknown
+    scenario, a non-integer seed or trial count, a param the scenario does
+    not declare or whose type differs from its default's, and an adversary
+    the scenario does not accept."""
+
     scenario: str
     params: dict = field(default_factory=dict)
     adversary: Optional[dict] = None
     seed: int = 0
     trials: int = 100
 
+    def __post_init__(self):
+        sc = SCENARIOS.get(self.scenario) if isinstance(self.scenario, str) else None
+        if sc is None:
+            raise ConfigError(f"unknown scenario {self.scenario!r}")
+        for name in ("seed", "trials"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                )
+        if self.trials <= 0:
+            raise ConfigError("trials must be positive")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be a JSON object, got {self.params!r}")
+        for key, value in self.params.items():
+            if key not in sc.defaults:
+                raise ConfigError(
+                    f"unknown param {key!r} for {self.scenario}; "
+                    f"known params: {sorted(sc.defaults)}"
+                )
+            default = sc.defaults[key]
+            if not _fits_default(value, default):
+                expected = "int or null" if default is None else type(default).__name__
+                raise ConfigError(f"param {key!r} must be {expected}, got {value!r}")
+        if build_adversary(self.adversary) is not None:
+            kind = self.adversary["kind"]
+            if kind not in sc.adversaries:
+                raise ConfigError(
+                    f"{self.scenario} does not take the adversary {kind!r}; "
+                    f"it takes: {sorted(sc.adversaries) or 'none'}"
+                )
+
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {"scenario", "params", "adversary", "seed", "trials"}
-        extra = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {d!r}")
+        extra = set(d) - {"scenario", "params", "adversary", "seed", "trials"}
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         if "scenario" not in d:
             raise ConfigError("config needs a scenario")
-        cfg = cls(
-            scenario=d["scenario"],
-            params=dict(d.get("params", {})),
-            adversary=d.get("adversary"),
-            seed=int(d.get("seed", 0)),
-            trials=int(d.get("trials", 100)),
-        )
-        validate_config(cfg)
-        return cfg
+        return cls(**d)
+
+    @property
+    def full_params(self) -> dict:
+        """Every parameter that governs the run: the scenario's defaults
+        overridden by the configured values."""
+        return {**SCENARIOS[self.scenario].defaults, **self.params}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fits_default(value, default) -> bool:
+    """A param value has its default's type; an int stands in for a float,
+    and a None default (an optional count) takes an int or None."""
+    if default is None:
+        return value is None or _is_int(value)
+    if isinstance(default, float):
+        return _is_int(value) or isinstance(value, float)
+    if _is_int(default):
+        return _is_int(value)
+    return type(value) is type(default)
+
+
+# adversary spec kind -> strategy; a missing field raises KeyError
+_ADVERSARIES: dict[str, Callable[[dict], adv.AdversaryStrategy]] = {
+    "identity": lambda spec: adv.identity(),
+    "depolarize": lambda spec: adv.response_depolarize(float(spec["p"])),
+    "replace_zero": lambda spec: adv.response_replace(
+        qsim.basis_state(int(spec["n"]), 0)
+    ),
+    "measure_z": lambda spec: adv.response_measure_z(),
+    "swap_attack": lambda spec: adv.swap_attack(),
+    "ancilla_free": lambda spec: adv.ancilla_free_iid(
+        float(spec["delta_leak"]), extract_post=bool(spec.get("extract_post", True))
+    ),
+}
+# every kind, for scenarios that hand their spec to a tapped oracle channel
+TAPPED = frozenset(_ADVERSARIES)
 
 
 def build_adversary(spec: Optional[dict]) -> Optional[adv.AdversaryStrategy]:
@@ -89,27 +157,16 @@ def build_adversary(spec: Optional[dict]) -> Optional[adv.AdversaryStrategy]:
     if not isinstance(spec, dict):
         raise ConfigError(f"adversary spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
+    if kind in (None, "none"):
+        return None
+    if not isinstance(kind, str) or kind not in _ADVERSARIES:
+        raise ConfigError(f"unknown adversary kind {kind!r}")
     try:
-        if kind in (None, "none", "identity"):
-            return adv.identity() if kind == "identity" else None
-        if kind == "depolarize":
-            return adv.response_depolarize(float(spec["p"]))
-        if kind == "replace_zero":
-            return adv.response_replace(qsim.basis_state(int(spec["n"]), 0))
-        if kind == "measure_z":
-            return adv.response_measure_z()
-        if kind == "swap_attack":
-            return adv.swap_attack()
-        if kind == "ancilla_free":
-            return adv.ancilla_free_iid(
-                float(spec["delta_leak"]),
-                extract_post=bool(spec.get("extract_post", True)),
-            )
+        return _ADVERSARIES[kind](spec)
     except KeyError as e:
         raise ConfigError(f"adversary {kind!r} needs the field {e.args[0]!r}") from None
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad adversary spec {spec!r}: {e}") from None
-    raise ConfigError(f"unknown adversary kind {kind!r}")
 
 
 # --- scenario runners ----------------------------------------------------------
@@ -123,7 +180,7 @@ def _run_parity(params, adversary_spec, rng) -> dict:
     s = int(rng.integers(0, 1 << n))
     f = bf.parity_fn(s, n)
     pub = oracles.ExOracle(f, rng)
-    pri = oracles.SqOracle(f, policy=params.get("sq_policy", oracles.GRID), rng=rng)
+    pri = oracles.SqOracle(f, policy=params["sq_policy"], rng=rng)
     res = covertex.covert_parity_learn(pub, pri, cfg)
     guess_ok = False
     if not res.aborted:
@@ -144,9 +201,7 @@ def _run_quadratic(params, adversary_spec, rng) -> dict:
     rows = covertex.random_quadratic_rows(n, rng)
     f = bf.quadratic_fn(rows, n)
     pub = oracles.QMeasExOracle(("example", f))
-    pri = oracles.QsqOracle(
-        ("example", f), policy=params.get("qsq_policy", oracles.GRID), rng=rng
-    )
+    pri = oracles.QsqOracle(("example", f), policy=params["qsq_policy"], rng=rng)
     res = covertex.covert_quadratic_learn(pub, pri, n, params["delta_c"], rng)
     return {
         "success": bool(res.a_rows == rows),
@@ -206,7 +261,7 @@ def _run_certify(params, adversary_spec, rng) -> dict:
     n_block = params["n_block"]
     eps, delta = params["eps"], params["delta"]
     f = bf.random_truth_table(n_block, rng)
-    mode = params.get("state", "exact")
+    mode = params["state"]
     if mode == "exact":
         state = qsim.prepare_phase_state(f)
     elif mode.startswith("flip:"):
@@ -220,7 +275,7 @@ def _run_certify(params, adversary_spec, rng) -> dict:
     else:
         raise ConfigError(f"unknown certify state mode {mode!r}")
     rec = certify.overlap_estimate_iid_state(
-        state, f, eps, delta, rng, rounds_override=params.get("rounds")
+        state, f, eps, delta, rng, rounds_override=params["rounds"]
     )
     return {
         "accepted": rec.accepted,
@@ -252,14 +307,13 @@ def _run_acquire_uni(params, adversary_spec, rng) -> dict:
     mem = oracles.MemOracle(f)
     res = acquire.acquire_unidirectional(
         oracle, mem, n, m, params["eps"], params["delta"], rng,
-        n_blocks=params.get("n_blocks", acquire.DEFAULT_BLOCKS),
-        mode=params.get("mode", acquire.RANDOMNESS),
+        n_blocks=params["n_blocks"], mode=params["mode"],
     )
     fid = _fidelity_on_accept(res, f)
     return {
         "accepted": res.accepted,
         "fidelity": fid,
-        "accept_and_bad": bool(res.accepted and fid < params.get("bad_below", 0.8)),
+        "accept_and_bad": bool(res.accepted and fid < params["bad_below"]),
         "pub_queries": res.pub_queries,
         "pri_queries": res.pri_queries,
         "omega_hat": res.record.omega_hat,
@@ -273,7 +327,7 @@ def _run_acquire_af(params, adversary_spec, rng) -> dict:
     mem = oracles.MemOracle(f)
     res = acquire.acquire_ancilla_free(
         oracle, mem, n, m, params["eps"], params["delta"],
-        params["delta_leak"], rng, n_blocks=params.get("n_blocks"),
+        params["delta_leak"], rng, n_blocks=params["n_blocks"],
     )
     fid = _fidelity_on_accept(res, f)
     return {
@@ -291,11 +345,9 @@ def _run_forrelation(params, adversary_spec, rng) -> dict:
     out = tasks.covert_forrelation(
         inst, rng, delta=params["delta"],
         adversary=build_adversary(adversary_spec),
-        ancilla_free=params.get("ancilla_free", False),
-        delta_leak=params.get("delta_leak"),
-        copies=params.get("copies", tasks.FORRELATION_COPIES),
-        base_error=params.get("base_error", tasks.FORRELATION_BASE_ERROR),
-        n_blocks=params.get("n_blocks", acquire.DEFAULT_BLOCKS),
+        ancilla_free=params["ancilla_free"], delta_leak=params["delta_leak"],
+        copies=params["copies"], base_error=params["base_error"],
+        n_blocks=params["n_blocks"], mode=params["mode"],
     )
     return {
         "rejected": out.rejected,
@@ -314,10 +366,8 @@ def _run_simon(params, adversary_spec, rng) -> dict:
     out = tasks.covert_simon(
         inst, rng, delta=params["delta"],
         adversary=build_adversary(adversary_spec),
-        ancilla_free=params.get("ancilla_free", False),
-        delta_leak=params.get("delta_leak"),
-        copy_budget=params.get("copy_budget"),
-        n_blocks=params.get("n_blocks", acquire.DEFAULT_BLOCKS),
+        ancilla_free=params["ancilla_free"], delta_leak=params["delta_leak"],
+        copy_budget=params["copy_budget"], n_blocks=params["n_blocks"],
     )
     orthogonal_ok = True
     if case == tasks.SIMON_PERIODIC and out.decision is not None:
@@ -349,8 +399,8 @@ def _run_nogo_swap(params, adversary_spec, rng) -> dict:
     oracle = oracles.QuantumChannelOracle(f, "QPh", tap=tap)
     mem = oracles.MemOracle(f)
     res = acquire.acquire_unidirectional(
-        oracle, mem, n, params.get("m", 1), params["eps"], params["delta"], rng,
-        n_blocks=params.get("n_blocks", acquire.DEFAULT_BLOCKS),
+        oracle, mem, n, params["m"], params["eps"], params["delta"], rng,
+        n_blocks=params["n_blocks"],
     )
     learned = [r[1] for r in tap.memory.records if r[0] == "learned_parity"]
     fid = _fidelity_on_accept(res, f)
@@ -364,12 +414,104 @@ def _run_nogo_swap(params, adversary_spec, rng) -> dict:
     }
 
 
+# --- resource schedules --------------------------------------------------------
+
+
+def _unidirectional_schedule(qubits, m, eps, delta, n_blocks) -> dict:
+    """Block schedule of `acquire.acquire_unidirectional` for m copies of
+    `qubits` qubits each, certified at accuracy eps and confidence delta."""
+    n_block = qubits * m
+    blocks = acquire.paper_block_count_noniid(n_block, eps, delta)
+    return {
+        "paper_blocks_noniid": blocks,
+        "paper_pub_queries": blocks * m,
+        "configured_blocks": n_blocks,
+        "iid_copy_formula": certify.iid_copy_count(n_block, eps, delta),
+    }
+
+
+def _ancilla_free_schedule(qubits, m, eps, delta, delta_leak, n_blocks) -> dict:
+    """Block schedule of `acquire.acquire_ancilla_free`: masked copies carry
+    2 * qubits qubits, certified at min{eps, (1-c) eps_leak}."""
+    accuracy = acquire.ancilla_free_accuracy(eps, delta_leak, m)
+    blocks = certify.adaptive_copy_count(2 * qubits * m, accuracy, delta)
+    return {
+        "eps_leak": acquire.eps_leak(delta_leak, m),
+        "accuracy": accuracy,
+        "paper_blocks_adaptive": blocks,
+        "configured_blocks": blocks if n_blocks is None else n_blocks,
+    }
+
+
+def _parity_resources(p) -> dict:
+    c = covertex.ParityLearnerConfig(n=p["n"], delta_c=p["delta_c"], delta_p=p["delta_p"])
+    return {"k": c.k, "m_pub": c.m_pub, "m_pri_cap": c.m_pri_cap}
+
+
+def _covert_sq_resources(p) -> dict:
+    m_e, eps0, tau_e = covertsq.sketch_width(p["delta"], p["delta_c"], p["b_c"], p["b_m"])
+    return {"m_e": m_e, "eps0": eps0, "tau_e": tau_e}
+
+
+def _shadows_resources(p) -> dict:
+    shots, batches = covertsq.shadow_shot_count(
+        p["n_observables"], p["k"], p["tau"], p["delta_p"]
+    )
+    return {"shots": shots, "batches": batches}
+
+
+def _certify_resources(p) -> dict:
+    rounds = certify.iid_copy_count(p["n_block"], p["eps"], p["delta"])
+    return {"paper_rounds": rounds, "configured_rounds": p["rounds"] or rounds}
+
+
+def _acquire_uni_resources(p) -> dict:
+    return _unidirectional_schedule(p["n"], p["m"], p["eps"], p["delta"], p["n_blocks"])
+
+
+def _forrelation_resources(p) -> dict:
+    # each round acquires `copies` phase states of h on 2n qubits at the
+    # robustified eps_A = base^2, delta_A = 2 base (see tasks.covert_forrelation)
+    base = p["base_error"]
+    if p["ancilla_free"]:
+        return _ancilla_free_schedule(
+            2 * p["n"], p["copies"], base**2, p["delta"], p["delta_leak"], p["n_blocks"]
+        )
+    return {
+        **_unidirectional_schedule(
+            2 * p["n"], p["copies"], base**2, 2 * base, p["n_blocks"]
+        ),
+        "ell": acquire.amplification_rounds(p["delta"], 2 * base),
+    }
+
+
+def _simon_resources(p) -> dict:
+    # one example state (n input + n output qubits) per acquisition
+    if p["ancilla_free"]:
+        return _ancilla_free_schedule(
+            2 * p["n"], 1, tasks.SIMON_EPS, p["delta"], p["delta_leak"], p["n_blocks"]
+        )
+    return _unidirectional_schedule(
+        2 * p["n"], 1, tasks.SIMON_EPS, p["delta"], p["n_blocks"]
+    )
+
+
+# --- registry -----------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class Scenario:
+    """Everything about a scenario. `defaults` is its parameter schema: every
+    key that `runner` or `resources` reads, which are all the keys a config
+    may set. `resources` computes the schedule from the values the runner
+    uses; `adversaries` lists the spec kinds it accepts (none: it takes no
+    adversary spec)."""
+
     runner: Callable
-    required: tuple[str, ...]
     defaults: dict
     description: str
+    resources: Callable[[dict], dict]
+    adversaries: frozenset = frozenset()
     asserts: Optional[Callable] = None
 
 
@@ -387,84 +529,85 @@ def _assert_acquire_uni(agg, params):
 
 SCENARIOS: dict[str, Scenario] = {
     "parity": Scenario(
-        _run_parity, ("n", "delta_c", "delta_p"),
-        {"n": 8, "delta_c": 0.1, "delta_p": 1 / 8},
+        _run_parity,
+        {"n": 8, "delta_c": 0.1, "delta_p": 1 / 8, "sq_policy": oracles.GRID},
         "covert parity learning from public examples and private SQs",
-        _assert_parity,
+        _parity_resources,
+        asserts=_assert_parity,
     ),
     "quadratic": Scenario(
-        _run_quadratic, ("n", "delta_c"), {"n": 4, "delta_c": 0.1},
+        _run_quadratic, {"n": 4, "delta_c": 0.1, "qsq_policy": oracles.GRID},
         "covert quadratic-function learning from public Bell samples",
+        lambda p: {
+            "m_pub_bell_pairs": covertex.quadratic_public_budget(p["n"], p["delta_c"]),
+            "m_pri": p["n"],
+        },
     ),
     "covert-sq": Scenario(
-        _run_covert_sq, ("n", "d", "delta", "delta_c", "b_c", "b_m"),
+        _run_covert_sq,
         {"n": 4, "d": 2, "delta": 0.1, "delta_c": 0.05, "b_c": 1.0, "b_m": 1.0},
         "JL-sketched covert polynomial statistical queries",
+        _covert_sq_resources,
     ),
     "shadows-qsq": Scenario(
-        _run_shadows, ("n", "k", "tau", "delta_p", "n_states", "n_observables"),
+        _run_shadows,
         {"n": 4, "k": 2, "tau": 0.1, "delta_p": 0.01, "n_states": 5,
          "n_observables": 20},
         "classical-shadows covert QSQs from public Pauli measurement examples",
+        _shadows_resources,
     ),
     "certify": Scenario(
-        _run_certify, ("n_block", "eps", "delta"),
-        {"n_block": 4, "eps": 0.1, "delta": 0.05, "state": "exact"},
+        _run_certify,
+        {"n_block": 4, "eps": 0.1, "delta": 0.05, "state": "exact", "rounds": None},
         "shadow-overlap certification dichotomy",
+        _certify_resources,
     ),
     "acquire-uni": Scenario(
-        _run_acquire_uni, ("n", "m", "eps", "delta"),
-        {"n": 3, "m": 1, "eps": 0.1, "delta": 0.1, "n_blocks": 20},
+        _run_acquire_uni,
+        {"n": 3, "m": 1, "eps": 0.1, "delta": 0.1, "n_blocks": 20,
+         "mode": acquire.RANDOMNESS, "bad_below": 0.8},
         "covert verifiable phase states vs unidirectional adversaries",
-        _assert_acquire_uni,
+        _acquire_uni_resources, TAPPED, _assert_acquire_uni,
     ),
     "acquire-af": Scenario(
-        _run_acquire_af, ("n", "m", "eps", "delta", "delta_leak"),
-        {"n": 3, "m": 1, "eps": 0.1, "delta": 0.1, "delta_leak": 0.5},
+        _run_acquire_af,
+        {"n": 3, "m": 1, "eps": 0.1, "delta": 0.1, "delta_leak": 0.5,
+         "n_blocks": None},
         "covert verifiable phase states vs i.i.d. ancilla-free adversaries",
+        lambda p: _ancilla_free_schedule(
+            p["n"], p["m"], p["eps"], p["delta"], p["delta_leak"], p["n_blocks"]
+        ),
+        # the swap attack needs bidirectional taps, outside this model
+        TAPPED - {"swap_attack"},
     ),
     "forrelation": Scenario(
-        _run_forrelation, ("n", "delta"), {"n": 4, "delta": 0.1},
+        _run_forrelation,
+        {"n": 4, "delta": 0.1, "ancilla_free": False, "delta_leak": 0.5,
+         "copies": tasks.FORRELATION_COPIES,
+         "base_error": tasks.FORRELATION_BASE_ERROR,
+         "n_blocks": acquire.DEFAULT_BLOCKS, "mode": acquire.RANDOMNESS},
         "covert verifiable Forrelation end to end",
+        _forrelation_resources, TAPPED,
     ),
     "simon": Scenario(
-        _run_simon, ("n", "delta"), {"n": 4, "delta": 0.1},
+        _run_simon,
+        {"n": 4, "delta": 0.1, "ancilla_free": False, "delta_leak": 0.5,
+         "copy_budget": None, "n_blocks": acquire.DEFAULT_BLOCKS},
         "covert verifiable Simon end to end",
+        _simon_resources, TAPPED,
     ),
     "nogo-swap": Scenario(
-        _run_nogo_swap, ("n", "eps", "delta"),
-        {"n": 4, "eps": 0.1, "delta": 0.1, "n_blocks": 20},
+        _run_nogo_swap,
+        {"n": 4, "m": 1, "eps": 0.1, "delta": 0.1, "n_blocks": 20},
         "swap-attack impossibility reproduction",
+        _acquire_uni_resources,
     ),
 }
 
 
-def validate_config(cfg: ExperimentConfig):
-    if cfg.scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {cfg.scenario!r}")
-    sc = SCENARIOS[cfg.scenario]
-    merged = {**sc.defaults, **cfg.params}
-    missing = [k for k in sc.required if k not in merged]
-    if missing:
-        raise ConfigError(f"missing params for {cfg.scenario}: {missing}")
-    if cfg.trials <= 0:
-        raise ConfigError("trials must be positive")
-    if cfg.adversary is not None:
-        strategy = build_adversary(cfg.adversary)
-        if (
-            strategy is not None
-            and cfg.scenario in ("acquire-af",)
-            and strategy.kind == "swap_attack"
-        ):
-            raise ConfigError("swap attack needs bidirectional taps; "
-                              "acquire-af models i.i.d. ancilla-free adversaries")
-
-
 def run_trial(cfg: ExperimentConfig, index: int) -> dict:
-    sc = SCENARIOS[cfg.scenario]
-    params = {**sc.defaults, **cfg.params}
     rng = trial_rng(cfg.seed, index)
-    record = sc.runner(params, cfg.adversary, rng)
+    record = SCENARIOS[cfg.scenario].runner(cfg.full_params, cfg.adversary, rng)
     record["trial"] = index
     return record
 
@@ -498,55 +641,12 @@ def aggregate_records(records: list[dict]) -> dict:
 
 
 def resource_table(cfg: ExperimentConfig) -> dict:
-    """Paper-formula resource counts next to the configured overrides."""
-    sc = SCENARIOS[cfg.scenario]
-    p = {**sc.defaults, **cfg.params}
-    out: dict = {"scenario": cfg.scenario}
-    n = p.get("n")
-    m = p.get("m", 1)
-    eps = p.get("eps", p.get("delta", 0.1))
-    delta = p.get("delta", 0.1)
-    if cfg.scenario in ("acquire-uni", "nogo-swap", "forrelation", "simon"):
-        n_block = (n or 4) * m
-        out["paper_blocks_noniid"] = acquire.paper_block_count_noniid(
-            n_block, eps, delta
-        )
-        out["paper_pub_queries"] = out["paper_blocks_noniid"] * m
-        out["configured_blocks"] = p.get("n_blocks", acquire.DEFAULT_BLOCKS)
-        out["iid_copy_formula"] = certify.iid_copy_count(n_block, eps, delta)
-    if cfg.scenario in ("acquire-af",):
-        dl = p.get("delta_leak", 0.5)
-        out["eps_leak"] = acquire.eps_leak(dl, m)
-        acc = acquire.ancilla_free_accuracy(eps, dl, m)
-        out["accuracy"] = acc
-        out["paper_blocks_adaptive"] = certify.adaptive_copy_count(
-            2 * (n or 3) * m, acc, delta
-        )
-        out["configured_blocks"] = p.get("n_blocks") or out["paper_blocks_adaptive"]
-    if cfg.scenario == "forrelation":
-        base = p.get("base_error", tasks.FORRELATION_BASE_ERROR)
-        out["ell"] = acquire.amplification_rounds(delta, 2 * base)
-    if cfg.scenario == "parity":
-        c = covertex.ParityLearnerConfig(
-            n=p["n"], delta_c=p["delta_c"], delta_p=p["delta_p"]
-        )
-        out.update({"k": c.k, "m_pub": c.m_pub, "m_pri_cap": c.m_pri_cap})
-    if cfg.scenario == "quadratic":
-        out["m_pub_bell_pairs"] = covertex.quadratic_public_budget(
-            p["n"], p["delta_c"]
-        )
-        out["m_pri"] = p["n"]
-    if cfg.scenario == "covert-sq":
-        m_e, eps0, tau_e = covertsq.sketch_width(
-            p["delta"], p["delta_c"], p["b_c"], p["b_m"]
-        )
-        out.update({"m_e": m_e, "eps0": eps0, "tau_e": tau_e})
-    if cfg.scenario == "shadows-qsq":
-        shots, batches = covertsq.shadow_shot_count(
-            p["n_observables"], p["k"], p["tau"], p["delta_p"]
-        )
-        out.update({"shots": shots, "batches": batches})
-    return out
+    """Paper-formula resource counts of the run next to its configured
+    overrides."""
+    return {
+        "scenario": cfg.scenario,
+        **SCENARIOS[cfg.scenario].resources(cfg.full_params),
+    }
 
 
 @dataclass
@@ -587,8 +687,6 @@ def run_experiment(
     """Execute the trials (optionally across worker processes; trial seeds
     make the records independent of the worker count), aggregate, and
     optionally write report.json plus a summary.csv row."""
-    validate_config(cfg)
-    sc = SCENARIOS[cfg.scenario]
     start = time.perf_counter()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -601,7 +699,7 @@ def run_experiment(
     wall = time.perf_counter() - start
     report = ExperimentReport(
         scenario=cfg.scenario,
-        params={**sc.defaults, **cfg.params},
+        params=cfg.full_params,
         adversary=cfg.adversary,
         seed=cfg.seed,
         trials=cfg.trials,

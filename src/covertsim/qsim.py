@@ -223,6 +223,16 @@ def apply_z_mask(state: PureState, r: int, qubits: Sequence[int]) -> PureState:
     return PureState(state.n, state.vec * signs)
 
 
+def _gather_bits(n: int, qubits: Sequence[int]) -> np.ndarray:
+    """For each n-qubit basis index, the bits at `qubits` packed into an int
+    (bit j of the result is qubit qubits[j])."""
+    idx = np.arange(1 << n, dtype=np.uint64)
+    x = np.zeros(1 << n, dtype=np.uint64)
+    for j, q in enumerate(qubits):
+        x |= ((idx >> np.uint64(q)) & 1) << np.uint64(j)
+    return x
+
+
 def apply_phase_oracle(
     state: PureState, f: BooleanFunction, qubits: Sequence[int]
 ) -> PureState:
@@ -235,11 +245,7 @@ def apply_phase_oracle(
     if list(qubits) == list(range(n)):
         signs = 1.0 - 2.0 * eval_all(f).astype(np.float64)
         return PureState(n, state.vec * signs)
-    idx = np.arange(1 << n, dtype=np.uint64)
-    x = np.zeros(1 << n, dtype=np.uint64)
-    for j, q in enumerate(qubits):
-        x |= ((idx >> np.uint64(q)) & 1) << np.uint64(j)
-    signs = 1.0 - 2.0 * eval_all(f)[x].astype(np.float64)
+    signs = 1.0 - 2.0 * eval_all(f)[_gather_bits(n, qubits)].astype(np.float64)
     return PureState(n, state.vec * signs)
 
 
@@ -255,16 +261,12 @@ def apply_qmem_oracle(
     if set(in_qubits) & set(out_qubits):
         raise ValueError("input and output registers overlap")
     n = state.n
-    idx = np.arange(1 << n, dtype=np.uint64)
-    x = np.zeros(1 << n, dtype=np.uint64)
-    for j, q in enumerate(in_qubits):
-        x |= ((idx >> np.uint64(q)) & 1) << np.uint64(j)
-    fx = eval_all(f)[x]
+    fx = eval_all(f)[_gather_bits(n, in_qubits)]
     flip = np.zeros(1 << n, dtype=np.uint64)
     for j, q in enumerate(out_qubits):
         flip |= ((fx >> np.uint64(j)) & 1) << np.uint64(q)
     new_vec = np.zeros_like(state.vec)
-    new_vec[idx ^ flip] = state.vec
+    new_vec[np.arange(1 << n, dtype=np.uint64) ^ flip] = state.vec
     return PureState(n, new_vec)
 
 
@@ -362,10 +364,7 @@ def measure_qubits_mixed(
     if basis != "Z":
         u = _embed_single(v.conj().T, state.n, qubits)
         rho = u @ rho @ u.conj().T
-    idx = np.arange(dim, dtype=np.uint64)
-    key = np.zeros(dim, dtype=np.uint64)
-    for j, q in enumerate(qubits):
-        key |= ((idx >> np.uint64(q)) & 1) << np.uint64(j)
+    key = _gather_bits(state.n, qubits)
     diag = np.real(np.diag(rho))
     k = len(qubits)
     probs = np.bincount(key.astype(np.int64), weights=diag, minlength=1 << k)
@@ -584,10 +583,7 @@ def bell_povm(n: int) -> Povm:
     h_data1 = _embed_single(GATES_1Q["H"], n_tot, list(range(n)))
 
     def proj(qubits: Sequence[int], value: int) -> np.ndarray:
-        key = np.zeros(dim, dtype=np.int64)
-        for j, q in enumerate(qubits):
-            key |= ((idx >> q) & 1) << j
-        return np.diag((key == value).astype(complex))
+        return np.diag((_gather_bits(n_tot, qubits) == value).astype(complex))
 
     elements = []
     labels = []

@@ -46,6 +46,8 @@ SIMON_INCONCLUSIVE = "inconclusive"
 # robustified per delta_A = 2 * base, eps_A = base^2
 FORRELATION_COPIES = 201
 FORRELATION_BASE_ERROR = 0.01
+# certification accuracy of each example-state acquisition in covert_simon
+SIMON_EPS = 0.1
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,7 @@ def covert_forrelation(
     delta: float = 0.1,
     adversary=None,
     ancilla_free: bool = False,
-    delta_leak: Optional[float] = None,
+    delta_leak: float = 0.5,
     copies: int = FORRELATION_COPIES,
     base_error: float = FORRELATION_BASE_ERROR,
     n_blocks: int = acquire.DEFAULT_BLOCKS,
@@ -217,7 +219,7 @@ def covert_forrelation(
 
     if ancilla_free:
         return acquire.task_ancilla_free(
-            task, oracle, mem, n2, copies, eps_a, delta, delta_leak or 0.5, rng,
+            task, oracle, mem, n2, copies, eps_a, delta, delta_leak, rng,
             n_blocks=n_blocks,
         )
     return acquire.amplified_task_unidirectional(
@@ -303,7 +305,7 @@ def covert_simon(
     delta: float = 0.1,
     adversary=None,
     ancilla_free: bool = False,
-    delta_leak: Optional[float] = None,
+    delta_leak: float = 0.5,
     copy_budget: Optional[int] = None,
     n_blocks: int = acquire.DEFAULT_BLOCKS,
 ) -> CovertSimonOutcome:
@@ -324,12 +326,12 @@ def covert_simon(
     for _ in range(budget):
         if ancilla_free:
             res = acquire.acquire_ancilla_free(
-                oracle, cert_mem, n, 1, 0.1, delta, delta_leak or 0.5, rng,
+                oracle, cert_mem, n, 1, SIMON_EPS, delta, delta_leak, rng,
                 n_blocks=n_blocks,
             )
         else:
             res = acquire.acquire_unidirectional(
-                oracle, cert_mem, n, 1, 0.1, delta, rng, n_blocks=n_blocks
+                oracle, cert_mem, n, 1, SIMON_EPS, delta, rng, n_blocks=n_blocks
             )
         copies_used += 1
         if not res.accepted:

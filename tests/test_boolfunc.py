@@ -9,6 +9,15 @@ from covertsim import gf2
 
 
 class TestEval:
+    def test_table_is_cached_on_the_instance(self):
+        f = bf.random_truth_table(4, np.random.default_rng(3))
+        table = bf.eval_all(f)
+        assert bf.eval_all(f) is table
+        twin = bf.truth_table(list(table))
+        assert twin == f and hash(twin) == hash(f)
+        assert bf.eval_all(twin) is not table
+        assert np.array_equal(bf.eval_all(twin), table)
+
     def test_parity_example(self):
         f = bf.parity_fn(gf2.str_to_bits("101"), 3)
         assert f(gf2.str_to_bits("111")) == 0

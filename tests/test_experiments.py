@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -6,7 +7,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+from covertsim import acquire
 from covertsim import experiments as exp
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestConfig:
@@ -30,6 +34,31 @@ class TestConfig:
                     "adversary": {"kind": "swap_attack"},
                 }
             )
+
+    def test_construction_validates(self):
+        with pytest.raises(exp.ConfigError, match="typo"):
+            exp.ExperimentConfig(scenario="parity", params={"typo": 1})
+        with pytest.raises(exp.ConfigError, match="trials"):
+            exp.ExperimentConfig(scenario="parity", trials=2.5)
+
+    @pytest.mark.parametrize("scenario, params, ok", [
+        ("acquire-af", {"delta_leak": 0}, True),  # an int for a float
+        ("acquire-af", {"n_blocks": None}, True),
+        ("acquire-af", {"n_blocks": 5}, True),
+        ("acquire-af", {"n_blocks": 5.0}, False),
+        ("acquire-af", {"delta_leak": "0.5"}, False),
+        ("parity", {"n": True}, False),
+        ("forrelation", {"ancilla_free": 1}, False),
+        ("certify", {"state": 3}, False),
+        ("certify", {"rounds": 40}, True),
+    ])
+    def test_param_types_follow_the_defaults(self, scenario, params, ok):
+        d = {"scenario": scenario, "params": params}
+        if ok:
+            exp.ExperimentConfig.from_dict(d)
+        else:
+            with pytest.raises(exp.ConfigError, match=repr(next(iter(params)))):
+                exp.ExperimentConfig.from_dict(d)
 
     def test_build_adversary_kinds(self):
         assert exp.build_adversary(None) is None
@@ -129,6 +158,42 @@ class TestRun:
         assert exp.resource_table(cfg2)["ell"] == 17
 
 
+# one small trial per acquisition path a scenario can take
+ACQUIRING = [
+    ("acquire-uni", {"n": 2, "n_blocks": 4}),
+    ("acquire-af", {"n": 2, "n_blocks": 4}),
+    ("acquire-af", {"n": 2, "m": 2}),
+    ("nogo-swap", {"n": 2, "n_blocks": 4}),
+    ("forrelation", {"n": 2, "copies": 3, "n_blocks": 4}),
+    ("forrelation", {"n": 2, "copies": 3, "n_blocks": 4, "ancilla_free": True}),
+    ("simon", {"n": 2, "n_blocks": 4}),
+    ("simon", {"n": 2, "n_blocks": 4, "ancilla_free": True}),
+]
+
+
+@pytest.mark.parametrize("scenario, params", ACQUIRING)
+def test_resource_table_is_the_schedule_of_the_run(monkeypatch, scenario, params):
+    results = []
+    for name in ("acquire_unidirectional", "acquire_ancilla_free"):
+        def spy(*args, _inner=getattr(acquire, name), **kwargs):
+            results.append(_inner(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(acquire, name, spy)
+    cfg = exp.ExperimentConfig.from_dict(
+        {"scenario": scenario, "params": params, "seed": 3}
+    )
+    exp.run_trial(cfg, 0)
+    table = exp.resource_table(cfg)
+    iid = "paper_blocks_adaptive" in table
+    paper = table["paper_blocks_adaptive" if iid else "paper_blocks_noniid"]
+    assert results
+    for res in results:
+        assert res.paper_blocks == paper
+        # the ancilla-free run adds the output block to the certified ones
+        assert res.blocks_used == table["configured_blocks"] + iid
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run(
@@ -180,6 +245,43 @@ class TestCli:
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["resources"]["accuracy"] == 0.1
+
+    @pytest.mark.parametrize("args, needle", [
+        (("--scenario", "parity", "--param", "typo=1"), "known params"),
+        (("--scenario", "parity", "--param", "n=abc"), "'n'"),
+        (("--scenario", "certify", "--param", "n_block=2.5"), "'n_block'"),
+    ])
+    def test_bad_param_exit_code(self, args, needle):
+        out = self.run_cli("run", "--trials", "1", *args)
+        assert out.returncode == 2
+        assert needle in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_non_integer_seed_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "parity", "seed": "x"}))
+        out = self.run_cli("run", "--config", str(cfg_path), "--trials", "1")
+        assert out.returncode == 2
+        assert "seed" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_shipped_config_reports_resources(self, path):
+        exp.ExperimentConfig.from_dict(json.loads(path.read_text()))
+        out = self.run_cli("resources", "--config", str(path))
+        assert out.returncode == 0, out.stderr
+
+    @pytest.mark.parametrize("scenario", sorted(exp.SCENARIOS))
+    def test_adversary_rule(self, scenario):
+        takes_none = {"parity", "quadratic", "covert-sq", "shadows-qsq",
+                      "certify", "nogo-swap"}
+        out = self.run_cli(
+            "resources", "--scenario", scenario,
+            "--adversary", '{"kind": "identity"}',
+        )
+        assert out.returncode == (2 if scenario in takes_none else 0), out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_replay_matches_run(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,6 +13,24 @@ from covertsim.gf2 import dot
 
 
 class TestSqOracle:
+    def test_tolerance_audit_raises_under_optimization(self):
+        # `python -O` strips asserts; the audit must still reject a NaN truth
+        code = textwrap.dedent("""
+            import math
+            from covertsim import oracles
+            print("debug", __debug__)
+            try:
+                oracles._policy_answer(oracles.EXACT, math.nan, 0.1, None)
+            except RuntimeError as e:
+                print("raised:", e)
+        """)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert "debug False" in out.stdout
+        assert "raised: tolerance audit failed" in out.stdout
+
     def test_parity_pair_closed_form(self):
         # t1 = s -> 1/2; t2 = s -> 0 (paper's tournament case analysis)
         s = 0b1011

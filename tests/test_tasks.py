@@ -291,6 +291,22 @@ class TestSimon:
         )
         assert out.rejected
 
+    def test_explicit_zero_leak_reaches_the_acquisition(self, monkeypatch):
+        seen = []
+        inner = acquire.acquire_ancilla_free
+
+        def spy(*args, **kwargs):
+            seen.append(args[6])  # delta_leak
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(acquire, "acquire_ancilla_free", spy)
+        rng = np.random.default_rng(21)
+        inst = tasks.gen_simon_instance(2, tasks.SIMON_PERIODIC, rng)
+        tasks.covert_simon(
+            inst, rng, delta=0.1, ancilla_free=True, delta_leak=0.0, n_blocks=4
+        )
+        assert seen and all(v == 0.0 for v in seen)
+
 
 class TestInstanceSerialization:
     def test_forrelation_roundtrip(self):
