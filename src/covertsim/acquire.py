@@ -57,15 +57,6 @@ class MaskedQueryContext:
         self._used_masks.add(mask)
 
 
-def paper_block_count_noniid(n_block: int, eps: float, delta: float) -> int:
-    """Theta-tilde(n_block^5 / (delta^2 eps^6)) schedule of the non-i.i.d.
-    lift, with unit constant; reported alongside the override in use."""
-    k_l = certify.iid_copy_count(n_block, eps / 2.0, delta / 6.0)
-    return math.ceil(
-        n_block * k_l**2 * math.log(2.0 / delta) ** 2 / (delta**2 * eps**2)
-    )
-
-
 def eps_leak(delta_leak: float, m: int) -> float:
     """1 - (1 - delta_leak/2)^m, the per-block fidelity gap a measuring
     ancilla-free adversary cannot avoid."""
@@ -77,6 +68,37 @@ def ancilla_free_accuracy(eps: float, delta_leak: float, m: int) -> float:
     acquisition; plain eps when the adversary leaks nothing (eps_leak = 0)."""
     e_leak = eps_leak(delta_leak, m)
     return min(eps, (1.0 - AMPLIFICATION_SHRINK) * e_leak) if e_leak > 0 else eps
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Block schedule of one acquisition: the accuracy it certifies at, the
+    paper-formula block count, and the number of blocks it certifies."""
+
+    accuracy: float
+    paper_blocks: int
+    cert_blocks: int
+
+
+def unidirectional_schedule(qubits, m, eps, delta, n_blocks=DEFAULT_BLOCKS) -> Schedule:
+    """Schedule of `acquire_unidirectional` on blocks of m copies of `qubits`
+    qubits: the Theta-tilde(n_block^5 / (delta^2 eps^6)) paper count of the
+    non-i.i.d. lift, with unit constant, next to the n_blocks override."""
+    n_block = qubits * m
+    k_l = certify.iid_copy_count(n_block, eps / 2.0, delta / 6.0)
+    paper = math.ceil(
+        n_block * k_l**2 * math.log(2.0 / delta) ** 2 / (delta**2 * eps**2)
+    )
+    return Schedule(eps, paper, n_blocks)
+
+
+def ancilla_free_schedule(qubits, m, eps, delta, delta_leak, n_blocks=None) -> Schedule:
+    """Schedule of `acquire_ancilla_free`: masked copies carry 2 * qubits
+    qubits, certified at `ancilla_free_accuracy`; without an n_blocks
+    override the paper count is certified."""
+    accuracy = ancilla_free_accuracy(eps, delta_leak, m)
+    paper = certify.adaptive_copy_count(2 * qubits * m, accuracy, delta)
+    return Schedule(accuracy, paper, paper if n_blocks is None else n_blocks)
 
 
 # --- masked queries -----------------------------------------------------------
@@ -263,6 +285,7 @@ def acquire_unidirectional(
     if mode not in (RANDOMNESS, ENTANGLED):
         raise ValueError(f"bad mode {mode!r} for acquisition")
     w = oracle.f.w if oracle.kind == "QMem" else 0
+    plan = unidirectional_schedule(n + w, m, eps, delta, n_blocks)
     pub0, pri0 = oracle.count, mem.count
     blocks = _collect_blocks(
         oracle, n, w, m, n_blocks, rng, entangled=mode == ENTANGLED, unmask=True
@@ -273,8 +296,7 @@ def acquire_unidirectional(
     return AcquisitionResult(
         accepted=record.accepted, output=output, record=record,
         pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,
-        blocks_used=n_blocks,
-        paper_blocks=paper_block_count_noniid((n + w) * m, eps, delta),
+        blocks_used=plan.cert_blocks, paper_blocks=plan.paper_blocks,
     )
 
 
@@ -297,16 +319,15 @@ def acquire_ancilla_free(
     acceptance the output block is unmasked and returned.
     """
     w = oracle.f.w if oracle.kind == "QMem" else 0
+    plan = ancilla_free_schedule(n + w, m, eps, delta, delta_leak, n_blocks)
+    n_cert = plan.cert_blocks
     pub0, pri0 = oracle.count, mem.count
-    accuracy = ancilla_free_accuracy(eps, delta_leak, m)
-    paper_blocks = certify.adaptive_copy_count(2 * (n + w) * m, accuracy, delta)
-    n_cert = paper_blocks if n_blocks is None else n_blocks
     blocks = _collect_blocks(
         oracle, n, w, m, n_cert + 1, rng, entangled=True, unmask=False
     )
     view = _membership_view(mem, n, w, m, masked=True)
     record = certify.overlap_estimate_iid(
-        blocks[:n_cert], view, accuracy, delta, rng, rounds_override=n_cert
+        blocks[:n_cert], view, plan.accuracy, delta, rng, rounds_override=n_cert
     )
     output = None
     if record.accepted:
@@ -317,7 +338,7 @@ def acquire_ancilla_free(
     return AcquisitionResult(
         accepted=record.accepted, output=output, record=record,
         pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,
-        blocks_used=n_cert + 1, paper_blocks=paper_blocks,
+        blocks_used=n_cert + 1, paper_blocks=plan.paper_blocks,
     )
 
 

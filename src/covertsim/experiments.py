@@ -52,12 +52,12 @@ def trial_rng(master_seed: int, trial_index: int):
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial_index]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A validated experiment: construction raises ConfigError on an unknown
     scenario, a non-integer seed or trial count, a param the scenario does
     not declare or whose type differs from its default's, and an adversary
-    the scenario does not accept."""
+    the scenario does not accept. It keeps its own copy of the params."""
 
     scenario: str
     params: dict = field(default_factory=dict)
@@ -78,6 +78,7 @@ class ExperimentConfig:
             raise ConfigError("trials must be positive")
         if not isinstance(self.params, dict):
             raise ConfigError(f"params must be a JSON object, got {self.params!r}")
+        object.__setattr__(self, "params", dict(self.params))
         for key, value in self.params.items():
             if key not in sc.defaults:
                 raise ConfigError(
@@ -347,7 +348,7 @@ def _run_forrelation(params, adversary_spec, rng) -> dict:
         adversary=build_adversary(adversary_spec),
         ancilla_free=params["ancilla_free"], delta_leak=params["delta_leak"],
         copies=params["copies"], base_error=params["base_error"],
-        n_blocks=params["n_blocks"], mode=params["mode"],
+        n_blocks=params["n_blocks"],
     )
     return {
         "rejected": out.rejected,
@@ -417,30 +418,16 @@ def _run_nogo_swap(params, adversary_spec, rng) -> dict:
 # --- resource schedules --------------------------------------------------------
 
 
-def _unidirectional_schedule(qubits, m, eps, delta, n_blocks) -> dict:
-    """Block schedule of `acquire.acquire_unidirectional` for m copies of
-    `qubits` qubits each, certified at accuracy eps and confidence delta."""
-    n_block = qubits * m
-    blocks = acquire.paper_block_count_noniid(n_block, eps, delta)
-    return {
-        "paper_blocks_noniid": blocks,
-        "paper_pub_queries": blocks * m,
-        "configured_blocks": n_blocks,
-        "iid_copy_formula": certify.iid_copy_count(n_block, eps, delta),
-    }
-
-
-def _ancilla_free_schedule(qubits, m, eps, delta, delta_leak, n_blocks) -> dict:
-    """Block schedule of `acquire.acquire_ancilla_free`: masked copies carry
-    2 * qubits qubits, certified at min{eps, (1-c) eps_leak}."""
-    accuracy = acquire.ancilla_free_accuracy(eps, delta_leak, m)
-    blocks = certify.adaptive_copy_count(2 * qubits * m, accuracy, delta)
-    return {
-        "eps_leak": acquire.eps_leak(delta_leak, m),
-        "accuracy": accuracy,
-        "paper_blocks_adaptive": blocks,
-        "configured_blocks": blocks if n_blocks is None else n_blocks,
-    }
+def _acquisition_resources(p, qubits, m, eps, delta, ancilla_free) -> dict:
+    """Schedule of one acquisition of m-copy blocks of `qubits` qubits at
+    accuracy eps: ancilla-free at confidence p["delta"] against the leak
+    p["delta_leak"], or unidirectional at confidence delta."""
+    if ancilla_free:
+        schedule = acquire.ancilla_free_schedule(
+            qubits, m, eps, p["delta"], p["delta_leak"], p["n_blocks"]
+        )
+        return {"eps_leak": acquire.eps_leak(p["delta_leak"], m), **asdict(schedule)}
+    return asdict(acquire.unidirectional_schedule(qubits, m, eps, delta, p["n_blocks"]))
 
 
 def _parity_resources(p) -> dict:
@@ -466,34 +453,18 @@ def _certify_resources(p) -> dict:
 
 
 def _acquire_uni_resources(p) -> dict:
-    return _unidirectional_schedule(p["n"], p["m"], p["eps"], p["delta"], p["n_blocks"])
+    return _acquisition_resources(p, p["n"], p["m"], p["eps"], p["delta"], False)
 
 
 def _forrelation_resources(p) -> dict:
-    # each round acquires `copies` phase states of h on 2n qubits at the
-    # robustified eps_A = base^2, delta_A = 2 base (see tasks.covert_forrelation)
-    base = p["base_error"]
-    if p["ancilla_free"]:
-        return _ancilla_free_schedule(
-            2 * p["n"], p["copies"], base**2, p["delta"], p["delta_leak"], p["n_blocks"]
-        )
-    return {
-        **_unidirectional_schedule(
-            2 * p["n"], p["copies"], base**2, 2 * base, p["n_blocks"]
-        ),
-        "ell": acquire.amplification_rounds(p["delta"], 2 * base),
-    }
-
-
-def _simon_resources(p) -> dict:
-    # one example state (n input + n output qubits) per acquisition
-    if p["ancilla_free"]:
-        return _ancilla_free_schedule(
-            2 * p["n"], 1, tasks.SIMON_EPS, p["delta"], p["delta_leak"], p["n_blocks"]
-        )
-    return _unidirectional_schedule(
-        2 * p["n"], 1, tasks.SIMON_EPS, p["delta"], p["n_blocks"]
+    # each round acquires `copies` phase states of h on 2n qubits
+    eps_a, delta_a = tasks.forrelation_targets(p["base_error"])
+    out = _acquisition_resources(
+        p, 2 * p["n"], p["copies"], eps_a, delta_a, p["ancilla_free"]
     )
+    if not p["ancilla_free"]:
+        out["ell"] = acquire.amplification_rounds(p["delta"], delta_a)
+    return out
 
 
 # --- registry -----------------------------------------------------------------
@@ -574,9 +545,7 @@ SCENARIOS: dict[str, Scenario] = {
         {"n": 3, "m": 1, "eps": 0.1, "delta": 0.1, "delta_leak": 0.5,
          "n_blocks": None},
         "covert verifiable phase states vs i.i.d. ancilla-free adversaries",
-        lambda p: _ancilla_free_schedule(
-            p["n"], p["m"], p["eps"], p["delta"], p["delta_leak"], p["n_blocks"]
-        ),
+        lambda p: _acquisition_resources(p, p["n"], p["m"], p["eps"], p["delta"], True),
         # the swap attack needs bidirectional taps, outside this model
         TAPPED - {"swap_attack"},
     ),
@@ -585,7 +554,7 @@ SCENARIOS: dict[str, Scenario] = {
         {"n": 4, "delta": 0.1, "ancilla_free": False, "delta_leak": 0.5,
          "copies": tasks.FORRELATION_COPIES,
          "base_error": tasks.FORRELATION_BASE_ERROR,
-         "n_blocks": acquire.DEFAULT_BLOCKS, "mode": acquire.RANDOMNESS},
+         "n_blocks": acquire.DEFAULT_BLOCKS},
         "covert verifiable Forrelation end to end",
         _forrelation_resources, TAPPED,
     ),
@@ -594,7 +563,11 @@ SCENARIOS: dict[str, Scenario] = {
         {"n": 4, "delta": 0.1, "ancilla_free": False, "delta_leak": 0.5,
          "copy_budget": None, "n_blocks": acquire.DEFAULT_BLOCKS},
         "covert verifiable Simon end to end",
-        _simon_resources, TAPPED,
+        # one example state of the n-to-n Simon function (2n qubits) each
+        lambda p: _acquisition_resources(
+            p, 2 * p["n"], 1, tasks.SIMON_EPS, p["delta"], p["ancilla_free"]
+        ),
+        TAPPED,
     ),
     "nogo-swap": Scenario(
         _run_nogo_swap,

@@ -43,7 +43,7 @@ SIMON_INCONCLUSIVE = "inconclusive"
 
 # defaults for the covert Forrelation wrappers: declared base error of the
 # repetition-majority decision at this copy count (validated empirically),
-# robustified per delta_A = 2 * base, eps_A = base^2
+# robustified by forrelation_targets
 FORRELATION_COPIES = 201
 FORRELATION_BASE_ERROR = 0.01
 # certification accuracy of each example-state acquisition in covert_simon
@@ -184,6 +184,12 @@ def forrelation_decide(
     return PHI_LARGE if freq >= threshold else PHI_SMALL
 
 
+def forrelation_targets(base_error: float) -> tuple[float, float]:
+    """(eps_A, delta_A) = (base^2, 2 base): the Fuchs-van de Graaf
+    robustification of the base decision error."""
+    return base_error**2, 2.0 * base_error
+
+
 def covert_forrelation(
     instance: ForrelationInstance,
     rng,
@@ -201,8 +207,7 @@ def covert_forrelation(
 
     One phase query to h(x, y) = f(x) xor g(y) is a single tapped oracle
     round trip; the padded body makes it one f- and one g-evaluation.
-    Robustification per the Fuchs-van de Graaf recipe: delta_A = 2 base,
-    eps_A = base^2.
+    The acquisitions certify at `forrelation_targets(base_error)`.
     """
     from .oracles import TapChannel
 
@@ -211,8 +216,7 @@ def covert_forrelation(
     tap = TapChannel(adversary) if adversary is not None else None
     oracle = QuantumChannelOracle(h, "QPh", tap=tap)
     mem = MemOracle(h)
-    delta_a = 2.0 * base_error
-    eps_a = base_error**2
+    eps_a, delta_a = forrelation_targets(base_error)
 
     def task(block_copies):
         return forrelation_decide(block_copies, instance.n, rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -41,6 +42,14 @@ class TestConfig:
         with pytest.raises(exp.ConfigError, match="trials"):
             exp.ExperimentConfig(scenario="parity", trials=2.5)
 
+    def test_config_keeps_its_own_params(self):
+        d = {"scenario": "parity", "params": {"n": 4}}
+        cfg = exp.ExperimentConfig.from_dict(d)
+        d["params"]["typo"] = 1
+        assert cfg.params == {"n": 4}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.params = {"typo": 1}
+
     @pytest.mark.parametrize("scenario, params, ok", [
         ("acquire-af", {"delta_leak": 0}, True),  # an int for a float
         ("acquire-af", {"n_blocks": None}, True),
@@ -49,6 +58,7 @@ class TestConfig:
         ("acquire-af", {"delta_leak": "0.5"}, False),
         ("parity", {"n": True}, False),
         ("forrelation", {"ancilla_free": 1}, False),
+        ("forrelation", {"mode": "entangled"}, False),  # not a forrelation param
         ("certify", {"state": 3}, False),
         ("certify", {"rounds": 40}, True),
     ])
@@ -185,13 +195,12 @@ def test_resource_table_is_the_schedule_of_the_run(monkeypatch, scenario, params
     )
     exp.run_trial(cfg, 0)
     table = exp.resource_table(cfg)
-    iid = "paper_blocks_adaptive" in table
-    paper = table["paper_blocks_adaptive" if iid else "paper_blocks_noniid"]
+    iid = "eps_leak" in table
     assert results
     for res in results:
-        assert res.paper_blocks == paper
+        assert res.paper_blocks == table["paper_blocks"]
         # the ancilla-free run adds the output block to the certified ones
-        assert res.blocks_used == table["configured_blocks"] + iid
+        assert res.blocks_used == table["cert_blocks"] + iid
 
 
 class TestCli:
