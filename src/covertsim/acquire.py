@@ -13,6 +13,12 @@ phase kickback as phase states of f~(x, y) = y·f(x) and delivered after
 Hadamards on the out register. Task wrappers robustify a decision algorithm
 on top with one certify-then-vote round loop.
 
+Each certification block is one stacked (m, 2^q) amplitude array, row j the
+j-th copy (`certify.ProductBlock`). The public oracle is still queried once
+per copy, but a randomness-masked phase response is unmasked straight into
+its row with the cached Z^r signs, without building a state, and the block's
+norms are checked once, in one vectorised pass.
+
 Block register layout: in entangled modes the private mask register occupies
 the low qubits of every copy, the oracle-facing register the high ones.
 """
@@ -41,6 +47,7 @@ DEFAULT_BLOCKS = 20  # desk-scale override of the paper-formula block counts
 
 RANDOMNESS = "randomness"
 ENTANGLED = "entangled"
+MODES = (RANDOMNESS, ENTANGLED)
 
 
 @dataclass
@@ -103,22 +110,44 @@ def ancilla_free_schedule(qubits, m, eps, delta, delta_leak, n_blocks=None) -> S
 
 # --- masked queries -----------------------------------------------------------
 
+# n -> Z^r |+>^n for every r: the rows of H^n as states, sharing one
+# read-only array (1 MiB at the largest n kept, qsim.SIGN_TABLE_QUBITS)
+_MASKED_PLUS: dict[int, list[PureState]] = {}
+
+
+def _masked_plus(n: int, r: int) -> PureState:
+    if n > qsim.SIGN_TABLE_QUBITS:
+        return PureState(n, qsim.z_signs(n, r) * complex(2 ** (-n / 2)))
+    states = _MASKED_PLUS.get(n)
+    if states is None:
+        table = qsim.z_sign_table(n) * complex(2 ** (-n / 2))
+        table.flags.writeable = False
+        states = _MASKED_PLUS[n] = [PureState(n, row) for row in table]
+    return states[r]
+
 
 def masked_query_phase_randomness(
     oracle: QuantumChannelOracle, n: int, rng, mask: Optional[int] = None,
-    ctx: Optional[MaskedQueryContext] = None,
-) -> PureState:
+    ctx: Optional[MaskedQueryContext] = None, out: Optional[np.ndarray] = None,
+) -> Optional[PureState]:
     """One covert phase-oracle query from classical randomness.
 
     Send Z^r |+>^n with private uniform r, undo Z^r on the response; with no
-    adversary the result is exactly the target phase state.
+    adversary the result is exactly the target phase state. Given `out` (a
+    block row), the unmasked amplitudes are written there and nothing is
+    returned; the block checks their norm.
     """
     if ctx is not None:
         ctx.check_fresh(mask)
     r = int(rng.integers(0, 1 << n)) if mask is None else mask
-    sent = qsim.apply_z_mask(qsim.uniform_state(n), r, range(n))
-    got = oracle.query(sent, list(range(n)), rng=rng)
-    return qsim.apply_z_mask(got, r, range(n))
+    got = oracle.query(_masked_plus(n, r), list(range(n)), rng=rng)
+    if out is None:
+        return qsim.apply_z_mask(got, r, range(n))
+    if r:
+        np.multiply(got.vec, qsim.z_signs(n, r), out=out)
+    else:  # as apply_z_mask: a product with +1 may flip the sign of a zero
+        out[:] = got.vec
+    return None
 
 
 def masked_query_phase_entangled(
@@ -225,29 +254,37 @@ class AcquisitionResult:
     paper_blocks: int
 
 
-def _masked_query(oracle, n: int, w: int, rng, entangled: bool, unmask: bool):
-    """One masked query for the (n+w)-qubit phase-state target; an entangled
-    response stays coupled to its mask register unless `unmask` is set
-    (randomness-masked responses always come back unmasked)."""
+def _masked_query(oracle, n: int, w: int, rng, entangled: bool, unmask: bool,
+                  out: np.ndarray) -> None:
+    """One masked query for the (n+w)-qubit phase-state target, written into
+    the block row `out`; an entangled response stays coupled to its mask
+    register unless `unmask` is set (randomness-masked responses always come
+    back unmasked)."""
+    if not entangled and not w:
+        masked_query_phase_randomness(oracle, n, rng, out=out)
+        return
     if not entangled:
-        if w:
-            return masked_query_qmem_randomness(oracle, n, w, rng)
-        return masked_query_phase_randomness(oracle, n, rng)
-    if w:
-        joint = masked_query_qmem_entangled(oracle, n, w, rng)
+        state = masked_query_qmem_randomness(oracle, n, w, rng)
     else:
-        joint = masked_query_phase_entangled(oracle, n, rng)
-    return unmask_entangled(joint, n + w, rng) if unmask else joint
+        if w:
+            state = masked_query_qmem_entangled(oracle, n, w, rng)
+        else:
+            state = masked_query_phase_entangled(oracle, n, rng)
+        if unmask:
+            state = unmask_entangled(state, n + w, rng)
+    out[:] = state.vec
 
 
 def _collect_blocks(oracle, n, w, m, count, rng, entangled, unmask):
-    """`count` blocks of m masked copies, queried in order."""
-    return [
-        ProductBlock(
-            [_masked_query(oracle, n, w, rng, entangled, unmask) for _ in range(m)]
-        )
-        for _ in range(count)
-    ]
+    """`count` stacked blocks of m masked copies, queried in order."""
+    qubits = (n + w) * (1 if unmask or not entangled else 2)
+    blocks = []
+    for _ in range(count):
+        amps = np.empty((m, 1 << qubits), dtype=complex)
+        for row in amps:
+            _masked_query(oracle, n, w, rng, entangled, unmask, row)
+        blocks.append(ProductBlock(amps=amps))
+    return blocks
 
 
 def _membership_view(mem: MemOracle, n: int, w: int, m: int, masked: bool):
@@ -282,7 +319,7 @@ def acquire_unidirectional(
     m-fold tensor-power function gates the output block. n is the input
     width; a QMem oracle's copies carry its w out qubits on top.
     """
-    if mode not in (RANDOMNESS, ENTANGLED):
+    if mode not in MODES:
         raise ValueError(f"bad mode {mode!r} for acquisition")
     w = oracle.f.w if oracle.kind == "QMem" else 0
     plan = unidirectional_schedule(n + w, m, eps, delta, n_blocks)
@@ -397,6 +434,7 @@ def _task_rounds(
         if not res.accepted:
             return TaskOutcome(rejected=True, rounds=j + 1, votes=votes)
         votes.append(task(res.output))
+        del res  # the round's copies are spent: free them before the next round
     answer = combine(votes)
     return TaskOutcome(
         rejected=answer is None, answer=answer, rounds=rounds, votes=votes

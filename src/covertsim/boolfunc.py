@@ -111,9 +111,12 @@ class BooleanFunction:
 
 
 def evaluate(f: BooleanFunction, x: int) -> int:
-    """f(x) as a w-bit int. Works at any arity (no table materialized)."""
+    """f(x) as a w-bit int: read from the truth table when eval_all has
+    built it, else computed from the body (at any arity)."""
     if x >> f.n:
         raise ValueError(f"input has more than {f.n} bits")
+    if f._table:
+        return int(f._table[0][x])
     b = f.body
     if isinstance(b, TruthTable):
         return b.values[x]

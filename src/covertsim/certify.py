@@ -10,7 +10,13 @@ per-round check projectors.
 
 Blocks are products of copies (cross-block entanglement never arises for the
 implemented adversaries), so measuring certification blocks leaves the
-output block untouched.
+output block untouched. A block of m pure copies is one stacked (m, 2^q)
+amplitude array, row j the amplitudes of copy j, its row norms checked once
+when the block is built. A round X-tests one copy and Z-collapses the other
+m - 1 together: one cumulative-sum compare over the block's per-copy
+probability matrix (|amp|^2 rows for pure copies, the clipped diagonal for
+mixed ones), drawing the same uniforms, in the same order, as collapsing the
+copies one at a time.
 """
 from __future__ import annotations
 
@@ -50,20 +56,55 @@ def adaptive_copy_count(n_block: int, eps: float, delta: float) -> int:
 Copy = Union[PureState, MixedState]
 
 
-@dataclass
 class ProductBlock:
-    """A certification block: independent copies forming one
-    (copies x qubits_per_copy)-qubit register, copy 0 in the low qubits."""
+    """A certification block: m independent q-qubit copies forming one
+    (m q)-qubit register, copy 0 in the low qubits.
 
-    copies: list
+    Built from a list of copies or from a stacked (m, 2^q) amplitude array
+    `amps` (which the block makes read-only). Pure copies are held stacked;
+    a block with a mixed copy keeps its copies as given."""
 
-    @property
-    def qubits_per_copy(self) -> int:
-        return self.copies[0].n
+    def __init__(self, copies: Sequence[Copy] = (), amps: Optional[np.ndarray] = None):
+        if amps is None:
+            copies = list(copies)
+            if not copies or len({c.n for c in copies}) != 1:
+                raise ValueError("a block needs copies of one register size")
+            if all(isinstance(c, PureState) for c in copies):
+                amps = np.stack([c.vec for c in copies])
+        if amps is None:
+            self.amps, self._states = None, copies
+            self.m, self.qubits_per_copy = len(copies), copies[0].n
+        else:
+            qsim.check_rows_normalized(amps)
+            amps.flags.writeable = False
+            self.amps, self._states = amps, None
+            self.m, self.qubits_per_copy = amps.shape[0], amps.shape[1].bit_length() - 1
 
     @property
     def n_block(self) -> int:
-        return sum(c.n for c in self.copies)
+        return self.m * self.qubits_per_copy
+
+    def state(self, j: int) -> Copy:
+        """Copy j as a state."""
+        if self.amps is None:
+            return self._states[j]
+        return PureState(self.qubits_per_copy, self.amps[j])
+
+    @property
+    def copies(self) -> list:
+        return [self.state(j) for j in range(self.m)]
+
+    def z_probs(self) -> np.ndarray:
+        """(m, 2^q) computational-basis distributions of the copies, as a
+        new array."""
+        if self.amps is not None:
+            probs = np.abs(self.amps)
+            return np.square(probs, out=probs)
+        return np.stack([
+            np.abs(c.vec) ** 2 if isinstance(c, PureState)
+            else np.clip(np.real(np.diag(c.mat)), 0.0, None)
+            for c in self._states
+        ])
 
 
 @dataclass
@@ -88,15 +129,6 @@ class CertificationRecord:
     accepted: bool
     membership_queries: int
     used_coverage_path: Optional[bool] = None
-
-
-def _z_sample_full(copy: Copy, rng) -> int:
-    """Collapse one copy entirely in the computational basis."""
-    if isinstance(copy, PureState):
-        p = np.abs(copy.vec) ** 2
-    else:
-        p = np.clip(np.real(np.diag(copy.mat)), 0.0, None)
-    return qsim.sample_index(p, rng)
 
 
 def _pair_indices(q: int, local: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,21 +171,29 @@ def _insert_bit(compact: int, pos: int, bit: int) -> int:
 def overlap_round(
     block: ProductBlock, mem_view, rng, qubit: Optional[int] = None
 ) -> OverlapRound:
-    """One shadow-overlap round on a block; exactly two membership queries."""
-    n_block = block.n_block
-    q = block.qubits_per_copy
-    i = int(rng.integers(n_block)) if qubit is None else qubit
+    """One shadow-overlap round on a block; exactly two membership queries.
+
+    Copy c holding qubit i takes the X test; the others are Z-collapsed in
+    one pass, each by `qsim.sample_index`'s rule (the first index whose
+    cumulative weight exceeds u times the total) on a uniform u drawn in
+    copy order: those of copies 0..c-1, then copy c's two, then the rest.
+    """
+    m, q = block.m, block.qubits_per_copy
+    i = int(rng.integers(m * q)) if qubit is None else qubit
     c, local = divmod(i, q)
-    rest = 0
-    shift = 0
-    for j, copy in enumerate(block.copies):
-        if j == c:
-            compact, x_bit = _round_on_copy(copy, local, rng)
-            rest |= compact << shift
-            shift += copy.n - 1
-        else:
-            rest |= _z_sample_full(copy, rng) << shift
-            shift += copy.n
+    u_low = rng.random(c)
+    compact, x_bit = _round_on_copy(block.state(c), local, rng)
+    rest = compact << (c * q)
+    if m > 1:
+        u = np.concatenate((u_low, [0.0], rng.random(m - 1 - c)))
+        cum = block.z_probs()
+        np.cumsum(cum, axis=1, out=cum)
+        hits = (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
+        outcomes = np.minimum(hits, (1 << q) - 1).tolist()
+        for j, z in enumerate(outcomes):
+            if j != c:
+                # copy c keeps q - 1 of its bits (qubit i is X-measured)
+                rest |= z << (j * q - (j > c))
     y0 = _insert_bit(rest, i, 0)
     y1 = _insert_bit(rest, i, 1)
     f0 = mem_view.query(y0)
@@ -206,7 +246,12 @@ def overlap_estimate_iid(
     accept threshold. Requires at least the formula copy count unless a
     rounds override is given."""
     n_block = blocks[0].n_block
-    needed = rounds_override or iid_copy_count(n_block, eps, delta)
+    needed = (
+        iid_copy_count(n_block, eps, delta) if rounds_override is None
+        else rounds_override
+    )
+    if needed < 1:
+        raise ValueError("the estimator needs at least one round")
     if len(blocks) < needed:
         raise ValueError(f"insufficient copies: {len(blocks)} < {needed}")
     scores = [overlap_round(blocks[j], mem_view, rng).score for j in range(needed)]
@@ -229,7 +274,12 @@ def overlap_estimate_iid_state(
 ) -> CertificationRecord:
     """Fast-path i.i.d. estimator for many copies of one pure single-copy
     block; `mem_charge(k)` is called with the membership-query cost."""
-    rounds = rounds_override or iid_copy_count(copy.n, eps, delta)
+    rounds = (
+        iid_copy_count(copy.n, eps, delta) if rounds_override is None
+        else rounds_override
+    )
+    if rounds < 1:
+        raise ValueError("the estimator needs at least one round")
     scores = overlap_scores_iid_fast(copy, f_block, rounds, rng)
     if mem_charge is not None:
         mem_charge(2 * rounds)

@@ -56,8 +56,9 @@ def trial_rng(master_seed: int, trial_index: int):
 class ExperimentConfig:
     """A validated experiment: construction raises ConfigError on an unknown
     scenario, a non-integer seed or trial count, a param the scenario does
-    not declare or whose type differs from its default's, and an adversary
-    the scenario does not accept. It keeps its own copy of the params."""
+    not declare, whose type differs from its default's or that breaks one of
+    the scenario's rules, and an adversary the scenario does not accept. It
+    keeps its own copy of the params."""
 
     scenario: str
     params: dict = field(default_factory=dict)
@@ -89,6 +90,10 @@ class ExperimentConfig:
             if not _fits_default(value, default):
                 expected = "int or null" if default is None else type(default).__name__
                 raise ConfigError(f"param {key!r} must be {expected}, got {value!r}")
+        params = self.full_params
+        for key, (ok, allowed) in sc.rules.items():
+            if not ok(params[key], params):
+                raise ConfigError(f"param {key!r} must be {allowed}, got {params[key]!r}")
         if build_adversary(self.adversary) is not None:
             kind = self.adversary["kind"]
             if kind not in sc.adversaries:
@@ -265,16 +270,14 @@ def _run_certify(params, adversary_spec, rng) -> dict:
     mode = params["state"]
     if mode == "exact":
         state = qsim.prepare_phase_state(f)
-    elif mode.startswith("flip:"):
+    elif mode == "zero":
+        state = qsim.basis_state(n_block, 0)
+    else:  # "flip:<k>"
         flips = int(mode.split(":")[1])
         table = [int(v) for v in bf.eval_all(f)]
         for x in range(flips):
             table[x] ^= 1
         state = qsim.prepare_phase_state(bf.truth_table(table))
-    elif mode == "zero":
-        state = qsim.basis_state(n_block, 0)
-    else:
-        raise ConfigError(f"unknown certify state mode {mode!r}")
     rec = certify.overlap_estimate_iid_state(
         state, f, eps, delta, rng, rounds_override=params["rounds"]
     )
@@ -449,7 +452,8 @@ def _shadows_resources(p) -> dict:
 
 def _certify_resources(p) -> dict:
     rounds = certify.iid_copy_count(p["n_block"], p["eps"], p["delta"])
-    return {"paper_rounds": rounds, "configured_rounds": p["rounds"] or rounds}
+    configured = rounds if p["rounds"] is None else p["rounds"]
+    return {"paper_rounds": rounds, "configured_rounds": configured}
 
 
 def _acquire_uni_resources(p) -> dict:
@@ -470,13 +474,31 @@ def _forrelation_resources(p) -> dict:
 # --- registry -----------------------------------------------------------------
 
 
+def _one_of(*values) -> tuple[Callable, str]:
+    """Rule: the param is one of `values`."""
+    return lambda v, p: v in values, "one of " + ", ".join(map(repr, values))
+
+
+# rule: a confidence or failure probability strictly inside (0, 1)
+_OPEN_UNIT = (lambda v, p: 0 < v < 1, "in (0, 1)")
+
+
+def _certify_state_ok(state: str, p: dict) -> bool:
+    """'exact', 'zero', or 'flip:<k>' flipping k <= 2^n_block table entries."""
+    if state in ("exact", "zero"):
+        return True
+    head, _, k = state.partition(":")
+    return head == "flip" and k.isdecimal() and int(k) <= 1 << p["n_block"]
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything about a scenario. `defaults` is its parameter schema: every
     key that `runner` or `resources` reads, which are all the keys a config
     may set. `resources` computes the schedule from the values the runner
     uses; `adversaries` lists the spec kinds it accepts (none: it takes no
-    adversary spec)."""
+    adversary spec). `rules` maps a param to a test of its value within the
+    full params and the allowed values it states, checked at construction."""
 
     runner: Callable
     defaults: dict
@@ -484,6 +506,7 @@ class Scenario:
     resources: Callable[[dict], dict]
     adversaries: frozenset = frozenset()
     asserts: Optional[Callable] = None
+    rules: dict = field(default_factory=dict)
 
 
 def _assert_parity(agg, params):
@@ -505,6 +528,8 @@ SCENARIOS: dict[str, Scenario] = {
         "covert parity learning from public examples and private SQs",
         _parity_resources,
         asserts=_assert_parity,
+        rules={"sq_policy": _one_of(*oracles.POLICIES),
+               "delta_c": _OPEN_UNIT, "delta_p": _OPEN_UNIT},
     ),
     "quadratic": Scenario(
         _run_quadratic, {"n": 4, "delta_c": 0.1, "qsq_policy": oracles.GRID},
@@ -513,12 +538,14 @@ SCENARIOS: dict[str, Scenario] = {
             "m_pub_bell_pairs": covertex.quadratic_public_budget(p["n"], p["delta_c"]),
             "m_pri": p["n"],
         },
+        rules={"qsq_policy": _one_of(*oracles.POLICIES), "delta_c": _OPEN_UNIT},
     ),
     "covert-sq": Scenario(
         _run_covert_sq,
         {"n": 4, "d": 2, "delta": 0.1, "delta_c": 0.05, "b_c": 1.0, "b_m": 1.0},
         "JL-sketched covert polynomial statistical queries",
         _covert_sq_resources,
+        rules={"delta_c": _OPEN_UNIT},
     ),
     "shadows-qsq": Scenario(
         _run_shadows,
@@ -532,6 +559,11 @@ SCENARIOS: dict[str, Scenario] = {
         {"n_block": 4, "eps": 0.1, "delta": 0.05, "state": "exact", "rounds": None},
         "shadow-overlap certification dichotomy",
         _certify_resources,
+        rules={
+            "state": (_certify_state_ok,
+                      "'exact', 'zero' or 'flip:<k>' with k <= 2^n_block"),
+            "rounds": (lambda v, p: v is None or v >= 1, "null or at least 1"),
+        },
     ),
     "acquire-uni": Scenario(
         _run_acquire_uni,
@@ -539,6 +571,7 @@ SCENARIOS: dict[str, Scenario] = {
          "mode": acquire.RANDOMNESS, "bad_below": 0.8},
         "covert verifiable phase states vs unidirectional adversaries",
         _acquire_uni_resources, TAPPED, _assert_acquire_uni,
+        rules={"mode": _one_of(*acquire.MODES)},
     ),
     "acquire-af": Scenario(
         _run_acquire_af,

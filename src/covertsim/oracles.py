@@ -65,6 +65,7 @@ class Transcript:
 EXACT = "exact"
 GRID = "grid"
 PERTURB = "perturb"
+POLICIES = (EXACT, GRID, PERTURB)
 
 
 def _policy_answer(policy: str, truth: float, tau: float, rng) -> float:
@@ -594,6 +595,8 @@ class QuantumChannelOracle:
         self.transcript = transcript
         self.visibility = visibility
         self.count = 0
+        # (state qubits, in_qubits) -> the QPh oracle's sign vector there
+        self._phase_signs: dict[tuple, np.ndarray] = {}
 
     def query(
         self,
@@ -606,7 +609,11 @@ class QuantumChannelOracle:
         tapped = list(in_qubits) + (list(out_qubits) if out_qubits else [])
         state = self.tap.apply("query", state, tapped, rng)
         if self.kind == "QPh":
-            state = qsim.apply_phase_oracle(state, self.f, in_qubits)
+            key = (state.n, tuple(in_qubits))
+            signs = self._phase_signs.get(key)
+            if signs is None:
+                signs = self._phase_signs[key] = qsim.phase_signs(self.f, *key)
+            state = qsim.apply_phase_oracle(state, self.f, in_qubits, signs)
         else:
             if out_qubits is None:
                 raise ValueError("QMem queries need an output register")

@@ -8,15 +8,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .boolfunc import BooleanFunction, eval_all, evaluate
+from .boolfunc import BooleanFunction, eval_all
 
 PURE_QUBIT_CAP = 24
 MIXED_QUBIT_CAP = 12
 NORM_TOL = 1e-10
+NORM_SQ_TOL = 2e-8  # |norm^2 - 1| a pure state may show
 PSD_FLOOR = -1e-8
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -59,7 +60,7 @@ class PureState:
         if self.vec.shape != (1 << self.n,):
             raise ValueError("amplitude vector has wrong length")
         sq = np.vdot(self.vec, self.vec).real
-        if abs(sq - 1.0) > 2e-8:
+        if abs(sq - 1.0) > NORM_SQ_TOL:
             raise ValueError(f"state not normalized: |norm^2-1| = {abs(sq-1.0):.3g}")
 
     def density(self) -> "MixedState":
@@ -86,6 +87,19 @@ class MixedState:
 
 
 State = Union[PureState, MixedState]
+
+
+def check_rows_normalized(amps: np.ndarray) -> None:
+    """The PureState checks on every row of a stacked (k, 2^n) amplitude
+    array, in one vectorised pass."""
+    if amps.ndim != 2 or amps.shape[1] & (amps.shape[1] - 1):
+        raise ValueError("stacked amplitudes need shape (k, 2^n)")
+    if amps.shape[1] > 1 << PURE_QUBIT_CAP:
+        raise ValueError(f"pure-state cap is {PURE_QUBIT_CAP} qubits")
+    parts = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
+    dev = np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0).max(initial=0.0)
+    if dev > NORM_SQ_TOL:
+        raise ValueError(f"state not normalized: |norm^2-1| = {dev:.3g}")
 
 
 @dataclass(frozen=True)
@@ -200,13 +214,43 @@ def apply_hadamards(state: PureState, qubits: Sequence[int]) -> PureState:
     return state
 
 
+SIGN_TABLE_QUBITS = 8  # z_sign_table is kept up to this size (512 KiB)
+_Z_SIGN_TABLES: dict[int, np.ndarray] = {}
 _Z_SIGN_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def z_sign_table(n: int) -> np.ndarray:
+    """The (2^n, 2^n) table of (-1)^{popcount(r & x)}, read-only: row r is
+    the diagonal of Z^r, and the table over 2^{n/2} is H^n."""
+    table = _Z_SIGN_TABLES.get(n)
+    if table is None:
+        idx = np.arange(1 << n, dtype=np.uint64)
+        table = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx) & 1).astype(np.float64)
+        table.flags.writeable = False
+        if n <= SIGN_TABLE_QUBITS:
+            _Z_SIGN_TABLES[n] = table
+    return table
+
+
+def z_signs(n: int, mask: int) -> np.ndarray:
+    """Diagonal of Z^mask on n qubits, (-1)^{popcount(x & mask)}, read-only:
+    a row of z_sign_table up to SIGN_TABLE_QUBITS, cached up to n = 12."""
+    if n <= SIGN_TABLE_QUBITS:
+        return z_sign_table(n)[mask]
+    signs = _Z_SIGN_CACHE.get((n, mask))
+    if signs is None:
+        idx = np.arange(1 << n, dtype=np.uint64)
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(np.float64)
+        signs.flags.writeable = False
+        if n <= 12 and len(_Z_SIGN_CACHE) < 4096:
+            _Z_SIGN_CACHE[(n, mask)] = signs
+    return signs
 
 
 def apply_z_mask(state: PureState, r: int, qubits: Sequence[int]) -> PureState:
     """Z^r on the listed qubits: Z on qubits[j] where bit j of r is set.
 
-    Diagonal, so applied in one vectorized pass; sign vectors are cached.
+    Diagonal, so applied in one vectorized pass with the cached signs.
     """
     mask = 0
     for j, q in enumerate(qubits):
@@ -214,13 +258,7 @@ def apply_z_mask(state: PureState, r: int, qubits: Sequence[int]) -> PureState:
             mask |= 1 << q
     if mask == 0:
         return state
-    signs = _Z_SIGN_CACHE.get((state.n, mask))
-    if signs is None:
-        idx = np.arange(1 << state.n, dtype=np.uint64)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(np.float64)
-        if state.n <= 12 and len(_Z_SIGN_CACHE) < 4096:
-            _Z_SIGN_CACHE[(state.n, mask)] = signs
-    return PureState(state.n, state.vec * signs)
+    return PureState(state.n, state.vec * z_signs(state.n, mask))
 
 
 def _gather_bits(n: int, qubits: Sequence[int]) -> np.ndarray:
@@ -233,20 +271,27 @@ def _gather_bits(n: int, qubits: Sequence[int]) -> np.ndarray:
     return x
 
 
+def phase_signs(f: BooleanFunction, n: int, qubits: Sequence[int]) -> np.ndarray:
+    """Diagonal of the phase oracle of f on `qubits` of an n-qubit state."""
+    signs = 1.0 - 2.0 * eval_all(f).astype(np.float64)
+    if list(qubits) == list(range(n)):
+        return signs
+    return signs[_gather_bits(n, qubits)]
+
+
 def apply_phase_oracle(
-    state: PureState, f: BooleanFunction, qubits: Sequence[int]
+    state: PureState, f: BooleanFunction, qubits: Sequence[int],
+    signs: Optional[np.ndarray] = None,
 ) -> PureState:
-    """|x> -> (-1)^{f(x)} |x> on the designated qubits (qubits[j] = input bit j)."""
+    """|x> -> (-1)^{f(x)} |x> on the designated qubits (qubits[j] = input bit
+    j); `signs` is phase_signs(f, state.n, qubits) if the caller holds it."""
     if f.w != 1:
         raise ValueError("phase oracles need width-1 functions")
     if len(qubits) != f.n:
         raise ValueError("target set must match the oracle arity")
-    n = state.n
-    if list(qubits) == list(range(n)):
-        signs = 1.0 - 2.0 * eval_all(f).astype(np.float64)
-        return PureState(n, state.vec * signs)
-    signs = 1.0 - 2.0 * eval_all(f)[_gather_bits(n, qubits)].astype(np.float64)
-    return PureState(n, state.vec * signs)
+    if signs is None:
+        signs = phase_signs(f, state.n, qubits)
+    return PureState(state.n, state.vec * signs)
 
 
 def apply_qmem_oracle(

@@ -171,16 +171,23 @@ def forrelation_decide(
 
     Each 2n-qubit copy holds |psi_f> (low half) (x) |psi_g> (high half) when
     honest; the g half is Hadamard-rotated and swap-tested against the f
-    half, accepting with probability (1 + Phi^2) / 2.
+    half, accepting with probability (1 + Phi^2) / 2. All copies are tested
+    at once: one H^n on the stacked g halves, one symmetric-projection
+    probability per copy, one uniform per copy in copy order (as `swap_test`
+    draws them).
     """
-    accepts = 0
-    for copy in copies:
-        if copy.n != 2 * n:
-            raise ValueError("copies must hold 2n qubits")
-        rotated = qsim.apply_hadamards(copy, range(n, 2 * n))
-        ok, _ = swap_test(rotated, range(n), range(n, 2 * n), rng)
-        accepts += ok
-    freq = accepts / len(copies)
+    if any(copy.n != 2 * n for copy in copies):
+        raise ValueError("copies must hold 2n qubits")
+    k = len(copies)
+    # [copy, g index, f index]: the g half holds the high qubits
+    rotated = (qsim.z_sign_table(n) / 2 ** (n / 2)) @ np.stack(
+        [copy.vec for copy in copies]
+    ).reshape(k, 1 << n, 1 << n)
+    # |(B + B^T) / 2|^2 summed: the mass of the symmetric projection
+    mass = np.abs(rotated + rotated.transpose(0, 2, 1))
+    p_sym = np.square(mass, out=mass).sum(axis=(1, 2)) / 4.0
+    accepts = int(np.count_nonzero(rng.random(k) < p_sym))
+    freq = accepts / k
     return PHI_LARGE if freq >= threshold else PHI_SMALL
 
 

@@ -104,6 +104,38 @@ class TestMaskedQueries:
         assert qsim.states_equal(joint, qsim.prepare_phase_state(bf.truth_table(table)), 1e-10)
 
 
+class TestStackedBlocks:
+    @pytest.mark.parametrize("strategy", [None, adv.response_depolarize(0.5)],
+                             ids=["honest", "depolarize"])
+    def test_block_rows_equal_per_copy_queries(self, strategy):
+        # each row bit-equal to its own masked query, the same oracle count,
+        # tap events and generator state afterwards
+        rng = np.random.default_rng(30)
+        n, m, count = 4, 7, 3
+        f = bf.random_truth_table(n, rng)
+        oracle_a, oracle_b = phase_oracle(f, strategy), phase_oracle(f, strategy)
+        rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+        blocks = acquire._collect_blocks(
+            oracle_a, n, 0, m, count, rng_a, entangled=False, unmask=True
+        )
+        for block in blocks:
+            want = [acquire.masked_query_phase_randomness(oracle_b, n, rng_b)
+                    for _ in range(m)]
+            assert block.amps.tobytes() == np.stack([c.vec for c in want]).tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert oracle_a.count == oracle_b.count == m * count
+        assert oracle_a.tap.memory.events == oracle_b.tap.memory.events
+        if strategy is not None:
+            assert oracle_a.tap.memory.events  # the tap acted on some queries
+
+    def test_masked_plus_states_equal_the_z_masked_uniform_state(self):
+        for n in (1, 3, 8, 9):
+            for r in range(0, 1 << n, max(1, (1 << n) // 40)):
+                got = acquire._masked_plus(n, r).vec
+                want = qsim.apply_z_mask(qsim.uniform_state(n), r, range(n)).vec
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestAcquireUnidirectional:
     def test_completeness_no_adversary(self):
         rng = np.random.default_rng(7)

@@ -18,6 +18,25 @@ class TestEval:
         assert bf.eval_all(twin) is not table
         assert np.array_equal(bf.eval_all(twin), table)
 
+    def test_evaluate_reads_the_built_table(self):
+        rng = np.random.default_rng(4)
+        g = bf.random_truth_table(3, rng)
+        for f in (
+            bf.random_truth_table(4, rng, w=2),
+            bf.parity_fn(0b1011, 4),
+            bf.quadratic_from_matrix(np.triu(rng.integers(0, 2, (4, 4)))),
+            bf.padded_xor(g, bf.random_truth_table(2, rng)),
+            bf.tensor_power(g, 2),
+            bf.random_simon_fn(3, 0b101, rng),
+        ):
+            from_body = [bf.evaluate(f, x) for x in range(1 << f.n)]
+            bf.eval_all(f)
+            from_table = [bf.evaluate(f, x) for x in range(1 << f.n)]
+            assert from_table == from_body
+            assert all(type(v) is int for v in from_table)
+            with pytest.raises(ValueError):
+                bf.evaluate(f, 1 << f.n)
+
     def test_parity_example(self):
         f = bf.parity_fn(gf2.str_to_bits("101"), 3)
         assert f(gf2.str_to_bits("111")) == 0

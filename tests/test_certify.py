@@ -116,6 +116,95 @@ class TestOverlapRound:
         assert abs(np.mean(slow) - np.mean(fast)) < 5 * se
 
 
+def random_pure(n, rng):
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return qsim.PureState(n, v / np.linalg.norm(v))
+
+
+def random_mixed(n, rng, rank=3):
+    weights = rng.dirichlet(np.ones(rank))
+    mat = sum(w * random_pure(n, rng).density().mat for w in weights)
+    return qsim.MixedState(n, mat)
+
+
+def per_copy_round(copies, mem_view, rng, qubit=None):
+    """Reference round: every untested copy collapsed by its own
+    qsim.sample_index call, in copy order."""
+    q = copies[0].n
+    i = int(rng.integers(q * len(copies))) if qubit is None else qubit
+    c, local = divmod(i, q)
+    rest = shift = 0
+    for j, copy in enumerate(copies):
+        if j == c:
+            compact, x_bit = certify._round_on_copy(copy, local, rng)
+            rest |= compact << shift
+            shift += q - 1
+        else:
+            if isinstance(copy, qsim.PureState):
+                p = np.abs(copy.vec) ** 2
+            else:
+                p = np.clip(np.real(np.diag(copy.mat)), 0.0, None)
+            rest |= qsim.sample_index(p, rng) << shift
+            shift += q
+    f0 = mem_view.query(certify._insert_bit(rest, i, 0))
+    f1 = mem_view.query(certify._insert_bit(rest, i, 1))
+    return certify.OverlapRound(qubit=i, rest_bits=rest, x_bit=x_bit, f0=f0, f1=f1)
+
+
+class TestStackedBlock:
+    @pytest.mark.parametrize("kind", ["pure", "mixed", "mixed-and-pure"])
+    def test_round_matches_per_copy_sampling(self, kind):
+        # same rounds and the same generator state afterwards, for every
+        # tested copy position
+        rng = np.random.default_rng(20)
+        q, m = 3, 5
+        for trial in range(12):
+            if kind == "pure":
+                copies = [random_pure(q, rng) for _ in range(m)]
+            elif kind == "mixed":
+                copies = [random_mixed(q, rng) for _ in range(m)]
+            else:
+                copies = [random_mixed(q, rng) if j % 2 else random_pure(q, rng)
+                          for j in range(m)]
+            block = certify.ProductBlock(copies=copies)
+            f = bf.random_truth_table(q * m, rng)
+            for qubit in (None, 0, q * m - 1, int(rng.integers(q * m))):
+                seed = int(rng.integers(2**32))
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = certify.overlap_round(block, oracles.MemOracle(f), rng_a, qubit)
+                want = per_copy_round(copies, oracles.MemOracle(f), rng_b, qubit)
+                assert got == want
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_single_copy_block_draws_like_one_copy(self):
+        rng = np.random.default_rng(21)
+        copy = random_pure(4, rng)
+        f = bf.random_truth_table(4, rng)
+        for _ in range(50):
+            seed = int(rng.integers(2**32))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = certify.overlap_round(single_block(copy), oracles.MemOracle(f), rng_a)
+            want = per_copy_round([copy], oracles.MemOracle(f), rng_b)
+            assert got == want
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_stacked_amplitudes_are_checked_and_frozen(self):
+        rng = np.random.default_rng(22)
+        amps = np.stack([random_pure(3, rng).vec for _ in range(4)])
+        block = certify.ProductBlock(amps=amps)
+        assert (block.m, block.qubits_per_copy, block.n_block) == (4, 3, 12)
+        assert not amps.flags.writeable
+        assert np.array_equal(block.copies[2].vec, amps[2])
+        bad = amps.copy()
+        bad[1] *= 1.001
+        with pytest.raises(ValueError, match="not normalized"):
+            certify.ProductBlock(amps=bad)
+        with pytest.raises(ValueError):
+            certify.ProductBlock(amps=amps[:, :6])
+        with pytest.raises(ValueError):
+            certify.ProductBlock(copies=[random_pure(2, rng), random_pure(3, rng)])
+
+
 class TestIidEstimator:
     def test_copy_count_formulas(self):
         assert certify.iid_copy_count(4, 0.2, 0.05) == math.ceil(
@@ -140,6 +229,21 @@ class TestIidEstimator:
         )
         assert rec.accepted and rec.omega_hat == 1.0
         assert rec.membership_queries == 120
+
+    def test_zero_rounds_are_rejected_not_replaced(self):
+        rng = np.random.default_rng(9)
+        f = bf.constant_fn(3)
+        state = qsim.prepare_phase_state(f)
+        mem = oracles.MemOracle(f)
+        with pytest.raises(ValueError, match="at least one round"):
+            certify.overlap_estimate_iid([single_block(state)] * 5, mem, 0.1, 0.05,
+                                         rng, rounds_override=0)
+        with pytest.raises(ValueError, match="at least one round"):
+            certify.overlap_estimate_iid_state(state, f, 0.1, 0.05, rng,
+                                               rounds_override=0)
+        rec = certify.overlap_estimate_iid_state(state, f, 0.1, 0.05, rng,
+                                                 rounds_override=1)
+        assert rec.rounds_used == 1
 
     def test_insufficient_copies_raises(self):
         rng = np.random.default_rng(8)

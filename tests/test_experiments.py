@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from covertsim import acquire
+from covertsim import acquire, certify, oracles
 from covertsim import experiments as exp
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -69,6 +69,43 @@ class TestConfig:
         else:
             with pytest.raises(exp.ConfigError, match=repr(next(iter(params)))):
                 exp.ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("scenario, params, ok", [
+        ("certify", {"state": "bogus"}, False),
+        ("certify", {"state": "flip:"}, False),
+        ("certify", {"state": "flip:-1"}, False),
+        ("certify", {"state": "flip:17"}, False),  # 2^4 table entries
+        ("certify", {"n_block": 5, "state": "flip:17"}, True),
+        ("certify", {"state": "zero"}, True),
+        ("certify", {"rounds": 0}, False),
+        ("certify", {"rounds": -3}, False),
+        ("certify", {"rounds": 1}, True),
+        ("acquire-uni", {"mode": "bogus"}, False),
+        ("acquire-uni", {"mode": "entangled"}, True),
+        ("parity", {"sq_policy": "x"}, False),
+        ("parity", {"sq_policy": "perturb"}, True),
+        ("quadratic", {"qsq_policy": "x"}, False),
+        ("quadratic", {"delta_c": 0}, False),
+        ("parity", {"delta_c": 0}, False),
+        ("parity", {"delta_p": 1}, False),
+        ("covert-sq", {"delta_c": 0}, False),
+        ("covert-sq", {"delta_c": 1.0}, False),
+        ("covert-sq", {"delta_c": 0.5}, True),
+    ])
+    def test_param_rules(self, scenario, params, ok):
+        d = {"scenario": scenario, "params": params}
+        if ok:
+            exp.ExperimentConfig.from_dict(d)
+        else:
+            with pytest.raises(exp.ConfigError, match=repr(list(params)[-1])):
+                exp.ExperimentConfig.from_dict(d)
+
+    def test_configured_rounds_are_reported_as_given(self):
+        cfg = exp.ExperimentConfig.from_dict(
+            {"scenario": "certify", "params": {"rounds": 7}}
+        )
+        assert exp.resource_table(cfg)["configured_rounds"] == 7
+        assert exp.run_trial(cfg, 0)["rounds"] == 7
 
     def test_build_adversary_kinds(self):
         assert exp.build_adversary(None) is None
@@ -203,6 +240,31 @@ def test_resource_table_is_the_schedule_of_the_run(monkeypatch, scenario, params
         assert res.blocks_used == table["cert_blocks"] + iid
 
 
+def test_forrelation_trial_keeps_one_call_per_query(monkeypatch):
+    # the per-query boundary of one honest forrelation trial: 6 rounds of
+    # 20 blocks x 201 copies, 19 measured blocks per round, 2 view queries
+    # per overlap round, each 201 base membership queries
+    calls = {"public": 0, "membership": 0, "rounds": 0}
+
+    def spy(key, inner):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(oracles.QuantumChannelOracle, "query",
+                        spy("public", oracles.QuantumChannelOracle.query))
+    monkeypatch.setattr(oracles.MemOracle, "query",
+                        spy("membership", oracles.MemOracle.query))
+    monkeypatch.setattr(certify, "overlap_round", spy("rounds", certify.overlap_round))
+    cfg = exp.ExperimentConfig.from_dict(
+        json.loads((CONFIG_DIR / "forrelation.json").read_text())
+    )
+    rec = exp.run_trial(cfg, 0)
+    assert not rec["rejected"] and rec["rounds"] == 6
+    assert calls == {"public": 24_120, "membership": 45_828, "rounds": 114}
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run(
@@ -264,6 +326,24 @@ class TestCli:
         out = self.run_cli("run", "--trials", "1", *args)
         assert out.returncode == 2
         assert needle in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("scenario, param", [
+        ("certify", "state=bogus"),
+        ("acquire-uni", "mode=bogus"),
+        ("parity", "sq_policy=x"),
+        ("quadratic", "qsq_policy=x"),
+        ("certify", "rounds=0"),
+        ("covert-sq", "delta_c=0"),
+        ("parity", "delta_c=0"),
+        ("quadratic", "delta_c=0"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "resources"])
+    def test_param_rule_exit_code(self, command, scenario, param):
+        out = self.run_cli(command, "--scenario", scenario, "--param", param,
+                           *(("--trials", "1") if command == "run" else ()))
+        assert out.returncode == 2
+        assert repr(param.split("=")[0]) in out.stderr and "must be" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_non_integer_seed_exit_code(self, tmp_path):

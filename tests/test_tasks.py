@@ -149,6 +149,40 @@ class TestForrelationDecide:
         assert wrong / trials <= 0.25
 
 
+def per_copy_decide(copies, n, rng, threshold):
+    """Reference decision: one rotation and one swap_test per copy."""
+    accepts = 0
+    for copy in copies:
+        rotated = qsim.apply_hadamards(copy, range(n, 2 * n))
+        accepts += tasks.swap_test(rotated, range(n), range(n, 2 * n), rng)[0]
+    freq = accepts / len(copies)
+    return tasks.PHI_LARGE if freq >= threshold else tasks.PHI_SMALL
+
+
+class TestBatchedDecision:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_matches_per_copy_swap_tests(self, n):
+        # random non-product copies; sweeping the threshold over every
+        # possible frequency pins the accept count, not just the label
+        rng = np.random.default_rng(40 + n)
+        k = 9
+        for _ in range(10):
+            copies = []
+            for _ in range(k):
+                v = rng.normal(size=1 << 2 * n) + 1j * rng.normal(size=1 << 2 * n)
+                copies.append(qsim.PureState(2 * n, v / np.linalg.norm(v)))
+            seed = int(rng.integers(2**32))
+            for threshold in [j / k for j in range(k + 1)]:
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = tasks.forrelation_decide(copies, n, rng_a, threshold)
+                assert got == per_copy_decide(copies, n, rng_b, threshold)
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_wrong_register_size_rejected(self):
+        with pytest.raises(ValueError, match="2n qubits"):
+            tasks.forrelation_decide([qsim.uniform_state(3)], 2, np.random.default_rng(0))
+
+
 class TestCovertForrelation:
     def test_honest_end_to_end(self):
         rng = np.random.default_rng(9)
