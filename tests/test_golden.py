@@ -17,7 +17,7 @@ import pytest
 from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import experiments as exp
-from covertsim import oracles
+from covertsim import covertsq, oracles, qsim
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 TRIALS = 5
@@ -166,3 +166,57 @@ def test_acquisition_results(name):
     build, want = ACQUISITION_CASES[name]
     got = results_digest(build())
     assert got == want, f"golden acquisition {name!r} changed; new digest {got}"
+
+
+# raw classical shadows: the config digest above sees only the pairs_ok
+# counts, so the shot stream and the estimates are pinned separately
+
+
+def _pauli_shots_digest():
+    rng = np.random.default_rng(2020)
+    v = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi = qsim.PureState(4, v / np.linalg.norm(v))
+    axes, bits = oracles.QMeasExOracle(psi).sample_product_pauli(428_800, rng)
+    h = hashlib.sha256(axes.tobytes())
+    h.update(bits.tobytes())
+    h.update(rng.random(4).tobytes())  # the generator's next draws
+    return h.hexdigest()
+
+
+def _shadow_estimates_digest():
+    cfg = exp.ExperimentConfig.from_dict(
+        json.loads((CONFIG_DIR / "shadows-qsq.json").read_text())
+    )
+    estimates = []
+    real = covertsq.shadow_estimate
+
+    def spy(*args):
+        estimates.append(real(*args))
+        return estimates[-1]
+
+    covertsq.shadow_estimate = spy
+    try:
+        exp.run_trial(cfg, 0)
+    finally:
+        covertsq.shadow_estimate = real
+    assert len(estimates) == 100
+    return hashlib.sha256(np.array(estimates).tobytes()).hexdigest()
+
+
+SHADOW_CASES = {
+    "pauli-shots-4q": (
+        _pauli_shots_digest,
+        "5c338d3fa6969fdaea6f018b4a434b2ef15ecf11db10dbbf97883d3ca1021561",
+    ),
+    "shadows-qsq-estimates": (
+        _shadow_estimates_digest,
+        "bb15b43274273695b2c94953f6c76a4e0c0972e7c45c14be3f9c5a7c685cfc57",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHADOW_CASES))
+def test_raw_shadows(name):
+    build, want = SHADOW_CASES[name]
+    got = build()
+    assert got == want, f"golden shadows {name!r} changed; new digest {got}"
