@@ -29,6 +29,11 @@ QUADRATIC_QSQ_TOLERANCE = 1.0 / 3.0
 PARITY_BUDGET_SLACK = 4
 
 
+def parity_k(delta_p: float) -> int:
+    """Secret bits the private SQs fix: k = ceil(log2(1/delta_p))."""
+    return math.ceil(math.log2(1.0 / delta_p))
+
+
 @dataclass(frozen=True)
 class ParityLearnerConfig:
     n: int
@@ -43,7 +48,7 @@ class ParityLearnerConfig:
 
     @property
     def k(self) -> int:
-        return math.ceil(math.log2(1.0 / self.delta_p))
+        return parity_k(self.delta_p)
 
     @property
     def m_pub(self) -> int:

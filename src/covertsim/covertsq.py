@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
@@ -19,6 +19,8 @@ import numpy as np
 from .oracles import PolynomialSqQuery, QMeasExOracle, SqOracle
 
 JL_CONSTANT = 8  # declared implementation constant in the sketch-width formula
+# largest supported observable locality; 6^4 support codes fit in uint16
+MAX_LOCALITY = 4
 
 # --- monomial basis -----------------------------------------------------------
 
@@ -181,13 +183,43 @@ def run_sketched_query(plan: SketchPlan, oracle: SqOracle) -> float:
 # --- classical shadows --------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ShadowSet:
-    """Per-shot Pauli bases (0/1/2 = X/Y/Z) and outcome bits (0 = +1)."""
+    """Per-shot Pauli bases (0/1/2 = X/Y/Z) and outcome bits (0 = +1), as
+    read-only (shots, n) integer arrays.
 
-    n: int
-    bases: np.ndarray  # (shots, n) int
-    bits: np.ndarray  # (shots, n) int
+    Construction checks the arrays and builds once the per-qubit symbol plane
+    `sym`: a read-only (n, shots) uint8 array holding 2 * basis + bit, one
+    contiguous row per qubit, which is all the estimator reads."""
+
+    bases: np.ndarray
+    bits: np.ndarray
+    sym: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        bases, bits = np.asarray(self.bases), np.asarray(self.bits)
+        if bases.ndim != 2 or bits.shape != bases.shape:
+            raise ValueError(
+                f"bases and bits must be (shots, n) arrays of one shape, "
+                f"got {bases.shape} and {bits.shape}"
+            )
+        for name, arr, top in (("bases", bases, 2), ("bits", bits, 1)):
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"{name} must be integers, got {arr.dtype}")
+            if arr.size and (arr.min() < 0 or arr.max() > top):
+                raise ValueError(f"{name} must lie in 0..{top}")
+        sym = np.array(bases.T, dtype=np.uint8, order="C")
+        sym *= 2
+        sym += bits.T.astype(np.uint8)
+        for arr in (bases, bits, sym):
+            arr.flags.writeable = False
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "sym", sym)
+
+    @property
+    def n(self) -> int:
+        return self.bases.shape[1]
 
     @property
     def shots(self) -> int:
@@ -231,22 +263,39 @@ def shadow_collect(source: QMeasExOracle, shots: int, rng) -> ShadowSet:
     transcript holds only basis labels and outcome bits.
     """
     bases, bits = source.sample_product_pauli(shots, rng)
-    return ShadowSet(n=bases.shape[1], bases=bases, bits=bits)
+    return ShadowSet(bases, bits)
+
+
+def _weight_table(obs: PauliObservable) -> np.ndarray:
+    """Single-shot estimates indexed by the mixed-radix-6 code
+    sum_j sym[q_j] 6^j over the support qubits q_0 < q_1 < ...: +-coef 3^k
+    (the product of the outcomes) when every support qubit was measured in
+    the observable's basis, else +0.0."""
+    k = obs.locality
+    table = np.zeros(6**k)
+    scale = obs.coefficient * 3.0**k
+    for outcome in range(1 << k):
+        code, sign = 0, 1.0
+        for j in reversed(range(k)):
+            bit = outcome >> j & 1
+            code = 6 * code + 2 * obs.axes[j][1] + bit
+            sign = -sign if bit else sign
+        # + 0.0 turns the -0.0 of a zero coefficient into +0.0
+        table[code] = sign * scale + 0.0
+    return table
 
 
 def shadow_single_shot_estimates(shadows: ShadowSet, obs: PauliObservable) -> np.ndarray:
     """Inverse-channel single-shot estimators: 3^k * prod of outcomes on the
     support when every support qubit was measured in the matching basis,
-    else 0."""
-    if obs.locality > 4:
-        raise ValueError("supported locality is k <= 4")
-    est = np.full(shadows.shots, obs.coefficient * 3.0**obs.locality)
-    match = np.ones(shadows.shots, dtype=bool)
-    for q, axis in obs.axes:
-        match &= shadows.bases[:, q] == axis
-        est *= 1.0 - 2.0 * shadows.bits[:, q]
-    est[~match] = 0.0
-    return est
+    else 0. One pass per support qubit over its symbol row, then one gather."""
+    if obs.locality > MAX_LOCALITY:
+        raise ValueError(f"supported locality is k <= {MAX_LOCALITY}")
+    code = np.zeros(shadows.shots, dtype=np.uint16)
+    for q, _ in reversed(obs.axes):
+        code *= 6
+        code += shadows.sym[q]
+    return _weight_table(obs)[code]
 
 
 def shadow_estimate(shadows: ShadowSet, obs: PauliObservable, batches: int) -> float:
@@ -296,13 +345,20 @@ def shadow_set_to_jsonl(shadows: ShadowSet) -> str:
 
 def shadow_set_from_jsonl(text: str) -> ShadowSet:
     bases, bits = [], []
-    n = None
     for line in text.splitlines():
         if not line.strip():
             continue
         rec = json.loads(line)
         n = len(rec["bases"])
-        bases.append(["XYZ".index(c) for c in rec["bases"]])
+        if set(rec["bases"]) - set("XYZ"):
+            raise ValueError(f"shot {rec.get('shot')!r} has bases other than X, Y, Z")
+        if bases and n != len(bases[0]):
+            raise ValueError(f"shot {rec.get('shot')!r} has {n} qubits, not {len(bases[0])}")
         bits_int = int(rec["bits"], 16)
+        if bits_int >> n:
+            raise ValueError(f"shot {rec.get('shot')!r} has outcome bits beyond its {n} qubits")
+        bases.append(["XYZ".index(c) for c in rec["bases"]])
         bits.append([(bits_int >> j) & 1 for j in range(n)])
-    return ShadowSet(n=n, bases=np.array(bases), bits=np.array(bits))
+    if not bases:
+        raise ValueError("no shots in the shadow text")
+    return ShadowSet(np.array(bases), np.array(bits))

@@ -481,6 +481,7 @@ def _one_of(*values) -> tuple[Callable, str]:
 
 # rule: a confidence or failure probability strictly inside (0, 1)
 _OPEN_UNIT = (lambda v, p: 0 < v < 1, "in (0, 1)")
+_AT_LEAST_ONE = (lambda v, p: v >= 1, "at least 1")
 
 
 def _certify_state_ok(state: str, p: dict) -> bool:
@@ -528,8 +529,9 @@ SCENARIOS: dict[str, Scenario] = {
         "covert parity learning from public examples and private SQs",
         _parity_resources,
         asserts=_assert_parity,
-        rules={"sq_policy": _one_of(*oracles.POLICIES),
-               "delta_c": _OPEN_UNIT, "delta_p": _OPEN_UNIT},
+        rules={"sq_policy": _one_of(*oracles.POLICIES), "delta_c": _OPEN_UNIT,
+               "delta_p": (lambda v, p: 0 < v < 1 and covertex.parity_k(v) < p["n"],
+                           "in (0, 1) with ceil(log2(1/delta_p)) < n")},
     ),
     "quadratic": Scenario(
         _run_quadratic, {"n": 4, "delta_c": 0.1, "qsq_policy": oracles.GRID},
@@ -553,6 +555,16 @@ SCENARIOS: dict[str, Scenario] = {
          "n_observables": 20},
         "classical-shadows covert QSQs from public Pauli measurement examples",
         _shadows_resources,
+        rules={
+            "n": (lambda v, p: 1 <= v <= oracles.PAULI_TABLE_QUBIT_CAP,
+                  f"in 1..{oracles.PAULI_TABLE_QUBIT_CAP}"),
+            "k": (lambda v, p: 0 <= v <= min(p["n"], covertsq.MAX_LOCALITY),
+                  f"in 0..min(n, {covertsq.MAX_LOCALITY})"),
+            "tau": (lambda v, p: v > 0, "positive"),
+            "delta_p": _OPEN_UNIT,
+            "n_states": _AT_LEAST_ONE,
+            "n_observables": _AT_LEAST_ONE,
+        },
     ),
     "certify": Scenario(
         _run_certify,

@@ -464,6 +464,26 @@ class ExampleMemView:
 # --- quantum measurement examples --------------------------------------------
 
 _PAULI_AXES = "XYZ"
+# bulk Pauli sampling tabulates 3^n bases x 2^n outcomes: 13 MB at n = 8
+PAULI_TABLE_QUBIT_CAP = 8
+
+
+def _choice_by_group(cdfs: np.ndarray, groups: np.ndarray, rng) -> np.ndarray:
+    """Draw outcome i from the distribution with cdf cdfs[groups[i]], exactly
+    as one rng.choice(len(cdf), size=count, p=...) per group that occurs, in
+    ascending group order, would: the shots are grouped by one stable sort,
+    and each group's slice of a single uniform stream is looked up in its
+    cdf."""
+    order = np.argsort(groups, kind="stable")
+    u = rng.random(len(groups))
+    outcomes = np.empty(len(groups), dtype=np.int64)
+    start = 0
+    for g, count in enumerate(np.bincount(groups, minlength=len(cdfs)).tolist()):
+        if count:
+            group = slice(start, start + count)
+            outcomes[order[group]] = cdfs[g].searchsorted(u[group], side="right")
+            start += count
+    return outcomes
 
 
 class QMeasExOracle:
@@ -477,7 +497,7 @@ class QMeasExOracle:
         self.visibility = visibility
         self.log_shots = log_shots
         self.count = 0  # weighted: an m-copy POVM counts m
-        self._pauli_tables: Optional[np.ndarray] = None
+        self._pauli_cdfs: Optional[np.ndarray] = None
 
     def state(self) -> PureState:
         if isinstance(self.descriptor, (PureState, MixedState)):
@@ -510,6 +530,11 @@ class QMeasExOracle:
         if isinstance(st, MixedState):
             raise ValueError("bulk Pauli sampling implemented for pure sources")
         n = st.n
+        if n > PAULI_TABLE_QUBIT_CAP:
+            raise ValueError(
+                f"bulk Pauli sampling tabulates 3^n x 2^n probabilities; "
+                f"n = {n} is above the cap of {PAULI_TABLE_QUBIT_CAP} qubits"
+            )
         tables = np.empty((3**n, 1 << n))
         for b_idx in range(3**n):
             rotated = st
@@ -528,18 +553,19 @@ class QMeasExOracle:
         basis', repeated `shots` times. Returns (bases, bits) arrays of shape
         (shots, n); bases hold 0/1/2 = X/Y/Z, bits the outcomes (0 = +1).
         """
-        st = self.state()
-        n = st.n
-        if self._pauli_tables is None:
-            self._pauli_tables = self._basis_probability_tables()
+        n = self.state().n
+        if self._pauli_cdfs is None:
+            # the cdf Generator.choice(p=...) builds for each basis
+            p = np.clip(self._basis_probability_tables(), 0, None)
+            p /= p.sum(axis=1, keepdims=True)
+            cdfs = p.cumsum(axis=1)
+            cdfs /= cdfs[:, -1:]
+            self._pauli_cdfs = cdfs
         axes = rng.integers(0, 3, size=(shots, n))
-        basis_idx = (axes * (3 ** np.arange(n))).sum(axis=1)
-        outcomes = np.empty(shots, dtype=np.int64)
-        for b in np.unique(basis_idx):
-            sel = basis_idx == b
-            p = np.clip(self._pauli_tables[b], 0, None)
-            outcomes[sel] = rng.choice(1 << n, size=sel.sum(), p=p / p.sum())
-        bits = (outcomes[:, None] >> np.arange(n)) & 1
+        basis_idx = (axes @ 3 ** np.arange(n)).astype(np.int16)
+        outcomes = _choice_by_group(self._pauli_cdfs, basis_idx, rng)
+        bits = outcomes[:, None] >> np.arange(n)
+        bits &= 1
         self.count += shots
         if self.transcript is not None and self.log_shots:
             for i in range(shots):

@@ -192,3 +192,114 @@ class TestShadows:
         back = csq.shadow_set_from_jsonl(text)
         assert np.array_equal(back.bases, shadows.bases)
         assert np.array_equal(back.bits, shadows.bits)
+
+
+def mask_product_reference(shadows, obs):
+    """The estimator the symbol plane replaced: one match mask and one float
+    product pass per support qubit over the (shots, n) arrays."""
+    est = np.full(shadows.shots, obs.coefficient * 3.0**obs.locality)
+    match = np.ones(shadows.shots, dtype=bool)
+    for q, axis in obs.axes:
+        match &= shadows.bases[:, q] == axis
+        est *= 1.0 - 2.0 * shadows.bits[:, q]
+    est[~match] = 0.0
+    return est
+
+
+def batch_median_reference(est, batches):
+    if batches <= 1:
+        return float(est.mean())
+    usable = (len(est) // batches) * batches
+    return float(np.median(est[:usable].reshape(batches, -1).mean(axis=1)))
+
+
+def negative_zeros(a):
+    return int(np.count_nonzero((a == 0) & np.signbit(a)))
+
+
+class TestSymbolPlaneEstimator:
+    @pytest.fixture(scope="class")
+    def shadows(self):
+        rng = np.random.default_rng(21)
+        v = rng.normal(size=32) + 1j * rng.normal(size=32)
+        src = oracles.QMeasExOracle(qsim.PureState(5, v / np.linalg.norm(v)))
+        return csq.shadow_collect(src, 6000, rng)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("coefficient", [1.0, 0.37, -2.5])
+    def test_matches_mask_product_estimator(self, shadows, k, coefficient):
+        rng = np.random.default_rng(100 * k + 7)
+        for _ in range(6):
+            qubits = rng.choice(shadows.n, size=k, replace=False)
+            obs = csq.PauliObservable(
+                axes=tuple(sorted((int(q), int(rng.integers(3))) for q in qubits)),
+                coefficient=coefficient,
+            )
+            want = mask_product_reference(shadows, obs)
+            got = csq.shadow_single_shot_estimates(shadows, obs)
+            assert np.array_equal(got, want)
+            assert negative_zeros(got) == 0
+            for batches in (1, 7, 67):
+                assert csq.shadow_estimate(shadows, obs, batches) == (
+                    batch_median_reference(want, batches)
+                )
+
+    def test_zero_coefficient_writes_no_negative_zero(self, shadows):
+        obs = csq.pauli_observable({0: "X", 3: "Y"}, coefficient=0.0)
+        assert negative_zeros(mask_product_reference(shadows, obs)) > 0
+        got = csq.shadow_single_shot_estimates(shadows, obs)
+        assert not got.any() and negative_zeros(got) == 0
+
+    def test_locality_above_four_rejected(self, shadows):
+        obs = csq.pauli_observable({q: "Z" for q in range(5)})
+        with pytest.raises(ValueError, match="k <= 4"):
+            csq.shadow_single_shot_estimates(shadows, obs)
+
+    def test_symbol_plane_is_built_once_and_frozen(self, shadows):
+        assert shadows.sym.shape == (shadows.n, shadows.shots)
+        assert shadows.sym.dtype == np.uint8 and shadows.sym.flags.c_contiguous
+        assert np.array_equal(shadows.sym, (2 * shadows.bases + shadows.bits).T)
+        for arr in (shadows.bases, shadows.bits, shadows.sym):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0
+        with pytest.raises(AttributeError):
+            shadows.bits = shadows.bits
+
+
+class TestShadowSetBoundary:
+    GOOD = '{"shot": 0, "bases": "XZ", "bits": "1"}\n{"shot": 1, "bases": "YY", "bits": "3"}'
+
+    def test_good_text_parses(self):
+        s = csq.shadow_set_from_jsonl(self.GOOD)
+        assert s.n == 2 and s.shots == 2
+        assert s.bases.tolist() == [[0, 2], [1, 1]]
+        assert s.bits.tolist() == [[1, 0], [1, 1]]
+
+    @pytest.mark.parametrize("text, needle", [
+        ("", "no shots"),
+        ("\n  \n", "no shots"),
+        ('{"shot": 0, "bases": "XZ", "bits": "0"}\n{"shot": 1, "bases": "XYZ", "bits": "0"}',
+         "3 qubits, not 2"),
+        ('{"shot": 0, "bases": "XW", "bits": "0"}', "X, Y, Z"),
+        ('{"shot": 0, "bases": "XZ", "bits": "4"}', "beyond"),
+        ('{"shot": 0, "bases": "XZ", "bits": "-1"}', "beyond"),
+    ])
+    def test_bad_text_rejected(self, text, needle):
+        with pytest.raises(ValueError, match=needle):
+            csq.shadow_set_from_jsonl(text)
+
+    @pytest.mark.parametrize("bases, bits, needle", [
+        ([[0, 3]], [[0, 0]], "bases must lie in 0..2"),
+        ([[0, -1]], [[0, 0]], "bases must lie in 0..2"),
+        ([[0, 2]], [[0, 2]], "bits must lie in 0..1"),
+        ([[0, 2]], [[0, 1], [1, 1]], "one shape"),
+        ([0, 2], [0, 1], "one shape"),
+        ([[0.0, 2.0]], [[0, 1]], "integers"),
+    ])
+    def test_bad_arrays_rejected(self, bases, bits, needle):
+        with pytest.raises(ValueError, match=needle):
+            csq.ShadowSet(np.array(bases), np.array(bits))
+
+    def test_zero_shots_allowed(self):
+        s = csq.ShadowSet(np.zeros((0, 3), dtype=int), np.zeros((0, 3), dtype=int))
+        assert s.shots == 0 and s.n == 3 and s.sym.shape == (3, 0)

@@ -91,6 +91,22 @@ class TestConfig:
         ("covert-sq", {"delta_c": 0}, False),
         ("covert-sq", {"delta_c": 1.0}, False),
         ("covert-sq", {"delta_c": 0.5}, True),
+        ("parity", {"n": 4, "delta_p": 0.01}, False),  # k = 7 >= n
+        ("parity", {"n": 8, "delta_p": 0.01}, True),
+        ("shadows-qsq", {"tau": 0}, False),
+        ("shadows-qsq", {"tau": -0.1}, False),
+        ("shadows-qsq", {"delta_p": 0}, False),
+        ("shadows-qsq", {"delta_p": 1}, False),
+        ("shadows-qsq", {"n_states": 0}, False),
+        ("shadows-qsq", {"n_observables": 0}, False),
+        ("shadows-qsq", {"k": 5}, False),
+        ("shadows-qsq", {"k": -1}, False),
+        ("shadows-qsq", {"n": 2, "k": 3}, False),
+        ("shadows-qsq", {"n": 2, "k": 2}, True),
+        ("shadows-qsq", {"k": 0}, True),
+        ("shadows-qsq", {"n": 0}, False),
+        ("shadows-qsq", {"n": oracles.PAULI_TABLE_QUBIT_CAP + 1}, False),
+        ("shadows-qsq", {"n": oracles.PAULI_TABLE_QUBIT_CAP}, True),
     ])
     def test_param_rules(self, scenario, params, ok):
         d = {"scenario": scenario, "params": params}
@@ -337,10 +353,29 @@ class TestCli:
         ("covert-sq", "delta_c=0"),
         ("parity", "delta_c=0"),
         ("quadratic", "delta_c=0"),
+        ("shadows-qsq", "tau=0"),
+        ("shadows-qsq", "delta_p=0"),
+        ("shadows-qsq", "n_states=0"),
+        ("shadows-qsq", "n_observables=0"),
+        ("shadows-qsq", "k=5"),
+        ("shadows-qsq", "n=9"),
     ])
     @pytest.mark.parametrize("command", ["run", "resources"])
     def test_param_rule_exit_code(self, command, scenario, param):
         out = self.run_cli(command, "--scenario", scenario, "--param", param,
+                           *(("--trials", "1") if command == "run" else ()))
+        assert out.returncode == 2
+        assert repr(param.split("=")[0]) in out.stderr and "must be" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("scenario, context, param", [
+        ("parity", "n=4", "delta_p=0.01"),  # k = ceil(log2(100)) = 7 >= n
+        ("shadows-qsq", "n=2", "k=3"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "resources"])
+    def test_rule_across_params_exit_code(self, command, scenario, context, param):
+        out = self.run_cli(command, "--scenario", scenario,
+                           "--param", context, "--param", param,
                            *(("--trials", "1") if command == "run" else ()))
         assert out.returncode == 2
         assert repr(param.split("=")[0]) in out.stderr and "must be" in out.stderr

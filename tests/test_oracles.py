@@ -239,6 +239,59 @@ class TestQMeasEx:
         assert stats.chisquare(counts).pvalue > 1e-4
 
 
+def per_basis_choice_reference(oracle, shots, rng):
+    """The per-basis sampler the grouped one replaced: one boolean mask and
+    one rng.choice per basis that occurs, in ascending basis order."""
+    n = oracle.state().n
+    tables = oracle._basis_probability_tables()
+    axes = rng.integers(0, 3, size=(shots, n))
+    basis_idx = (axes * (3 ** np.arange(n))).sum(axis=1)
+    outcomes = np.empty(shots, dtype=np.int64)
+    for b in np.unique(basis_idx):
+        sel = basis_idx == b
+        p = np.clip(tables[b], 0, None)
+        outcomes[sel] = rng.choice(1 << n, size=sel.sum(), p=p / p.sum())
+    return axes, (outcomes[:, None] >> np.arange(n)) & 1
+
+
+class TestGroupedPauliSampler:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shots", [0, 1, 7, 200, 3000])
+    def test_matches_per_basis_choice(self, n, shots):
+        # shots < 3^n leaves some bases without shots
+        g = np.random.default_rng(40 + n)
+        v = g.normal(size=1 << n) + 1j * g.normal(size=1 << n)
+        psi = qsim.PureState(n, v / np.linalg.norm(v))
+        ref_rng = np.random.default_rng(1000 * n + shots)
+        rng = np.random.default_rng(1000 * n + shots)
+        want_axes, want_bits = per_basis_choice_reference(
+            oracles.QMeasExOracle(psi), shots, ref_rng
+        )
+        oracle = oracles.QMeasExOracle(psi)
+        axes, bits = oracle.sample_product_pauli(shots, rng)
+        assert axes.dtype == want_axes.dtype and bits.dtype == want_bits.dtype
+        assert np.array_equal(axes, want_axes)
+        assert np.array_equal(bits, want_bits)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert oracle.count == shots
+
+    def test_basis_state_table_is_deterministic(self):
+        # a product state: every Z-basis shot reads |0>, every other basis
+        # is a fair coin, so the zero-probability cdf steps are never hit
+        oracle = oracles.QMeasExOracle(qsim.basis_state(2, 0))
+        axes, bits = oracle.sample_product_pauli(5000, np.random.default_rng(3))
+        assert not bits[axes == 2].any()
+        assert 0.45 < bits[axes != 2].mean() < 0.55
+
+    def test_table_cap_checked_before_allocation(self):
+        n = oracles.PAULI_TABLE_QUBIT_CAP + 1
+        oracle = oracles.QMeasExOracle(qsim.basis_state(n, 0))
+        with pytest.raises(ValueError, match="cap"):
+            oracle._basis_probability_tables()
+        with pytest.raises(ValueError, match="cap"):
+            oracle.sample_product_pauli(1, np.random.default_rng(0))
+
+
 class TestQuantumChannelOracle:
     def test_identity_taps_equal_bare_oracle(self):
         rng = np.random.default_rng(14)
