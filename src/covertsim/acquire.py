@@ -25,7 +25,7 @@ the low qubits of every copy, the oracle-facing register the high ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,20 +48,6 @@ DEFAULT_BLOCKS = 20  # desk-scale override of the paper-formula block counts
 RANDOMNESS = "randomness"
 ENTANGLED = "entangled"
 MODES = (RANDOMNESS, ENTANGLED)
-
-
-@dataclass
-class MaskedQueryContext:
-    """Fresh-mask discipline for callers that pass explicit masks."""
-
-    _used_masks: set = field(default_factory=set)
-
-    def check_fresh(self, mask):
-        if mask is None:
-            return
-        if mask in self._used_masks:
-            raise RuntimeError("mask reuse violates the fresh-mask discipline")
-        self._used_masks.add(mask)
 
 
 def eps_leak(delta_leak: float, m: int) -> float:
@@ -127,19 +113,16 @@ def _masked_plus(n: int, r: int) -> PureState:
 
 
 def masked_query_phase_randomness(
-    oracle: QuantumChannelOracle, n: int, rng, mask: Optional[int] = None,
-    ctx: Optional[MaskedQueryContext] = None, out: Optional[np.ndarray] = None,
+    oracle: QuantumChannelOracle, n: int, rng, out: Optional[np.ndarray] = None,
 ) -> Optional[PureState]:
     """One covert phase-oracle query from classical randomness.
 
-    Send Z^r |+>^n with private uniform r, undo Z^r on the response; with no
-    adversary the result is exactly the target phase state. Given `out` (a
-    block row), the unmasked amplitudes are written there and nothing is
-    returned; the block checks their norm.
+    Send Z^r |+>^n with a fresh private uniform r, undo Z^r on the response;
+    with no adversary the result is exactly the target phase state. Given
+    `out` (a block row), the unmasked amplitudes are written there and
+    nothing is returned; the block checks their norm.
     """
-    if ctx is not None:
-        ctx.check_fresh(mask)
-    r = int(rng.integers(0, 1 << n)) if mask is None else mask
+    r = int(rng.integers(0, 1 << n))
     got = oracle.query(_masked_plus(n, r), list(range(n)), rng=rng)
     if out is None:
         return qsim.apply_z_mask(got, r, range(n))
@@ -172,13 +155,6 @@ def unmask_entangled(state: PureState, n: int, rng) -> PureState:
     return qsim.remove_qubits(post, list(range(n)), r)
 
 
-def uncompute_entangled(state: PureState, n: int) -> PureState:
-    """Alternative unmask: undo the CZ coupling, leaving |+>^n (x) target."""
-    for i in range(n):
-        state = qsim.apply_gate(state, "CZ", [i, n + i])
-    return state
-
-
 def _kickback_query(oracle, state: PureState, in_qubits: list[int], w: int, rng):
     """One QMem query by phase kickback onto the top w qubits of `state` (the
     out register). A |0^w> ancilla takes CNOT out->aux and Hadamards, serves
@@ -200,24 +176,18 @@ def _kickback_query(oracle, state: PureState, in_qubits: list[int], w: int, rng)
 
 
 def masked_query_qmem_randomness(
-    oracle: QuantumChannelOracle, n: int, w: int, rng,
-    masks: Optional[tuple[int, int]] = None,
-    ctx: Optional[MaskedQueryContext] = None,
+    oracle: QuantumChannelOracle, n: int, w: int, rng
 ) -> PureState:
     """Covert quantum-membership query from classical randomness.
 
     Phase kickback turns one QMem(f) query into a phase-oracle query for
     f~(x, y) = y·f(x) on the (in, out) pair; masking and unmasking work
-    exactly as in the randomness-based phase query. Returns the (n+w)-qubit
-    phase state of f~, i.e. (1 x H^w) applied to the example state.
+    exactly as in the randomness-based phase query, with fresh private masks
+    r on in and rt on out. Returns the (n+w)-qubit phase state of f~, i.e.
+    (1 x H^w) applied to the example state.
     """
-    if ctx is not None:
-        ctx.check_fresh(masks)
-    if masks is None:
-        r = int(rng.integers(0, 1 << n))
-        rt = int(rng.integers(0, 1 << w))
-    else:
-        r, rt = masks
+    r = int(rng.integers(0, 1 << n))
+    rt = int(rng.integers(0, 1 << w))
     state = qsim.tensor(
         qsim.apply_z_mask(qsim.uniform_state(n), r, range(n)),
         qsim.apply_z_mask(qsim.uniform_state(w), rt, range(w)),
@@ -404,30 +374,13 @@ def majority_vote(votes: Sequence[int]):
     return max(counts, key=counts.get)
 
 
-def cluster_estimate(votes: Sequence[float], eps_a: float) -> Optional[float]:
-    """Estimation-mode combiner: average a >= 2/3 cluster of pairwise
-    4 eps_a / 5-close round estimates; None when no such cluster exists."""
-    xs = np.asarray(votes, dtype=float)
-    ell = len(xs)
-    need = math.ceil(2 * ell / 3)
-    order = np.sort(xs)
-    for i in range(ell - need + 1):
-        window = order[i : i + need]
-        if window[-1] - window[0] <= 4.0 * eps_a / 5.0:
-            sel = (xs >= window[0]) & (xs <= window[0] + 4.0 * eps_a / 5.0)
-            return float(xs[sel].mean())
-    return None
-
-
 def _task_rounds(
     task: Callable[[list[PureState]], object],
     rounds: int,
     acquire_round: Callable[[], AcquisitionResult],
-    combine: Callable[[list], object],
 ) -> TaskOutcome:
     """Certify-then-run rounds: halt on the first rejected acquisition, else
-    run the task on every certified output and combine the votes; a combiner
-    that finds no answer (None) rejects."""
+    run the task on every certified output and take the majority vote."""
     votes = []
     for j in range(rounds):
         res = acquire_round()
@@ -435,9 +388,8 @@ def _task_rounds(
             return TaskOutcome(rejected=True, rounds=j + 1, votes=votes)
         votes.append(task(res.output))
         del res  # the round's copies are spent: free them before the next round
-    answer = combine(votes)
     return TaskOutcome(
-        rejected=answer is None, answer=answer, rounds=rounds, votes=votes
+        rejected=False, answer=majority_vote(votes), rounds=rounds, votes=votes
     )
 
 
@@ -453,18 +405,15 @@ def amplified_task_unidirectional(
     rng,
     n_blocks: int = DEFAULT_BLOCKS,
     mode: str = RANDOMNESS,
-    combiner: str = "majority",
 ) -> TaskOutcome:
     """ell certify-then-run rounds with immediate halt on any rejection,
-    then a majority vote (or the cluster rule for estimation tasks)."""
+    then a majority vote."""
     return _task_rounds(
         task,
         amplification_rounds(delta, delta_a),
         lambda: acquire_unidirectional(
             oracle, mem, n, m, eps_a, delta_a, rng, n_blocks=n_blocks, mode=mode
         ),
-        majority_vote if combiner == "majority"
-        else lambda votes: cluster_estimate(votes, eps_a),
     )
 
 
@@ -489,5 +438,4 @@ def task_ancilla_free(
         lambda: acquire_ancilla_free(
             oracle, mem, n, m, eps_a, delta, delta_leak, rng, n_blocks=n_blocks
         ),
-        majority_vote,
     )

@@ -9,7 +9,7 @@ hard-wired to the identity; ancilla-free strategies own no quantum register.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,18 +68,6 @@ def ancilla_free_iid(
         BIDIRECTIONAL,
         "none",
         {"delta_leak": delta_leak, "measure_qubit": measure_qubit, "extract_post": extract_post},
-    )
-
-
-def custom(
-    query_fn: Optional[Callable] = None,
-    response_fn: Optional[Callable] = None,
-    directionality: str = BIDIRECTIONAL,
-    memory_policy: str = "classical",
-) -> AdversaryStrategy:
-    return AdversaryStrategy(
-        "custom", directionality, memory_policy,
-        {"query_fn": query_fn, "response_fn": response_fn},
     )
 
 
@@ -199,10 +187,6 @@ def apply_tap(
 
     if kind == "ancilla_free_iid":
         return _ancilla_free_tap(strategy, direction, state, qubits, memory, rng)
-
-    if kind == "custom":
-        fn = strategy.params.get(f"{direction}_fn")
-        return fn(state, qubits, memory, rng) if fn else state
 
     raise ValueError(f"unknown strategy kind {kind!r}")
 

@@ -7,13 +7,12 @@ bodies (Parity, Quadratic, ...) exist so that protocols at n = 10-12 avoid
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
-from .gf2 import bits_to_str, dot, parity, str_to_bits
+from .gf2 import dot
 
 MAX_TABLE_ARITY = 20  # eval_all materializes 2^n entries
 
@@ -214,12 +213,6 @@ def quadratic_fn(rows: Sequence[int], n: int) -> BooleanFunction:
     return BooleanFunction(n=n, w=1, body=Quadratic(rows=tuple(rows)))
 
 
-def quadratic_from_matrix(mat: Sequence[Sequence[int]]) -> BooleanFunction:
-    n = len(mat)
-    rows = [sum((int(mat[i][j]) & 1) << j for j in range(n)) for i in range(n)]
-    return quadratic_fn(rows, n)
-
-
 def padded_xor(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
     return BooleanFunction(n=f.n + g.n, w=1, body=PaddedXor(f=f, g=g))
 
@@ -298,88 +291,3 @@ def forrelation_phi(f: BooleanFunction, g: BooleanFunction) -> float:
     if f.n <= 8:
         return _phi_double_sum(f, g)
     return _phi_walsh(f, g)
-
-
-# --- serialization -----------------------------------------------------------
-
-
-def _bits_to_hex(bits: Sequence[int]) -> str:
-    by = bytearray((len(bits) + 7) // 8)
-    for i, b in enumerate(bits):
-        if b:
-            by[i // 8] |= 1 << (i % 8)
-    return by.hex()
-
-
-def _hex_to_bits(h: str, count: int) -> list[int]:
-    by = bytes.fromhex(h)
-    return [(by[i // 8] >> (i % 8)) & 1 for i in range(count)]
-
-
-def to_json_dict(f: BooleanFunction) -> dict:
-    """{kind, n, w, payload} per the wire format (hex-encoded bit payloads)."""
-    b = f.body
-    if isinstance(b, TruthTable):
-        bits = []
-        for v in b.values:
-            bits.extend((v >> j) & 1 for j in range(f.w))
-        return {"kind": "truth_table", "n": f.n, "w": f.w, "payload": _bits_to_hex(bits)}
-    if isinstance(b, Parity):
-        return {"kind": "parity", "n": f.n, "w": 1, "payload": bits_to_str(b.s, f.n)}
-    if isinstance(b, Quadratic):
-        bits = []
-        for i in range(f.n):
-            bits.extend((b.rows[i] >> j) & 1 for j in range(f.n))
-        return {"kind": "quadratic", "n": f.n, "w": 1, "payload": _bits_to_hex(bits)}
-    if isinstance(b, PaddedXor):
-        return {
-            "kind": "padded_xor",
-            "n": f.n,
-            "w": 1,
-            "payload": {"f": to_json_dict(b.f), "g": to_json_dict(b.g)},
-        }
-    if isinstance(b, TensorPower):
-        return {
-            "kind": "tensor_power",
-            "n": f.n,
-            "w": f.w,
-            "payload": {"f": to_json_dict(b.f), "m": b.m},
-        }
-    if isinstance(b, SimonFunction):
-        return {
-            "kind": "simon",
-            "n": f.n,
-            "w": f.w,
-            "payload": {
-                "period": bits_to_str(b.s, f.n),
-                "labels": [bits_to_str(v, f.n) for v in b.labels],
-            },
-        }
-    raise TypeError(f"unknown body {type(b)}")
-
-
-def from_json_dict(d: dict) -> BooleanFunction:
-    kind, n, w, payload = d["kind"], d["n"], d["w"], d["payload"]
-    if kind == "truth_table":
-        bits = _hex_to_bits(payload, (1 << n) * w)
-        values = [
-            sum(bits[i * w + j] << j for j in range(w)) for i in range(1 << n)
-        ]
-        return truth_table(values, w=w)
-    if kind == "parity":
-        return parity_fn(str_to_bits(payload), n)
-    if kind == "quadratic":
-        bits = _hex_to_bits(payload, n * n)
-        rows = [sum(bits[i * n + j] << j for j in range(n)) for i in range(n)]
-        return quadratic_fn(rows, n)
-    if kind == "padded_xor":
-        return padded_xor(from_json_dict(payload["f"]), from_json_dict(payload["g"]))
-    if kind == "tensor_power":
-        return tensor_power(from_json_dict(payload["f"]), payload["m"])
-    if kind == "simon":
-        return simon_fn(
-            str_to_bits(payload["period"]),
-            [str_to_bits(v) for v in payload["labels"]],
-            n,
-        )
-    raise ValueError(f"unknown kind {kind!r}")

@@ -13,22 +13,21 @@ implemented adversaries), so measuring certification blocks leaves the
 output block untouched. A block of m pure copies is one stacked (m, 2^q)
 amplitude array, row j the amplitudes of copy j, its row norms checked once
 when the block is built. A round X-tests one copy and Z-collapses the other
-m - 1 together: one cumulative-sum compare over the block's per-copy
-probability matrix (|amp|^2 rows for pure copies, the clipped diagonal for
-mixed ones), drawing the same uniforms, in the same order, as collapsing the
-copies one at a time.
+m - 1 together: one cumulative-sum compare over the block's |amp|^2 rows,
+drawing the same uniforms, in the same order, as collapsing the copies one
+at a time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .boolfunc import BooleanFunction, MAX_TABLE_ARITY, eval_all
 from . import qsim
-from .qsim import MixedState, PureState
+from .qsim import PureState
 
 SHADOW_OVERLAP_CONSTANT = 2  # C_so in the i.i.d. copy-count formulas
 
@@ -53,41 +52,23 @@ def adaptive_copy_count(n_block: int, eps: float, delta: float) -> int:
     )
 
 
-Copy = Union[PureState, MixedState]
-
-
 class ProductBlock:
-    """A certification block: m independent q-qubit copies forming one
-    (m q)-qubit register, copy 0 in the low qubits.
+    """A certification block: m independent pure q-qubit copies forming one
+    (m q)-qubit register, copy 0 in the low qubits, held as the stacked
+    (m, 2^q) amplitude array `amps` (which the block makes read-only)."""
 
-    Built from a list of copies or from a stacked (m, 2^q) amplitude array
-    `amps` (which the block makes read-only). Pure copies are held stacked;
-    a block with a mixed copy keeps its copies as given."""
-
-    def __init__(self, copies: Sequence[Copy] = (), amps: Optional[np.ndarray] = None):
-        if amps is None:
-            copies = list(copies)
-            if not copies or len({c.n for c in copies}) != 1:
-                raise ValueError("a block needs copies of one register size")
-            if all(isinstance(c, PureState) for c in copies):
-                amps = np.stack([c.vec for c in copies])
-        if amps is None:
-            self.amps, self._states = None, copies
-            self.m, self.qubits_per_copy = len(copies), copies[0].n
-        else:
-            qsim.check_rows_normalized(amps)
-            amps.flags.writeable = False
-            self.amps, self._states = amps, None
-            self.m, self.qubits_per_copy = amps.shape[0], amps.shape[1].bit_length() - 1
+    def __init__(self, amps: np.ndarray):
+        qsim.check_rows_normalized(amps)
+        amps.flags.writeable = False
+        self.amps = amps
+        self.m, self.qubits_per_copy = amps.shape[0], amps.shape[1].bit_length() - 1
 
     @property
     def n_block(self) -> int:
         return self.m * self.qubits_per_copy
 
-    def state(self, j: int) -> Copy:
+    def state(self, j: int) -> PureState:
         """Copy j as a state."""
-        if self.amps is None:
-            return self._states[j]
         return PureState(self.qubits_per_copy, self.amps[j])
 
     @property
@@ -97,14 +78,8 @@ class ProductBlock:
     def z_probs(self) -> np.ndarray:
         """(m, 2^q) computational-basis distributions of the copies, as a
         new array."""
-        if self.amps is not None:
-            probs = np.abs(self.amps)
-            return np.square(probs, out=probs)
-        return np.stack([
-            np.abs(c.vec) ** 2 if isinstance(c, PureState)
-            else np.clip(np.real(np.diag(c.mat)), 0.0, None)
-            for c in self._states
-        ])
+        probs = np.abs(self.amps)
+        return np.square(probs, out=probs)
 
 
 @dataclass
@@ -137,25 +112,17 @@ def _pair_indices(q: int, local: int) -> tuple[np.ndarray, np.ndarray]:
     return x0, x0 | (1 << local)
 
 
-def _round_on_copy(copy: Copy, local: int, rng) -> tuple[int, int]:
+def _round_on_copy(copy: PureState, local: int, rng) -> tuple[int, int]:
     """Z-measure all qubits but `local`, then X-measure `local`.
 
     Returns (compact rest bits, x outcome bit). The compact index keeps the
     remaining bits in order with position `local` removed.
     """
     x0, x1 = _pair_indices(copy.n, local)
-    if isinstance(copy, PureState):
-        a0 = copy.vec[x0]
-        a1 = copy.vec[x1]
-        p_pair = np.abs(a0) ** 2 + np.abs(a1) ** 2
-        plus_mass = np.abs(a0 + a1) ** 2 / 2.0
-    else:
-        d = np.real(np.diag(copy.mat))
-        p_pair = np.clip(d[x0] + d[x1], 0.0, None)
-        plus_mass = np.clip(
-            (d[x0] + d[x1] + 2.0 * np.real(copy.mat[x0, x1])) / 2.0, 0.0, None
-        )
-    p_pair = np.clip(p_pair, 0.0, None)
+    a0 = copy.vec[x0]
+    a1 = copy.vec[x1]
+    p_pair = np.clip(np.abs(a0) ** 2 + np.abs(a1) ** 2, 0.0, None)
+    plus_mass = np.abs(a0 + a1) ** 2 / 2.0
     j = qsim.sample_index(p_pair, rng)
     p_plus = plus_mass[j] / p_pair[j] if p_pair[j] > 0 else 0.5
     x_bit = int(rng.random() >= min(1.0, p_plus))
@@ -349,24 +316,3 @@ def certify_state_noniid(
         used_coverage_path=covered,
     )
     return record, (output_block if record.accepted else None)
-
-
-def materialize_overlap_observable(f_block: BooleanFunction) -> np.ndarray:
-    """L = avg_i P_i with P_i the rank-2^{n-1} projector whose +1 space holds
-    the phase state; explicit matrix for the E[score] = tr[L rho] cross-check
-    (n_block <= 3 in tests)."""
-    n = f_block.n
-    dim = 1 << n
-    table = eval_all(f_block)
-    L = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        x0, x1 = _pair_indices(n, i)
-        P = np.zeros((dim, dim), dtype=complex)
-        for a, b in zip(x0, x1):
-            v = np.zeros(dim, dtype=complex)
-            sign = -1.0 if table[a] != table[b] else 1.0
-            v[a] = 1 / math.sqrt(2)
-            v[b] = sign / math.sqrt(2)
-            P += np.outer(v, v.conj())
-        L += P / n
-    return L

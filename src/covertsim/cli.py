@@ -19,6 +19,8 @@ def _load_config(config_path, scenario, seed, trials, params, adversary):
     if config_path:
         with open(config_path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise exp.ConfigError(f"config must be a JSON object, got {data!r}")
     if scenario:
         data["scenario"] = scenario
     if seed is not None:
@@ -28,7 +30,10 @@ def _load_config(config_path, scenario, seed, trials, params, adversary):
     if adversary:
         data["adversary"] = json.loads(adversary)
     if params:
-        merged = dict(data.get("params", {}))
+        merged = data.get("params", {})
+        if not isinstance(merged, dict):
+            raise exp.ConfigError(f"params must be a JSON object, got {merged!r}")
+        merged = dict(merged)
         for item in params:
             if "=" not in item:
                 raise exp.ConfigError(f"--param expects key=value, got {item!r}")
@@ -86,7 +91,7 @@ def run(config_path, scenario, seed, trials, params, adversary, out_dir, do_asse
 
 @main.command()
 @_config_options
-@click.option("--trial", "trial_index", type=int, required=True)
+@click.option("--trial", "trial_index", type=click.IntRange(min=0), required=True)
 def replay(config_path, scenario, seed, trials, params, adversary, trial_index):
     """Re-run a single trial bit-exactly from (seed, trial index)."""
     try:

@@ -8,7 +8,6 @@ answers k-local QSQs from observable-agnostic public measurement examples.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -17,10 +16,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .oracles import PolynomialSqQuery, QMeasExOracle, SqOracle
+from .qsim import PureState
 
 JL_CONSTANT = 8  # declared implementation constant in the sketch-width formula
 # largest supported observable locality; 6^4 support codes fit in uint16
 MAX_LOCALITY = 4
+# largest shadow set a config may ask for, in shots per state: the sampler
+# holds two (shots, n) int64 arrays, 1.28 GB at this cap and n = 8
+MAX_SHADOW_SHOTS = 10**7
 
 # --- monomial basis -----------------------------------------------------------
 
@@ -238,11 +241,6 @@ class PauliObservable:
         return len(self.axes)
 
 
-def pauli_observable(spec: dict[int, str], coefficient: float = 1.0) -> PauliObservable:
-    axes = tuple(sorted((q, "XYZ".index(a)) for q, a in spec.items()))
-    return PauliObservable(axes=axes, coefficient=coefficient)
-
-
 def shadow_batches(m_targets: int, delta_p: float) -> int:
     """Median-of-means batch count K = ceil(8 log(2 m / delta_p))."""
     return math.ceil(8.0 * math.log(2.0 * m_targets / delta_p))
@@ -309,8 +307,8 @@ def shadow_estimate(shadows: ShadowSet, obs: PauliObservable, batches: int) -> f
     return float(np.median(est[:usable].reshape(batches, -1).mean(axis=1)))
 
 
-def pauli_expectation_exact(state, obs: PauliObservable) -> float:
-    """tr[M rho] by materializing the Pauli string (test oracle, small n)."""
+def pauli_expectation_exact(state: PureState, obs: PauliObservable) -> float:
+    """<psi|M|psi> by materializing the Pauli string (test oracle, small n)."""
     mats = {
         0: np.array([[0, 1], [1, 0]], dtype=complex),
         1: np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -321,44 +319,4 @@ def pauli_expectation_exact(state, obs: PauliObservable) -> float:
     for q in range(state.n):
         m = mats[lookup[q]] if q in lookup else np.eye(2, dtype=complex)
         full = np.kron(m, full)  # little-endian: qubit q at bit q
-    vec = getattr(state, "vec", None)
-    if vec is not None:
-        return float(obs.coefficient * np.vdot(vec, full @ vec).real)
-    return float(obs.coefficient * np.trace(full @ state.mat).real)
-
-
-def shadow_set_to_jsonl(shadows: ShadowSet) -> str:
-    lines = []
-    for i in range(shadows.shots):
-        bits_int = int((shadows.bits[i] * (1 << np.arange(shadows.n))).sum())
-        lines.append(
-            json.dumps(
-                {
-                    "shot": i,
-                    "bases": "".join("XYZ"[a] for a in shadows.bases[i]),
-                    "bits": format(bits_int, "x"),
-                }
-            )
-        )
-    return "\n".join(lines)
-
-
-def shadow_set_from_jsonl(text: str) -> ShadowSet:
-    bases, bits = [], []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        n = len(rec["bases"])
-        if set(rec["bases"]) - set("XYZ"):
-            raise ValueError(f"shot {rec.get('shot')!r} has bases other than X, Y, Z")
-        if bases and n != len(bases[0]):
-            raise ValueError(f"shot {rec.get('shot')!r} has {n} qubits, not {len(bases[0])}")
-        bits_int = int(rec["bits"], 16)
-        if bits_int >> n:
-            raise ValueError(f"shot {rec.get('shot')!r} has outcome bits beyond its {n} qubits")
-        bases.append(["XYZ".index(c) for c in rec["bases"]])
-        bits.append([(bits_int >> j) & 1 for j in range(n)])
-    if not bases:
-        raise ValueError("no shots in the shadow text")
-    return ShadowSet(np.array(bases), np.array(bits))
+    return float(obs.coefficient * np.vdot(state.vec, full @ state.vec).real)

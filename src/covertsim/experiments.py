@@ -93,6 +93,8 @@ class ExperimentConfig:
         params = self.full_params
         for key, (ok, allowed) in sc.rules.items():
             if not ok(params[key], params):
+                if callable(allowed):
+                    allowed = allowed(params)
                 raise ConfigError(f"param {key!r} must be {allowed}, got {params[key]!r}")
         if build_adversary(self.adversary) is not None:
             kind = self.adversary["kind"]
@@ -260,6 +262,7 @@ def _run_shadows(params, adversary_spec, rng) -> dict:
             exact = covertsq.pauli_expectation_exact(psi, obs)
             ok += abs(est - exact) <= tau
             total += 1
+        del shadows  # free this set before the next one is collected
     return {"pairs_ok": ok, "pairs": total, "all_ok": bool(ok == total), "shots": shots}
 
 
@@ -484,6 +487,19 @@ _OPEN_UNIT = (lambda v, p: 0 < v < 1, "in (0, 1)")
 _AT_LEAST_ONE = (lambda v, p: v >= 1, "at least 1")
 
 
+def _shadow_shots(p: dict) -> float:
+    """Shots per state of a shadows-qsq config, inf past float range."""
+    try:
+        return _shadows_resources(p)["shots"]
+    except (ZeroDivisionError, OverflowError):  # tau**2 underflows to 0 or near it
+        return math.inf
+
+
+def _shadow_tau_allowed(p: dict) -> str:
+    text = f"positive, with at most {covertsq.MAX_SHADOW_SHOTS:,} shots per state"
+    return text if not p["tau"] > 0 else f"{text} (it needs {_shadow_shots(p):,})"
+
+
 def _certify_state_ok(state: str, p: dict) -> bool:
     """'exact', 'zero', or 'flip:<k>' flipping k <= 2^n_block table entries."""
     if state in ("exact", "zero"):
@@ -499,7 +515,8 @@ class Scenario:
     may set. `resources` computes the schedule from the values the runner
     uses; `adversaries` lists the spec kinds it accepts (none: it takes no
     adversary spec). `rules` maps a param to a test of its value within the
-    full params and the allowed values it states, checked at construction."""
+    full params and the allowed values it states (text, or a function of the
+    full params giving it), checked at construction in order."""
 
     runner: Callable
     defaults: dict
@@ -560,10 +577,12 @@ SCENARIOS: dict[str, Scenario] = {
                   f"in 1..{oracles.PAULI_TABLE_QUBIT_CAP}"),
             "k": (lambda v, p: 0 <= v <= min(p["n"], covertsq.MAX_LOCALITY),
                   f"in 0..min(n, {covertsq.MAX_LOCALITY})"),
-            "tau": (lambda v, p: v > 0, "positive"),
             "delta_p": _OPEN_UNIT,
             "n_states": _AT_LEAST_ONE,
             "n_observables": _AT_LEAST_ONE,
+            # last: the shot count needs valid k, delta_p and n_observables
+            "tau": (lambda v, p: v > 0 and _shadow_shots(p) <= covertsq.MAX_SHADOW_SHOTS,
+                    _shadow_tau_allowed),
         },
     ),
     "certify": Scenario(

@@ -1,8 +1,8 @@
 """GF(2) linear algebra on bit-packed vectors.
 
 Bit-strings are plain Python ints. Bit j of the int, i.e. ``(x >> j) & 1``,
-is coordinate x_{j+1} of the string; display strings put x_1 first. All
-linear-algebra routines work on lists of such ints plus an explicit length n.
+is coordinate x_{j+1} of the string. All linear-algebra routines work on
+lists of such ints plus an explicit length n.
 """
 from __future__ import annotations
 
@@ -11,28 +11,9 @@ from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 
-def parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 def dot(a: int, b: int) -> int:
     """Inner product a·b over GF(2)."""
     return (a & b).bit_count() & 1
-
-
-def bits_to_str(x: int, n: int) -> str:
-    """Render as x_1 x_2 ... x_n (bit j of the int at string position j)."""
-    return "".join("1" if (x >> j) & 1 else "0" for j in range(n))
-
-
-def str_to_bits(s: str) -> int:
-    x = 0
-    for j, c in enumerate(s):
-        if c == "1":
-            x |= 1 << j
-        elif c != "0":
-            raise ValueError(f"not a bit-string: {s!r}")
-    return x
 
 
 def row_echelon(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:

@@ -9,23 +9,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import adversary as adv
 from . import qsim
-from .boolfunc import (
-    BooleanFunction,
-    eval_all,
-    evaluate,
-    sign_vector,
-    walsh_hadamard,
-)
+from .boolfunc import BooleanFunction, eval_all, evaluate
 from .gf2 import dot
-from .qsim import MixedState, Povm, PureState
+from .qsim import PureState
 
 PUBLIC = "public"
 PRIVATE = "private"
@@ -98,23 +91,6 @@ class SqQuery:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class CallableSqQuery(SqQuery):
-    """Brute-force query q(x, label); exact value by 2^n enumeration."""
-
-    fn: Callable[[int, int], float]
-    name: str = "callable"
-
-    def exact_expectation(self, f: BooleanFunction) -> float:
-        table = eval_all(f)
-        return float(
-            np.mean([self.fn(x, int(table[x])) for x in range(1 << f.n)])
-        )
-
-    def describe(self) -> dict:
-        return {"query": self.name}
-
-
 _MOMENT_CACHE: dict[tuple[int, ...], np.ndarray] = {}
 
 
@@ -135,33 +111,6 @@ class PolynomialSqQuery(SqQuery):
             moments = np.array([2.0 ** (-s.bit_count()) for s in self.supports])
             _MOMENT_CACHE[self.supports] = moments
         return float(np.dot(self.coeffs, moments))
-
-    def value(self, x: int) -> float:
-        return float(
-            sum(c for s, c in zip(self.supports, self.coeffs) if (x & s) == s)
-        )
-
-    def range_bound(self) -> float:
-        """B with |q(x)| <= B for all x (monomials take values in {0,1})."""
-        return float(sum(abs(c) for c in self.coeffs))
-
-    def affine_normalized(self) -> tuple["PolynomialSqQuery", float, float]:
-        """Map into [0, 1] via q' = (q + B) / 2B; returns (q', scale, shift)
-        with q = scale * q' + shift."""
-        b = self.range_bound()
-        if b == 0:
-            return self, 1.0, 0.0
-        coeffs = tuple(c / (2 * b) for c in self.coeffs)
-        if 0 in self.supports:
-            idx = self.supports.index(0)
-            coeffs = tuple(
-                c + 0.5 if i == idx else c for i, c in enumerate(coeffs)
-            )
-            supports = self.supports
-        else:
-            supports = self.supports + (0,)
-            coeffs = coeffs + (0.5,)
-        return PolynomialSqQuery(supports, coeffs), 2 * b, -b
 
     def describe(self) -> dict:
         return {"query": "polynomial", "supports": list(self.supports), "coeffs": list(self.coeffs)}
@@ -237,25 +186,6 @@ class SqOracle:
 
 
 @dataclass(frozen=True)
-class ExplicitObservable:
-    matrix: np.ndarray  # Hermitian, ||M|| <= 1 not enforced here
-
-    def describe(self):
-        return {"query": "explicit", "dim": self.matrix.shape[0]}
-
-
-@dataclass(frozen=True)
-class FourierMassQuery:
-    """sum_{S in T} fhat(S)^2 for the example state of a width-1 function."""
-
-    mask_predicate: Callable[[int], bool]
-    name: str = "fourier_mass"
-
-    def describe(self):
-        return {"query": self.name}
-
-
-@dataclass(frozen=True)
 class InfluenceQuery:
     """Influence of variable i, optionally of the off-diagonal-corrected
     function x -> f(x) xor sum_{i<j} x_i A_ij x_j (the conjugating unitary of
@@ -268,9 +198,6 @@ class InfluenceQuery:
         return {"query": "influence", "i": self.i, "corrected": self.offdiag_rows is not None}
 
 
-QsqObservable = Union[ExplicitObservable, FourierMassQuery, InfluenceQuery]
-
-
 def influence_exact(f: BooleanFunction, i: int) -> float:
     """Inf_i(f) = Pr_x[f(x) != f(x xor e_i)], exactly."""
     table = eval_all(f)
@@ -278,19 +205,10 @@ def influence_exact(f: BooleanFunction, i: int) -> float:
     return float(np.mean(table[xs] != table[xs ^ np.uint64(1 << i)]))
 
 
-def fourier_masses(f: BooleanFunction) -> np.ndarray:
-    """fhat(S)^2 over all masks S for F = (-1)^f (Parseval: sums to 1)."""
-    coef = walsh_hadamard(sign_vector(f)) / (1 << f.n)
-    return coef**2
-
-
 class QsqOracle:
-    """Quantum statistical query oracle over a state descriptor.
-
-    The descriptor is ('phase', f), ('example', f) or an explicit MixedState.
-    Symbolic observables are evaluated against the underlying function
-    exactly; explicit matrices are traced against the density operator.
-    """
+    """Quantum statistical query oracle on the example state of a width-1
+    function f, given as the descriptor ('example', f). Influence queries
+    are evaluated against f exactly."""
 
     def __init__(
         self,
@@ -300,49 +218,23 @@ class QsqOracle:
         transcript: Optional[Transcript] = None,
         visibility: str = PRIVATE,
     ):
-        self.descriptor = descriptor
+        kind, f = descriptor
+        if kind != "example" or f.w != 1:
+            raise ValueError("QSQ oracles take ('example', f) for a width-1 f")
+        self.f = f
         self.policy = policy
         self.rng = rng
         self.transcript = transcript
         self.visibility = visibility
         self.count = 0
 
-    def _state(self) -> PureState:
-        kind, f = self.descriptor
-        if kind == "phase":
-            return qsim.prepare_phase_state(f)
-        if kind == "example":
-            return qsim.prepare_example_state(f)
-        raise ValueError(f"unknown encoding {kind!r}")
+    def exact_value(self, obs: InfluenceQuery) -> float:
+        f = self.f
+        if obs.offdiag_rows is not None:
+            f = _xor_quadratic(f, obs.offdiag_rows)
+        return influence_exact(f, obs.i)
 
-    def exact_value(self, obs: QsqObservable) -> float:
-        if isinstance(obs, ExplicitObservable):
-            if isinstance(self.descriptor, MixedState):
-                return float(np.trace(obs.matrix @ self.descriptor.mat).real)
-            psi = self._state()
-            if obs.matrix.shape[0] != len(psi.vec):
-                raise ValueError("observable dimension mismatch")
-            return float(np.vdot(psi.vec, obs.matrix @ psi.vec).real)
-        if isinstance(self.descriptor, MixedState):
-            raise ValueError("symbolic queries need a function descriptor")
-        kind, f = self.descriptor
-        if isinstance(obs, FourierMassQuery):
-            if kind != "example" or f.w != 1:
-                raise ValueError("fourier-mass queries apply to width-1 example states")
-            masses = fourier_masses(f)
-            return float(
-                sum(masses[s] for s in range(1 << f.n) if obs.mask_predicate(s))
-            )
-        if isinstance(obs, InfluenceQuery):
-            if kind != "example" or f.w != 1:
-                raise ValueError("influence queries apply to width-1 example states")
-            g = f
-            if obs.offdiag_rows is not None:
-                g = _xor_quadratic(f, obs.offdiag_rows)
-            return influence_exact(g, obs.i)
-        raise ValueError(f"unsupported symbolic form {type(obs)}")
-
-    def query(self, obs: QsqObservable, tau: float) -> float:
+    def query(self, obs: InfluenceQuery, tau: float) -> float:
         if not 0.0 < tau < 1.0:
             raise ValueError("tolerance must lie in (0, 1)")
         truth = self.exact_value(obs)
@@ -487,48 +379,27 @@ def _choice_by_group(cdfs: np.ndarray, groups: np.ndarray, rng) -> np.ndarray:
 
 
 class QMeasExOracle:
-    """Raw measurement outcomes of specified POVMs on copies of a state."""
+    """Measurement outcomes on copies of a pure state, given as a PureState
+    or as the descriptor ('example', f)."""
 
-    def __init__(self, state_descriptor, transcript=None, visibility=PUBLIC,
-                 log_shots: bool = False):
-        # descriptor: PureState, MixedState, or ('phase'|'example', f)
+    def __init__(self, state_descriptor, transcript=None, visibility=PUBLIC):
+        d = state_descriptor
+        if not (isinstance(d, PureState) or (isinstance(d, tuple) and d[0] == "example")):
+            raise ValueError("QMeasEx oracles take a PureState or ('example', f)")
         self.descriptor = state_descriptor
         self.transcript = transcript
         self.visibility = visibility
-        self.log_shots = log_shots
-        self.count = 0  # weighted: an m-copy POVM counts m
+        self.count = 0  # weighted: an m-copy measurement counts m
         self._pauli_cdfs: Optional[np.ndarray] = None
 
     def state(self) -> PureState:
-        if isinstance(self.descriptor, (PureState, MixedState)):
+        if isinstance(self.descriptor, PureState):
             return self.descriptor
-        kind, f = self.descriptor
-        if kind == "phase":
-            return qsim.prepare_phase_state(f)
-        if kind == "example":
-            return qsim.prepare_example_state(f)
-        raise ValueError(f"unknown descriptor {kind!r}")
-
-    def query(self, povm: Povm, rng):
-        st = self.state()
-        if isinstance(st, MixedState):
-            label = qsim.sample_povm(st, povm, rng)
-        else:
-            label = qsim.sample_povm([st] * povm.copies, povm, rng)
-        self.count += povm.copies
-        if self.transcript is not None:
-            self.transcript.log(
-                "QMeasEx", self.visibility, "response",
-                {"copies": povm.copies, "outcome": str(label)},
-                {"qmeasex_weighted": self.count},
-            )
-        return label
+        return qsim.prepare_example_state(self.descriptor[1])
 
     def _basis_probability_tables(self) -> np.ndarray:
         """probs[basis_index, outcome] for all 3^n product-Pauli bases."""
         st = self.state()
-        if isinstance(st, MixedState):
-            raise ValueError("bulk Pauli sampling implemented for pure sources")
         n = st.n
         if n > PAULI_TABLE_QUBIT_CAP:
             raise ValueError(
@@ -567,15 +438,7 @@ class QMeasExOracle:
         bits = outcomes[:, None] >> np.arange(n)
         bits &= 1
         self.count += shots
-        if self.transcript is not None and self.log_shots:
-            for i in range(shots):
-                self.transcript.log(
-                    "QMeasEx", self.visibility, "response",
-                    {"bases": "".join(_PAULI_AXES[a] for a in axes[i]),
-                     "bits": int(outcomes[i])},
-                    {"qmeasex_weighted": self.count},
-                )
-        elif self.transcript is not None:
+        if self.transcript is not None:
             self.transcript.log(
                 "QMeasEx", self.visibility, "response",
                 {"bulk_pauli_shots": shots}, {"qmeasex_weighted": self.count},

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -100,26 +100,6 @@ def check_rows_normalized(amps: np.ndarray) -> None:
     dev = np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0).max(initial=0.0)
     if dev > NORM_SQ_TOL:
         raise ValueError(f"state not normalized: |norm^2-1| = {dev:.3g}")
-
-
-@dataclass(frozen=True)
-class Povm:
-    """POVM on m copies of an n-qubit system, with outcome labels."""
-
-    copies: int
-    qubits_per_copy: int
-    elements: tuple[np.ndarray, ...]
-    labels: tuple
-
-    def __post_init__(self):
-        dim = 1 << (self.copies * self.qubits_per_copy)
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in self.elements:
-            if e.shape != (dim, dim):
-                raise ValueError("POVM element has wrong shape")
-            total = total + e
-        if np.abs(total - np.eye(dim)).max() > 1e-8:
-            raise ValueError("POVM elements do not sum to the identity")
 
 
 # --- state constructors ------------------------------------------------------
@@ -397,41 +377,6 @@ def measure_qubits(
     return outcome, post
 
 
-def measure_qubits_mixed(
-    state: MixedState, qubits: Sequence[int], basis: str, rng
-) -> tuple[int, MixedState]:
-    """measure_qubits for density operators."""
-    if basis not in _BASIS_V:
-        raise ValueError(f"unknown basis {basis!r}")
-    v = _BASIS_V[basis]
-    dim = 1 << state.n
-    rho = state.mat
-    if basis != "Z":
-        u = _embed_single(v.conj().T, state.n, qubits)
-        rho = u @ rho @ u.conj().T
-    key = _gather_bits(state.n, qubits)
-    diag = np.real(np.diag(rho))
-    k = len(qubits)
-    probs = np.bincount(key.astype(np.int64), weights=diag, minlength=1 << k)
-    probs = np.clip(probs, 0.0, None)
-    outcome = sample_index(probs, rng)
-    mask = key == outcome
-    proj = rho * mask[:, None] * mask[None, :]
-    proj = proj / np.trace(proj).real
-    if basis != "Z":
-        u = _embed_single(v, state.n, qubits)
-        proj = u @ proj @ u.conj().T
-    return outcome, MixedState(state.n, proj)
-
-
-def _embed_single(u2: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
-    """Tensor a single-qubit unitary onto each listed qubit of an n-qubit system."""
-    full = np.eye(1, dtype=complex)
-    for q in range(n - 1, -1, -1):
-        full = np.kron(full, u2 if q in qubits else np.eye(2, dtype=complex))
-    return full
-
-
 def remove_qubits(state: PureState, qubits: Sequence[int], outcome: int) -> PureState:
     """Drop qubits known to be in the given computational basis state."""
     n = state.n
@@ -444,30 +389,6 @@ def remove_qubits(state: PureState, qubits: Sequence[int], outcome: int) -> Pure
     if abs(nrm - 1.0) > 1e-6:
         raise ValueError("removed qubits were not in the stated basis state")
     return PureState(n - len(qubits), v / nrm)
-
-
-def sample_povm(states, povm: Povm, rng):
-    """Sample an outcome label of an m-copy POVM on the given copies.
-
-    `states` is a list of m PureStates (tensored in order, first = low
-    qubits) or a single MixedState of the full dimension.
-    """
-    if isinstance(states, MixedState):
-        dim = 1 << states.n
-        if dim != povm.elements[0].shape[0]:
-            raise ValueError("dimension mismatch")
-        probs = np.array([np.trace(e @ states.mat).real for e in povm.elements])
-    else:
-        joint = tensor(*states) if len(states) > 1 else states[0]
-        if joint.vec.shape[0] != povm.elements[0].shape[0]:
-            raise ValueError("dimension mismatch")
-        probs = np.array(
-            [np.vdot(joint.vec, e @ joint.vec).real for e in povm.elements]
-        )
-    if abs(probs.sum() - 1.0) > 1e-8:
-        raise ValueError("POVM probabilities do not sum to 1")
-    i = int(rng.choice(len(probs), p=np.clip(probs, 0, None) / probs.sum()))
-    return povm.labels[i]
 
 
 # --- diagnostics -------------------------------------------------------------
@@ -530,14 +451,6 @@ def trace_distance(a: State, b: State) -> float:
         raise ValueError("dimension mismatch")
     diff = _as_density(a) - _as_density(b)
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def helstrom_guess_probability(p: float, a: State, b: State) -> float:
-    """Optimal binary discrimination: 1/2 (1 + || p a - (1-p) b ||_1)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("prior must be in [0, 1]")
-    m = p * _as_density(a) - (1 - p) * _as_density(b)
-    return float(0.5 * (1.0 + np.abs(np.linalg.eigvalsh(m)).sum()))
 
 
 def states_equal(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
@@ -610,40 +523,3 @@ def bell_pair_distribution(copy: PureState, n: int) -> np.ndarray:
             probs = np.abs(sub) ** 2  # little-endian data index = z | (y << n)
             out[b1 + 2 * b2] = probs.reshape(1 << n, 1 << n).T  # [z, y]
     return out
-
-
-def bell_povm(n: int) -> Povm:
-    """Explicitly materialized POVM elements E_{y,z,b} (test oracle, n <= 3)."""
-    if n > 3:
-        raise ValueError("materialized Bell POVM is for n <= 3")
-    n_tot = 2 * (n + 1)
-    dim = 1 << n_tot
-    lab1, lab2 = n, 2 * n + 1
-    h_labels = _embed_single(GATES_1Q["H"], n_tot, [lab1, lab2])
-    idx = np.arange(dim)
-    # transversal CNOTs copy1 -> copy2 as a permutation matrix
-    targ = idx ^ ((idx & ((1 << n) - 1)) << (n + 1))
-    cnots = np.zeros((dim, dim), dtype=complex)
-    cnots[targ, idx] = 1.0
-    h_data1 = _embed_single(GATES_1Q["H"], n_tot, list(range(n)))
-
-    def proj(qubits: Sequence[int], value: int) -> np.ndarray:
-        return np.diag((_gather_bits(n_tot, qubits) == value).astype(complex))
-
-    elements = []
-    labels = []
-    data1 = list(range(n))
-    data2 = list(range(n + 1, 2 * n + 1))
-    for b2 in (0, 1):
-        for b1 in (0, 1):
-            p_label = proj([lab1, lab2], b1 | (b2 << 1))
-            for y in range(1 << n):
-                for z in range(1 << n):
-                    if (b1, b2) == (1, 1):
-                        b_op = proj(data1, z) @ h_data1 @ proj(data2, y) @ cnots
-                    else:
-                        b_op = proj(data1, z) @ proj(data2, y)
-                    f_op = b_op @ p_label @ h_labels
-                    elements.append(f_op.conj().T @ f_op)
-                    labels.append((y, z, (b1, b2)))
-    return Povm(copies=2, qubits_per_copy=n + 1, elements=tuple(elements), labels=tuple(labels))

@@ -19,7 +19,6 @@ import numpy as np
 from . import acquire, gf2, qsim
 from .boolfunc import (
     BooleanFunction,
-    eval_all,
     forrelation_phi,
     padded_xor,
     random_simon_fn,
@@ -68,50 +67,6 @@ class SimonInstance:
     f: BooleanFunction
     label: str
     period: int  # 0 for one-to-one instances
-
-
-def forrelation_instance_to_json(inst: ForrelationInstance) -> dict:
-    """Audit record: function serializations, case label, exact Phi."""
-    from .boolfunc import to_json_dict
-
-    return {
-        "n": inst.n,
-        "f": to_json_dict(inst.f),
-        "g": to_json_dict(inst.g),
-        "label": inst.label,
-        "phi": inst.phi,
-    }
-
-
-def forrelation_instance_from_json(d: dict) -> ForrelationInstance:
-    from .boolfunc import from_json_dict
-
-    return ForrelationInstance(
-        n=d["n"], f=from_json_dict(d["f"]), g=from_json_dict(d["g"]),
-        label=d["label"], phi=d["phi"],
-    )
-
-
-def simon_instance_to_json(inst: SimonInstance) -> dict:
-    from .boolfunc import to_json_dict
-    from .gf2 import bits_to_str
-
-    return {
-        "n": inst.n,
-        "f": to_json_dict(inst.f),
-        "label": inst.label,
-        "period": bits_to_str(inst.period, inst.n),
-    }
-
-
-def simon_instance_from_json(d: dict) -> SimonInstance:
-    from .boolfunc import from_json_dict
-    from .gf2 import str_to_bits
-
-    return SimonInstance(
-        n=d["n"], f=from_json_dict(d["f"]), label=d["label"],
-        period=str_to_bits(d["period"]),
-    )
 
 
 class RejectionBudgetExceeded(RuntimeError):
@@ -281,23 +236,6 @@ def simon_decide_from_harvest(
     used = mem.count - before
     label = SIMON_PERIODIC if same else SIMON_ONE_TO_ONE
     return SimonDecision(label, candidate, list(harvested), used)
-
-
-def simon_decide(
-    copies: Sequence[PureState], n: int, mem: MemOracle, rng
-) -> SimonDecision:
-    """Base Simon decision from a copy budget of example states.
-
-    Harvests one orthogonal string per copy and stops as soon as the strings
-    span an (n-1)-dimensional space; a rank shortfall after the budget is a
-    typed inconclusive outcome, never silently mapped to a label.
-    """
-    harvested: list[int] = []
-    for copy in copies:
-        harvested.append(simon_harvest(copy, n, rng))
-        if gf2.rank(harvested, n) == n - 1:
-            return simon_decide_from_harvest(harvested, n, mem)
-    return SimonDecision(SIMON_INCONCLUSIVE, None, harvested, 0)
 
 
 @dataclass

@@ -1,0 +1,118 @@
+"""Reference implementations the unit tests compare the library against, or
+use as constructors: literal, slow forms kept out of the package."""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from covertsim import boolfunc as bf
+from covertsim import certify, covertsq, qsim
+
+
+def quadratic_from_matrix(mat: Sequence[Sequence[int]]) -> bf.BooleanFunction:
+    """f(x) = x^T A x over GF(2) from an upper-triangular 0/1 matrix A."""
+    n = len(mat)
+    rows = [sum((int(mat[i][j]) & 1) << j for j in range(n)) for i in range(n)]
+    return bf.quadratic_fn(rows, n)
+
+
+def polynomial_value(q, x: int) -> float:
+    """q(x) of a PolynomialSqQuery: the sum of the coefficients whose monomial
+    support is contained in x."""
+    return float(sum(c for s, c in zip(q.supports, q.coeffs) if (x & s) == s))
+
+
+def pauli_observable(spec: dict[int, str], coefficient: float = 1.0) -> covertsq.PauliObservable:
+    """PauliObservable from {qubit: 'X' | 'Y' | 'Z'}."""
+    axes = tuple(sorted((q, "XYZ".index(a)) for q, a in spec.items()))
+    return covertsq.PauliObservable(axes=axes, coefficient=coefficient)
+
+
+def materialize_overlap_observable(f_block: bf.BooleanFunction) -> np.ndarray:
+    """L = avg_i P_i with P_i the rank-2^{n-1} projector whose +1 space holds
+    the phase state; explicit matrix for the E[score] = tr[L rho] cross-check
+    (n_block <= 3)."""
+    n = f_block.n
+    dim = 1 << n
+    table = bf.eval_all(f_block)
+    L = np.zeros((dim, dim), dtype=complex)
+    for i in range(n):
+        x0, x1 = certify._pair_indices(n, i)
+        P = np.zeros((dim, dim), dtype=complex)
+        for a, b in zip(x0, x1):
+            v = np.zeros(dim, dtype=complex)
+            sign = -1.0 if table[a] != table[b] else 1.0
+            v[a] = 1 / math.sqrt(2)
+            v[b] = sign / math.sqrt(2)
+            P += np.outer(v, v.conj())
+        L += P / n
+    return L
+
+
+@dataclass(frozen=True)
+class Povm:
+    """POVM on m copies of an n-qubit system, with outcome labels."""
+
+    copies: int
+    qubits_per_copy: int
+    elements: tuple[np.ndarray, ...]
+    labels: tuple
+
+    def __post_init__(self):
+        dim = 1 << (self.copies * self.qubits_per_copy)
+        total = np.zeros((dim, dim), dtype=complex)
+        for e in self.elements:
+            if e.shape != (dim, dim):
+                raise ValueError("POVM element has wrong shape")
+            total = total + e
+        if np.abs(total - np.eye(dim)).max() > 1e-8:
+            raise ValueError("POVM elements do not sum to the identity")
+
+
+def _embed_single(u2: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
+    """Tensor a single-qubit unitary onto each listed qubit of an n-qubit system."""
+    full = np.eye(1, dtype=complex)
+    for q in range(n - 1, -1, -1):
+        full = np.kron(full, u2 if q in qubits else np.eye(2, dtype=complex))
+    return full
+
+
+def bell_povm(n: int) -> Povm:
+    """Explicitly materialized POVM elements E_{y,z,b} of the two-copy Bell
+    sampling that qsim.bell_sample_example_pair runs as a circuit (n <= 3)."""
+    if n > 3:
+        raise ValueError("materialized Bell POVM is for n <= 3")
+    n_tot = 2 * (n + 1)
+    dim = 1 << n_tot
+    lab1, lab2 = n, 2 * n + 1
+    h_labels = _embed_single(qsim.GATES_1Q["H"], n_tot, [lab1, lab2])
+    idx = np.arange(dim)
+    # transversal CNOTs copy1 -> copy2 as a permutation matrix
+    targ = idx ^ ((idx & ((1 << n) - 1)) << (n + 1))
+    cnots = np.zeros((dim, dim), dtype=complex)
+    cnots[targ, idx] = 1.0
+    h_data1 = _embed_single(qsim.GATES_1Q["H"], n_tot, list(range(n)))
+
+    def proj(qubits: Sequence[int], value: int) -> np.ndarray:
+        return np.diag((qsim._gather_bits(n_tot, qubits) == value).astype(complex))
+
+    elements = []
+    labels = []
+    data1 = list(range(n))
+    data2 = list(range(n + 1, 2 * n + 1))
+    for b2 in (0, 1):
+        for b1 in (0, 1):
+            p_label = proj([lab1, lab2], b1 | (b2 << 1))
+            for y in range(1 << n):
+                for z in range(1 << n):
+                    if (b1, b2) == (1, 1):
+                        b_op = proj(data1, z) @ h_data1 @ proj(data2, y) @ cnots
+                    else:
+                        b_op = proj(data1, z) @ proj(data2, y)
+                    f_op = b_op @ p_label @ h_labels
+                    elements.append(f_op.conj().T @ f_op)
+                    labels.append((y, z, (b1, b2)))
+    return Povm(copies=2, qubits_per_copy=n + 1, elements=tuple(elements), labels=tuple(labels))

@@ -28,19 +28,14 @@ class TestMaskedQueries:
             assert qsim.fidelity(got, qsim.prepare_phase_state(f)) > 1 - 1e-12
 
     def test_entangled_mode_unmask_paths(self):
+        # measure-and-correct unmasking recovers the target exactly
         rng = np.random.default_rng(1)
         n = 3
         f = bf.random_truth_table(n, rng)
         target = qsim.prepare_phase_state(f)
-        # measure-and-correct path
         joint = acquire.masked_query_phase_entangled(phase_oracle(f), n, rng)
         got = acquire.unmask_entangled(joint, n, rng)
         assert qsim.fidelity(got, target) > 1 - 1e-12
-        # CZ-uncompute path: |+>^n (x) |psi_f>
-        joint = acquire.masked_query_phase_entangled(phase_oracle(f), n, rng)
-        undone = acquire.uncompute_entangled(joint, n)
-        expect = qsim.tensor(qsim.uniform_state(n), target)
-        assert qsim.states_equal(undone, expect, 1e-12)
 
     def test_entangled_joint_is_masked_phase_state(self):
         # the ideal 2n-qubit response is the phase state of g(r,x)=r·x+f(x)
@@ -68,16 +63,6 @@ class TestMaskedQueries:
             joint = acquire.masked_query_phase_entangled(phase_oracle(f), n, rng)
             red = qsim.partial_trace(joint, list(range(n, 2 * n)))
             assert np.abs(red.mat - np.eye(8) / 8).max() < 1e-12
-
-    def test_mask_reuse_faults(self):
-        rng = np.random.default_rng(4)
-        f = bf.constant_fn(2)
-        ctx = acquire.MaskedQueryContext()
-        acquire.masked_query_phase_randomness(phase_oracle(f), 2, rng, mask=1, ctx=ctx)
-        with pytest.raises(RuntimeError):
-            acquire.masked_query_phase_randomness(
-                phase_oracle(f), 2, rng, mask=1, ctx=ctx
-            )
 
     def test_qmem_randomness_gives_rotated_example_state(self):
         rng = np.random.default_rng(5)
@@ -232,30 +217,6 @@ class TestAmplifiedTask:
             n, 1, eps_a=0.1, delta_a=0.1, delta=0.1, rng=rng, n_blocks=8,
         )
         assert out.rejected
-
-    def test_cluster_estimate_rule(self):
-        votes = [0.50, 0.52, 0.51, 0.49, 0.93, 0.11]
-        est = acquire.cluster_estimate(votes, eps_a=0.1)
-        assert est == pytest.approx(np.mean([0.50, 0.52, 0.51, 0.49]))
-        assert acquire.cluster_estimate([0.1, 0.5, 0.9], 0.1) is None
-
-    def test_estimation_mode_toy(self):
-        # estimate P(accept) of a swap-test-like scalar: here just the mean
-        # of a deterministic per-round statistic = 1.0
-        rng = np.random.default_rng(13)
-        n = 2
-        f = bf.constant_fn(n)
-
-        def stat_task(copies):
-            return qsim.fidelity(copies[0], qsim.prepare_phase_state(f))
-
-        out = acquire.amplified_task_unidirectional(
-            stat_task, phase_oracle(f), oracles.MemOracle(f), n, 1,
-            eps_a=0.1, delta_a=0.1, delta=0.1, rng=rng, n_blocks=8,
-            combiner="estimate",
-        )
-        assert not out.rejected
-        assert out.answer == pytest.approx(1.0, abs=1e-9)
 
 
 class TestAcquireAncillaFree:

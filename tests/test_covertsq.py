@@ -7,6 +7,7 @@ from scipy import stats
 from covertsim import boolfunc as bf
 from covertsim import covertsq as csq
 from covertsim import oracles, qsim
+from reference import pauli_observable
 
 
 def random_target(n, d, rng, b_c=1.0):
@@ -132,14 +133,14 @@ class TestShadows:
         rng = np.random.default_rng(8)
         src = oracles.QMeasExOracle(qsim.uniform_state(2))
         shadows = csq.shadow_collect(src, 300, rng)
-        obs = csq.pauli_observable({})
+        obs = pauli_observable({})
         assert csq.shadow_estimate(shadows, obs, batches=5) == 1.0
 
     def test_z_on_zero_state(self):
         rng = np.random.default_rng(9)
         src = oracles.QMeasExOracle(qsim.basis_state(4, 0))
         shadows = csq.shadow_collect(src, 10_000, rng)
-        obs = csq.pauli_observable({0: "Z"})
+        obs = pauli_observable({0: "Z"})
         est = csq.shadow_estimate(shadows, obs, batches=10)
         assert abs(est - 1.0) <= 0.05
 
@@ -148,10 +149,10 @@ class TestShadows:
         bell = qsim.apply_gate(
             qsim.apply_gate(qsim.basis_state(2), "H", [0]), "CNOT", [0, 1]
         )
-        assert csq.pauli_expectation_exact(bell, csq.pauli_observable({0: "X", 1: "X"})) == pytest.approx(1.0)
+        assert csq.pauli_expectation_exact(bell, pauli_observable({0: "X", 1: "X"})) == pytest.approx(1.0)
         src = oracles.QMeasExOracle(bell)
         shadows = csq.shadow_collect(src, 20_000, rng)
-        est = csq.shadow_estimate(shadows, csq.pauli_observable({0: "X", 1: "X"}), batches=10)
+        est = csq.shadow_estimate(shadows, pauli_observable({0: "X", 1: "X"}), batches=10)
         assert abs(est - 1.0) <= 0.15
 
     def test_collection_is_observable_agnostic(self):
@@ -176,22 +177,13 @@ class TestShadows:
                 srng = np.random.default_rng(300 + i)
                 v = srng.normal(size=16) + 1j * srng.normal(size=16)
                 psi = qsim.PureState(4, v / np.linalg.norm(v))
-                obs = csq.pauli_observable({0: "Z", 2: "X"})
+                obs = pauli_observable({0: "Z", 2: "X"})
                 src = oracles.QMeasExOracle(psi)
                 shadows = csq.shadow_collect(src, shots, np.random.default_rng(7000 + i))
                 est = csq.shadow_single_shot_estimates(shadows, obs).mean()
                 total += abs(est - csq.pauli_expectation_exact(psi, obs))
             errs.append(total / 5)
         assert errs[-1] < errs[0]
-
-    def test_jsonl_roundtrip(self):
-        rng = np.random.default_rng(13)
-        src = oracles.QMeasExOracle(qsim.uniform_state(3))
-        shadows = csq.shadow_collect(src, 50, rng)
-        text = csq.shadow_set_to_jsonl(shadows)
-        back = csq.shadow_set_from_jsonl(text)
-        assert np.array_equal(back.bases, shadows.bases)
-        assert np.array_equal(back.bits, shadows.bits)
 
 
 def mask_product_reference(shadows, obs):
@@ -245,13 +237,13 @@ class TestSymbolPlaneEstimator:
                 )
 
     def test_zero_coefficient_writes_no_negative_zero(self, shadows):
-        obs = csq.pauli_observable({0: "X", 3: "Y"}, coefficient=0.0)
+        obs = pauli_observable({0: "X", 3: "Y"}, coefficient=0.0)
         assert negative_zeros(mask_product_reference(shadows, obs)) > 0
         got = csq.shadow_single_shot_estimates(shadows, obs)
         assert not got.any() and negative_zeros(got) == 0
 
     def test_locality_above_four_rejected(self, shadows):
-        obs = csq.pauli_observable({q: "Z" for q in range(5)})
+        obs = pauli_observable({q: "Z" for q in range(5)})
         with pytest.raises(ValueError, match="k <= 4"):
             csq.shadow_single_shot_estimates(shadows, obs)
 
@@ -267,27 +259,6 @@ class TestSymbolPlaneEstimator:
 
 
 class TestShadowSetBoundary:
-    GOOD = '{"shot": 0, "bases": "XZ", "bits": "1"}\n{"shot": 1, "bases": "YY", "bits": "3"}'
-
-    def test_good_text_parses(self):
-        s = csq.shadow_set_from_jsonl(self.GOOD)
-        assert s.n == 2 and s.shots == 2
-        assert s.bases.tolist() == [[0, 2], [1, 1]]
-        assert s.bits.tolist() == [[1, 0], [1, 1]]
-
-    @pytest.mark.parametrize("text, needle", [
-        ("", "no shots"),
-        ("\n  \n", "no shots"),
-        ('{"shot": 0, "bases": "XZ", "bits": "0"}\n{"shot": 1, "bases": "XYZ", "bits": "0"}',
-         "3 qubits, not 2"),
-        ('{"shot": 0, "bases": "XW", "bits": "0"}', "X, Y, Z"),
-        ('{"shot": 0, "bases": "XZ", "bits": "4"}', "beyond"),
-        ('{"shot": 0, "bases": "XZ", "bits": "-1"}', "beyond"),
-    ])
-    def test_bad_text_rejected(self, text, needle):
-        with pytest.raises(ValueError, match=needle):
-            csq.shadow_set_from_jsonl(text)
-
     @pytest.mark.parametrize("bases, bits, needle", [
         ([[0, 3]], [[0, 0]], "bases must lie in 0..2"),
         ([[0, -1]], [[0, 0]], "bases must lie in 0..2"),

@@ -3,12 +3,13 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
 
-from covertsim import acquire, certify, oracles
+from covertsim import acquire, certify, covertsq, oracles, qsim
 from covertsim import experiments as exp
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -122,6 +123,17 @@ class TestConfig:
         )
         assert exp.resource_table(cfg)["configured_rounds"] == 7
         assert exp.run_trial(cfg, 0)["rounds"] == 7
+
+    def test_shadow_shot_cap(self):
+        shipped = exp.ExperimentConfig.from_dict({"scenario": "shadows-qsq"})
+        assert exp.resource_table(shipped)["shots"] <= covertsq.MAX_SHADOW_SHOTS
+        for tau in (0.001, 1e-200):
+            with pytest.raises(exp.ConfigError, match=f"at most {covertsq.MAX_SHADOW_SHOTS:,} shots"):
+                exp.ExperimentConfig(scenario="shadows-qsq", params={"tau": tau})
+        # the params the shot count reads are checked first, by their own rules
+        for param in ({"delta_p": 0}, {"n_observables": 0}, {"k": 5}):
+            with pytest.raises(exp.ConfigError, match=repr(list(param)[0])):
+                exp.ExperimentConfig(scenario="shadows-qsq", params={"tau": 0.001, **param})
 
     def test_build_adversary_kinds(self):
         assert exp.build_adversary(None) is None
@@ -420,6 +432,31 @@ class TestCli:
         expect = exp.run_trial(cfg, 2)
         assert json.loads(json.dumps(expect, default=float, sort_keys=True)) == record
 
+    def test_negative_replay_trial_exit_code(self):
+        out = self.run_cli("replay", "--scenario", "parity", "--trial", "-1")
+        assert out.returncode == 2
+        assert "--trial" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("text, flags, needle", [
+        ("[1]", ("--scenario", "parity"), "config must be a JSON object"),
+        ('{"scenario": "parity", "params": [1]}', ("--param", "n=5"),
+         "params must be a JSON object"),
+    ])
+    def test_config_that_is_not_an_object_exit_code(self, tmp_path, text, flags, needle):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = self.run_cli("run", "--config", str(cfg_path), "--trials", "1", *flags)
+        assert out.returncode == 2
+        assert needle in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_shadow_shot_cap_exit_code(self):
+        out = self.run_cli("resources", "--scenario", "shadows-qsq", "--param", "tau=0.001")
+        assert out.returncode == 2
+        assert "4,288,000,000" in out.stderr and "10,000,000" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_resources_command(self):
         out = self.run_cli("resources", "--scenario", "quadratic")
         assert out.returncode == 0
@@ -436,6 +473,32 @@ class TestCli:
         )
         assert out.returncode == 0
         assert "PASS" in out.stdout
+
+
+class TestShadowsMemory:
+    def test_run_holds_one_shadow_set_at_a_time(self):
+        # the previous state's set is freed before the next is collected, so
+        # a run of several states peaks no higher than one collection
+        params = {**exp.SCENARIOS["shadows-qsq"].defaults, "tau": 0.2,
+                  "delta_p": 0.1, "n_states": 4, "n_observables": 2}
+        shots, _ = covertsq.shadow_shot_count(2, 2, 0.2, 0.1)
+        source = oracles.QMeasExOracle(qsim.uniform_state(4))
+        exp._run_shadows({**params, "n_states": 1}, None, np.random.default_rng(1))  # warm-up
+        tracemalloc.start()
+        try:
+            peaks = []
+            for collect in (
+                lambda: covertsq.shadow_collect(source, shots, np.random.default_rng(0)),
+                lambda: exp._run_shadows(params, None, np.random.default_rng(0)),
+            ):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                collect()
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        one, run = peaks
+        assert run < 1.25 * one, (run, one)
 
 
 class TestWorkersAndConfigs:

@@ -16,20 +16,8 @@ def brute_force_parities(samples, n):
 
 class TestBitHelpers:
     def test_parity_and_dot(self):
-        assert gf2.parity(0b101) == 0
-        assert gf2.parity(0b111) == 1
         assert gf2.dot(0b101, 0b111) == 0  # 1+0+1
         assert gf2.dot(0b110, 0b010) == 1
-
-    def test_str_roundtrip(self):
-        for n in (1, 3, 8):
-            for x in (0, 1, (1 << n) - 1, 5 % (1 << n)):
-                assert gf2.str_to_bits(gf2.bits_to_str(x, n)) == x
-
-    def test_str_order_is_x1_first(self):
-        # "101" means x1=1, x2=0, x3=1 -> int bit0=1, bit1=0, bit2=1
-        assert gf2.str_to_bits("101") == 0b101
-        assert gf2.bits_to_str(0b011, 3) == "110"
 
 
 class TestRowEchelon:

@@ -8,8 +8,9 @@ from scipy import stats
 
 from covertsim import adversary as adv
 from covertsim import boolfunc as bf
-from covertsim import oracles, qsim
+from covertsim import covertex, covertsq, oracles, qsim
 from covertsim.gf2 import dot
+from reference import polynomial_value, quadratic_from_matrix
 
 
 class TestSqOracle:
@@ -49,12 +50,11 @@ class TestSqOracle:
             s, t1, t2 = (int(v) for v in rng.integers(0, 1 << n, size=3))
             f = bf.parity_fn(s, n)
             q = oracles.ParityPairSqQuery(t1, t2)
-            brute = oracles.CallableSqQuery(
-                lambda x, y, t1=t1, t2=t2: float(dot(t1, x) != dot(t2, x) and dot(t1, x) == y)
-            )
-            assert q.exact_expectation(f) == pytest.approx(
-                brute.exact_expectation(f), abs=1e-12
-            )
+            brute = np.mean([
+                float(dot(t1, x) != dot(t2, x) and dot(t1, x) == f(x))
+                for x in range(1 << n)
+            ])
+            assert q.exact_expectation(f) == pytest.approx(brute, abs=1e-12)
 
     def test_perturb_policy_within_tau(self):
         rng = np.random.default_rng(1)
@@ -82,16 +82,22 @@ class TestSqOracle:
         supports = tuple(int(v) for v in rng.integers(0, 1 << n, size=8))
         coeffs = tuple(float(c) for c in rng.normal(size=8))
         q = oracles.PolynomialSqQuery(supports, coeffs)
-        enum = np.mean([q.value(x) for x in range(1 << n)])
+        enum = np.mean([polynomial_value(q, x) for x in range(1 << n)])
         assert q.exact_expectation(bf.constant_fn(n)) == pytest.approx(enum, abs=1e-12)
 
     def test_affine_normalization(self):
-        q = oracles.PolynomialSqQuery((0b11, 0b1), (1.5, -0.5))
-        qn, scale, shift = q.affine_normalized()
-        for x in range(4):
-            v = qn.value(x)
-            assert 0.0 <= v <= 1.0
-            assert scale * v + shift == pytest.approx(q.value(x), abs=1e-12)
+        # each public query of a sketch plan lies in [0, 1], and its affine
+        # de-normalization scale * q' + shift is the raw projection row
+        plan = covertsq.sketch_simulator(3, 2, 0.3, 0.3, 1.0, 1.0, np.random.default_rng(7))
+        supports = plan.queries[0].supports
+        for q, row, scale, shift in zip(
+            plan.queries[:20], plan.projection, plan.scales, plan.shifts
+        ):
+            raw = oracles.PolynomialSqQuery(supports, tuple(row))
+            for x in range(8):
+                v = polynomial_value(q, x)
+                assert -1e-12 <= v <= 1.0 + 1e-12
+                assert scale * v + shift == pytest.approx(polynomial_value(raw, x), abs=1e-12)
 
 
 class TestQsqOracle:
@@ -102,29 +108,15 @@ class TestQsqOracle:
             got = oracle.query(oracles.InfluenceQuery(i), tau=1 / 3)
             assert got == float((s >> i) & 1)
 
-    def test_fourier_mass_parseval(self):
-        rng = np.random.default_rng(3)
-        f = bf.random_truth_table(4, rng)
-        oracle = oracles.QsqOracle(("example", f), policy=oracles.EXACT)
-        q = oracles.FourierMassQuery(lambda s: True, name="all")
-        assert oracle.query(q, 0.5) == pytest.approx(1.0, abs=1e-10)
-
     def test_influence_equals_fourier_mass_on_ti(self):
         rng = np.random.default_rng(4)
         f = bf.random_truth_table(4, rng)
         oracle = oracles.QsqOracle(("example", f), policy=oracles.EXACT)
+        masses = (bf.walsh_hadamard(bf.sign_vector(f)) / 16) ** 2
         for i in range(4):
             inf = oracle.exact_value(oracles.InfluenceQuery(i))
-            mass = oracle.exact_value(
-                oracles.FourierMassQuery(lambda s, i=i: bool((s >> i) & 1))
-            )
+            mass = sum(masses[s] for s in range(16) if (s >> i) & 1)
             assert inf == pytest.approx(mass, abs=1e-10)
-
-    def test_explicit_identity(self):
-        f = bf.parity_fn(0b1, 2)
-        oracle = oracles.QsqOracle(("phase", f), policy=oracles.EXACT)
-        obs = oracles.ExplicitObservable(np.eye(4, dtype=complex))
-        assert oracle.query(obs, 0.1) == pytest.approx(1.0)
 
     def test_corrected_influence_strips_offdiagonals(self):
         # quadratic f: after off-diagonal correction only the diagonal parity
@@ -134,7 +126,7 @@ class TestQsqOracle:
         mat = np.triu(rng.integers(0, 2, (n, n)), k=1)
         diag = rng.integers(0, 2, n)
         full = mat + np.diag(diag)
-        f = bf.quadratic_from_matrix(full)
+        f = quadratic_from_matrix(full)
         offdiag_rows = tuple(
             int(sum((mat[i][j] & 1) << j for j in range(n))) for i in range(n)
         )
@@ -195,27 +187,14 @@ class TestExMemOracles:
 
 
 class TestQMeasEx:
-    def test_single_copy_projective(self):
-        f = bf.constant_fn(1)
-        oracle = oracles.QMeasExOracle(("phase", f))
-        povm = qsim.Povm(
-            1, 1,
-            (np.diag([1.0, 0]).astype(complex), np.diag([0, 1.0]).astype(complex)),
-            (0, 1),
-        )
-        rng = np.random.default_rng(10)
-        draws = [oracle.query(povm, rng) for _ in range(2000)]
-        assert oracle.count == 2000
-        assert stats.binomtest(sum(draws), 2000, 0.5).pvalue > 1e-4
-
     def test_multi_copy_weighting(self):
-        f = bf.constant_fn(1)
-        oracle = oracles.QMeasExOracle(("phase", f))
-        eye = np.eye(4, dtype=complex)
-        povm = qsim.Povm(2, 1, (eye,), ("only",))
-        rng = np.random.default_rng(11)
-        oracle.query(povm, rng)
-        assert oracle.count == 2
+        # each two-copy Bell measurement of the quadratic learner counts 2
+        f = bf.quadratic_fn(covertex.random_quadratic_rows(3, np.random.default_rng(11)), 3)
+        oracle = oracles.QMeasExOracle(("example", f))
+        res = covertex.covert_quadratic_learn(
+            oracle, oracles.QsqOracle(("example", f)), 3, 0.1, np.random.default_rng(12)
+        )
+        assert oracle.count == res.pub_weighted == 2 * res.pub_queries
 
     def test_bulk_pauli_matches_slow_path(self):
         rng = np.random.default_rng(12)

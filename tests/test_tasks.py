@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
-from covertsim import gf2, oracles, qsim, tasks
+from covertsim import gf2, qsim, tasks
 
 
 class TestForrelationInstances:
@@ -255,14 +254,12 @@ class TestSimon:
         assert gf2.solve_simon_nullspace([0b11], 2) == 0b11
 
     def test_decide_periodic(self):
-        rng = np.random.default_rng(15)
         hits = 0
         for t in range(40):
             trng = np.random.default_rng(6000 + t)
             inst = tasks.gen_simon_instance(4, tasks.SIMON_PERIODIC, trng)
-            copies = [qsim.prepare_example_state(inst.f)] * 12
-            mem = oracles.MemOracle(inst.f)
-            dec = tasks.simon_decide(copies, 4, mem, trng)
+            out = tasks.covert_simon(inst, trng, delta=0.1, copy_budget=12, n_blocks=2)
+            dec = out.decision
             if dec.label != tasks.SIMON_INCONCLUSIVE:
                 assert dec.label == tasks.SIMON_PERIODIC
                 assert dec.candidate == inst.period
@@ -271,24 +268,21 @@ class TestSimon:
         assert hits >= 27  # paper target: success probability 2/3
 
     def test_decide_one_to_one(self):
-        rng = np.random.default_rng(16)
         for t in range(20):
             trng = np.random.default_rng(7000 + t)
             inst = tasks.gen_simon_instance(3, tasks.SIMON_ONE_TO_ONE, trng)
-            copies = [qsim.prepare_example_state(inst.f)] * 9
-            mem = oracles.MemOracle(inst.f)
-            dec = tasks.simon_decide(copies, 3, mem, trng)
-            if dec.label != tasks.SIMON_INCONCLUSIVE:
-                assert dec.label == tasks.SIMON_ONE_TO_ONE
+            out = tasks.covert_simon(inst, trng, delta=0.1, copy_budget=9, n_blocks=2)
+            if out.decision.label != tasks.SIMON_INCONCLUSIVE:
+                assert out.decision.label == tasks.SIMON_ONE_TO_ONE
 
     def test_rank_shortfall_is_inconclusive(self):
         rng = np.random.default_rng(17)
         inst = tasks.gen_simon_instance(4, tasks.SIMON_PERIODIC, rng)
-        copies = [qsim.prepare_example_state(inst.f)]  # far too few
-        mem = oracles.MemOracle(inst.f)
-        dec = tasks.simon_decide(copies, 4, mem, rng)
-        assert dec.label == tasks.SIMON_INCONCLUSIVE
-        assert dec.decision_mem_queries == 0
+        # one copy is far too few for rank n - 1
+        out = tasks.covert_simon(inst, rng, delta=0.1, copy_budget=1, n_blocks=2)
+        assert not out.rejected and out.copies_used == 1
+        assert out.decision.label == tasks.SIMON_INCONCLUSIVE
+        assert out.decision.decision_mem_queries == 0
 
     def test_covert_simon_honest(self):
         rng = np.random.default_rng(18)
@@ -340,25 +334,3 @@ class TestSimon:
             inst, rng, delta=0.1, ancilla_free=True, delta_leak=0.0, n_blocks=4
         )
         assert seen and all(v == 0.0 for v in seen)
-
-
-class TestInstanceSerialization:
-    def test_forrelation_roundtrip(self):
-        rng = np.random.default_rng(30)
-        inst = tasks.gen_forrelation_instance(3, tasks.PHI_LARGE, rng)
-        doc = tasks.forrelation_instance_to_json(inst)
-        import json
-
-        back = tasks.forrelation_instance_from_json(json.loads(json.dumps(doc)))
-        assert back.label == inst.label and back.phi == inst.phi
-        assert bf.forrelation_phi(back.f, back.g) == inst.phi
-
-    def test_simon_roundtrip(self):
-        rng = np.random.default_rng(31)
-        inst = tasks.gen_simon_instance(3, tasks.SIMON_PERIODIC, rng)
-        doc = tasks.simon_instance_to_json(inst)
-        import json
-
-        back = tasks.simon_instance_from_json(json.loads(json.dumps(doc)))
-        assert back.period == inst.period
-        assert all(back.f(x) == inst.f(x) for x in range(8))
