@@ -2,7 +2,10 @@
 
 Masked queries hide the target behind fresh private randomness (send
 Z^r |+...+>, undo Z^r on return) or behind entanglement with a private
-register (CZ-coupled halves of a maximally entangled pair). Two acquisition
+register (CZ-coupled halves of a maximally entangled pair). The coupled
+pair is the same state on every entangled query, so it is built once per
+register size and shared read-only; each query's private mask is still
+fresh, drawn when the mask register is measured afterwards. Two acquisition
 functions collect masked blocks, certify them with the shadow-overlap
 machinery, and emit the untouched output block: `acquire_unidirectional`
 unmasks every copy at query time and certifies non-i.i.d.;
@@ -112,6 +115,24 @@ def _masked_plus(n: int, r: int) -> PureState:
     return states[r]
 
 
+# n -> the CZ-coupled pair of uniform n-qubit registers (mask register low),
+# read-only; the same state on every entangled query, kept up to
+# qsim.SIGN_TABLE_QUBITS (1 MiB at the largest n)
+_COUPLED_PAIRS: dict[int, PureState] = {}
+
+
+def _coupled_pair(n: int) -> PureState:
+    pair = _COUPLED_PAIRS.get(n)
+    if pair is None:
+        pair = qsim.tensor(qsim.uniform_state(n), qsim.uniform_state(n))
+        for i in range(n):
+            pair = qsim.apply_gate(pair, "CZ", [i, n + i])
+        pair.vec.flags.writeable = False
+        if n <= qsim.SIGN_TABLE_QUBITS:
+            _COUPLED_PAIRS[n] = pair
+    return pair
+
+
 def masked_query_phase_randomness(
     oracle: QuantumChannelOracle, n: int, rng, out: Optional[np.ndarray] = None,
 ) -> Optional[PureState]:
@@ -142,10 +163,7 @@ def masked_query_phase_entangled(
     register high), send the query half; unmasking is deferred. The ideal
     2n-qubit response is the phase state of g(r, x) = r·x xor f(x).
     """
-    state = qsim.tensor(qsim.uniform_state(n), qsim.uniform_state(n))
-    for i in range(n):
-        state = qsim.apply_gate(state, "CZ", [i, n + i])
-    return oracle.query(state, list(range(n, 2 * n)), rng=rng)
+    return oracle.query(_coupled_pair(n), list(range(n, 2 * n)), rng=rng)
 
 
 def unmask_entangled(state: PureState, n: int, rng) -> PureState:
@@ -204,10 +222,7 @@ def masked_query_qmem_entangled(
     the 2(n+w)-qubit joint state; the ideal response is the phase state of
     G(rho, zeta) = rho·zeta xor f~(zeta)."""
     nw = n + w
-    state = qsim.tensor(qsim.uniform_state(nw), qsim.uniform_state(nw))
-    for i in range(nw):
-        state = qsim.apply_gate(state, "CZ", [i, nw + i])
-    return _kickback_query(oracle, state, list(range(nw, nw + n)), w, rng)
+    return _kickback_query(oracle, _coupled_pair(nw), list(range(nw, nw + n)), w, rng)
 
 
 # --- acquisition pipeline -----------------------------------------------------

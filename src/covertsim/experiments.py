@@ -88,7 +88,9 @@ class ExperimentConfig:
                 )
             default = sc.defaults[key]
             if not _fits_default(value, default):
-                expected = "int or null" if default is None else type(default).__name__
+                expected = ("int or null" if default is None
+                            else "a finite number" if isinstance(default, float)
+                            else type(default).__name__)
                 raise ConfigError(f"param {key!r} must be {expected}, got {value!r}")
         params = self.full_params
         for key, (ok, allowed) in sc.rules.items():
@@ -132,27 +134,36 @@ def _is_int(value) -> bool:
 
 def _fits_default(value, default) -> bool:
     """A param value has its default's type; an int stands in for a float,
-    and a None default (an optional count) takes an int or None."""
+    a float must be finite (JSON readers accept NaN and Infinity), and a None
+    default (an optional count) takes an int or None."""
     if default is None:
         return value is None or _is_int(value)
     if isinstance(default, float):
-        return _is_int(value) or isinstance(value, float)
+        return _is_int(value) or isinstance(value, float) and math.isfinite(value)
     if _is_int(default):
         return _is_int(value)
     return type(value) is type(default)
 
 
+def _finite(spec: dict, key: str) -> float:
+    """The adversary spec's number `key`, refused unless finite."""
+    value = float(spec[key])
+    if not math.isfinite(value):
+        raise ValueError(f"field {key!r} must be a finite number, got {value!r}")
+    return value
+
+
 # adversary spec kind -> strategy; a missing field raises KeyError
 _ADVERSARIES: dict[str, Callable[[dict], adv.AdversaryStrategy]] = {
     "identity": lambda spec: adv.identity(),
-    "depolarize": lambda spec: adv.response_depolarize(float(spec["p"])),
+    "depolarize": lambda spec: adv.response_depolarize(_finite(spec, "p")),
     "replace_zero": lambda spec: adv.response_replace(
         qsim.basis_state(int(spec["n"]), 0)
     ),
     "measure_z": lambda spec: adv.response_measure_z(),
     "swap_attack": lambda spec: adv.swap_attack(),
     "ancilla_free": lambda spec: adv.ancilla_free_iid(
-        float(spec["delta_leak"]), extract_post=bool(spec.get("extract_post", True))
+        _finite(spec, "delta_leak"), extract_post=bool(spec.get("extract_post", True))
     ),
 }
 # every kind, for scenarios that hand their spec to a tapped oracle channel
@@ -173,7 +184,7 @@ def build_adversary(spec: Optional[dict]) -> Optional[adv.AdversaryStrategy]:
         return _ADVERSARIES[kind](spec)
     except KeyError as e:
         raise ConfigError(f"adversary {kind!r} needs the field {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad adversary spec {spec!r}: {e}") from None
 
 

@@ -414,8 +414,7 @@ class QMeasExOracle:
                 axis = _PAULI_AXES[rem % 3]
                 rem //= 3
                 if axis != "Z":
-                    v = qsim._BASIS_V[axis]
-                    rotated = qsim.apply_unitary(rotated, v.conj().T, [q])
+                    rotated = qsim.apply_unitary(rotated, qsim.BASIS_V_DAGGER[axis], [q])
             tables[b_idx] = np.abs(rotated.vec) ** 2
         return tables
 

@@ -3,6 +3,11 @@
 Qubit j is bit j of the little-endian basis index (qubit 0 = least
 significant). All operations are pure functions returning new states; states
 are value-semantic and safe to share across concurrent trials.
+
+Gate kernels are qubit-local: viewed as a (2^(n-1-q), 2, 2^q) array, the
+amplitudes put qubit q on axis 1, so a single-qubit gate is one reshape and
+one matmul over that axis, and a CZ is one multiply by a cached +-1 diagonal.
+Other multi-qubit gates move their axes to the front and back.
 """
 from __future__ import annotations
 
@@ -41,12 +46,16 @@ GATES_2Q = {
 }
 
 # measurement-basis rotations: columns of V are the +1/-1 eigenvectors,
-# so measuring Pauli P == apply V^dagger, Z-measure, apply V
-_BASIS_V = {
+# so measuring Pauli P == apply V^dagger, Z-measure, apply V; read-only, the
+# daggers C-contiguous
+BASIS_V = {
     "Z": np.eye(2, dtype=complex),
     "X": GATES_1Q["H"],
     "Y": GATES_1Q["S"] @ GATES_1Q["H"],
 }
+BASIS_V_DAGGER = {b: np.ascontiguousarray(v.conj().T) for b, v in BASIS_V.items()}
+for _v in (*BASIS_V.values(), *BASIS_V_DAGGER.values()):
+    _v.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -163,6 +172,13 @@ def apply_unitary(state: PureState, u: np.ndarray, qubits: Sequence[int]) -> Pur
     if len(set(qubits)) != k or any(q < 0 or q >= state.n for q in qubits):
         raise IndexError("bad qubit indices")
     n = state.n
+    if k == 1:
+        q = qubits[0]
+        if q == 0:
+            out = state.vec.reshape(-1, 2) @ u.T
+        else:
+            out = np.matmul(u, state.vec.reshape(1 << (n - 1 - q), 2, 1 << q))
+        return PureState(n, out.reshape(-1))
     t = state.vec.reshape([2] * n)
     # u's row/col index has qubits[0] as the LOW bit -> axis order reversed
     axes = _axes(n, qubits)[::-1]
@@ -184,6 +200,11 @@ def apply_gate(state: PureState, gate: str, qubits: Sequence[int]) -> PureState:
     if gate in GATES_2Q:
         if len(qubits) != 2:
             raise ValueError(f"{gate} is a two-qubit gate")
+        if gate == "CZ":  # diagonal: one multiply by its cached signs
+            a, b = qubits
+            if a == b or not (0 <= a < state.n and 0 <= b < state.n):
+                raise IndexError("bad qubit indices")
+            return PureState(state.n, state.vec * cz_signs(state.n, a, b))
         return apply_unitary(state, GATES_2Q[gate], qubits)
     raise ValueError(f"unknown gate {gate!r}")
 
@@ -197,6 +218,7 @@ def apply_hadamards(state: PureState, qubits: Sequence[int]) -> PureState:
 SIGN_TABLE_QUBITS = 8  # z_sign_table is kept up to this size (512 KiB)
 _Z_SIGN_TABLES: dict[int, np.ndarray] = {}
 _Z_SIGN_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_CZ_SIGN_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 def z_sign_table(n: int) -> np.ndarray:
@@ -239,6 +261,20 @@ def apply_z_mask(state: PureState, r: int, qubits: Sequence[int]) -> PureState:
     if mask == 0:
         return state
     return PureState(state.n, state.vec * z_signs(state.n, mask))
+
+
+def cz_signs(n: int, a: int, b: int) -> np.ndarray:
+    """Diagonal of CZ on qubits a and b of n, -1 where both bits are set;
+    read-only, cached up to SIGN_TABLE_QUBITS."""
+    signs = _CZ_SIGN_CACHE.get((n, a, b))
+    if signs is None:
+        idx = np.arange(1 << n, dtype=np.uint64)
+        both = (idx >> np.uint64(a)) & (idx >> np.uint64(b)) & np.uint64(1)
+        signs = 1.0 - 2.0 * both.astype(np.float64)
+        signs.flags.writeable = False
+        if n <= SIGN_TABLE_QUBITS:
+            _CZ_SIGN_CACHE[(n, a, b)] = signs
+    return signs
 
 
 def _gather_bits(n: int, qubits: Sequence[int]) -> np.ndarray:
@@ -359,15 +395,15 @@ def measure_qubits(
     with 0 the +1 eigenvalue (e.g. '+' for the X basis). Deterministic given
     the rng state.
     """
-    if basis not in _BASIS_V:
+    if basis not in BASIS_V:
         raise ValueError(f"unknown basis {basis!r}")
     if len(set(qubits)) != len(qubits) or any(q >= state.n for q in qubits):
         raise IndexError("bad qubit indices")
-    v = _BASIS_V[basis]
+    v, v_dagger = BASIS_V[basis], BASIS_V_DAGGER[basis]
     work = state
     if basis != "Z":
         for q in qubits:
-            work = apply_unitary(work, v.conj().T, [q])
+            work = apply_unitary(work, v_dagger, [q])
     probs = np.clip(_marginal_probs(work, qubits), 0.0, None)
     outcome = sample_index(probs, rng)
     post = _project_z(work, qubits, outcome)

@@ -12,6 +12,21 @@ from covertsim import boolfunc as bf
 from covertsim import certify, covertsq, qsim
 
 
+def apply_unitary_moveaxis(state: qsim.PureState, u: np.ndarray,
+                           qubits: Sequence[int]) -> np.ndarray:
+    """Amplitudes of a 2^k x 2^k unitary applied to the listed qubits
+    (qubits[0] = low bit): the qubit axes of the (2,)*n view moved to the
+    front, one matmul, and moved back."""
+    n, k = state.n, len(qubits)
+    t = state.vec.reshape([2] * n)
+    # u's row/col index has qubits[0] as the LOW bit -> axis order reversed
+    axes = [n - 1 - q for q in qubits][::-1]
+    t = np.moveaxis(t, axes, range(k))
+    t = (u @ t.reshape(1 << k, -1)).reshape([2] * n)
+    t = np.moveaxis(t, range(k), axes)
+    return np.ascontiguousarray(t.reshape(-1))
+
+
 def quadratic_from_matrix(mat: Sequence[Sequence[int]]) -> bf.BooleanFunction:
     """f(x) = x^T A x over GF(2) from an upper-triangular 0/1 matrix A."""
     n = len(mat)

@@ -121,6 +121,43 @@ class TestStackedBlocks:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+class TestCoupledPair:
+    def test_pair_is_the_cz_coupled_uniform_pair(self):
+        # equal to the CZ matrix applied through the general two-qubit path
+        # (a zero imaginary part may carry the other sign)
+        for n in (1, 3, 4):
+            want = qsim.tensor(qsim.uniform_state(n), qsim.uniform_state(n))
+            for i in range(n):
+                want = qsim.apply_unitary(want, qsim.GATES_2Q["CZ"], [i, n + i])
+            assert np.array_equal(acquire._coupled_pair(n).vec, want.vec)
+
+    def test_cache_stops_above_sign_table_size(self, monkeypatch):
+        monkeypatch.setattr(qsim, "SIGN_TABLE_QUBITS", 2)
+        monkeypatch.setattr(acquire, "_COUPLED_PAIRS", {})
+        kept = acquire._coupled_pair(2)
+        assert acquire._coupled_pair(2) is kept
+        larger = acquire._coupled_pair(3)
+        assert acquire._coupled_pair(3) is not larger
+        assert list(acquire._COUPLED_PAIRS) == [2]
+        for pair in (kept, larger):
+            with pytest.raises(ValueError):
+                pair.vec[0] = 0
+
+    def test_measuring_taps_leave_the_shared_pair_unchanged(self):
+        # both entangled query kinds share the 3-qubit-register pair
+        rng = np.random.default_rng(40)
+        pair = acquire._coupled_pair(3)
+        before = pair.vec.tobytes()
+        phase = phase_oracle(bf.random_truth_table(3, rng), adv.ancilla_free_iid(1.0))
+        qmem = qmem_oracle(bf.random_truth_table(2, rng), adv.ancilla_free_iid(1.0))
+        for _ in range(10):
+            acquire.masked_query_phase_entangled(phase, 3, rng)
+            acquire.masked_query_qmem_entangled(qmem, 2, 1, rng)
+        for oracle in (phase, qmem):  # the taps measured every query
+            assert len(oracle.tap.memory.events) == 20
+        assert acquire._coupled_pair(3) is pair and pair.vec.tobytes() == before
+
+
 class TestAcquireUnidirectional:
     def test_completeness_no_adversary(self):
         rng = np.random.default_rng(7)

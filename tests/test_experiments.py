@@ -393,6 +393,28 @@ class TestCli:
         assert repr(param.split("=")[0]) in out.stderr and "must be" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("args, needle", [
+        (("resources", "--scenario", "acquire-uni", "--param", "eps=NaN"), "'eps'"),
+        (("run", "--scenario", "shadows-qsq", "--param", "tau=Infinity",
+          "--trials", "1"), "'tau'"),
+        (("resources", "--scenario", "certify", "--param", "eps=-Infinity"), "'eps'"),
+        (("run", "--scenario", "acquire-af", "--trials", "1", "--adversary",
+          '{"kind": "ancilla_free", "delta_leak": NaN}'), "'delta_leak'"),
+        (("resources", "--scenario", "acquire-uni", "--adversary",
+          '{"kind": "depolarize", "p": Infinity}'), "'p'"),
+    ])
+    def test_non_finite_number_exit_code(self, args, needle):
+        out = self.run_cli(*args)
+        assert out.returncode == 2, out.stderr
+        assert needle in out.stderr and "finite" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_infinite_adversary_count_exit_code(self):
+        out = self.run_cli("resources", "--scenario", "acquire-uni", "--adversary",
+                           '{"kind": "replace_zero", "n": Infinity}')
+        assert out.returncode == 2, out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_non_integer_seed_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"scenario": "parity", "seed": "x"}))
