@@ -6,8 +6,8 @@ are value-semantic and safe to share across concurrent trials.
 
 Gate kernels are qubit-local: viewed as a (2^(n-1-q), 2, 2^q) array, the
 amplitudes put qubit q on axis 1, so a single-qubit gate is one reshape and
-one matmul over that axis, and a CZ is one multiply by a cached +-1 diagonal.
-Other multi-qubit gates move their axes to the front and back.
+one matmul over that axis. Multi-qubit gates move their axes to the front
+and back.
 """
 from __future__ import annotations
 
@@ -200,11 +200,6 @@ def apply_gate(state: PureState, gate: str, qubits: Sequence[int]) -> PureState:
     if gate in GATES_2Q:
         if len(qubits) != 2:
             raise ValueError(f"{gate} is a two-qubit gate")
-        if gate == "CZ":  # diagonal: one multiply by its cached signs
-            a, b = qubits
-            if a == b or not (0 <= a < state.n and 0 <= b < state.n):
-                raise IndexError("bad qubit indices")
-            return PureState(state.n, state.vec * cz_signs(state.n, a, b))
         return apply_unitary(state, GATES_2Q[gate], qubits)
     raise ValueError(f"unknown gate {gate!r}")
 
@@ -218,7 +213,6 @@ def apply_hadamards(state: PureState, qubits: Sequence[int]) -> PureState:
 SIGN_TABLE_QUBITS = 8  # z_sign_table is kept up to this size (512 KiB)
 _Z_SIGN_TABLES: dict[int, np.ndarray] = {}
 _Z_SIGN_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_CZ_SIGN_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 def z_sign_table(n: int) -> np.ndarray:
@@ -261,20 +255,6 @@ def apply_z_mask(state: PureState, r: int, qubits: Sequence[int]) -> PureState:
     if mask == 0:
         return state
     return PureState(state.n, state.vec * z_signs(state.n, mask))
-
-
-def cz_signs(n: int, a: int, b: int) -> np.ndarray:
-    """Diagonal of CZ on qubits a and b of n, -1 where both bits are set;
-    read-only, cached up to SIGN_TABLE_QUBITS."""
-    signs = _CZ_SIGN_CACHE.get((n, a, b))
-    if signs is None:
-        idx = np.arange(1 << n, dtype=np.uint64)
-        both = (idx >> np.uint64(a)) & (idx >> np.uint64(b)) & np.uint64(1)
-        signs = 1.0 - 2.0 * both.astype(np.float64)
-        signs.flags.writeable = False
-        if n <= SIGN_TABLE_QUBITS:
-            _CZ_SIGN_CACHE[(n, a, b)] = signs
-    return signs
 
 
 def _gather_bits(n: int, qubits: Sequence[int]) -> np.ndarray:

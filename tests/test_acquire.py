@@ -122,14 +122,11 @@ class TestStackedBlocks:
 
 
 class TestCoupledPair:
-    def test_pair_is_the_cz_coupled_uniform_pair(self):
-        # equal to the CZ matrix applied through the general two-qubit path
-        # (a zero imaginary part may carry the other sign)
+    def test_pair_is_the_phase_state_of_the_inner_product(self):
+        # amplitude of |r> (mask, low) |x> (query, high) is 2^-n (-1)^{r.x}
         for n in (1, 3, 4):
-            want = qsim.tensor(qsim.uniform_state(n), qsim.uniform_state(n))
-            for i in range(n):
-                want = qsim.apply_unitary(want, qsim.GATES_2Q["CZ"], [i, n + i])
-            assert np.array_equal(acquire._coupled_pair(n).vec, want.vec)
+            want = qsim.z_sign_table(n).reshape(-1) / (1 << n)
+            np.testing.assert_allclose(acquire._coupled_pair(n).vec, want, rtol=0, atol=1e-15)
 
     def test_cache_stops_above_sign_table_size(self, monkeypatch):
         monkeypatch.setattr(qsim, "SIGN_TABLE_QUBITS", 2)
