@@ -129,6 +129,20 @@ def _phase_entangled_mode():
     )]
 
 
+def _phase_tapped(strategy, seed):
+    """Ten unidirectional phase-state acquisitions through one tap kind."""
+    rng = np.random.default_rng(seed)
+    n = 3
+    f = bf.random_truth_table(n, rng)
+    return [
+        acquire.acquire_unidirectional(
+            _oracle(f, "QPh", strategy), oracles.MemOracle(f), n, 1, 0.1, 0.1,
+            np.random.default_rng(seed * 100 + t), n_blocks=20,
+        )
+        for t in range(10)
+    ]
+
+
 ACQUISITION_CASES = {
     "qmem-unidirectional": (
         _qmem_unidirectional,
@@ -145,6 +159,14 @@ ACQUISITION_CASES = {
     "phase-entangled-mode": (
         _phase_entangled_mode,
         "5bc467bba526f11c23c3d47f2021924e7b43ee5c5c320eae6739db1fc50a3c2c",
+    ),
+    "phase-depolarize": (
+        lambda: _phase_tapped(adv.response_depolarize(0.5), 21),
+        "2352e5d439052d201136921ff5baf1224555f38bbe909b51b3d2b46ba01b67b3",
+    ),
+    "phase-measure-z": (
+        lambda: _phase_tapped(adv.response_measure_z(), 22),
+        "bab094b73b9f3bb1b1e0f4c1019a4245e7e2a8c0a4a035e61624f1a7c4bda420",
     ),
 }
 
