@@ -419,15 +419,14 @@ def amplified_task_unidirectional(
     delta: float,
     rng,
     n_blocks: int = DEFAULT_BLOCKS,
-    mode: str = RANDOMNESS,
 ) -> TaskOutcome:
-    """ell certify-then-run rounds with immediate halt on any rejection,
-    then a majority vote."""
+    """ell certify-then-run rounds (randomness masking) with immediate halt
+    on any rejection, then a majority vote."""
     return _task_rounds(
         task,
         amplification_rounds(delta, delta_a),
         lambda: acquire_unidirectional(
-            oracle, mem, n, m, eps_a, delta_a, rng, n_blocks=n_blocks, mode=mode
+            oracle, mem, n, m, eps_a, delta_a, rng, n_blocks=n_blocks
         ),
     )
 
@@ -443,13 +442,11 @@ def task_ancilla_free(
     delta_leak: float,
     rng,
     n_blocks: Optional[int] = None,
-    repeats: int = 1,
 ) -> TaskOutcome:
-    """One certified acquisition feeding the task algorithm; optional
-    ell-fold repetition with a majority vote for amplification."""
+    """One certified acquisition feeding the task algorithm."""
     return _task_rounds(
         task,
-        repeats,
+        1,
         lambda: acquire_ancilla_free(
             oracle, mem, n, m, eps_a, delta, delta_leak, rng, n_blocks=n_blocks
         ),

@@ -1,15 +1,22 @@
 """Adversary strategies pluggable into the oracle tap channels.
 
-A strategy describes what the eavesdropper does to quantum traffic in each
-direction (learner->oracle = "query", oracle->learner = "response"), what
-memory it is allowed (none / classical-only / quantum), and which directions
-it may touch. Unidirectional strategies have the query-direction tap
-hard-wired to the identity; ancilla-free strategies own no quantum register.
+There is one frozen dataclass per adversary kind, named by the kind a config
+spec gives, with exactly the spec's fields, checked at construction. A
+strategy's `query_tap` acts on learner->oracle traffic and its `response_tap`
+on oracle->learner traffic; both default to the identity, and only the
+bidirectional kinds override `query_tap`. The class constants say whether a
+kind taps both directions and whether it keeps a quantum register (ancilla-
+free kinds do not).
+
+Kinds with an exact privacy-audit channel have `exact_response_view`: it
+maps the reduced state of an intercepted response register, averaged over
+the protocol's randomness, to the state of everything the adversary keeps
+about that register, as a density operator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -17,66 +24,12 @@ from . import qsim
 from .boolfunc import BooleanFunction, parity_fn
 from .qsim import MixedState, PureState
 
-UNIDIRECTIONAL = "unidirectional"
-BIDIRECTIONAL = "bidirectional"
-
-
-@dataclass(frozen=True)
-class AdversaryStrategy:
-    kind: str
-    directionality: str
-    memory_policy: str  # none | classical | quantum
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind == "swap_attack" and (
-            self.directionality != BIDIRECTIONAL or self.memory_policy != "quantum"
-        ):
-            raise ValueError("swap attack needs bidirectional taps and quantum memory")
-        if self.kind == "ancilla_free_iid" and self.memory_policy != "none":
-            raise ValueError("ancilla-free strategies cannot own quantum memory")
-
-
-def identity() -> AdversaryStrategy:
-    return AdversaryStrategy("identity", UNIDIRECTIONAL, "none")
-
-
-def response_depolarize(p: float) -> AdversaryStrategy:
-    return AdversaryStrategy("response_depolarize", UNIDIRECTIONAL, "none", {"p": p})
-
-
-def response_replace(state: PureState) -> AdversaryStrategy:
-    return AdversaryStrategy("response_replace", UNIDIRECTIONAL, "none", {"state": state})
-
-
-def response_measure_z() -> AdversaryStrategy:
-    return AdversaryStrategy("response_measure_z", UNIDIRECTIONAL, "classical")
-
-
-def swap_attack() -> AdversaryStrategy:
-    return AdversaryStrategy("swap_attack", BIDIRECTIONAL, "quantum")
-
-
-def ancilla_free_iid(
-    delta_leak: float, measure_qubit: int = 0, extract_post: bool = True
-) -> AdversaryStrategy:
-    """Measure one query-register qubit in the Hadamard basis pre-oracle with
-    probability delta_leak each round; optionally extract post-oracle by
-    measuring the full register in the Hadamard basis."""
-    return AdversaryStrategy(
-        "ancilla_free_iid",
-        BIDIRECTIONAL,
-        "none",
-        {"delta_leak": delta_leak, "measure_qubit": measure_qubit, "extract_post": extract_post},
-    )
-
 
 class TapMemory:
     """Per-trial adversary memory: classical records plus the optional
     quantum register (swap attack only)."""
 
-    def __init__(self, strategy: AdversaryStrategy):
-        self.strategy = strategy
+    def __init__(self):
         self.records: list = []
         self.quantum: Optional[PureState] = None
         self.learned_fn: Optional[BooleanFunction] = None
@@ -84,20 +37,190 @@ class TapMemory:
         self.extracting = False
         self.events: list[dict] = []  # adversary-visible log
 
-    def store_quantum(self, state: PureState):
-        if self.strategy.memory_policy != "quantum":
-            raise RuntimeError("strategy has no quantum memory")
-        self.quantum = state
+
+@dataclass(frozen=True)
+class Strategy:
+    """Base of the kinds: the identity in both directions. A bool field must
+    be a bool; every other field is a probability, a finite number in
+    [0, 1]."""
+
+    bidirectional: ClassVar[bool] = False
+    quantum_memory: ClassVar[bool] = False
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                if not isinstance(value, bool):
+                    raise ValueError(f"field {f.name!r} must be true or false, got {value!r}")
+            elif (isinstance(value, bool) or not isinstance(value, (int, float))
+                  or not 0 <= value <= 1):  # written so that NaN fails too
+                raise ValueError(
+                    f"field {f.name!r} must be a finite number in [0, 1], got {value!r}"
+                )
+
+    @property
+    def kind(self) -> str:
+        return type(self).__name__
+
+    def query_tap(self, state: PureState, qubits, memory: TapMemory, rng) -> PureState:
+        return state
+
+    def response_tap(self, state: PureState, qubits, memory: TapMemory, rng) -> PureState:
+        return state
+
+
+@dataclass(frozen=True)
+class identity(Strategy):
+    """No eavesdropper."""
+
+    def exact_response_view(self, register_state: MixedState) -> MixedState:
+        return register_state
+
+
+@dataclass(frozen=True)
+class depolarize(Strategy):
+    """With probability p, a uniform Pauli string on the response register."""
+
+    p: float
+
+    def response_tap(self, state, qubits, memory, rng):
+        if rng.random() < self.p:
+            state = _random_pauli(state, qubits, rng)
+            memory.events.append({"round": memory.round, "action": "depolarized"})
+        return state
+
+    def exact_response_view(self, register_state: MixedState) -> MixedState:
+        d = register_state.mat.shape[0]
+        p = self.p
+        return MixedState(register_state.n, (1 - p) * register_state.mat + p * np.eye(d) / d)
+
+
+@dataclass(frozen=True)
+class replace_zero(Strategy):
+    """Replace the response register, whatever its size, by |0...0>."""
+
+    def response_tap(self, state, qubits, memory, rng):
+        memory.events.append({"round": memory.round, "action": "replaced"})
+        return _replace_register(state, qubits, qsim.basis_state(len(qubits), 0), rng)
+
+    def exact_response_view(self, register_state: MixedState) -> MixedState:
+        # the adversary discards the register and keeps nothing
+        d = register_state.mat.shape[0]
+        return MixedState(register_state.n, np.eye(d, dtype=complex) / d)
+
+
+@dataclass(frozen=True)
+class measure_z(Strategy):
+    """Measure the response register in the Z basis and keep the outcome
+    (classical memory)."""
+
+    def response_tap(self, state, qubits, memory, rng):
+        outcome, post = qsim.measure_qubits(state, list(qubits), "Z", rng)
+        memory.records.append(("z_outcome", outcome))
+        memory.events.append({"round": memory.round, "action": "measured_z", "outcome": outcome})
+        return post
+
+    def exact_response_view(self, register_state: MixedState) -> MixedState:
+        # the record determines the post-measurement state, so the view
+        # lives on the register itself
+        return MixedState(register_state.n, np.diag(np.diag(register_state.mat)))
+
+
+@dataclass(frozen=True)
+class swap_attack(Strategy):
+    """Steal the learner's query register into quantum memory and send a
+    uniform state instead; read the parity out of the response with one
+    Bernstein-Vazirani measurement, then answer the stolen register (and
+    every later query) with the learned oracle."""
+
+    bidirectional: ClassVar[bool] = True
+    quantum_memory: ClassVar[bool] = True
+
+    def query_tap(self, state, qubits, memory, rng):
+        if memory.learned_fn is not None:
+            # oracle already learned: simulate it faithfully on every later query
+            memory.events.append({"round": memory.round, "action": "simulated_oracle"})
+            return state
+        stolen, rest = _extract_product_register(state, qubits)
+        memory.quantum = stolen
+        memory.events.append({"round": memory.round, "action": "swapped_in_uniform"})
+        return _reinsert_register(rest, qsim.uniform_state(len(qubits)), qubits)
+
+    def response_tap(self, state, qubits, memory, rng):
+        if memory.learned_fn is not None:
+            return state
+        # the register now holds the true phase state; run the single-copy
+        # Bernstein-Vazirani readout to learn the parity mask
+        n_reg = len(qubits)
+        sub, rest = _extract_product_register(state, qubits)
+        s_hat, _ = qsim.measure_qubits(
+            qsim.apply_hadamards(sub, range(n_reg)), list(range(n_reg)), "Z", rng
+        )
+        memory.records.append(("learned_parity", s_hat))
+        memory.learned_fn = parity_fn(s_hat, n_reg)
+        memory.events.append({"round": memory.round, "action": "bv_readout", "s_hat": s_hat})
+        # simulate the oracle on the stored learner state and forward it
+        simulated = qsim.apply_phase_oracle(memory.quantum, memory.learned_fn, range(n_reg))
+        memory.quantum = None
+        return _reinsert_register(rest, simulated, qubits)
+
+
+@dataclass(frozen=True)
+class ancilla_free(Strategy):
+    """i.i.d. ancilla-free eavesdropper: with probability delta_leak each
+    round, measure the first query-register qubit in the Hadamard basis
+    before the oracle and, with extract_post, the whole register after it."""
+
+    delta_leak: float
+    extract_post: bool = True
+    bidirectional: ClassVar[bool] = True
+
+    def query_tap(self, state, qubits, memory, rng):
+        memory.extracting = rng.random() < self.delta_leak
+        if not memory.extracting:
+            return state
+        bit, post = qsim.measure_qubits(state, [qubits[0]], "X", rng)
+        memory.records.append(("pre_oracle_x", bit))
+        memory.events.append({"round": memory.round, "action": "pre_measure", "bit": bit})
+        return post
+
+    def response_tap(self, state, qubits, memory, rng):
+        if memory.extracting and self.extract_post:
+            bits, post = qsim.measure_qubits(state, list(qubits), "X", rng)
+            memory.records.append(("post_oracle_x", bits))
+            memory.events.append({"round": memory.round, "action": "post_measure", "bits": bits})
+            return post
+        return state
+
+
+# spec kind -> strategy class
+KINDS: dict[str, type[Strategy]] = {
+    cls.__name__: cls
+    for cls in (identity, depolarize, replace_zero, measure_z, swap_attack, ancilla_free)
+}
+
+
+def apply_tap(
+    strategy: Strategy,
+    direction: str,
+    state: PureState,
+    qubits: Sequence[int],
+    memory: TapMemory,
+    rng,
+) -> PureState:
+    """Run one tap. `qubits` is the in-flight oracle register inside `state`."""
+    if direction == "query":
+        return strategy.query_tap(state, qubits, memory, rng)
+    if direction == "response":
+        return strategy.response_tap(state, qubits, memory, rng)
+    raise ValueError(f"bad direction {direction!r}")
 
 
 def _replace_register(
     state: PureState, qubits: Sequence[int], replacement: PureState, rng
 ) -> PureState:
     """Trajectory realization of the replacement channel tr_Q[.] (x) |phi><phi|."""
-    if replacement.n != len(qubits):
-        raise ValueError(
-            f"replacement state has {replacement.n} qubits, register has {len(qubits)}"
-        )
     outcome, post = qsim.measure_qubits(state, list(qubits), "Z", rng)
     rest = qsim.remove_qubits(post, list(qubits), outcome)
     return _reinsert_register(rest, replacement, qubits)
@@ -141,132 +264,7 @@ def _extract_product_register(state: PureState, qubits: Sequence[int]) -> tuple[
     return sub, rest
 
 
-def apply_tap(
-    strategy: AdversaryStrategy,
-    direction: str,
-    state: PureState,
-    qubits: Sequence[int],
-    memory: TapMemory,
-    rng,
-) -> PureState:
-    """Run one tap. `qubits` is the in-flight oracle register inside `state`."""
-    if direction not in ("query", "response"):
-        raise ValueError(f"bad direction {direction!r}")
-    if strategy.directionality == UNIDIRECTIONAL and direction == "query":
-        # hard-wired identity on the forward channel
-        return state
-
-    kind = strategy.kind
-    if kind == "identity":
-        return state
-
-    if kind == "response_depolarize":
-        if direction != "response":
-            return state
-        if rng.random() < strategy.params["p"]:
-            state = _random_pauli(state, qubits, rng)
-            memory.events.append({"round": memory.round, "action": "depolarized"})
-        return state
-
-    if kind == "response_replace":
-        if direction != "response":
-            return state
-        memory.events.append({"round": memory.round, "action": "replaced"})
-        return _replace_register(state, qubits, strategy.params["state"], rng)
-
-    if kind == "response_measure_z":
-        if direction != "response":
-            return state
-        outcome, post = qsim.measure_qubits(state, list(qubits), "Z", rng)
-        memory.records.append(("z_outcome", outcome))
-        memory.events.append({"round": memory.round, "action": "measured_z", "outcome": outcome})
-        return post
-
-    if kind == "swap_attack":
-        return _swap_attack_tap(strategy, direction, state, qubits, memory, rng)
-
-    if kind == "ancilla_free_iid":
-        return _ancilla_free_tap(strategy, direction, state, qubits, memory, rng)
-
-    raise ValueError(f"unknown strategy kind {kind!r}")
-
-
-def _swap_attack_tap(strategy, direction, state, qubits, memory, rng):
-    n_reg = len(qubits)
-    if memory.learned_fn is not None:
-        # oracle already learned: simulate it faithfully on every later query
-        if direction == "query":
-            memory.events.append({"round": memory.round, "action": "simulated_oracle"})
-        return state
-    if direction == "query":
-        # steal the learner's query register, send in a fresh uniform state
-        stolen, rest = _extract_product_register(state, qubits)
-        memory.store_quantum(stolen)
-        memory.events.append({"round": memory.round, "action": "swapped_in_uniform"})
-        return _reinsert_register(rest, qsim.uniform_state(n_reg), qubits)
-    # response: the register now holds the true phase state; run the
-    # single-copy Bernstein-Vazirani readout to learn the parity mask
-    sub, rest = _extract_product_register(state, qubits)
-    s_hat, _ = qsim.measure_qubits(
-        qsim.apply_hadamards(sub, range(n_reg)), list(range(n_reg)), "Z", rng
-    )
-    memory.records.append(("learned_parity", s_hat))
-    memory.learned_fn = parity_fn(s_hat, n_reg)
-    memory.events.append({"round": memory.round, "action": "bv_readout", "s_hat": s_hat})
-    # simulate the oracle on the stored learner state and forward it
-    simulated = qsim.apply_phase_oracle(
-        memory.quantum, memory.learned_fn, range(n_reg)
-    )
-    memory.quantum = None
-    return _reinsert_register(rest, simulated, qubits)
-
-
-def _ancilla_free_tap(strategy, direction, state, qubits, memory, rng):
-    if direction == "query":
-        memory.extracting = rng.random() < strategy.params["delta_leak"]
-        if not memory.extracting:
-            return state
-        q = qubits[strategy.params["measure_qubit"]]
-        bit, post = qsim.measure_qubits(state, [q], "X", rng)
-        memory.records.append(("pre_oracle_x", bit))
-        memory.events.append({"round": memory.round, "action": "pre_measure", "bit": bit})
-        return post
-    if memory.extracting and strategy.params["extract_post"]:
-        bits, post = qsim.measure_qubits(state, list(qubits), "X", rng)
-        memory.records.append(("post_oracle_x", bits))
-        memory.events.append({"round": memory.round, "action": "post_measure", "bits": bits})
-        return post
-    return state
-
-
 # --- exact privacy audits ----------------------------------------------------
-
-
-def exact_response_view(
-    strategy: AdversaryStrategy, register_state: MixedState
-) -> MixedState:
-    """Adversary's exact view of an intercepted response register.
-
-    The input is the reduced state of the tapped register (averaged over the
-    protocol's randomness); the output is the state of everything the
-    adversary can retain about that register, as a density operator. For the
-    passive unidirectional strategies the view lives on the register itself
-    (a Z measurement's record determines the post-measurement state, so the
-    record register is redundant and omitted).
-    """
-    rho = register_state.mat
-    d = rho.shape[0]
-    if strategy.kind == "identity":
-        return register_state
-    if strategy.kind == "response_depolarize":
-        p = strategy.params["p"]
-        return MixedState(register_state.n, (1 - p) * rho + p * np.eye(d) / d)
-    if strategy.kind == "response_measure_z":
-        return MixedState(register_state.n, np.diag(np.diag(rho)))
-    if strategy.kind == "response_replace":
-        # the adversary discards the register and keeps nothing
-        return MixedState(register_state.n, np.eye(d, dtype=complex) / d)
-    raise ValueError(f"no exact view channel for strategy {strategy.kind!r}")
 
 
 def factorization_distance(views: Sequence[MixedState], weights=None) -> float:

@@ -237,10 +237,9 @@ def overlap_estimate_iid_state(
     delta: float,
     rng,
     rounds_override: Optional[int] = None,
-    mem_charge=None,
 ) -> CertificationRecord:
     """Fast-path i.i.d. estimator for many copies of one pure single-copy
-    block; `mem_charge(k)` is called with the membership-query cost."""
+    block."""
     rounds = (
         iid_copy_count(copy.n, eps, delta) if rounds_override is None
         else rounds_override
@@ -248,8 +247,6 @@ def overlap_estimate_iid_state(
     if rounds < 1:
         raise ValueError("the estimator needs at least one round")
     scores = overlap_scores_iid_fast(copy, f_block, rounds, rng)
-    if mem_charge is not None:
-        mem_charge(2 * rounds)
     omega = float(scores.mean())
     thr = overlap_threshold(eps, copy.n)
     return CertificationRecord(

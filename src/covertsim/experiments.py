@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -57,14 +57,18 @@ class ExperimentConfig:
     """A validated experiment: construction raises ConfigError on an unknown
     scenario, a non-integer seed or trial count, a param the scenario does
     not declare, whose type differs from its default's or that breaks one of
-    the scenario's rules, and an adversary the scenario does not accept. It
-    keeps its own copy of the params."""
+    the scenario's rules, and an adversary spec that does not build or that
+    the scenario does not accept. It keeps its own copy of the params and
+    the strategy built from the adversary spec, which every trial uses."""
 
     scenario: str
     params: dict = field(default_factory=dict)
     adversary: Optional[dict] = None
     seed: int = 0
     trials: int = 100
+    strategy: Optional[adv.Strategy] = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         sc = SCENARIOS.get(self.scenario) if isinstance(self.scenario, str) else None
@@ -98,13 +102,13 @@ class ExperimentConfig:
                 if callable(allowed):
                     allowed = allowed(params)
                 raise ConfigError(f"param {key!r} must be {allowed}, got {params[key]!r}")
-        if build_adversary(self.adversary) is not None:
-            kind = self.adversary["kind"]
-            if kind not in sc.adversaries:
-                raise ConfigError(
-                    f"{self.scenario} does not take the adversary {kind!r}; "
-                    f"it takes: {sorted(sc.adversaries) or 'none'}"
-                )
+        strategy = build_adversary(self.adversary)
+        if strategy is not None and strategy.kind not in sc.adversaries:
+            raise ConfigError(
+                f"{self.scenario} does not take the adversary {strategy.kind!r}; "
+                f"it takes: {sorted(sc.adversaries) or 'none'}"
+            )
+        object.__setattr__(self, "strategy", strategy)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -145,32 +149,10 @@ def _fits_default(value, default) -> bool:
     return type(value) is type(default)
 
 
-def _finite(spec: dict, key: str) -> float:
-    """The adversary spec's number `key`, refused unless finite."""
-    value = float(spec[key])
-    if not math.isfinite(value):
-        raise ValueError(f"field {key!r} must be a finite number, got {value!r}")
-    return value
-
-
-# adversary spec kind -> strategy; a missing field raises KeyError
-_ADVERSARIES: dict[str, Callable[[dict], adv.AdversaryStrategy]] = {
-    "identity": lambda spec: adv.identity(),
-    "depolarize": lambda spec: adv.response_depolarize(_finite(spec, "p")),
-    "replace_zero": lambda spec: adv.response_replace(
-        qsim.basis_state(int(spec["n"]), 0)
-    ),
-    "measure_z": lambda spec: adv.response_measure_z(),
-    "swap_attack": lambda spec: adv.swap_attack(),
-    "ancilla_free": lambda spec: adv.ancilla_free_iid(
-        _finite(spec, "delta_leak"), extract_post=bool(spec.get("extract_post", True))
-    ),
-}
-# every kind, for scenarios that hand their spec to a tapped oracle channel
-TAPPED = frozenset(_ADVERSARIES)
-
-
-def build_adversary(spec: Optional[dict]) -> Optional[adv.AdversaryStrategy]:
+def build_adversary(spec: Optional[dict]) -> Optional[adv.Strategy]:
+    """The strategy of an adversary spec: the class its kind names, built
+    from the spec's other fields, which must be exactly that class's fields
+    (the optional ones may be left out). None for no spec or kind 'none'."""
     if spec is None:
         return None
     if not isinstance(spec, dict):
@@ -178,20 +160,29 @@ def build_adversary(spec: Optional[dict]) -> Optional[adv.AdversaryStrategy]:
     kind = spec.get("kind")
     if kind in (None, "none"):
         return None
-    if not isinstance(kind, str) or kind not in _ADVERSARIES:
-        raise ConfigError(f"unknown adversary kind {kind!r}")
+    cls = adv.KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown adversary kind {kind!r}; kinds: {sorted(adv.KINDS)}")
+    given = {key: value for key, value in spec.items() if key != "kind"}
+    known = [f.name for f in fields(cls)]
+    for key in given:
+        if key not in known:
+            raise ConfigError(
+                f"adversary {kind!r} has no field {key!r}; its fields: {known or 'none'}"
+            )
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in given:
+            raise ConfigError(f"adversary {kind!r} needs the field {f.name!r}")
     try:
-        return _ADVERSARIES[kind](spec)
-    except KeyError as e:
-        raise ConfigError(f"adversary {kind!r} needs the field {e.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"bad adversary spec {spec!r}: {e}") from None
+        return cls(**given)
+    except ValueError as e:
+        raise ConfigError(f"adversary {kind!r}: {e}") from None
 
 
 # --- scenario runners ----------------------------------------------------------
 
 
-def _run_parity(params, adversary_spec, rng) -> dict:
+def _run_parity(params, strategy, rng) -> dict:
     n = params["n"]
     cfg = covertex.ParityLearnerConfig(
         n=n, delta_c=params["delta_c"], delta_p=params["delta_p"]
@@ -215,12 +206,12 @@ def _run_parity(params, adversary_spec, rng) -> dict:
     }
 
 
-def _run_quadratic(params, adversary_spec, rng) -> dict:
+def _run_quadratic(params, strategy, rng) -> dict:
     n = params["n"]
     rows = covertex.random_quadratic_rows(n, rng)
     f = bf.quadratic_fn(rows, n)
-    pub = oracles.QMeasExOracle(("example", f))
-    pri = oracles.QsqOracle(("example", f), policy=params["qsq_policy"], rng=rng)
+    pub = oracles.QMeasExOracle(qsim.prepare_example_state(f))
+    pri = oracles.QsqOracle(f, policy=params["qsq_policy"], rng=rng)
     res = covertex.covert_quadratic_learn(pub, pri, n, params["delta_c"], rng)
     return {
         "success": bool(res.a_rows == rows),
@@ -232,7 +223,7 @@ def _run_quadratic(params, adversary_spec, rng) -> dict:
     }
 
 
-def _run_covert_sq(params, adversary_spec, rng) -> dict:
+def _run_covert_sq(params, strategy, rng) -> dict:
     n, d = params["n"], params["d"]
     delta = params["delta"]
     c = rng.normal(size=covertsq.monomial_count(n, d))
@@ -250,7 +241,7 @@ def _run_covert_sq(params, adversary_spec, rng) -> dict:
     }
 
 
-def _run_shadows(params, adversary_spec, rng) -> dict:
+def _run_shadows(params, strategy, rng) -> dict:
     n = params["n"]
     k = params["k"]
     tau = params["tau"]
@@ -277,7 +268,7 @@ def _run_shadows(params, adversary_spec, rng) -> dict:
     return {"pairs_ok": ok, "pairs": total, "all_ok": bool(ok == total), "shots": shots}
 
 
-def _run_certify(params, adversary_spec, rng) -> dict:
+def _run_certify(params, strategy, rng) -> dict:
     n_block = params["n_block"]
     eps, delta = params["eps"], params["delta"]
     f = bf.random_truth_table(n_block, rng)
@@ -303,8 +294,7 @@ def _run_certify(params, adversary_spec, rng) -> dict:
     }
 
 
-def _tapped_phase_oracle(f, adversary_spec):
-    strategy = build_adversary(adversary_spec)
+def _tapped_phase_oracle(f, strategy):
     tap = oracles.TapChannel(strategy) if strategy else None
     return oracles.QuantumChannelOracle(f, "QPh", tap=tap)
 
@@ -318,10 +308,10 @@ def _fidelity_on_accept(res: acquire.AcquisitionResult, f) -> float:
     return float(np.prod([qsim.fidelity(c, target) for c in res.output]))
 
 
-def _run_acquire_uni(params, adversary_spec, rng) -> dict:
+def _run_acquire_uni(params, strategy, rng) -> dict:
     n, m = params["n"], params["m"]
     f = bf.random_truth_table(n, rng)
-    oracle = _tapped_phase_oracle(f, adversary_spec)
+    oracle = _tapped_phase_oracle(f, strategy)
     mem = oracles.MemOracle(f)
     res = acquire.acquire_unidirectional(
         oracle, mem, n, m, params["eps"], params["delta"], rng,
@@ -338,10 +328,10 @@ def _run_acquire_uni(params, adversary_spec, rng) -> dict:
     }
 
 
-def _run_acquire_af(params, adversary_spec, rng) -> dict:
+def _run_acquire_af(params, strategy, rng) -> dict:
     n, m = params["n"], params["m"]
     f = bf.random_truth_table(n, rng)
-    oracle = _tapped_phase_oracle(f, adversary_spec)
+    oracle = _tapped_phase_oracle(f, strategy)
     mem = oracles.MemOracle(f)
     res = acquire.acquire_ancilla_free(
         oracle, mem, n, m, params["eps"], params["delta"],
@@ -356,13 +346,13 @@ def _run_acquire_af(params, adversary_spec, rng) -> dict:
     }
 
 
-def _run_forrelation(params, adversary_spec, rng) -> dict:
+def _run_forrelation(params, strategy, rng) -> dict:
     n = params["n"]
     case = tasks.PHI_LARGE if rng.integers(2) else tasks.PHI_SMALL
     inst = tasks.gen_forrelation_instance(n, case, rng)
     out = tasks.covert_forrelation(
         inst, rng, delta=params["delta"],
-        adversary=build_adversary(adversary_spec),
+        adversary=strategy,
         ancilla_free=params["ancilla_free"], delta_leak=params["delta_leak"],
         copies=params["copies"], base_error=params["base_error"],
         n_blocks=params["n_blocks"],
@@ -377,13 +367,13 @@ def _run_forrelation(params, adversary_spec, rng) -> dict:
     }
 
 
-def _run_simon(params, adversary_spec, rng) -> dict:
+def _run_simon(params, strategy, rng) -> dict:
     n = params["n"]
     case = tasks.SIMON_PERIODIC if rng.integers(2) else tasks.SIMON_ONE_TO_ONE
     inst = tasks.gen_simon_instance(n, case, rng)
     out = tasks.covert_simon(
         inst, rng, delta=params["delta"],
-        adversary=build_adversary(adversary_spec),
+        adversary=strategy,
         ancilla_free=params["ancilla_free"], delta_leak=params["delta_leak"],
         copy_budget=params["copy_budget"], n_blocks=params["n_blocks"],
     )
@@ -409,7 +399,7 @@ def _run_simon(params, adversary_spec, rng) -> dict:
     }
 
 
-def _run_nogo_swap(params, adversary_spec, rng) -> dict:
+def _run_nogo_swap(params, strategy, rng) -> dict:
     n = params["n"]
     s = int(rng.integers(0, 1 << n))
     f = bf.parity_fn(s, n)
@@ -496,6 +486,13 @@ def _one_of(*values) -> tuple[Callable, str]:
 # rule: a confidence or failure probability strictly inside (0, 1)
 _OPEN_UNIT = (lambda v, p: 0 < v < 1, "in (0, 1)")
 _AT_LEAST_ONE = (lambda v, p: v >= 1, "at least 1")
+# rule: a probability, such as the leak rate delta_leak
+_PROBABILITY = (lambda v, p: 0 <= v <= 1, "in [0, 1]")
+
+# adversary kinds: all of them for a scenario that taps an oracle channel;
+# the ancilla-free model's, those that keep no quantum register
+TAPPED = frozenset(adv.KINDS)
+ANCILLA_FREE = frozenset(k for k, cls in adv.KINDS.items() if not cls.quantum_memory)
 
 
 def _shadow_shots(p: dict) -> float:
@@ -621,8 +618,8 @@ SCENARIOS: dict[str, Scenario] = {
          "n_blocks": None},
         "covert verifiable phase states vs i.i.d. ancilla-free adversaries",
         lambda p: _acquisition_resources(p, p["n"], p["m"], p["eps"], p["delta"], True),
-        # the swap attack needs bidirectional taps, outside this model
-        TAPPED - {"swap_attack"},
+        ANCILLA_FREE,
+        rules={"delta_leak": _PROBABILITY},
     ),
     "forrelation": Scenario(
         _run_forrelation,
@@ -632,6 +629,7 @@ SCENARIOS: dict[str, Scenario] = {
          "n_blocks": acquire.DEFAULT_BLOCKS},
         "covert verifiable Forrelation end to end",
         _forrelation_resources, TAPPED,
+        rules={"delta_leak": _PROBABILITY},
     ),
     "simon": Scenario(
         _run_simon,
@@ -643,6 +641,7 @@ SCENARIOS: dict[str, Scenario] = {
             p, 2 * p["n"], 1, tasks.SIMON_EPS, p["delta"], p["ancilla_free"]
         ),
         TAPPED,
+        rules={"delta_leak": _PROBABILITY},
     ),
     "nogo-swap": Scenario(
         _run_nogo_swap,
@@ -655,7 +654,7 @@ SCENARIOS: dict[str, Scenario] = {
 
 def run_trial(cfg: ExperimentConfig, index: int) -> dict:
     rng = trial_rng(cfg.seed, index)
-    record = SCENARIOS[cfg.scenario].runner(cfg.full_params, cfg.adversary, rng)
+    record = SCENARIOS[cfg.scenario].runner(cfg.full_params, cfg.strategy, rng)
     record["trial"] = index
     return record
 

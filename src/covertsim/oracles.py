@@ -207,20 +207,18 @@ def influence_exact(f: BooleanFunction, i: int) -> float:
 
 class QsqOracle:
     """Quantum statistical query oracle on the example state of a width-1
-    function f, given as the descriptor ('example', f). Influence queries
-    are evaluated against f exactly."""
+    function f. Influence queries are evaluated against f exactly."""
 
     def __init__(
         self,
-        descriptor,
+        f: BooleanFunction,
         policy: str = GRID,
         rng=None,
         transcript: Optional[Transcript] = None,
         visibility: str = PRIVATE,
     ):
-        kind, f = descriptor
-        if kind != "example" or f.w != 1:
-            raise ValueError("QSQ oracles take ('example', f) for a width-1 f")
+        if f.w != 1:
+            raise ValueError("QSQ oracles take a width-1 f")
         self.f = f
         self.policy = policy
         self.rng = rng
@@ -379,23 +377,19 @@ def _choice_by_group(cdfs: np.ndarray, groups: np.ndarray, rng) -> np.ndarray:
 
 
 class QMeasExOracle:
-    """Measurement outcomes on copies of a pure state, given as a PureState
-    or as the descriptor ('example', f)."""
+    """Measurement outcomes on copies of a pure state."""
 
-    def __init__(self, state_descriptor, transcript=None, visibility=PUBLIC):
-        d = state_descriptor
-        if not (isinstance(d, PureState) or (isinstance(d, tuple) and d[0] == "example")):
-            raise ValueError("QMeasEx oracles take a PureState or ('example', f)")
-        self.descriptor = state_descriptor
+    def __init__(self, state: PureState, transcript=None, visibility=PUBLIC):
+        if not isinstance(state, PureState):
+            raise ValueError("QMeasEx oracles take a PureState")
+        self._state = state
         self.transcript = transcript
         self.visibility = visibility
         self.count = 0  # weighted: an m-copy measurement counts m
         self._pauli_cdfs: Optional[np.ndarray] = None
 
     def state(self) -> PureState:
-        if isinstance(self.descriptor, PureState):
-            return self.descriptor
-        return qsim.prepare_example_state(self.descriptor[1])
+        return self._state
 
     def _basis_probability_tables(self) -> np.ndarray:
         """probs[basis_index, outcome] for all 3^n product-Pauli bases."""
@@ -451,9 +445,9 @@ class QMeasExOracle:
 class TapChannel:
     """Interception point on learner<->oracle quantum traffic."""
 
-    def __init__(self, strategy: Optional[adv.AdversaryStrategy] = None):
+    def __init__(self, strategy: Optional[adv.Strategy] = None):
         self.strategy = strategy or adv.identity()
-        self.memory = adv.TapMemory(self.strategy)
+        self.memory = adv.TapMemory()
 
     def apply(self, direction: str, state: PureState, qubits, rng) -> PureState:
         out = adv.apply_tap(self.strategy, direction, state, qubits, self.memory, rng)

@@ -212,7 +212,6 @@ def apply_hadamards(state: PureState, qubits: Sequence[int]) -> PureState:
 
 SIGN_TABLE_QUBITS = 8  # z_sign_table is kept up to this size (512 KiB)
 _Z_SIGN_TABLES: dict[int, np.ndarray] = {}
-_Z_SIGN_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def z_sign_table(n: int) -> np.ndarray:
@@ -229,18 +228,12 @@ def z_sign_table(n: int) -> np.ndarray:
 
 
 def z_signs(n: int, mask: int) -> np.ndarray:
-    """Diagonal of Z^mask on n qubits, (-1)^{popcount(x & mask)}, read-only:
-    a row of z_sign_table up to SIGN_TABLE_QUBITS, cached up to n = 12."""
+    """Diagonal of Z^mask on n qubits, (-1)^{popcount(x & mask)}: a read-only
+    row of z_sign_table up to SIGN_TABLE_QUBITS, computed afresh above it."""
     if n <= SIGN_TABLE_QUBITS:
         return z_sign_table(n)[mask]
-    signs = _Z_SIGN_CACHE.get((n, mask))
-    if signs is None:
-        idx = np.arange(1 << n, dtype=np.uint64)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(np.float64)
-        signs.flags.writeable = False
-        if n <= 12 and len(_Z_SIGN_CACHE) < 4096:
-            _Z_SIGN_CACHE[(n, mask)] = signs
-    return signs
+    idx = np.arange(1 << n, dtype=np.uint64)
+    return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(np.float64)
 
 
 def apply_z_mask(state: PureState, r: int, qubits: Sequence[int]) -> PureState:

@@ -47,6 +47,8 @@ FORRELATION_COPIES = 201
 FORRELATION_BASE_ERROR = 0.01
 # certification accuracy of each example-state acquisition in covert_simon
 SIMON_EPS = 0.1
+# rejection-sampling budget of gen_forrelation_instance
+FORRELATION_MAX_TRIES = 20_000
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,7 @@ class RejectionBudgetExceeded(RuntimeError):
     pass
 
 
-def gen_forrelation_instance(
-    n: int, case: str, rng, max_tries: int = 20_000
-) -> ForrelationInstance:
+def gen_forrelation_instance(n: int, case: str, rng) -> ForrelationInstance:
     """Planted promise instance, re-verified against the exact Phi oracle.
 
     Case (i) rejection-samples independent uniform pairs; case (ii) draws f
@@ -84,7 +84,7 @@ def gen_forrelation_instance(
     """
     if n > 10:
         raise ValueError("instance generation is bounded at n <= 10")
-    for attempt in range(max_tries):
+    for attempt in range(FORRELATION_MAX_TRIES):
         f = random_truth_table(n, rng)
         if case == PHI_SMALL:
             g = random_truth_table(n, rng)
@@ -99,7 +99,7 @@ def gen_forrelation_instance(
         if case == PHI_LARGE and phi >= LARGE_BOUND:
             return ForrelationInstance(n=n, f=f, g=g, label=case, phi=phi)
     raise RejectionBudgetExceeded(
-        f"no {case} instance at n={n} within {max_tries} tries"
+        f"no {case} instance at n={n} within {FORRELATION_MAX_TRIES} tries"
     )
 
 
@@ -162,7 +162,6 @@ def covert_forrelation(
     copies: int = FORRELATION_COPIES,
     base_error: float = FORRELATION_BASE_ERROR,
     n_blocks: int = acquire.DEFAULT_BLOCKS,
-    mode: str = acquire.RANDOMNESS,
 ) -> acquire.TaskOutcome:
     """Covert verifiable Forrelation via the amplified unidirectional wrapper
     or the ancilla-free task wrapper.
@@ -190,7 +189,7 @@ def covert_forrelation(
         )
     return acquire.amplified_task_unidirectional(
         task, oracle, mem, n2, copies, eps_a, delta_a, delta, rng,
-        n_blocks=n_blocks, mode=mode,
+        n_blocks=n_blocks,
     )
 
 

@@ -37,8 +37,8 @@ def test_c01_mask_factorization_exact():
     n = 4
     strategies = [
         adv.identity(),
-        adv.response_depolarize(0.3),
-        adv.response_measure_z(),
+        adv.depolarize(0.3),
+        adv.measure_z(),
     ]
     worst = 0.0
     for strategy in strategies:
@@ -58,7 +58,7 @@ def test_c01_mask_factorization_exact():
                         phase_oracle(f), n, np.random.default_rng(0)
                     )
                     reg = qsim.partial_trace(joint, list(range(n, 2 * n)))
-                views.append(adv.exact_response_view(strategy, reg))
+                views.append(strategy.exact_response_view(reg))
             dist = adv.factorization_distance(views)
             worst = max(worst, dist)
             assert dist <= 1e-9, f"{strategy.kind}/{mode}: distance {dist}"
@@ -97,7 +97,7 @@ def test_c03_acquire_unidirectional_soundness():
     for t in range(trials):
         rng = exp.trial_rng(303, t)
         f = bf.random_truth_table(n, rng)
-        oracle = phase_oracle(f, adv.response_replace(qsim.basis_state(n, 0)))
+        oracle = phase_oracle(f, adv.replace_zero())
         res = acquire.acquire_unidirectional(
             oracle, oracles.MemOracle(f), n, 1, 0.1, 0.1, rng, n_blocks=20
         )
@@ -145,7 +145,7 @@ def test_c05_schmidt_fidelity_drop_exact():
         for t in range(40):
             rng = exp.trial_rng(505 + n, t)
             f = bf.random_truth_table(n, rng)
-            strategy = adv.ancilla_free_iid(1.0, extract_post=False)
+            strategy = adv.ancilla_free(1.0, extract_post=False)
             joint = acquire.masked_query_phase_entangled(
                 phase_oracle(f, strategy), n, rng
             )
@@ -196,7 +196,7 @@ def test_c06_ancilla_free_privacy_detection():
     for t in range(trials):
         rng = exp.trial_rng(606, t)
         f = bf.random_truth_table(n, rng)
-        oracle = phase_oracle(f, adv.ancilla_free_iid(0.5))
+        oracle = phase_oracle(f, adv.ancilla_free(0.5))
         res = acquire.acquire_ancilla_free(
             oracle, oracles.MemOracle(f), n, 1, 0.1, 0.1, 0.5, rng
         )
@@ -248,8 +248,8 @@ def test_c08_covert_quadratic():
         rng = exp.trial_rng(808, t)
         rows = covertex.random_quadratic_rows(n, rng)
         f = bf.quadratic_fn(rows, n)
-        pub = oracles.QMeasExOracle(("example", f))
-        pri = oracles.QsqOracle(("example", f), policy=oracles.GRID)
+        pub = oracles.QMeasExOracle(qsim.prepare_example_state(f))
+        pri = oracles.QsqOracle(f, policy=oracles.GRID)
         res = covertex.covert_quadratic_learn(pub, pri, n, 0.1, rng)
         if res.a_rows is None:
             assert res.pri_count == 0

@@ -90,7 +90,7 @@ class TestMaskedQueries:
 
 
 class TestStackedBlocks:
-    @pytest.mark.parametrize("strategy", [None, adv.response_depolarize(0.5)],
+    @pytest.mark.parametrize("strategy", [None, adv.depolarize(0.5)],
                              ids=["honest", "depolarize"])
     def test_block_rows_equal_per_copy_queries(self, strategy):
         # each row bit-equal to its own masked query, the same oracle count,
@@ -145,8 +145,8 @@ class TestCoupledPair:
         rng = np.random.default_rng(40)
         pair = acquire._coupled_pair(3)
         before = pair.vec.tobytes()
-        phase = phase_oracle(bf.random_truth_table(3, rng), adv.ancilla_free_iid(1.0))
-        qmem = qmem_oracle(bf.random_truth_table(2, rng), adv.ancilla_free_iid(1.0))
+        phase = phase_oracle(bf.random_truth_table(3, rng), adv.ancilla_free(1.0))
+        qmem = qmem_oracle(bf.random_truth_table(2, rng), adv.ancilla_free(1.0))
         for _ in range(10):
             acquire.masked_query_phase_entangled(phase, 3, rng)
             acquire.masked_query_qmem_entangled(qmem, 2, 1, rng)
@@ -189,7 +189,7 @@ class TestAcquireUnidirectional:
         bad_joint = 0
         for t in range(60):
             trng = np.random.default_rng(800 + t)
-            oracle = phase_oracle(f, adv.response_replace(qsim.basis_state(n, 0)))
+            oracle = phase_oracle(f, adv.replace_zero())
             res = acquire.acquire_unidirectional(
                 oracle, oracles.MemOracle(f), n, 1, 0.1, 0.1, trng
             )
@@ -245,7 +245,7 @@ class TestAmplifiedTask:
         rng = np.random.default_rng(12)
         n = 2
         f = bf.parity_fn(0b01, n)
-        oracle = phase_oracle(f, adv.response_replace(qsim.basis_state(n, 0)))
+        oracle = phase_oracle(f, adv.replace_zero())
         out = acquire.amplified_task_unidirectional(
             self.parity_vs_constant_task(n), oracle, oracles.MemOracle(f),
             n, 1, eps_a=0.1, delta_a=0.1, delta=0.1, rng=rng, n_blocks=8,
@@ -297,7 +297,7 @@ class TestAcquireAncillaFree:
         accepts = 0
         for t in range(30):
             trng = np.random.default_rng(900 + t)
-            oracle = phase_oracle(f, adv.ancilla_free_iid(1.0))
+            oracle = phase_oracle(f, adv.ancilla_free(1.0))
             res = acquire.acquire_ancilla_free(
                 oracle, oracles.MemOracle(f), n, m, 0.1, 0.1, 1.0, trng,
                 n_blocks=60,
@@ -355,7 +355,7 @@ class TestQMemAcquisition:
         accepts = 0
         for t in range(20):
             trng = np.random.default_rng(950 + t)
-            oracle = qmem_oracle(f, adv.ancilla_free_iid(1.0))
+            oracle = qmem_oracle(f, adv.ancilla_free(1.0))
             res = acquire.acquire_ancilla_free(
                 oracle, oracles.MemOracle(f), n, 1, 0.1, 0.1, 1.0, trng,
                 n_blocks=40,

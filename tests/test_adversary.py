@@ -16,6 +16,34 @@ def masked_query_roundtrip(f, n, strategy, rng):
     return qsim.apply_z_mask(got, r, range(n)), tap
 
 
+class TestKinds:
+    def test_class_constants(self):
+        bidirectional = [k for k, cls in adv.KINDS.items() if cls.bidirectional]
+        quantum = [k for k, cls in adv.KINDS.items() if cls.quantum_memory]
+        assert bidirectional == ["swap_attack", "ancilla_free"]
+        assert quantum == ["swap_attack"]
+        assert all(cls().kind == k for k, cls in adv.KINDS.items()
+                   if k not in ("depolarize", "ancilla_free"))
+
+    @pytest.mark.parametrize("build", [
+        lambda: adv.depolarize(7),
+        lambda: adv.depolarize(-0.1),
+        lambda: adv.depolarize(float("nan")),
+        lambda: adv.depolarize(True),
+        lambda: adv.depolarize("0.5"),
+        lambda: adv.ancilla_free(float("inf")),
+        lambda: adv.ancilla_free(0.5, extract_post=1),
+    ], ids=["p-above-one", "p-negative", "p-nan", "p-bool", "p-text",
+            "leak-infinite", "extract-post-int"])
+    def test_fields_checked_at_construction(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_probability_bounds_are_inclusive(self):
+        assert adv.depolarize(0).p == 0 and adv.depolarize(1.0).p == 1.0
+        assert adv.ancilla_free(1, extract_post=False).delta_leak == 1
+
+
 class TestTaps:
     def test_identity_unchanged(self):
         rng = np.random.default_rng(0)
@@ -26,15 +54,15 @@ class TestTaps:
     def test_unidirectional_query_tap_is_identity(self):
         rng = np.random.default_rng(1)
         psi = qsim.uniform_state(2)
-        mem = adv.TapMemory(adv.response_measure_z())
-        out = adv.apply_tap(adv.response_measure_z(), "query", psi, [0, 1], mem, rng)
+        mem = adv.TapMemory()
+        out = adv.apply_tap(adv.measure_z(), "query", psi, [0, 1], mem, rng)
         assert out is psi  # literally untouched
 
     def test_response_replace_overwrites(self):
         rng = np.random.default_rng(2)
         f = bf.random_truth_table(2, rng)
         repl = qsim.basis_state(2, 0)
-        tap = oracles.TapChannel(adv.response_replace(repl))
+        tap = oracles.TapChannel(adv.replace_zero())
         oracle = oracles.QuantumChannelOracle(f, "QPh", tap=tap)
         out = oracle.query(qsim.uniform_state(2), [0, 1], rng=rng)
         assert qsim.states_equal(out, repl, 1e-12)
@@ -59,14 +87,14 @@ class TestTaps:
         trials = 2000
         for i in range(trials):
             r = np.random.default_rng(1000 + i)
-            out, _ = masked_query_roundtrip(f, 2, adv.response_depolarize(1.0), r)
+            out, _ = masked_query_roundtrip(f, 2, adv.depolarize(1.0), r)
             acc += np.outer(out.vec, out.vec.conj())
         assert np.abs(acc / trials - np.eye(4) / 4).max() < 0.05
 
     def test_measure_z_records_outcome(self):
         rng = np.random.default_rng(5)
         f = bf.random_truth_table(2, rng)
-        _, tap = masked_query_roundtrip(f, 2, adv.response_measure_z(), rng)
+        _, tap = masked_query_roundtrip(f, 2, adv.measure_z(), rng)
         assert len(tap.memory.records) == 1
         assert tap.memory.records[0][0] == "z_outcome"
 
@@ -75,8 +103,8 @@ class TestAncillaFree:
     def test_delta_zero_is_identity(self):
         rng = np.random.default_rng(6)
         psi = qsim.uniform_state(3)
-        strat = adv.ancilla_free_iid(0.0)
-        mem = adv.TapMemory(strat)
+        strat = adv.ancilla_free(0.0)
+        mem = adv.TapMemory()
         out = adv.apply_tap(strat, "query", psi, [0, 1, 2], mem, rng)
         out = adv.apply_tap(strat, "response", out, [0, 1, 2], mem, rng)
         assert np.allclose(out.vec, psi.vec)
@@ -92,8 +120,8 @@ class TestAncillaFree:
                 state = qsim.apply_gate(state, "CZ", [i, n + i])
             q_reg = list(range(n, 2 * n))
             assert qsim.schmidt_rank(state, q_reg) == 1 << n
-            strat = adv.ancilla_free_iid(1.0, extract_post=False)
-            mem = adv.TapMemory(strat)
+            strat = adv.ancilla_free(1.0, extract_post=False)
+            mem = adv.TapMemory()
             post = adv.apply_tap(strat, "query", state, q_reg, mem, rng)
             assert qsim.schmidt_rank(post, q_reg) <= 1 << (n - 1)
             # rank stays bounded through the oracle and local post-processing
@@ -102,18 +130,6 @@ class TestAncillaFree:
             assert qsim.schmidt_rank(after, q_reg) <= 1 << (n - 1)
             local = qsim.apply_hadamards(after, q_reg)
             assert qsim.schmidt_rank(local, q_reg) <= 1 << (n - 1)
-
-    def test_no_quantum_memory_fault(self):
-        strat = adv.ancilla_free_iid(1.0)
-        mem = adv.TapMemory(strat)
-        with pytest.raises(RuntimeError):
-            mem.store_quantum(qsim.basis_state(1))
-
-    def test_strategy_invariants(self):
-        with pytest.raises(ValueError):
-            adv.AdversaryStrategy("ancilla_free_iid", adv.BIDIRECTIONAL, "quantum")
-        with pytest.raises(ValueError):
-            adv.AdversaryStrategy("swap_attack", adv.UNIDIRECTIONAL, "quantum")
 
 
 class TestSwapAttack:
@@ -139,17 +155,13 @@ class TestSwapAttack:
                 qsim.apply_z_mask(got2, r, range(n)), qsim.prepare_phase_state(f), 1e-12
             )
 
-    def test_needs_bidirectional(self):
-        with pytest.raises(ValueError):
-            adv.AdversaryStrategy("swap_attack", adv.UNIDIRECTIONAL, "quantum")
-
     def test_cannot_steal_entangled_register(self):
         rng = np.random.default_rng(9)
         bell = qsim.apply_gate(
             qsim.apply_gate(qsim.basis_state(2), "H", [0]), "CNOT", [0, 1]
         )
         strat = adv.swap_attack()
-        mem = adv.TapMemory(strat)
+        mem = adv.TapMemory()
         with pytest.raises(RuntimeError):
             adv.apply_tap(strat, "query", bell, [1], mem, rng)
 
@@ -167,18 +179,18 @@ class TestExactViews:
                 resp = qsim.apply_phase_oracle(masked, f, range(n))
                 avg += np.outer(resp.vec, resp.vec.conj()) / 8
             views.append(
-                adv.exact_response_view(adv.identity(), qsim.MixedState(n, avg))
+                adv.identity().exact_response_view(qsim.MixedState(n, avg))
             )
         assert adv.factorization_distance(views) < 1e-12
 
     def test_measure_z_view_is_diagonal(self):
         rho = qsim.uniform_state(2).density()
-        view = adv.exact_response_view(adv.response_measure_z(), rho)
+        view = adv.measure_z().exact_response_view(rho)
         assert np.allclose(view.mat, np.eye(4) / 4)
 
     def test_depolarize_view(self):
         rho = qsim.basis_state(2, 3).density()
-        view = adv.exact_response_view(adv.response_depolarize(0.4), rho)
+        view = adv.depolarize(0.4).exact_response_view(rho)
         expect = 0.6 * rho.mat + 0.4 * np.eye(4) / 4
         assert np.allclose(view.mat, expect)
 

@@ -229,8 +229,8 @@ class TestQuadraticLearner:
             trng = np.random.default_rng(500 + t)
             rows = cx.random_quadratic_rows(n, trng)
             f = bf.quadratic_fn(rows, n)
-            pub = oracles.QMeasExOracle(("example", f))
-            pri = oracles.QsqOracle(("example", f), policy=oracles.GRID)
+            pub = oracles.QMeasExOracle(qsim.prepare_example_state(f))
+            pri = oracles.QsqOracle(f, policy=oracles.GRID)
             res = cx.covert_quadratic_learn(pub, pri, n, 0.1, trng)
             if res.a_rows is not None:
                 hits += res.a_rows == rows
@@ -244,8 +244,8 @@ class TestQuadraticLearner:
         n = 3
         rows = cx.random_quadratic_rows(n, rng)
         f = bf.quadratic_fn(rows, n)
-        pub = oracles.QMeasExOracle(("example", f))
-        pri = oracles.QsqOracle(("example", f), policy=oracles.EXACT)
+        pub = oracles.QMeasExOracle(qsim.prepare_example_state(f))
+        pri = oracles.QsqOracle(f, policy=oracles.EXACT)
         import covertsim.covertex as cxm
 
         orig = cxm.quadratic_public_budget

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from covertsim import acquire, certify, covertsq, oracles, qsim
+from covertsim import acquire, adversary as adv, certify, covertsq, oracles, qsim
 from covertsim import experiments as exp
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -138,13 +138,24 @@ class TestConfig:
     def test_build_adversary_kinds(self):
         assert exp.build_adversary(None) is None
         assert exp.build_adversary({"kind": "identity"}).kind == "identity"
-        assert exp.build_adversary({"kind": "depolarize", "p": 0.3}).params["p"] == 0.3
-        assert exp.build_adversary({"kind": "ancilla_free", "delta_leak": 1.0}).kind == "ancilla_free_iid"
+        assert exp.build_adversary({"kind": "depolarize", "p": 0.3}).p == 0.3
+        assert exp.build_adversary({"kind": "ancilla_free", "delta_leak": 1.0}).kind == "ancilla_free"
+
+    def test_strategy_is_built_once_at_construction(self):
+        cfg = exp.ExperimentConfig.from_dict({
+            "scenario": "acquire-uni", "adversary": {"kind": "depolarize", "p": 0.3},
+        })
+        assert cfg.strategy == adv.depolarize(0.3)
+        no_spec = exp.ExperimentConfig.from_dict({"scenario": "acquire-uni"})
+        assert no_spec.strategy is None
+
+    def test_ancilla_free_scenarios_take_the_kinds_without_quantum_memory(self):
+        assert exp.SCENARIOS["acquire-af"].adversaries == set(adv.KINDS) - {"swap_attack"}
 
     @pytest.mark.parametrize("spec, needle", [
         ({"kind": "depolarize"}, "'p'"),
         ({"kind": "ancilla_free"}, "'delta_leak'"),
-        ({"kind": "replace_zero"}, "'n'"),
+        ({"kind": "replace_zero", "n": 3}, "'n'"),
         ({"kind": "depolarize", "p": "lots"}, "depolarize"),
         ({"kind": "depolarize", "p": None}, "depolarize"),
         (["depolarize"], "JSON object"),
@@ -414,6 +425,33 @@ class TestCli:
                            '{"kind": "replace_zero", "n": Infinity}')
         assert out.returncode == 2, out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("scenario, flag, value, field", [
+        ("acquire-af", "--adversary", '{"kind": "ancilla_free", "delta_leak": -3}',
+         "'delta_leak'"),
+        ("acquire-uni", "--adversary", '{"kind": "depolarize", "p": 7}', "'p'"),
+        ("acquire-uni", "--adversary", '{"kind": "depolarize", "p": 0.5, "q": 1}',
+         "'q'"),
+        ("acquire-uni", "--adversary", '{"kind": "replace_zero", "n": 3}', "'n'"),
+        ("acquire-af", "--param", "delta_leak=3", "'delta_leak'"),
+        ("forrelation", "--param", "delta_leak=3", "'delta_leak'"),
+        ("simon", "--param", "delta_leak=-0.5", "'delta_leak'"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "resources"])
+    def test_out_of_range_or_unknown_field_exit_code(self, command, scenario, flag,
+                                                     value, field):
+        out = self.run_cli(command, "--scenario", scenario, flag, value,
+                           *(("--trials", "1") if command == "run" else ()))
+        assert out.returncode == 2, out.stderr
+        assert field in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_replace_zero_fits_any_register(self):
+        # simon taps its 2n-qubit (in, out) register; the spec names no size
+        out = self.run_cli("run", "--scenario", "simon", "--trials", "1",
+                           "--adversary", '{"kind": "replace_zero"}')
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["aggregate"]["trials"] == 1
 
     def test_non_integer_seed_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

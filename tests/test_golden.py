@@ -112,7 +112,7 @@ def _qmem_ancilla_free_leaky():
     f = bf.random_truth_table(n, rng, w=w)
     return [
         acquire.acquire_ancilla_free(
-            _oracle(f, "QMem", adv.ancilla_free_iid(1.0)), oracles.MemOracle(f),
+            _oracle(f, "QMem", adv.ancilla_free(1.0)), oracles.MemOracle(f),
             n, 1, 0.1, 0.1, 1.0, np.random.default_rng(950 + t), n_blocks=40,
         )
         for t in range(20)
@@ -161,11 +161,11 @@ ACQUISITION_CASES = {
         "5bc467bba526f11c23c3d47f2021924e7b43ee5c5c320eae6739db1fc50a3c2c",
     ),
     "phase-depolarize": (
-        lambda: _phase_tapped(adv.response_depolarize(0.5), 21),
+        lambda: _phase_tapped(adv.depolarize(0.5), 21),
         "2352e5d439052d201136921ff5baf1224555f38bbe909b51b3d2b46ba01b67b3",
     ),
     "phase-measure-z": (
-        lambda: _phase_tapped(adv.response_measure_z(), 22),
+        lambda: _phase_tapped(adv.measure_z(), 22),
         "bab094b73b9f3bb1b1e0f4c1019a4245e7e2a8c0a4a035e61624f1a7c4bda420",
     ),
 }

@@ -103,7 +103,7 @@ class TestSqOracle:
 class TestQsqOracle:
     def test_influence_of_parity_is_bit(self):
         s = 0b1010
-        oracle = oracles.QsqOracle(("example", bf.parity_fn(s, 4)), policy=oracles.EXACT)
+        oracle = oracles.QsqOracle(bf.parity_fn(s, 4), policy=oracles.EXACT)
         for i in range(4):
             got = oracle.query(oracles.InfluenceQuery(i), tau=1 / 3)
             assert got == float((s >> i) & 1)
@@ -111,7 +111,7 @@ class TestQsqOracle:
     def test_influence_equals_fourier_mass_on_ti(self):
         rng = np.random.default_rng(4)
         f = bf.random_truth_table(4, rng)
-        oracle = oracles.QsqOracle(("example", f), policy=oracles.EXACT)
+        oracle = oracles.QsqOracle(f, policy=oracles.EXACT)
         masses = (bf.walsh_hadamard(bf.sign_vector(f)) / 16) ** 2
         for i in range(4):
             inf = oracle.exact_value(oracles.InfluenceQuery(i))
@@ -130,7 +130,7 @@ class TestQsqOracle:
         offdiag_rows = tuple(
             int(sum((mat[i][j] & 1) << j for j in range(n))) for i in range(n)
         )
-        oracle = oracles.QsqOracle(("example", f), policy=oracles.EXACT)
+        oracle = oracles.QsqOracle(f, policy=oracles.EXACT)
         for i in range(n):
             got = oracle.exact_value(oracles.InfluenceQuery(i, offdiag_rows))
             assert got == float(diag[i])
@@ -190,9 +190,9 @@ class TestQMeasEx:
     def test_multi_copy_weighting(self):
         # each two-copy Bell measurement of the quadratic learner counts 2
         f = bf.quadratic_fn(covertex.random_quadratic_rows(3, np.random.default_rng(11)), 3)
-        oracle = oracles.QMeasExOracle(("example", f))
+        oracle = oracles.QMeasExOracle(qsim.prepare_example_state(f))
         res = covertex.covert_quadratic_learn(
-            oracle, oracles.QsqOracle(("example", f)), 3, 0.1, np.random.default_rng(12)
+            oracle, oracles.QsqOracle(f), 3, 0.1, np.random.default_rng(12)
         )
         assert oracle.count == res.pub_weighted == 2 * res.pub_queries
 
@@ -300,7 +300,7 @@ class TestQuantumChannelOracle:
     def test_replace_tap_forces_response(self):
         rng = np.random.default_rng(17)
         f = bf.random_truth_table(2, rng)
-        tap = oracles.TapChannel(adv.response_replace(qsim.basis_state(2, 0)))
+        tap = oracles.TapChannel(adv.replace_zero())
         oracle = oracles.QuantumChannelOracle(f, "QPh", tap=tap)
         out = oracle.query(qsim.uniform_state(2), [0, 1], rng=rng)
         assert qsim.states_equal(out, qsim.basis_state(2, 0), 1e-12)

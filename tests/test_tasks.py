@@ -202,7 +202,7 @@ class TestCovertForrelation:
         rng = np.random.default_rng(10)
         n = 2
         inst = tasks.gen_forrelation_instance(n, tasks.PHI_SMALL, rng)
-        strategy = adv.response_replace(qsim.basis_state(2 * n, 0))
+        strategy = adv.replace_zero()
         out = tasks.covert_forrelation(
             inst, rng, delta=0.1, adversary=strategy, copies=9,
             base_error=0.02, n_blocks=8,
@@ -214,7 +214,7 @@ class TestCovertForrelation:
         n = 2
         inst = tasks.gen_forrelation_instance(n, tasks.PHI_LARGE, rng)
         out = tasks.covert_forrelation(
-            inst, rng, delta=0.1, adversary=adv.ancilla_free_iid(1.0),
+            inst, rng, delta=0.1, adversary=adv.ancilla_free(1.0),
             ancilla_free=True, delta_leak=1.0, copies=3, base_error=0.02,
             n_blocks=40,
         )
@@ -304,7 +304,7 @@ class TestSimon:
         n = 2
         inst = tasks.gen_simon_instance(n, tasks.SIMON_PERIODIC, rng)
         # the tapped register is (in, aux) = n + w qubits
-        strategy = adv.response_replace(qsim.basis_state(n + n, 0))
+        strategy = adv.replace_zero()
         out = tasks.covert_simon(
             inst, rng, delta=0.1, adversary=strategy, n_blocks=8
         )
@@ -314,7 +314,7 @@ class TestSimon:
         rng = np.random.default_rng(20)
         inst = tasks.gen_simon_instance(2, tasks.SIMON_PERIODIC, rng)
         out = tasks.covert_simon(
-            inst, rng, delta=0.1, adversary=adv.ancilla_free_iid(1.0),
+            inst, rng, delta=0.1, adversary=adv.ancilla_free(1.0),
             ancilla_free=True, delta_leak=1.0, n_blocks=40,
         )
         assert out.rejected
