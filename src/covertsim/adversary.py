@@ -50,7 +50,7 @@ class Strategy:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "bool":
+            if f.type in (bool, "bool"):  # the annotation, evaluated or not
                 if not isinstance(value, bool):
                     raise ValueError(f"field {f.name!r} must be true or false, got {value!r}")
             elif (isinstance(value, bool) or not isinstance(value, (int, float))
