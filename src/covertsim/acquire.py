@@ -13,8 +13,10 @@ unmasks every copy at query time and certifies non-i.i.d.;
 only the output block. Both take the target kind from the oracle: QPh gives
 phase states of f; QMem of width w gives example states, acquired through
 phase kickback as phase states of f~(x, y) = y·f(x) and delivered after
-Hadamards on the out register. Task wrappers robustify a decision algorithm
-on top with one certify-then-vote round loop.
+Hadamards on the out register. `task_rounds` is the one round driver for a
+decision algorithm on top: each round is one acquisition, the run halts on
+the first rejection, and the certified rounds' answers are majority-voted
+(ell amplified unidirectional rounds, or one ancilla-free round).
 
 Each certification block is one stacked (m, 2^q) amplitude array, row j the
 j-th copy (`certify.ProductBlock`). The public oracle is still queried once
@@ -364,7 +366,7 @@ def acquire_ancilla_free(
     )
 
 
-# --- task wrappers ------------------------------------------------------------
+# --- task rounds --------------------------------------------------------------
 
 
 def amplification_rounds(delta: float, delta_a: float) -> int:
@@ -379,7 +381,6 @@ class TaskOutcome:
     rejected: bool
     answer: Optional[object] = None
     rounds: int = 0
-    votes: Optional[list] = None
 
 
 def majority_vote(votes: Sequence[int]):
@@ -389,7 +390,7 @@ def majority_vote(votes: Sequence[int]):
     return max(counts, key=counts.get)
 
 
-def _task_rounds(
+def task_rounds(
     task: Callable[[list[PureState]], object],
     rounds: int,
     acquire_round: Callable[[], AcquisitionResult],
@@ -400,54 +401,7 @@ def _task_rounds(
     for j in range(rounds):
         res = acquire_round()
         if not res.accepted:
-            return TaskOutcome(rejected=True, rounds=j + 1, votes=votes)
+            return TaskOutcome(rejected=True, rounds=j + 1)
         votes.append(task(res.output))
         del res  # the round's copies are spent: free them before the next round
-    return TaskOutcome(
-        rejected=False, answer=majority_vote(votes), rounds=rounds, votes=votes
-    )
-
-
-def amplified_task_unidirectional(
-    task: Callable[[list[PureState]], object],
-    oracle: QuantumChannelOracle,
-    mem: MemOracle,
-    n: int,
-    m: int,
-    eps_a: float,
-    delta_a: float,
-    delta: float,
-    rng,
-    n_blocks: int = DEFAULT_BLOCKS,
-) -> TaskOutcome:
-    """ell certify-then-run rounds (randomness masking) with immediate halt
-    on any rejection, then a majority vote."""
-    return _task_rounds(
-        task,
-        amplification_rounds(delta, delta_a),
-        lambda: acquire_unidirectional(
-            oracle, mem, n, m, eps_a, delta_a, rng, n_blocks=n_blocks
-        ),
-    )
-
-
-def task_ancilla_free(
-    task: Callable[[list[PureState]], object],
-    oracle: QuantumChannelOracle,
-    mem: MemOracle,
-    n: int,
-    m: int,
-    eps_a: float,
-    delta: float,
-    delta_leak: float,
-    rng,
-    n_blocks: Optional[int] = None,
-) -> TaskOutcome:
-    """One certified acquisition feeding the task algorithm."""
-    return _task_rounds(
-        task,
-        1,
-        lambda: acquire_ancilla_free(
-            oracle, mem, n, m, eps_a, delta, delta_leak, rng, n_blocks=n_blocks
-        ),
-    )
+    return TaskOutcome(rejected=False, answer=majority_vote(votes), rounds=rounds)

@@ -6,6 +6,7 @@ passed and an acceptance threshold fails.
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -47,16 +48,31 @@ def _load_config(config_path, scenario, seed, trials, params, adversary):
 
 
 def _config_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(exists=True),
-                      default=None, help="JSON config file")(fn)
-    fn = click.option("--scenario", default=None)(fn)
-    fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--trials", type=int, default=None)(fn)
-    fn = click.option("--param", "params", multiple=True,
-                      help="inline scenario parameter key=value (JSON values)")(fn)
-    fn = click.option("--adversary", default=None,
-                      help='adversary spec as JSON, e.g. {"kind": "depolarize", "p": 0.3}')(fn)
-    return fn
+    """Give a command the config options; it takes the validated config as
+    its first argument instead, and a config problem exits 2."""
+
+    @functools.wraps(fn)
+    def command(config_path, scenario, seed, trials, params, adversary, **kwargs):
+        try:
+            cfg = _load_config(config_path, scenario, seed, trials, params, adversary)
+        except (exp.ConfigError, json.JSONDecodeError, OSError) as e:
+            click.echo(f"config error: {e}", err=True)
+            sys.exit(2)
+        return fn(cfg, **kwargs)
+
+    for option in (
+        click.option("--config", "config_path", type=click.Path(exists=True),
+                     default=None, help="JSON config file"),
+        click.option("--scenario", default=None),
+        click.option("--seed", type=int, default=None),
+        click.option("--trials", type=int, default=None),
+        click.option("--param", "params", multiple=True,
+                     help="inline scenario parameter key=value (JSON values)"),
+        click.option("--adversary", default=None,
+                     help='adversary spec as JSON, e.g. {"kind": "depolarize", "p": 0.3}'),
+    ):
+        command = option(command)
+    return command
 
 
 @click.group()
@@ -69,13 +85,8 @@ def main():
 @click.option("--out", "out_dir", default=None, help="directory for report.json / summary.csv")
 @click.option("--assert", "do_assert", is_flag=True, default=False,
               help="exit 3 when a registered acceptance threshold fails")
-def run(config_path, scenario, seed, trials, params, adversary, out_dir, do_assert):
+def run(cfg, out_dir, do_assert):
     """Run a seeded Monte-Carlo experiment and emit reports."""
-    try:
-        cfg = _load_config(config_path, scenario, seed, trials, params, adversary)
-    except (exp.ConfigError, json.JSONDecodeError, OSError) as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
     report = exp.run_experiment(cfg, out_dir=out_dir)
     click.echo(json.dumps(
         {"scenario": report.scenario, "trials": report.trials,
@@ -92,26 +103,16 @@ def run(config_path, scenario, seed, trials, params, adversary, out_dir, do_asse
 @main.command()
 @_config_options
 @click.option("--trial", "trial_index", type=click.IntRange(min=0), required=True)
-def replay(config_path, scenario, seed, trials, params, adversary, trial_index):
+def replay(cfg, trial_index):
     """Re-run a single trial bit-exactly from (seed, trial index)."""
-    try:
-        cfg = _load_config(config_path, scenario, seed, trials, params, adversary)
-    except (exp.ConfigError, json.JSONDecodeError, OSError) as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
     record = exp.run_trial(cfg, trial_index)
     click.echo(json.dumps(record, indent=2, default=float, sort_keys=True))
 
 
 @main.command()
 @_config_options
-def resources(config_path, scenario, seed, trials, params, adversary):
+def resources(cfg):
     """Print the paper-formula resource counts next to configured overrides."""
-    try:
-        cfg = _load_config(config_path, scenario, seed, trials, params, adversary)
-    except (exp.ConfigError, json.JSONDecodeError, OSError) as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
     table = exp.resource_table(cfg)
     width = max(len(k) for k in table)
     for k, v in table.items():

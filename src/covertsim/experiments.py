@@ -103,10 +103,12 @@ class ExperimentConfig:
                     allowed = allowed(params)
                 raise ConfigError(f"param {key!r} must be {allowed}, got {params[key]!r}")
         strategy = build_adversary(self.adversary)
-        if strategy is not None and strategy.kind not in sc.adversaries:
+        kinds = sc.adversaries(params) if callable(sc.adversaries) else sc.adversaries
+        if strategy is not None and strategy.kind not in kinds:
+            where = " with these params" if callable(sc.adversaries) else ""
             raise ConfigError(
-                f"{self.scenario} does not take the adversary {strategy.kind!r}; "
-                f"it takes: {sorted(sc.adversaries) or 'none'}"
+                f"{self.scenario} does not take the adversary {strategy.kind!r}"
+                f"{where}; it takes: {sorted(kinds) or 'none'}"
             )
         object.__setattr__(self, "strategy", strategy)
 
@@ -294,11 +296,6 @@ def _run_certify(params, strategy, rng) -> dict:
     }
 
 
-def _tapped_phase_oracle(f, strategy):
-    tap = oracles.TapChannel(strategy) if strategy else None
-    return oracles.QuantumChannelOracle(f, "QPh", tap=tap)
-
-
 def _fidelity_on_accept(res: acquire.AcquisitionResult, f) -> float:
     """Product fidelity of the delivered copies with the phase state of f;
     0 when the acquisition rejected."""
@@ -311,7 +308,7 @@ def _fidelity_on_accept(res: acquire.AcquisitionResult, f) -> float:
 def _run_acquire_uni(params, strategy, rng) -> dict:
     n, m = params["n"], params["m"]
     f = bf.random_truth_table(n, rng)
-    oracle = _tapped_phase_oracle(f, strategy)
+    oracle = oracles.QuantumChannelOracle(f, "QPh", strategy)
     mem = oracles.MemOracle(f)
     res = acquire.acquire_unidirectional(
         oracle, mem, n, m, params["eps"], params["delta"], rng,
@@ -331,7 +328,7 @@ def _run_acquire_uni(params, strategy, rng) -> dict:
 def _run_acquire_af(params, strategy, rng) -> dict:
     n, m = params["n"], params["m"]
     f = bf.random_truth_table(n, rng)
-    oracle = _tapped_phase_oracle(f, strategy)
+    oracle = oracles.QuantumChannelOracle(f, "QPh", strategy)
     mem = oracles.MemOracle(f)
     res = acquire.acquire_ancilla_free(
         oracle, mem, n, m, params["eps"], params["delta"],
@@ -403,14 +400,13 @@ def _run_nogo_swap(params, strategy, rng) -> dict:
     n = params["n"]
     s = int(rng.integers(0, 1 << n))
     f = bf.parity_fn(s, n)
-    tap = oracles.TapChannel(adv.swap_attack())
-    oracle = oracles.QuantumChannelOracle(f, "QPh", tap=tap)
+    oracle = oracles.QuantumChannelOracle(f, "QPh", adv.swap_attack())
     mem = oracles.MemOracle(f)
     res = acquire.acquire_unidirectional(
         oracle, mem, n, params["m"], params["eps"], params["delta"], rng,
         n_blocks=params["n_blocks"],
     )
-    learned = [r[1] for r in tap.memory.records if r[0] == "learned_parity"]
+    learned = [r[1] for r in oracle.tap.memory.records if r[0] == "learned_parity"]
     fid = _fidelity_on_accept(res, f)
     return {
         "accepted": res.accepted,
@@ -485,12 +481,30 @@ def _one_of(*values) -> tuple[Callable, str]:
 
 # rule: a confidence or failure probability strictly inside (0, 1)
 _OPEN_UNIT = (lambda v, p: 0 < v < 1, "in (0, 1)")
-_AT_LEAST_ONE = (lambda v, p: v >= 1, "at least 1")
 # rule: a probability, such as the leak rate delta_leak
 _PROBABILITY = (lambda v, p: 0 <= v <= 1, "in [0, 1]")
+# rule: an optional count, null for the paper formula's
+_OPTIONAL_COUNT = (lambda v, p: v is None or v >= 1, "null or at least 1")
+
+
+def _at_least(low: int) -> tuple[Callable, str]:
+    """Rule: a count of at least `low`."""
+    return lambda v, p: v >= low, f"at least {low}"
+
+
+def _min_task_blocks(p: dict) -> int:
+    """Blocks a task's acquisition needs: non-i.i.d. certification compares
+    two blocks; the ancilla-free one certifies a block besides the output."""
+    return 1 if p["ancilla_free"] else 2
+
+
+_TASK_BLOCKS = (lambda v, p: v >= _min_task_blocks(p),
+                lambda p: f"at least {_min_task_blocks(p)}")
 
 # adversary kinds: all of them for a scenario that taps an oracle channel;
-# the ancilla-free model's, those that keep no quantum register
+# only those that keep no quantum register (the ancilla-free model's) when
+# the tapped register is entangled with the learner, which a swap attack
+# cannot steal
 TAPPED = frozenset(adv.KINDS)
 ANCILLA_FREE = frozenset(k for k, cls in adv.KINDS.items() if not cls.quantum_memory)
 
@@ -522,15 +536,16 @@ class Scenario:
     key that `runner` or `resources` reads, which are all the keys a config
     may set. `resources` computes the schedule from the values the runner
     uses; `adversaries` lists the spec kinds it accepts (none: it takes no
-    adversary spec). `rules` maps a param to a test of its value within the
-    full params and the allowed values it states (text, or a function of the
-    full params giving it), checked at construction in order."""
+    adversary spec), or is a function of the full params giving them.
+    `rules` maps a param to a test of its value within the full params and
+    the allowed values it states (text, or a function of the full params
+    giving it), checked at construction in order."""
 
     runner: Callable
     defaults: dict
     description: str
     resources: Callable[[dict], dict]
-    adversaries: frozenset = frozenset()
+    adversaries: frozenset | Callable[[dict], frozenset] = frozenset()
     asserts: Optional[Callable] = None
     rules: dict = field(default_factory=dict)
 
@@ -572,7 +587,7 @@ SCENARIOS: dict[str, Scenario] = {
         {"n": 4, "d": 2, "delta": 0.1, "delta_c": 0.05, "b_c": 1.0, "b_m": 1.0},
         "JL-sketched covert polynomial statistical queries",
         _covert_sq_resources,
-        rules={"delta_c": _OPEN_UNIT},
+        rules={"n": _at_least(1), "d": _at_least(1), "delta_c": _OPEN_UNIT},
     ),
     "shadows-qsq": Scenario(
         _run_shadows,
@@ -586,8 +601,8 @@ SCENARIOS: dict[str, Scenario] = {
             "k": (lambda v, p: 0 <= v <= min(p["n"], covertsq.MAX_LOCALITY),
                   f"in 0..min(n, {covertsq.MAX_LOCALITY})"),
             "delta_p": _OPEN_UNIT,
-            "n_states": _AT_LEAST_ONE,
-            "n_observables": _AT_LEAST_ONE,
+            "n_states": _at_least(1),
+            "n_observables": _at_least(1),
             # last: the shot count needs valid k, delta_p and n_observables
             "tau": (lambda v, p: v > 0 and _shadow_shots(p) <= covertsq.MAX_SHADOW_SHOTS,
                     _shadow_tau_allowed),
@@ -599,9 +614,10 @@ SCENARIOS: dict[str, Scenario] = {
         "shadow-overlap certification dichotomy",
         _certify_resources,
         rules={
+            "n_block": _at_least(1),
             "state": (_certify_state_ok,
                       "'exact', 'zero' or 'flip:<k>' with k <= 2^n_block"),
-            "rounds": (lambda v, p: v is None or v >= 1, "null or at least 1"),
+            "rounds": _OPTIONAL_COUNT,
         },
     ),
     "acquire-uni": Scenario(
@@ -609,8 +625,11 @@ SCENARIOS: dict[str, Scenario] = {
         {"n": 3, "m": 1, "eps": 0.1, "delta": 0.1, "n_blocks": 20,
          "mode": acquire.RANDOMNESS, "bad_below": 0.8},
         "covert verifiable phase states vs unidirectional adversaries",
-        _acquire_uni_resources, TAPPED, _assert_acquire_uni,
-        rules={"mode": _one_of(*acquire.MODES)},
+        _acquire_uni_resources,
+        lambda p: ANCILLA_FREE if p["mode"] == acquire.ENTANGLED else TAPPED,
+        _assert_acquire_uni,
+        rules={"n": _at_least(1), "m": _at_least(1), "n_blocks": _at_least(2),
+               "mode": _one_of(*acquire.MODES)},
     ),
     "acquire-af": Scenario(
         _run_acquire_af,
@@ -619,7 +638,9 @@ SCENARIOS: dict[str, Scenario] = {
         "covert verifiable phase states vs i.i.d. ancilla-free adversaries",
         lambda p: _acquisition_resources(p, p["n"], p["m"], p["eps"], p["delta"], True),
         ANCILLA_FREE,
-        rules={"delta_leak": _PROBABILITY},
+        rules={"n": _at_least(1), "m": _at_least(1),
+               "n_blocks": _OPTIONAL_COUNT,
+               "delta_leak": _PROBABILITY},
     ),
     "forrelation": Scenario(
         _run_forrelation,
@@ -628,8 +649,10 @@ SCENARIOS: dict[str, Scenario] = {
          "base_error": tasks.FORRELATION_BASE_ERROR,
          "n_blocks": acquire.DEFAULT_BLOCKS},
         "covert verifiable Forrelation end to end",
-        _forrelation_resources, TAPPED,
-        rules={"delta_leak": _PROBABILITY},
+        _forrelation_resources,
+        lambda p: ANCILLA_FREE if p["ancilla_free"] else TAPPED,
+        rules={"n": _at_least(1), "copies": _at_least(1), "n_blocks": _TASK_BLOCKS,
+               "delta_leak": _PROBABILITY},
     ),
     "simon": Scenario(
         _run_simon,
@@ -640,14 +663,18 @@ SCENARIOS: dict[str, Scenario] = {
         lambda p: _acquisition_resources(
             p, 2 * p["n"], 1, tasks.SIMON_EPS, p["delta"], p["ancilla_free"]
         ),
-        TAPPED,
-        rules={"delta_leak": _PROBABILITY},
+        # its QMem queries tap a register entangled with the learner's out
+        # register by the kickback CNOTs, in either model
+        ANCILLA_FREE,
+        rules={"n": _at_least(1), "n_blocks": _TASK_BLOCKS,
+               "delta_leak": _PROBABILITY},
     ),
     "nogo-swap": Scenario(
         _run_nogo_swap,
         {"n": 4, "m": 1, "eps": 0.1, "delta": 0.1, "n_blocks": 20},
         "swap-attack impossibility reproduction",
         _acquire_uni_resources,
+        rules={"n": _at_least(1), "m": _at_least(1), "n_blocks": _at_least(2)},
     ),
 }
 

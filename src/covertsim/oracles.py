@@ -457,13 +457,15 @@ class TapChannel:
 
 
 class QuantumChannelOracle:
-    """QPh or QMem oracle whose quantum traffic passes through a tap channel."""
+    """QPh or QMem oracle whose quantum traffic passes through its own tap
+    channel, run by `strategy` (no eavesdropper when None); the adversary's
+    memory is `tap.memory`."""
 
     def __init__(
         self,
         f: BooleanFunction,
         kind: str,
-        tap: Optional[TapChannel] = None,
+        strategy: Optional[adv.Strategy] = None,
         transcript: Optional[Transcript] = None,
         visibility: str = PUBLIC,
     ):
@@ -473,7 +475,7 @@ class QuantumChannelOracle:
             raise ValueError("QPh oracles need width-1 functions")
         self.f = f
         self.kind = kind
-        self.tap = tap or TapChannel()
+        self.tap = TapChannel(strategy)
         self.transcript = transcript
         self.visibility = visibility
         self.count = 0

@@ -21,7 +21,6 @@ from .boolfunc import BooleanFunction, eval_all
 
 PURE_QUBIT_CAP = 24
 MIXED_QUBIT_CAP = 12
-NORM_TOL = 1e-10
 NORM_SQ_TOL = 2e-8  # |norm^2 - 1| a pure state may show
 PSD_FLOOR = -1e-8
 

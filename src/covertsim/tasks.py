@@ -152,6 +152,24 @@ def forrelation_targets(base_error: float) -> tuple[float, float]:
     return base_error**2, 2.0 * base_error
 
 
+def _acquisition(f, kind, adversary, n, m, eps, delta, delta_uni, ancilla_free,
+                 delta_leak, n_blocks, rng):
+    """A round of a covert task: a function of no arguments that acquires m
+    certified copies through one public `kind` oracle on f, tapped by
+    `adversary`, and one private membership oracle on f. It runs ancilla-free
+    at confidence delta against the leak delta_leak, or unidirectional at
+    confidence delta_uni."""
+    oracle = QuantumChannelOracle(f, kind, adversary)
+    mem = MemOracle(f)
+    if ancilla_free:
+        return lambda: acquire.acquire_ancilla_free(
+            oracle, mem, n, m, eps, delta, delta_leak, rng, n_blocks=n_blocks
+        )
+    return lambda: acquire.acquire_unidirectional(
+        oracle, mem, n, m, eps, delta_uni, rng, n_blocks=n_blocks
+    )
+
+
 def covert_forrelation(
     instance: ForrelationInstance,
     rng,
@@ -163,33 +181,22 @@ def covert_forrelation(
     base_error: float = FORRELATION_BASE_ERROR,
     n_blocks: int = acquire.DEFAULT_BLOCKS,
 ) -> acquire.TaskOutcome:
-    """Covert verifiable Forrelation via the amplified unidirectional wrapper
-    or the ancilla-free task wrapper.
+    """Covert verifiable Forrelation: ell amplified unidirectional rounds at
+    confidence delta_A, or one ancilla-free round at confidence delta.
 
     One phase query to h(x, y) = f(x) xor g(y) is a single tapped oracle
     round trip; the padded body makes it one f- and one g-evaluation.
     The acquisitions certify at `forrelation_targets(base_error)`.
     """
-    from .oracles import TapChannel
-
-    n2 = 2 * instance.n
-    h = instance.h()
-    tap = TapChannel(adversary) if adversary is not None else None
-    oracle = QuantumChannelOracle(h, "QPh", tap=tap)
-    mem = MemOracle(h)
     eps_a, delta_a = forrelation_targets(base_error)
-
-    def task(block_copies):
-        return forrelation_decide(block_copies, instance.n, rng)
-
-    if ancilla_free:
-        return acquire.task_ancilla_free(
-            task, oracle, mem, n2, copies, eps_a, delta, delta_leak, rng,
-            n_blocks=n_blocks,
-        )
-    return acquire.amplified_task_unidirectional(
-        task, oracle, mem, n2, copies, eps_a, delta_a, delta, rng,
-        n_blocks=n_blocks,
+    acquire_round = _acquisition(
+        instance.h(), "QPh", adversary, 2 * instance.n, copies, eps_a, delta,
+        delta_a, ancilla_free, delta_leak, n_blocks, rng,
+    )
+    rounds = 1 if ancilla_free else acquire.amplification_rounds(delta, delta_a)
+    return acquire.task_rounds(
+        lambda block_copies: forrelation_decide(block_copies, instance.n, rng),
+        rounds, acquire_round,
     )
 
 
@@ -242,9 +249,6 @@ class CovertSimonOutcome:
     rejected: bool
     decision: Optional[SimonDecision]
     copies_used: int
-    pub_queries: int
-    cert_mem_queries: int
-    decision_mem_queries: int
 
 
 def covert_simon(
@@ -260,45 +264,25 @@ def covert_simon(
     """Covert verifiable Simon: example states are acquired one certified
     copy at a time through the QMem masking, harvested immediately, and the
     run rejects on any failed acquisition."""
-    from .oracles import TapChannel
-
     n = instance.n
-    f = instance.f
     budget = copy_budget if copy_budget is not None else 3 * n
-    tap = TapChannel(adversary) if adversary is not None else None
-    oracle = QuantumChannelOracle(f, "QMem", tap=tap)
-    cert_mem = MemOracle(f)
-    decision_mem = MemOracle(f)
+    acquire_copy = _acquisition(
+        instance.f, "QMem", adversary, n, 1, SIMON_EPS, delta, delta,
+        ancilla_free, delta_leak, n_blocks, rng,
+    )
     harvested: list[int] = []
+    # inconclusive unless the harvest reaches rank n - 1; None on rejection
+    decision = SimonDecision(SIMON_INCONCLUSIVE, None, harvested, 0)
     copies_used = 0
-    for _ in range(budget):
-        if ancilla_free:
-            res = acquire.acquire_ancilla_free(
-                oracle, cert_mem, n, 1, SIMON_EPS, delta, delta_leak, rng,
-                n_blocks=n_blocks,
-            )
-        else:
-            res = acquire.acquire_unidirectional(
-                oracle, cert_mem, n, 1, SIMON_EPS, delta, rng, n_blocks=n_blocks
-            )
-        copies_used += 1
+    for copies_used in range(1, budget + 1):
+        res = acquire_copy()
         if not res.accepted:
-            return CovertSimonOutcome(
-                rejected=True, decision=None, copies_used=copies_used,
-                pub_queries=oracle.count, cert_mem_queries=cert_mem.count,
-                decision_mem_queries=0,
-            )
+            decision = None
+            break
         harvested.append(simon_harvest(res.output[0], n, rng))
         if gf2.rank(harvested, n) == n - 1:
-            decision = simon_decide_from_harvest(harvested, n, decision_mem)
-            return CovertSimonOutcome(
-                rejected=False, decision=decision, copies_used=copies_used,
-                pub_queries=oracle.count, cert_mem_queries=cert_mem.count,
-                decision_mem_queries=decision.decision_mem_queries,
-            )
-    decision = SimonDecision(SIMON_INCONCLUSIVE, None, harvested, 0)
+            decision = simon_decide_from_harvest(harvested, n, MemOracle(instance.f))
+            break
     return CovertSimonOutcome(
-        rejected=False, decision=decision, copies_used=copies_used,
-        pub_queries=oracle.count, cert_mem_queries=cert_mem.count,
-        decision_mem_queries=0,
+        rejected=decision is None, decision=decision, copies_used=copies_used
     )

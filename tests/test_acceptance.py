@@ -26,8 +26,7 @@ def report(criterion, detail, elapsed):
 
 
 def phase_oracle(f, strategy=None):
-    tap = oracles.TapChannel(strategy) if strategy else None
-    return oracles.QuantumChannelOracle(f, "QPh", tap=tap)
+    return oracles.QuantumChannelOracle(f, "QPh", strategy)
 
 
 def test_c01_mask_factorization_exact():
@@ -122,13 +121,12 @@ def test_c04_nogo_swap_attack():
         rng = exp.trial_rng(404, t)
         s = int(rng.integers(0, 1 << n))
         f = bf.parity_fn(s, n)
-        tap = oracles.TapChannel(adv.swap_attack())
-        oracle = oracles.QuantumChannelOracle(f, "QPh", tap=tap)
+        oracle = oracles.QuantumChannelOracle(f, "QPh", adv.swap_attack())
         res = acquire.acquire_unidirectional(
             oracle, oracles.MemOracle(f), n, 1, 0.1, 0.1, rng, n_blocks=20
         )
         accepts += res.accepted
-        recs = [r[1] for r in tap.memory.records if r[0] == "learned_parity"]
+        recs = [r[1] for r in oracle.tap.memory.records if r[0] == "learned_parity"]
         learned += bool(recs and recs[0] == s)
     assert accepts / trials >= 0.99
     assert learned == trials

@@ -10,13 +10,11 @@ from covertsim.gf2 import dot
 
 
 def phase_oracle(f, strategy=None):
-    tap = oracles.TapChannel(strategy) if strategy else None
-    return oracles.QuantumChannelOracle(f, "QPh", tap=tap)
+    return oracles.QuantumChannelOracle(f, "QPh", strategy)
 
 
 def qmem_oracle(f, strategy=None):
-    tap = oracles.TapChannel(strategy) if strategy else None
-    return oracles.QuantumChannelOracle(f, "QMem", tap=tap)
+    return oracles.QuantumChannelOracle(f, "QMem", strategy)
 
 
 class TestMaskedQueries:
@@ -221,6 +219,18 @@ class TestAmplifiedTask:
 
         return task
 
+    @classmethod
+    def amplified_rounds(cls, n, oracle, mem, rng):
+        """ell unidirectional rounds (delta_A = 0.1, delta = 0.1) of the
+        parity-vs-constant task on one copy each."""
+        return acquire.task_rounds(
+            cls.parity_vs_constant_task(n),
+            acquire.amplification_rounds(0.1, 0.1),
+            lambda: acquire.acquire_unidirectional(
+                oracle, mem, n, 1, 0.1, 0.1, rng, n_blocks=8
+            ),
+        )
+
     def test_round_formula(self):
         assert acquire.amplification_rounds(0.05, 0.1) == math.ceil(
             2 * math.log(20) / 0.36
@@ -233,10 +243,7 @@ class TestAmplifiedTask:
         rng = np.random.default_rng(11)
         n = 2
         f = bf.parity_fn(0b11, n)
-        out = acquire.amplified_task_unidirectional(
-            self.parity_vs_constant_task(n), phase_oracle(f), oracles.MemOracle(f),
-            n, 1, eps_a=0.1, delta_a=0.1, delta=0.1, rng=rng, n_blocks=8,
-        )
+        out = self.amplified_rounds(n, phase_oracle(f), oracles.MemOracle(f), rng)
         assert not out.rejected
         assert out.answer == 1
         assert out.rounds == acquire.amplification_rounds(0.1, 0.1)
@@ -246,10 +253,7 @@ class TestAmplifiedTask:
         n = 2
         f = bf.parity_fn(0b01, n)
         oracle = phase_oracle(f, adv.replace_zero())
-        out = acquire.amplified_task_unidirectional(
-            self.parity_vs_constant_task(n), oracle, oracles.MemOracle(f),
-            n, 1, eps_a=0.1, delta_a=0.1, delta=0.1, rng=rng, n_blocks=8,
-        )
+        out = self.amplified_rounds(n, oracle, oracles.MemOracle(f), rng)
         assert out.rejected
 
 

@@ -8,12 +8,11 @@ from covertsim import oracles, qsim
 
 def masked_query_roundtrip(f, n, strategy, rng):
     """One randomness-masked phase query through a tapped oracle."""
-    tap = oracles.TapChannel(strategy)
-    oracle = oracles.QuantumChannelOracle(f, "QPh", tap=tap)
+    oracle = oracles.QuantumChannelOracle(f, "QPh", strategy)
     r = int(rng.integers(0, 1 << n))
     sent = qsim.apply_z_mask(qsim.uniform_state(n), r, range(n))
     got = oracle.query(sent, list(range(n)), rng=rng)
-    return qsim.apply_z_mask(got, r, range(n)), tap
+    return qsim.apply_z_mask(got, r, range(n)), oracle.tap
 
 
 class TestKinds:
@@ -62,8 +61,7 @@ class TestTaps:
         rng = np.random.default_rng(2)
         f = bf.random_truth_table(2, rng)
         repl = qsim.basis_state(2, 0)
-        tap = oracles.TapChannel(adv.replace_zero())
-        oracle = oracles.QuantumChannelOracle(f, "QPh", tap=tap)
+        oracle = oracles.QuantumChannelOracle(f, "QPh", adv.replace_zero())
         out = oracle.query(qsim.uniform_state(2), [0, 1], rng=rng)
         assert qsim.states_equal(out, repl, 1e-12)
 
@@ -139,14 +137,13 @@ class TestSwapAttack:
         for _ in range(20):
             s = int(rng.integers(0, 1 << n))
             f = bf.parity_fn(s, n)
-            tap = oracles.TapChannel(adv.swap_attack())
-            oracle = oracles.QuantumChannelOracle(f, "QPh", tap=tap)
+            oracle = oracles.QuantumChannelOracle(f, "QPh", adv.swap_attack())
             r = int(rng.integers(0, 1 << n))
             sent = qsim.apply_z_mask(qsim.uniform_state(n), r, range(n))
             got = oracle.query(sent, list(range(n)), rng=rng)
             unmasked = qsim.apply_z_mask(got, r, range(n))
             # adversary learned s exactly
-            assert tap.memory.records[0] == ("learned_parity", s)
+            assert oracle.tap.memory.records[0] == ("learned_parity", s)
             # learner's view is bit-identical to a no-adversary run
             assert qsim.states_equal(unmasked, qsim.prepare_phase_state(f), 1e-12)
             # subsequent queries pass through (oracle already learned)
@@ -216,10 +213,9 @@ class TestSwapAttackInformation:
         joint_counts = {}
         for s in range(1 << n):
             f = bf.parity_fn(s, n)
-            tap = oracles.TapChannel(adv.swap_attack())
-            oracle = oracles.QuantumChannelOracle(f, "QPh", tap=tap)
+            oracle = oracles.QuantumChannelOracle(f, "QPh", adv.swap_attack())
             acquire.masked_query_phase_randomness(oracle, n, rng)
-            rec = [r[1] for r in tap.memory.records if r[0] == "learned_parity"][0]
+            rec = [r[1] for r in oracle.tap.memory.records if r[0] == "learned_parity"][0]
             joint_counts[(s, rec)] = joint_counts.get((s, rec), 0) + 1
         # uniform prior over 2^n parities; record = s with probability 1
         total = sum(joint_counts.values())

@@ -108,6 +108,31 @@ class TestConfig:
         ("shadows-qsq", {"n": 0}, False),
         ("shadows-qsq", {"n": oracles.PAULI_TABLE_QUBIT_CAP + 1}, False),
         ("shadows-qsq", {"n": oracles.PAULI_TABLE_QUBIT_CAP}, True),
+        ("acquire-uni", {"m": 0}, False),
+        ("acquire-uni", {"n": 0}, False),
+        ("acquire-uni", {"n_blocks": 1}, False),
+        ("acquire-uni", {"n_blocks": 2}, True),
+        ("acquire-af", {"m": 0}, False),
+        ("acquire-af", {"n": 0}, False),
+        ("acquire-af", {"n_blocks": 0}, False),
+        ("acquire-af", {"n_blocks": 1}, True),
+        ("forrelation", {"copies": 0}, False),
+        ("forrelation", {"n": 0}, False),
+        ("forrelation", {"n_blocks": 1}, False),
+        ("forrelation", {"ancilla_free": True, "n_blocks": 1}, True),
+        ("forrelation", {"ancilla_free": True, "n_blocks": 0}, False),
+        ("simon", {"n": 0}, False),
+        ("simon", {"n_blocks": 1}, False),
+        ("simon", {"ancilla_free": True, "n_blocks": 1}, True),
+        ("nogo-swap", {"n_blocks": 0}, False),
+        ("nogo-swap", {"n_blocks": 1}, False),
+        ("nogo-swap", {"m": 0}, False),
+        ("nogo-swap", {"n": 0}, False),
+        ("certify", {"n_block": 0}, False),
+        ("covert-sq", {"d": -1}, False),
+        ("covert-sq", {"d": 0}, False),
+        ("covert-sq", {"n": 0}, False),
+        ("covert-sq", {"n": 1, "d": 1}, True),
     ])
     def test_param_rules(self, scenario, params, ok):
         d = {"scenario": scenario, "params": params}
@@ -151,6 +176,22 @@ class TestConfig:
 
     def test_ancilla_free_scenarios_take_the_kinds_without_quantum_memory(self):
         assert exp.SCENARIOS["acquire-af"].adversaries == set(adv.KINDS) - {"swap_attack"}
+
+    @pytest.mark.parametrize("scenario, params, takes_swap", [
+        ("acquire-uni", {}, True),
+        ("acquire-uni", {"mode": "entangled"}, False),
+        ("forrelation", {}, True),
+        ("forrelation", {"ancilla_free": True}, False),
+        ("simon", {}, False),
+        ("simon", {"ancilla_free": True}, False),
+    ])
+    def test_swap_attack_needs_a_product_register(self, scenario, params, takes_swap):
+        d = {"scenario": scenario, "params": params, "adversary": {"kind": "swap_attack"}}
+        if takes_swap:
+            exp.ExperimentConfig.from_dict(d)
+        else:
+            with pytest.raises(exp.ConfigError, match="'swap_attack'"):
+                exp.ExperimentConfig.from_dict(d)
 
     @pytest.mark.parametrize("spec, needle", [
         ({"kind": "depolarize"}, "'p'"),
@@ -279,6 +320,37 @@ def test_resource_table_is_the_schedule_of_the_run(monkeypatch, scenario, params
         assert res.blocks_used == table["cert_blocks"] + iid
 
 
+# every masking mode of each scenario that takes an adversary spec
+TAPPING = [
+    ("acquire-uni", {"n": 2, "n_blocks": 2}),
+    ("acquire-uni", {"n": 2, "n_blocks": 2, "mode": "entangled"}),
+    ("acquire-af", {"n": 2, "n_blocks": 2}),
+    ("forrelation", {"n": 2, "copies": 3, "n_blocks": 2}),
+    ("forrelation", {"n": 2, "copies": 3, "n_blocks": 2, "ancilla_free": True}),
+    ("simon", {"n": 2, "n_blocks": 2}),
+    ("simon", {"n": 2, "n_blocks": 2, "ancilla_free": True}),
+]
+
+
+def _spec(kind: str) -> dict:
+    """A spec of the kind, each required field (a probability) at 1/2."""
+    required = [f.name for f in dataclasses.fields(adv.KINDS[kind])
+                if f.default is dataclasses.MISSING]
+    return {"kind": kind, **{name: 0.5 for name in required}}
+
+
+@pytest.mark.parametrize("kind", sorted(adv.KINDS))
+@pytest.mark.parametrize("scenario, params", TAPPING)
+def test_every_accepted_kind_runs_a_trial(scenario, params, kind):
+    d = {"scenario": scenario, "params": params, "adversary": _spec(kind), "seed": 5}
+    try:
+        cfg = exp.ExperimentConfig.from_dict(d)
+    except exp.ConfigError as e:
+        assert f"does not take the adversary {kind!r}" in str(e)
+        return
+    assert exp.run_trial(cfg, 0)["trial"] == 0
+
+
 def test_forrelation_trial_keeps_one_call_per_query(monkeypatch):
     # the per-query boundary of one honest forrelation trial: 6 rounds of
     # 20 blocks x 201 copies, 19 measured blocks per round, 2 view queries
@@ -305,6 +377,9 @@ def test_forrelation_trial_keeps_one_call_per_query(monkeypatch):
 
 
 class TestCli:
+    # the flags that make each command run (at most) one trial
+    ONE_TRIAL = {"run": ("--trials", "1"), "replay": ("--trial", "0"), "resources": ()}
+
     def run_cli(self, *args):
         return subprocess.run(
             [sys.executable, "-m", "covertsim.cli", *args],
@@ -383,23 +458,50 @@ class TestCli:
         ("shadows-qsq", "k=5"),
         ("shadows-qsq", "n=9"),
     ])
-    @pytest.mark.parametrize("command", ["run", "resources"])
+    @pytest.mark.parametrize("command", ["run", "resources", "replay"])
     def test_param_rule_exit_code(self, command, scenario, param):
         out = self.run_cli(command, "--scenario", scenario, "--param", param,
-                           *(("--trials", "1") if command == "run" else ()))
+                           *self.ONE_TRIAL[command])
         assert out.returncode == 2
         assert repr(param.split("=")[0]) in out.stderr and "must be" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("args, field", [
+        ("acquire-uni --param m=0", "'m'"),
+        ("acquire-uni --param n=0", "'n'"),
+        ("acquire-uni --param n_blocks=1", "'n_blocks'"),
+        ("acquire-af --param m=0", "'m'"),
+        ("acquire-af --param n_blocks=0", "'n_blocks'"),
+        ("forrelation --param copies=0", "'copies'"),
+        ("forrelation --param n=0", "'n'"),
+        ("forrelation --param n_blocks=1", "'n_blocks'"),
+        ("simon --param n=0", "'n'"),
+        ("simon --param n_blocks=1", "'n_blocks'"),
+        ("nogo-swap --param n_blocks=0", "'n_blocks'"),
+        ("certify --param n_block=0", "'n_block'"),
+        ("covert-sq --param d=-1", "'d'"),
+        ("covert-sq --param n=0", "'n'"),
+        ('simon --adversary {"kind":"swap_attack"}', "'swap_attack'"),
+        ('acquire-uni --param mode=entangled --adversary {"kind":"swap_attack"}',
+         "'swap_attack'"),
+        ("forrelation --param ancilla_free=true --param copies=3 --param n_blocks=2"
+         ' --adversary {"kind":"swap_attack"}', "'swap_attack'"),
+    ])
+    def test_count_bound_and_swap_attack_exit_code(self, args, field):
+        out = self.run_cli("run", "--trials", "1", "--scenario", *args.split())
+        assert out.returncode == 2, out.stderr
+        assert field in out.stderr
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("scenario, context, param", [
         ("parity", "n=4", "delta_p=0.01"),  # k = ceil(log2(100)) = 7 >= n
         ("shadows-qsq", "n=2", "k=3"),
     ])
-    @pytest.mark.parametrize("command", ["run", "resources"])
+    @pytest.mark.parametrize("command", ["run", "resources", "replay"])
     def test_rule_across_params_exit_code(self, command, scenario, context, param):
         out = self.run_cli(command, "--scenario", scenario,
                            "--param", context, "--param", param,
-                           *(("--trials", "1") if command == "run" else ()))
+                           *self.ONE_TRIAL[command])
         assert out.returncode == 2
         assert repr(param.split("=")[0]) in out.stderr and "must be" in out.stderr
         assert "Traceback" not in out.stderr
@@ -437,11 +539,11 @@ class TestCli:
         ("forrelation", "--param", "delta_leak=3", "'delta_leak'"),
         ("simon", "--param", "delta_leak=-0.5", "'delta_leak'"),
     ])
-    @pytest.mark.parametrize("command", ["run", "resources"])
+    @pytest.mark.parametrize("command", ["run", "resources", "replay"])
     def test_out_of_range_or_unknown_field_exit_code(self, command, scenario, flag,
                                                      value, field):
         out = self.run_cli(command, "--scenario", scenario, flag, value,
-                           *(("--trials", "1") if command == "run" else ()))
+                           *self.ONE_TRIAL[command])
         assert out.returncode == 2, out.stderr
         assert field in out.stderr
         assert "Traceback" not in out.stderr

@@ -78,8 +78,7 @@ def results_digest(results) -> str:
 
 
 def _oracle(f, kind, strategy=None):
-    tap = oracles.TapChannel(strategy) if strategy else None
-    return oracles.QuantumChannelOracle(f, kind, tap=tap)
+    return oracles.QuantumChannelOracle(f, kind, strategy)
 
 
 # acquisition paths no shipped config reaches; seeds and sizes as in

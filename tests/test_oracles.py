@@ -300,8 +300,7 @@ class TestQuantumChannelOracle:
     def test_replace_tap_forces_response(self):
         rng = np.random.default_rng(17)
         f = bf.random_truth_table(2, rng)
-        tap = oracles.TapChannel(adv.replace_zero())
-        oracle = oracles.QuantumChannelOracle(f, "QPh", tap=tap)
+        oracle = oracles.QuantumChannelOracle(f, "QPh", adv.replace_zero())
         out = oracle.query(qsim.uniform_state(2), [0, 1], rng=rng)
         assert qsim.states_equal(out, qsim.basis_state(2, 0), 1e-12)
 
