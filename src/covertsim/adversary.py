@@ -26,11 +26,11 @@ from .qsim import MixedState, PureState
 
 
 class TapMemory:
-    """Per-trial adversary memory: classical records plus the optional
-    quantum register (swap attack only)."""
+    """Per-trial adversary memory: the adversary-visible event log, one
+    event per tap action with what it measured, plus the optional quantum
+    register (swap attack only)."""
 
     def __init__(self):
-        self.records: list = []
         self.quantum: Optional[PureState] = None
         self.learned_fn: Optional[BooleanFunction] = None
         self.round = 0
@@ -117,7 +117,6 @@ class measure_z(Strategy):
 
     def response_tap(self, state, qubits, memory, rng):
         outcome, post = qsim.measure_qubits(state, list(qubits), "Z", rng)
-        memory.records.append(("z_outcome", outcome))
         memory.events.append({"round": memory.round, "action": "measured_z", "outcome": outcome})
         return post
 
@@ -157,7 +156,6 @@ class swap_attack(Strategy):
         s_hat, _ = qsim.measure_qubits(
             qsim.apply_hadamards(sub, range(n_reg)), list(range(n_reg)), "Z", rng
         )
-        memory.records.append(("learned_parity", s_hat))
         memory.learned_fn = parity_fn(s_hat, n_reg)
         memory.events.append({"round": memory.round, "action": "bv_readout", "s_hat": s_hat})
         # simulate the oracle on the stored learner state and forward it
@@ -181,14 +179,12 @@ class ancilla_free(Strategy):
         if not memory.extracting:
             return state
         bit, post = qsim.measure_qubits(state, [qubits[0]], "X", rng)
-        memory.records.append(("pre_oracle_x", bit))
         memory.events.append({"round": memory.round, "action": "pre_measure", "bit": bit})
         return post
 
     def response_tap(self, state, qubits, memory, rng):
         if memory.extracting and self.extract_post:
             bits, post = qsim.measure_qubits(state, list(qubits), "X", rng)
-            memory.records.append(("post_oracle_x", bits))
             memory.events.append({"round": memory.round, "action": "post_measure", "bits": bits})
             return post
         return state

@@ -64,9 +64,6 @@ class SimonFunction:
     s: int
     labels: tuple[int, ...]
 
-    # rank lookup built lazily per instance
-    _rank: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
-
 
 Body = Union[TruthTable, Parity, Quadratic, PaddedXor, TensorPower, SimonFunction]
 
@@ -138,15 +135,13 @@ def evaluate(f: BooleanFunction, x: int) -> int:
             x >>= b.f.n
         return acc
     if isinstance(b, SimonFunction):
-        rep = x if b.s == 0 else min(x, x ^ b.s)
-        if not b._rank:
-            reps = (
-                range(1 << f.n)
-                if b.s == 0
-                else [v for v in range(1 << f.n) if v <= (v ^ b.s)]
-            )
-            b._rank.update({v: i for i, v in enumerate(reps)})
-        return b.labels[b._rank[rep]]
+        if b.s == 0:
+            return b.labels[x]
+        # the representatives are the x whose bit h, the top bit of s, is 0,
+        # and a representative's rank is itself with bit h removed
+        h = b.s.bit_length() - 1
+        rep = x ^ b.s if x >> h & 1 else x
+        return b.labels[(rep >> (h + 1) << h) | (rep & ((1 << h) - 1))]
     raise TypeError(f"unknown body {type(b)}")
 
 

@@ -191,13 +191,7 @@ def covert_quadratic_learn(
     diagonal. The public transcript carries no diagonal information.
     """
     m_pub = quadratic_public_budget(n, delta_c)
-    copy = pub_qmeasex.state()
-    outcomes = []
-    for _ in range(m_pub):
-        joint = qsim.tensor(copy, copy)
-        y, z, b = qsim.bell_sample_example_pair(joint, n, rng)
-        pub_qmeasex.count += 2  # two-copy POVM weighting
-        outcomes.append((y, z, b))
+    outcomes = [pub_qmeasex.bell_sample(rng) for _ in range(m_pub)]
     kept = [(y, z) for y, z, b in outcomes if b == (1, 1)]
     if gf2.rank([y for y, _ in kept], n) < n:
         return QuadraticLearnResult(

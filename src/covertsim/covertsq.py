@@ -123,7 +123,10 @@ def _build_plan(
     ]
     scales = 2.0 * bounds
     shifts = -bounds
-    taus = tau_e / scales
+    # a row with a tiny L1 norm would get a tolerance of 1 or more, which no
+    # oracle takes; at 1/2 (the answer 1/2 is within it of any value in
+    # [0, 1]) the decoded error scale * tau stays within tau_e
+    taus = np.minimum(tau_e / scales, 0.5)
     projected = None if coeffs is None else projection @ coeffs
     return SketchPlan(
         n=n, degree=d, basis=basis, m_e=m_e, tau_e=tau_e, b_c=b_c, b_m=b_m,

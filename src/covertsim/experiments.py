@@ -233,7 +233,7 @@ def _run_covert_sq(params, strategy, rng) -> dict:
     plan = covertsq.sketch_encode(
         c, n, d, delta, params["delta_c"], params["b_c"], params["b_m"], rng
     )
-    oracle = oracles.SqOracle(bf.constant_fn(n), policy=oracles.GRID)
+    oracle = oracles.SqOracle(bf.constant_fn(n), policy=oracles.GRID, visibility=oracles.PUBLIC)
     est = covertsq.run_sketched_query(plan, oracle)
     truth = float(c @ covertsq.exact_moment_vector(n, d))
     return {
@@ -406,7 +406,7 @@ def _run_nogo_swap(params, strategy, rng) -> dict:
         oracle, mem, n, params["m"], params["eps"], params["delta"], rng,
         n_blocks=params["n_blocks"],
     )
-    learned = [r[1] for r in oracle.tap.memory.records if r[0] == "learned_parity"]
+    learned = [e["s_hat"] for e in oracle.tap.memory.events if e["action"] == "bv_readout"]
     fid = _fidelity_on_accept(res, f)
     return {
         "accepted": res.accepted,
@@ -479,8 +479,11 @@ def _one_of(*values) -> tuple[Callable, str]:
     return lambda v, p: v in values, "one of " + ", ".join(map(repr, values))
 
 
-# rule: a confidence or failure probability strictly inside (0, 1)
+# rule: an accuracy, or a confidence or failure probability, strictly
+# inside (0, 1)
 _OPEN_UNIT = (lambda v, p: 0 < v < 1, "in (0, 1)")
+# rule: a target error or a norm bound, such as covert-sq's delta and b_c
+_POSITIVE = (lambda v, p: v > 0, "positive")
 # rule: a probability, such as the leak rate delta_leak
 _PROBABILITY = (lambda v, p: 0 <= v <= 1, "in [0, 1]")
 # rule: an optional count, null for the paper formula's
@@ -500,6 +503,11 @@ def _min_task_blocks(p: dict) -> int:
 
 _TASK_BLOCKS = (lambda v, p: v >= _min_task_blocks(p),
                 lambda p: f"at least {_min_task_blocks(p)}")
+
+# rule: forrelation's base decision error; amplified unidirectional rounds
+# need the task confidence delta_A = 2 * base_error below 1/4
+_BASE_ERROR = (lambda v, p: v > 0 and (p["ancilla_free"] or v < 1 / 8),
+               lambda p: "positive" if p["ancilla_free"] else "in (0, 1/8)")
 
 # adversary kinds: all of them for a scenario that taps an oracle channel;
 # only those that keep no quantum register (the ancilla-free model's) when
@@ -580,14 +588,16 @@ SCENARIOS: dict[str, Scenario] = {
             "m_pub_bell_pairs": covertex.quadratic_public_budget(p["n"], p["delta_c"]),
             "m_pri": p["n"],
         },
-        rules={"qsq_policy": _one_of(*oracles.POLICIES), "delta_c": _OPEN_UNIT},
+        rules={"n": _at_least(1), "qsq_policy": _one_of(*oracles.POLICIES),
+               "delta_c": _OPEN_UNIT},
     ),
     "covert-sq": Scenario(
         _run_covert_sq,
         {"n": 4, "d": 2, "delta": 0.1, "delta_c": 0.05, "b_c": 1.0, "b_m": 1.0},
         "JL-sketched covert polynomial statistical queries",
         _covert_sq_resources,
-        rules={"n": _at_least(1), "d": _at_least(1), "delta_c": _OPEN_UNIT},
+        rules={"n": _at_least(1), "d": _at_least(1), "delta": _POSITIVE,
+               "delta_c": _OPEN_UNIT, "b_c": _POSITIVE, "b_m": _POSITIVE},
     ),
     "shadows-qsq": Scenario(
         _run_shadows,
@@ -615,6 +625,8 @@ SCENARIOS: dict[str, Scenario] = {
         _certify_resources,
         rules={
             "n_block": _at_least(1),
+            "eps": _OPEN_UNIT,
+            "delta": _OPEN_UNIT,
             "state": (_certify_state_ok,
                       "'exact', 'zero' or 'flip:<k>' with k <= 2^n_block"),
             "rounds": _OPTIONAL_COUNT,
@@ -628,7 +640,8 @@ SCENARIOS: dict[str, Scenario] = {
         _acquire_uni_resources,
         lambda p: ANCILLA_FREE if p["mode"] == acquire.ENTANGLED else TAPPED,
         _assert_acquire_uni,
-        rules={"n": _at_least(1), "m": _at_least(1), "n_blocks": _at_least(2),
+        rules={"n": _at_least(1), "m": _at_least(1), "eps": _OPEN_UNIT,
+               "delta": _OPEN_UNIT, "n_blocks": _at_least(2),
                "mode": _one_of(*acquire.MODES)},
     ),
     "acquire-af": Scenario(
@@ -638,8 +651,8 @@ SCENARIOS: dict[str, Scenario] = {
         "covert verifiable phase states vs i.i.d. ancilla-free adversaries",
         lambda p: _acquisition_resources(p, p["n"], p["m"], p["eps"], p["delta"], True),
         ANCILLA_FREE,
-        rules={"n": _at_least(1), "m": _at_least(1),
-               "n_blocks": _OPTIONAL_COUNT,
+        rules={"n": _at_least(1), "m": _at_least(1), "eps": _OPEN_UNIT,
+               "delta": _OPEN_UNIT, "n_blocks": _OPTIONAL_COUNT,
                "delta_leak": _PROBABILITY},
     ),
     "forrelation": Scenario(
@@ -651,7 +664,10 @@ SCENARIOS: dict[str, Scenario] = {
         "covert verifiable Forrelation end to end",
         _forrelation_resources,
         lambda p: ANCILLA_FREE if p["ancilla_free"] else TAPPED,
-        rules={"n": _at_least(1), "copies": _at_least(1), "n_blocks": _TASK_BLOCKS,
+        rules={"n": (lambda v, p: 1 <= v <= tasks.FORRELATION_MAX_N,
+                     f"in 1..{tasks.FORRELATION_MAX_N}"),
+               "delta": _OPEN_UNIT, "copies": _at_least(1),
+               "base_error": _BASE_ERROR, "n_blocks": _TASK_BLOCKS,
                "delta_leak": _PROBABILITY},
     ),
     "simon": Scenario(
@@ -666,7 +682,8 @@ SCENARIOS: dict[str, Scenario] = {
         # its QMem queries tap a register entangled with the learner's out
         # register by the kickback CNOTs, in either model
         ANCILLA_FREE,
-        rules={"n": _at_least(1), "n_blocks": _TASK_BLOCKS,
+        rules={"n": _at_least(1), "delta": _OPEN_UNIT,
+               "copy_budget": _OPTIONAL_COUNT, "n_blocks": _TASK_BLOCKS,
                "delta_leak": _PROBABILITY},
     ),
     "nogo-swap": Scenario(
@@ -674,7 +691,8 @@ SCENARIOS: dict[str, Scenario] = {
         {"n": 4, "m": 1, "eps": 0.1, "delta": 0.1, "n_blocks": 20},
         "swap-attack impossibility reproduction",
         _acquire_uni_resources,
-        rules={"n": _at_least(1), "m": _at_least(1), "n_blocks": _at_least(2)},
+        rules={"n": _at_least(1), "m": _at_least(1), "eps": _OPEN_UNIT,
+               "delta": _OPEN_UNIT, "n_blocks": _at_least(2)},
     ),
 }
 

@@ -2,8 +2,10 @@
 quantum-channel oracles, with query counting, tolerance policies, and tap
 points for adversaries on the quantum channels.
 
-Statistical oracles always compute the exact underlying quantity alongside
-the emitted answer and check the tolerance contract |v - exact| <= tau.
+Every oracle derives from `Oracle`, which counts its answers and logs each
+one, under the oracle's kind, to an attached transcript. Statistical oracles
+always compute the exact underlying quantity alongside the emitted answer
+and check the tolerance contract |v - exact| <= tau.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import adversary as adv
 from . import qsim
-from .boolfunc import BooleanFunction, eval_all, evaluate
+from .boolfunc import BooleanFunction, Parity, eval_all, evaluate, quadratic_fn, truth_table
 from .gf2 import dot
 from .qsim import PureState
 
@@ -53,6 +55,25 @@ class Transcript:
         return "\n".join(json.dumps(e, default=str) for e in self.events)
 
 
+class Oracle:
+    """Base of every oracle: `count` answers (an m-copy measurement counts
+    m) and, when a transcript is attached, log each answer with the oracle's
+    `kind` and `visibility`. A query bumps `count` and tests `transcript`
+    itself, so an unlogged query builds no payload."""
+
+    kind = ""
+
+    def __init__(self, transcript: Optional[Transcript], visibility: str):
+        self.transcript = transcript
+        self.visibility = visibility
+        self.count = 0
+
+    def _log(self, payload: dict, direction: str = "response") -> None:
+        self.transcript.log(
+            self.kind, self.visibility, direction, payload, {self.kind: self.count}
+        )
+
+
 # --- answer policies ---------------------------------------------------------
 
 EXACT = "exact"
@@ -81,21 +102,11 @@ def _policy_answer(policy: str, truth: float, tau: float, rng) -> float:
 # --- SQ queries --------------------------------------------------------------
 
 
-class SqQuery:
-    """A statistical query; subclasses know their exact expectation."""
-
-    def exact_expectation(self, f: BooleanFunction) -> float:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        raise NotImplementedError
-
-
 _MOMENT_CACHE: dict[tuple[int, ...], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
-class PolynomialSqQuery(SqQuery):
+class PolynomialSqQuery:
     """Multilinear polynomial over the input bits, q(x) = sum_k c_k prod_{i in S_k} x_i.
 
     Label-independent; the exact expectation under uniform inputs is the
@@ -117,7 +128,7 @@ class PolynomialSqQuery(SqQuery):
 
 
 @dataclass(frozen=True)
-class ParityPairSqQuery(SqQuery):
+class ParityPairSqQuery:
     """Tournament query q_{t1,t2}(x, y) = 1[t1·x != t2·x] * 1[t1·x = y]."""
 
     t1: int
@@ -125,8 +136,6 @@ class ParityPairSqQuery(SqQuery):
 
     def exact_expectation(self, f: BooleanFunction) -> float:
         body = f.body
-        from .boolfunc import Parity
-
         if isinstance(body, Parity):
             u = self.t1 ^ self.t2
             v = self.t1 ^ body.s
@@ -149,8 +158,11 @@ class ParityPairSqQuery(SqQuery):
         return {"query": "parity_pair", "t1": self.t1, "t2": self.t2}
 
 
-class SqOracle:
-    """Classical statistical query oracle with a tolerance policy."""
+class SqOracle(Oracle):
+    """Classical statistical query oracle with a tolerance policy. A query
+    is any object with `exact_expectation(f)` and `describe()`."""
+
+    kind = "SQ"
 
     def __init__(
         self,
@@ -160,25 +172,19 @@ class SqOracle:
         transcript: Optional[Transcript] = None,
         visibility: str = PRIVATE,
     ):
+        super().__init__(transcript, visibility)
         self.f = f
         self.policy = policy
         self.rng = rng
-        self.transcript = transcript
-        self.visibility = visibility
-        self.count = 0
 
-    def query(self, q: SqQuery, tau: float) -> float:
+    def query(self, q, tau: float) -> float:
         if not 0.0 < tau < 1.0:
             raise ValueError("tolerance must lie in (0, 1)")
         truth = q.exact_expectation(self.f)
         v = _policy_answer(self.policy, truth, tau, self.rng)
         self.count += 1
         if self.transcript is not None:
-            self.transcript.log(
-                "SQ", self.visibility, "response",
-                {**q.describe(), "tau": tau, "answer": v},
-                {"sq": self.count},
-            )
+            self._log({**q.describe(), "tau": tau, "answer": v})
         return v
 
 
@@ -194,6 +200,11 @@ class InfluenceQuery:
     i: int
     offdiag_rows: Optional[tuple[int, ...]] = None
 
+    def exact_expectation(self, f: BooleanFunction) -> float:
+        if self.offdiag_rows is not None:
+            f = _xor_quadratic(f, self.offdiag_rows)
+        return influence_exact(f, self.i)
+
     def describe(self):
         return {"query": "influence", "i": self.i, "corrected": self.offdiag_rows is not None}
 
@@ -205,100 +216,62 @@ def influence_exact(f: BooleanFunction, i: int) -> float:
     return float(np.mean(table[xs] != table[xs ^ np.uint64(1 << i)]))
 
 
-class QsqOracle:
-    """Quantum statistical query oracle on the example state of a width-1
-    function f. Influence queries are evaluated against f exactly."""
-
-    def __init__(
-        self,
-        f: BooleanFunction,
-        policy: str = GRID,
-        rng=None,
-        transcript: Optional[Transcript] = None,
-        visibility: str = PRIVATE,
-    ):
-        if f.w != 1:
-            raise ValueError("QSQ oracles take a width-1 f")
-        self.f = f
-        self.policy = policy
-        self.rng = rng
-        self.transcript = transcript
-        self.visibility = visibility
-        self.count = 0
-
-    def exact_value(self, obs: InfluenceQuery) -> float:
-        f = self.f
-        if obs.offdiag_rows is not None:
-            f = _xor_quadratic(f, obs.offdiag_rows)
-        return influence_exact(f, obs.i)
-
-    def query(self, obs: InfluenceQuery, tau: float) -> float:
-        if not 0.0 < tau < 1.0:
-            raise ValueError("tolerance must lie in (0, 1)")
-        truth = self.exact_value(obs)
-        v = _policy_answer(self.policy, truth, tau, self.rng)
-        self.count += 1
-        if self.transcript is not None:
-            self.transcript.log(
-                "QSQ", self.visibility, "response",
-                {**obs.describe(), "tau": tau, "answer": v},
-                {"qsq": self.count},
-            )
-        return v
-
-
 def _xor_quadratic(f: BooleanFunction, offdiag_rows: Sequence[int]) -> BooleanFunction:
     """x -> f(x) xor sum_{i<j} x_i A_ij x_j as a truth table."""
-    from .boolfunc import quadratic_fn, truth_table
-
     q = quadratic_fn(tuple(offdiag_rows), f.n)
     tf = eval_all(f)
     tq = eval_all(q)
     return truth_table([int(a ^ b) for a, b in zip(tf, tq)], w=1)
 
 
+class QsqOracle(SqOracle):
+    """Quantum statistical query oracle on the example state of a width-1
+    function f. Influence queries are evaluated against f exactly."""
+
+    kind = "QSQ"
+
+    def __init__(self, f: BooleanFunction, *args, **kwargs):
+        if f.w != 1:
+            raise ValueError("QSQ oracles take a width-1 f")
+        super().__init__(f, *args, **kwargs)
+
+
 # --- example / membership ----------------------------------------------------
 
 
-class ExOracle:
+class ExOracle(Oracle):
     """Random example oracle: uniform x with its label; logged publicly."""
 
+    kind = "Ex"
+
     def __init__(self, f: BooleanFunction, rng, transcript=None, visibility=PUBLIC):
+        super().__init__(transcript, visibility)
         self.f = f
         self.rng = rng
-        self.transcript = transcript
-        self.visibility = visibility
-        self.count = 0
 
     def sample(self) -> tuple[int, int]:
         x = int(self.rng.integers(0, 1 << self.f.n))
         y = evaluate(self.f, x)
         self.count += 1
         if self.transcript is not None:
-            self.transcript.log(
-                "Ex", self.visibility, "response",
-                {"x": x, "y": y}, {"ex": self.count},
-            )
+            self._log({"x": x, "y": y})
         return x, y
 
 
-class MemOracle:
+class MemOracle(Oracle):
     """Classical membership query oracle; one count per base-function query."""
 
+    kind = "Mem"
+
     def __init__(self, f: BooleanFunction, transcript=None, visibility=PRIVATE):
+        super().__init__(transcript, visibility)
         self.f = f
-        self.transcript = transcript
-        self.visibility = visibility
-        self.count = 0
 
     def query(self, x: int) -> int:
         y = evaluate(self.f, x)
         self.count += 1
         if self.transcript is not None:
-            self.transcript.log(
-                "Mem", self.visibility, "response",
-                {"x": x, "y": y}, {"mem": self.count},
-            )
+            self._log({"x": x, "y": y})
         return y
 
 
@@ -376,16 +349,16 @@ def _choice_by_group(cdfs: np.ndarray, groups: np.ndarray, rng) -> np.ndarray:
     return outcomes
 
 
-class QMeasExOracle:
+class QMeasExOracle(Oracle):
     """Measurement outcomes on copies of a pure state."""
+
+    kind = "QMeasEx"
 
     def __init__(self, state: PureState, transcript=None, visibility=PUBLIC):
         if not isinstance(state, PureState):
             raise ValueError("QMeasEx oracles take a PureState")
+        super().__init__(transcript, visibility)
         self._state = state
-        self.transcript = transcript
-        self.visibility = visibility
-        self.count = 0  # weighted: an m-copy measurement counts m
         self._pauli_cdfs: Optional[np.ndarray] = None
 
     def state(self) -> PureState:
@@ -432,11 +405,19 @@ class QMeasExOracle:
         bits &= 1
         self.count += shots
         if self.transcript is not None:
-            self.transcript.log(
-                "QMeasEx", self.visibility, "response",
-                {"bulk_pauli_shots": shots}, {"qmeasex_weighted": self.count},
-            )
+            self._log({"bulk_pauli_shots": shots})
         return axes, bits
+
+    def bell_sample(self, rng) -> tuple[int, int, tuple[int, int]]:
+        """Bell-sample a pair of copies of an (n+1)-qubit example state (the
+        label qubit last): (y, z, b) from qsim.bell_sample_example_pair. The
+        two-copy measurement counts 2."""
+        copy = self._state
+        y, z, b = qsim.bell_sample_example_pair(qsim.tensor(copy, copy), copy.n - 1, rng)
+        self.count += 2
+        if self.transcript is not None:
+            self._log({"bell": [y, z, list(b)]})
+        return y, z, b
 
 
 # --- quantum channel oracles with tap points ---------------------------------
@@ -456,7 +437,7 @@ class TapChannel:
         return out
 
 
-class QuantumChannelOracle:
+class QuantumChannelOracle(Oracle):
     """QPh or QMem oracle whose quantum traffic passes through its own tap
     channel, run by `strategy` (no eavesdropper when None); the adversary's
     memory is `tap.memory`."""
@@ -473,12 +454,10 @@ class QuantumChannelOracle:
             raise ValueError("oracle kind must be QPh or QMem")
         if kind == "QPh" and f.w != 1:
             raise ValueError("QPh oracles need width-1 functions")
+        super().__init__(transcript, visibility)
         self.f = f
         self.kind = kind
         self.tap = TapChannel(strategy)
-        self.transcript = transcript
-        self.visibility = visibility
-        self.count = 0
         # (state qubits, in_qubits) -> the QPh oracle's sign vector there
         self._phase_signs: dict[tuple, np.ndarray] = {}
 
@@ -505,10 +484,7 @@ class QuantumChannelOracle:
         state = self.tap.apply("response", state, tapped, rng)
         self.count += 1
         if self.transcript is not None:
-            self.transcript.log(
-                self.kind, self.visibility, "roundtrip",
-                {"in_qubits": list(in_qubits),
-                 "out_qubits": list(out_qubits) if out_qubits else None},
-                {"quantum": self.count},
-            )
+            self._log({"in_qubits": list(in_qubits),
+                       "out_qubits": list(out_qubits) if out_qubits else None},
+                      "roundtrip")
         return state

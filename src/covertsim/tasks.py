@@ -49,6 +49,8 @@ FORRELATION_BASE_ERROR = 0.01
 SIMON_EPS = 0.1
 # rejection-sampling budget of gen_forrelation_instance
 FORRELATION_MAX_TRIES = 20_000
+# largest n gen_forrelation_instance takes
+FORRELATION_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,8 @@ def gen_forrelation_instance(n: int, case: str, rng) -> ForrelationInstance:
     uniform and sets g to the sign of the Walsh transform of (-1)^f, which
     lands at Phi ~ sqrt(2/pi) and is rejection-verified against 3/5.
     """
-    if n > 10:
-        raise ValueError("instance generation is bounded at n <= 10")
+    if n > FORRELATION_MAX_N:
+        raise ValueError(f"instance generation is bounded at n <= {FORRELATION_MAX_N}")
     for attempt in range(FORRELATION_MAX_TRIES):
         f = random_truth_table(n, rng)
         if case == PHI_SMALL:

@@ -126,7 +126,7 @@ def test_c04_nogo_swap_attack():
             oracle, oracles.MemOracle(f), n, 1, 0.1, 0.1, rng, n_blocks=20
         )
         accepts += res.accepted
-        recs = [r[1] for r in oracle.tap.memory.records if r[0] == "learned_parity"]
+        recs = [e["s_hat"] for e in oracle.tap.memory.events if e["action"] == "bv_readout"]
         learned += bool(recs and recs[0] == s)
     assert accepts / trials >= 0.99
     assert learned == trials

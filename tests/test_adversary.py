@@ -93,8 +93,8 @@ class TestTaps:
         rng = np.random.default_rng(5)
         f = bf.random_truth_table(2, rng)
         _, tap = masked_query_roundtrip(f, 2, adv.measure_z(), rng)
-        assert len(tap.memory.records) == 1
-        assert tap.memory.records[0][0] == "z_outcome"
+        assert len(tap.memory.events) == 1
+        assert tap.memory.events[0]["action"] == "measured_z"
 
 
 class TestAncillaFree:
@@ -106,7 +106,7 @@ class TestAncillaFree:
         out = adv.apply_tap(strat, "query", psi, [0, 1, 2], mem, rng)
         out = adv.apply_tap(strat, "response", out, [0, 1, 2], mem, rng)
         assert np.allclose(out.vec, psi.vec)
-        assert mem.records == []
+        assert mem.events == []
 
     def test_pre_measurement_halves_schmidt_rank(self):
         # entangled-mode query: R entangled with Q; measuring one Q qubit in
@@ -143,7 +143,8 @@ class TestSwapAttack:
             got = oracle.query(sent, list(range(n)), rng=rng)
             unmasked = qsim.apply_z_mask(got, r, range(n))
             # adversary learned s exactly
-            assert oracle.tap.memory.records[0] == ("learned_parity", s)
+            events = oracle.tap.memory.events
+            assert [e["s_hat"] for e in events if e["action"] == "bv_readout"] == [s]
             # learner's view is bit-identical to a no-adversary run
             assert qsim.states_equal(unmasked, qsim.prepare_phase_state(f), 1e-12)
             # subsequent queries pass through (oracle already learned)
@@ -215,7 +216,8 @@ class TestSwapAttackInformation:
             f = bf.parity_fn(s, n)
             oracle = oracles.QuantumChannelOracle(f, "QPh", adv.swap_attack())
             acquire.masked_query_phase_randomness(oracle, n, rng)
-            rec = [r[1] for r in oracle.tap.memory.records if r[0] == "learned_parity"][0]
+            events = oracle.tap.memory.events
+            rec = [e["s_hat"] for e in events if e["action"] == "bv_readout"][0]
             joint_counts[(s, rec)] = joint_counts.get((s, rec), 0) + 1
         # uniform prior over 2^n parities; record = s with probability 1
         total = sum(joint_counts.values())

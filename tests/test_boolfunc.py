@@ -133,6 +133,16 @@ class TestSimon:
         with pytest.raises(ValueError):
             bf.simon_fn(0b01, [0, 0], 2)
 
+    def test_labels_follow_representatives_in_increasing_order(self):
+        # labels[i] belongs to the i-th smallest x with x <= x xor s
+        for n in (1, 2, 3, 4):
+            for s in range(1 << n):
+                reps = [x for x in range(1 << n) if x <= x ^ s]
+                labels = list(range(len(reps)))[::-1]
+                f = bf.simon_fn(s, labels, n)
+                for x in range(1 << n):
+                    assert f(x) == labels[reps.index(min(x, x ^ s))]
+
 
 class TestForrelation:
     def test_constant_pair_closed_form(self):

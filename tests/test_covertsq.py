@@ -6,6 +6,7 @@ from scipy import stats
 
 from covertsim import boolfunc as bf
 from covertsim import covertsq as csq
+from covertsim import experiments as exp
 from covertsim import oracles, qsim
 from reference import pauli_observable
 
@@ -107,6 +108,18 @@ class TestSketch:
             if abs(est - truth) > delta:
                 failures += 1
         assert failures <= 3  # delta_c = 0.05 plus slack at 60 trials
+
+    def test_tiny_basis_caps_the_tolerance(self):
+        # n = d = 1 has two monomials, so some projection rows have an L1
+        # norm near 0 and tau_e / (2 * norm) of 1 or more, which no oracle
+        # takes: capped at 1/2, every trial answers and decodes within delta
+        cfg = exp.ExperimentConfig(scenario="covert-sq", params={"n": 1, "d": 1},
+                                   seed=0, trials=30)
+        records = [exp.run_trial(cfg, i) for i in range(cfg.trials)]
+        assert all(r["within_delta"] for r in records)
+        plan = csq.sketch_encode([0.6, 0.8], 1, 1, 0.1, 0.05, 1.0, 1.0,
+                                 np.random.default_rng(0))
+        assert plan.oracle_taus.max() == 0.5
 
     def test_noise_term_bounded_by_design(self):
         # worst-case +-tau_e responses: Cauchy-Schwarz noise <= delta/2 when

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from covertsim import acquire, adversary as adv, certify, covertsq, oracles, qsim
+from covertsim import acquire, adversary as adv, certify, covertsq, oracles, qsim, tasks
 from covertsim import experiments as exp
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -133,6 +133,31 @@ class TestConfig:
         ("covert-sq", {"d": 0}, False),
         ("covert-sq", {"n": 0}, False),
         ("covert-sq", {"n": 1, "d": 1}, True),
+        ("acquire-uni", {"eps": 0}, False),
+        ("acquire-uni", {"delta": 1}, False),
+        ("acquire-af", {"eps": 1.5}, False),
+        ("acquire-af", {"delta": 0}, False),
+        ("certify", {"eps": -0.1}, False),
+        ("certify", {"delta": 2}, False),
+        ("nogo-swap", {"eps": 1}, False),
+        ("nogo-swap", {"delta": 0}, False),
+        ("forrelation", {"delta": 1}, False),
+        ("simon", {"delta": 0}, False),
+        ("covert-sq", {"delta": 0}, False),
+        ("covert-sq", {"delta": 5}, True),  # a vacuous but valid target error
+        ("covert-sq", {"b_c": 0}, False),
+        ("covert-sq", {"b_m": -1}, False),
+        ("forrelation", {"n": tasks.FORRELATION_MAX_N + 1}, False),
+        ("forrelation", {"n": tasks.FORRELATION_MAX_N}, True),
+        ("forrelation", {"base_error": 0}, False),
+        ("forrelation", {"base_error": 0.125}, False),  # delta_A = 1/4
+        ("forrelation", {"base_error": 0.12}, True),
+        ("forrelation", {"ancilla_free": True, "base_error": 0}, False),
+        ("forrelation", {"ancilla_free": True, "base_error": 0.2}, True),
+        ("quadratic", {"n": 0}, False),
+        ("quadratic", {"n": 1}, True),
+        ("simon", {"copy_budget": 0}, False),
+        ("simon", {"copy_budget": 1}, True),
     ])
     def test_param_rules(self, scenario, params, ok):
         d = {"scenario": scenario, "params": params}
@@ -481,6 +506,13 @@ class TestCli:
         ("certify --param n_block=0", "'n_block'"),
         ("covert-sq --param d=-1", "'d'"),
         ("covert-sq --param n=0", "'n'"),
+        ("acquire-uni --param eps=0", "'eps'"),
+        ("certify --param delta=2", "'delta'"),
+        ("forrelation --param n=11 --param copies=3", "'n'"),
+        ("forrelation --param base_error=0.2", "'base_error'"),
+        ("covert-sq --param b_c=0", "'b_c'"),
+        ("quadratic --param n=0", "'n'"),
+        ("simon --param copy_budget=0", "'copy_budget'"),
         ('simon --adversary {"kind":"swap_attack"}', "'swap_attack'"),
         ('acquire-uni --param mode=entangled --adversary {"kind":"swap_attack"}',
          "'swap_attack'"),

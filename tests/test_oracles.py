@@ -111,10 +111,9 @@ class TestQsqOracle:
     def test_influence_equals_fourier_mass_on_ti(self):
         rng = np.random.default_rng(4)
         f = bf.random_truth_table(4, rng)
-        oracle = oracles.QsqOracle(f, policy=oracles.EXACT)
         masses = (bf.walsh_hadamard(bf.sign_vector(f)) / 16) ** 2
         for i in range(4):
-            inf = oracle.exact_value(oracles.InfluenceQuery(i))
+            inf = oracles.InfluenceQuery(i).exact_expectation(f)
             mass = sum(masses[s] for s in range(16) if (s >> i) & 1)
             assert inf == pytest.approx(mass, abs=1e-10)
 
@@ -130,9 +129,8 @@ class TestQsqOracle:
         offdiag_rows = tuple(
             int(sum((mat[i][j] & 1) << j for j in range(n))) for i in range(n)
         )
-        oracle = oracles.QsqOracle(f, policy=oracles.EXACT)
         for i in range(n):
-            got = oracle.exact_value(oracles.InfluenceQuery(i, offdiag_rows))
+            got = oracles.InfluenceQuery(i, offdiag_rows).exact_expectation(f)
             assert got == float(diag[i])
 
 
@@ -316,3 +314,52 @@ class TestQuantumChannelOracle:
         assert len(t.events) == 2
         jsonl = t.to_jsonl()
         assert jsonl.count("\n") == 1
+
+    def test_every_oracle_kind_logs_one_event_per_answer(self):
+        # one transcript shared by every oracle kind: each answer adds one
+        # event carrying its oracle's kind, visibility and count after it
+        rng = np.random.default_rng(19)
+        t = oracles.Transcript()
+        parity = bf.parity_fn(0b01, 2)
+        quad = bf.quadratic_fn((0b011, 0b110, 0b100), 3)
+        sq = oracles.SqOracle(parity, transcript=t)
+        qsq = oracles.QsqOracle(quad, transcript=t)
+        ex = oracles.ExOracle(parity, rng, transcript=t)
+        mem = oracles.MemOracle(parity, transcript=t)
+        qmeasex = oracles.QMeasExOracle(qsim.prepare_example_state(quad), transcript=t)
+        qph = oracles.QuantumChannelOracle(parity, "QPh", transcript=t)
+        qmem = oracles.QuantumChannelOracle(
+            bf.random_truth_table(2, rng, w=2), "QMem", transcript=t,
+            visibility=oracles.PRIVATE,
+        )
+        answers = [
+            (sq, lambda: sq.query(oracles.ParityPairSqQuery(1, 2), 1 / 6)),
+            (qsq, lambda: qsq.query(oracles.InfluenceQuery(0), 1 / 3)),
+            (ex, ex.sample),
+            (mem, lambda: mem.query(3)),
+            (qmeasex, lambda: qmeasex.sample_product_pauli(5, rng)),
+            (qmeasex, lambda: qmeasex.bell_sample(rng)),
+            (qph, lambda: qph.query(qsim.uniform_state(2), [0, 1], rng=rng)),
+            (qmem, lambda: qmem.query(
+                qsim.tensor(qsim.uniform_state(2), qsim.basis_state(2)),
+                [0, 1], [2, 3], rng=rng)),
+        ]
+        kinds = []
+        for oracle, answer in answers * 2:
+            answer()
+            event = t.events[-1]
+            assert len(t.events) == len(kinds) + 1
+            assert event["oracle_kind"] == oracle.kind
+            assert event["visibility"] == oracle.visibility
+            assert event["counters"] == {oracle.kind: oracle.count}
+            kinds.append(event["oracle_kind"])
+        assert kinds[:8] == ["SQ", "QSQ", "Ex", "Mem", "QMeasEx", "QMeasEx", "QPh", "QMem"]
+        assert [e["visibility"] for e in t.events[:8]] == [
+            oracles.PRIVATE, oracles.PRIVATE, oracles.PUBLIC, oracles.PRIVATE,
+            oracles.PUBLIC, oracles.PUBLIC, oracles.PUBLIC, oracles.PRIVATE,
+        ]
+        # a Pauli shot counts 1 and a two-copy Bell measurement 2
+        assert [sq.count, qsq.count, ex.count, mem.count, qph.count, qmem.count] == [2] * 6
+        assert qmeasex.count == 2 * (5 + 2)
+        assert sum("bell" in e["payload"] for e in t.events) == 2
+        assert [e["direction"] for e in t.events[6:8]] == ["roundtrip"] * 2
