@@ -118,9 +118,9 @@ def _round_on_copy(copy: PureState, local: int, rng) -> tuple[int, int]:
     Returns (compact rest bits, x outcome bit). The compact index keeps the
     remaining bits in order with position `local` removed.
     """
-    x0, x1 = _pair_indices(copy.n, local)
-    a0 = copy.vec[x0]
-    a1 = copy.vec[x1]
+    pairs = copy.vec.reshape(-1, 2, 1 << local)  # bit `local` on axis 1
+    a0 = pairs[:, 0].reshape(-1)
+    a1 = pairs[:, 1].reshape(-1)
     p_pair = np.clip(np.abs(a0) ** 2 + np.abs(a1) ** 2, 0.0, None)
     plus_mass = np.abs(a0 + a1) ** 2 / 2.0
     j = qsim.sample_index(p_pair, rng)

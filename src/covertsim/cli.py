@@ -1,8 +1,9 @@
 """Command-line surface: covertsim run | replay | resources | list-scenarios.
 
 Configs come from a JSON file and/or inline flags; flags override file
-values. Exit codes: 0 on completion, 2 on config error, 3 when --assert is
-passed and an acceptance threshold fails.
+values. Exit codes: 0 on completion, 2 on config error (or an --out
+directory whose summary.csv has other columns), 3 when --assert is passed
+and an acceptance threshold fails.
 """
 from __future__ import annotations
 
@@ -87,7 +88,11 @@ def main():
               help="exit 3 when a registered acceptance threshold fails")
 def run(cfg, out_dir, do_assert):
     """Run a seeded Monte-Carlo experiment and emit reports."""
-    report = exp.run_experiment(cfg, out_dir=out_dir)
+    try:
+        report = exp.run_experiment(cfg, out_dir=out_dir)
+    except exp.SummaryHeaderError as e:
+        click.echo(f"output error: {e}", err=True)
+        sys.exit(2)
     click.echo(json.dumps(
         {"scenario": report.scenario, "trials": report.trials,
          "aggregate": report.aggregate, "resources": report.resources},

@@ -505,9 +505,10 @@ _TASK_BLOCKS = (lambda v, p: v >= _min_task_blocks(p),
                 lambda p: f"at least {_min_task_blocks(p)}")
 
 # rule: forrelation's base decision error; amplified unidirectional rounds
-# need the task confidence delta_A = 2 * base_error below 1/4
-_BASE_ERROR = (lambda v, p: v > 0 and (p["ancilla_free"] or v < 1 / 8),
-               lambda p: "positive" if p["ancilla_free"] else "in (0, 1/8)")
+# need the task confidence delta_A = 2 * base_error below 1/4, and the
+# ancilla-free acquisition certifies at eps_A = base_error^2, below 1
+_BASE_ERROR = (lambda v, p: 0 < v < (1 if p["ancilla_free"] else 1 / 8),
+               lambda p: "in (0, 1)" if p["ancilla_free"] else "in (0, 1/8)")
 
 # adversary kinds: all of them for a scenario that taps an oracle channel;
 # only those that keep no quantum register (the ancilla-free model's) when
@@ -763,7 +764,7 @@ class ExperimentReport:
             "trials": self.trials,
             "wall_clock_s": round(self.wall_clock_s, 3),
         }
-        for k in ("n", "m", "eps", "delta", "delta_c", "delta_p", "delta_leak"):
+        for k in _SUMMARY_PARAMS:
             if k in self.params:
                 row[k] = self.params[k]
         for k, v in self.aggregate.get("rates", {}).items():
@@ -773,12 +774,46 @@ class ExperimentReport:
         return row
 
 
+# the params a summary.csv row carries, where the scenario has them; the
+# rate columns of its boolean record fields follow
+_SUMMARY_PARAMS = ("n", "m", "eps", "delta", "delta_c", "delta_p", "delta_leak")
+
+
+class SummaryHeaderError(ConfigError):
+    """An output directory's summary.csv has columns other than this run's."""
+
+
+def _check_summary_header(csv_path: Path, columns: list[str], complete: bool) -> None:
+    """Refuse to append to a summary.csv whose header is not `columns` (or,
+    unless `complete`, does not start with them)."""
+    if not csv_path.exists():
+        return
+    with open(csv_path) as fh:
+        line = fh.readline().rstrip("\n")
+    if not line:
+        return
+    existing = line.split(",")
+    if (existing if complete else existing[: len(columns)]) != columns:
+        raise SummaryHeaderError(
+            f"{csv_path} has the columns {line!r}, which a row of this run "
+            f"({','.join(columns)}{'' if complete else ',...'}) does not fit; "
+            "write to another --out directory"
+        )
+
+
 def run_experiment(
     cfg: ExperimentConfig, out_dir: Optional[str] = None, workers: int = 1
 ) -> ExperimentReport:
     """Execute the trials (optionally across worker processes; trial seeds
     make the records independent of the worker count), aggregate, and
-    optionally write report.json plus a summary.csv row."""
+    optionally write report.json plus a summary.csv row. An existing
+    summary.csv whose header cannot take the row is refused before any
+    trial runs (SummaryHeaderError)."""
+    if out_dir is not None:
+        params = cfg.full_params
+        columns = ["scenario", "seed", "trials", "wall_clock_s",
+                   *(k for k in _SUMMARY_PARAMS if k in params)]
+        _check_summary_header(Path(out_dir) / "summary.csv", columns, complete=False)
     start = time.perf_counter()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -807,13 +842,14 @@ def run_experiment(
 
 def write_report(report: ExperimentReport, out_dir: str):
     path = Path(out_dir)
+    row = report.summary_row()
+    csv_path = path / "summary.csv"
+    _check_summary_header(csv_path, list(row), complete=True)
     path.mkdir(parents=True, exist_ok=True)
     with open(path / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-    row = report.summary_row()
-    csv_path = path / "summary.csv"
-    header = not csv_path.exists()
+    header = not csv_path.exists() or csv_path.stat().st_size == 0
     with open(csv_path, "a") as fh:
         if header:
             fh.write(",".join(row.keys()) + "\n")

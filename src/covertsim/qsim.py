@@ -6,8 +6,22 @@ are value-semantic and safe to share across concurrent trials.
 
 Gate kernels are qubit-local: viewed as a (2^(n-1-q), 2, 2^q) array, the
 amplitudes put qubit q on axis 1, so a single-qubit gate is one reshape and
-one matmul over that axis. Multi-qubit gates move their axes to the front
-and back.
+one matmul over that axis, and a single-qubit Z measurement reads and
+zeroes that axis. Multi-qubit gates move their axes to the front and back.
+
+Trust boundary. Every public constructor (`PureState(...)`, `basis_state`,
+`tensor`, the `prepare_*` states, `remove_qubits`) checks length, the qubit
+cap and the norm, and so does `apply_unitary`, whose matrix comes from the
+caller. A few outputs are normalized by construction from a state that was
+already checked, and are built by `_trusted` without the norm pass:
+- the +-1 diagonals of `apply_z_mask` and `apply_phase_oracle`;
+- `apply_gate` and the basis rotations of `measure_qubits`, whose matrices
+  are this module's own unitary constants (through `_apply_kernel`);
+- the renormalized projection of `_project_z`.
+The diagonals (`z_sign_table`, `z_signs`, `phase_signs`) are complex128
+with +0 imaginary parts: NumPy casts a float operand of a complex product
+exactly so, so the bytes are the same and the multiply runs the same-dtype
+loop.
 """
 from __future__ import annotations
 
@@ -96,6 +110,15 @@ class MixedState:
 
 State = Union[PureState, MixedState]
 
+def _trusted(n: int, vec: np.ndarray) -> PureState:
+    """A PureState built without `__post_init__`'s checks; only for
+    amplitudes normalized by construction from a checked state."""
+    state = object.__new__(PureState)
+    fields = state.__dict__
+    fields["n"] = n
+    fields["vec"] = vec
+    return state
+
 
 def check_rows_normalized(amps: np.ndarray) -> None:
     """The PureState checks on every row of a stacked (k, 2^n) amplitude
@@ -163,28 +186,38 @@ def _axes(n: int, qubits: Sequence[int]) -> list[int]:
     return [n - 1 - q for q in qubits]
 
 
-def apply_unitary(state: PureState, u: np.ndarray, qubits: Sequence[int]) -> PureState:
-    """Apply a 2^k x 2^k unitary to the listed qubits (qubits[0] = low bit)."""
-    k = len(qubits)
-    if u.shape != (1 << k, 1 << k):
-        raise ValueError("unitary has wrong shape")
-    if len(set(qubits)) != k or any(q < 0 or q >= state.n for q in qubits):
+def _check_qubits(n: int, qubits: Sequence[int]) -> None:
+    if len(set(qubits)) != len(qubits) or any(q < 0 or q >= n for q in qubits):
         raise IndexError("bad qubit indices")
-    n = state.n
+
+
+def _apply_kernel(vec: np.ndarray, n: int, u: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """Amplitudes of u applied to the listed qubits (qubits[0] = low bit);
+    no checks."""
+    k = len(qubits)
     if k == 1:
         q = qubits[0]
         if q == 0:
-            out = state.vec.reshape(-1, 2) @ u.T
-        else:
-            out = np.matmul(u, state.vec.reshape(1 << (n - 1 - q), 2, 1 << q))
-        return PureState(n, out.reshape(-1))
-    t = state.vec.reshape([2] * n)
+            return (vec.reshape(-1, 2) @ u.T).reshape(-1)
+        return np.matmul(u, vec.reshape(1 << (n - 1 - q), 2, 1 << q)).reshape(-1)
+    t = vec.reshape([2] * n)
     # u's row/col index has qubits[0] as the LOW bit -> axis order reversed
     axes = _axes(n, qubits)[::-1]
     t = np.moveaxis(t, axes, range(k))
     t = (u @ t.reshape(1 << k, -1)).reshape([2] * n)
     t = np.moveaxis(t, range(k), axes)
-    return PureState(n, np.ascontiguousarray(t.reshape(-1)))
+    return np.ascontiguousarray(t.reshape(-1))
+
+
+def apply_unitary(state: PureState, u: np.ndarray, qubits: Sequence[int]) -> PureState:
+    """Apply a 2^k x 2^k unitary to the listed qubits (qubits[0] = low bit).
+
+    The matrix is the caller's, so the output is norm-checked."""
+    k = len(qubits)
+    if u.shape != (1 << k, 1 << k):
+        raise ValueError("unitary has wrong shape")
+    _check_qubits(state.n, qubits)
+    return PureState(state.n, _apply_kernel(state.vec, state.n, u, qubits))
 
 
 def apply_gate(state: PureState, gate: str, qubits: Sequence[int]) -> PureState:
@@ -195,12 +228,15 @@ def apply_gate(state: PureState, gate: str, qubits: Sequence[int]) -> PureState:
     if gate in GATES_1Q:
         if len(qubits) != 1:
             raise ValueError(f"{gate} is a single-qubit gate")
-        return apply_unitary(state, GATES_1Q[gate], qubits)
-    if gate in GATES_2Q:
+        u = GATES_1Q[gate]
+    elif gate in GATES_2Q:
         if len(qubits) != 2:
             raise ValueError(f"{gate} is a two-qubit gate")
-        return apply_unitary(state, GATES_2Q[gate], qubits)
-    raise ValueError(f"unknown gate {gate!r}")
+        u = GATES_2Q[gate]
+    else:
+        raise ValueError(f"unknown gate {gate!r}")
+    _check_qubits(state.n, qubits)
+    return _trusted(state.n, _apply_kernel(state.vec, state.n, u, qubits))
 
 
 def apply_hadamards(state: PureState, qubits: Sequence[int]) -> PureState:
@@ -209,17 +245,22 @@ def apply_hadamards(state: PureState, qubits: Sequence[int]) -> PureState:
     return state
 
 
-SIGN_TABLE_QUBITS = 8  # z_sign_table is kept up to this size (512 KiB)
+SIGN_TABLE_QUBITS = 8  # z_sign_table is kept up to this size (1 MiB)
 _Z_SIGN_TABLES: dict[int, np.ndarray] = {}
 
 
+def _signs(bits: np.ndarray) -> np.ndarray:
+    """(-1)^bits as complex128 with +0 imaginary parts."""
+    return (1.0 - 2.0 * bits.astype(np.float64)).astype(complex)
+
+
 def z_sign_table(n: int) -> np.ndarray:
-    """The (2^n, 2^n) table of (-1)^{popcount(r & x)}, read-only: row r is
-    the diagonal of Z^r, and the table over 2^{n/2} is H^n."""
+    """The (2^n, 2^n) complex table of (-1)^{popcount(r & x)}, read-only: row
+    r is the diagonal of Z^r, and the table over 2^{n/2} is H^n."""
     table = _Z_SIGN_TABLES.get(n)
     if table is None:
         idx = np.arange(1 << n, dtype=np.uint64)
-        table = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx) & 1).astype(np.float64)
+        table = _signs(np.bitwise_count(idx[:, None] & idx) & 1)
         table.flags.writeable = False
         if n <= SIGN_TABLE_QUBITS:
             _Z_SIGN_TABLES[n] = table
@@ -232,7 +273,7 @@ def z_signs(n: int, mask: int) -> np.ndarray:
     if n <= SIGN_TABLE_QUBITS:
         return z_sign_table(n)[mask]
     idx = np.arange(1 << n, dtype=np.uint64)
-    return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(np.float64)
+    return _signs(np.bitwise_count(idx & np.uint64(mask)) & 1)
 
 
 def apply_z_mask(state: PureState, r: int, qubits: Sequence[int]) -> PureState:
@@ -246,7 +287,7 @@ def apply_z_mask(state: PureState, r: int, qubits: Sequence[int]) -> PureState:
             mask |= 1 << q
     if mask == 0:
         return state
-    return PureState(state.n, state.vec * z_signs(state.n, mask))
+    return _trusted(state.n, state.vec * z_signs(state.n, mask))
 
 
 def _gather_bits(n: int, qubits: Sequence[int]) -> np.ndarray:
@@ -260,8 +301,9 @@ def _gather_bits(n: int, qubits: Sequence[int]) -> np.ndarray:
 
 
 def phase_signs(f: BooleanFunction, n: int, qubits: Sequence[int]) -> np.ndarray:
-    """Diagonal of the phase oracle of f on `qubits` of an n-qubit state."""
-    signs = 1.0 - 2.0 * eval_all(f).astype(np.float64)
+    """Diagonal of the phase oracle of f on `qubits` of an n-qubit state,
+    complex as `z_signs`."""
+    signs = _signs(eval_all(f))
     if list(qubits) == list(range(n)):
         return signs
     return signs[_gather_bits(n, qubits)]
@@ -279,7 +321,7 @@ def apply_phase_oracle(
         raise ValueError("target set must match the oracle arity")
     if signs is None:
         signs = phase_signs(f, state.n, qubits)
-    return PureState(state.n, state.vec * signs)
+    return _trusted(state.n, state.vec * signs)
 
 
 def apply_qmem_oracle(
@@ -327,35 +369,45 @@ def swap_registers(state: PureState, reg_a: Sequence[int], reg_b: Sequence[int])
 def sample_index(probs: np.ndarray, rng) -> int:
     """Draw one index from an unnormalized nonnegative weight vector."""
     cum = np.cumsum(probs)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right").clip(0, len(probs) - 1))
+    return min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(probs) - 1)
 
 
 def _marginal_probs(state: PureState, qubits: Sequence[int]) -> np.ndarray:
     """Outcome distribution of a Z measurement on the listed qubits.
 
     Entry o corresponds to outcome bits with bit j of o observed on qubits[j].
+    Each entry sums its weights in the order of the (2,)*n view with the
+    measured axes moved to the front.
     """
     n = state.n
-    p = np.abs(state.vec.reshape([2] * n)) ** 2
+    p = np.abs(state.vec) ** 2
+    if len(qubits) == 1:
+        q = qubits[0]
+        p = p.reshape(1 << (n - 1 - q), 2, 1 << q).transpose(1, 0, 2)
+        return p.reshape(2, -1).sum(axis=1)
     axes = _axes(n, qubits)[::-1]  # qubits[0] = low bit of the outcome
-    p = np.moveaxis(p, axes, range(len(qubits)))
-    p = p.reshape(1 << len(qubits), -1).sum(axis=1)
-    return p
+    order = axes + [a for a in range(n) if a not in axes]
+    p = p.reshape([2] * n).transpose(order)
+    return p.reshape(1 << len(qubits), -1).sum(axis=1)
 
 
 def _project_z(state: PureState, qubits: Sequence[int], outcome: int) -> PureState:
     n = state.n
-    t = state.vec.reshape([2] * n).copy()
-    sl: list = [slice(None)] * n
-    for j, q in enumerate(qubits):
-        sl[n - 1 - q] = 1 - ((outcome >> j) & 1)
-        t[tuple(sl)] = 0.0
-        sl[n - 1 - q] = slice(None)
-    v = t.reshape(-1)
+    v = state.vec.copy()
+    if len(qubits) == 1:
+        q = qubits[0]
+        v.reshape(1 << (n - 1 - q), 2, 1 << q)[:, 1 - (outcome & 1)] = 0.0
+    else:
+        t = v.reshape([2] * n)
+        sl: list = [slice(None)] * n
+        for j, q in enumerate(qubits):
+            sl[n - 1 - q] = 1 - ((outcome >> j) & 1)
+            t[tuple(sl)] = 0.0
+            sl[n - 1 - q] = slice(None)
     nrm = np.linalg.norm(v)
     if nrm < 1e-12:
         raise ValueError("projection onto a zero-probability branch")
-    return PureState(n, v / nrm)
+    return _trusted(n, v / nrm)
 
 
 def measure_qubits(
@@ -369,19 +421,22 @@ def measure_qubits(
     """
     if basis not in BASIS_V:
         raise ValueError(f"unknown basis {basis!r}")
-    if len(set(qubits)) != len(qubits) or any(q >= state.n for q in qubits):
-        raise IndexError("bad qubit indices")
+    n = state.n
+    _check_qubits(n, qubits)
     v, v_dagger = BASIS_V[basis], BASIS_V_DAGGER[basis]
     work = state
     if basis != "Z":
+        vec = work.vec
         for q in qubits:
-            work = apply_unitary(work, v_dagger, [q])
-    probs = np.clip(_marginal_probs(work, qubits), 0.0, None)
-    outcome = sample_index(probs, rng)
+            vec = _apply_kernel(vec, n, v_dagger, [q])
+        work = _trusted(n, vec)
+    outcome = sample_index(_marginal_probs(work, qubits), rng)
     post = _project_z(work, qubits, outcome)
     if basis != "Z":
+        vec = post.vec
         for q in qubits:
-            post = apply_unitary(post, v, [q])
+            vec = _apply_kernel(vec, n, v, [q])
+        post = _trusted(n, vec)
     return outcome, post
 
 

@@ -27,6 +27,81 @@ def apply_unitary_moveaxis(state: qsim.PureState, u: np.ndarray,
     return np.ascontiguousarray(t.reshape(-1))
 
 
+def marginal_probs_moveaxis(state: qsim.PureState, qubits: Sequence[int]) -> np.ndarray:
+    """Z-measurement outcome distribution on the listed qubits (bit j of the
+    outcome on qubits[j]): the measured axes of the (2,)*n view of |amp|^2
+    moved to the front, then one sum per outcome."""
+    n, k = state.n, len(qubits)
+    p = np.abs(state.vec.reshape([2] * n)) ** 2
+    axes = [n - 1 - q for q in qubits][::-1]
+    p = np.moveaxis(p, axes, range(k))
+    return p.reshape(1 << k, -1).sum(axis=1)
+
+
+def project_z_sliced(state: qsim.PureState, qubits: Sequence[int],
+                     outcome: int) -> np.ndarray:
+    """Amplitudes after projecting the listed qubits onto `outcome` and
+    renormalizing: one slice of the (2,)*n copy zeroed per qubit."""
+    n = state.n
+    t = state.vec.reshape([2] * n).copy()
+    sl: list = [slice(None)] * n
+    for j, q in enumerate(qubits):
+        sl[n - 1 - q] = 1 - ((outcome >> j) & 1)
+        t[tuple(sl)] = 0.0
+        sl[n - 1 - q] = slice(None)
+    v = t.reshape(-1)
+    return v / np.linalg.norm(v)
+
+
+def sample_index_clipped(probs: np.ndarray, rng) -> int:
+    """One index drawn from unnormalized weights, the searchsorted result
+    clipped as a numpy scalar."""
+    cum = np.cumsum(probs)
+    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right").clip(0, len(probs) - 1))
+
+
+def measure_qubits_moveaxis(state: qsim.PureState, qubits: Sequence[int], basis: str,
+                            rng) -> tuple[int, np.ndarray]:
+    """qsim.measure_qubits by the forms above: checked basis rotations, the
+    moveaxis marginal clipped at 0, the clipped draw and the sliced
+    projection."""
+    work = state
+    if basis != "Z":
+        for q in qubits:
+            work = qsim.apply_unitary(work, qsim.BASIS_V_DAGGER[basis], [q])
+    probs = np.clip(marginal_probs_moveaxis(work, qubits), 0.0, None)
+    outcome = sample_index_clipped(probs, rng)
+    post = qsim.PureState(state.n, project_z_sliced(work, qubits, outcome))
+    if basis != "Z":
+        for q in qubits:
+            post = qsim.apply_unitary(post, qsim.BASIS_V[basis], [q])
+    return outcome, post.vec
+
+
+def z_signs_float(n: int, mask: int) -> np.ndarray:
+    """Diagonal of Z^mask on n qubits as float64 +-1."""
+    idx = np.arange(1 << n, dtype=np.uint64)
+    return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(np.float64)
+
+
+def phase_signs_float(f: bf.BooleanFunction, n: int, qubits: Sequence[int]) -> np.ndarray:
+    """Diagonal of the phase oracle of f on `qubits`, as float64 +-1."""
+    signs = 1.0 - 2.0 * bf.eval_all(f).astype(np.float64)
+    return signs[qsim._gather_bits(n, qubits)]
+
+
+def round_on_copy_indexed(copy: qsim.PureState, local: int, rng) -> tuple[int, int]:
+    """certify._round_on_copy with the amplitude halves (bit `local` 0 and
+    1) gathered by fancy indexing in increasing index order."""
+    x0, x1 = certify._pair_indices(copy.n, local)
+    a0, a1 = copy.vec[x0], copy.vec[x1]
+    p_pair = np.clip(np.abs(a0) ** 2 + np.abs(a1) ** 2, 0.0, None)
+    plus_mass = np.abs(a0 + a1) ** 2 / 2.0
+    j = sample_index_clipped(p_pair, rng)
+    p_plus = plus_mass[j] / p_pair[j] if p_pair[j] > 0 else 0.5
+    return j, int(rng.random() >= min(1.0, p_plus))
+
+
 def quadratic_from_matrix(mat: Sequence[Sequence[int]]) -> bf.BooleanFunction:
     """f(x) = x^T A x over GF(2) from an upper-triangular 0/1 matrix A."""
     n = len(mat)

@@ -158,6 +158,8 @@ class TestConfig:
         ("quadratic", {"n": 1}, True),
         ("simon", {"copy_budget": 0}, False),
         ("simon", {"copy_budget": 1}, True),
+        ("forrelation", {"ancilla_free": True, "base_error": 1.0}, False),  # eps_A = 1
+        ("forrelation", {"ancilla_free": True, "base_error": 0.99}, True),
     ])
     def test_param_rules(self, scenario, params, ok):
         d = {"scenario": scenario, "params": params}
@@ -286,6 +288,18 @@ class TestRun:
         jsonschema.validate(doc, exp.REPORT_SCHEMA)
         csv_text = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(csv_text) == 2 and csv_text[0].startswith("scenario,")
+
+    def test_summary_with_other_rate_columns_is_refused(self, tmp_path):
+        cfg = exp.ExperimentConfig.from_dict(
+            {"scenario": "certify", "trials": 2, "seed": 3,
+             "params": {"n_block": 3, "rounds": 50}}
+        )
+        header = "scenario,seed,trials,wall_clock_s,eps,delta,other_rate\n"
+        (tmp_path / "summary.csv").write_text(header)
+        with pytest.raises(exp.SummaryHeaderError, match="summary.csv"):
+            exp.run_experiment(cfg, out_dir=str(tmp_path))
+        assert (tmp_path / "summary.csv").read_text() == header
+        assert not (tmp_path / "report.json").exists()
 
     def test_nogo_swap_scenario(self):
         cfg = exp.ExperimentConfig.from_dict(
@@ -427,6 +441,22 @@ class TestCli:
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "summary.csv").exists()
 
+    def test_summary_of_another_scenario_exit_code(self, tmp_path):
+        out = self.run_cli("run", "--scenario", "parity", "--trials", "1",
+                           "--out", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        out = self.run_cli("run", "--scenario", "certify", "--trials", "1",
+                           "--out", str(tmp_path))
+        assert out.returncode == 2
+        assert str(tmp_path / "summary.csv") in out.stderr
+        assert "Traceback" not in out.stderr and out.stdout == ""
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
+        out = self.run_cli("run", "--scenario", "parity", "--trials", "1",
+                           "--seed", "1", "--out", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        assert len((tmp_path / "summary.csv").read_text().splitlines()) == 3
+
     def test_config_error_exit_code(self):
         out = self.run_cli("run", "--scenario", "not-a-scenario")
         assert out.returncode == 2
@@ -510,6 +540,8 @@ class TestCli:
         ("certify --param delta=2", "'delta'"),
         ("forrelation --param n=11 --param copies=3", "'n'"),
         ("forrelation --param base_error=0.2", "'base_error'"),
+        ("forrelation --param ancilla_free=true --param base_error=1.5 --param copies=3"
+         " --param n_blocks=2", "'base_error'"),
         ("covert-sq --param b_c=0", "'b_c'"),
         ("quadratic --param n=0", "'n'"),
         ("simon --param copy_budget=0", "'copy_budget'"),

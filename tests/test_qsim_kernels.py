@@ -1,12 +1,27 @@
 """Seeded property tests of the qubit-local engine kernels against the
-moveaxis reference form, and of the engine's qubit convention and round
-trips."""
+moveaxis reference forms, of the engine's qubit convention and round trips,
+and of the checks at its trust boundary."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from covertsim import boolfunc as bf
-from covertsim import qsim
-from reference import apply_unitary_moveaxis
+from covertsim import certify, qsim
+from reference import (
+    apply_unitary_moveaxis,
+    marginal_probs_moveaxis,
+    measure_qubits_moveaxis,
+    phase_signs_float,
+    project_z_sliced,
+    round_on_copy_indexed,
+    sample_index_clipped,
+    z_signs_float,
+)
 
 # single-qubit gates whose kernel output equals the reference exactly
 EXACT_1Q = {
@@ -140,3 +155,165 @@ def test_basis_constants_are_read_only_and_contiguous():
         for mat in (v, dagger):
             with pytest.raises(ValueError):
                 mat[0, 0] = 0
+
+
+# --- measurement and diagonal kernels against their reference forms ----------
+#
+# Compared as bytes, so that a zero's sign counts.
+
+
+def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                               np.ascontiguousarray(want).view(np.uint64)))
+
+
+def qubit_sets(n: int, rng) -> list[list[int]]:
+    """Each single qubit, the whole register in and against order, and a
+    few random subsets in random order."""
+    sets = [[q] for q in range(n)] + [list(range(n)), list(range(n))[::-1]]
+    for _ in range(4):
+        sets.append([int(q) for q in rng.permutation(n)[: rng.integers(1, n + 1)]])
+    return sets
+
+
+@pytest.mark.parametrize("n, seed, sparse", CASES)
+def test_marginal_equals_moveaxis_reference(n, seed, sparse):
+    psi = random_state(n, seed, sparse)
+    for qubits in qubit_sets(n, np.random.default_rng(seed)):
+        got = qsim._marginal_probs(psi, qubits)
+        assert same_bytes(got, marginal_probs_moveaxis(psi, qubits)), qubits
+
+
+@pytest.mark.parametrize("n, seed, sparse", CASES)
+def test_projection_equals_sliced_reference(n, seed, sparse):
+    rng = np.random.default_rng(seed)
+    psi = random_state(n, seed, sparse)
+    for qubits in qubit_sets(n, rng):
+        probs = marginal_probs_moveaxis(psi, qubits)
+        for outcome in {0, 1, int(rng.integers(len(probs))), len(probs) - 1}:
+            if probs[outcome] < 1e-24:
+                with pytest.raises(ValueError):
+                    qsim._project_z(psi, qubits, outcome)
+                continue
+            got = qsim._project_z(psi, qubits, outcome).vec
+            assert same_bytes(got, project_z_sliced(psi, qubits, outcome)), (qubits, outcome)
+
+
+@pytest.mark.parametrize("n, seed, sparse", CASES)
+def test_measurement_equals_moveaxis_reference(n, seed, sparse):
+    psi = random_state(n, seed, sparse)
+    for basis in qsim.BASIS_V:
+        for k, qubits in enumerate(qubit_sets(n, np.random.default_rng(seed))):
+            rng_got, rng_want = np.random.default_rng(k), np.random.default_rng(k)
+            outcome, post = qsim.measure_qubits(psi, qubits, basis, rng_got)
+            want_outcome, want_vec = measure_qubits_moveaxis(psi, qubits, basis, rng_want)
+            assert outcome == want_outcome, (basis, qubits)
+            assert same_bytes(post.vec, want_vec), (basis, qubits)
+            assert rng_got.random() == rng_want.random()
+
+
+@pytest.mark.parametrize("n, seed, sparse", CASES)
+def test_sample_index_equals_clipped_draw(n, seed, sparse):
+    psi = random_state(n, seed, sparse)
+    weights = [np.abs(psi.vec) ** 2, np.ones(1 << n),
+               np.concatenate((np.abs(psi.vec[:-1]) ** 2, [0.0])),
+               np.concatenate(([1.0], np.zeros((1 << n) - 1)))]
+    for k, w in enumerate(weights):
+        rng_got, rng_want = np.random.default_rng(k), np.random.default_rng(k)
+        for _ in range(50):
+            assert qsim.sample_index(w, rng_got) == sample_index_clipped(w, rng_want)
+
+
+@pytest.mark.parametrize("n, seed, sparse", CASES)
+def test_complex_diagonals_equal_float_products(n, seed, sparse):
+    rng = np.random.default_rng(seed)
+    psi = random_state(n, seed, sparse)
+    for qubits in qubit_sets(n, rng):
+        for r in {1, int(rng.integers(1, 1 << len(qubits))), (1 << len(qubits)) - 1}:
+            mask = sum(1 << q for j, q in enumerate(qubits) if (r >> j) & 1)
+            got = qsim.apply_z_mask(psi, r, qubits).vec
+            assert same_bytes(got, psi.vec * z_signs_float(n, mask)), (qubits, r)
+        f = bf.truth_table(rng.integers(0, 2, size=1 << len(qubits)).tolist())
+        got = qsim.apply_phase_oracle(psi, f, qubits).vec
+        assert same_bytes(got, psi.vec * phase_signs_float(f, n, qubits)), qubits
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sign_diagonals_are_complex_with_positive_zero_imaginary_parts(n):
+    f = bf.truth_table([1, 0] * (1 << (n - 1)))
+    diagonals = [qsim.z_signs(n, (1 << n) - 1), qsim.phase_signs(f, n, range(n))]
+    if n <= qsim.SIGN_TABLE_QUBITS:
+        table = qsim.z_sign_table(n)
+        assert not table.flags.writeable
+        diagonals.append(table)
+    for d in diagonals:
+        assert d.dtype == np.complex128
+        assert not np.ascontiguousarray(d.imag).view(np.uint64).any()
+
+
+@pytest.mark.parametrize("n, seed, sparse", CASES)
+def test_overlap_round_halves_equal_indexed_reference(n, seed, sparse):
+    psi = random_state(n, seed, sparse)
+    for local in range(n):
+        for k in range(5):
+            rng_got, rng_want = np.random.default_rng(k), np.random.default_rng(k)
+            got = certify._round_on_copy(psi, local, rng_got)
+            assert got == round_on_copy_indexed(psi, local, rng_want), (local, k)
+
+
+# --- trust boundary -------------------------------------------------------------
+
+NOT_UNITARY = np.array([[1, 1], [0, 1]], dtype=complex)
+
+
+def trust_boundary_misses() -> list[str]:
+    """The names of the checked inputs below that did not raise."""
+    one = qsim.basis_state(1, 1)
+    three = qsim.tensor(one, qsim.uniform_state(2))
+    cases = {
+        "wrong length": lambda: qsim.PureState(2, np.ones(3, dtype=complex) / np.sqrt(3)),
+        "unnormalized": lambda: qsim.PureState(1, np.ones(2, dtype=complex)),
+        "over the cap": lambda: qsim.PureState(qsim.PURE_QUBIT_CAP + 1, np.ones(1, dtype=complex)),
+        "non-unitary on qubit 0": lambda: qsim.apply_unitary(one, NOT_UNITARY, [0]),
+        "non-unitary on qubit 2": lambda: qsim.apply_unitary(
+            qsim.tensor(qsim.basis_state(2), one), NOT_UNITARY, [2]),
+        "non-unitary on two qubits": lambda: qsim.apply_unitary(
+            three, 2 * np.eye(4, dtype=complex), [0, 2]),
+        "unitary of the wrong shape": lambda: qsim.apply_unitary(three, np.eye(4), [0]),
+        "unitary on a repeated qubit": lambda: qsim.apply_unitary(three, np.eye(4), [1, 1]),
+        "gate on a missing qubit": lambda: qsim.apply_gate(three, "H", [3]),
+        "gate on a negative qubit": lambda: qsim.apply_gate(three, "X", [-1]),
+        "gate on a repeated qubit": lambda: qsim.apply_gate(three, "CZ", [2, 2]),
+        "measurement of a missing qubit": lambda: qsim.measure_qubits(
+            three, [0, 3], "X", np.random.default_rng(0)),
+    }
+    misses = []
+    for name, call in cases.items():
+        try:
+            call()
+        except (ValueError, IndexError):
+            continue
+        misses.append(name)
+    return misses
+
+
+def test_trust_boundary_checks_raise():
+    assert trust_boundary_misses() == []
+
+
+def test_trust_boundary_checks_raise_under_optimization():
+    # `python -O` strips asserts; the checks must not be asserts
+    code = textwrap.dedent("""
+        from test_qsim_kernels import trust_boundary_misses
+        print("debug", __debug__)
+        print("misses", trust_boundary_misses())
+    """)
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert "debug False" in out.stdout
+    assert "misses []" in out.stdout
