@@ -254,35 +254,14 @@ def walsh_hadamard(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phi_double_sum(f: BooleanFunction, g: BooleanFunction) -> float:
-    n = f.n
-    sf = sign_vector(f)
-    sg = sign_vector(g)
-    xs = np.arange(1 << n, dtype=np.uint64)
-    chi = 1.0 - 2.0 * (np.bitwise_count(xs[:, None] & xs[None, :]) & 1).astype(
-        np.float64
-    )
-    return float(sf @ chi @ sg) / 2 ** (3 * n / 2)
-
-
-def _phi_walsh(f: BooleanFunction, g: BooleanFunction) -> float:
-    sf = sign_vector(f)
-    wg = walsh_hadamard(sign_vector(g))
-    return float(sf @ wg) / 2 ** (3 * f.n / 2)
-
-
 def forrelation_phi(f: BooleanFunction, g: BooleanFunction) -> float:
-    """Phi(f, g) = 2^{-3n/2} sum_{x,y} (-1)^{f(x) + x·y + g(y)}, exactly.
-
-    Literal double sum below n = 8, fast transform above; the two paths are
-    tested against each other.
-    """
+    """Phi(f, g) = 2^{-3n/2} sum_{x,y} (-1)^{f(x) + x·y + g(y)}, exactly: the
+    numerator sum_x (-1)^{f(x)} W[x] of g's Walsh transform W is an integer
+    below 2^53 (n <= 14), so the float sum is exact."""
     if f.n != g.n:
         raise ValueError("arity mismatch")
     if f.w != 1 or g.w != 1:
         raise ValueError("forrelation takes width-1 functions")
     if f.n > 14:
         raise ValueError("brute-force bound is n <= 14")
-    if f.n <= 8:
-        return _phi_double_sum(f, g)
-    return _phi_walsh(f, g)
+    return float(sign_vector(f) @ walsh_hadamard(sign_vector(g))) / 2 ** (3 * f.n / 2)

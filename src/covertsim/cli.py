@@ -2,8 +2,8 @@
 
 Configs come from a JSON file and/or inline flags; flags override file
 values. Exit codes: 0 on completion, 2 on config error (or an --out
-directory whose summary.csv has other columns), 3 when --assert is passed
-and an acceptance threshold fails.
+directory whose summary.csv has other columns or that holds this seed's
+report), 3 when --assert is passed and an acceptance threshold fails.
 """
 from __future__ import annotations
 
@@ -83,14 +83,14 @@ def main():
 
 @main.command()
 @_config_options
-@click.option("--out", "out_dir", default=None, help="directory for report.json / summary.csv")
+@click.option("--out", "out_dir", default=None, help="directory for report-seed<seed>.json / summary.csv")
 @click.option("--assert", "do_assert", is_flag=True, default=False,
               help="exit 3 when a registered acceptance threshold fails")
 def run(cfg, out_dir, do_assert):
     """Run a seeded Monte-Carlo experiment and emit reports."""
     try:
         report = exp.run_experiment(cfg, out_dir=out_dir)
-    except exp.SummaryHeaderError as e:
+    except exp.OutDirError as e:
         click.echo(f"output error: {e}", err=True)
         sys.exit(2)
     click.echo(json.dumps(
@@ -126,10 +126,22 @@ def resources(cfg):
 
 @main.command(name="list-scenarios")
 def list_scenarios():
-    """List scenario names with one-line descriptions."""
+    """List each scenario with its description, one line per param (name,
+    default as JSON, allowed values) and the adversary kinds it takes. Text
+    that depends on the params is given at the defaults."""
     width = max(len(name) for name in exp.SCENARIOS)
     for name, sc in exp.SCENARIOS.items():
         click.echo(f"{name:<{width}}  {sc.description}")
+        defaults, note = sc.defaults, " (at the defaults)"
+        rows = [(key, json.dumps(param.default),
+                 param.text(defaults) + (note if callable(param.allowed) else ""))
+                for key, param in sc.params.items()]
+        widths = [max(len(row[i]) for row in rows) for i in (0, 1)]
+        for key, default, allowed in rows:
+            click.echo(f"  {key:<{widths[0]}}  {default:<{widths[1]}}  {allowed}")
+        kinds = sc.adversaries(defaults) if callable(sc.adversaries) else sc.adversaries
+        click.echo(f"  adversaries: {', '.join(sorted(kinds)) or 'none'}"
+                   f"{note if callable(sc.adversaries) else ''}")
 
 
 if __name__ == "__main__":

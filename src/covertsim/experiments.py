@@ -10,6 +10,7 @@ import json
 import math
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -85,23 +86,23 @@ class ExperimentConfig:
             raise ConfigError(f"params must be a JSON object, got {self.params!r}")
         object.__setattr__(self, "params", dict(self.params))
         for key, value in self.params.items():
-            if key not in sc.defaults:
+            if key not in sc.params:
                 raise ConfigError(
                     f"unknown param {key!r} for {self.scenario}; "
-                    f"known params: {sorted(sc.defaults)}"
+                    f"known params: {sorted(sc.params)}"
                 )
-            default = sc.defaults[key]
+            default = sc.params[key].default
             if not _fits_default(value, default):
                 expected = ("int or null" if default is None
                             else "a finite number" if isinstance(default, float)
                             else type(default).__name__)
                 raise ConfigError(f"param {key!r} must be {expected}, got {value!r}")
         params = self.full_params
-        for key, (ok, allowed) in sc.rules.items():
-            if not ok(params[key], params):
-                if callable(allowed):
-                    allowed = allowed(params)
-                raise ConfigError(f"param {key!r} must be {allowed}, got {params[key]!r}")
+        for key, param in sc.params.items():
+            if param.rule is not None and not param.rule(params[key], params):
+                raise ConfigError(
+                    f"param {key!r} must be {param.text(params)}, got {params[key]!r}"
+                )
         strategy = build_adversary(self.adversary)
         kinds = sc.adversaries(params) if callable(sc.adversaries) else sc.adversaries
         if strategy is not None and strategy.kind not in kinds:
@@ -474,25 +475,44 @@ def _forrelation_resources(p) -> dict:
 # --- registry -----------------------------------------------------------------
 
 
-def _one_of(*values) -> tuple[Callable, str]:
-    """Rule: the param is one of `values`."""
-    return lambda v, p: v in values, "one of " + ", ".join(map(repr, values))
+@dataclass(frozen=True)
+class Param:
+    """One scenario parameter: its default, which fixes its type; its rule, a
+    test of its value within the full params (None: the type is all there is
+    to check); and the text of its allowed values, or a function of the full
+    params giving it."""
+
+    default: object
+    rule: Optional[Callable[[object, dict], bool]]
+    allowed: str | Callable[[dict], str]
+
+    def text(self, params: dict) -> str:
+        return self.allowed(params) if callable(self.allowed) else self.allowed
 
 
-# rule: an accuracy, or a confidence or failure probability, strictly
-# inside (0, 1)
-_OPEN_UNIT = (lambda v, p: 0 < v < 1, "in (0, 1)")
-# rule: a target error or a norm bound, such as covert-sq's delta and b_c
-_POSITIVE = (lambda v, p: v > 0, "positive")
-# rule: a probability, such as the leak rate delta_leak
-_PROBABILITY = (lambda v, p: 0 <= v <= 1, "in [0, 1]")
-# rule: an optional count, null for the paper formula's
-_OPTIONAL_COUNT = (lambda v, p: v is None or v >= 1, "null or at least 1")
+# Rule constructors take the default: `_open_unit(0.1)` is a Param.
+# an accuracy, or a confidence or failure probability, strictly inside (0, 1)
+_open_unit = partial(Param, rule=lambda v, p: 0 < v < 1, allowed="in (0, 1)")
+# a target error or a norm bound, such as covert-sq's delta and b_c
+_positive = partial(Param, rule=lambda v, p: v > 0, allowed="positive")
+# a probability, such as the leak rate delta_leak
+_probability = partial(Param, rule=lambda v, p: 0 <= v <= 1, allowed="in [0, 1]")
+# an optional count, null for the paper formula's
+_optional_count = partial(Param, rule=lambda v, p: v is None or v >= 1,
+                          allowed="null or at least 1")
+# a switch
+_flag = partial(Param, rule=None, allowed="true or false")
 
 
-def _at_least(low: int) -> tuple[Callable, str]:
-    """Rule: a count of at least `low`."""
-    return lambda v, p: v >= low, f"at least {low}"
+def _one_of(default, *values) -> Param:
+    return Param(default, lambda v, p: v in values, "one of " + ", ".join(map(repr, values)))
+
+
+def _count(default: int, low: int, high: Optional[int] = None) -> Param:
+    """A count of at least `low`, or in low..high."""
+    if high is None:
+        return Param(default, lambda v, p: v >= low, f"at least {low}")
+    return Param(default, lambda v, p: low <= v <= high, f"in {low}..{high}")
 
 
 def _min_task_blocks(p: dict) -> int:
@@ -501,14 +521,17 @@ def _min_task_blocks(p: dict) -> int:
     return 1 if p["ancilla_free"] else 2
 
 
-_TASK_BLOCKS = (lambda v, p: v >= _min_task_blocks(p),
-                lambda p: f"at least {_min_task_blocks(p)}")
+_task_blocks = partial(Param, rule=lambda v, p: v >= _min_task_blocks(p),
+                       allowed=lambda p: f"at least {_min_task_blocks(p)}")
 
-# rule: forrelation's base decision error; amplified unidirectional rounds
-# need the task confidence delta_A = 2 * base_error below 1/4, and the
-# ancilla-free acquisition certifies at eps_A = base_error^2, below 1
-_BASE_ERROR = (lambda v, p: 0 < v < (1 if p["ancilla_free"] else 1 / 8),
-               lambda p: "in (0, 1)" if p["ancilla_free"] else "in (0, 1/8)")
+# forrelation's base decision error; amplified unidirectional rounds need the
+# task confidence delta_A = 2 * base_error below 1/4, and the ancilla-free
+# acquisition certifies at eps_A = base_error^2, below 1
+_BASE_ERROR = Param(
+    tasks.FORRELATION_BASE_ERROR,
+    lambda v, p: 0 < v < (1 if p["ancilla_free"] else 1 / 8),
+    lambda p: "in (0, 1)" if p["ancilla_free"] else "in (0, 1/8)",
+)
 
 # adversary kinds: all of them for a scenario that taps an oracle channel;
 # only those that keep no quantum register (the ancilla-free model's) when
@@ -541,22 +564,24 @@ def _certify_state_ok(state: str, p: dict) -> bool:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything about a scenario. `defaults` is its parameter schema: every
+    """Everything about a scenario. `params` is its parameter table: every
     key that `runner` or `resources` reads, which are all the keys a config
-    may set. `resources` computes the schedule from the values the runner
-    uses; `adversaries` lists the spec kinds it accepts (none: it takes no
-    adversary spec), or is a function of the full params giving them.
-    `rules` maps a param to a test of its value within the full params and
-    the allowed values it states (text, or a function of the full params
-    giving it), checked at construction in order."""
+    may set, in the order their rules are checked (a rule that reads other
+    params comes after them). `resources` computes the schedule from the
+    values the runner uses; `adversaries` lists the spec kinds it accepts
+    (none: it takes no adversary spec), or is a function of the full params
+    giving them."""
 
     runner: Callable
-    defaults: dict
+    params: dict[str, Param]
     description: str
     resources: Callable[[dict], dict]
     adversaries: frozenset | Callable[[dict], frozenset] = frozenset()
     asserts: Optional[Callable] = None
-    rules: dict = field(default_factory=dict)
+
+    @property
+    def defaults(self) -> dict:
+        return {name: param.default for name, param in self.params.items()}
 
 
 def _assert_parity(agg, params):
@@ -574,107 +599,89 @@ def _assert_acquire_uni(agg, params):
 SCENARIOS: dict[str, Scenario] = {
     "parity": Scenario(
         _run_parity,
-        {"n": 8, "delta_c": 0.1, "delta_p": 1 / 8, "sq_policy": oracles.GRID},
+        # n: the secret is one int64 draw below 2^n
+        {"n": _count(8, 1, 63), "sq_policy": _one_of(oracles.GRID, *oracles.POLICIES),
+         "delta_c": _open_unit(0.1),
+         "delta_p": Param(1 / 8, lambda v, p: 0 < v < 1 and covertex.parity_k(v) < p["n"],
+                          "in (0, 1) with ceil(log2(1/delta_p)) < n")},
         "covert parity learning from public examples and private SQs",
         _parity_resources,
         asserts=_assert_parity,
-        rules={"sq_policy": _one_of(*oracles.POLICIES), "delta_c": _OPEN_UNIT,
-               "delta_p": (lambda v, p: 0 < v < 1 and covertex.parity_k(v) < p["n"],
-                           "in (0, 1) with ceil(log2(1/delta_p)) < n")},
     ),
     "quadratic": Scenario(
-        _run_quadratic, {"n": 4, "delta_c": 0.1, "qsq_policy": oracles.GRID},
+        _run_quadratic,
+        {"n": _count(4, 1), "qsq_policy": _one_of(oracles.GRID, *oracles.POLICIES),
+         "delta_c": _open_unit(0.1)},
         "covert quadratic-function learning from public Bell samples",
         lambda p: {
             "m_pub_bell_pairs": covertex.quadratic_public_budget(p["n"], p["delta_c"]),
             "m_pri": p["n"],
         },
-        rules={"n": _at_least(1), "qsq_policy": _one_of(*oracles.POLICIES),
-               "delta_c": _OPEN_UNIT},
     ),
     "covert-sq": Scenario(
         _run_covert_sq,
-        {"n": 4, "d": 2, "delta": 0.1, "delta_c": 0.05, "b_c": 1.0, "b_m": 1.0},
+        {"n": _count(4, 1), "d": _count(2, 1), "delta": _positive(0.1),
+         "delta_c": _open_unit(0.05), "b_c": _positive(1.0), "b_m": _positive(1.0)},
         "JL-sketched covert polynomial statistical queries",
         _covert_sq_resources,
-        rules={"n": _at_least(1), "d": _at_least(1), "delta": _POSITIVE,
-               "delta_c": _OPEN_UNIT, "b_c": _POSITIVE, "b_m": _POSITIVE},
     ),
     "shadows-qsq": Scenario(
         _run_shadows,
-        {"n": 4, "k": 2, "tau": 0.1, "delta_p": 0.01, "n_states": 5,
-         "n_observables": 20},
+        {"n": _count(4, 1, oracles.PAULI_TABLE_QUBIT_CAP),
+         "k": Param(2, lambda v, p: 0 <= v <= min(p["n"], covertsq.MAX_LOCALITY),
+                    f"in 0..min(n, {covertsq.MAX_LOCALITY})"),
+         "delta_p": _open_unit(0.01), "n_states": _count(5, 1), "n_observables": _count(20, 1),
+         # last: the shot count needs valid k, delta_p and n_observables
+         "tau": Param(0.1, lambda v, p: v > 0 and _shadow_shots(p) <= covertsq.MAX_SHADOW_SHOTS,
+                      _shadow_tau_allowed)},
         "classical-shadows covert QSQs from public Pauli measurement examples",
         _shadows_resources,
-        rules={
-            "n": (lambda v, p: 1 <= v <= oracles.PAULI_TABLE_QUBIT_CAP,
-                  f"in 1..{oracles.PAULI_TABLE_QUBIT_CAP}"),
-            "k": (lambda v, p: 0 <= v <= min(p["n"], covertsq.MAX_LOCALITY),
-                  f"in 0..min(n, {covertsq.MAX_LOCALITY})"),
-            "delta_p": _OPEN_UNIT,
-            "n_states": _at_least(1),
-            "n_observables": _at_least(1),
-            # last: the shot count needs valid k, delta_p and n_observables
-            "tau": (lambda v, p: v > 0 and _shadow_shots(p) <= covertsq.MAX_SHADOW_SHOTS,
-                    _shadow_tau_allowed),
-        },
     ),
     "certify": Scenario(
         _run_certify,
-        {"n_block": 4, "eps": 0.1, "delta": 0.05, "state": "exact", "rounds": None},
+        {"n_block": _count(4, 1), "eps": _open_unit(0.1), "delta": _open_unit(0.05),
+         "state": Param("exact", _certify_state_ok,
+                        "'exact', 'zero' or 'flip:<k>' with k <= 2^n_block"),
+         "rounds": _optional_count(None)},
         "shadow-overlap certification dichotomy",
         _certify_resources,
-        rules={
-            "n_block": _at_least(1),
-            "eps": _OPEN_UNIT,
-            "delta": _OPEN_UNIT,
-            "state": (_certify_state_ok,
-                      "'exact', 'zero' or 'flip:<k>' with k <= 2^n_block"),
-            "rounds": _OPTIONAL_COUNT,
-        },
     ),
     "acquire-uni": Scenario(
         _run_acquire_uni,
-        {"n": 3, "m": 1, "eps": 0.1, "delta": 0.1, "n_blocks": 20,
-         "mode": acquire.RANDOMNESS, "bad_below": 0.8},
+        {"n": _count(3, 1), "m": _count(1, 1), "eps": _open_unit(0.1),
+         "delta": _open_unit(0.1), "n_blocks": _count(20, 2),
+         "mode": _one_of(acquire.RANDOMNESS, *acquire.MODES),
+         "bad_below": Param(0.8, lambda v, p: 0 < v <= 1, "in (0, 1]")},
         "covert verifiable phase states vs unidirectional adversaries",
         _acquire_uni_resources,
         lambda p: ANCILLA_FREE if p["mode"] == acquire.ENTANGLED else TAPPED,
         _assert_acquire_uni,
-        rules={"n": _at_least(1), "m": _at_least(1), "eps": _OPEN_UNIT,
-               "delta": _OPEN_UNIT, "n_blocks": _at_least(2),
-               "mode": _one_of(*acquire.MODES)},
     ),
     "acquire-af": Scenario(
         _run_acquire_af,
-        {"n": 3, "m": 1, "eps": 0.1, "delta": 0.1, "delta_leak": 0.5,
-         "n_blocks": None},
+        {"n": _count(3, 1), "m": _count(1, 1), "eps": _open_unit(0.1),
+         "delta": _open_unit(0.1), "n_blocks": _optional_count(None),
+         "delta_leak": _probability(0.5)},
         "covert verifiable phase states vs i.i.d. ancilla-free adversaries",
         lambda p: _acquisition_resources(p, p["n"], p["m"], p["eps"], p["delta"], True),
         ANCILLA_FREE,
-        rules={"n": _at_least(1), "m": _at_least(1), "eps": _OPEN_UNIT,
-               "delta": _OPEN_UNIT, "n_blocks": _OPTIONAL_COUNT,
-               "delta_leak": _PROBABILITY},
     ),
     "forrelation": Scenario(
         _run_forrelation,
-        {"n": 4, "delta": 0.1, "ancilla_free": False, "delta_leak": 0.5,
-         "copies": tasks.FORRELATION_COPIES,
-         "base_error": tasks.FORRELATION_BASE_ERROR,
-         "n_blocks": acquire.DEFAULT_BLOCKS},
+        {"n": _count(4, 1, tasks.FORRELATION_MAX_N), "delta": _open_unit(0.1),
+         "ancilla_free": _flag(False), "copies": _count(tasks.FORRELATION_COPIES, 1),
+         "base_error": _BASE_ERROR, "n_blocks": _task_blocks(acquire.DEFAULT_BLOCKS),
+         "delta_leak": _probability(0.5)},
         "covert verifiable Forrelation end to end",
         _forrelation_resources,
         lambda p: ANCILLA_FREE if p["ancilla_free"] else TAPPED,
-        rules={"n": (lambda v, p: 1 <= v <= tasks.FORRELATION_MAX_N,
-                     f"in 1..{tasks.FORRELATION_MAX_N}"),
-               "delta": _OPEN_UNIT, "copies": _at_least(1),
-               "base_error": _BASE_ERROR, "n_blocks": _TASK_BLOCKS,
-               "delta_leak": _PROBABILITY},
     ),
     "simon": Scenario(
         _run_simon,
-        {"n": 4, "delta": 0.1, "ancilla_free": False, "delta_leak": 0.5,
-         "copy_budget": None, "n_blocks": acquire.DEFAULT_BLOCKS},
+        {"n": _count(4, 1), "delta": _open_unit(0.1), "ancilla_free": _flag(False),
+         "copy_budget": _optional_count(None),
+         "n_blocks": _task_blocks(acquire.DEFAULT_BLOCKS),
+         "delta_leak": _probability(0.5)},
         "covert verifiable Simon end to end",
         # one example state of the n-to-n Simon function (2n qubits) each
         lambda p: _acquisition_resources(
@@ -683,17 +690,13 @@ SCENARIOS: dict[str, Scenario] = {
         # its QMem queries tap a register entangled with the learner's out
         # register by the kickback CNOTs, in either model
         ANCILLA_FREE,
-        rules={"n": _at_least(1), "delta": _OPEN_UNIT,
-               "copy_budget": _OPTIONAL_COUNT, "n_blocks": _TASK_BLOCKS,
-               "delta_leak": _PROBABILITY},
     ),
     "nogo-swap": Scenario(
         _run_nogo_swap,
-        {"n": 4, "m": 1, "eps": 0.1, "delta": 0.1, "n_blocks": 20},
+        {"n": _count(4, 1), "m": _count(1, 1), "eps": _open_unit(0.1),
+         "delta": _open_unit(0.1), "n_blocks": _count(20, 2)},
         "swap-attack impossibility reproduction",
         _acquire_uni_resources,
-        rules={"n": _at_least(1), "m": _at_least(1), "eps": _OPEN_UNIT,
-               "delta": _OPEN_UNIT, "n_blocks": _at_least(2)},
     ),
 }
 
@@ -779,26 +782,33 @@ class ExperimentReport:
 _SUMMARY_PARAMS = ("n", "m", "eps", "delta", "delta_c", "delta_p", "delta_leak")
 
 
-class SummaryHeaderError(ConfigError):
-    """An output directory's summary.csv has columns other than this run's."""
+class OutDirError(ConfigError):
+    """An --out directory that cannot take this run: its summary.csv has
+    columns other than this run's, or it holds this seed's report already."""
 
 
-def _check_summary_header(csv_path: Path, columns: list[str], complete: bool) -> None:
-    """Refuse to append to a summary.csv whose header is not `columns` (or,
-    unless `complete`, does not start with them)."""
-    if not csv_path.exists():
-        return
-    with open(csv_path) as fh:
-        line = fh.readline().rstrip("\n")
-    if not line:
-        return
+def _check_out_dir(out_dir: str, seed: int, columns: list[str], complete: bool) -> Path:
+    """The path of the run's report in `out_dir`. Refused if that report
+    exists or if the summary.csv there has a header that is not `columns`
+    (or, unless `complete`, does not start with them)."""
+    csv_path = Path(out_dir) / "summary.csv"
+    line = ""
+    if csv_path.exists():
+        with open(csv_path) as fh:
+            line = fh.readline().rstrip("\n")
     existing = line.split(",")
-    if (existing if complete else existing[: len(columns)]) != columns:
-        raise SummaryHeaderError(
+    if line and (existing if complete else existing[: len(columns)]) != columns:
+        raise OutDirError(
             f"{csv_path} has the columns {line!r}, which a row of this run "
             f"({','.join(columns)}{'' if complete else ',...'}) does not fit; "
             "write to another --out directory"
         )
+    path = Path(out_dir) / f"report-seed{seed}.json"
+    if path.exists():
+        raise OutDirError(
+            f"{path} exists; write to another --out directory or run another seed"
+        )
+    return path
 
 
 def run_experiment(
@@ -806,18 +816,17 @@ def run_experiment(
 ) -> ExperimentReport:
     """Execute the trials (optionally across worker processes; trial seeds
     make the records independent of the worker count), aggregate, and
-    optionally write report.json plus a summary.csv row. An existing
-    summary.csv whose header cannot take the row is refused before any
-    trial runs (SummaryHeaderError)."""
+    optionally write report-seed<seed>.json plus a summary.csv row. An
+    existing summary.csv whose header cannot take the row, or an existing
+    report of this seed, is refused before any trial runs (OutDirError)."""
     if out_dir is not None:
         params = cfg.full_params
         columns = ["scenario", "seed", "trials", "wall_clock_s",
                    *(k for k in _SUMMARY_PARAMS if k in params)]
-        _check_summary_header(Path(out_dir) / "summary.csv", columns, complete=False)
+        _check_out_dir(out_dir, cfg.seed, columns, complete=False)
     start = time.perf_counter()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(partial(run_trial, cfg), range(cfg.trials)))
@@ -841,12 +850,11 @@ def run_experiment(
 
 
 def write_report(report: ExperimentReport, out_dir: str):
-    path = Path(out_dir)
     row = report.summary_row()
-    csv_path = path / "summary.csv"
-    _check_summary_header(csv_path, list(row), complete=True)
-    path.mkdir(parents=True, exist_ok=True)
-    with open(path / "report.json", "w") as fh:
+    report_path = _check_out_dir(out_dir, report.seed, list(row), complete=True)
+    csv_path = Path(out_dir) / "summary.csv"
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(report_path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
     header = not csv_path.exists() or csv_path.stat().st_size == 0

@@ -102,6 +102,17 @@ def round_on_copy_indexed(copy: qsim.PureState, local: int, rng) -> tuple[int, i
     return j, int(rng.random() >= min(1.0, p_plus))
 
 
+def phi_double_sum(f: bf.BooleanFunction, g: bf.BooleanFunction) -> float:
+    """Phi(f, g) as the literal double sum over (x, y): the 2^n x 2^n
+    character matrix (-1)^{x·y} between the two sign vectors."""
+    n = f.n
+    xs = np.arange(1 << n, dtype=np.uint64)
+    chi = 1.0 - 2.0 * (np.bitwise_count(xs[:, None] & xs[None, :]) & 1).astype(
+        np.float64
+    )
+    return float(bf.sign_vector(f) @ chi @ bf.sign_vector(g)) / 2 ** (3 * n / 2)
+
+
 def quadratic_from_matrix(mat: Sequence[Sequence[int]]) -> bf.BooleanFunction:
     """f(x) = x^T A x over GF(2) from an upper-triangular 0/1 matrix A."""
     n = len(mat)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -169,6 +170,12 @@ class TestConfig:
             with pytest.raises(exp.ConfigError, match=repr(list(params)[-1])):
                 exp.ExperimentConfig.from_dict(d)
 
+    def test_every_param_but_a_switch_has_a_rule(self):
+        for name, sc in exp.SCENARIOS.items():
+            for key, param in sc.params.items():
+                assert param.allowed, (name, key)
+                assert (param.rule is None) == isinstance(param.default, bool), (name, key)
+
     def test_configured_rounds_are_reported_as_given(self):
         cfg = exp.ExperimentConfig.from_dict(
             {"scenario": "certify", "params": {"rounds": 7}}
@@ -284,7 +291,7 @@ class TestRun:
              "params": {"n_block": 3, "rounds": 50}}
         )
         report = exp.run_experiment(cfg, out_dir=str(tmp_path))
-        doc = json.loads((tmp_path / "report.json").read_text())
+        doc = json.loads((tmp_path / "report-seed3.json").read_text())
         jsonschema.validate(doc, exp.REPORT_SCHEMA)
         csv_text = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(csv_text) == 2 and csv_text[0].startswith("scenario,")
@@ -296,10 +303,10 @@ class TestRun:
         )
         header = "scenario,seed,trials,wall_clock_s,eps,delta,other_rate\n"
         (tmp_path / "summary.csv").write_text(header)
-        with pytest.raises(exp.SummaryHeaderError, match="summary.csv"):
+        with pytest.raises(exp.OutDirError, match="summary.csv"):
             exp.run_experiment(cfg, out_dir=str(tmp_path))
         assert (tmp_path / "summary.csv").read_text() == header
-        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "report-seed3.json").exists()
 
     def test_nogo_swap_scenario(self):
         cfg = exp.ExperimentConfig.from_dict(
@@ -431,6 +438,30 @@ class TestCli:
         for name in exp.SCENARIOS:
             assert name in out.stdout
 
+    def test_list_scenarios_prints_every_param(self):
+        out = self.run_cli("list-scenarios")
+        assert out.returncode == 0, out.stderr
+        blocks: dict = {}
+        for line in out.stdout.splitlines():
+            if not line.startswith(" "):
+                block = blocks.setdefault(line.split()[0], {})
+            elif line.startswith("  adversaries: "):
+                block["adversaries"] = line.split(": ", 1)[1]
+            else:
+                key, default, allowed = re.split(r"\s{2,}", line.strip(), maxsplit=2)
+                block[key] = [default, allowed]
+        assert list(blocks) == list(exp.SCENARIOS)
+        note = " (at the defaults)"
+        for name, sc in exp.SCENARIOS.items():
+            defaults = sc.defaults
+            expect = {key: [json.dumps(param.default),
+                            param.text(defaults) + (note if callable(param.allowed) else "")]
+                      for key, param in sc.params.items()}
+            kinds = sc.adversaries(defaults) if callable(sc.adversaries) else sc.adversaries
+            expect["adversaries"] = ((", ".join(sorted(kinds)) or "none")
+                                     + (note if callable(sc.adversaries) else ""))
+            assert blocks[name] == expect
+
     def test_run_inline_params(self, tmp_path):
         out = self.run_cli(
             "run", "--scenario", "certify", "--trials", "3", "--seed", "2",
@@ -438,7 +469,7 @@ class TestCli:
             "--out", str(tmp_path),
         )
         assert out.returncode == 0
-        assert (tmp_path / "report.json").exists()
+        assert (tmp_path / "report-seed2.json").exists()
         assert (tmp_path / "summary.csv").exists()
 
     def test_summary_of_another_scenario_exit_code(self, tmp_path):
@@ -456,6 +487,16 @@ class TestCli:
                            "--seed", "1", "--out", str(tmp_path))
         assert out.returncode == 0, out.stderr
         assert len((tmp_path / "summary.csv").read_text().splitlines()) == 3
+        assert (tmp_path / "report-seed0.json").exists()
+        assert (tmp_path / "report-seed1.json").exists()
+        # a second run of a seed would overwrite its report: refused
+        before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        out = self.run_cli("run", "--scenario", "parity", "--trials", "1",
+                           "--seed", "1", "--out", str(tmp_path))
+        assert out.returncode == 2
+        assert str(tmp_path / "report-seed1.json") in out.stderr
+        assert "Traceback" not in out.stderr and out.stdout == ""
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
 
     def test_config_error_exit_code(self):
         out = self.run_cli("run", "--scenario", "not-a-scenario")
@@ -512,6 +553,7 @@ class TestCli:
         ("shadows-qsq", "n_observables=0"),
         ("shadows-qsq", "k=5"),
         ("shadows-qsq", "n=9"),
+        ("acquire-uni", "bad_below=-1"),  # --assert would pass vacuously
     ])
     @pytest.mark.parametrize("command", ["run", "resources", "replay"])
     def test_param_rule_exit_code(self, command, scenario, param):
@@ -545,6 +587,7 @@ class TestCli:
         ("covert-sq --param b_c=0", "'b_c'"),
         ("quadratic --param n=0", "'n'"),
         ("simon --param copy_budget=0", "'copy_budget'"),
+        ("parity --param n=64", "'n'"),  # the secret's draw needs 2^n below 2^63
         ('simon --adversary {"kind":"swap_attack"}', "'swap_attack'"),
         ('acquire-uni --param mode=entangled --adversary {"kind":"swap_attack"}',
          "'swap_attack'"),
