@@ -2,9 +2,11 @@
 
 Two pipelines: a sketching compiler that turns one low-degree polynomial SQ
 into a batch of random dense polynomial SQs whose distribution carries no
-information about the target (the public queries are rows of a Gaussian
-random projection), and the random-Pauli classical-shadows pipeline that
-answers k-local QSQs from observable-agnostic public measurement examples.
+information about the target (the public queries are the rows of one
+coefficient matrix, a normalized Gaussian random projection, whose exact
+expectations are computed once; each row still reaches the oracle as its own
+query), and the random-Pauli classical-shadows pipeline that answers k-local
+QSQs from observable-agnostic public measurement examples.
 """
 from __future__ import annotations
 
@@ -24,6 +26,9 @@ MAX_LOCALITY = 4
 # largest shadow set a config may ask for, in shots per state: the sampler
 # holds two (shots, n) int64 arrays, 1.28 GB at this cap and n = 8
 MAX_SHADOW_SHOTS = 10**7
+# largest m_e x N float64 projection a config may ask for, in bytes; the
+# plan holds it and its normalized copy, so 512 MiB at this cap
+MAX_PROJECTION_BYTES = 2**28
 
 # --- monomial basis -----------------------------------------------------------
 
@@ -35,7 +40,7 @@ def monomial_basis(n: int, d: int) -> list[tuple[int, ...]]:
     allowed); the count is C(n+d, d). Over {0,1}^n a monomial evaluates as
     the product over its support, so repeated variables collapse in value but
     remain distinct basis elements. Order: by degree, then lexicographic;
-    recorded in the plan for reproducibility.
+    the columns of a sketch plan follow it.
     """
     basis: list[tuple[int, ...]] = []
     for deg in range(d + 1):
@@ -66,19 +71,37 @@ def exact_moment_vector(n: int, d: int) -> np.ndarray:
 
 @dataclass
 class SketchPlan:
-    n: int
-    degree: int
-    basis: list[tuple[int, ...]]
     m_e: int
     tau_e: float
-    b_c: float
-    b_m: float
     projection: np.ndarray  # m_e x N, private
     projected_coeffs: Optional[np.ndarray]  # R c, private; None for the simulator
     scales: np.ndarray  # per-query affine de-normalization y = scale*resp + shift
     shifts: np.ndarray
-    queries: list[PolynomialSqQuery]
+    supports: tuple[int, ...]  # monomial supports as bit masks, one per column
+    query_coeffs: np.ndarray  # m_e x N, public: row i is public query i
+    expectations: np.ndarray  # of each public query under uniform inputs
     oracle_taus: np.ndarray
+
+    @property
+    def queries(self) -> list[PolynomialSqQuery]:
+        """The public queries as PolynomialSqQuerys, built on each access."""
+        return [PolynomialSqQuery(self.supports, tuple(row)) for row in self.query_coeffs]
+
+
+@dataclass(slots=True)
+class _PublicQuery:
+    """Public query i of a plan; its payload is built only when a transcript logs it."""
+
+    plan: SketchPlan
+    i: int
+    expectation: float
+
+    def exact_expectation(self, f) -> float:
+        return self.expectation
+
+    def describe(self) -> dict:
+        row = self.plan.query_coeffs[self.i]
+        return PolynomialSqQuery(self.plan.supports, tuple(row)).describe()
 
 
 def sketch_width(delta: float, delta_c: float, b_c: float, b_m: float) -> tuple[int, float, float]:
@@ -118,9 +141,9 @@ def _build_plan(
     norm_coeffs = projection / (2.0 * bounds[:, None])
     const_col = supports.index(0)  # graded order starts with the empty monomial
     norm_coeffs[:, const_col] += 0.5
-    queries = [
-        PolynomialSqQuery(supports, tuple(row)) for row in norm_coeffs
-    ]
+    # np.vecdot takes each row's dot as np.dot does, so every value equals
+    # PolynomialSqQuery.exact_expectation bit for bit; C @ m sums otherwise
+    expectations = np.vecdot(norm_coeffs, exact_moment_vector(n, d))
     scales = 2.0 * bounds
     shifts = -bounds
     # a row with a tiny L1 norm would get a tolerance of 1 or more, which no
@@ -129,9 +152,9 @@ def _build_plan(
     taus = np.minimum(tau_e / scales, 0.5)
     projected = None if coeffs is None else projection @ coeffs
     return SketchPlan(
-        n=n, degree=d, basis=basis, m_e=m_e, tau_e=tau_e, b_c=b_c, b_m=b_m,
-        projection=projection, projected_coeffs=projected,
-        scales=scales, shifts=shifts, queries=queries, oracle_taus=taus,
+        m_e=m_e, tau_e=tau_e, projection=projection, projected_coeffs=projected,
+        scales=scales, shifts=shifts, supports=supports, query_coeffs=norm_coeffs,
+        expectations=expectations, oracle_taus=taus,
     )
 
 
@@ -149,8 +172,8 @@ def sketch_encode(
     """Compile the private target polynomial into m_e public dense queries.
 
     `coeffs` is aligned with monomial_basis(n, d) and must satisfy
-    ||c||_2 <= b_c. The public queries (plan.queries with plan.oracle_taus)
-    are affine-normalized into [0, 1]; the plan privately retains R and R c.
+    ||c||_2 <= b_c. The public queries (plan.query_coeffs rows, sent at
+    plan.oracle_taus) lie in [0, 1]; the plan privately retains R and R c.
     """
     c = np.asarray(coeffs, dtype=float)
     if len(c) != monomial_count(n, d):
@@ -179,10 +202,9 @@ def sketch_decode(plan: SketchPlan, responses: Sequence[float]) -> float:
 
 
 def run_sketched_query(plan: SketchPlan, oracle: SqOracle) -> float:
-    """Send every public query, decode the responses."""
-    responses = [
-        oracle.query(q, tau) for q, tau in zip(plan.queries, plan.oracle_taus)
-    ]
+    """Send every public query to the oracle, one query each, and decode."""
+    rows = enumerate(zip(plan.expectations.tolist(), plan.oracle_taus.tolist()))
+    responses = [oracle.query(_PublicQuery(plan, i, e), tau) for i, (e, tau) in rows]
     return sketch_decode(plan, responses)
 
 

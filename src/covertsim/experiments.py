@@ -493,7 +493,7 @@ class Param:
 # Rule constructors take the default: `_open_unit(0.1)` is a Param.
 # an accuracy, or a confidence or failure probability, strictly inside (0, 1)
 _open_unit = partial(Param, rule=lambda v, p: 0 < v < 1, allowed="in (0, 1)")
-# a target error or a norm bound, such as covert-sq's delta and b_c
+# a norm bound, such as covert-sq's b_c
 _positive = partial(Param, rule=lambda v, p: v > 0, allowed="positive")
 # a probability, such as the leak rate delta_leak
 _probability = partial(Param, rule=lambda v, p: 0 <= v <= 1, allowed="in [0, 1]")
@@ -552,6 +552,24 @@ def _shadow_shots(p: dict) -> float:
 def _shadow_tau_allowed(p: dict) -> str:
     text = f"positive, with at most {covertsq.MAX_SHADOW_SHOTS:,} shots per state"
     return text if not p["tau"] > 0 else f"{text} (it needs {_shadow_shots(p):,})"
+
+
+def _sketch_bytes(p: dict) -> float:
+    """Bytes of a covert-sq config's m_e x N float64 projection, inf past
+    float range."""
+    n, d = p["n"], p["d"]
+    if min(n, d) >= 64 or max(n, d) >= 2**64:  # N >= 2^64; math.comb would crawl
+        return math.inf
+    try:
+        return 8.0 * _covert_sq_resources(p)["m_e"] * covertsq.monomial_count(n, d)
+    except (ZeroDivisionError, OverflowError):  # eps0**2 underflows to 0 or near it
+        return math.inf
+
+
+def _sketch_delta_allowed(p: dict) -> str:
+    text = (f"positive, with an m_e x N float64 projection of at most "
+            f"{covertsq.MAX_PROJECTION_BYTES / 2**30:.3g} GiB")
+    return text if not p["delta"] > 0 else f"{text} (it needs {_sketch_bytes(p) / 2**30:.3g} GiB)"
 
 
 def _certify_state_ok(state: str, p: dict) -> bool:
@@ -620,8 +638,11 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "covert-sq": Scenario(
         _run_covert_sq,
-        {"n": _count(4, 1), "d": _count(2, 1), "delta": _positive(0.1),
-         "delta_c": _open_unit(0.05), "b_c": _positive(1.0), "b_m": _positive(1.0)},
+        {"n": _count(4, 1), "d": _count(2, 1), "delta_c": _open_unit(0.05),
+         "b_c": _positive(1.0), "b_m": _positive(1.0),
+         # last: the projection size needs valid n, d, delta_c, b_c and b_m
+         "delta": Param(0.1, lambda v, p: v > 0 and _sketch_bytes(p) <= covertsq.MAX_PROJECTION_BYTES,
+                        _sketch_delta_allowed)},
         "JL-sketched covert polynomial statistical queries",
         _covert_sq_resources,
     ),

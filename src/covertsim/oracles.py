@@ -102,9 +102,6 @@ def _policy_answer(policy: str, truth: float, tau: float, rng) -> float:
 # --- SQ queries --------------------------------------------------------------
 
 
-_MOMENT_CACHE: dict[tuple[int, ...], np.ndarray] = {}
-
-
 @dataclass(frozen=True)
 class PolynomialSqQuery:
     """Multilinear polynomial over the input bits, q(x) = sum_k c_k prod_{i in S_k} x_i.
@@ -117,10 +114,7 @@ class PolynomialSqQuery:
     coeffs: tuple[float, ...]
 
     def exact_expectation(self, f: BooleanFunction) -> float:
-        moments = _MOMENT_CACHE.get(self.supports)
-        if moments is None:
-            moments = np.array([2.0 ** (-s.bit_count()) for s in self.supports])
-            _MOMENT_CACHE[self.supports] = moments
+        moments = np.array([2.0 ** (-s.bit_count()) for s in self.supports])
         return float(np.dot(self.coeffs, moments))
 
     def describe(self) -> dict:

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from covertsim import boolfunc as bf
-from covertsim import certify, covertsq, qsim
+from covertsim import certify, covertsq, oracles, qsim
 
 
 def apply_unitary_moveaxis(state: qsim.PureState, u: np.ndarray,
@@ -124,6 +124,14 @@ def polynomial_value(q, x: int) -> float:
     """q(x) of a PolynomialSqQuery: the sum of the coefficients whose monomial
     support is contained in x."""
     return float(sum(c for s, c in zip(q.supports, q.coeffs) if (x & s) == s))
+
+
+def sketch_answers_per_query(plan: covertsq.SketchPlan, oracle: oracles.SqOracle) -> list[float]:
+    """A sketch's public answers sent one frozen PolynomialSqQuery per
+    coefficient row, each with its numpy-scalar tolerance: every query takes
+    its expectation by np.dot against its moment vector."""
+    return [oracle.query(oracles.PolynomialSqQuery(plan.supports, tuple(row)), tau)
+            for row, tau in zip(plan.query_coeffs, plan.oracle_taus)]
 
 
 def pauli_observable(spec: dict[int, str], coefficient: float = 1.0) -> covertsq.PauliObservable:

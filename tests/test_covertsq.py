@@ -8,7 +8,7 @@ from covertsim import boolfunc as bf
 from covertsim import covertsq as csq
 from covertsim import experiments as exp
 from covertsim import oracles, qsim
-from reference import pauli_observable
+from reference import pauli_observable, sketch_answers_per_query
 
 
 def random_target(n, d, rng, b_c=1.0):
@@ -134,6 +134,68 @@ class TestSketch:
             assert rc_norm <= 2.0  # JL event, overwhelmingly likely
             noise_bound = rc_norm * plan.tau_e * math.sqrt(plan.m_e)
             assert noise_bound <= delta / 2 + 1e-12
+
+
+# N = 2, 15, 20 and 35 monomials: a BLAS dot sums 16 terms or more in SIMD
+# lanes, which a left-to-right sum or C @ m does not reproduce
+SKETCH_SHAPES = [(1, 1), (4, 2), (3, 3), (4, 3)]
+
+
+def sketch_plan(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return csq.sketch_encode(random_target(n, d, rng), n, d, 0.3, 0.3, 1.0, 1.0, rng)
+
+
+def sq_oracle(n, policy, transcript=None):
+    return oracles.SqOracle(bf.constant_fn(n), policy=policy, rng=np.random.default_rng(8),
+                            transcript=transcript, visibility=oracles.PUBLIC)
+
+
+class TestSketchRows:
+    """The plan's coefficient matrix and precomputed expectations against
+    one PolynomialSqQuery per public query, byte for byte."""
+
+    @pytest.mark.parametrize("n, d", SKETCH_SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_expectations_equal_per_query(self, n, d, seed):
+        plan = sketch_plan(n, d, seed)
+        f = bf.constant_fn(n)
+        per_query = [oracles.PolynomialSqQuery(plan.supports, tuple(row)).exact_expectation(f)
+                     for row in plan.query_coeffs]
+        assert np.array_equal(plan.expectations, per_query)
+        assert plan.expectations.tobytes() == np.array(per_query).tobytes()
+
+    @pytest.mark.parametrize("n, d", SKETCH_SHAPES)
+    @pytest.mark.parametrize("policy", oracles.POLICIES)
+    def test_answers_equal_per_query(self, n, d, policy):
+        plan = sketch_plan(n, d, 3)
+        logged, plain, per_query = (sq_oracle(n, policy, oracles.Transcript()),
+                                    sq_oracle(n, policy), sq_oracle(n, policy))
+        est_logged = csq.run_sketched_query(plan, logged)
+        est_plain = csq.run_sketched_query(plan, plain)
+        answers = sketch_answers_per_query(plan, per_query)
+        got = [e["payload"]["answer"] for e in logged.transcript.events]
+        assert np.array(got).tobytes() == np.array(answers).tobytes()
+        est = csq.sketch_decode(plan, answers)
+        assert float.hex(est_logged) == float.hex(est_plain) == float.hex(est)
+        assert logged.count == plain.count == per_query.count == plan.m_e
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (4, 2)])
+    def test_transcript_equals_per_query(self, n, d):
+        plan = sketch_plan(n, d, 5)
+        logs = []
+        for send in (csq.run_sketched_query, sketch_answers_per_query):
+            oracle = sq_oracle(n, oracles.GRID, oracles.Transcript())
+            send(plan, oracle)
+            logs.append(oracle.transcript.events)
+        rows, per_query = logs
+        assert len(rows) == len(per_query) == plan.m_e
+        assert all(e["oracle_kind"] == "SQ" for e in rows)
+        for a, b in zip(rows, per_query):
+            assert set(a["payload"]) == {"query", "supports", "coeffs", "tau", "answer"}
+            assert a["payload"] == b["payload"]
+            assert a["payload_digest"] == b["payload_digest"]
+            assert a == b
 
 
 class TestShadows:

@@ -148,6 +148,14 @@ class TestConfig:
         ("covert-sq", {"delta": 5}, True),  # a vacuous but valid target error
         ("covert-sq", {"b_c": 0}, False),
         ("covert-sq", {"b_m": -1}, False),
+        # m_e = 95,863,433 rows: a 10.7 GiB projection
+        ("covert-sq", {"delta": 0.001}, False),
+        # N = 46,376 columns: 3.31 GiB, refused under delta, the last param
+        ("covert-sq", {"d": 30, "delta": 0.1}, False),
+        ("covert-sq", {"n": 8, "d": 4}, True),  # N = 495: 36 MiB
+        ("covert-sq", {"delta": 1e-200}, False),  # eps0**2 underflows to 0
+        # N >= 2^100, refused without computing math.comb
+        ("covert-sq", {"n": 10**30, "d": 100, "delta": 0.1}, False),
         ("forrelation", {"n": tasks.FORRELATION_MAX_N + 1}, False),
         ("forrelation", {"n": tasks.FORRELATION_MAX_N}, True),
         ("forrelation", {"base_error": 0}, False),
@@ -598,6 +606,15 @@ class TestCli:
         out = self.run_cli("run", "--trials", "1", "--scenario", *args.split())
         assert out.returncode == 2, out.stderr
         assert field in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("param, needs", [("delta=0.001", "10.7"), ("d=30", "3.31")])
+    def test_sketch_projection_cap_exit_code(self, param, needs):
+        # resources validates the config and allocates no projection
+        out = self.run_cli("resources", "--scenario", "covert-sq", "--param", param)
+        assert out.returncode == 2
+        assert "param 'delta' must be" in out.stderr
+        assert f"(it needs {needs} GiB)" in out.stderr
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("scenario, context, param", [
