@@ -558,11 +558,11 @@ def _sketch_bytes(p: dict) -> float:
     """Bytes of a covert-sq config's m_e x N float64 projection, inf past
     float range."""
     n, d = p["n"], p["d"]
-    if min(n, d) >= 64 or max(n, d) >= 2**64:  # N >= 2^64; math.comb would crawl
+    if min(n, d) >= 64:  # N >= 2^64, and math.comb's time grows with min(n, d)
         return math.inf
     try:
         return 8.0 * _covert_sq_resources(p)["m_e"] * covertsq.monomial_count(n, d)
-    except (ZeroDivisionError, OverflowError):  # eps0**2 underflows to 0 or near it
+    except (ZeroDivisionError, OverflowError):  # eps0**2 underflows, or N passes float range
         return math.inf
 
 
@@ -641,7 +641,8 @@ SCENARIOS: dict[str, Scenario] = {
         {"n": _count(4, 1), "d": _count(2, 1), "delta_c": _open_unit(0.05),
          "b_c": _positive(1.0), "b_m": _positive(1.0),
          # last: the projection size needs valid n, d, delta_c, b_c and b_m
-         "delta": Param(0.1, lambda v, p: v > 0 and _sketch_bytes(p) <= covertsq.MAX_PROJECTION_BYTES,
+         "delta": Param(0.1,
+                        lambda v, p: v > 0 and _sketch_bytes(p) <= covertsq.MAX_PROJECTION_BYTES,
                         _sketch_delta_allowed)},
         "JL-sketched covert polynomial statistical queries",
         _covert_sq_resources,
