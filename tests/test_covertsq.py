@@ -136,8 +136,8 @@ class TestSketch:
             assert noise_bound <= delta / 2 + 1e-12
 
 
-# N = 2, 15, 20 and 35 monomials: a BLAS dot sums 16 terms or more in SIMD
-# lanes, which a left-to-right sum or C @ m does not reproduce
+# N = 2, 15, 20 and 35 monomials: from 16 terms on, an OpenBLAS dot sums in
+# SIMD lanes, which neither a left-to-right sum nor C @ m reproduces
 SKETCH_SHAPES = [(1, 1), (4, 2), (3, 3), (4, 3)]
 
 
@@ -193,9 +193,7 @@ class TestSketchRows:
         assert all(e["oracle_kind"] == "SQ" for e in rows)
         for a, b in zip(rows, per_query):
             assert set(a["payload"]) == {"query", "supports", "coeffs", "tau", "answer"}
-            assert a["payload"] == b["payload"]
-            assert a["payload_digest"] == b["payload_digest"]
-            assert a == b
+            assert a == b  # payload, payload_digest, seq and counters
 
 
 class TestShadows:

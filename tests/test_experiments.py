@@ -148,14 +148,6 @@ class TestConfig:
         ("covert-sq", {"delta": 5}, True),  # a vacuous but valid target error
         ("covert-sq", {"b_c": 0}, False),
         ("covert-sq", {"b_m": -1}, False),
-        # m_e = 95,863,433 rows: a 10.7 GiB projection
-        ("covert-sq", {"delta": 0.001}, False),
-        # N = 46,376 columns: 3.31 GiB, refused under delta, the last param
-        ("covert-sq", {"d": 30, "delta": 0.1}, False),
-        ("covert-sq", {"n": 8, "d": 4}, True),  # N = 495: 36 MiB
-        ("covert-sq", {"delta": 1e-200}, False),  # eps0**2 underflows to 0
-        # N >= 2^100, refused without computing math.comb
-        ("covert-sq", {"n": 10**30, "d": 100, "delta": 0.1}, False),
         ("forrelation", {"n": tasks.FORRELATION_MAX_N + 1}, False),
         ("forrelation", {"n": tasks.FORRELATION_MAX_N}, True),
         ("forrelation", {"base_error": 0}, False),
@@ -169,6 +161,14 @@ class TestConfig:
         ("simon", {"copy_budget": 1}, True),
         ("forrelation", {"ancilla_free": True, "base_error": 1.0}, False),  # eps_A = 1
         ("forrelation", {"ancilla_free": True, "base_error": 0.99}, True),
+        # m_e = 95,863,433 rows: a 10.7 GiB projection
+        ("covert-sq", {"delta": 0.001}, False),
+        # N = 46,376 columns: 3.31 GiB, refused under delta, the last param
+        ("covert-sq", {"d": 30, "delta": 0.1}, False),
+        ("covert-sq", {"n": 8, "d": 4}, True),  # N = 495: 36 MiB
+        ("covert-sq", {"delta": 1e-200}, False),  # eps0**2 underflows to 0
+        # N >= 2^100, refused without computing math.comb
+        ("covert-sq", {"n": 10**30, "d": 100, "delta": 0.1}, False),
     ])
     def test_param_rules(self, scenario, params, ok):
         d = {"scenario": scenario, "params": params}
