@@ -1,9 +1,10 @@
 """Boolean function families wrapped by every oracle in the library.
 
 A BooleanFunction maps n input bits to w output bits. Inputs and outputs are
-bit-packed ints with the convention of :mod:`covertsim.gf2`. Closed-form
-bodies (Parity, Quadratic, ...) exist so that protocols at n = 10-12 avoid
-2^n * n truth-table storage; TruthTable is the universal fallback.
+bit-packed ints with the convention of :mod:`covertsim.gf2`. Each body is
+defined once, by its vectorised formula in `_tabulate`: `evaluate` reads the
+truth table that `eval_all` builds from it once per instance. Parity alone is
+also evaluated in closed form, as its arity may pass MAX_TABLE_ARITY.
 """
 from __future__ import annotations
 
@@ -47,12 +48,6 @@ class PaddedXor:
 
 
 @dataclass(frozen=True)
-class TensorPower:
-    f: "BooleanFunction"  # F(x_1..x_m) = f(x_1) xor ... xor f(x_m)
-    m: int
-
-
-@dataclass(frozen=True)
 class SimonFunction:
     """Width-n function with f(x) = f(x xor s); injective when s = 0.
 
@@ -65,7 +60,7 @@ class SimonFunction:
     labels: tuple[int, ...]
 
 
-Body = Union[TruthTable, Parity, Quadratic, PaddedXor, TensorPower, SimonFunction]
+Body = Union[TruthTable, Parity, Quadratic, PaddedXor, SimonFunction]
 
 
 @dataclass(frozen=True)
@@ -89,13 +84,11 @@ class BooleanFunction:
             self.w != 1 or self.n != b.f.n + b.g.n or b.f.w != 1 or b.g.w != 1
         ):
             raise ValueError("PaddedXor pads two width-1 functions")
-        if isinstance(b, TensorPower) and (
-            self.n != b.f.n * b.m or self.w != b.f.w
-        ):
-            raise ValueError("TensorPower arity mismatch")
         if isinstance(b, SimonFunction):
             if self.w != self.n:
                 raise ValueError("Simon functions have width n")
+            if not 0 <= b.s < 1 << self.n:
+                raise ValueError(f"Simon period must have at most {self.n} bits")
             n_cosets = 1 << self.n if b.s == 0 else 1 << (self.n - 1)
             if len(b.labels) != n_cosets:
                 raise ValueError("labeling must cover every coset")
@@ -107,73 +100,46 @@ class BooleanFunction:
 
 
 def evaluate(f: BooleanFunction, x: int) -> int:
-    """f(x) as a w-bit int: read from the truth table when eval_all has
-    built it, else computed from the body (at any arity)."""
+    """f(x) as a w-bit int: read from the truth table (built on first use),
+    except for a Parity whose table is not built, computed at any arity."""
     if x >> f.n:
         raise ValueError(f"input has more than {f.n} bits")
     if f._table:
         return int(f._table[0][x])
-    b = f.body
-    if isinstance(b, TruthTable):
-        return b.values[x]
-    if isinstance(b, Parity):
-        return dot(b.s, x)
-    if isinstance(b, Quadratic):
-        acc = 0
-        for i in range(f.n):
-            if (x >> i) & 1:
-                acc ^= dot(b.rows[i], x)
-        return acc
-    if isinstance(b, PaddedXor):
-        lo = x & ((1 << b.f.n) - 1)
-        return evaluate(b.f, lo) ^ evaluate(b.g, x >> b.f.n)
-    if isinstance(b, TensorPower):
-        mask = (1 << b.f.n) - 1
-        acc = 0
-        for _ in range(b.m):
-            acc ^= evaluate(b.f, x & mask)
-            x >>= b.f.n
-        return acc
-    if isinstance(b, SimonFunction):
-        if b.s == 0:
-            return b.labels[x]
-        # the representatives are the x whose bit h, the top bit of s, is 0,
-        # and a representative's rank is itself with bit h removed
-        h = b.s.bit_length() - 1
-        rep = x ^ b.s if x >> h & 1 else x
-        return b.labels[(rep >> (h + 1) << h) | (rep & ((1 << h) - 1))]
-    raise TypeError(f"unknown body {type(b)}")
+    if isinstance(f.body, Parity):
+        return dot(f.body.s, x)
+    return int(eval_all(f)[x])
 
 
 def _tabulate(f: BooleanFunction) -> np.ndarray:
-    n = f.n
+    """The body's formula over every input (uint64, little-endian index)."""
     b = f.body
-    xs = np.arange(1 << n, dtype=np.uint64)
     if isinstance(b, TruthTable):
         return np.array(b.values, dtype=np.uint64)
+    xs = np.arange(1 << f.n, dtype=np.uint64)
     if isinstance(b, Parity):
         return (np.bitwise_count(xs & np.uint64(b.s)) & 1).astype(np.uint64)
     if isinstance(b, Quadratic):
-        acc = np.zeros(1 << n, dtype=np.uint64)
-        for i in range(n):
-            xi = (xs >> np.uint64(i)) & np.uint64(1)
-            acc ^= xi & (np.bitwise_count(xs & np.uint64(b.rows[i])) & 1).astype(np.uint64)
-        return acc
+        # bit 0 of acc is the sum over i of x_i (row_i . x); the rest is junk
+        acc = np.zeros(1 << f.n, dtype=np.uint64)
+        for i, row in enumerate(b.rows):
+            acc ^= (xs >> np.uint64(i)) & np.bitwise_count(xs & np.uint64(row))
+        return acc & np.uint64(1)
     if isinstance(b, PaddedXor):
         tf = eval_all(b.f)
         tg = eval_all(b.g)
         return tf[xs & np.uint64((1 << b.f.n) - 1)] ^ tg[xs >> np.uint64(b.f.n)]
-    if isinstance(b, TensorPower):
-        tf = eval_all(b.f)
-        acc = np.zeros(1 << n, dtype=np.uint64)
-        y = xs.copy()
-        mask = np.uint64((1 << b.f.n) - 1)
-        for _ in range(b.m):
-            acc ^= tf[y & mask]
-            y >>= np.uint64(b.f.n)
-        return acc
-    # SimonFunction and anything else: pointwise
-    return np.array([evaluate(f, int(x)) for x in xs], dtype=np.uint64)
+    if isinstance(b, SimonFunction):
+        labels = np.array(b.labels, dtype=np.uint64)
+        if b.s == 0:
+            return labels
+        # a representative has bit h, the top bit of s, clear: its rank is
+        # itself with bit h removed
+        h = b.s.bit_length() - 1
+        rep = np.minimum(xs, xs ^ np.uint64(b.s))
+        low = rep & np.uint64((1 << h) - 1)
+        return labels[(rep >> np.uint64(h + 1) << np.uint64(h)) | low]
+    raise TypeError(f"unknown body {type(b)}")
 
 
 def eval_all(f: BooleanFunction) -> np.ndarray:
@@ -212,10 +178,6 @@ def padded_xor(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
     return BooleanFunction(n=f.n + g.n, w=1, body=PaddedXor(f=f, g=g))
 
 
-def tensor_power(f: BooleanFunction, m: int) -> BooleanFunction:
-    return BooleanFunction(n=f.n * m, w=f.w, body=TensorPower(f=f, m=m))
-
-
 def constant_fn(n: int, value: int = 0) -> BooleanFunction:
     return truth_table([value] * (1 << n), w=max(1, value.bit_length()))
 
@@ -225,8 +187,7 @@ def simon_fn(s: int, labels: Sequence[int], n: int) -> BooleanFunction:
 
 
 def random_truth_table(n: int, rng, w: int = 1) -> BooleanFunction:
-    vals = rng.integers(0, 1 << w, size=1 << n)
-    return truth_table([int(v) for v in vals], w=w)
+    return truth_table(rng.integers(0, 1 << w, size=1 << n), w=w)
 
 
 def random_simon_fn(n: int, s: int, rng) -> BooleanFunction:

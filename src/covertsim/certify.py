@@ -106,10 +106,10 @@ class CertificationRecord:
     used_coverage_path: Optional[bool] = None
 
 
-def _pair_indices(q: int, local: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(1 << q)
-    x0 = idx[(idx >> local) & 1 == 0]
-    return x0, x0 | (1 << local)
+def _halves(v: np.ndarray, local: int) -> tuple[np.ndarray, np.ndarray]:
+    """v at the indices with bit `local` clear, then at those with it set."""
+    pairs = v.reshape(-1, 2, 1 << local)  # bit `local` on axis 1
+    return pairs[:, 0].reshape(-1), pairs[:, 1].reshape(-1)
 
 
 def _round_on_copy(copy: PureState, local: int, rng) -> tuple[int, int]:
@@ -118,9 +118,7 @@ def _round_on_copy(copy: PureState, local: int, rng) -> tuple[int, int]:
     Returns (compact rest bits, x outcome bit). The compact index keeps the
     remaining bits in order with position `local` removed.
     """
-    pairs = copy.vec.reshape(-1, 2, 1 << local)  # bit `local` on axis 1
-    a0 = pairs[:, 0].reshape(-1)
-    a1 = pairs[:, 1].reshape(-1)
+    a0, a1 = _halves(copy.vec, local)
     p_pair = np.clip(np.abs(a0) ** 2 + np.abs(a1) ** 2, 0.0, None)
     plus_mass = np.abs(a0 + a1) ** 2 / 2.0
     j = qsim.sample_index(p_pair, rng)
@@ -189,14 +187,13 @@ def overlap_scores_iid_fast(
         sel = np.flatnonzero(i_draws == i)
         if len(sel) == 0:
             continue
-        x0, x1 = _pair_indices(n, i)
-        a0 = copy.vec[x0]
-        a1 = copy.vec[x1]
+        a0, a1 = _halves(copy.vec, i)
         p_pair = np.clip(np.abs(a0) ** 2 + np.abs(a1) ** 2, 0.0, None)
         p_plus = np.abs(a0 + a1) ** 2 / 2.0 / np.where(p_pair > 0, p_pair, 1.0)
         js = rng.choice(len(p_pair), size=len(sel), p=p_pair / p_pair.sum())
         x_bits = (rng.random(len(sel)) >= np.minimum(1.0, p_plus[js])).astype(int)
-        fx = (table[x0[js]] ^ table[x1[js]]).astype(int)
+        t0, t1 = _halves(table, i)
+        fx = (t0[js] ^ t1[js]).astype(int)
         scores[sel] = (x_bits == fx).astype(int)
     return scores
 

@@ -56,11 +56,12 @@ def trial_rng(master_seed: int, trial_index: int):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A validated experiment: construction raises ConfigError on an unknown
-    scenario, a non-integer seed or trial count, a param the scenario does
-    not declare, whose type differs from its default's or that breaks one of
-    the scenario's rules, and an adversary spec that does not build or that
-    the scenario does not accept. It keeps its own copy of the params and
-    the strategy built from the adversary spec, which every trial uses."""
+    scenario, a non-integer or negative seed, a non-integer trial count, a
+    param the scenario does not declare, whose type differs from its
+    default's or that breaks one of the scenario's rules, and an adversary
+    spec that does not build or that the scenario does not accept. It keeps
+    its own copy of the params and the strategy built from the adversary
+    spec, which every trial uses."""
 
     scenario: str
     params: dict = field(default_factory=dict)
@@ -80,6 +81,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{name} must be an integer, got {getattr(self, name)!r}"
                 )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.trials <= 0:
             raise ConfigError("trials must be positive")
         if not isinstance(self.params, dict):
@@ -280,11 +283,9 @@ def _run_certify(params, strategy, rng) -> dict:
         state = qsim.prepare_phase_state(f)
     elif mode == "zero":
         state = qsim.basis_state(n_block, 0)
-    else:  # "flip:<k>"
-        flips = int(mode.split(":")[1])
-        table = [int(v) for v in bf.eval_all(f)]
-        for x in range(flips):
-            table[x] ^= 1
+    else:
+        table = bf.eval_all(f).copy()
+        table[:_flip_count(mode)] ^= 1
         state = qsim.prepare_phase_state(bf.truth_table(table))
     rec = certify.overlap_estimate_iid_state(
         state, f, eps, delta, rng, rounds_override=params["rounds"]
@@ -572,12 +573,16 @@ def _sketch_delta_allowed(p: dict) -> str:
     return text if not p["delta"] > 0 else f"{text} (it needs {_sketch_bytes(p) / 2**30:.3g} GiB)"
 
 
+def _flip_count(state: str) -> Optional[int]:
+    """k of a certify state 'flip:<k>' (flip k table entries), else None."""
+    head, _, k = state.partition(":")
+    return int(k) if head == "flip" and k.isdecimal() else None
+
+
 def _certify_state_ok(state: str, p: dict) -> bool:
     """'exact', 'zero', or 'flip:<k>' flipping k <= 2^n_block table entries."""
-    if state in ("exact", "zero"):
-        return True
-    head, _, k = state.partition(":")
-    return head == "flip" and k.isdecimal() and int(k) <= 1 << p["n_block"]
+    k = _flip_count(state)
+    return state in ("exact", "zero") or k is not None and k <= 1 << p["n_block"]
 
 
 @dataclass(frozen=True)

@@ -213,9 +213,7 @@ def influence_exact(f: BooleanFunction, i: int) -> float:
 def _xor_quadratic(f: BooleanFunction, offdiag_rows: Sequence[int]) -> BooleanFunction:
     """x -> f(x) xor sum_{i<j} x_i A_ij x_j as a truth table."""
     q = quadratic_fn(tuple(offdiag_rows), f.n)
-    tf = eval_all(f)
-    tq = eval_all(q)
-    return truth_table([int(a ^ b) for a, b in zip(tf, tq)], w=1)
+    return truth_table(eval_all(f) ^ eval_all(q), w=1)
 
 
 class QsqOracle(SqOracle):

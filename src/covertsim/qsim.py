@@ -163,8 +163,7 @@ def prepare_phase_state(f: BooleanFunction) -> PureState:
         raise ValueError("phase states need width-1 functions")
     if f.n > PURE_QUBIT_CAP:
         raise ValueError("arity over cap")
-    signs = 1.0 - 2.0 * eval_all(f).astype(np.float64)
-    return PureState(f.n, signs.astype(complex) * 2 ** (-f.n / 2))
+    return PureState(f.n, _signs(eval_all(f)) * 2 ** (-f.n / 2))
 
 
 def prepare_example_state(f: BooleanFunction) -> PureState:

@@ -92,7 +92,7 @@ def gen_forrelation_instance(n: int, case: str, rng) -> ForrelationInstance:
             g = random_truth_table(n, rng)
         elif case == PHI_LARGE:
             wht = walsh_hadamard(sign_vector(f))
-            g = truth_table([1 if v < 0 else 0 for v in wht])
+            g = truth_table(wht < 0)
         else:
             raise ValueError(f"unknown case {case!r}")
         phi = forrelation_phi(f, g)

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from covertsim import boolfunc as bf
-from covertsim import certify, covertsq, oracles, qsim
+from covertsim import covertsq, oracles, qsim
 
 
 def apply_unitary_moveaxis(state: qsim.PureState, u: np.ndarray,
@@ -90,10 +90,18 @@ def phase_signs_float(f: bf.BooleanFunction, n: int, qubits: Sequence[int]) -> n
     return signs[qsim._gather_bits(n, qubits)]
 
 
+def pair_indices(q: int, local: int) -> tuple[np.ndarray, np.ndarray]:
+    """The q-bit indices with bit `local` 0, in increasing order, and the
+    same indices with it set."""
+    idx = np.arange(1 << q)
+    x0 = idx[(idx >> local) & 1 == 0]
+    return x0, x0 | (1 << local)
+
+
 def round_on_copy_indexed(copy: qsim.PureState, local: int, rng) -> tuple[int, int]:
     """certify._round_on_copy with the amplitude halves (bit `local` 0 and
     1) gathered by fancy indexing in increasing index order."""
-    x0, x1 = certify._pair_indices(copy.n, local)
+    x0, x1 = pair_indices(copy.n, local)
     a0, a1 = copy.vec[x0], copy.vec[x1]
     p_pair = np.clip(np.abs(a0) ** 2 + np.abs(a1) ** 2, 0.0, None)
     plus_mass = np.abs(a0 + a1) ** 2 / 2.0
@@ -118,6 +126,18 @@ def quadratic_from_matrix(mat: Sequence[Sequence[int]]) -> bf.BooleanFunction:
     n = len(mat)
     rows = [sum((int(mat[i][j]) & 1) << j for j in range(n)) for i in range(n)]
     return bf.quadratic_fn(rows, n)
+
+
+def simon_value(s: int, labels: Sequence[int], x: int) -> int:
+    """f(x) of a Simon function, one input at a time: labels[i] is the value
+    on the i-th coset representative (the x with x <= x xor s, whose bit h,
+    the top bit of s, is 0); a representative's rank is itself with bit h
+    removed."""
+    if s == 0:
+        return labels[x]
+    h = s.bit_length() - 1
+    rep = x ^ s if x >> h & 1 else x
+    return labels[(rep >> (h + 1) << h) | (rep & ((1 << h) - 1))]
 
 
 def polynomial_value(q, x: int) -> float:
@@ -149,7 +169,7 @@ def materialize_overlap_observable(f_block: bf.BooleanFunction) -> np.ndarray:
     table = bf.eval_all(f_block)
     L = np.zeros((dim, dim), dtype=complex)
     for i in range(n):
-        x0, x1 = certify._pair_indices(n, i)
+        x0, x1 = pair_indices(n, i)
         P = np.zeros((dim, dim), dtype=complex)
         for a, b in zip(x0, x1):
             v = np.zeros(dim, dtype=complex)

@@ -3,7 +3,11 @@ import pytest
 
 from covertsim import boolfunc as bf
 from covertsim import gf2
-from reference import phi_double_sum, quadratic_from_matrix
+from reference import phi_double_sum, quadratic_from_matrix, simon_value
+
+
+def bits(x: int, n: int) -> np.ndarray:
+    return np.array([(x >> j) & 1 for j in range(n)])
 
 
 class TestEval:
@@ -17,6 +21,8 @@ class TestEval:
         assert np.array_equal(bf.eval_all(twin), table)
 
     def test_evaluate_reads_the_built_table(self):
+        # every body but Parity builds its table on the first evaluate;
+        # Parity is evaluated in closed form until the table is built
         rng = np.random.default_rng(4)
         g = bf.random_truth_table(3, rng)
         for f in (
@@ -24,16 +30,25 @@ class TestEval:
             bf.parity_fn(0b1011, 4),
             quadratic_from_matrix(np.triu(rng.integers(0, 2, (4, 4)))),
             bf.padded_xor(g, bf.random_truth_table(2, rng)),
-            bf.tensor_power(g, 2),
             bf.random_simon_fn(3, 0b101, rng),
         ):
-            from_body = [bf.evaluate(f, x) for x in range(1 << f.n)]
-            bf.eval_all(f)
-            from_table = [bf.evaluate(f, x) for x in range(1 << f.n)]
-            assert from_table == from_body
-            assert all(type(v) is int for v in from_table)
+            before = [bf.evaluate(f, x) for x in range(1 << f.n)]
+            assert bool(f._table) != isinstance(f.body, bf.Parity)
+            table = bf.eval_all(f)
+            after = [bf.evaluate(f, x) for x in range(1 << f.n)]
+            assert after == before == table.tolist()
+            assert all(type(v) is int for v in before + after)
             with pytest.raises(ValueError):
                 bf.evaluate(f, 1 << f.n)
+
+    def test_parity_past_the_table_arity(self):
+        n = bf.MAX_TABLE_ARITY + 43
+        s = (1 << n) - 1 - (1 << 30)
+        f = bf.parity_fn(s, n)
+        for x in (0, 1 << 30, (1 << n) - 1, 0b1011 << 50):
+            assert f(x) == gf2.dot(s, x)
+        with pytest.raises(ValueError):
+            bf.eval_all(f)
 
     def test_parity_example(self):
         f = bf.parity_fn(0b101, 3)
@@ -83,36 +98,39 @@ class TestEval:
         for x in range(8):
             assert h(x) == f(x & 1) ^ g(x >> 1)
 
-    def test_tensor_power_property(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            n = int(rng.integers(1, 4))
-            m = int(rng.integers(1, 4))
-            f = bf.random_truth_table(n, rng)
-            fm = bf.tensor_power(f, m)
-            x = int(rng.integers(0, 1 << (n * m)))
-            expect = 0
-            for c in range(m):
-                expect ^= f((x >> (c * n)) & ((1 << n) - 1))
-            assert fm(x) == expect
-
     def test_eval_all_matches_pointwise(self):
+        # each body's table against a formula that does not read a table
         rng = np.random.default_rng(3)
-        fns = [
-            bf.parity_fn(0b1011, 4),
-            quadratic_from_matrix(np.triu(rng.integers(0, 2, (4, 4)))),
-            bf.random_truth_table(4, rng, w=3),
-            bf.tensor_power(bf.parity_fn(0b1, 2), 2),
-            bf.padded_xor(bf.parity_fn(0b1, 2), bf.parity_fn(0b10, 2)),
-            bf.random_simon_fn(4, 0b1010, rng),
+        mat = np.triu(rng.integers(0, 2, (5, 5)))
+        lo, hi = bf.random_truth_table(2, rng), bf.random_truth_table(3, rng)
+        simon = bf.random_simon_fn(4, 0b1010, rng)
+        cases = [
+            (bf.parity_fn(0b1011, 4), lambda x: gf2.dot(0b1011, x)),
+            (quadratic_from_matrix(mat), lambda x: int(bits(x, 5) @ mat @ bits(x, 5)) % 2),
+            (bf.truth_table([5, 0, 7, 3, 1, 6, 2, 4], w=3), [5, 0, 7, 3, 1, 6, 2, 4].__getitem__),
+            (bf.padded_xor(lo, hi),
+             lambda x: lo.body.values[x & 3] ^ hi.body.values[x >> 2]),
+            (simon, lambda x: simon_value(simon.body.s, simon.body.labels, x)),
         ]
-        for f in fns:
-            table = bf.eval_all(f)
-            for x in range(1 << f.n):
-                assert int(table[x]) == f(x)
+        for f, reference in cases:
+            assert bf.eval_all(f).tolist() == [reference(x) for x in range(1 << f.n)]
 
 
 class TestSimon:
+    def test_table_matches_the_scalar_coset_formula(self):
+        rng = np.random.default_rng(9)
+        for n in range(1, 11):
+            periods = {0, (1 << n) - 1, *(int(s) for s in rng.integers(0, 1 << n, 4))}
+            for s in periods:
+                f = bf.random_simon_fn(n, s, rng)
+                expect = [simon_value(s, f.body.labels, x) for x in range(1 << n)]
+                assert bf.eval_all(f).tolist() == expect
+
+    def test_period_wider_than_arity_is_refused(self):
+        for s in (0b100, -1):
+            with pytest.raises(ValueError, match="period"):
+                bf.simon_fn(s, [0, 1], 2)
+
     def test_periodic_is_two_to_one(self):
         rng = np.random.default_rng(4)
         for n in (2, 3, 4, 6):

@@ -687,6 +687,15 @@ class TestCli:
         assert "seed" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("command", ["run", "resources", "replay"])
+    def test_negative_seed_exit_code(self, command):
+        # SeedSequence takes no negative entropy: refused at the config
+        out = self.run_cli(command, "--scenario", "parity", "--seed", "-1",
+                           *self.ONE_TRIAL[command])
+        assert out.returncode == 2, out.stderr
+        assert "seed must be non-negative" in out.stderr
+        assert "Traceback" not in out.stderr
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                              ids=lambda p: p.stem)
     def test_shipped_config_reports_resources(self, path):
