@@ -187,6 +187,8 @@ def simon_fn(s: int, labels: Sequence[int], n: int) -> BooleanFunction:
 
 
 def random_truth_table(n: int, rng, w: int = 1) -> BooleanFunction:
+    if n > MAX_TABLE_ARITY:
+        raise ValueError(f"arity {n} is above the table cap of {MAX_TABLE_ARITY}")
     return truth_table(rng.integers(0, 1 << w, size=1 << n), w=w)
 
 

@@ -213,16 +213,25 @@ def run_sketched_query(plan: SketchPlan, oracle: SqOracle) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ShadowSet:
-    """Per-shot Pauli bases (0/1/2 = X/Y/Z) and outcome bits (0 = +1), as
-    read-only (shots, n) integer arrays.
+    """Per-shot Pauli bases (0/1/2 = X/Y/Z) and outcome bits (0 = +1), stored
+    as read-only (shots, n) uint8 arrays.
 
-    Construction checks the arrays and builds once the per-qubit symbol plane
+    The public constructor checks the arrays (shape, integer dtype, range);
+    `from_oracle` skips those checks for oracle output, which is in range by
+    construction. Either way the set builds once the per-qubit symbol plane
     `sym`: a read-only (n, shots) uint8 array holding 2 * basis + bit, one
-    contiguous row per qubit, which is all the estimator reads."""
+    contiguous row per qubit, which is all the estimator reads.
+
+    The set also caches, per (support, batches) pair, the per-batch counts of
+    the support's mixed-radix-6 code (`batch_counts`). The cache holds at
+    most n * shots cells in all, as many as `sym` (each cell a float64): a
+    table that would pass that bound clears it first, and a table larger than
+    the bound alone is not kept."""
 
     bases: np.ndarray
     bits: np.ndarray
     sym: np.ndarray = field(init=False, repr=False)
+    _counts: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         bases, bits = np.asarray(self.bases), np.asarray(self.bits)
@@ -236,14 +245,26 @@ class ShadowSet:
                 raise ValueError(f"{name} must be integers, got {arr.dtype}")
             if arr.size and (arr.min() < 0 or arr.max() > top):
                 raise ValueError(f"{name} must lie in 0..{top}")
-        sym = np.array(bases.T, dtype=np.uint8, order="C")
+        self._store(bases.astype(np.uint8, copy=False), bits.astype(np.uint8, copy=False))
+
+    @classmethod
+    def from_oracle(cls, bases: np.ndarray, bits: np.ndarray) -> "ShadowSet":
+        """A set of QMeasExOracle.sample_product_pauli output narrowed to
+        uint8, kept without checks or copies."""
+        shadows = object.__new__(cls)
+        shadows._store(bases, bits)
+        return shadows
+
+    def _store(self, bases: np.ndarray, bits: np.ndarray) -> None:
+        sym = np.array(bases.T, order="C")
         sym *= 2
-        sym += bits.T.astype(np.uint8)
+        sym += bits.T
         for arr in (bases, bits, sym):
             arr.flags.writeable = False
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "sym", sym)
+        object.__setattr__(self, "_counts", {})
 
     @property
     def n(self) -> int:
@@ -252,6 +273,36 @@ class ShadowSet:
     @property
     def shots(self) -> int:
         return self.bases.shape[0]
+
+    def support_code(self, support: Sequence[int]) -> np.ndarray:
+        """sum_j sym[support[j]] 6^j per shot, as uint16 (6^k fits while
+        k <= MAX_LOCALITY)."""
+        if len(support) > MAX_LOCALITY:
+            raise ValueError(f"supported locality is k <= {MAX_LOCALITY}")
+        code = np.zeros(self.shots, dtype=np.uint16)
+        for q in reversed(support):
+            code *= 6
+            code += self.sym[q]
+        return code
+
+    def batch_counts(self, support: tuple[int, ...], batches: int) -> np.ndarray:
+        """(batches, 6^k) float64 counts of the support code over the first
+        batches * (shots // batches) shots, split into `batches` equal
+        consecutive batches; cached."""
+        key = (support, batches)
+        counts = self._counts.get(key)
+        if counts is None:
+            cells, per = 6 ** len(support), self.shots // batches
+            code = self.support_code(support)[: batches * per].reshape(batches, per)
+            offsets = np.arange(0, batches * cells, cells)[:, None]
+            counts = np.bincount((code + offsets).ravel(), minlength=batches * cells)
+            counts = counts.reshape(batches, cells).astype(np.float64)
+            bound = self.n * self.shots
+            if sum(c.size for c in self._counts.values()) + counts.size > bound:
+                self._counts.clear()
+            if counts.size <= bound:
+                self._counts[key] = counts
+        return counts
 
 
 @dataclass(frozen=True)
@@ -264,6 +315,10 @@ class PauliObservable:
     @property
     def locality(self) -> int:
         return len(self.axes)
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(q for q, _ in self.axes)
 
 
 def shadow_batches(m_targets: int, delta_p: float) -> int:
@@ -286,7 +341,10 @@ def shadow_collect(source: QMeasExOracle, shots: int, rng) -> ShadowSet:
     transcript holds only basis labels and outcome bits.
     """
     bases, bits = source.sample_product_pauli(shots, rng)
-    return ShadowSet(bases, bits)
+    # narrow each int64 array in turn, so that the two are never held
+    # beside their uint8 copies
+    bases = bases.astype(np.uint8)
+    return ShadowSet.from_oracle(bases, bits.astype(np.uint8))
 
 
 def _weight_table(obs: PauliObservable) -> np.ndarray:
@@ -312,24 +370,38 @@ def shadow_single_shot_estimates(shadows: ShadowSet, obs: PauliObservable) -> np
     """Inverse-channel single-shot estimators: 3^k * prod of outcomes on the
     support when every support qubit was measured in the matching basis,
     else 0. One pass per support qubit over its symbol row, then one gather."""
-    if obs.locality > MAX_LOCALITY:
-        raise ValueError(f"supported locality is k <= {MAX_LOCALITY}")
-    code = np.zeros(shadows.shots, dtype=np.uint16)
-    for q, _ in reversed(obs.axes):
-        code *= 6
-        code += shadows.sym[q]
+    code = shadows.support_code(obs.support)  # checks k first
     return _weight_table(obs)[code]
 
 
+def _sums_exact(obs: PauliObservable, per_batch: int) -> bool:
+    """Whether every partial sum of per_batch single-shot estimates is exact:
+    each is an integer multiple j of scale = coef 3^k with |j| <= per_batch,
+    exact while |numerator(scale)| * per_batch < 2^53."""
+    scale = obs.coefficient * 3.0**obs.locality
+    return math.isfinite(scale) and abs(scale.as_integer_ratio()[0]) * per_batch < 2**53
+
+
 def shadow_estimate(shadows: ShadowSet, obs: PauliObservable, batches: int) -> float:
-    """Median of `batches` batch means of the single-shot estimators."""
+    """Median of `batches` batch means of the single-shot estimators.
+
+    When every batch sum is exact (`_sums_exact`; always so for coefficient 1
+    at k <= 4), the batch sums come from the set's cached per-batch counts of
+    the support code times the weight table, bit for bit what summing the
+    estimators gives. Otherwise (a coefficient such as 0.37) the estimators
+    are gathered and averaged, since only that reproduces np.mean's rounding."""
+    rows = max(batches, 1)
+    per = shadows.shots // rows
+    if per == 0 and batches > 1:
+        raise ValueError("fewer shots than batches")
+    if per and _sums_exact(obs, per):
+        counts = shadows.batch_counts(obs.support, rows)  # checks k first
+        means = (counts @ _weight_table(obs)) / per
+        return float(np.median(means)) if batches > 1 else float(means[0])
     est = shadow_single_shot_estimates(shadows, obs)
     if batches <= 1:
         return float(est.mean())
-    usable = (len(est) // batches) * batches
-    if usable == 0:
-        raise ValueError("fewer shots than batches")
-    return float(np.median(est[:usable].reshape(batches, -1).mean(axis=1)))
+    return float(np.median(est[: rows * per].reshape(batches, -1).mean(axis=1)))
 
 
 def pauli_expectation_exact(state: PureState, obs: PauliObservable) -> float:

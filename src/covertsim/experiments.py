@@ -666,7 +666,8 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "certify": Scenario(
         _run_certify,
-        {"n_block": _count(4, 1), "eps": _open_unit(0.1), "delta": _open_unit(0.05),
+        {"n_block": _count(4, 1, bf.MAX_TABLE_ARITY), "eps": _open_unit(0.1),
+         "delta": _open_unit(0.05),
          "state": Param("exact", _certify_state_ok,
                         "'exact', 'zero' or 'flip:<k>' with k <= 2^n_block"),
          "rounds": _optional_count(None)},

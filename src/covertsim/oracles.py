@@ -327,18 +327,33 @@ def _choice_by_group(cdfs: np.ndarray, groups: np.ndarray, rng) -> np.ndarray:
     """Draw outcome i from the distribution with cdf cdfs[groups[i]], exactly
     as one rng.choice(len(cdf), size=count, p=...) per group that occurs, in
     ascending group order, would: the shots are grouped by one stable sort,
-    and each group's slice of a single uniform stream is looked up in its
-    cdf."""
+    each group's slice of a single uniform stream is looked up in its cdf
+    into one buffer in sorted order, and one scatter puts the buffer back in
+    shot order. Every cdf ends at exactly 1 and every u < 1, so no index
+    reaches len(cdf): the outcomes come in the smallest unsigned dtype that
+    holds len(cdf) - 1."""
     order = np.argsort(groups, kind="stable")
     u = rng.random(len(groups))
-    outcomes = np.empty(len(groups), dtype=np.int64)
+    drawn = np.empty(len(groups), dtype=np.min_scalar_type(cdfs.shape[1] - 1))
     start = 0
     for g, count in enumerate(np.bincount(groups, minlength=len(cdfs)).tolist()):
         if count:
             group = slice(start, start + count)
-            outcomes[order[group]] = cdfs[g].searchsorted(u[group], side="right")
+            drawn[group] = cdfs[g].searchsorted(u[group], side="right")
             start += count
+    outcomes = np.empty_like(drawn)
+    outcomes[order] = drawn
     return outcomes
+
+
+def _basis_index(axes: np.ndarray) -> np.ndarray:
+    """sum_q axes[:, q] 3^q by int16 Horner steps; 3^8 - 1 fits in int16."""
+    digits = axes.astype(np.int16)
+    index = np.zeros(len(axes), dtype=np.int16)
+    for q in reversed(range(axes.shape[1])):
+        index *= 3
+        index += digits[:, q]
+    return index
 
 
 class QMeasExOracle(Oracle):
@@ -391,10 +406,11 @@ class QMeasExOracle(Oracle):
             cdfs /= cdfs[:, -1:]
             self._pauli_cdfs = cdfs
         axes = rng.integers(0, 3, size=(shots, n))
-        basis_idx = (axes @ 3 ** np.arange(n)).astype(np.int16)
-        outcomes = _choice_by_group(self._pauli_cdfs, basis_idx, rng)
-        bits = outcomes[:, None] >> np.arange(n)
-        bits &= 1
+        # uint8 outcomes: 2^n <= 2^8 by the table cap, checked when the cdfs
+        # were built
+        outcomes = _choice_by_group(self._pauli_cdfs, _basis_index(axes), rng)
+        bits = np.unpackbits(outcomes[:, None], axis=1, count=n, bitorder="little")
+        bits = bits.astype(np.int64)
         self.count += shots
         if self.transcript is not None:
             self._log({"bulk_pauli_shots": shots})

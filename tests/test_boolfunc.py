@@ -50,6 +50,15 @@ class TestEval:
         with pytest.raises(ValueError):
             bf.eval_all(f)
 
+    def test_random_table_above_the_cap_refused_before_drawing(self):
+        class NoDraws:
+            def integers(self, *args, **kwargs):
+                raise AssertionError("drew a table above the cap")
+
+        for n in (bf.MAX_TABLE_ARITY + 1, 30):
+            with pytest.raises(ValueError, match=f"cap of {bf.MAX_TABLE_ARITY}"):
+                bf.random_truth_table(n, NoDraws())
+
     def test_parity_example(self):
         f = bf.parity_fn(0b101, 3)
         assert f(0b111) == 0

@@ -319,6 +319,10 @@ class TestSymbolPlaneEstimator:
         obs = pauli_observable({q: "Z" for q in range(5)})
         with pytest.raises(ValueError, match="k <= 4"):
             csq.shadow_single_shot_estimates(shadows, obs)
+        for coefficient in (1.0, 0.37):  # counts path, gather path
+            obs = pauli_observable({q: "Z" for q in range(5)}, coefficient=coefficient)
+            with pytest.raises(ValueError, match="k <= 4"):
+                csq.shadow_estimate(shadows, obs, 7)
 
     def test_symbol_plane_is_built_once_and_frozen(self, shadows):
         assert shadows.sym.shape == (shadows.n, shadows.shots)
@@ -329,6 +333,87 @@ class TestSymbolPlaneEstimator:
                 arr[0, 0] = 0
         with pytest.raises(AttributeError):
             shadows.bits = shadows.bits
+
+
+class TestCountsPathEstimator:
+    """shadow_estimate through the set's cached per-batch support counts."""
+
+    @staticmethod
+    def fresh(shadows):
+        return csq.ShadowSet(shadows.bases, shadows.bits)
+
+    @pytest.fixture(scope="class")
+    def shadows(self):
+        rng = np.random.default_rng(22)
+        v = rng.normal(size=32) + 1j * rng.normal(size=32)
+        src = oracles.QMeasExOracle(qsim.PureState(5, v / np.linalg.norm(v)))
+        return csq.shadow_collect(src, 900, rng)
+
+    def test_estimates_do_not_depend_on_call_order_or_cache_hits(self, shadows):
+        shared = self.fresh(shadows)
+        a = pauli_observable({0: "X", 3: "Z"})
+        b = pauli_observable({0: "Y", 3: "Y"})  # same support as a: a cache hit
+        c = pauli_observable({1: "Z", 2: "X", 4: "Y"})
+        calls = [(a, 7), (b, 7), (c, 7), (a, 7), (a, 1), (b, 7), (a, 67)]
+        got = [csq.shadow_estimate(shared, obs, batches) for obs, batches in calls]
+        want = [csq.shadow_estimate(self.fresh(shadows), obs, batches)
+                for obs, batches in calls]
+        assert got == want
+        assert got[0] == got[3]
+        assert got == [batch_median_reference(mask_product_reference(shadows, obs), batches)
+                       for obs, batches in calls]
+        assert set(shared._counts) == {((0, 3), 7), ((1, 2, 4), 7), ((0, 3), 1), ((0, 3), 67)}
+
+    def test_cache_stays_within_its_bound(self, shadows):
+        shared = self.fresh(shadows)
+        bound = shadows.n * shadows.shots  # 4,500 cells
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            k = int(rng.integers(1, 5))
+            qubits = rng.choice(shadows.n, size=k, replace=False)
+            obs = csq.PauliObservable(
+                axes=tuple(sorted((int(q), int(rng.integers(3))) for q in qubits))
+            )
+            batches = int(rng.choice([1, 3, 7]))
+            est = csq.shadow_estimate(shared, obs, batches)
+            assert est == batch_median_reference(mask_product_reference(shadows, obs), batches)
+            assert sum(c.size for c in shared._counts.values()) <= bound
+        # a table larger than the bound alone (6^4 x 7 cells) is used, not kept
+        obs = pauli_observable({0: "Z", 1: "Z", 2: "X", 3: "Y"})
+        est = csq.shadow_estimate(shared, obs, 7)
+        assert est == batch_median_reference(mask_product_reference(shadows, obs), 7)
+        assert ((0, 1, 2, 3), 7) not in shared._counts
+
+    def test_gather_path_keeps_no_counts(self, shadows):
+        shared = self.fresh(shadows)
+        obs = pauli_observable({0: "X", 3: "Z"}, coefficient=0.37)
+        est = csq.shadow_estimate(shared, obs, 7)
+        assert est == batch_median_reference(mask_product_reference(shadows, obs), 7)
+        assert not shared._counts
+
+    @pytest.mark.parametrize("coefficient", [1.0, 0.37])  # counts path, gather path
+    def test_fewer_shots_than_batches_rejected(self, shadows, coefficient):
+        few = csq.ShadowSet(shadows.bases[:5], shadows.bits[:5])
+        obs = pauli_observable({0: "X", 3: "Z"}, coefficient=coefficient)
+        with pytest.raises(ValueError, match="fewer shots than batches"):
+            csq.shadow_estimate(few, obs, 6)
+        assert csq.shadow_estimate(few, obs, 5) == batch_median_reference(
+            mask_product_reference(few, obs), 5
+        )
+
+    def test_oracle_set_equals_checked_set(self):
+        v = np.random.default_rng(23).normal(size=16) + 0j
+        psi = qsim.PureState(4, v / np.linalg.norm(v))
+        trusted = csq.shadow_collect(oracles.QMeasExOracle(psi), 2000, np.random.default_rng(24))
+        bases, bits = oracles.QMeasExOracle(psi).sample_product_pauli(
+            2000, np.random.default_rng(24)
+        )
+        checked = csq.ShadowSet(bases, bits)
+        for name in ("bases", "bits", "sym"):
+            got, want = getattr(trusted, name), getattr(checked, name)
+            assert got.dtype == want.dtype == np.uint8 and not got.flags.writeable
+            assert np.array_equal(got, want)
+        assert np.array_equal(trusted.bases, bases) and np.array_equal(trusted.bits, bits)
 
 
 class TestShadowSetBoundary:

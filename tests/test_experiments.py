@@ -10,7 +10,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from covertsim import acquire, adversary as adv, certify, covertsq, oracles, qsim, tasks
+from covertsim import acquire, adversary as adv, boolfunc as bf, certify, covertsq
+from covertsim import oracles, qsim, tasks
 from covertsim import experiments as exp
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -130,6 +131,9 @@ class TestConfig:
         ("nogo-swap", {"m": 0}, False),
         ("nogo-swap", {"n": 0}, False),
         ("certify", {"n_block": 0}, False),
+        ("certify", {"n_block": bf.MAX_TABLE_ARITY}, True),
+        ("certify", {"n_block": bf.MAX_TABLE_ARITY + 1}, False),
+        ("certify", {"n_block": 30}, False),  # 2^30 table entries: refused, not drawn
         ("covert-sq", {"d": -1}, False),
         ("covert-sq", {"d": 0}, False),
         ("covert-sq", {"n": 0}, False),
@@ -561,6 +565,7 @@ class TestCli:
         ("shadows-qsq", "n_observables=0"),
         ("shadows-qsq", "k=5"),
         ("shadows-qsq", "n=9"),
+        ("certify", "n_block=30"),
         ("acquire-uni", "bad_below=-1"),  # --assert would pass vacuously
     ])
     @pytest.mark.parametrize("command", ["run", "resources", "replay"])

@@ -232,8 +232,11 @@ def per_basis_choice_reference(oracle, shots, rng):
 
 
 class TestGroupedPauliSampler:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("shots", [0, 1, 7, 200, 3000])
+    @pytest.mark.parametrize("shots, n", [
+        *((shots, n) for n in (1, 2, 3, 4, 5) for shots in (0, 1, 7, 200, 3000)),
+        # the qubit cap, where the outcome bytes unpack to their widest
+        (3000, oracles.PAULI_TABLE_QUBIT_CAP),
+    ])
     def test_matches_per_basis_choice(self, n, shots):
         # shots < 3^n leaves some bases without shots
         g = np.random.default_rng(40 + n)
