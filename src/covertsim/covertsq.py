@@ -288,7 +288,7 @@ class ShadowSet:
     def batch_counts(self, support: tuple[int, ...], batches: int) -> np.ndarray:
         """(batches, 6^k) float64 counts of the support code over the first
         batches * (shots // batches) shots, split into `batches` equal
-        consecutive batches; cached."""
+        consecutive batches; cached and read-only."""
         key = (support, batches)
         counts = self._counts.get(key)
         if counts is None:
@@ -297,6 +297,7 @@ class ShadowSet:
             offsets = np.arange(0, batches * cells, cells)[:, None]
             counts = np.bincount((code + offsets).ravel(), minlength=batches * cells)
             counts = counts.reshape(batches, cells).astype(np.float64)
+            counts.flags.writeable = False
             bound = self.n * self.shots
             if sum(c.size for c in self._counts.values()) + counts.size > bound:
                 self._counts.clear()

@@ -363,6 +363,7 @@ class TestCountsPathEstimator:
         assert got == [batch_median_reference(mask_product_reference(shadows, obs), batches)
                        for obs, batches in calls]
         assert set(shared._counts) == {((0, 3), 7), ((1, 2, 4), 7), ((0, 3), 1), ((0, 3), 67)}
+        assert not any(c.flags.writeable for c in shared._counts.values())
 
     def test_cache_stays_within_its_bound(self, shadows):
         shared = self.fresh(shadows)

@@ -131,9 +131,6 @@ class TestConfig:
         ("nogo-swap", {"m": 0}, False),
         ("nogo-swap", {"n": 0}, False),
         ("certify", {"n_block": 0}, False),
-        ("certify", {"n_block": bf.MAX_TABLE_ARITY}, True),
-        ("certify", {"n_block": bf.MAX_TABLE_ARITY + 1}, False),
-        ("certify", {"n_block": 30}, False),  # 2^30 table entries: refused, not drawn
         ("covert-sq", {"d": -1}, False),
         ("covert-sq", {"d": 0}, False),
         ("covert-sq", {"n": 0}, False),
@@ -173,6 +170,9 @@ class TestConfig:
         ("covert-sq", {"delta": 1e-200}, False),  # eps0**2 underflows to 0
         # N >= 2^100, refused without computing math.comb
         ("covert-sq", {"n": 10**30, "d": 100, "delta": 0.1}, False),
+        ("certify", {"n_block": bf.MAX_TABLE_ARITY}, True),
+        ("certify", {"n_block": bf.MAX_TABLE_ARITY + 1}, False),
+        ("certify", {"n_block": 30}, False),  # 2^30 table entries: refused, not drawn
     ])
     def test_param_rules(self, scenario, params, ok):
         d = {"scenario": scenario, "params": params}
