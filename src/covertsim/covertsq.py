@@ -216,17 +216,18 @@ class ShadowSet:
     """Per-shot Pauli bases (0/1/2 = X/Y/Z) and outcome bits (0 = +1), stored
     as read-only (shots, n) uint8 arrays.
 
-    The public constructor checks the arrays (shape, integer dtype, range);
-    `from_oracle` skips those checks for oracle output, which is in range by
-    construction. Either way the set builds once the per-qubit symbol plane
-    `sym`: a read-only (n, shots) uint8 array holding 2 * basis + bit, one
-    contiguous row per qubit, which is all the estimator reads.
+    The constructor checks the arrays (shape, integer dtype, range) and
+    narrows them to uint8, without a copy when they already are uint8. It
+    builds once the per-qubit symbol plane `sym`: a read-only (n, shots)
+    uint8 array holding 2 * basis + bit, one contiguous row per qubit, which
+    is all the estimator reads.
 
     The set also caches, per (support, batches) pair, the per-batch counts of
-    the support's mixed-radix-6 code (`batch_counts`). The cache holds at
-    most n * shots cells in all, as many as `sym` (each cell a float64): a
-    table that would pass that bound clears it first, and a table larger than
-    the bound alone is not kept."""
+    the support's mixed-radix-6 code (`batch_counts`), so that observables
+    sharing a support share one bincount. Each table has at most `shots`
+    cells, and the cache holds at most n * shots cells in all, as many as
+    `sym` (each cell a float64): a table that would pass that bound clears
+    it first."""
 
     bases: np.ndarray
     bits: np.ndarray
@@ -245,17 +246,7 @@ class ShadowSet:
                 raise ValueError(f"{name} must be integers, got {arr.dtype}")
             if arr.size and (arr.min() < 0 or arr.max() > top):
                 raise ValueError(f"{name} must lie in 0..{top}")
-        self._store(bases.astype(np.uint8, copy=False), bits.astype(np.uint8, copy=False))
-
-    @classmethod
-    def from_oracle(cls, bases: np.ndarray, bits: np.ndarray) -> "ShadowSet":
-        """A set of QMeasExOracle.sample_product_pauli output narrowed to
-        uint8, kept without checks or copies."""
-        shadows = object.__new__(cls)
-        shadows._store(bases, bits)
-        return shadows
-
-    def _store(self, bases: np.ndarray, bits: np.ndarray) -> None:
+        bases, bits = bases.astype(np.uint8, copy=False), bits.astype(np.uint8, copy=False)
         sym = np.array(bases.T, order="C")
         sym *= 2
         sym += bits.T
@@ -288,21 +279,23 @@ class ShadowSet:
     def batch_counts(self, support: tuple[int, ...], batches: int) -> np.ndarray:
         """(batches, 6^k) float64 counts of the support code over the first
         batches * (shots // batches) shots, split into `batches` equal
-        consecutive batches; cached and read-only."""
+        consecutive batches; cached and read-only. Needs at least 6^k shots
+        per batch, so that no table holds more cells than there are shots."""
         key = (support, batches)
         counts = self._counts.get(key)
         if counts is None:
+            code = self.support_code(support)  # checks k first
             cells, per = 6 ** len(support), self.shots // batches
-            code = self.support_code(support)[: batches * per].reshape(batches, per)
+            if per < cells:
+                raise ValueError(f"batch_counts needs >= {cells} shots per batch, got {per}")
+            code = code[: batches * per].reshape(batches, per)
             offsets = np.arange(0, batches * cells, cells)[:, None]
             counts = np.bincount((code + offsets).ravel(), minlength=batches * cells)
             counts = counts.reshape(batches, cells).astype(np.float64)
             counts.flags.writeable = False
-            bound = self.n * self.shots
-            if sum(c.size for c in self._counts.values()) + counts.size > bound:
+            if sum(c.size for c in self._counts.values()) + counts.size > self.n * self.shots:
                 self._counts.clear()
-            if counts.size <= bound:
-                self._counts[key] = counts
+            self._counts[key] = counts
         return counts
 
 
@@ -345,7 +338,7 @@ def shadow_collect(source: QMeasExOracle, shots: int, rng) -> ShadowSet:
     # narrow each int64 array in turn, so that the two are never held
     # beside their uint8 copies
     bases = bases.astype(np.uint8)
-    return ShadowSet.from_oracle(bases, bits.astype(np.uint8))
+    return ShadowSet(bases, bits.astype(np.uint8))
 
 
 def _weight_table(obs: PauliObservable) -> np.ndarray:
@@ -386,16 +379,18 @@ def _sums_exact(obs: PauliObservable, per_batch: int) -> bool:
 def shadow_estimate(shadows: ShadowSet, obs: PauliObservable, batches: int) -> float:
     """Median of `batches` batch means of the single-shot estimators.
 
-    When every batch sum is exact (`_sums_exact`; always so for coefficient 1
-    at k <= 4), the batch sums come from the set's cached per-batch counts of
-    the support code times the weight table, bit for bit what summing the
-    estimators gives. Otherwise (a coefficient such as 0.37) the estimators
-    are gathered and averaged, since only that reproduces np.mean's rounding."""
+    When a batch holds at least 6^k shots and every batch sum is exact
+    (`_sums_exact`; always so for coefficient 1 at k <= 4), the batch sums
+    are the per-batch counts of the support code (`ShadowSet.batch_counts`)
+    times the weight table, bit for bit what summing the estimators gives.
+    Otherwise the estimators are gathered and averaged: a smaller batch would
+    make the (batches, 6^k) count table larger than the gather, and a
+    coefficient such as 0.37 is reproduced only by np.mean's rounding."""
     rows = max(batches, 1)
     per = shadows.shots // rows
     if per == 0 and batches > 1:
         raise ValueError("fewer shots than batches")
-    if per and _sums_exact(obs, per):
+    if per >= 6**obs.locality and _sums_exact(obs, per):
         counts = shadows.batch_counts(obs.support, rows)  # checks k first
         means = (counts @ _weight_table(obs)) / per
         return float(np.median(means)) if batches > 1 else float(means[0])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -347,13 +348,14 @@ class TestCountsPathEstimator:
         rng = np.random.default_rng(22)
         v = rng.normal(size=32) + 1j * rng.normal(size=32)
         src = oracles.QMeasExOracle(qsim.PureState(5, v / np.linalg.norm(v)))
-        return csq.shadow_collect(src, 900, rng)
+        return csq.shadow_collect(src, 2000, rng)
 
     def test_estimates_do_not_depend_on_call_order_or_cache_hits(self, shadows):
         shared = self.fresh(shadows)
         a = pauli_observable({0: "X", 3: "Z"})
         b = pauli_observable({0: "Y", 3: "Y"})  # same support as a: a cache hit
         c = pauli_observable({1: "Z", 2: "X", 4: "Y"})
+        # (a, 67) has 29 shots per batch, fewer than 6^2: the gather path
         calls = [(a, 7), (b, 7), (c, 7), (a, 7), (a, 1), (b, 7), (a, 67)]
         got = [csq.shadow_estimate(shared, obs, batches) for obs, batches in calls]
         want = [csq.shadow_estimate(self.fresh(shadows), obs, batches)
@@ -362,35 +364,45 @@ class TestCountsPathEstimator:
         assert got[0] == got[3]
         assert got == [batch_median_reference(mask_product_reference(shadows, obs), batches)
                        for obs, batches in calls]
-        assert set(shared._counts) == {((0, 3), 7), ((1, 2, 4), 7), ((0, 3), 1), ((0, 3), 67)}
+        assert set(shared._counts) == {((0, 3), 7), ((1, 2, 4), 7), ((0, 3), 1)}
         assert not any(c.flags.writeable for c in shared._counts.values())
 
     def test_cache_stays_within_its_bound(self, shadows):
         shared = self.fresh(shadows)
-        bound = shadows.n * shadows.shots  # 4,500 cells
+        bound = shadows.n * shadows.shots  # 10,000 cells
         rng = np.random.default_rng(5)
-        for _ in range(40):
-            k = int(rng.integers(1, 5))
-            qubits = rng.choice(shadows.n, size=k, replace=False)
-            obs = csq.PauliObservable(
-                axes=tuple(sorted((int(q), int(rng.integers(3))) for q in qubits))
-            )
-            batches = int(rng.choice([1, 3, 7]))
-            est = csq.shadow_estimate(shared, obs, batches)
-            assert est == batch_median_reference(mask_product_reference(shadows, obs), batches)
-            assert sum(c.size for c in shared._counts.values()) <= bound
-        # a table larger than the bound alone (6^4 x 7 cells) is used, not kept
-        obs = pauli_observable({0: "Z", 1: "Z", 2: "X", 3: "Y"})
-        est = csq.shadow_estimate(shared, obs, 7)
-        assert est == batch_median_reference(mask_product_reference(shadows, obs), 7)
-        assert ((0, 1, 2, 3), 7) not in shared._counts
+        held, cleared = 0, 0
+        # every support, so that the tables together pass the bound (the ten
+        # k = 3 tables alone hold 10 * 7 * 216 cells); a k = 4 table needs one
+        # batch to have 6^4 shots in it
+        for k in range(1, 5):
+            batches = 1 if k == 4 else 7
+            for qubits in itertools.combinations(range(shadows.n), k):
+                obs = csq.PauliObservable(axes=tuple((q, int(rng.integers(3))) for q in qubits))
+                est = csq.shadow_estimate(shared, obs, batches)
+                assert est == batch_median_reference(
+                    mask_product_reference(shadows, obs), batches
+                )
+                sizes = [c.size for c in shared._counts.values()]
+                assert sum(sizes) <= bound and max(sizes, default=0) <= shadows.shots
+                cleared += sum(sizes) < held
+                held = sum(sizes)
+        assert cleared
 
-    def test_gather_path_keeps_no_counts(self, shadows):
+    @pytest.mark.parametrize("obs, batches", [
+        (pauli_observable({0: "X", 3: "Z"}, coefficient=0.37), 7),  # inexact sums
+        (pauli_observable({0: "X", 3: "Z"}), 67),  # 29 shots per batch < 6^2
+        (pauli_observable({0: "X", 1: "Y", 2: "Z", 3: "Y"}), 7),  # 285 < 6^4
+    ])
+    def test_gather_path_keeps_no_counts(self, shadows, obs, batches):
         shared = self.fresh(shadows)
-        obs = pauli_observable({0: "X", 3: "Z"}, coefficient=0.37)
-        est = csq.shadow_estimate(shared, obs, 7)
-        assert est == batch_median_reference(mask_product_reference(shadows, obs), 7)
+        est = csq.shadow_estimate(shared, obs, batches)
+        assert est == batch_median_reference(mask_product_reference(shadows, obs), batches)
         assert not shared._counts
+
+    def test_no_count_table_larger_than_the_shots(self, shadows):
+        with pytest.raises(ValueError, match="needs >= 1296 shots per batch, got 285"):
+            self.fresh(shadows).batch_counts((0, 1, 2, 3), 7)
 
     @pytest.mark.parametrize("coefficient", [1.0, 0.37])  # counts path, gather path
     def test_fewer_shots_than_batches_rejected(self, shadows, coefficient):
@@ -402,19 +414,21 @@ class TestCountsPathEstimator:
             mask_product_reference(few, obs), 5
         )
 
-    def test_oracle_set_equals_checked_set(self):
+    def test_collected_set_equals_checked_set(self):
         v = np.random.default_rng(23).normal(size=16) + 0j
         psi = qsim.PureState(4, v / np.linalg.norm(v))
-        trusted = csq.shadow_collect(oracles.QMeasExOracle(psi), 2000, np.random.default_rng(24))
+        collected = csq.shadow_collect(
+            oracles.QMeasExOracle(psi), 2000, np.random.default_rng(24)
+        )
         bases, bits = oracles.QMeasExOracle(psi).sample_product_pauli(
             2000, np.random.default_rng(24)
         )
         checked = csq.ShadowSet(bases, bits)
         for name in ("bases", "bits", "sym"):
-            got, want = getattr(trusted, name), getattr(checked, name)
+            got, want = getattr(collected, name), getattr(checked, name)
             assert got.dtype == want.dtype == np.uint8 and not got.flags.writeable
             assert np.array_equal(got, want)
-        assert np.array_equal(trusted.bases, bases) and np.array_equal(trusted.bits, bits)
+        assert np.array_equal(collected.bases, bases) and np.array_equal(collected.bits, bits)
 
 
 class TestShadowSetBoundary:
