@@ -22,7 +22,8 @@ Each certification block is one stacked (m, 2^q) amplitude array, row j the
 j-th copy (`certify.ProductBlock`). The public oracle is still queried once
 per copy, but a randomness-masked phase response is unmasked straight into
 its row with the cached Z^r signs, without building a state, and the block's
-norms are checked once, in one vectorised pass.
+norms are checked once, in one vectorised pass. Behind the identity tap a
+block's masks are drawn in one call.
 
 Block register layout: in entangled modes the private mask register occupies
 the low qubits of every copy, the oracle-facing register the high ones.
@@ -35,6 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import adversary as adv
 from . import certify, qsim
 from .certify import CertificationRecord, ProductBlock
 from .oracles import (
@@ -137,16 +139,21 @@ def _coupled_pair(n: int) -> PureState:
 
 def masked_query_phase_randomness(
     oracle: QuantumChannelOracle, n: int, rng, out: Optional[np.ndarray] = None,
+    r: Optional[int] = None,
 ) -> Optional[PureState]:
     """One covert phase-oracle query from classical randomness.
 
     Send Z^r |+>^n with a fresh private uniform r, undo Z^r on the response;
-    with no adversary the result is exactly the target phase state. Given
-    `out` (a block row), the unmasked amplitudes are written there and
-    nothing is returned; the block checks their norm.
+    with no adversary the result is exactly the target phase state. The
+    mask is drawn here unless the caller passes one it drew, an int in
+    [0, 2^n). Given `out` (a block row), the unmasked amplitudes are written
+    there and nothing is returned; the block checks their norm.
     """
-    r = int(rng.integers(0, 1 << n))
-    got = oracle.query(_masked_plus(n, r), list(range(n)), rng=rng)
+    if r is None:
+        r = int(rng.integers(0, 1 << n))
+    elif not 0 <= r < 1 << n:
+        raise ValueError(f"mask {r!r} is outside [0, 2^{n})")
+    got = oracle.query(_masked_plus(n, r), range(n), rng=rng)
     if out is None:
         return qsim.apply_z_mask(got, r, range(n))
     if r:
@@ -243,13 +250,10 @@ class AcquisitionResult:
 
 def _masked_query(oracle, n: int, w: int, rng, entangled: bool, unmask: bool,
                   out: np.ndarray) -> None:
-    """One masked query for the (n+w)-qubit phase-state target, written into
-    the block row `out`; an entangled response stays coupled to its mask
-    register unless `unmask` is set (randomness-masked responses always come
-    back unmasked)."""
-    if not entangled and not w:
-        masked_query_phase_randomness(oracle, n, rng, out=out)
-        return
+    """One masked QMem or entangled query for the (n+w)-qubit phase-state
+    target, written into the block row `out`; an entangled response stays
+    coupled to its mask register unless `unmask` is set (randomness-masked
+    responses always come back unmasked)."""
     if not entangled:
         state = masked_query_qmem_randomness(oracle, n, w, rng)
     else:
@@ -263,13 +267,28 @@ def _masked_query(oracle, n: int, w: int, rng, entangled: bool, unmask: bool,
 
 
 def _collect_blocks(oracle, n, w, m, count, rng, entangled, unmask):
-    """`count` stacked blocks of m masked copies, queried in order."""
+    """`count` stacked blocks of m masked copies, queried in order.
+
+    Randomness-masked phase queries call `masked_query_phase_randomness`
+    once per row. Behind the identity tap the oracle round trip draws
+    nothing from `rng`, so a block's m masks are drawn in one
+    `rng.integers(..., size=m)`: the same values and the same generator end
+    state as m scalar draws (pinned by a test), without m scalar calls.
+    Any other tap may draw between the masks, so each query draws its own.
+    """
     qubits = (n + w) * (1 if unmask or not entangled else 2)
+    phase_randomness = not entangled and not w
+    block_masks = phase_randomness and type(oracle.tap.strategy) is adv.identity
     blocks = []
     for _ in range(count):
         amps = np.empty((m, 1 << qubits), dtype=complex)
-        for row in amps:
-            _masked_query(oracle, n, w, rng, entangled, unmask, row)
+        if phase_randomness:
+            masks = rng.integers(0, 1 << n, size=m).tolist() if block_masks else [None] * m
+            for row, r in zip(amps, masks):
+                masked_query_phase_randomness(oracle, n, rng, out=row, r=r)
+        else:
+            for row in amps:
+                _masked_query(oracle, n, w, rng, entangled, unmask, row)
         blocks.append(ProductBlock(amps=amps))
     return blocks
 

@@ -245,3 +245,21 @@ def bell_povm(n: int) -> Povm:
                     elements.append(f_op.conj().T @ f_op)
                     labels.append((y, z, (b1, b2)))
     return Povm(copies=2, qubits_per_copy=n + 1, elements=tuple(elements), labels=tuple(labels))
+
+
+_PAULI_MATRICES = {
+    0: np.array([[0, 1], [1, 0]], dtype=complex),
+    1: np.array([[0, -1j], [1j, 0]], dtype=complex),
+    2: np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def pauli_expectation_kron(state: qsim.PureState, obs: covertsq.PauliObservable) -> float:
+    """<psi|M|psi> with the Pauli string materialized as a 2^n x 2^n matrix,
+    one np.kron per qubit (little-endian: qubit q at bit q)."""
+    lookup = dict(obs.axes)
+    full = np.eye(1, dtype=complex)
+    for q in range(state.n):
+        m = _PAULI_MATRICES[lookup[q]] if q in lookup else np.eye(2, dtype=complex)
+        full = np.kron(m, full)
+    return float(obs.coefficient * np.vdot(state.vec, full @ state.vec).real)

@@ -87,29 +87,84 @@ class TestMaskedQueries:
         assert qsim.states_equal(joint, qsim.prepare_phase_state(bf.truth_table(table)), 1e-10)
 
 
+# test id -> (tap, n, m); "honest" and "depolarize" are the original cases
+BLOCK_CASES = {
+    "honest": (None, 4, 7),
+    "depolarize": (adv.depolarize(0.5), 4, 7),
+    "measure_z": (adv.measure_z(), 4, 7),
+    "replace_zero": (adv.replace_zero(), 4, 7),
+    "honest-n8": (None, 8, 7),
+    "honest-n9": (None, 9, 7),
+    "depolarize-n9": (adv.depolarize(0.5), 9, 7),
+    "honest-m1": (None, 4, 1),
+    "measure_z-m1": (adv.measure_z(), 4, 1),
+}
+
+
 class TestStackedBlocks:
-    @pytest.mark.parametrize("strategy", [None, adv.depolarize(0.5)],
-                             ids=["honest", "depolarize"])
-    def test_block_rows_equal_per_copy_queries(self, strategy):
+    @pytest.mark.parametrize("strategy, n, m", list(BLOCK_CASES.values()),
+                             ids=list(BLOCK_CASES))
+    def test_block_rows_equal_per_copy_queries(self, strategy, n, m, monkeypatch):
         # each row bit-equal to its own masked query, the same oracle count,
-        # tap events and generator state afterwards
-        rng = np.random.default_rng(30)
-        n, m, count = 4, 7, 3
-        f = bf.random_truth_table(n, rng)
+        # tap events and generator state afterwards; one masked query per
+        # row, with the masks drawn per block only behind the identity tap
+        count = 3
+        f = bf.random_truth_table(n, np.random.default_rng(30))
         oracle_a, oracle_b = phase_oracle(f, strategy), phase_oracle(f, strategy)
         rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+        query = acquire.masked_query_phase_randomness
+        given_masks = []
+
+        def spy(*args, **kwargs):
+            given_masks.append(kwargs.get("r"))
+            return query(*args, **kwargs)
+
+        monkeypatch.setattr(acquire, "masked_query_phase_randomness", spy)
         blocks = acquire._collect_blocks(
             oracle_a, n, 0, m, count, rng_a, entangled=False, unmask=True
         )
+        assert len(given_masks) == m * count
+        if strategy is None:
+            assert all(r is not None for r in given_masks)
+        else:
+            assert given_masks == [None] * (m * count)
         for block in blocks:
-            want = [acquire.masked_query_phase_randomness(oracle_b, n, rng_b)
-                    for _ in range(m)]
+            want = [query(oracle_b, n, rng_b) for _ in range(m)]
             assert block.amps.tobytes() == np.stack([c.vec for c in want]).tobytes()
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         assert oracle_a.count == oracle_b.count == m * count
         assert oracle_a.tap.memory.events == oracle_b.tap.memory.events
         if strategy is not None:
             assert oracle_a.tap.memory.events  # the tap acted on some queries
+
+    @pytest.mark.parametrize("n", range(1, qsim.PURE_QUBIT_CAP + 1))
+    def test_one_mask_draw_equals_scalar_draws(self, n):
+        # the block loop's one draw of m masks relies on this numpy fact:
+        # the same values and the same generator end state as m scalar draws
+        for k in (1, 7, 201):
+            rng_a, rng_b = np.random.default_rng(500 + n), np.random.default_rng(500 + n)
+            block = rng_a.integers(0, 1 << n, size=k).tolist()
+            scalars = [int(rng_b.integers(0, 1 << n)) for _ in range(k)]
+            assert block == scalars
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_given_mask_outside_its_range_is_refused(self):
+        n = 3
+        oracle = phase_oracle(bf.random_truth_table(n, np.random.default_rng(32)))
+        rng = np.random.default_rng(33)
+        before = rng.bit_generator.state
+        row = np.zeros(1 << n, dtype=complex)
+        for r in (-1, 1 << n, 1 << 40):
+            with pytest.raises(ValueError, match="outside"):
+                acquire.masked_query_phase_randomness(oracle, n, rng, out=row, r=r)
+            with pytest.raises(ValueError, match="outside"):
+                acquire.masked_query_phase_randomness(oracle, n, rng, r=r)
+        assert oracle.count == 0 and rng.bit_generator.state == before
+        # the extremes of the range are taken, and the mask is the one given
+        for r in (0, (1 << n) - 1):
+            got = acquire.masked_query_phase_randomness(oracle, n, rng, r=r)
+            assert qsim.fidelity(got, qsim.prepare_phase_state(oracle.f)) > 1 - 1e-12
+        assert oracle.count == 2 and rng.bit_generator.state == before
 
     def test_masked_plus_states_equal_the_z_masked_uniform_state(self):
         for n in (1, 3, 8, 9):

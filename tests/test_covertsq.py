@@ -9,7 +9,7 @@ from covertsim import boolfunc as bf
 from covertsim import covertsq as csq
 from covertsim import experiments as exp
 from covertsim import oracles, qsim
-from reference import pauli_observable, sketch_answers_per_query
+from reference import pauli_expectation_kron, pauli_observable, sketch_answers_per_query
 
 
 def random_target(n, d, rng, b_c=1.0):
@@ -258,6 +258,39 @@ class TestShadows:
                 total += abs(est - csq.pauli_expectation_exact(psi, obs))
             errs.append(total / 5)
         assert errs[-1] < errs[0]
+
+
+class TestPauliExpectationExact:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_equal_to_the_kron_matrix_on_every_string(self, n):
+        # every one of the 4^n Pauli strings (identity included), on seeded
+        # random states, with unit and non-unit coefficients
+        rng = np.random.default_rng(90 + n)
+        for _ in range(4):
+            v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            psi = qsim.PureState(n, v / np.linalg.norm(v))
+            for letters in itertools.product((None, 0, 1, 2), repeat=n):
+                axes = tuple((q, a) for q, a in enumerate(letters) if a is not None)
+                for coefficient in (1.0, float(rng.uniform(-2, 2))):
+                    obs = csq.PauliObservable(axes=axes, coefficient=coefficient)
+                    got = csq.pauli_expectation_exact(psi, obs)
+                    want = pauli_expectation_kron(psi, obs)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_known_values_on_basis_and_bell_states(self):
+        # zero amplitudes: equal values (the sign of a zero may differ)
+        one = qsim.basis_state(2, 0b01)  # qubit 0 in |1>, qubit 1 in |0>
+        assert csq.pauli_expectation_exact(one, pauli_observable({0: "Z"})) == -1.0
+        assert csq.pauli_expectation_exact(one, pauli_observable({1: "Z"})) == 1.0
+        assert csq.pauli_expectation_exact(one, pauli_observable({0: "X"})) == 0.0
+        bell = qsim.apply_gate(
+            qsim.apply_gate(qsim.basis_state(2), "H", [0]), "CNOT", [0, 1]
+        )
+        for spec, want in (({0: "X", 1: "X"}, 1.0), ({0: "Y", 1: "Y"}, -1.0),
+                           ({0: "Z", 1: "Z"}, 1.0), ({0: "X", 1: "Y"}, 0.0)):
+            obs = pauli_observable(spec, coefficient=0.5)
+            assert csq.pauli_expectation_exact(bell, obs) == pytest.approx(0.5 * want, abs=1e-15)
+            assert csq.pauli_expectation_exact(bell, obs) == pauli_expectation_kron(bell, obs)
 
 
 def mask_product_reference(shadows, obs):
