@@ -1,32 +1,29 @@
 """Covert verifiable acquisition of quantum data from public oracles.
 
-Masked queries hide the target behind fresh private randomness (send
-Z^r |+...+>, undo Z^r on return) or behind entanglement with a private
-register (CZ-coupled halves of a maximally entangled pair). The coupled
-pair is the same state on every entangled query, so it is built once per
-register size and shared read-only; each query's private mask is still
-fresh, drawn when the mask register is measured afterwards. Two acquisition
-functions collect masked blocks, certify them with the shadow-overlap
-machinery, and emit the untouched output block: `acquire_unidirectional`
-unmasks every copy at query time and certifies non-i.i.d.;
-`acquire_ancilla_free` keeps the copies masked, certifies i.i.d., and unmasks
-only the output block. Both take the target kind from the oracle: QPh gives
-phase states of f; QMem of width w gives example states, acquired through
-phase kickback as phase states of f~(x, y) = y·f(x) and delivered after
-Hadamards on the out register. `task_rounds` is the one round driver for a
-decision algorithm on top: each round is one acquisition, the run halts on
-the first rejection, and the certified rounds' answers are majority-voted
-(ell amplified unidirectional rounds, or one ancilla-free round).
+One masked query per masking mode serves both oracle kinds, and the oracle
+alone fixes the target's shape: n = oracle.f.n input qubits and
+w = oracle.out_width out qubits. A QPh target is the phase state of f. A
+QMem oracle is queried by phase kickback as the phase oracle of
+f~(x, y) = y·f(x); its certified copies are delivered as example states,
+after H^w on out. `masked_query_phase_randomness` sends Z^r |+...+> under
+fresh private randomness and undoes Z^r on return.
+`masked_query_phase_entangled` sends the query half of a CZ-coupled pair of
+uniform registers, built once per register size and shared read-only; the
+private mask is drawn when `unmask_entangled` measures the mask register.
 
-Each certification block is one stacked (m, 2^q) amplitude array, row j the
-j-th copy (`certify.ProductBlock`). The public oracle is still queried once
-per copy, but a randomness-masked phase response is unmasked straight into
-its row with the cached Z^r signs, without building a state, and the block's
-norms are checked once, in one vectorised pass. Behind the identity tap a
-block's masks are drawn in one call.
+`acquire_unidirectional` unmasks every copy at query time and certifies
+non-i.i.d.; `acquire_ancilla_free` keeps the copies masked, certifies
+i.i.d., and unmasks only the output block. `task_rounds` is the one round
+driver for a decision algorithm on top: each round is one acquisition, the
+run halts on the first rejection, and the certified rounds' answers are
+majority-voted (ell amplified unidirectional rounds, or one ancilla-free
+round).
 
-Block register layout: in entangled modes the private mask register occupies
-the low qubits of every copy, the oracle-facing register the high ones.
+Each certification block is one stacked (m, 2^q) amplitude array
+(`certify.ProductBlock`), filled by one public query per copy and
+norm-checked once; behind the identity tap a phase block's masks are drawn
+in one call. In entangled modes the private mask register occupies the low
+qubits of every copy, the oracle-facing register the high ones.
 """
 from __future__ import annotations
 
@@ -83,7 +80,10 @@ class Schedule:
 def unidirectional_schedule(qubits, m, eps, delta, n_blocks=DEFAULT_BLOCKS) -> Schedule:
     """Schedule of `acquire_unidirectional` on blocks of m copies of `qubits`
     qubits: the Theta-tilde(n_block^5 / (delta^2 eps^6)) paper count of the
-    non-i.i.d. lift, with unit constant, next to the n_blocks override."""
+    non-i.i.d. lift, with unit constant, next to the n_blocks override. The
+    lift measures all blocks but one, so fewer than 2 are refused."""
+    if n_blocks < 2:
+        raise ValueError(f"need at least two blocks, got {n_blocks}")
     n_block = qubits * m
     k_l = certify.iid_copy_count(n_block, eps / 2.0, delta / 6.0)
     paper = math.ceil(
@@ -95,7 +95,9 @@ def unidirectional_schedule(qubits, m, eps, delta, n_blocks=DEFAULT_BLOCKS) -> S
 def ancilla_free_schedule(qubits, m, eps, delta, delta_leak, n_blocks=None) -> Schedule:
     """Schedule of `acquire_ancilla_free`: masked copies carry 2 * qubits
     qubits, certified at `ancilla_free_accuracy`; without an n_blocks
-    override the paper count is certified."""
+    override the paper count is certified; fewer than 1 is refused."""
+    if n_blocks is not None and n_blocks < 1:
+        raise ValueError(f"need at least one certification block, got {n_blocks}")
     accuracy = ancilla_free_accuracy(eps, delta_leak, m)
     paper = certify.adaptive_copy_count(2 * qubits * m, accuracy, delta)
     return Schedule(accuracy, paper, paper if n_blocks is None else n_blocks)
@@ -138,41 +140,56 @@ def _coupled_pair(n: int) -> PureState:
 
 
 def masked_query_phase_randomness(
-    oracle: QuantumChannelOracle, n: int, rng, out: Optional[np.ndarray] = None,
+    oracle: QuantumChannelOracle, rng, out: Optional[np.ndarray] = None,
     r: Optional[int] = None,
 ) -> Optional[PureState]:
-    """One covert phase-oracle query from classical randomness.
+    """One covert query from classical randomness.
 
     Send Z^r |+>^n with a fresh private uniform r, undo Z^r on the response;
-    with no adversary the result is exactly the target phase state. The
+    with no adversary the result is exactly the target phase state. A QMem
+    oracle of width w is queried by phase kickback as the phase oracle of
+    f~(x, y) = y·f(x): its out register is sent as Z^rt |+>^w, rt drawn
+    after r, and the n + w qubits are unmasked by r | rt << n. The input
     mask is drawn here unless the caller passes one it drew, an int in
     [0, 2^n). Given `out` (a block row), the unmasked amplitudes are written
     there and nothing is returned; the block checks their norm.
     """
+    n, w = oracle.f.n, oracle.out_width
     if r is None:
         r = int(rng.integers(0, 1 << n))
     elif not 0 <= r < 1 << n:
         raise ValueError(f"mask {r!r} is outside [0, 2^{n})")
-    got = oracle.query(_masked_plus(n, r), range(n), rng=rng)
+    if w:
+        rt = int(rng.integers(0, 1 << w))
+        sent = qsim.tensor(_masked_plus(n, r), _masked_plus(w, rt))
+        got = _kickback_query(oracle, sent, list(range(n)), w, rng)
+        r |= rt << n
+    else:
+        got = oracle.query(_masked_plus(n, r), range(n), rng=rng)
     if out is None:
-        return qsim.apply_z_mask(got, r, range(n))
+        return qsim.apply_z_mask(got, r, range(n + w))
     if r:
-        np.multiply(got.vec, qsim.z_signs(n, r), out=out)
+        np.multiply(got.vec, qsim.z_signs(n + w, r), out=out)
     else:  # as apply_z_mask: a product with +1 may flip the sign of a zero
         out[:] = got.vec
     return None
 
 
-def masked_query_phase_entangled(
-    oracle: QuantumChannelOracle, n: int, rng
-) -> PureState:
-    """One covert phase-oracle query from entanglement.
+def masked_query_phase_entangled(oracle: QuantumChannelOracle, rng) -> PureState:
+    """One covert query from entanglement.
 
-    Prepare a CZ-coupled pair of uniform registers (mask register low, query
-    register high), send the query half; unmasking is deferred. The ideal
-    2n-qubit response is the phase state of g(r, x) = r·x xor f(x).
+    Prepare a CZ-coupled pair of uniform (n + w)-qubit registers (mask
+    register low, query register high), send the query half; unmasking is
+    deferred. The ideal 2(n + w)-qubit response is the phase state of
+    g(r, z) = r·z xor t(z), for the target t = f of a QPh oracle, or
+    t = f~(x, y) = y·f(x) of a QMem oracle queried by phase kickback.
     """
-    return oracle.query(_coupled_pair(n), list(range(n, 2 * n)), rng=rng)
+    n, w = oracle.f.n, oracle.out_width
+    pair = _coupled_pair(n + w)
+    query = list(range(n + w, 2 * n + w))
+    if w:
+        return _kickback_query(oracle, pair, query, w, rng)
+    return oracle.query(pair, query, rng=rng)
 
 
 def unmask_entangled(state: PureState, n: int, rng) -> PureState:
@@ -202,38 +219,6 @@ def _kickback_query(oracle, state: PureState, in_qubits: list[int], w: int, rng)
     return qsim.remove_qubits(state, aux, outcome)
 
 
-def masked_query_qmem_randomness(
-    oracle: QuantumChannelOracle, n: int, w: int, rng
-) -> PureState:
-    """Covert quantum-membership query from classical randomness.
-
-    Phase kickback turns one QMem(f) query into a phase-oracle query for
-    f~(x, y) = y·f(x) on the (in, out) pair; masking and unmasking work
-    exactly as in the randomness-based phase query, with fresh private masks
-    r on in and rt on out. Returns the (n+w)-qubit phase state of f~, i.e.
-    (1 x H^w) applied to the example state.
-    """
-    r = int(rng.integers(0, 1 << n))
-    rt = int(rng.integers(0, 1 << w))
-    state = qsim.tensor(
-        qsim.apply_z_mask(qsim.uniform_state(n), r, range(n)),
-        qsim.apply_z_mask(qsim.uniform_state(w), rt, range(w)),
-    )
-    state = _kickback_query(oracle, state, list(range(n)), w, rng)
-    return qsim.apply_z_mask(state, r | (rt << n), range(n + w))
-
-
-def masked_query_qmem_entangled(
-    oracle: QuantumChannelOracle, n: int, w: int, rng
-) -> PureState:
-    """Entangled covert QMem query: the (n+w)-qubit mask register stays
-    local while the kicked-back target register visits the oracle. Returns
-    the 2(n+w)-qubit joint state; the ideal response is the phase state of
-    G(rho, zeta) = rho·zeta xor f~(zeta)."""
-    nw = n + w
-    return _kickback_query(oracle, _coupled_pair(nw), list(range(nw, nw + n)), w, rng)
-
-
 # --- acquisition pipeline -----------------------------------------------------
 
 
@@ -248,47 +233,31 @@ class AcquisitionResult:
     paper_blocks: int
 
 
-def _masked_query(oracle, n: int, w: int, rng, entangled: bool, unmask: bool,
-                  out: np.ndarray) -> None:
-    """One masked QMem or entangled query for the (n+w)-qubit phase-state
-    target, written into the block row `out`; an entangled response stays
-    coupled to its mask register unless `unmask` is set (randomness-masked
-    responses always come back unmasked)."""
-    if not entangled:
-        state = masked_query_qmem_randomness(oracle, n, w, rng)
-    else:
-        if w:
-            state = masked_query_qmem_entangled(oracle, n, w, rng)
-        else:
-            state = masked_query_phase_entangled(oracle, n, rng)
-        if unmask:
-            state = unmask_entangled(state, n + w, rng)
-    out[:] = state.vec
+def _collect_blocks(oracle, m, count, rng, entangled, unmask):
+    """`count` stacked blocks of m masked copies, queried in order; an
+    entangled response stays coupled to its mask register unless `unmask`
+    is set (randomness-masked responses always come back unmasked).
 
-
-def _collect_blocks(oracle, n, w, m, count, rng, entangled, unmask):
-    """`count` stacked blocks of m masked copies, queried in order.
-
-    Randomness-masked phase queries call `masked_query_phase_randomness`
-    once per row. Behind the identity tap the oracle round trip draws
-    nothing from `rng`, so a block's m masks are drawn in one
+    Behind the identity tap the oracle round trip draws nothing from `rng`,
+    so a randomness-masked phase block's m masks are drawn in one
     `rng.integers(..., size=m)`: the same values and the same generator end
     state as m scalar draws (pinned by a test), without m scalar calls.
-    Any other tap may draw between the masks, so each query draws its own.
+    Any other tap may draw between the masks, and a QMem copy draws its out
+    mask between them, so there each query draws its own.
     """
+    n, w = oracle.f.n, oracle.out_width
     qubits = (n + w) * (1 if unmask or not entangled else 2)
-    phase_randomness = not entangled and not w
-    block_masks = phase_randomness and type(oracle.tap.strategy) is adv.identity
+    block_masks = not (entangled or w) and type(oracle.tap.strategy) is adv.identity
     blocks = []
     for _ in range(count):
         amps = np.empty((m, 1 << qubits), dtype=complex)
-        if phase_randomness:
-            masks = rng.integers(0, 1 << n, size=m).tolist() if block_masks else [None] * m
-            for row, r in zip(amps, masks):
-                masked_query_phase_randomness(oracle, n, rng, out=row, r=r)
-        else:
-            for row in amps:
-                _masked_query(oracle, n, w, rng, entangled, unmask, row)
+        masks = rng.integers(0, 1 << n, size=m).tolist() if block_masks else [None] * m
+        for row, r in zip(amps, masks):
+            if entangled:
+                joint = masked_query_phase_entangled(oracle, rng)
+                row[:] = (unmask_entangled(joint, n + w, rng) if unmask else joint).vec
+            else:
+                masked_query_phase_randomness(oracle, rng, out=row, r=r)
         blocks.append(ProductBlock(amps=amps))
     return blocks
 
@@ -310,7 +279,6 @@ def _delivered(copy: PureState, n: int, w: int) -> PureState:
 def acquire_unidirectional(
     oracle: QuantumChannelOracle,
     mem: MemOracle,
-    n: int,
     m: int,
     eps: float,
     delta: float,
@@ -322,16 +290,16 @@ def acquire_unidirectional(
 
     N m masked queries assemble N blocks of m copies (either masking mode
     unmasks at query time here); non-i.i.d. certification against the
-    m-fold tensor-power function gates the output block. n is the input
-    width; a QMem oracle's copies carry its w out qubits on top.
+    m-fold tensor-power function gates the output block. A copy carries the
+    oracle's n input qubits, with a QMem oracle's w out qubits on top.
     """
     if mode not in MODES:
         raise ValueError(f"bad mode {mode!r} for acquisition")
-    w = oracle.f.w if oracle.kind == "QMem" else 0
+    n, w = oracle.f.n, oracle.out_width
     plan = unidirectional_schedule(n + w, m, eps, delta, n_blocks)
     pub0, pri0 = oracle.count, mem.count
     blocks = _collect_blocks(
-        oracle, n, w, m, n_blocks, rng, entangled=mode == ENTANGLED, unmask=True
+        oracle, m, n_blocks, rng, entangled=mode == ENTANGLED, unmask=True
     )
     view = _membership_view(mem, n, w, m, masked=False)
     record, out = certify.certify_state_noniid(blocks, view, eps, delta, rng)
@@ -346,7 +314,6 @@ def acquire_unidirectional(
 def acquire_ancilla_free(
     oracle: QuantumChannelOracle,
     mem: MemOracle,
-    n: int,
     m: int,
     eps: float,
     delta: float,
@@ -361,13 +328,11 @@ def acquire_ancilla_free(
     masked target (2(n+w) qubits per copy) at `ancilla_free_accuracy`; on
     acceptance the output block is unmasked and returned.
     """
-    w = oracle.f.w if oracle.kind == "QMem" else 0
+    n, w = oracle.f.n, oracle.out_width
     plan = ancilla_free_schedule(n + w, m, eps, delta, delta_leak, n_blocks)
     n_cert = plan.cert_blocks
     pub0, pri0 = oracle.count, mem.count
-    blocks = _collect_blocks(
-        oracle, n, w, m, n_cert + 1, rng, entangled=True, unmask=False
-    )
+    blocks = _collect_blocks(oracle, m, n_cert + 1, rng, entangled=True, unmask=False)
     view = _membership_view(mem, n, w, m, masked=True)
     record = certify.overlap_estimate_iid(
         blocks[:n_cert], view, plan.accuracy, delta, rng, rounds_override=n_cert

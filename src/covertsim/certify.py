@@ -209,6 +209,8 @@ def overlap_estimate_iid(
     """i.i.d. estimator: one round per block, mean score against the
     accept threshold. Requires at least the formula copy count unless a
     rounds override is given."""
+    if not blocks:
+        raise ValueError("the estimator needs at least one block")
     n_block = blocks[0].n_block
     needed = (
         iid_copy_count(n_block, eps, delta) if rounds_override is None

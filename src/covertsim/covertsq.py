@@ -332,7 +332,7 @@ def shadow_collect(source: QMeasExOracle, shots: int, rng) -> ShadowSet:
 
     Every shot queries the public oracle with the same single-copy POVM
     (measure each qubit in an independently uniform Pauli basis); the public
-    transcript holds only basis labels and outcome bits.
+    transcript logs one event per call, holding only the shot count.
     """
     bases, bits = source.sample_product_pauli(shots, rng)
     # narrow each int64 array in turn, so that the two are never held

@@ -308,12 +308,11 @@ def _fidelity_on_accept(res: acquire.AcquisitionResult, f) -> float:
 
 
 def _run_acquire_uni(params, strategy, rng) -> dict:
-    n, m = params["n"], params["m"]
-    f = bf.random_truth_table(n, rng)
+    f = bf.random_truth_table(params["n"], rng)
     oracle = oracles.QuantumChannelOracle(f, "QPh", strategy)
     mem = oracles.MemOracle(f)
     res = acquire.acquire_unidirectional(
-        oracle, mem, n, m, params["eps"], params["delta"], rng,
+        oracle, mem, params["m"], params["eps"], params["delta"], rng,
         n_blocks=params["n_blocks"], mode=params["mode"],
     )
     fid = _fidelity_on_accept(res, f)
@@ -328,12 +327,11 @@ def _run_acquire_uni(params, strategy, rng) -> dict:
 
 
 def _run_acquire_af(params, strategy, rng) -> dict:
-    n, m = params["n"], params["m"]
-    f = bf.random_truth_table(n, rng)
+    f = bf.random_truth_table(params["n"], rng)
     oracle = oracles.QuantumChannelOracle(f, "QPh", strategy)
     mem = oracles.MemOracle(f)
     res = acquire.acquire_ancilla_free(
-        oracle, mem, n, m, params["eps"], params["delta"],
+        oracle, mem, params["m"], params["eps"], params["delta"],
         params["delta_leak"], rng, n_blocks=params["n_blocks"],
     )
     fid = _fidelity_on_accept(res, f)
@@ -405,7 +403,7 @@ def _run_nogo_swap(params, strategy, rng) -> dict:
     oracle = oracles.QuantumChannelOracle(f, "QPh", adv.swap_attack())
     mem = oracles.MemOracle(f)
     res = acquire.acquire_unidirectional(
-        oracle, mem, n, params["m"], params["eps"], params["delta"], rng,
+        oracle, mem, params["m"], params["eps"], params["delta"], rng,
         n_blocks=params["n_blocks"],
     )
     learned = [e["s_hat"] for e in oracle.tap.memory.events if e["action"] == "bv_readout"]

@@ -465,6 +465,8 @@ class QuantumChannelOracle(Oracle):
         super().__init__(transcript, visibility)
         self.f = f
         self.kind = kind
+        # width of the out register a query carries: f.w for QMem, 0 for QPh
+        self.out_width = f.w if kind == "QMem" else 0
         self.tap = TapChannel(strategy)
         # (state qubits, in_qubits) -> the QPh oracle's sign vector there
         self._phase_signs: dict[tuple, np.ndarray] = {}
@@ -476,8 +478,13 @@ class QuantumChannelOracle(Oracle):
         out_qubits: Optional[Sequence[int]] = None,
         rng=None,
     ) -> PureState:
-        """Tap -> oracle unitary -> tap round trip on the designated register."""
-        tapped = list(in_qubits) + (list(out_qubits) if out_qubits else [])
+        """Tap -> oracle unitary -> tap round trip on the designated register;
+        registers that miss f's signature are refused before the tap runs."""
+        out_qubits = list(out_qubits) if out_qubits else []
+        if len(in_qubits) != self.f.n or len(out_qubits) != self.out_width:
+            raise ValueError(f"a {self.kind} query needs {self.f.n} in and "
+                             f"{self.out_width} out qubits")
+        tapped = list(in_qubits) + out_qubits
         state = self.tap.apply("query", state, tapped, rng)
         if self.kind == "QPh":
             key = (state.n, tuple(in_qubits))
@@ -486,13 +493,10 @@ class QuantumChannelOracle(Oracle):
                 signs = self._phase_signs[key] = qsim.phase_signs(self.f, *key)
             state = qsim.apply_phase_oracle(state, self.f, in_qubits, signs)
         else:
-            if out_qubits is None:
-                raise ValueError("QMem queries need an output register")
             state = qsim.apply_qmem_oracle(state, self.f, in_qubits, out_qubits)
         state = self.tap.apply("response", state, tapped, rng)
         self.count += 1
         if self.transcript is not None:
-            self._log({"in_qubits": list(in_qubits),
-                       "out_qubits": list(out_qubits) if out_qubits else None},
+            self._log({"in_qubits": list(in_qubits), "out_qubits": out_qubits or None},
                       "roundtrip")
         return state

@@ -148,12 +148,14 @@ def uniform_state(n: int) -> PureState:
 
 
 def tensor(*states: PureState) -> PureState:
-    """Product state; the first argument occupies the low qubits."""
+    """Product state; the first argument occupies the low qubits. The qubit
+    cap is checked before the product is built."""
+    n = sum(s.n for s in states)
+    if n > PURE_QUBIT_CAP:
+        raise ValueError(f"pure-state cap is {PURE_QUBIT_CAP} qubits")
     vec = states[0].vec
-    n = states[0].n
     for s in states[1:]:
         vec = np.kron(s.vec, vec)  # little-endian: later registers are high bits
-        n += s.n
     return PureState(n, vec)
 
 

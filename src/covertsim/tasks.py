@@ -154,7 +154,7 @@ def forrelation_targets(base_error: float) -> tuple[float, float]:
     return base_error**2, 2.0 * base_error
 
 
-def _acquisition(f, kind, adversary, n, m, eps, delta, delta_uni, ancilla_free,
+def _acquisition(f, kind, adversary, m, eps, delta, delta_uni, ancilla_free,
                  delta_leak, n_blocks, rng):
     """A round of a covert task: a function of no arguments that acquires m
     certified copies through one public `kind` oracle on f, tapped by
@@ -165,10 +165,10 @@ def _acquisition(f, kind, adversary, n, m, eps, delta, delta_uni, ancilla_free,
     mem = MemOracle(f)
     if ancilla_free:
         return lambda: acquire.acquire_ancilla_free(
-            oracle, mem, n, m, eps, delta, delta_leak, rng, n_blocks=n_blocks
+            oracle, mem, m, eps, delta, delta_leak, rng, n_blocks=n_blocks
         )
     return lambda: acquire.acquire_unidirectional(
-        oracle, mem, n, m, eps, delta_uni, rng, n_blocks=n_blocks
+        oracle, mem, m, eps, delta_uni, rng, n_blocks=n_blocks
     )
 
 
@@ -192,7 +192,7 @@ def covert_forrelation(
     """
     eps_a, delta_a = forrelation_targets(base_error)
     acquire_round = _acquisition(
-        instance.h(), "QPh", adversary, 2 * instance.n, copies, eps_a, delta,
+        instance.h(), "QPh", adversary, copies, eps_a, delta,
         delta_a, ancilla_free, delta_leak, n_blocks, rng,
     )
     rounds = 1 if ancilla_free else acquire.amplification_rounds(delta, delta_a)
@@ -269,7 +269,7 @@ def covert_simon(
     n = instance.n
     budget = copy_budget if copy_budget is not None else 3 * n
     acquire_copy = _acquisition(
-        instance.f, "QMem", adversary, n, 1, SIMON_EPS, delta, delta,
+        instance.f, "QMem", adversary, 1, SIMON_EPS, delta, delta,
         ancilla_free, delta_leak, n_blocks, rng,
     )
     harvested: list[int] = []

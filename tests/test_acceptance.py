@@ -54,7 +54,7 @@ def test_c01_mask_factorization_exact():
                     reg = qsim.MixedState(n, avg)
                 else:
                     joint = acquire.masked_query_phase_entangled(
-                        phase_oracle(f), n, np.random.default_rng(0)
+                        phase_oracle(f), np.random.default_rng(0)
                     )
                     reg = qsim.partial_trace(joint, list(range(n, 2 * n)))
                 views.append(strategy.exact_response_view(reg))
@@ -76,7 +76,7 @@ def test_c02_acquire_unidirectional_completeness():
         rng = exp.trial_rng(202, t)
         f = bf.random_truth_table(n, rng)
         res = acquire.acquire_unidirectional(
-            phase_oracle(f), oracles.MemOracle(f), n, 1, 0.1, 0.1, rng, n_blocks=20
+            phase_oracle(f), oracles.MemOracle(f), 1, 0.1, 0.1, rng, n_blocks=20
         )
         assert res.accepted
         fid = qsim.fidelity(res.output[0], qsim.prepare_phase_state(f))
@@ -98,7 +98,7 @@ def test_c03_acquire_unidirectional_soundness():
         f = bf.random_truth_table(n, rng)
         oracle = phase_oracle(f, adv.replace_zero())
         res = acquire.acquire_unidirectional(
-            oracle, oracles.MemOracle(f), n, 1, 0.1, 0.1, rng, n_blocks=20
+            oracle, oracles.MemOracle(f), 1, 0.1, 0.1, rng, n_blocks=20
         )
         if res.accepted:
             fid = qsim.fidelity(res.output[0], qsim.prepare_phase_state(f))
@@ -123,7 +123,7 @@ def test_c04_nogo_swap_attack():
         f = bf.parity_fn(s, n)
         oracle = oracles.QuantumChannelOracle(f, "QPh", adv.swap_attack())
         res = acquire.acquire_unidirectional(
-            oracle, oracles.MemOracle(f), n, 1, 0.1, 0.1, rng, n_blocks=20
+            oracle, oracles.MemOracle(f), 1, 0.1, 0.1, rng, n_blocks=20
         )
         accepts += res.accepted
         recs = [e["s_hat"] for e in oracle.tap.memory.events if e["action"] == "bv_readout"]
@@ -145,7 +145,7 @@ def test_c05_schmidt_fidelity_drop_exact():
             f = bf.random_truth_table(n, rng)
             strategy = adv.ancilla_free(1.0, extract_post=False)
             joint = acquire.masked_query_phase_entangled(
-                phase_oracle(f, strategy), n, rng
+                phase_oracle(f, strategy), rng
             )
             assert qsim.schmidt_rank(joint, list(range(n, 2 * n))) <= 1 << (n - 1)
             table = [
@@ -196,7 +196,7 @@ def test_c06_ancilla_free_privacy_detection():
         f = bf.random_truth_table(n, rng)
         oracle = phase_oracle(f, adv.ancilla_free(0.5))
         res = acquire.acquire_ancilla_free(
-            oracle, oracles.MemOracle(f), n, 1, 0.1, 0.1, 0.5, rng
+            oracle, oracles.MemOracle(f), 1, 0.1, 0.1, 0.5, rng
         )
         blocks = res.blocks_used
         accepts += res.accepted

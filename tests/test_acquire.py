@@ -22,7 +22,7 @@ class TestMaskedQueries:
         rng = np.random.default_rng(0)
         for n in (2, 3, 4):
             f = bf.random_truth_table(n, rng)
-            got = acquire.masked_query_phase_randomness(phase_oracle(f), n, rng)
+            got = acquire.masked_query_phase_randomness(phase_oracle(f), rng)
             assert qsim.fidelity(got, qsim.prepare_phase_state(f)) > 1 - 1e-12
 
     def test_entangled_mode_unmask_paths(self):
@@ -31,7 +31,7 @@ class TestMaskedQueries:
         n = 3
         f = bf.random_truth_table(n, rng)
         target = qsim.prepare_phase_state(f)
-        joint = acquire.masked_query_phase_entangled(phase_oracle(f), n, rng)
+        joint = acquire.masked_query_phase_entangled(phase_oracle(f), rng)
         got = acquire.unmask_entangled(joint, n, rng)
         assert qsim.fidelity(got, target) > 1 - 1e-12
 
@@ -40,7 +40,7 @@ class TestMaskedQueries:
         rng = np.random.default_rng(2)
         n = 3
         f = bf.random_truth_table(n, rng)
-        joint = acquire.masked_query_phase_entangled(phase_oracle(f), n, rng)
+        joint = acquire.masked_query_phase_entangled(phase_oracle(f), rng)
         table = [dot(z & 7, z >> 3) ^ f(z >> 3) for z in range(64)]
         g = bf.truth_table(table)
         assert qsim.states_equal(joint, qsim.prepare_phase_state(g), 1e-12)
@@ -58,7 +58,7 @@ class TestMaskedQueries:
                 avg += np.outer(resp.vec, resp.vec.conj()) / 8
             assert np.abs(avg - np.eye(8) / 8).max() < 1e-12
             # entangled mode: trace out the private register instead
-            joint = acquire.masked_query_phase_entangled(phase_oracle(f), n, rng)
+            joint = acquire.masked_query_phase_entangled(phase_oracle(f), rng)
             red = qsim.partial_trace(joint, list(range(n, 2 * n)))
             assert np.abs(red.mat - np.eye(8) / 8).max() < 1e-12
 
@@ -66,7 +66,7 @@ class TestMaskedQueries:
         rng = np.random.default_rng(5)
         for n, w in ((2, 1), (2, 2), (3, 2)):
             f = bf.random_truth_table(n, rng, w=w)
-            got = acquire.masked_query_qmem_randomness(qmem_oracle(f), n, w, rng)
+            got = acquire.masked_query_phase_randomness(qmem_oracle(f), rng)
             expect = qsim.apply_hadamards(
                 qsim.prepare_example_state(f), range(n, n + w)
             )
@@ -76,7 +76,7 @@ class TestMaskedQueries:
         rng = np.random.default_rng(6)
         n, w = 2, 1
         f = bf.random_truth_table(n, rng, w=w)
-        joint = acquire.masked_query_qmem_entangled(qmem_oracle(f), n, w, rng)
+        joint = acquire.masked_query_phase_entangled(qmem_oracle(f), rng)
         nw = n + w
         # ideal joint = phase state of G(rho, zeta) = rho·zeta + zeta_out·f(zeta_in)
         table = []
@@ -87,30 +87,56 @@ class TestMaskedQueries:
         assert qsim.states_equal(joint, qsim.prepare_phase_state(bf.truth_table(table)), 1e-10)
 
 
-# test id -> (tap, n, m); "honest" and "depolarize" are the original cases
-BLOCK_CASES = {
-    "honest": (None, 4, 7),
-    "depolarize": (adv.depolarize(0.5), 4, 7),
-    "measure_z": (adv.measure_z(), 4, 7),
-    "replace_zero": (adv.replace_zero(), 4, 7),
-    "honest-n8": (None, 8, 7),
-    "honest-n9": (None, 9, 7),
-    "depolarize-n9": (adv.depolarize(0.5), 9, 7),
-    "honest-m1": (None, 4, 1),
-    "measure_z-m1": (adv.measure_z(), 4, 1),
+# mode -> (entangled, unmask) as `_collect_blocks` takes them
+BLOCK_MODES = {
+    "randomness": (False, True),
+    "entangled": (True, True),
+    "entangled-masked": (True, False),
 }
+# test id -> (tap, n, w, m, mode); w = 0 queries a QPh oracle, w > 0 a QMem
+# oracle of that width; "honest" and "depolarize" are the original cases
+BLOCK_CASES = {
+    "honest": (None, 4, 0, 7, "randomness"),
+    "depolarize": (adv.depolarize(0.5), 4, 0, 7, "randomness"),
+    "measure_z": (adv.measure_z(), 4, 0, 7, "randomness"),
+    "replace_zero": (adv.replace_zero(), 4, 0, 7, "randomness"),
+    "honest-n8": (None, 8, 0, 7, "randomness"),
+    "honest-n9": (None, 9, 0, 7, "randomness"),
+    "depolarize-n9": (adv.depolarize(0.5), 9, 0, 7, "randomness"),
+    "honest-m1": (None, 4, 0, 1, "randomness"),
+    "measure_z-m1": (adv.measure_z(), 4, 0, 1, "randomness"),
+}
+# every other path through the block loop, with and without a drawing tap
+for _n, _w in ((3, 0), (2, 1), (2, 2), (3, 2)):
+    _target = f"qmem-{_n}x{_w}" if _w else f"qph-{_n}"
+    for _mode in BLOCK_MODES:
+        if _w or _mode != "randomness":
+            BLOCK_CASES[f"{_target}-{_mode}"] = (None, _n, _w, 3, _mode)
+            BLOCK_CASES[f"{_target}-{_mode}-depolarize"] = (adv.depolarize(0.5), _n, _w, 3, _mode)
+
+
+def per_copy_query(oracle, rng, mode):
+    """One copy as the block loop must write it, from the public queries."""
+    if mode == "randomness":
+        return acquire.masked_query_phase_randomness(oracle, rng)
+    joint = acquire.masked_query_phase_entangled(oracle, rng)
+    if mode == "entangled":
+        return acquire.unmask_entangled(joint, oracle.f.n + oracle.out_width, rng)
+    return joint
 
 
 class TestStackedBlocks:
-    @pytest.mark.parametrize("strategy, n, m", list(BLOCK_CASES.values()),
+    @pytest.mark.parametrize("strategy, n, w, m, mode", list(BLOCK_CASES.values()),
                              ids=list(BLOCK_CASES))
-    def test_block_rows_equal_per_copy_queries(self, strategy, n, m, monkeypatch):
-        # each row bit-equal to its own masked query, the same oracle count,
-        # tap events and generator state afterwards; one masked query per
-        # row, with the masks drawn per block only behind the identity tap
+    def test_block_rows_equal_per_copy_queries(self, strategy, n, w, m, mode, monkeypatch):
+        # each row bit-equal to its own masked query (plus unmask), the same
+        # oracle count, tap events and generator state afterwards; one masked
+        # query per row, with the masks drawn per block only for phase
+        # targets behind the identity tap
         count = 3
-        f = bf.random_truth_table(n, np.random.default_rng(30))
-        oracle_a, oracle_b = phase_oracle(f, strategy), phase_oracle(f, strategy)
+        f = bf.random_truth_table(n, np.random.default_rng(30), w=w or 1)
+        kind = "QMem" if w else "QPh"
+        oracle_a, oracle_b = (oracles.QuantumChannelOracle(f, kind, strategy) for _ in "ab")
         rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
         query = acquire.masked_query_phase_randomness
         given_masks = []
@@ -120,16 +146,20 @@ class TestStackedBlocks:
             return query(*args, **kwargs)
 
         monkeypatch.setattr(acquire, "masked_query_phase_randomness", spy)
+        entangled, unmask = BLOCK_MODES[mode]
         blocks = acquire._collect_blocks(
-            oracle_a, n, 0, m, count, rng_a, entangled=False, unmask=True
+            oracle_a, m, count, rng_a, entangled=entangled, unmask=unmask
         )
-        assert len(given_masks) == m * count
-        if strategy is None:
+        monkeypatch.undo()
+        if entangled:
+            assert given_masks == []
+        elif strategy is None and not w:
+            assert len(given_masks) == m * count
             assert all(r is not None for r in given_masks)
         else:
             assert given_masks == [None] * (m * count)
         for block in blocks:
-            want = [query(oracle_b, n, rng_b) for _ in range(m)]
+            want = [per_copy_query(oracle_b, rng_b, mode) for _ in range(m)]
             assert block.amps.tobytes() == np.stack([c.vec for c in want]).tobytes()
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         assert oracle_a.count == oracle_b.count == m * count
@@ -156,13 +186,13 @@ class TestStackedBlocks:
         row = np.zeros(1 << n, dtype=complex)
         for r in (-1, 1 << n, 1 << 40):
             with pytest.raises(ValueError, match="outside"):
-                acquire.masked_query_phase_randomness(oracle, n, rng, out=row, r=r)
+                acquire.masked_query_phase_randomness(oracle, rng, out=row, r=r)
             with pytest.raises(ValueError, match="outside"):
-                acquire.masked_query_phase_randomness(oracle, n, rng, r=r)
+                acquire.masked_query_phase_randomness(oracle, rng, r=r)
         assert oracle.count == 0 and rng.bit_generator.state == before
         # the extremes of the range are taken, and the mask is the one given
         for r in (0, (1 << n) - 1):
-            got = acquire.masked_query_phase_randomness(oracle, n, rng, r=r)
+            got = acquire.masked_query_phase_randomness(oracle, rng, r=r)
             assert qsim.fidelity(got, qsim.prepare_phase_state(oracle.f)) > 1 - 1e-12
         assert oracle.count == 2 and rng.bit_generator.state == before
 
@@ -201,8 +231,8 @@ class TestCoupledPair:
         phase = phase_oracle(bf.random_truth_table(3, rng), adv.ancilla_free(1.0))
         qmem = qmem_oracle(bf.random_truth_table(2, rng), adv.ancilla_free(1.0))
         for _ in range(10):
-            acquire.masked_query_phase_entangled(phase, 3, rng)
-            acquire.masked_query_qmem_entangled(qmem, 2, 1, rng)
+            acquire.masked_query_phase_entangled(phase, rng)
+            acquire.masked_query_phase_entangled(qmem, rng)
         for oracle in (phase, qmem):  # the taps measured every query
             assert len(oracle.tap.memory.events) == 20
         assert acquire._coupled_pair(3) is pair and pair.vec.tobytes() == before
@@ -215,7 +245,7 @@ class TestAcquireUnidirectional:
         f = bf.random_truth_table(n, rng)
         oracle = phase_oracle(f)
         mem = oracles.MemOracle(f)
-        res = acquire.acquire_unidirectional(oracle, mem, n, m, 0.1, 0.1, rng)
+        res = acquire.acquire_unidirectional(oracle, mem, m, 0.1, 0.1, rng)
         assert res.accepted
         assert qsim.fidelity(res.output[0], qsim.prepare_phase_state(f)) > 1 - 1e-9
         assert res.pub_queries == acquire.DEFAULT_BLOCKS * m
@@ -226,7 +256,7 @@ class TestAcquireUnidirectional:
         n, m = 2, 2
         f = bf.random_truth_table(n, rng)
         res = acquire.acquire_unidirectional(
-            phase_oracle(f), oracles.MemOracle(f), n, m, 0.1, 0.1, rng,
+            phase_oracle(f), oracles.MemOracle(f), m, 0.1, 0.1, rng,
             mode=acquire.ENTANGLED,
         )
         assert res.accepted and len(res.output) == m
@@ -244,7 +274,7 @@ class TestAcquireUnidirectional:
             trng = np.random.default_rng(800 + t)
             oracle = phase_oracle(f, adv.replace_zero())
             res = acquire.acquire_unidirectional(
-                oracle, oracles.MemOracle(f), n, 1, 0.1, 0.1, trng
+                oracle, oracles.MemOracle(f), 1, 0.1, 0.1, trng
             )
             if res.accepted and qsim.fidelity(res.output[0], target) < 0.8:
                 bad_joint += 1
@@ -256,10 +286,52 @@ class TestAcquireUnidirectional:
         f = bf.random_truth_table(n, rng)
         mem = oracles.MemOracle(f)
         res = acquire.acquire_unidirectional(
-            phase_oracle(f), mem, n, m, 0.1, 0.1, rng, n_blocks=10
+            phase_oracle(f), mem, m, 0.1, 0.1, rng, n_blocks=10
         )
         # 2 view queries per round, m base queries each, 9 measured rounds
         assert res.pri_queries == 2 * m * 9
+
+
+class TestRefusals:
+    """Bad block counts and sizes are refused before any public query."""
+
+    @pytest.mark.parametrize("acquire_with", [
+        lambda o, mem, rng: acquire.acquire_unidirectional(
+            o, mem, 1, 0.1, 0.1, rng, n_blocks=1),
+        lambda o, mem, rng: acquire.acquire_unidirectional(
+            o, mem, 1, 0.1, 0.1, rng, n_blocks=0, mode=acquire.ENTANGLED),
+        lambda o, mem, rng: acquire.acquire_ancilla_free(
+            o, mem, 1, 0.1, 0.1, 0.5, rng, n_blocks=0),
+    ], ids=["unidirectional-1", "unidirectional-entangled-0", "ancilla-free-0"])
+    def test_uncertifiable_block_count(self, acquire_with):
+        f = bf.random_truth_table(2, np.random.default_rng(34))
+        oracle, mem = phase_oracle(f, adv.ancilla_free(1.0)), oracles.MemOracle(f)
+        rng = np.random.default_rng(35)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="at least"):
+            acquire_with(oracle, mem, rng)
+        assert oracle.count == mem.count == 0 and not oracle.tap.memory.events
+        assert rng.bit_generator.state == before
+
+    def test_schedules_refuse_uncertifiable_block_counts(self):
+        with pytest.raises(ValueError, match="at least two blocks"):
+            acquire.unidirectional_schedule(3, 1, 0.1, 0.1, 1)
+        with pytest.raises(ValueError, match="at least one certification block"):
+            acquire.ancilla_free_schedule(3, 1, 0.1, 0.1, 0.5, 0)
+        assert acquire.unidirectional_schedule(3, 1, 0.1, 0.1, 2).cert_blocks == 2
+        assert acquire.ancilla_free_schedule(3, 1, 0.1, 0.1, 0.5, 1).cert_blocks == 1
+
+    def test_coupled_pair_over_the_cap_is_refused_before_any_query(self, monkeypatch):
+        monkeypatch.setattr(qsim, "PURE_QUBIT_CAP", 5)
+        monkeypatch.setattr(acquire, "_COUPLED_PAIRS", {})
+        f = bf.random_truth_table(3, np.random.default_rng(36))
+        oracle = phase_oracle(f)
+        with pytest.raises(ValueError, match="cap"):
+            acquire.acquire_unidirectional(
+                oracle, oracles.MemOracle(f), 1, 0.1, 0.1,
+                np.random.default_rng(37), mode=acquire.ENTANGLED,
+            )
+        assert oracle.count == 0 and acquire._COUPLED_PAIRS == {}
 
 
 class TestAmplifiedTask:
@@ -282,7 +354,7 @@ class TestAmplifiedTask:
             cls.parity_vs_constant_task(n),
             acquire.amplification_rounds(0.1, 0.1),
             lambda: acquire.acquire_unidirectional(
-                oracle, mem, n, 1, 0.1, 0.1, rng, n_blocks=8
+                oracle, mem, 1, 0.1, 0.1, rng, n_blocks=8
             ),
         )
 
@@ -331,7 +403,7 @@ class TestAcquireAncillaFree:
         n, m = 2, 1
         f = bf.random_truth_table(n, rng)
         res = acquire.acquire_ancilla_free(
-            phase_oracle(f), oracles.MemOracle(f), n, m, 0.1, 0.1, 0.5, rng,
+            phase_oracle(f), oracles.MemOracle(f), m, 0.1, 0.1, 0.5, rng,
             n_blocks=40,
         )
         assert res.accepted
@@ -345,7 +417,7 @@ class TestAcquireAncillaFree:
         rng = np.random.default_rng(15)
         f = bf.constant_fn(2)
         res = acquire.acquire_ancilla_free(
-            phase_oracle(f), oracles.MemOracle(f), 2, 1, 0.1, 0.1, 0.5, rng
+            phase_oracle(f), oracles.MemOracle(f), 1, 0.1, 0.1, 0.5, rng
         )
         assert res.blocks_used == expect + 1
 
@@ -358,7 +430,7 @@ class TestAcquireAncillaFree:
             trng = np.random.default_rng(900 + t)
             oracle = phase_oracle(f, adv.ancilla_free(1.0))
             res = acquire.acquire_ancilla_free(
-                oracle, oracles.MemOracle(f), n, m, 0.1, 0.1, 1.0, trng,
+                oracle, oracles.MemOracle(f), m, 0.1, 0.1, 1.0, trng,
                 n_blocks=60,
             )
             accepts += res.accepted
@@ -371,7 +443,7 @@ class TestQMemAcquisition:
         n, w = 2, 2
         f = bf.random_simon_fn(n, 0b11, rng)
         res = acquire.acquire_unidirectional(
-            qmem_oracle(f), oracles.MemOracle(f), n, 1, 0.1, 0.1, rng,
+            qmem_oracle(f), oracles.MemOracle(f), 1, 0.1, 0.1, rng,
             n_blocks=15,
         )
         assert res.accepted
@@ -382,7 +454,7 @@ class TestQMemAcquisition:
         n, w = 2, 1
         f = bf.random_truth_table(n, rng, w=w)
         res = acquire.acquire_unidirectional(
-            qmem_oracle(f), oracles.MemOracle(f), n, 1, 0.1, 0.1, rng,
+            qmem_oracle(f), oracles.MemOracle(f), 1, 0.1, 0.1, rng,
             n_blocks=10, mode=acquire.ENTANGLED,
         )
         assert res.accepted and res.pub_queries == 10
@@ -392,7 +464,7 @@ class TestQMemAcquisition:
         f = bf.constant_fn(2)
         with pytest.raises(ValueError):
             acquire.acquire_unidirectional(
-                phase_oracle(f), oracles.MemOracle(f), 2, 1, 0.1, 0.1,
+                phase_oracle(f), oracles.MemOracle(f), 1, 0.1, 0.1,
                 np.random.default_rng(0), mode="bogus",
             )
 
@@ -401,7 +473,7 @@ class TestQMemAcquisition:
         n, w = 2, 1
         f = bf.random_truth_table(n, rng, w=w)
         res = acquire.acquire_ancilla_free(
-            qmem_oracle(f), oracles.MemOracle(f), n, 1, 0.2, 0.1, 0.5, rng,
+            qmem_oracle(f), oracles.MemOracle(f), 1, 0.2, 0.1, 0.5, rng,
             n_blocks=30,
         )
         assert res.accepted
@@ -416,7 +488,7 @@ class TestQMemAcquisition:
             trng = np.random.default_rng(950 + t)
             oracle = qmem_oracle(f, adv.ancilla_free(1.0))
             res = acquire.acquire_ancilla_free(
-                oracle, oracles.MemOracle(f), n, 1, 0.1, 0.1, 1.0, trng,
+                oracle, oracles.MemOracle(f), 1, 0.1, 0.1, 1.0, trng,
                 n_blocks=40,
             )
             accepts += res.accepted

@@ -215,7 +215,7 @@ class TestSwapAttackInformation:
         for s in range(1 << n):
             f = bf.parity_fn(s, n)
             oracle = oracles.QuantumChannelOracle(f, "QPh", adv.swap_attack())
-            acquire.masked_query_phase_randomness(oracle, n, rng)
+            acquire.masked_query_phase_randomness(oracle, rng)
             events = oracle.tap.memory.events
             rec = [e["s_hat"] for e in events if e["action"] == "bv_readout"][0]
             joint_counts[(s, rec)] = joint_counts.get((s, rec), 0) + 1

@@ -221,6 +221,12 @@ class TestIidEstimator:
                                                  rounds_override=1)
         assert rec.rounds_used == 1
 
+    def test_no_blocks_is_a_value_error(self):
+        f = bf.constant_fn(3)
+        with pytest.raises(ValueError, match="at least one block"):
+            certify.overlap_estimate_iid([], oracles.MemOracle(f), 0.1, 0.05,
+                                         np.random.default_rng(8), rounds_override=1)
+
     def test_insufficient_copies_raises(self):
         rng = np.random.default_rng(8)
         f = bf.constant_fn(3)

@@ -90,7 +90,7 @@ def _qmem_unidirectional():
     n = 2
     f = bf.random_simon_fn(n, 0b11, rng)
     return [acquire.acquire_unidirectional(
-        _oracle(f, "QMem"), oracles.MemOracle(f), n, 1, 0.1, 0.1, rng,
+        _oracle(f, "QMem"), oracles.MemOracle(f), 1, 0.1, 0.1, rng,
         n_blocks=15,
     )]
 
@@ -100,7 +100,7 @@ def _qmem_ancilla_free_honest():
     n, w = 2, 1
     f = bf.random_truth_table(n, rng, w=w)
     return [acquire.acquire_ancilla_free(
-        _oracle(f, "QMem"), oracles.MemOracle(f), n, 1, 0.2, 0.1, 0.5, rng,
+        _oracle(f, "QMem"), oracles.MemOracle(f), 1, 0.2, 0.1, 0.5, rng,
         n_blocks=30,
     )]
 
@@ -112,7 +112,7 @@ def _qmem_ancilla_free_leaky():
     return [
         acquire.acquire_ancilla_free(
             _oracle(f, "QMem", adv.ancilla_free(1.0)), oracles.MemOracle(f),
-            n, 1, 0.1, 0.1, 1.0, np.random.default_rng(950 + t), n_blocks=40,
+            1, 0.1, 0.1, 1.0, np.random.default_rng(950 + t), n_blocks=40,
         )
         for t in range(20)
     ]
@@ -123,7 +123,7 @@ def _phase_entangled_mode():
     n, m = 2, 2
     f = bf.random_truth_table(n, rng)
     return [acquire.acquire_unidirectional(
-        _oracle(f, "QPh"), oracles.MemOracle(f), n, m, 0.1, 0.1, rng,
+        _oracle(f, "QPh"), oracles.MemOracle(f), m, 0.1, 0.1, rng,
         mode=acquire.ENTANGLED,
     )]
 
@@ -135,7 +135,7 @@ def _phase_tapped(strategy, seed):
     f = bf.random_truth_table(n, rng)
     return [
         acquire.acquire_unidirectional(
-            _oracle(f, "QPh", strategy), oracles.MemOracle(f), n, 1, 0.1, 0.1,
+            _oracle(f, "QPh", strategy), oracles.MemOracle(f), 1, 0.1, 0.1,
             np.random.default_rng(seed * 100 + t), n_blocks=20,
         )
         for t in range(10)

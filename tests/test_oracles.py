@@ -298,6 +298,28 @@ class TestQuantumChannelOracle:
         out = oracle.query(start, [0, 1], [2, 3], rng=rng)
         assert qsim.states_equal(out, qsim.prepare_example_state(f), 1e-12)
 
+    def test_mismatched_registers_are_refused_before_the_tap(self):
+        # a measuring tap would log an event and draw from rng on the query
+        rng = np.random.default_rng(19)
+        qmem = oracles.QuantumChannelOracle(
+            bf.random_truth_table(2, rng, w=1), "QMem", adv.ancilla_free(1.0))
+        qph = oracles.QuantumChannelOracle(
+            bf.random_truth_table(2, rng), "QPh", adv.ancilla_free(1.0))
+        state = qsim.uniform_state(3)
+        before = rng.bit_generator.state
+        for oracle, in_qubits, out_qubits in (
+            (qmem, [0, 1], None), (qmem, [0, 1], [2, 0]), (qmem, [0], [2]),
+            (qph, [0, 1, 2], None), (qph, [0], None), (qph, [0, 1], [2]),
+        ):
+            with pytest.raises(ValueError, match="query needs"):
+                oracle.query(state, in_qubits, out_qubits, rng=rng)
+        for oracle in (qmem, qph):
+            assert oracle.count == 0 and oracle.tap.memory.events == []
+        assert rng.bit_generator.state == before
+        # the same taps act on well-formed queries
+        qmem.query(state, [0, 1], [2], rng=rng)
+        assert qmem.count == 1 and qmem.tap.memory.events
+
     def test_replace_tap_forces_response(self):
         rng = np.random.default_rng(17)
         f = bf.random_truth_table(2, rng)

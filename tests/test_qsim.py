@@ -84,6 +84,15 @@ class TestStates:
             qsim.MixedState(1, np.array([[1.5, 0], [0, -0.5]], dtype=complex))
 
 
+def test_tensor_checks_the_cap_before_building_the_product(monkeypatch):
+    products = []
+    monkeypatch.setattr(qsim, "PURE_QUBIT_CAP", 4)
+    monkeypatch.setattr(qsim.np, "kron", lambda *args: products.append(args))
+    with pytest.raises(ValueError, match="cap"):
+        qsim.tensor(qsim.uniform_state(3), qsim.uniform_state(2))
+    assert products == []
+
+
 class TestGatesAndOracles:
     def test_h_on_zero(self):
         s = qsim.apply_gate(qsim.basis_state(1), "H", [0])

@@ -324,7 +324,7 @@ class TestSimon:
         inner = acquire.acquire_ancilla_free
 
         def spy(*args, **kwargs):
-            seen.append(args[6])  # delta_leak
+            seen.append(args[5])  # delta_leak
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(acquire, "acquire_ancilla_free", spy)
