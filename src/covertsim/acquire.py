@@ -247,6 +247,9 @@ def _collect_blocks(oracle, m, count, rng, entangled, unmask):
     """
     n, w = oracle.f.n, oracle.out_width
     qubits = (n + w) * (1 if unmask or not entangled else 2)
+    if qubits > qsim.PURE_QUBIT_CAP:  # before the (m, 2^qubits) blocks exist
+        raise ValueError(f"a {qubits}-qubit copy is above the pure-state cap "
+                         f"of {qsim.PURE_QUBIT_CAP} qubits")
     block_masks = not (entangled or w) and type(oracle.tap.strategy) is adv.identity
     blocks = []
     for _ in range(count):

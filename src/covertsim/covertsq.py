@@ -23,8 +23,8 @@ from .qsim import PureState, z_signs
 JL_CONSTANT = 8  # declared implementation constant in the sketch-width formula
 # largest supported observable locality; 6^4 support codes fit in uint16
 MAX_LOCALITY = 4
-# largest shadow set a config may ask for, in shots per state: the sampler
-# holds two (shots, n) int64 arrays, 1.28 GB at this cap and n = 8
+# largest shadow set a config may ask for, in shots per state: the sampler's
+# (shots, n) int32 basis draw is 320 MB at this cap and n = 8
 MAX_SHADOW_SHOTS = 10**7
 # largest m_e x N float64 projection a config may ask for, in bytes; the
 # plan holds it and its normalized copy, so 512 MiB at this cap
@@ -332,13 +332,10 @@ def shadow_collect(source: QMeasExOracle, shots: int, rng) -> ShadowSet:
 
     Every shot queries the public oracle with the same single-copy POVM
     (measure each qubit in an independently uniform Pauli basis); the public
-    transcript logs one event per call, holding only the shot count.
+    transcript logs one event per call, holding only the shot count. The
+    oracle's uint8 (bases, bits) become the set's arrays without a copy.
     """
-    bases, bits = source.sample_product_pauli(shots, rng)
-    # narrow each int64 array in turn, so that the two are never held
-    # beside their uint8 copies
-    bases = bases.astype(np.uint8)
-    return ShadowSet(bases, bits.astype(np.uint8))
+    return ShadowSet(*source.sample_product_pauli(shots, rng))
 
 
 def _weight_table(obs: PauliObservable) -> np.ndarray:

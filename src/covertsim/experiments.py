@@ -507,11 +507,17 @@ def _one_of(default, *values) -> Param:
     return Param(default, lambda v, p: v in values, "one of " + ", ".join(map(repr, values)))
 
 
-def _count(default: int, low: int, high: Optional[int] = None) -> Param:
-    """A count of at least `low`, or in low..high."""
+def _count(default: int, low: int, high: int | Callable[[dict], int] | None = None,
+           why: str = "") -> Param:
+    """A count of at least `low`, or in low..high, where `high` may be a
+    function of the full params and `why` says what bounds it."""
     if high is None:
         return Param(default, lambda v, p: v >= low, f"at least {low}")
-    return Param(default, lambda v, p: low <= v <= high, f"in {low}..{high}")
+    why = f" ({why})" if why else ""
+    if callable(high):
+        return Param(default, lambda v, p: low <= v <= high(p),
+                     lambda p: f"in {low}..{high(p)}{why}")
+    return Param(default, lambda v, p: low <= v <= high, f"in {low}..{high}{why}")
 
 
 def _min_task_blocks(p: dict) -> int:
@@ -538,6 +544,17 @@ _BASE_ERROR = Param(
 # cannot steal
 TAPPED = frozenset(adv.KINDS)
 ANCILLA_FREE = frozenset(k for k, cls in adv.KINDS.items() if not cls.quantum_memory)
+
+
+def _product_register(qubits: int) -> frozenset:
+    """The kinds that may tap a `qubits`-qubit register in product with the
+    learner's: the swap attack keeps the stolen register's density matrix,
+    so it takes one of at most qsim.MIXED_QUBIT_CAP qubits."""
+    return TAPPED if qubits <= qsim.MIXED_QUBIT_CAP else ANCILLA_FREE
+
+
+# the largest register a trial builds is at most qsim.PURE_QUBIT_CAP qubits
+_PURE = qsim.PURE_QUBIT_CAP
 
 
 def _shadow_shots(p: dict) -> float:
@@ -631,7 +648,8 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "quadratic": Scenario(
         _run_quadratic,
-        {"n": _count(4, 1), "qsq_policy": _one_of(oracles.GRID, *oracles.POLICIES),
+        {"n": _count(4, 1, _PURE // 2 - 1, f"a Bell sample takes 2(n+1) <= {_PURE} qubits"),
+         "qsq_policy": _one_of(oracles.GRID, *oracles.POLICIES),
          "delta_c": _open_unit(0.1)},
         "covert quadratic-function learning from public Bell samples",
         lambda p: {
@@ -674,18 +692,23 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "acquire-uni": Scenario(
         _run_acquire_uni,
-        {"n": _count(3, 1), "m": _count(1, 1), "eps": _open_unit(0.1),
+        {"mode": _one_of(acquire.RANDOMNESS, *acquire.MODES),
+         "n": _count(3, 1, lambda p: _PURE // 2 if p["mode"] == acquire.ENTANGLED
+                     else bf.MAX_TABLE_ARITY,
+                     f"a 2^n-entry truth table, n <= {bf.MAX_TABLE_ARITY}; "
+                     f"an entangled query takes 2n <= {_PURE} qubits"),
+         "m": _count(1, 1), "eps": _open_unit(0.1),
          "delta": _open_unit(0.1), "n_blocks": _count(20, 2),
-         "mode": _one_of(acquire.RANDOMNESS, *acquire.MODES),
          "bad_below": Param(0.8, lambda v, p: 0 < v <= 1, "in (0, 1]")},
         "covert verifiable phase states vs unidirectional adversaries",
         _acquire_uni_resources,
-        lambda p: ANCILLA_FREE if p["mode"] == acquire.ENTANGLED else TAPPED,
+        lambda p: ANCILLA_FREE if p["mode"] == acquire.ENTANGLED else _product_register(p["n"]),
         _assert_acquire_uni,
     ),
     "acquire-af": Scenario(
         _run_acquire_af,
-        {"n": _count(3, 1), "m": _count(1, 1), "eps": _open_unit(0.1),
+        {"n": _count(3, 1, _PURE // 2, f"a masked copy takes 2n <= {_PURE} qubits"),
+         "m": _count(1, 1), "eps": _open_unit(0.1),
          "delta": _open_unit(0.1), "n_blocks": _optional_count(None),
          "delta_leak": _probability(0.5)},
         "covert verifiable phase states vs i.i.d. ancilla-free adversaries",
@@ -694,18 +717,23 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "forrelation": Scenario(
         _run_forrelation,
-        {"n": _count(4, 1, tasks.FORRELATION_MAX_N), "delta": _open_unit(0.1),
-         "ancilla_free": _flag(False), "copies": _count(tasks.FORRELATION_COPIES, 1),
+        {"ancilla_free": _flag(False),
+         "n": _count(4, 1, lambda p: _PURE // 4 if p["ancilla_free"] else tasks.FORRELATION_MAX_N,
+                     f"instances up to n = {tasks.FORRELATION_MAX_N}; an ancilla-free "
+                     f"masked copy takes 4n <= {_PURE} qubits"),
+         "delta": _open_unit(0.1), "copies": _count(tasks.FORRELATION_COPIES, 1),
          "base_error": _BASE_ERROR, "n_blocks": _task_blocks(acquire.DEFAULT_BLOCKS),
          "delta_leak": _probability(0.5)},
         "covert verifiable Forrelation end to end",
         _forrelation_resources,
-        lambda p: ANCILLA_FREE if p["ancilla_free"] else TAPPED,
+        lambda p: ANCILLA_FREE if p["ancilla_free"] else _product_register(2 * p["n"]),
     ),
     "simon": Scenario(
         _run_simon,
-        {"n": _count(4, 1), "delta": _open_unit(0.1), "ancilla_free": _flag(False),
-         "copy_budget": _optional_count(None),
+        {"ancilla_free": _flag(False),
+         "n": _count(4, 1, lambda p: _PURE // (5 if p["ancilla_free"] else 3),
+                     f"a kickback query takes 3n <= {_PURE} qubits, 5n ancilla-free"),
+         "delta": _open_unit(0.1), "copy_budget": _optional_count(None),
          "n_blocks": _task_blocks(acquire.DEFAULT_BLOCKS),
          "delta_leak": _probability(0.5)},
         "covert verifiable Simon end to end",
@@ -719,7 +747,9 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "nogo-swap": Scenario(
         _run_nogo_swap,
-        {"n": _count(4, 1), "m": _count(1, 1), "eps": _open_unit(0.1),
+        {"n": _count(4, 1, qsim.MIXED_QUBIT_CAP,
+                     "the swap attack keeps the stolen register's density matrix"),
+         "m": _count(1, 1), "eps": _open_unit(0.1),
          "delta": _open_unit(0.1), "n_blocks": _count(20, 2)},
         "swap-attack impossibility reproduction",
         _acquire_uni_resources,

@@ -347,12 +347,11 @@ def _choice_by_group(cdfs: np.ndarray, groups: np.ndarray, rng) -> np.ndarray:
 
 
 def _basis_index(axes: np.ndarray) -> np.ndarray:
-    """sum_q axes[:, q] 3^q by int16 Horner steps; 3^8 - 1 fits in int16."""
-    digits = axes.astype(np.int16)
+    """sum_q axes[:, q] 3^q of uint8 axes by int16 Horner steps (3^8 - 1 fits)."""
     index = np.zeros(len(axes), dtype=np.int16)
     for q in reversed(range(axes.shape[1])):
         index *= 3
-        index += digits[:, q]
+        index += axes[:, q]
     return index
 
 
@@ -394,8 +393,9 @@ class QMeasExOracle(Oracle):
 
     def sample_product_pauli(self, shots: int, rng) -> tuple[np.ndarray, np.ndarray]:
         """Single-copy POVM 'every qubit in an independently uniform Pauli
-        basis', repeated `shots` times. Returns (bases, bits) arrays of shape
-        (shots, n); bases hold 0/1/2 = X/Y/Z, bits the outcomes (0 = +1).
+        basis', repeated `shots` times. Returns (bases, bits) uint8 arrays of
+        shape (shots, n), the shadow record `ShadowSet` stores; bases hold
+        0/1/2 = X/Y/Z, bits the outcomes (0 = +1).
         """
         n = self.state().n
         if self._pauli_cdfs is None:
@@ -405,12 +405,11 @@ class QMeasExOracle(Oracle):
             cdfs = p.cumsum(axis=1)
             cdfs /= cdfs[:, -1:]
             self._pauli_cdfs = cdfs
-        axes = rng.integers(0, 3, size=(shots, n))
-        # uint8 outcomes: 2^n <= 2^8 by the table cap, checked when the cdfs
-        # were built
+        # int32 draws the default int64's values and generator state (uint8
+        # would not); the outcomes are uint8 as 2^n <= 2^8 by the table cap
+        axes = rng.integers(0, 3, size=(shots, n), dtype=np.int32).astype(np.uint8)
         outcomes = _choice_by_group(self._pauli_cdfs, _basis_index(axes), rng)
         bits = np.unpackbits(outcomes[:, None], axis=1, count=n, bitorder="little")
-        bits = bits.astype(np.int64)
         self.count += shots
         if self.transcript is not None:
             self._log({"bulk_pauli_shots": shots})

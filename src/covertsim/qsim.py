@@ -86,7 +86,14 @@ class PureState:
             raise ValueError(f"state not normalized: |norm^2-1| = {abs(sq-1.0):.3g}")
 
     def density(self) -> "MixedState":
+        _check_mixed_cap(self.n)
         return MixedState(self.n, np.outer(self.vec, self.vec.conj()))
+
+
+def _check_mixed_cap(n: int) -> None:
+    """Refuse an n-qubit density matrix over the cap before it is formed."""
+    if n > MIXED_QUBIT_CAP:
+        raise ValueError(f"mixed-state cap is {MIXED_QUBIT_CAP} qubits")
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,7 @@ class MixedState:
     mat: np.ndarray  # 2^n x 2^n density operator
 
     def __post_init__(self):
-        if self.n > MIXED_QUBIT_CAP:
-            raise ValueError(f"mixed-state cap is {MIXED_QUBIT_CAP} qubits")
+        _check_mixed_cap(self.n)
         dim = 1 << self.n
         if self.mat.shape != (dim, dim):
             raise ValueError("density matrix has wrong shape")
@@ -173,8 +179,8 @@ def prepare_example_state(f: BooleanFunction) -> PureState:
     n, w = f.n, f.w
     if n + w > PURE_QUBIT_CAP:
         raise ValueError("arity over cap")
+    vals = eval_all(f)  # checks the table arity before the state is allocated
     vec = np.zeros(1 << (n + w), dtype=complex)
-    vals = eval_all(f)
     xs = np.arange(1 << n, dtype=np.uint64)
     vec[(vals << np.uint64(n)) | xs] = 2 ** (-n / 2)
     return PureState(n + w, vec)
@@ -470,9 +476,11 @@ def fidelity(state: State, target: PureState) -> float:
 
 
 def partial_trace(state: State, keep: Sequence[int]) -> MixedState:
-    """Reduced state on the listed qubits; keep[j] becomes qubit j."""
+    """Reduced state on the listed qubits; keep[j] becomes qubit j. The
+    mixed-state cap is checked before the 2^k x 2^k matrix is formed."""
     n = state.n
     k = len(keep)
+    _check_mixed_cap(k)
     if isinstance(state, PureState):
         t = state.vec.reshape([2] * n)
         order = _axes(n, keep)[::-1] + [n - 1 - q for q in range(n) if q not in keep]

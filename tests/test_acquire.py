@@ -333,6 +333,20 @@ class TestRefusals:
             )
         assert oracle.count == 0 and acquire._COUPLED_PAIRS == {}
 
+    def test_blocks_over_the_cap_are_refused_before_they_are_allocated(self, monkeypatch):
+        # an ancilla-free copy keeps its 3-qubit mask register: 6 qubits
+        monkeypatch.setattr(qsim, "PURE_QUBIT_CAP", 5)
+        f = bf.random_truth_table(3, np.random.default_rng(38))
+        oracle = phase_oracle(f)
+        allocated = []
+        monkeypatch.setattr(acquire.np, "empty", lambda *args, **kw: allocated.append(args))
+        with pytest.raises(ValueError, match="6-qubit copy is above the pure-state cap"):
+            acquire.acquire_ancilla_free(
+                oracle, oracles.MemOracle(f), 1, 0.1, 0.1, 0.5,
+                np.random.default_rng(39), n_blocks=1,
+            )
+        assert allocated == [] and oracle.count == 0
+
 
 class TestAmplifiedTask:
     @staticmethod

@@ -173,6 +173,25 @@ class TestConfig:
         ("certify", {"n_block": bf.MAX_TABLE_ARITY}, True),
         ("certify", {"n_block": bf.MAX_TABLE_ARITY + 1}, False),
         ("certify", {"n_block": 30}, False),  # 2^30 table entries: refused, not drawn
+        # register sizes: the largest allowed n builds a config, one more is
+        # refused under n, the last param its bound reads
+        ("acquire-uni", {"n": bf.MAX_TABLE_ARITY}, True),
+        ("acquire-uni", {"n": bf.MAX_TABLE_ARITY + 1}, False),
+        ("acquire-uni", {"mode": "entangled", "n": 12}, True),
+        ("acquire-uni", {"mode": "entangled", "n": 13}, False),  # 2n qubits
+        ("acquire-af", {"n": 12}, True),
+        ("acquire-af", {"n": 13}, False),  # 2n
+        ("quadratic", {"n": 11}, True),
+        ("quadratic", {"n": 12}, False),  # 2(n+1)
+        ("simon", {"n": 8}, True),
+        ("simon", {"n": 9}, False),  # 3n
+        ("simon", {"ancilla_free": True, "n": 4}, True),
+        ("simon", {"ancilla_free": True, "n": 5}, False),  # 5n
+        ("forrelation", {"ancilla_free": True, "n": 6}, True),
+        ("forrelation", {"ancilla_free": True, "n": 7}, False),  # 4n
+        ("nogo-swap", {"n": qsim.MIXED_QUBIT_CAP}, True),
+        ("nogo-swap", {"n": qsim.MIXED_QUBIT_CAP + 1}, False),
+        ("nogo-swap", {"n": 21}, False),
     ])
     def test_param_rules(self, scenario, params, ok):
         d = {"scenario": scenario, "params": params}
@@ -230,6 +249,11 @@ class TestConfig:
         ("forrelation", {"ancilla_free": True}, False),
         ("simon", {}, False),
         ("simon", {"ancilla_free": True}, False),
+        # the swap attack keeps the stolen register's density matrix
+        ("acquire-uni", {"n": qsim.MIXED_QUBIT_CAP}, True),
+        ("acquire-uni", {"n": qsim.MIXED_QUBIT_CAP + 1}, False),
+        ("forrelation", {"n": qsim.MIXED_QUBIT_CAP // 2}, True),  # 2n qubits
+        ("forrelation", {"n": qsim.MIXED_QUBIT_CAP // 2 + 1}, False),
     ])
     def test_swap_attack_needs_a_product_register(self, scenario, params, takes_swap):
         d = {"scenario": scenario, "params": params, "adversary": {"kind": "swap_attack"}}
@@ -567,6 +591,12 @@ class TestCli:
         ("shadows-qsq", "n=9"),
         ("certify", "n_block=30"),
         ("acquire-uni", "bad_below=-1"),  # --assert would pass vacuously
+        # register sizes over the engine's caps
+        ("acquire-uni", "n=21"),
+        ("acquire-af", "n=13"),
+        ("quadratic", "n=12"),
+        ("simon", "n=9"),
+        ("nogo-swap", "n=21"),
     ])
     @pytest.mark.parametrize("command", ["run", "resources", "replay"])
     def test_param_rule_exit_code(self, command, scenario, param):
@@ -606,6 +636,7 @@ class TestCli:
          "'swap_attack'"),
         ("forrelation --param ancilla_free=true --param copies=3 --param n_blocks=2"
          ' --adversary {"kind":"swap_attack"}', "'swap_attack'"),
+        ('acquire-uni --param n=13 --adversary {"kind":"swap_attack"}', "'swap_attack'"),
     ])
     def test_count_bound_and_swap_attack_exit_code(self, args, field):
         out = self.run_cli("run", "--trials", "1", "--scenario", *args.split())
@@ -625,6 +656,10 @@ class TestCli:
     @pytest.mark.parametrize("scenario, context, param", [
         ("parity", "n=4", "delta_p=0.01"),  # k = ceil(log2(100)) = 7 >= n
         ("shadows-qsq", "n=2", "k=3"),
+        # register sizes over the pure-state cap at these modes
+        ("acquire-uni", "mode=entangled", "n=13"),
+        ("simon", "ancilla_free=true", "n=5"),
+        ("forrelation", "ancilla_free=true", "n=7"),
     ])
     @pytest.mark.parametrize("command", ["run", "resources", "replay"])
     def test_rule_across_params_exit_code(self, command, scenario, context, param):

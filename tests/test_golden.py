@@ -198,8 +198,10 @@ def _pauli_shots_digest():
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     psi = qsim.PureState(4, v / np.linalg.norm(v))
     axes, bits = oracles.QMeasExOracle(psi).sample_product_pauli(428_800, rng)
-    h = hashlib.sha256(axes.tobytes())
-    h.update(bits.tobytes())
+    # the digest was taken of int64 arrays; the oracle returns the same
+    # values as uint8
+    h = hashlib.sha256(axes.astype(np.int64).tobytes())
+    h.update(bits.astype(np.int64).tobytes())
     h.update(rng.random(4).tobytes())  # the generator's next draws
     return h.hexdigest()
 

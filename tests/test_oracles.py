@@ -249,11 +249,23 @@ class TestGroupedPauliSampler:
         )
         oracle = oracles.QMeasExOracle(psi)
         axes, bits = oracle.sample_product_pauli(shots, rng)
-        assert axes.dtype == want_axes.dtype and bits.dtype == want_bits.dtype
+        # the reference returns int64; the oracle, the uint8 shadow record
+        assert axes.dtype == np.uint8 and bits.dtype == np.uint8
         assert np.array_equal(axes, want_axes)
         assert np.array_equal(bits, want_bits)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert oracle.count == shots
+
+    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
+    def test_int32_basis_draw_equals_int64_draw(self, n):
+        # the sampler draws its bases in int32 and narrows them: the same
+        # values and the same generator end state as the default int64 draw
+        for shots in (1, 7, 201):
+            rng_a, rng_b = np.random.default_rng(700 + n), np.random.default_rng(700 + n)
+            narrow = rng_a.integers(0, 3, size=(shots, n), dtype=np.int32)
+            wide = rng_b.integers(0, 3, size=(shots, n))
+            assert np.array_equal(narrow, wide)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_basis_state_table_is_deterministic(self):
         # a product state: every Z-basis shot reads |0>, every other basis

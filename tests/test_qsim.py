@@ -93,6 +93,31 @@ def test_tensor_checks_the_cap_before_building_the_product(monkeypatch):
     assert products == []
 
 
+def test_partial_trace_checks_the_cap_before_forming_the_matrix(monkeypatch):
+    formed = []
+    state = qsim.uniform_state(4)
+    mixed = qsim.partial_trace(state, [0, 1, 2])
+    monkeypatch.setattr(qsim, "MIXED_QUBIT_CAP", 2)
+    for name in ("transpose", "outer", "einsum"):
+        monkeypatch.setattr(qsim.np, name, lambda *args, **kw: formed.append(args))
+    for source in (state, mixed):
+        with pytest.raises(ValueError, match="cap"):
+            qsim.partial_trace(source, [0, 1, 2])
+    with pytest.raises(ValueError, match="cap"):
+        state.density()
+    assert formed == []
+
+
+def test_example_state_checks_the_table_arity_before_allocating(monkeypatch):
+    f = bf.quadratic_fn((0b011, 0b110, 0b100), 3)  # not yet tabulated
+    allocated = []
+    monkeypatch.setattr(bf, "MAX_TABLE_ARITY", 2)
+    monkeypatch.setattr(qsim.np, "zeros", lambda *args, **kw: allocated.append(args))
+    with pytest.raises(ValueError, match="arity"):
+        qsim.prepare_example_state(f)
+    assert allocated == [] and not f._table
+
+
 class TestGatesAndOracles:
     def test_h_on_zero(self):
         s = qsim.apply_gate(qsim.basis_state(1), "H", [0])
