@@ -102,8 +102,8 @@ class BooleanFunction:
 def evaluate(f: BooleanFunction, x: int) -> int:
     """f(x) as a w-bit int: read from the truth table (built on first use),
     except for a Parity whose table is not built, computed at any arity."""
-    if x >> f.n:
-        raise ValueError(f"input has more than {f.n} bits")
+    if x >> f.n:  # also -1 for any negative x
+        raise ValueError(f"input {x} is outside [0, 2^{f.n})")
     if f._table:
         return int(f._table[0][x])
     if isinstance(f.body, Parity):

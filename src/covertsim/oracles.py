@@ -319,31 +319,88 @@ class ExampleMemView:
 # --- quantum measurement examples --------------------------------------------
 
 _PAULI_AXES = "XYZ"
-# bulk Pauli sampling tabulates 3^n bases x 2^n outcomes: 13 MB at n = 8
+# bulk Pauli sampling tabulates 3^n bases x 2^n outcomes: 13 MB at n = 8. Its
+# guide table has 3^n x B cells, B a power of two up to 2^(n+6) with at most
+# one cell per shot (B = 1 below 3^n shots); built in int64, 8 bytes a cell
 PAULI_TABLE_QUBIT_CAP = 8
+
+
+def _guide_bits(shots: int, n_groups: int, k: int) -> int:
+    """log2 of the guide table's buckets per group: 64 per outcome (k is a
+    power of two), fewer where n_groups x buckets would pass the shots, and a
+    single bucket below n_groups shots."""
+    return max(0, min(k.bit_length() + 5, (shots // n_groups).bit_length() - 1))
+
+
+def _guide_table(cdfs: np.ndarray, bits: int) -> np.ndarray:
+    """guide[g, j] = the number of cdfs[g] entries <= j / 2^bits, the outcome
+    of every u in [j, j + 1) / 2^bits, or len(cdf) where an interior entry lies
+    strictly inside that bucket. Scaling by a power of two is exact, so an
+    entry t is <= j / 2^bits iff ceil(t 2^bits) <= j."""
+    n_groups, k = cdfs.shape
+    width = 1 << bits
+    scaled = cdfs[:, :-1] * width
+    edge = np.ceil(scaled).astype(np.int32)
+    rows = np.arange(n_groups, dtype=np.int32)[:, None] * (width + 1)
+    below = np.bincount((edge + rows).ravel(), minlength=n_groups * (width + 1))
+    below = below.reshape(n_groups, width + 1)[:, :width]
+    guide = np.cumsum(below, axis=1, out=below).astype(np.min_scalar_type(k))
+    inner_g, inner_t = np.nonzero(scaled != edge)
+    guide[inner_g, edge[inner_g, inner_t] - 1] = k
+    return guide
 
 
 def _choice_by_group(cdfs: np.ndarray, groups: np.ndarray, rng) -> np.ndarray:
     """Draw outcome i from the distribution with cdf cdfs[groups[i]], exactly
     as one rng.choice(len(cdf), size=count, p=...) per group that occurs, in
-    ascending group order, would: the shots are grouped by one stable sort,
-    each group's slice of a single uniform stream is looked up in its cdf
-    into one buffer in sorted order, and one scatter puts the buffer back in
-    shot order. Every cdf ends at exactly 1 and every u < 1, so no index
-    reaches len(cdf): the outcomes come in the smallest unsigned dtype that
-    holds len(cdf) - 1."""
-    order = np.argsort(groups, kind="stable")
+    ascending group order, would: the shots are grouped by one stable sort
+    and take a single uniform stream in sorted order. Each u is looked up in
+    a guide table of 2^bits equal buckets per group (Chen & Asau's indexed
+    search), about 64 per outcome and no more table cells than shots, or one
+    per group below that: one take at floor(u 2^bits) in its group's row
+    gives the outcome, and only a u whose bucket holds a cdf entry goes
+    through the group's searchsorted. Each take reads an int32 slice of the
+    bucket indices, so no full-length index array is widened to intp. One
+    scatter puts the sorted buffer back in shot order. Every cdf ends at
+    exactly 1 and every u < 1, so no outcome reaches len(cdf): they come in
+    the smallest unsigned dtype that holds len(cdf) - 1."""
+    n_groups, k = cdfs.shape
+    counts = np.bincount(groups, minlength=n_groups).tolist()
+    order = np.argsort(groups, kind="stable").astype(np.int32)
     u = rng.random(len(groups))
-    drawn = np.empty(len(groups), dtype=np.min_scalar_type(cdfs.shape[1] - 1))
+    bits = _guide_bits(len(groups), n_groups, k)
+    guide = _guide_table(cdfs, bits)
+    np.multiply(u, 1 << bits, out=u)
+    cells = u.astype(np.int32)
+    drawn = np.empty(len(groups), dtype=guide.dtype)
     start = 0
-    for g, count in enumerate(np.bincount(groups, minlength=len(cdfs)).tolist()):
+    for g, count in enumerate(counts):
         if count:
             group = slice(start, start + count)
-            drawn[group] = cdfs[g].searchsorted(u[group], side="right")
+            out = drawn[group]
+            guide[g].take(cells[group], out=out)
+            miss = np.flatnonzero(out == k)
+            out[miss] = cdfs[g].searchsorted(u[group][miss] / (1 << bits), side="right")
             start += count
-    outcomes = np.empty_like(drawn)
+    outcomes = np.empty(len(groups), dtype=np.min_scalar_type(k - 1))
     outcomes[order] = drawn
     return outcomes
+
+
+def _fill_basis_tables(tables: np.ndarray, rotated: PureState, q: int, b_idx: int) -> None:
+    """tables[b] = |amplitudes|^2 for every basis b that agrees with b_idx on
+    qubits 0..q-1, whose rotations `rotated` already carries: each of qubit
+    q's three axes in turn is rotated once and passed down, so at most one
+    state per qubit is alive."""
+    if q == rotated.n:
+        tables[b_idx] = np.abs(rotated.vec) ** 2
+        return
+    for digit, axis in enumerate(_PAULI_AXES):
+        if axis != "Z":
+            child = qsim.apply_unitary(rotated, qsim.BASIS_V_DAGGER[axis], [q])
+        else:
+            child = rotated
+        _fill_basis_tables(tables, child, q + 1, b_idx + digit * 3**q)
 
 
 def _basis_index(axes: np.ndarray) -> np.ndarray:
@@ -371,7 +428,11 @@ class QMeasExOracle(Oracle):
         return self._state
 
     def _basis_probability_tables(self) -> np.ndarray:
-        """probs[basis_index, outcome] for all 3^n product-Pauli bases."""
+        """probs[basis_index, outcome] for all 3^n product-Pauli bases. The
+        rotations go on qubit 0 first; bases that agree on qubits 0..q-1
+        share that prefix, so a depth-first walk over the axes keeps at most
+        n rotated states alive and makes 3^n - 1 apply_unitary calls, each
+        on the input the basis-by-basis loop would give it."""
         st = self.state()
         n = st.n
         if n > PAULI_TABLE_QUBIT_CAP:
@@ -380,15 +441,7 @@ class QMeasExOracle(Oracle):
                 f"n = {n} is above the cap of {PAULI_TABLE_QUBIT_CAP} qubits"
             )
         tables = np.empty((3**n, 1 << n))
-        for b_idx in range(3**n):
-            rotated = st
-            rem = b_idx
-            for q in range(n):
-                axis = _PAULI_AXES[rem % 3]
-                rem //= 3
-                if axis != "Z":
-                    rotated = qsim.apply_unitary(rotated, qsim.BASIS_V_DAGGER[axis], [q])
-            tables[b_idx] = np.abs(rotated.vec) ** 2
+        _fill_basis_tables(tables, st, 0, 0)
         return tables
 
     def sample_product_pauli(self, shots: int, rng) -> tuple[np.ndarray, np.ndarray]:

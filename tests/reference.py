@@ -263,3 +263,37 @@ def pauli_expectation_kron(state: qsim.PureState, obs: covertsq.PauliObservable)
         m = _PAULI_MATRICES[lookup[q]] if q in lookup else np.eye(2, dtype=complex)
         full = np.kron(m, full)
     return float(obs.coefficient * np.vdot(state.vec, full @ state.vec).real)
+
+
+def choice_by_group_searchsorted(cdfs: np.ndarray, groups: np.ndarray, rng) -> np.ndarray:
+    """oracles._choice_by_group with each group's slice of the sorted uniform
+    stream looked up by its own searchsorted on the group's cdf."""
+    order = np.argsort(groups, kind="stable")
+    u = rng.random(len(groups))
+    drawn = np.empty(len(groups), dtype=np.min_scalar_type(cdfs.shape[1] - 1))
+    start = 0
+    for g, count in enumerate(np.bincount(groups, minlength=len(cdfs)).tolist()):
+        if count:
+            group = slice(start, start + count)
+            drawn[group] = cdfs[g].searchsorted(u[group], side="right")
+            start += count
+    outcomes = np.empty_like(drawn)
+    outcomes[order] = drawn
+    return outcomes
+
+
+def basis_probability_tables_loop(state: qsim.PureState) -> np.ndarray:
+    """QMeasExOracle._basis_probability_tables one basis at a time: every
+    basis rotates a fresh copy of the state, qubit 0 first."""
+    n = state.n
+    tables = np.empty((3**n, 1 << n))
+    for b_idx in range(3**n):
+        rotated = state
+        rem = b_idx
+        for q in range(n):
+            axis = "XYZ"[rem % 3]
+            rem //= 3
+            if axis != "Z":
+                rotated = qsim.apply_unitary(rotated, qsim.BASIS_V_DAGGER[axis], [q])
+        tables[b_idx] = np.abs(rotated.vec) ** 2
+    return tables

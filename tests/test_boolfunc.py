@@ -41,6 +41,16 @@ class TestEval:
             with pytest.raises(ValueError):
                 bf.evaluate(f, 1 << f.n)
 
+    @pytest.mark.parametrize("make", [
+        lambda: bf.random_truth_table(3, np.random.default_rng(5)),
+        lambda: bf.parity_fn(0b101, 3),
+    ])
+    @pytest.mark.parametrize("x", [-1, 1 << 3])
+    def test_input_outside_the_domain_is_named(self, make, x):
+        f = make()
+        with pytest.raises(ValueError, match=rf"input {x} is outside \[0, 2\^3\)"):
+            bf.evaluate(f, x)
+
     def test_parity_past_the_table_arity(self):
         n = bf.MAX_TABLE_ARITY + 43
         s = (1 << n) - 1 - (1 << 30)

@@ -1,3 +1,4 @@
+import functools
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,12 @@ from covertsim import adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import covertex, covertsq, oracles, qsim
 from covertsim.gf2 import dot
-from reference import polynomial_value, quadratic_from_matrix
+from reference import (
+    basis_probability_tables_loop,
+    choice_by_group_searchsorted,
+    polynomial_value,
+    quadratic_from_matrix,
+)
 
 
 class TestSqOracle:
@@ -155,6 +161,13 @@ class TestExMemOracles:
             assert mem.query(x) == f(x)
         assert mem.count == 8
 
+    @pytest.mark.parametrize("x", [-1, 1 << 3])
+    def test_mem_query_outside_the_domain_is_refused(self, x):
+        mem = oracles.MemOracle(bf.random_truth_table(3, np.random.default_rng(8)))
+        with pytest.raises(ValueError, match=rf"input {x} is outside \[0, 2\^3\)"):
+            mem.query(x)
+        assert mem.count == 0
+
     def test_tensor_mem_costs_m_base_queries(self):
         f = bf.parity_fn(0b1, 2)
         base = oracles.MemOracle(f)
@@ -282,6 +295,153 @@ class TestGroupedPauliSampler:
             oracle._basis_probability_tables()
         with pytest.raises(ValueError, match="cap"):
             oracle.sample_product_pauli(1, np.random.default_rng(0))
+
+
+_PRODUCT_FACTORS = (
+    np.array([1, 0], dtype=complex),
+    np.array([0, 1], dtype=complex),
+    np.array([1, 1], dtype=complex) / np.sqrt(2),
+    np.array([1, 1j], dtype=complex) / np.sqrt(2),
+)
+
+
+@functools.cache
+def sampler_state(n: int, kind: str) -> qsim.PureState:
+    """A random state; a product of |0>, |1>, |+> and |+i> (every Pauli
+    probability is 0 or a power of 1/2, so cdf entries sit on bucket edges
+    and often reach 1 before the last outcome); or a random state on qubits
+    0..n-2 with qubit n-1 in |0> (the top half of every outcome table with Z
+    on that qubit has probability 0)."""
+    g = np.random.default_rng(90 + n)
+    if kind == "dyadic":
+        v = np.ones(1, dtype=complex)
+        for q in range(n):
+            v = np.kron(_PRODUCT_FACTORS[q % 4], v)
+        return qsim.PureState(n, v)
+    low = n - 1 if kind == "trailing-zeros" else n
+    v = g.normal(size=1 << low) + 1j * g.normal(size=1 << low)
+    v = np.concatenate([v, np.zeros((1 << n) - len(v))])
+    return qsim.PureState(n, v / np.linalg.norm(v))
+
+
+@functools.cache
+def sampler_cdfs(n: int, kind: str) -> np.ndarray:
+    """The cdf table sample_product_pauli draws from for sampler_state."""
+    oracle = oracles.QMeasExOracle(sampler_state(n, kind))
+    oracle.sample_product_pauli(0, np.random.default_rng(0))
+    cdfs = oracle._pauli_cdfs
+    cdfs.flags.writeable = False
+    return cdfs
+
+
+class StreamStub:
+    """Generator stand-in: random(size) hands out the next `size` values of a
+    fixed stream, and `drawn` counts the values taken."""
+
+    def __init__(self, stream: np.ndarray):
+        self.stream = stream
+        self.drawn = 0
+
+    def random(self, size: int) -> np.ndarray:
+        out = self.stream[self.drawn:self.drawn + size].copy()
+        assert len(out) == size
+        self.drawn += size
+        return out
+
+
+def crafted_uniforms(cdf: np.ndarray, edges: int) -> np.ndarray:
+    """0, the largest double below 1, every bucket edge j / edges, and every
+    cdf entry below 1 with its neighbours on both sides: the uniforms where
+    a guide-table lookup and a binary search could part."""
+    t = cdf[cdf < 1]
+    u = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)], np.arange(edges) / edges,
+        t, np.nextafter(t, 0.0), np.nextafter(t, 1.0),
+    ])
+    return u[u < 1]
+
+
+class TestGuideTableSampler:
+    """The guide-table lookup against one searchsorted per group, byte for
+    byte and by generator end state."""
+
+    KINDS = ("random", "dyadic", "trailing-zeros")
+
+    @staticmethod
+    def assert_same_draws(cdfs, groups, make_rng):
+        rng, ref_rng = make_rng(), make_rng()
+        got = oracles._choice_by_group(cdfs, groups, rng)
+        want = choice_by_group_searchsorted(cdfs, groups, ref_rng)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        return rng, ref_rng
+
+    @staticmethod
+    def crafted_case(cdfs, rows, edges, seed):
+        """Shots in shuffled order whose sorted uniform stream gives each
+        listed row its crafted uniforms."""
+        parts = [crafted_uniforms(cdfs[r], edges) for r in rows]
+        groups = np.repeat(np.array(rows, dtype=np.int16), [len(p) for p in parts])
+        return np.random.default_rng(seed).permutation(groups), np.concatenate(parts)
+
+    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
+    def test_bucket_count_bounds_the_table(self, n):
+        # the most buckets, a power of two, with at most 64 per outcome and
+        # at most one table cell per shot; a single bucket below 3^n shots
+        n_groups, k = 3**n, 1 << n
+        for shots in (0, 1, n_groups - 1, n_groups, 2 * n_groups + 1, 428_800, 10**7):
+            width = 1 << oracles._guide_bits(shots, n_groups, k)
+            if shots < n_groups:
+                assert width == 1
+                continue
+            assert width <= 64 * k and n_groups * width <= shots
+            assert 2 * width > 64 * k or 2 * n_groups * width > shots
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
+    def test_crafted_uniforms_on_the_finest_grid(self, n, kind):
+        # the edges of 2^(n+6) buckets hold those of every coarser table
+        cdfs = sampler_cdfs(n, kind)
+        n_groups, k = cdfs.shape
+        rows = range(n_groups) if n_groups <= 81 else sorted(
+            {0, 1, n_groups // 3, n_groups // 2, n_groups - 2, n_groups - 1})
+        groups, stream = self.crafted_case(cdfs, rows, k << 6, seed=n)
+        assert oracles._guide_bits(len(groups), n_groups, k) >= 1
+        stub, ref_stub = self.assert_same_draws(cdfs, groups, lambda: StreamStub(stream))
+        assert stub.drawn == ref_stub.drawn == len(groups)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
+    def test_fewer_shots_than_bases_search_every_key(self, n, kind):
+        # below 3^n shots the table has one bucket per basis, so every basis
+        # with an interior cdf entry falls back to the search
+        cdfs = sampler_cdfs(n, kind)
+        n_groups, k = cdfs.shape
+        crafted = crafted_uniforms(cdfs[-1], 1)
+        for start in range(0, len(crafted), n_groups - 1):
+            stream = crafted[start:start + n_groups - 1]
+            groups = np.full(len(stream), n_groups - 1, dtype=np.int16)
+            assert oracles._guide_bits(len(groups), n_groups, k) == 0
+            stub, ref_stub = self.assert_same_draws(cdfs, groups, lambda: StreamStub(stream))
+            assert stub.drawn == ref_stub.drawn == len(groups)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
+    def test_generator_draws_and_end_state(self, n, kind):
+        cdfs = sampler_cdfs(n, kind)
+        for shots in (0, 1, len(cdfs) - 1, 3 * len(cdfs) + 5, 20_000):
+            groups = np.random.default_rng(shots).integers(0, len(cdfs), shots).astype(np.int16)
+            rng, ref_rng = self.assert_same_draws(
+                cdfs, groups, lambda: np.random.default_rng(500 + n))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
+    def test_depth_first_tables_match_the_basis_loop(self, n, kind):
+        state = sampler_state(n, kind)
+        tables = oracles.QMeasExOracle(state)._basis_probability_tables()
+        want = basis_probability_tables_loop(state)
+        assert tables.dtype == want.dtype and tables.tobytes() == want.tobytes()
 
 
 class TestQuantumChannelOracle:
