@@ -105,20 +105,30 @@ def ancilla_free_schedule(qubits, m, eps, delta, delta_leak, n_blocks=None) -> S
 
 # --- masked queries -----------------------------------------------------------
 
-# n -> Z^r |+>^n for every r: the rows of H^n as states, sharing one
-# read-only array (1 MiB at the largest n kept, qsim.SIGN_TABLE_QUBITS)
-_MASKED_PLUS: dict[int, list[PureState]] = {}
+# n -> (Z^r |+>^n, the diagonal of Z^r) for every r: the rows of H^n as
+# states, sharing one read-only array (1 MiB at the largest n kept,
+# qsim.SIGN_TABLE_QUBITS), each beside its row of qsim.z_sign_table
+_PHASE_MASKS: dict[int, list[tuple[PureState, np.ndarray]]] = {}
+
+
+def _phase_mask(n: int, r: int) -> tuple[PureState, np.ndarray]:
+    """Z^r |+>^n, the state a randomness-masked query sends, and the
+    diagonal of Z^r, which unmasks the response."""
+    if n > qsim.SIGN_TABLE_QUBITS:
+        signs = qsim.z_signs(n, r)
+        return PureState(n, signs * complex(2 ** (-n / 2))), signs
+    masks = _PHASE_MASKS.get(n)
+    if masks is None:
+        signs = qsim.z_sign_table(n)
+        table = signs * complex(2 ** (-n / 2))
+        table.flags.writeable = False
+        masks = _PHASE_MASKS[n] = [(PureState(n, row), sign)
+                                   for row, sign in zip(table, signs)]
+    return masks[r]
 
 
 def _masked_plus(n: int, r: int) -> PureState:
-    if n > qsim.SIGN_TABLE_QUBITS:
-        return PureState(n, qsim.z_signs(n, r) * complex(2 ** (-n / 2)))
-    states = _MASKED_PLUS.get(n)
-    if states is None:
-        table = qsim.z_sign_table(n) * complex(2 ** (-n / 2))
-        table.flags.writeable = False
-        states = _MASKED_PLUS[n] = [PureState(n, row) for row in table]
-    return states[r]
+    return _phase_mask(n, r)[0]
 
 
 # n -> the CZ-coupled pair of uniform n-qubit registers (mask register low),
@@ -164,12 +174,14 @@ def masked_query_phase_randomness(
         sent = qsim.tensor(_masked_plus(n, r), _masked_plus(w, rt))
         got = _kickback_query(oracle, sent, list(range(n)), w, rng)
         r |= rt << n
+        signs = qsim.z_signs(n + w, r)
     else:
-        got = oracle.query(_masked_plus(n, r), range(n), rng=rng)
+        sent, signs = _phase_mask(n, r)
+        got = oracle.query(sent, range(n), rng=rng)
     if out is None:
         return qsim.apply_z_mask(got, r, range(n + w))
     if r:
-        np.multiply(got.vec, qsim.z_signs(n + w, r), out=out)
+        np.multiply(got.vec, signs, out)  # a positional out skips the ufunc's keyword parse
     else:  # as apply_z_mask: a product with +1 may flip the sign of a zero
         out[:] = got.vec
     return None

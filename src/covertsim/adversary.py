@@ -8,6 +8,12 @@ bidirectional kinds override `query_tap`. The class constants say whether a
 kind taps both directions and whether it keeps a quantum register (ancilla-
 free kinds do not).
 
+Pass-through rule: a direction whose hook a kind's class leaves to
+`Strategy` is the identity and is never called. `oracles.TapChannel` reads
+this once from the class, so behind `identity` a round trip runs no hook at
+all, behind a unidirectional kind only `response_tap`; the tap's
+`memory.round` still advances once per response either way.
+
 Kinds with an exact privacy-audit channel have `exact_response_view`: it
 maps the reduced state of an intercepted response register, averaged over
 the protocol's randomness, to the state of everything the adversary keeps

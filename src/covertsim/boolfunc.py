@@ -105,10 +105,10 @@ def evaluate(f: BooleanFunction, x: int) -> int:
     if x >> f.n:  # also -1 for any negative x
         raise ValueError(f"input {x} is outside [0, 2^{f.n})")
     if f._table:
-        return int(f._table[0][x])
+        return f._table[0].item(x)  # the Python int, without a numpy scalar between
     if isinstance(f.body, Parity):
         return dot(f.body.s, x)
-    return int(eval_all(f)[x])
+    return eval_all(f).item(x)
 
 
 def _tabulate(f: BooleanFunction) -> np.ndarray:

@@ -404,8 +404,10 @@ def _fill_basis_tables(tables: np.ndarray, rotated: PureState, q: int, b_idx: in
 
 
 def _basis_index(axes: np.ndarray) -> np.ndarray:
-    """sum_q axes[:, q] 3^q of uint8 axes by int16 Horner steps (3^8 - 1 fits)."""
-    index = np.zeros(len(axes), dtype=np.int16)
+    """sum_q axes[:, q] 3^q of uint8 axes by Horner steps in the smallest
+    unsigned dtype that holds 3^n - 1 (uint8 up to n = 5, uint16 up to the
+    table cap), which the stable argsort sorts fastest."""
+    index = np.zeros(len(axes), dtype=np.min_scalar_type(3 ** axes.shape[1] - 1))
     for q in reversed(range(axes.shape[1])):
         index *= 3
         index += axes[:, q]
@@ -484,11 +486,21 @@ class QMeasExOracle(Oracle):
 
 
 class TapChannel:
-    """Interception point on learner<->oracle quantum traffic."""
+    """Interception point on learner<->oracle quantum traffic.
+
+    Pass-through rule: `taps_query` / `taps_response` say, from whether the
+    strategy's class overrides `query_tap` / `response_tap`, which directions
+    act; the owner routes only those through `apply`. A pass-through
+    direction is the identity and costs no call, and the owner advances
+    `memory.round` itself after a pass-through response, so it counts one
+    per response either way."""
 
     def __init__(self, strategy: Optional[adv.Strategy] = None):
         self.strategy = strategy or adv.identity()
         self.memory = adv.TapMemory()
+        cls = type(self.strategy)
+        self.taps_query = cls.query_tap is not adv.Strategy.query_tap
+        self.taps_response = cls.response_tap is not adv.Strategy.response_tap
 
     def apply(self, direction: str, state: PureState, qubits, rng) -> PureState:
         out = adv.apply_tap(self.strategy, direction, state, qubits, self.memory, rng)
@@ -536,17 +548,25 @@ class QuantumChannelOracle(Oracle):
         if len(in_qubits) != self.f.n or len(out_qubits) != self.out_width:
             raise ValueError(f"a {self.kind} query needs {self.f.n} in and "
                              f"{self.out_width} out qubits")
-        tapped = list(in_qubits) + out_qubits
-        state = self.tap.apply("query", state, tapped, rng)
+        tap = self.tap
+        if tap.taps_query or tap.taps_response:
+            tapped = list(in_qubits) + out_qubits
+        if tap.taps_query:
+            state = tap.apply("query", state, tapped, rng)
         if self.kind == "QPh":
-            key = (state.n, tuple(in_qubits))
-            signs = self._phase_signs.get(key)
+            # a range is hashable as it is; any other register is keyed as a tuple
+            key = in_qubits if type(in_qubits) is range else tuple(in_qubits)
+            signs = self._phase_signs.get((state.n, key))
             if signs is None:
-                signs = self._phase_signs[key] = qsim.phase_signs(self.f, *key)
+                signs = self._phase_signs[state.n, key] = qsim.phase_signs(
+                    self.f, state.n, key)
             state = qsim.apply_phase_oracle(state, self.f, in_qubits, signs)
         else:
             state = qsim.apply_qmem_oracle(state, self.f, in_qubits, out_qubits)
-        state = self.tap.apply("response", state, tapped, rng)
+        if tap.taps_response:
+            state = tap.apply("response", state, tapped, rng)
+        else:
+            tap.memory.round += 1
         self.count += 1
         if self.transcript is not None:
             self._log({"in_qubits": list(in_qubits), "out_qubits": out_qubits or None},

@@ -136,7 +136,10 @@ class TestStackedBlocks:
         count = 3
         f = bf.random_truth_table(n, np.random.default_rng(30), w=w or 1)
         kind = "QMem" if w else "QPh"
-        oracle_a, oracle_b = (oracles.QuantumChannelOracle(f, kind, strategy) for _ in "ab")
+        oracle_a, oracle_b = (
+            oracles.QuantumChannelOracle(f, kind, strategy, transcript=oracles.Transcript())
+            for _ in "ab"
+        )
         rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
         query = acquire.masked_query_phase_randomness
         given_masks = []
@@ -164,6 +167,9 @@ class TestStackedBlocks:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         assert oracle_a.count == oracle_b.count == m * count
         assert oracle_a.tap.memory.events == oracle_b.tap.memory.events
+        # one tap round per response, whether or not the tap acts on it
+        assert oracle_a.tap.memory.round == oracle_b.tap.memory.round == m * count
+        assert oracle_a.transcript.events == oracle_b.transcript.events
         if strategy is not None:
             assert oracle_a.tap.memory.events  # the tap acted on some queries
 

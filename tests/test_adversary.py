@@ -43,6 +43,51 @@ class TestKinds:
         assert adv.ancilla_free(1, extract_post=False).delta_leak == 1
 
 
+def acting_strategy(kind):
+    """A strategy of `kind` whose probability fields make it act every round."""
+    cls = adv.KINDS[kind]
+    return {"depolarize": lambda: cls(1.0), "ancilla_free": lambda: cls(1.0)}.get(kind, cls)()
+
+
+class TestPassThrough:
+    def test_overridden_hooks(self):
+        # a kind overrides query_tap exactly when it taps both directions;
+        # identity alone leaves response_tap to the base
+        for kind, cls in adv.KINDS.items():
+            assert (cls.query_tap is not adv.Strategy.query_tap) == cls.bidirectional, kind
+        passing = [k for k, cls in adv.KINDS.items()
+                   if cls.response_tap is adv.Strategy.response_tap]
+        assert passing == ["identity"]
+
+    @pytest.mark.parametrize("kind", adv.KINDS)
+    def test_only_acting_directions_reach_the_tap(self, kind, monkeypatch):
+        strategy = acting_strategy(kind)
+        f = bf.random_truth_table(2, np.random.default_rng(60))
+        oracle = oracles.QuantumChannelOracle(f, "QPh", strategy)
+        tap = oracle.tap
+        assert tap.taps_query == strategy.bidirectional
+        assert tap.taps_response == (kind != "identity")
+        seen = []
+        apply = oracles.TapChannel.apply
+
+        def spy(self, direction, *args):
+            seen.append(direction)
+            return apply(self, direction, *args)
+
+        monkeypatch.setattr(oracles.TapChannel, "apply", spy)
+        rng = np.random.default_rng(61)
+        for k in range(3):
+            oracle.query(qsim.uniform_state(3), [0, 1], rng=rng)
+            assert tap.memory.round == k + 1  # one round per response, acting or not
+        acting = [d for d, acts in (("query", tap.taps_query),
+                                    ("response", tap.taps_response)) if acts]
+        assert seen == acting * 3
+        if kind == "identity":
+            assert tap.memory.events == []
+        else:
+            assert tap.memory.events
+
+
 class TestTaps:
     def test_identity_unchanged(self):
         rng = np.random.default_rng(0)

@@ -280,6 +280,16 @@ class TestGroupedPauliSampler:
             assert np.array_equal(narrow, wide)
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
+    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
+    def test_basis_index_in_smallest_unsigned_dtype(self, n):
+        # the group keys only reach bincount and the stable argsort, which
+        # sorts the narrowest keys fastest
+        axes = np.random.default_rng(800 + n).integers(0, 3, size=(500, n)).astype(np.uint8)
+        axes[0] = 2  # the largest key, 3^n - 1
+        index = oracles._basis_index(axes)
+        assert index.dtype == (np.uint8 if n <= 5 else np.uint16)
+        assert index.tolist() == (axes.astype(np.int64) @ 3 ** np.arange(n)).tolist()
+
     def test_basis_state_table_is_deterministic(self):
         # a product state: every Z-basis shot reads |0>, every other basis
         # is a fair coin, so the zero-probability cdf steps are never hit
