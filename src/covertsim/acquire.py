@@ -127,10 +127,6 @@ def _phase_mask(n: int, r: int) -> tuple[PureState, np.ndarray]:
     return masks[r]
 
 
-def _masked_plus(n: int, r: int) -> PureState:
-    return _phase_mask(n, r)[0]
-
-
 # n -> the CZ-coupled pair of uniform n-qubit registers (mask register low),
 # read-only; the same state on every entangled query, kept up to
 # qsim.SIGN_TABLE_QUBITS (1 MiB at the largest n)
@@ -171,7 +167,7 @@ def masked_query_phase_randomness(
         raise ValueError(f"mask {r!r} is outside [0, 2^{n})")
     if w:
         rt = int(rng.integers(0, 1 << w))
-        sent = qsim.tensor(_masked_plus(n, r), _masked_plus(w, rt))
+        sent = qsim.tensor(_phase_mask(n, r)[0], _phase_mask(w, rt)[0])
         got = _kickback_query(oracle, sent, list(range(n)), w, rng)
         r |= rt << n
         signs = qsim.z_signs(n + w, r)

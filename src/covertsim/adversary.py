@@ -137,7 +137,8 @@ class swap_attack(Strategy):
     """Steal the learner's query register into quantum memory and send a
     uniform state instead; read the parity out of the response with one
     Bernstein-Vazirani measurement, then answer the stolen register (and
-    every later query) with the learned oracle."""
+    every later query) with the learned oracle. A register whose residual
+    from a product is over 1e-9 (`_extract_product_register`) faults."""
 
     bidirectional: ClassVar[bool] = True
     quantum_memory: ClassVar[bool] = True
@@ -253,17 +254,24 @@ def _random_pauli(state: PureState, qubits: Sequence[int], rng) -> PureState:
 
 
 def _extract_product_register(state: PureState, qubits: Sequence[int]) -> tuple[PureState, PureState]:
-    """Split off a register that is in product with the rest; fault otherwise."""
-    if qsim.schmidt_rank(state, list(qubits), tol=1e-9) != 1:
+    """Split off a register in product with the rest; fault otherwise.
+
+    With the register on the rows (qubits[j] as bit j) and the rest on the
+    columns, the amplitudes M of a product are sub rest^T (Schmidt rank 1):
+    sub is the column of largest norm and rest the row of largest norm, each
+    normalised. The register is a product when the residual
+    ||M - sub (sub^dag M)|| is at most 1e-9, an O(2^n) check.
+    """
+    n, k = state.n, len(qubits)
+    rows = [n - 1 - q for q in reversed(qubits)]
+    m = np.transpose(state.vec.reshape([2] * n),
+                     rows + [a for a in range(n) if a not in rows]).reshape(1 << k, -1)
+    sub = m[:, np.argmax(np.linalg.norm(m, axis=0))]
+    sub = sub / np.linalg.norm(sub)
+    if np.linalg.norm(m - np.outer(sub, sub.conj() @ m)) > 1e-9:
         raise RuntimeError("register is entangled with the learner; cannot steal it")
-    rho = qsim.partial_trace(state, list(qubits))
-    vals, vecs = np.linalg.eigh(rho.mat)
-    sub = PureState(len(qubits), vecs[:, -1] / np.linalg.norm(vecs[:, -1]))
-    rest_qubits = [q for q in range(state.n) if q not in qubits]
-    rho_rest = qsim.partial_trace(state, rest_qubits)
-    vals_r, vecs_r = np.linalg.eigh(rho_rest.mat)
-    rest = PureState(len(rest_qubits), vecs_r[:, -1] / np.linalg.norm(vecs_r[:, -1]))
-    return sub, rest
+    rest = m[np.argmax(np.linalg.norm(m, axis=1))]
+    return PureState(k, sub), PureState(n - k, rest / np.linalg.norm(rest))
 
 
 # --- exact privacy audits ----------------------------------------------------

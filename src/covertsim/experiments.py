@@ -546,13 +546,6 @@ TAPPED = frozenset(adv.KINDS)
 ANCILLA_FREE = frozenset(k for k, cls in adv.KINDS.items() if not cls.quantum_memory)
 
 
-def _product_register(qubits: int) -> frozenset:
-    """The kinds that may tap a `qubits`-qubit register in product with the
-    learner's: the swap attack keeps the stolen register's density matrix,
-    so it takes one of at most qsim.MIXED_QUBIT_CAP qubits."""
-    return TAPPED if qubits <= qsim.MIXED_QUBIT_CAP else ANCILLA_FREE
-
-
 # the largest register a trial builds is at most qsim.PURE_QUBIT_CAP qubits
 _PURE = qsim.PURE_QUBIT_CAP
 
@@ -702,7 +695,7 @@ SCENARIOS: dict[str, Scenario] = {
          "bad_below": Param(0.8, lambda v, p: 0 < v <= 1, "in (0, 1]")},
         "covert verifiable phase states vs unidirectional adversaries",
         _acquire_uni_resources,
-        lambda p: ANCILLA_FREE if p["mode"] == acquire.ENTANGLED else _product_register(p["n"]),
+        lambda p: ANCILLA_FREE if p["mode"] == acquire.ENTANGLED else TAPPED,
         _assert_acquire_uni,
     ),
     "acquire-af": Scenario(
@@ -726,7 +719,7 @@ SCENARIOS: dict[str, Scenario] = {
          "delta_leak": _probability(0.5)},
         "covert verifiable Forrelation end to end",
         _forrelation_resources,
-        lambda p: ANCILLA_FREE if p["ancilla_free"] else _product_register(2 * p["n"]),
+        lambda p: ANCILLA_FREE if p["ancilla_free"] else TAPPED,
     ),
     "simon": Scenario(
         _run_simon,
@@ -747,8 +740,8 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "nogo-swap": Scenario(
         _run_nogo_swap,
-        {"n": _count(4, 1, qsim.MIXED_QUBIT_CAP,
-                     "the swap attack keeps the stolen register's density matrix"),
+        {"n": _count(4, 1, bf.MAX_TABLE_ARITY,
+                     f"a 2^n-entry truth table, n <= {bf.MAX_TABLE_ARITY}"),
          "m": _count(1, 1), "eps": _open_unit(0.1),
          "delta": _open_unit(0.1), "n_blocks": _count(20, 2)},
         "swap-attack impossibility reproduction",

@@ -297,3 +297,18 @@ def basis_probability_tables_loop(state: qsim.PureState) -> np.ndarray:
                 rotated = qsim.apply_unitary(rotated, qsim.BASIS_V_DAGGER[axis], [q])
         tables[b_idx] = np.abs(rotated.vec) ** 2
     return tables
+
+
+def extract_product_register_eigh(state: qsim.PureState, qubits: Sequence[int]
+                                  ) -> tuple[qsim.PureState, qsim.PureState]:
+    """adversary._extract_product_register by density matrices: a Schmidt
+    rank check (a full SVD), then the top eigenvector of each reduced state
+    (keep[j] as qubit j), the register's and the rest's."""
+    if qsim.schmidt_rank(state, list(qubits), tol=1e-9) != 1:
+        raise RuntimeError("register is entangled with the learner; cannot steal it")
+    rest_qubits = [q for q in range(state.n) if q not in qubits]
+    factors = []
+    for keep in (list(qubits), rest_qubits):
+        vecs = np.linalg.eigh(qsim.partial_trace(state, keep).mat)[1]
+        factors.append(qsim.PureState(len(keep), vecs[:, -1] / np.linalg.norm(vecs[:, -1])))
+    return tuple(factors)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -85,6 +86,50 @@ class TestMaskedQueries:
             x, y = zeta & ((1 << n) - 1), zeta >> n
             table.append(dot(rho, zeta) ^ dot(y, f(x)))
         assert qsim.states_equal(joint, qsim.prepare_phase_state(bf.truth_table(table)), 1e-10)
+
+
+@dataclass(frozen=True)
+class recording(adv.Strategy):
+    """Test-only tap: logs the reduced state of each response register it
+    sees, as the oracle sends it back, and passes the response on."""
+
+    def response_tap(self, state, qubits, memory, rng):
+        memory.events.append({"register": qsim.partial_trace(state, list(qubits))})
+        return state
+
+
+class TestSentMaskViews:
+    """The privacy view of the masked query the trials run: the response
+    register that `masked_query_phase_randomness` sends back, averaged over
+    its masks, is the same for every target."""
+
+    def test_mask_averaged_views_factorize(self):
+        n = 3
+        rng = np.random.default_rng(73)
+        views = []
+        for _ in range(4):
+            oracle = phase_oracle(bf.random_truth_table(n, rng), recording())
+            for r in range(1 << n):
+                acquire.masked_query_phase_randomness(oracle, rng, r=r)
+            seen = [e["register"].mat for e in oracle.tap.memory.events]
+            assert len(seen) == 1 << n
+            views.append(qsim.MixedState(n, sum(seen) / (1 << n)))
+        assert adv.factorization_distance(views) <= 1e-9
+
+    def test_each_drawn_mask_is_the_one_sent(self):
+        n = 3
+        f = bf.random_truth_table(n, np.random.default_rng(74))
+        oracle = phase_oracle(f, recording())
+        rng = np.random.default_rng(75)
+        for _ in range(16):
+            acquire.masked_query_phase_randomness(oracle, rng)
+        replay = np.random.default_rng(75)  # the tap draws nothing
+        for event in oracle.tap.memory.events:
+            sent = qsim.apply_z_mask(qsim.uniform_state(n), int(replay.integers(0, 1 << n)),
+                                     range(n))
+            want = qsim.apply_phase_oracle(sent, f, range(n)).density()
+            assert np.abs(event["register"].mat - want.mat).max() <= 1e-12
+        assert len(oracle.tap.memory.events) == 16
 
 
 # mode -> (entangled, unmask) as `_collect_blocks` takes them
@@ -205,7 +250,7 @@ class TestStackedBlocks:
     def test_masked_plus_states_equal_the_z_masked_uniform_state(self):
         for n in (1, 3, 8, 9):
             for r in range(0, 1 << n, max(1, (1 << n) // 40)):
-                got = acquire._masked_plus(n, r).vec
+                got = acquire._phase_mask(n, r)[0].vec
                 want = qsim.apply_z_mask(qsim.uniform_state(n), r, range(n)).vec
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 

@@ -4,6 +4,7 @@ import pytest
 from covertsim import adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import oracles, qsim
+from reference import extract_product_register_eigh
 
 
 def masked_query_roundtrip(f, n, strategy, rng):
@@ -207,6 +208,62 @@ class TestSwapAttack:
         mem = adv.TapMemory()
         with pytest.raises(RuntimeError):
             adv.apply_tap(strat, "query", bell, [1], mem, rng)
+
+
+def random_state(n, rng):
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return qsim.PureState(n, v / np.linalg.norm(v))
+
+
+class TestProductRegister:
+    """The amplitude form of `_extract_product_register` against the
+    density-matrix form it replaced, equal up to global phase."""
+
+    def assert_split(self, reg, rest, qubits):
+        state = adv._reinsert_register(rest, reg, qubits)
+        got = adv._extract_product_register(state, qubits)
+        want = extract_product_register_eigh(state, qubits)
+        for g, w, factor in zip(got, want, (reg, rest)):
+            assert qsim.states_equal(g, w, 1e-10) and qsim.states_equal(g, factor, 1e-10)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_split_matches_the_eigh_form(self, n):
+        rng = np.random.default_rng(300 + n)
+        for k in range(1, n):
+            for _ in range(3):
+                qubits = [int(q) for q in rng.permutation(n)[:k]]
+                self.assert_split(random_state(k, rng), random_state(n - k, rng), qubits)
+
+    def test_non_contiguous_and_whole_registers(self):
+        rng = np.random.default_rng(310)
+        self.assert_split(random_state(2, rng), random_state(2, rng), [0, 2])
+        self.assert_split(random_state(2, rng), random_state(1, rng), [2, 0])
+        # factors with a zero first amplitude: the first row and column of
+        # the reshape are zero, so each factor must come from the largest
+        self.assert_split(qsim.basis_state(2, 3), random_state(3, rng), [1, 4])
+        self.assert_split(random_state(2, rng), qsim.basis_state(3, 6), [1, 4])
+        empty = qsim.basis_state(0)  # the rest has 0 qubits
+        for n in (1, 3, 6):
+            self.assert_split(random_state(n, rng), empty, list(range(n)))
+            self.assert_split(random_state(n, rng), empty, [int(q) for q in rng.permutation(n)])
+
+    def test_weight_of_an_orthogonal_product_is_refused(self):
+        rng = np.random.default_rng(311)
+        a, b = random_state(2, rng), random_state(3, rng)
+        # the parts of two more random states orthogonal to a and to b
+        a_perp, b_perp = (
+            v - np.vdot(u.vec, v) * u.vec
+            for u, v in ((a, random_state(2, rng).vec), (b, random_state(3, rng).vec))
+        )
+        # a on qubits 3 and 4 (the high factor of kron), b on 0..2
+        near = np.sqrt(1 - 1e-6) * np.kron(a.vec, b.vec) + np.sqrt(1e-6) * np.kron(
+            a_perp / np.linalg.norm(a_perp), b_perp / np.linalg.norm(b_perp))
+        state = qsim.PureState(5, near)
+        assert qsim.states_equal(adv._reinsert_register(b, a, [3, 4]),
+                                 qsim.PureState(5, np.kron(a.vec, b.vec)), 1e-12)
+        for extract in (adv._extract_product_register, extract_product_register_eigh):
+            with pytest.raises(RuntimeError, match="entangled"):
+                extract(state, [3, 4])
 
 
 class TestExactViews:

@@ -190,8 +190,9 @@ class TestConfig:
         ("forrelation", {"ancilla_free": True, "n": 6}, True),
         ("forrelation", {"ancilla_free": True, "n": 7}, False),  # 4n
         ("nogo-swap", {"n": qsim.MIXED_QUBIT_CAP}, True),
-        ("nogo-swap", {"n": qsim.MIXED_QUBIT_CAP + 1}, False),
+        ("nogo-swap", {"n": 13}, True),
         ("nogo-swap", {"n": 21}, False),
+        ("nogo-swap", {"n": bf.MAX_TABLE_ARITY}, True),
     ])
     def test_param_rules(self, scenario, params, ok):
         d = {"scenario": scenario, "params": params}
@@ -249,11 +250,11 @@ class TestConfig:
         ("forrelation", {"ancilla_free": True}, False),
         ("simon", {}, False),
         ("simon", {"ancilla_free": True}, False),
-        # the swap attack keeps the stolen register's density matrix
-        ("acquire-uni", {"n": qsim.MIXED_QUBIT_CAP}, True),
-        ("acquire-uni", {"n": qsim.MIXED_QUBIT_CAP + 1}, False),
-        ("forrelation", {"n": qsim.MIXED_QUBIT_CAP // 2}, True),  # 2n qubits
-        ("forrelation", {"n": qsim.MIXED_QUBIT_CAP // 2 + 1}, False),
+        # a register in product with the learner's is stolen at any size
+        ("acquire-uni", {"n": 12}, True),
+        ("acquire-uni", {"n": 13}, True),
+        ("forrelation", {"n": 6}, True),  # 2n qubits
+        ("forrelation", {"n": 7}, True),
     ])
     def test_swap_attack_needs_a_product_register(self, scenario, params, takes_swap):
         d = {"scenario": scenario, "params": params, "adversary": {"kind": "swap_attack"}}
@@ -636,7 +637,7 @@ class TestCli:
          "'swap_attack'"),
         ("forrelation --param ancilla_free=true --param copies=3 --param n_blocks=2"
          ' --adversary {"kind":"swap_attack"}', "'swap_attack'"),
-        ('acquire-uni --param n=13 --adversary {"kind":"swap_attack"}', "'swap_attack'"),
+        ('acquire-uni --param n=21 --adversary {"kind":"swap_attack"}', "'n'"),
     ])
     def test_count_bound_and_swap_attack_exit_code(self, args, field):
         out = self.run_cli("run", "--trials", "1", "--scenario", *args.split())

@@ -48,6 +48,11 @@ RECORD_DIGESTS = {
         "667e02e349132e58f7c2655a7049c91e731f87e1cc863d2383cf8c837a690463",
 }
 
+# one nogo-swap trial that steals a 12-qubit register, a size whose density
+# matrix the attack once formed (4096 x 4096); taken on the amplitude form
+SWAP_12_QUBIT_DIGEST = (
+    "765b61fa6c5ec934ee9cf49f87bae3d8cbbfac6f3d1eaf60cc21a066a6f58f05")
+
 
 def records_digest(name: str) -> str:
     cfg = exp.ExperimentConfig.from_dict(
@@ -180,6 +185,21 @@ def test_config_records(name):
     assert got == RECORD_DIGESTS[name], (
         f"golden records of configs/{name}.json changed; new digest {got}"
     )
+
+
+def test_swap_attack_forms_no_density_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the swap attack formed a density matrix")
+
+    for owner, name in ((qsim, "partial_trace"), (qsim, "schmidt_rank"), (np.linalg, "eigh")):
+        monkeypatch.setattr(owner, name, refuse)
+    cfg = exp.ExperimentConfig.from_dict(
+        {"scenario": "nogo-swap", "params": {"n": 12, "n_blocks": 2}, "seed": 404}
+    )
+    record = exp.run_trial(cfg, 0)
+    assert record["adversary_learned"]
+    blob = json.dumps([record], sort_keys=True, default=float)
+    assert hashlib.sha256(blob.encode()).hexdigest() == SWAP_12_QUBIT_DIGEST, record
 
 
 @pytest.mark.parametrize("name", sorted(ACQUISITION_CASES))
