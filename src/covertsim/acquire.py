@@ -19,11 +19,15 @@ run halts on the first rejection, and the certified rounds' answers are
 majority-voted (ell amplified unidirectional rounds, or one ancilla-free
 round).
 
-Each certification block is one stacked (m, 2^q) amplitude array
-(`certify.ProductBlock`), filled by one public query per copy and
-norm-checked once; behind the identity tap a phase block's masks are drawn
-in one call. In entangled modes the private mask register occupies the low
-qubits of every copy, the oracle-facing register the high ones.
+An acquisition's certification blocks are one (count, m, 2^q) amplitude
+stack, filled by one public query per copy and norm-checked once; each
+block (`certify.ProductBlock`) is a read-only (m, 2^q) view of it. Behind
+the identity tap a phase block's masks are drawn in one call. In entangled
+modes the private mask register occupies the low qubits of every copy, the
+oracle-facing register the high ones. Every entangled query sends the same
+read-only coupled pair, so a measuring ancilla-free tap sees few distinct
+registers per trial and reuses their measurement tables
+(`adversary.TapMemory.measure`).
 """
 from __future__ import annotations
 
@@ -242,7 +246,9 @@ class AcquisitionResult:
 
 
 def _collect_blocks(oracle, m, count, rng, entangled, unmask):
-    """`count` stacked blocks of m masked copies, queried in order; an
+    """`count` blocks of m masked copies, queried in order into one
+    (count, m, 2^q) stack and handed out as read-only views of it
+    (`ProductBlock.stacked`, one norm check for the whole stack); an
     entangled response stays coupled to its mask register unless `unmask`
     is set (randomness-masked responses always come back unmasked).
 
@@ -259,9 +265,8 @@ def _collect_blocks(oracle, m, count, rng, entangled, unmask):
         raise ValueError(f"a {qubits}-qubit copy is above the pure-state cap "
                          f"of {qsim.PURE_QUBIT_CAP} qubits")
     block_masks = not (entangled or w) and type(oracle.tap.strategy) is adv.identity
-    blocks = []
-    for _ in range(count):
-        amps = np.empty((m, 1 << qubits), dtype=complex)
+    stack = np.empty((count, m, 1 << qubits), dtype=complex)
+    for amps in stack:
         masks = rng.integers(0, 1 << n, size=m).tolist() if block_masks else [None] * m
         for row, r in zip(amps, masks):
             if entangled:
@@ -269,8 +274,7 @@ def _collect_blocks(oracle, m, count, rng, entangled, unmask):
                 row[:] = (unmask_entangled(joint, n + w, rng) if unmask else joint).vec
             else:
                 masked_query_phase_randomness(oracle, rng, out=row, r=r)
-        blocks.append(ProductBlock(amps=amps))
-    return blocks
+    return ProductBlock.stacked(stack)
 
 
 def _membership_view(mem: MemOracle, n: int, w: int, m: int, masked: bool):
@@ -314,7 +318,11 @@ def acquire_unidirectional(
     )
     view = _membership_view(mem, n, w, m, masked=False)
     record, out = certify.certify_state_noniid(blocks, view, eps, delta, rng)
-    output = None if out is None else [_delivered(c, n, w) for c in out.copies]
+    output = None
+    if out is not None:
+        # a copy of the output block, so the delivered states do not keep
+        # the whole stack of blocks alive
+        output = [_delivered(c, n, w) for c in ProductBlock(out.amps.copy()).copies]
     return AcquisitionResult(
         accepted=record.accepted, output=output, record=record,
         pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,

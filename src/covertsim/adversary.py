@@ -31,10 +31,20 @@ from .boolfunc import BooleanFunction, parity_fn
 from .qsim import MixedState, PureState
 
 
+# amplitude bytes one tap's measurement memo may hold (the 1 MiB scale of
+# qsim.SIGN_TABLE_QUBITS); a table that would pass it is used once, unkept
+MEASUREMENT_MEMO_BYTES = 1 << 20
+
+
 class TapMemory:
     """Per-trial adversary memory: the adversary-visible event log, one
     event per tap action with what it measured, plus the optional quantum
-    register (swap attack only)."""
+    register (swap attack only).
+
+    It also holds the memo of `measure`: measurement tables keyed by the
+    tapped state's amplitude bytes, the qubits and the basis.
+    `measure_bytes` counts what the kept tables can hold, key bytes and
+    every post-state included, and never passes MEASUREMENT_MEMO_BYTES."""
 
     def __init__(self):
         self.quantum: Optional[PureState] = None
@@ -42,6 +52,24 @@ class TapMemory:
         self.round = 0
         self.extracting = False
         self.events: list[dict] = []  # adversary-visible log
+        self.measure_memo: dict[tuple, qsim.MeasurementTable] = {}
+        self.measure_bytes = 0
+
+    def measure(self, state: PureState, qubits: Sequence[int], basis: str,
+                rng) -> tuple[int, PureState]:
+        """`qsim.measure_qubits` through the memo: the same outcome, post-state
+        bytes and generator state, without rebuilding the table of a state
+        measured before. The post-state is read-only."""
+        key = (state.vec.tobytes(), tuple(qubits), basis)
+        table = self.measure_memo.get(key)
+        if table is None:
+            table = qsim.MeasurementTable(state, key[1], basis)
+            cost = len(key[0]) + table.max_nbytes
+            if self.measure_bytes + cost <= MEASUREMENT_MEMO_BYTES:
+                self.measure_memo[key] = table
+                self.measure_bytes += cost
+        outcome = table.draw(rng)
+        return outcome, table.post(outcome)
 
 
 @dataclass(frozen=True)
@@ -175,7 +203,9 @@ class swap_attack(Strategy):
 class ancilla_free(Strategy):
     """i.i.d. ancilla-free eavesdropper: with probability delta_leak each
     round, measure the first query-register qubit in the Hadamard basis
-    before the oracle and, with extract_post, the whole register after it."""
+    before the oracle and, with extract_post, the whole register after it.
+    Both measurements go through `TapMemory.measure`, so a state the tap
+    saw before reuses its measurement table."""
 
     delta_leak: float
     extract_post: bool = True
@@ -185,13 +215,13 @@ class ancilla_free(Strategy):
         memory.extracting = rng.random() < self.delta_leak
         if not memory.extracting:
             return state
-        bit, post = qsim.measure_qubits(state, [qubits[0]], "X", rng)
+        bit, post = memory.measure(state, [qubits[0]], "X", rng)
         memory.events.append({"round": memory.round, "action": "pre_measure", "bit": bit})
         return post
 
     def response_tap(self, state, qubits, memory, rng):
         if memory.extracting and self.extract_post:
-            bits, post = qsim.measure_qubits(state, list(qubits), "X", rng)
+            bits, post = memory.measure(state, qubits, "X", rng)
             memory.events.append({"round": memory.round, "action": "post_measure", "bits": bits})
             return post
         return state

@@ -12,10 +12,11 @@ Blocks are products of copies (cross-block entanglement never arises for the
 implemented adversaries), so measuring certification blocks leaves the
 output block untouched. A block of m pure copies is one stacked (m, 2^q)
 amplitude array, row j the amplitudes of copy j, its row norms checked once
-when the block is built. A round X-tests one copy and Z-collapses the other
-m - 1 together: one cumulative-sum compare over the block's |amp|^2 rows,
-drawing the same uniforms, in the same order, as collapsing the copies one
-at a time.
+when the block is built; the blocks of one acquisition are read-only views
+of one (count, m, 2^q) stack, checked once for all (`ProductBlock.stacked`).
+A round X-tests one copy and Z-collapses the other m - 1 together: one
+cumulative-sum compare over the block's |amp|^2 rows, drawing the same
+uniforms, in the same order, as collapsing the copies one at a time.
 """
 from __future__ import annotations
 
@@ -60,8 +61,25 @@ class ProductBlock:
     def __init__(self, amps: np.ndarray):
         qsim.check_rows_normalized(amps)
         amps.flags.writeable = False
+        self._hold(amps)
+
+    def _hold(self, amps: np.ndarray) -> None:
         self.amps = amps
         self.m, self.qubits_per_copy = amps.shape[0], amps.shape[1].bit_length() - 1
+
+    @classmethod
+    def stacked(cls, stack: np.ndarray) -> list["ProductBlock"]:
+        """The blocks of a (count, m, 2^q) stack, block j a view of stack[j]:
+        every row is norm-checked in one pass before any block is made, and
+        the stack is made read-only, so each view is too."""
+        if stack.ndim != 3:
+            raise ValueError("a block stack needs shape (count, m, 2^q)")
+        qsim.check_rows_normalized(stack.reshape(-1, stack.shape[-1]))
+        stack.flags.writeable = False
+        blocks = [object.__new__(cls) for _ in range(len(stack))]
+        for block, amps in zip(blocks, stack):
+            block._hold(amps)
+        return blocks
 
     @property
     def n_block(self) -> int:
@@ -147,7 +165,7 @@ def overlap_round(
     m, q = block.m, block.qubits_per_copy
     i = int(rng.integers(m * q)) if qubit is None else qubit
     c, local = divmod(i, q)
-    u_low = rng.random(c)
+    u_low = rng.random(c) if c else ()  # an empty draw leaves the stream as it is
     compact, x_bit = _round_on_copy(block.state(c), local, rng)
     rest = compact << (c * q)
     if m > 1:

@@ -15,8 +15,8 @@ cap and the norm, and so does `apply_unitary`, whose matrix comes from the
 caller. A few outputs are normalized by construction from a state that was
 already checked, and are built by `_trusted` without the norm pass:
 - the +-1 diagonals of `apply_z_mask` and `apply_phase_oracle`;
-- `apply_gate` and the basis rotations of `measure_qubits`, whose matrices
-  are this module's own unitary constants (through `_apply_kernel`);
+- `apply_gate` and the basis rotations of a `MeasurementTable`, whose
+  matrices are this module's own unitary constants (through `_apply_kernel`);
 - the renormalized projection of `_project_z`.
 The diagonals (`z_sign_table`, `z_signs`, `phase_signs`) are complex128
 with +0 imaginary parts: NumPy casts a float operand of a complex product
@@ -375,8 +375,13 @@ def swap_registers(state: PureState, reg_a: Sequence[int], reg_b: Sequence[int])
 
 def sample_index(probs: np.ndarray, rng) -> int:
     """Draw one index from an unnormalized nonnegative weight vector."""
-    cum = np.cumsum(probs)
-    return min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(probs) - 1)
+    return _draw_cumulative(np.cumsum(probs), rng)
+
+
+def _draw_cumulative(cum: np.ndarray, rng) -> int:
+    """`sample_index`'s draw on its cumulative weights: the first index whose
+    cumulative weight exceeds one uniform times the total."""
+    return min(int(cum.searchsorted(rng.random() * cum[-1], side="right")), len(cum) - 1)
 
 
 def _marginal_probs(state: PureState, qubits: Sequence[int]) -> np.ndarray:
@@ -417,34 +422,64 @@ def _project_z(state: PureState, qubits: Sequence[int], outcome: int) -> PureSta
     return _trusted(n, v / nrm)
 
 
+class MeasurementTable:
+    """A projective single-qubit-basis measurement of the listed qubits of a
+    state, before its draw: the amplitudes rotated into the basis (`work`)
+    and the cumulative Z marginal of the outcomes (`cum`), as
+    `sample_index` builds it. `draw` takes one `rng.random()`; each
+    outcome's post-state is built on its first `post` call and kept,
+    read-only. Bit j of an outcome belongs to qubits[j], with 0 the +1
+    eigenvalue (e.g. '+' for the X basis)."""
+
+    __slots__ = ("qubits", "basis", "work", "cum", "posts")
+
+    def __init__(self, state: PureState, qubits: Sequence[int], basis: str):
+        if basis not in BASIS_V:
+            raise ValueError(f"unknown basis {basis!r}")
+        n = state.n
+        _check_qubits(n, qubits)
+        if basis != "Z":
+            vec = state.vec
+            for q in qubits:
+                vec = _apply_kernel(vec, n, BASIS_V_DAGGER[basis], [q])
+            state = _trusted(n, vec)
+        self.qubits, self.basis, self.work = qubits, basis, state
+        self.cum = np.cumsum(_marginal_probs(state, qubits))
+        self.posts: dict[int, PureState] = {}
+
+    def draw(self, rng) -> int:
+        return _draw_cumulative(self.cum, rng)
+
+    def post(self, outcome: int) -> PureState:
+        post = self.posts.get(outcome)
+        if post is None:
+            n, vec = self.work.n, _project_z(self.work, self.qubits, outcome).vec
+            if self.basis != "Z":
+                for q in self.qubits:
+                    vec = _apply_kernel(vec, n, BASIS_V[self.basis], [q])
+            vec.flags.writeable = False
+            post = self.posts[outcome] = _trusted(n, vec)
+        return post
+
+    @property
+    def max_nbytes(self) -> int:
+        """Bytes the table holds once every outcome's post-state is built."""
+        return self.work.vec.nbytes * (1 + len(self.cum)) + self.cum.nbytes
+
+
 def measure_qubits(
     state: PureState, qubits: Sequence[int], basis: str, rng
 ) -> tuple[int, PureState]:
-    """Projective single-qubit-basis measurement of the listed qubits.
+    """Projective single-qubit-basis measurement of the listed qubits: a
+    `MeasurementTable` and its one draw.
 
     Returns (outcome, post-state); bit j of the outcome belongs to qubits[j],
     with 0 the +1 eigenvalue (e.g. '+' for the X basis). Deterministic given
     the rng state.
     """
-    if basis not in BASIS_V:
-        raise ValueError(f"unknown basis {basis!r}")
-    n = state.n
-    _check_qubits(n, qubits)
-    v, v_dagger = BASIS_V[basis], BASIS_V_DAGGER[basis]
-    work = state
-    if basis != "Z":
-        vec = work.vec
-        for q in qubits:
-            vec = _apply_kernel(vec, n, v_dagger, [q])
-        work = _trusted(n, vec)
-    outcome = sample_index(_marginal_probs(work, qubits), rng)
-    post = _project_z(work, qubits, outcome)
-    if basis != "Z":
-        vec = post.vec
-        for q in qubits:
-            vec = _apply_kernel(vec, n, v, [q])
-        post = _trusted(n, vec)
-    return outcome, post
+    table = MeasurementTable(state, qubits, basis)
+    outcome = table.draw(rng)
+    return outcome, table.post(outcome)
 
 
 def remove_qubits(state: PureState, qubits: Sequence[int], outcome: int) -> PureState:

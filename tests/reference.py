@@ -60,22 +60,67 @@ def sample_index_clipped(probs: np.ndarray, rng) -> int:
     return int(np.searchsorted(cum, rng.random() * cum[-1], side="right").clip(0, len(probs) - 1))
 
 
+def rotated_moveaxis(state: qsim.PureState, qubits: Sequence[int], basis: str) -> qsim.PureState:
+    """The listed qubits rotated into the measurement basis by checked
+    single-qubit unitaries."""
+    for q in qubits if basis != "Z" else ():
+        state = qsim.apply_unitary(state, qsim.BASIS_V_DAGGER[basis], [q])
+    return state
+
+
+def post_state_moveaxis(state: qsim.PureState, qubits: Sequence[int], basis: str,
+                        outcome: int) -> np.ndarray:
+    """Amplitudes after measuring the listed qubits with `outcome`: checked
+    basis rotations around the sliced projection."""
+    work = rotated_moveaxis(state, qubits, basis)
+    post = qsim.PureState(state.n, project_z_sliced(work, qubits, outcome))
+    for q in qubits if basis != "Z" else ():
+        post = qsim.apply_unitary(post, qsim.BASIS_V[basis], [q])
+    return post.vec
+
+
 def measure_qubits_moveaxis(state: qsim.PureState, qubits: Sequence[int], basis: str,
                             rng) -> tuple[int, np.ndarray]:
     """qsim.measure_qubits by the forms above: checked basis rotations, the
     moveaxis marginal clipped at 0, the clipped draw and the sliced
     projection."""
+    probs = np.clip(marginal_probs_moveaxis(rotated_moveaxis(state, qubits, basis), qubits),
+                    0.0, None)
+    outcome = sample_index_clipped(probs, rng)
+    return outcome, post_state_moveaxis(state, qubits, basis, outcome)
+
+
+def measure_qubits_rotate_project(state: qsim.PureState, qubits: Sequence[int], basis: str,
+                                  rng) -> tuple[int, qsim.PureState]:
+    """qsim.measure_qubits as one body, without a measurement table: rotate
+    each listed qubit into the basis, draw the outcome from the Z marginal
+    with sample_index, project, and rotate back."""
+    if basis not in qsim.BASIS_V:
+        raise ValueError(f"unknown basis {basis!r}")
+    n = state.n
+    qsim._check_qubits(n, qubits)
+    v, v_dagger = qsim.BASIS_V[basis], qsim.BASIS_V_DAGGER[basis]
     work = state
     if basis != "Z":
+        vec = work.vec
         for q in qubits:
-            work = qsim.apply_unitary(work, qsim.BASIS_V_DAGGER[basis], [q])
-    probs = np.clip(marginal_probs_moveaxis(work, qubits), 0.0, None)
-    outcome = sample_index_clipped(probs, rng)
-    post = qsim.PureState(state.n, project_z_sliced(work, qubits, outcome))
+            vec = qsim._apply_kernel(vec, n, v_dagger, [q])
+        work = qsim._trusted(n, vec)
+    outcome = qsim.sample_index(qsim._marginal_probs(work, qubits), rng)
+    post = qsim._project_z(work, qubits, outcome)
     if basis != "Z":
+        vec = post.vec
         for q in qubits:
-            post = qsim.apply_unitary(post, qsim.BASIS_V[basis], [q])
-    return outcome, post.vec
+            vec = qsim._apply_kernel(vec, n, v, [q])
+        post = qsim._trusted(n, vec)
+    return outcome, post
+
+
+def measure_unmemoised(memory, state: qsim.PureState, qubits: Sequence[int], basis: str,
+                       rng) -> tuple[int, qsim.PureState]:
+    """adversary.TapMemory.measure without its memo: a fresh
+    qsim.measure_qubits on every call."""
+    return qsim.measure_qubits(state, list(qubits), basis, rng)
 
 
 def z_signs_float(n: int, mask: int) -> np.ndarray:

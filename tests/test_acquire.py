@@ -255,6 +255,45 @@ class TestStackedBlocks:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@dataclass(frozen=True)
+class stretch_round_four(adv.Strategy):
+    """Test-only tap: the response of round 4 comes back unnormalized."""
+
+    def response_tap(self, state, qubits, memory, rng):
+        return qsim._trusted(state.n, state.vec * 1.01) if memory.round == 4 else state
+
+
+class TestBlockStack:
+    @pytest.mark.parametrize("entangled", [False, True])
+    def test_unnormalized_copy_is_refused_after_the_stack_is_filled(self, entangled):
+        # the stack is checked once, so the queries all run, and no block is
+        # handed out
+        f = bf.random_truth_table(2, np.random.default_rng(34))
+        oracle = phase_oracle(f, stretch_round_four())
+        with pytest.raises(ValueError, match="not normalized"):
+            acquire._collect_blocks(oracle, 2, 5, np.random.default_rng(35),
+                                    entangled=entangled, unmask=False)
+        assert oracle.count == 10
+
+    def test_collected_blocks_share_one_read_only_stack(self):
+        f = bf.random_truth_table(3, np.random.default_rng(36))
+        blocks = acquire._collect_blocks(phase_oracle(f, adv.ancilla_free(0.5)), 2, 4,
+                                         np.random.default_rng(37),
+                                         entangled=True, unmask=False)
+        base = blocks[0].amps.base
+        assert base.shape == (4, 2, 64) and not base.flags.writeable
+        assert all(b.amps.base is base for b in blocks)
+
+    def test_delivered_copies_do_not_hold_the_stack(self):
+        # the output block is copied out, so the other blocks can be freed
+        f = bf.random_truth_table(3, np.random.default_rng(38))
+        res = acquire.acquire_unidirectional(phase_oracle(f), oracles.MemOracle(f), 4,
+                                             0.1, 0.1, np.random.default_rng(39), n_blocks=5)
+        assert res.accepted
+        bases = {id(c.vec.base) for c in res.output}
+        assert len(bases) == 1 and res.output[0].vec.base.shape == (4, 8)
+
+
 class TestCoupledPair:
     def test_pair_is_the_phase_state_of_the_inner_product(self):
         # amplitude of |r> (mask, low) |x> (query, high) is 2^-n (-1)^{r.x}

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from covertsim import adversary as adv
+from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
+from covertsim import experiments as exp
 from covertsim import oracles, qsim
-from reference import extract_product_register_eigh
+from reference import extract_product_register_eigh, measure_unmemoised
 
 
 def masked_query_roundtrip(f, n, strategy, rng):
@@ -174,6 +175,92 @@ class TestAncillaFree:
             assert qsim.schmidt_rank(after, q_reg) <= 1 << (n - 1)
             local = qsim.apply_hadamards(after, q_reg)
             assert qsim.schmidt_rank(local, q_reg) <= 1 << (n - 1)
+
+
+def tapped_queries(strategy, n, mode, queries, seed):
+    """Masked queries through one ancilla-free tapped oracle: every response's
+    bytes, the generator state after it, and the tap's memory."""
+    rng = np.random.default_rng(seed)
+    oracle = oracles.QuantumChannelOracle(bf.random_truth_table(n, rng), "QPh", strategy)
+    query = (acquire.masked_query_phase_entangled if mode == "entangled"
+             else acquire.masked_query_phase_randomness)
+    trace = []
+    for _ in range(queries):
+        got = query(oracle, rng)
+        trace.append((got.vec.tobytes(), rng.bit_generator.state["state"]["state"]))
+    return trace, oracle.tap.memory
+
+
+class TestMeasurementMemo:
+    @pytest.mark.parametrize("mode", ["entangled", "randomness"])
+    def test_memoised_tap_equals_one_without_the_memo(self, mode, monkeypatch):
+        # 1,200 rounds per mode over n = 1..3, both leak rates and both
+        # extract_post settings: the same events, response bytes and
+        # generator states as a fresh measure_qubits per measurement
+        cases = [(adv.ancilla_free(leak, extract_post=post), n, 100, 40 + n)
+                 for n in (1, 2, 3) for leak in (0.5, 1.0) for post in (True, False)]
+        memoised = [tapped_queries(s, n, mode, q, seed) for s, n, q, seed in cases]
+        monkeypatch.setattr(adv.TapMemory, "measure", measure_unmemoised)
+        fresh = [tapped_queries(s, n, mode, q, seed) for s, n, q, seed in cases]
+        rounds = 0
+        for (trace, memory), (want, want_memory) in zip(memoised, fresh):
+            assert trace == want
+            assert memory.events == want_memory.events and memory.events
+            assert want_memory.measure_memo == {} and memory.measure_memo
+            rounds += len(trace)
+        assert rounds == 1200
+
+    def test_memo_keys_on_the_qubits_and_the_basis(self):
+        # one state measured on two registers in each basis: six tables, and
+        # every draw as a fresh measure_qubits makes it
+        psi = random_state(3, np.random.default_rng(41))
+        memory = adv.TapMemory()
+        rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+        for _ in range(20):
+            for qubits in ([0], [2, 1]):
+                for basis in ("X", "Y", "Z"):
+                    outcome, post = memory.measure(psi, qubits, basis, rng_a)
+                    want, want_post = qsim.measure_qubits(psi, qubits, basis, rng_b)
+                    assert outcome == want and post.vec.tobytes() == want_post.vec.tobytes()
+        assert len(memory.measure_memo) == 6
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_an_acquire_af_trial_needs_three_tables(self):
+        # every entangled query sends the same coupled pair: one table before
+        # the oracle, one after it per pre-measurement outcome
+        rng = np.random.default_rng(606)
+        f = bf.random_truth_table(3, rng)
+        oracle = oracles.QuantumChannelOracle(f, "QPh", adv.ancilla_free(0.5))
+        acquire.acquire_ancilla_free(oracle, oracles.MemOracle(f), 1, 0.1, 0.1, 0.5, rng)
+        memo = oracle.tap.memory.measure_memo
+        assert oracle.count == 361 and len(memo) == 3
+        assert sum(len(t.posts) for t in memo.values()) <= 18
+        assert oracle.tap.memory.measure_bytes == sum(
+            len(key[0]) + t.max_nbytes for key, t in memo.items())
+
+    def test_memo_stays_under_its_bound(self, monkeypatch):
+        # randomness-mode acquire-uni at n = 6: the distinct registers' tables
+        # would pass the bound, so the memo stops admitting, the bytes it
+        # holds never pass the bound, and the records equal a memo-less run
+        cfg = exp.ExperimentConfig(
+            scenario="acquire-uni", params={"n": 6, "m": 8, "n_blocks": 20},
+            adversary={"kind": "ancilla_free", "delta_leak": 0.5}, seed=22)
+        measure = adv.TapMemory.measure
+        seen, held = {}, []  # each trial's memory -> the registers it measured
+
+        def watched(memory, state, qubits, basis, rng):
+            out = measure(memory, state, qubits, basis, rng)
+            seen.setdefault(memory, set()).add((state.vec.tobytes(), tuple(qubits), basis))
+            held.append(memory.measure_bytes)
+            return out
+
+        monkeypatch.setattr(adv.TapMemory, "measure", watched)
+        records = [exp.run_trial(cfg, t) for t in range(2)]
+        assert len(seen) == 2 and max(held) <= adv.MEASUREMENT_MEMO_BYTES
+        # each trial saw more registers than its memo kept tables for
+        assert all(len(keys) > len(memory.measure_memo) for memory, keys in seen.items())
+        monkeypatch.setattr(adv.TapMemory, "measure", measure_unmemoised)
+        assert records == [exp.run_trial(cfg, t) for t in range(2)]
 
 
 class TestSwapAttack:

@@ -181,6 +181,43 @@ class TestStackedBlock:
             certify.ProductBlock(amps=amps[:, :6])
 
 
+class TestBlockStack:
+    def test_an_empty_draw_leaves_the_generator_state(self):
+        # overlap_round skips rng.random(0) when copy 0 takes the X test
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rng.random(seed)
+            before = rng.bit_generator.state
+            assert rng.random(0).shape == (0,)
+            assert rng.bit_generator.state == before
+
+    def test_bad_row_anywhere_is_refused_before_any_block(self):
+        rng = np.random.default_rng(23)
+        stack = np.stack([[random_pure(3, rng).vec for _ in range(2)] for _ in range(4)])
+        for j in range(4):
+            for k in range(2):
+                bad = stack.copy()
+                bad[j, k] *= 1.001
+                with pytest.raises(ValueError, match="not normalized"):
+                    certify.ProductBlock.stacked(bad)
+                assert bad.flags.writeable  # refused before it was frozen
+        with pytest.raises(ValueError, match="shape"):
+            certify.ProductBlock.stacked(stack[0])
+
+    def test_blocks_are_read_only_views_of_one_stack(self):
+        rng = np.random.default_rng(24)
+        stack = np.stack([[random_pure(3, rng).vec for _ in range(2)] for _ in range(4)])
+        want = stack.copy()
+        blocks = certify.ProductBlock.stacked(stack)
+        assert len(blocks) == 4 and not stack.flags.writeable
+        for j, block in enumerate(blocks):
+            assert block.amps.base is stack and not block.amps.flags.writeable
+            assert (block.m, block.qubits_per_copy, block.n_block) == (2, 3, 6)
+            assert block.amps.tobytes() == want[j].tobytes()
+            with pytest.raises(ValueError):
+                block.amps[0, 0] = 0
+
+
 class TestIidEstimator:
     def test_copy_count_formulas(self):
         assert certify.iid_copy_count(4, 0.2, 0.05) == math.ceil(

@@ -16,8 +16,11 @@ from reference import (
     apply_unitary_moveaxis,
     marginal_probs_moveaxis,
     measure_qubits_moveaxis,
+    measure_qubits_rotate_project,
     phase_signs_float,
+    post_state_moveaxis,
     project_z_sliced,
+    rotated_moveaxis,
     round_on_copy_indexed,
     sample_index_clipped,
     z_signs_float,
@@ -211,6 +214,67 @@ def test_measurement_equals_moveaxis_reference(n, seed, sparse):
             assert outcome == want_outcome, (basis, qubits)
             assert same_bytes(post.vec, want_vec), (basis, qubits)
             assert rng_got.random() == rng_want.random()
+
+
+def measured_states(n: int) -> dict[str, qsim.PureState]:
+    """A random state, a sparse one (exact zeros) and a real one."""
+    rng = np.random.default_rng(700 + n)
+    real = rng.normal(size=1 << n)
+    real[rng.random(1 << n) < 0.3] = 0.0
+    real[0] = 1.0
+    return {"random": random_state(n, 600 + n, False),
+            "sparse": random_state(n, 650 + n, True),
+            "real": qsim.PureState(n, (real / np.linalg.norm(real)).astype(complex))}
+
+
+def measured_registers(n: int) -> list[list[int]]:
+    """Every single qubit, every top-k register and one non-contiguous pair."""
+    return ([[q] for q in range(n)] + [list(range(n - k, n)) for k in range(2, n + 1)]
+            + ([[0, 2]] if n >= 3 else []))
+
+
+@pytest.mark.parametrize("basis", ["X", "Y", "Z"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_measurement_table_and_draw_equal_both_references(n, basis):
+    # measure_qubits (a table and its draw) against the moveaxis form and
+    # against the one-body form it replaced: the outcome, the post-state's
+    # bytes and the generator's end state
+    for kind, psi in measured_states(n).items():
+        for qubits in measured_registers(n):
+            for seed in range(3):
+                rngs = [np.random.default_rng(seed) for _ in range(3)]
+                outcome, post = qsim.measure_qubits(psi, qubits, basis, rngs[0])
+                old_outcome, old_post = measure_qubits_rotate_project(psi, qubits, basis, rngs[1])
+                ref_outcome, ref_vec = measure_qubits_moveaxis(psi, qubits, basis, rngs[2])
+                case = (kind, qubits, seed)
+                assert outcome == old_outcome == ref_outcome, case
+                assert same_bytes(post.vec, old_post.vec), case
+                assert same_bytes(post.vec, ref_vec), case
+                states = [r.bit_generator.state for r in rngs]
+                assert states[0] == states[1] == states[2], case
+
+
+@pytest.mark.parametrize("basis", ["X", "Y", "Z"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_measurement_table_posts_every_outcome(n, basis):
+    # one table: its cumulative marginal is the reference's, every outcome of
+    # nonzero weight has the reference post-state (built once, read-only),
+    # and a zero-weight outcome is refused as the reference refuses it
+    for kind, psi in measured_states(n).items():
+        for qubits in measured_registers(n):
+            table = qsim.MeasurementTable(psi, qubits, basis)
+            probs = marginal_probs_moveaxis(rotated_moveaxis(psi, qubits, basis), qubits)
+            assert same_bytes(table.cum, np.cumsum(probs)), (kind, qubits)
+            for outcome, p in enumerate(probs):
+                if p < 1e-24:
+                    with pytest.raises(ValueError):
+                        table.post(outcome)
+                    continue
+                post = table.post(outcome)
+                want = post_state_moveaxis(psi, qubits, basis, outcome)
+                assert same_bytes(post.vec, want), (kind, qubits, outcome)
+                assert table.post(outcome) is post and not post.vec.flags.writeable
+            assert table.max_nbytes == psi.vec.nbytes * (1 + len(probs)) + table.cum.nbytes
 
 
 @pytest.mark.parametrize("n, seed, sparse", CASES)
