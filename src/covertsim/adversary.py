@@ -31,8 +31,9 @@ from .boolfunc import BooleanFunction, parity_fn
 from .qsim import MixedState, PureState
 
 
-# amplitude bytes one tap's measurement memo may hold (the 1 MiB scale of
-# qsim.SIGN_TABLE_QUBITS); a table that would pass it is used once, unkept
+# amplitude bytes one tap's measurement memo, or one QPh oracle's response
+# memo (oracles.QuantumChannelOracle), may hold (the 1 MiB scale of
+# qsim.SIGN_TABLE_QUBITS); an entry that would pass it is used once, unkept
 MEASUREMENT_MEMO_BYTES = 1 << 20
 
 

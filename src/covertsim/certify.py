@@ -14,9 +14,10 @@ output block untouched. A block of m pure copies is one stacked (m, 2^q)
 amplitude array, row j the amplitudes of copy j, its row norms checked once
 when the block is built; the blocks of one acquisition are read-only views
 of one (count, m, 2^q) stack, checked once for all (`ProductBlock.stacked`).
-A round X-tests one copy and Z-collapses the other m - 1 together: one
-cumulative-sum compare over the block's |amp|^2 rows, drawing the same
-uniforms, in the same order, as collapsing the copies one at a time.
+A round X-tests one copy and Z-collapses the other m - 1 together, drawing
+the same uniforms, in the same order, as collapsing the copies one at a
+time: rows equal to row 0 share its cumulative |amp|^2 sum and one
+searchsorted, and only the other rows are summed one by one.
 """
 from __future__ import annotations
 
@@ -94,12 +95,6 @@ class ProductBlock:
     def copies(self) -> list:
         return [self.state(j) for j in range(self.m)]
 
-    def z_probs(self) -> np.ndarray:
-        """(m, 2^q) computational-basis distributions of the copies, as a
-        new array."""
-        probs = np.abs(self.amps)
-        return np.square(probs, out=probs)
-
 
 @dataclass
 class OverlapRound:
@@ -170,9 +165,7 @@ def overlap_round(
     rest = compact << (c * q)
     if m > 1:
         u = np.concatenate((u_low, [0.0], rng.random(m - 1 - c)))
-        cum = block.z_probs()
-        np.cumsum(cum, axis=1, out=cum)
-        hits = (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
+        hits = _z_collapse(block.amps, u)
         outcomes = np.minimum(hits, (1 << q) - 1).tolist()
         for j, z in enumerate(outcomes):
             if j != c:
@@ -183,6 +176,25 @@ def overlap_round(
     f0 = mem_view.query(y0)
     f1 = mem_view.query(y1)
     return OverlapRound(qubit=i, rest_bits=rest, x_bit=x_bit, f0=f0, f1=f1)
+
+
+def _z_collapse(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row j of the (m, 2^q) block amplitudes, the number of cumulative
+    |amp|^2 weights at most u[j] times the row's total. A row that compares
+    equal to row 0 (so a signed zero matches either sign) has bit-equal
+    weights, and a cumulative sum of nonnegative terms never decreases, so
+    its count is a right searchsorted in row 0's sum."""
+    cum0 = np.abs(amps[0])
+    np.cumsum(np.square(cum0, out=cum0), out=cum0)
+    hits = cum0.searchsorted(u * cum0[-1], side="right")
+    # complex == is == on both parts; compared as float64 parts it is faster
+    parts = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
+    other = np.flatnonzero(~(parts == parts[0]).all(axis=1))
+    if len(other):
+        cum = np.abs(amps[other])
+        np.cumsum(np.square(cum, out=cum), axis=1, out=cum)
+        hits[other] = (cum <= (u[other] * cum[:, -1])[:, None]).sum(axis=1)
+    return hits
 
 
 def overlap_scores_iid_fast(

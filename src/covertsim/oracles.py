@@ -267,6 +267,12 @@ class MemOracle(Oracle):
         return y
 
 
+def _check_view_input(x: int, n: int) -> None:
+    """A view's own domain check, in `evaluate`'s words, before any base query."""
+    if x >> n:  # also -1 for any negative x
+        raise ValueError(f"input {x} is outside [0, 2^{n})")
+
+
 class TensorMemView:
     """Membership view of f^(x)m: one view query costs m base queries."""
 
@@ -277,11 +283,13 @@ class TensorMemView:
         self.n = m * n_base
 
     def query(self, x: int) -> int:
+        _check_view_input(x, self.n)
+        query, n_base = self.base.query, self.n_base
+        mask = (1 << n_base) - 1
         acc = 0
-        mask = (1 << self.n_base) - 1
         for _ in range(self.m):
-            acc ^= self.base.query(x & mask)
-            x >>= self.n_base
+            acc ^= query(x & mask)
+            x >>= n_base
         return acc
 
 
@@ -297,6 +305,7 @@ class MaskedMemView:
         self.n = 2 * n
 
     def query(self, z: int) -> int:
+        _check_view_input(z, self.n)
         r = z & ((1 << self.n_base) - 1)
         x = z >> self.n_base
         return dot(r, x) ^ self.base.query(x)
@@ -311,6 +320,7 @@ class ExampleMemView:
         self._n_in = n
 
     def query(self, z: int) -> int:
+        _check_view_input(z, self.n)
         x = z & ((1 << self._n_in) - 1)
         y = z >> self._n_in
         return dot(y, self.base.query(x))
@@ -534,6 +544,12 @@ class QuantumChannelOracle(Oracle):
         self.tap = TapChannel(strategy)
         # (state qubits, in_qubits) -> the QPh oracle's sign vector there
         self._phase_signs: dict[tuple, np.ndarray] = {}
+        # (id of a read-only sent state, in_qubits) -> (that state, its
+        # read-only QPh response); holding the state keeps its id from being
+        # reused. `response_bytes` counts the responses' amplitude bytes and
+        # never passes adversary.MEASUREMENT_MEMO_BYTES
+        self.responses: dict[tuple, tuple[PureState, PureState]] = {}
+        self.response_bytes = 0
 
     def query(
         self,
@@ -543,7 +559,14 @@ class QuantumChannelOracle(Oracle):
         rng=None,
     ) -> PureState:
         """Tap -> oracle unitary -> tap round trip on the designated register;
-        registers that miss f's signature are refused before the tap runs."""
+        registers that miss f's signature are refused before the tap runs.
+
+        A QPh query no tap acts on, of a read-only state of at most
+        qsim.SIGN_TABLE_QUBITS qubits (a row of acquire's shared mask
+        tables), is answered from the response memo: the same amplitudes
+        `qsim.apply_phase_oracle` gives, read-only. The count, the tap's
+        round, the transcript entry and any response tap run as on any
+        other query."""
         out_qubits = list(out_qubits) if out_qubits else []
         if len(in_qubits) != self.f.n or len(out_qubits) != self.out_width:
             raise ValueError(f"a {self.kind} query needs {self.f.n} in and "
@@ -556,11 +579,11 @@ class QuantumChannelOracle(Oracle):
         if self.kind == "QPh":
             # a range is hashable as it is; any other register is keyed as a tuple
             key = in_qubits if type(in_qubits) is range else tuple(in_qubits)
-            signs = self._phase_signs.get((state.n, key))
-            if signs is None:
-                signs = self._phase_signs[state.n, key] = qsim.phase_signs(
-                    self.f, state.n, key)
-            state = qsim.apply_phase_oracle(state, self.f, in_qubits, signs)
+            if (tap.taps_query or state.vec.flags.writeable
+                    or state.n > qsim.SIGN_TABLE_QUBITS):
+                state = self._phase_response(state, key)
+            else:
+                state = self._memoised_response(state, key)
         else:
             state = qsim.apply_qmem_oracle(state, self.f, in_qubits, out_qubits)
         if tap.taps_response:
@@ -572,3 +595,21 @@ class QuantumChannelOracle(Oracle):
             self._log({"in_qubits": list(in_qubits), "out_qubits": out_qubits or None},
                       "roundtrip")
         return state
+
+    def _phase_response(self, state: PureState, key) -> PureState:
+        signs = self._phase_signs.get((state.n, key))
+        if signs is None:
+            signs = self._phase_signs[state.n, key] = qsim.phase_signs(self.f, state.n, key)
+        return qsim.apply_phase_oracle(state, self.f, key, signs)
+
+    def _memoised_response(self, state: PureState, key) -> PureState:
+        hit = self.responses.get((id(state), key))
+        if hit is not None:
+            return hit[1]
+        response = self._phase_response(state, key)
+        response.vec.flags.writeable = False
+        cost = response.vec.nbytes
+        if self.response_bytes + cost <= adv.MEASUREMENT_MEMO_BYTES:
+            self.responses[id(state), key] = (state, response)
+            self.response_bytes += cost
+        return response

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from covertsim import boolfunc as bf
-from covertsim import covertsq, oracles, qsim
+from covertsim import certify, covertsq, oracles, qsim
 
 
 def apply_unitary_moveaxis(state: qsim.PureState, u: np.ndarray,
@@ -153,6 +153,29 @@ def round_on_copy_indexed(copy: qsim.PureState, local: int, rng) -> tuple[int, i
     j = sample_index_clipped(p_pair, rng)
     p_plus = plus_mass[j] / p_pair[j] if p_pair[j] > 0 else 0.5
     return j, int(rng.random() >= min(1.0, p_plus))
+
+
+def overlap_round_all_rows(block: certify.ProductBlock, mem_view, rng,
+                           qubit=None) -> certify.OverlapRound:
+    """certify.overlap_round with every untested copy collapsed by its own
+    row of one cumulative-sum compare over the block's |amp|^2 rows."""
+    m, q = block.m, block.qubits_per_copy
+    i = int(rng.integers(m * q)) if qubit is None else qubit
+    c, local = divmod(i, q)
+    u_low = rng.random(c) if c else ()
+    compact, x_bit = certify._round_on_copy(block.state(c), local, rng)
+    rest = compact << (c * q)
+    if m > 1:
+        u = np.concatenate((u_low, [0.0], rng.random(m - 1 - c)))
+        cum = np.square(np.abs(block.amps))
+        np.cumsum(cum, axis=1, out=cum)
+        hits = (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
+        for j, z in enumerate(np.minimum(hits, (1 << q) - 1).tolist()):
+            if j != c:
+                rest |= z << (j * q - (j > c))
+    f0 = mem_view.query(certify._insert_bit(rest, i, 0))
+    f1 = mem_view.query(certify._insert_bit(rest, i, 1))
+    return certify.OverlapRound(qubit=i, rest_bits=rest, x_bit=x_bit, f0=f0, f1=f1)
 
 
 def phi_double_sum(f: bf.BooleanFunction, g: bf.BooleanFunction) -> float:

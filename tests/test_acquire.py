@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -326,6 +327,151 @@ class TestCoupledPair:
         for oracle in (phase, qmem):  # the taps measured every query
             assert len(oracle.tap.memory.events) == 20
         assert acquire._coupled_pair(3) is pair and pair.vec.tobytes() == before
+
+
+def kind_strategy(kind):
+    """The adversary of `kind`, each required field (a probability) at 1/2."""
+    cls = adv.KINDS[kind]
+    return cls(**{f.name: 0.5 for f in dataclasses.fields(cls)
+                  if f.default is dataclasses.MISSING})
+
+
+def bypass_response_memo(monkeypatch):
+    """Send writeable copies of acquire's shared sent states, which the QPh
+    response memo never keeps."""
+    phase_mask, coupled_pair = acquire._phase_mask, acquire._coupled_pair
+
+    def fresh_mask(n, r):
+        state, signs = phase_mask(n, r)
+        return qsim.PureState(n, state.vec.copy()), signs
+
+    def fresh_pair(n):
+        pair = coupled_pair(n)
+        return qsim.PureState(pair.n, pair.vec.copy())
+
+    monkeypatch.setattr(acquire, "_phase_mask", fresh_mask)
+    monkeypatch.setattr(acquire, "_coupled_pair", fresh_pair)
+
+
+def acquisition_outcome(res):
+    output = res.output and [c.vec.tobytes() for c in res.output]
+    return (res.accepted, res.record, res.pub_queries, res.pri_queries,
+            res.blocks_used, res.paper_blocks, output)
+
+
+class TestResponseMemo:
+    ACQUISITIONS = {
+        "randomness": lambda o, mem, rng: acquire.acquire_unidirectional(
+            o, mem, 2, 0.1, 0.1, rng, n_blocks=6, mode="randomness"),
+        "entangled": lambda o, mem, rng: acquire.acquire_unidirectional(
+            o, mem, 2, 0.1, 0.1, rng, n_blocks=6, mode="entangled"),
+        "ancilla-free": lambda o, mem, rng: acquire.acquire_ancilla_free(
+            o, mem, 2, 0.1, 0.1, 0.5, rng, n_blocks=6),
+    }
+
+    @pytest.mark.parametrize("acquisition", list(ACQUISITIONS))
+    @pytest.mark.parametrize("kind", sorted(adv.KINDS))
+    def test_memoised_run_equals_a_run_without_it(self, kind, acquisition, monkeypatch):
+        # the same records, transcript, tap events, counts, tap rounds and
+        # generator state; only taps that leave the query alone fill the memo
+        f = bf.random_truth_table(3, np.random.default_rng(41))
+
+        def run():
+            oracle = oracles.QuantumChannelOracle(f, "QPh", kind_strategy(kind),
+                                                  transcript=oracles.Transcript())
+            mem, rng = oracles.MemOracle(f), np.random.default_rng(42)
+            try:
+                outcome = acquisition_outcome(self.ACQUISITIONS[acquisition](oracle, mem, rng))
+            except RuntimeError as e:  # the swap attack faults on entangled registers
+                outcome = repr(e)
+            return oracle, mem, rng, outcome
+
+        memoised = run()
+        bypass_response_memo(monkeypatch)
+        plain = run()
+        (oracle_a, mem_a, rng_a, got), (oracle_b, mem_b, rng_b, want) = memoised, plain
+        assert got == want
+        assert oracle_a.transcript.events == oracle_b.transcript.events
+        assert oracle_a.tap.memory.events == oracle_b.tap.memory.events
+        assert oracle_a.count == oracle_b.count and mem_a.count == mem_b.count
+        assert oracle_a.tap.memory.round == oracle_b.tap.memory.round == oracle_a.count
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert oracle_b.responses == {} and oracle_b.response_bytes == 0
+        assert bool(oracle_a.responses) == (not oracle_a.tap.taps_query)
+        for sent, response in oracle_a.responses.values():
+            assert not sent.vec.flags.writeable and not response.vec.flags.writeable
+
+    def test_memoised_response_is_the_oracle_response_read_only(self):
+        n = 4
+        f = bf.random_truth_table(n, np.random.default_rng(43))
+        oracle = phase_oracle(f)
+        for r in (0, 5, 5, 0, 9):
+            sent = acquire._phase_mask(n, r)[0]
+            got = oracle.query(sent, range(n))
+            want = qsim.apply_phase_oracle(sent, f, range(n))
+            assert got.vec.tobytes() == want.vec.tobytes()
+            assert not got.vec.flags.writeable
+            assert oracle.responses[id(sent), range(n)][1] is got
+        assert len(oracle.responses) == 3 and oracle.count == 5
+        assert oracle.response_bytes == 3 * 16 << n
+        # another register of the same state is a separate entry
+        oracle.query(sent, [3, 2, 1, 0])
+        assert (id(sent), (3, 2, 1, 0)) in oracle.responses
+
+    @pytest.mark.parametrize("kind", ["ancilla_free", "swap_attack"])
+    def test_query_taps_never_fill_the_memo(self, kind):
+        n = 3
+        oracle = phase_oracle(bf.random_truth_table(n, np.random.default_rng(44)),
+                              kind_strategy(kind))
+        assert oracle.tap.taps_query
+        rng = np.random.default_rng(45)
+        for r in (1, 1, 2):
+            oracle.query(acquire._phase_mask(n, r)[0], range(n), rng=rng)
+        assert oracle.responses == {} and oracle.count == 3
+
+    def test_writeable_sent_states_never_fill_the_memo(self):
+        n = 3
+        oracle = phase_oracle(bf.random_truth_table(n, np.random.default_rng(46)))
+        sent = qsim.PureState(n, acquire._phase_mask(n, 6)[0].vec.copy())
+        for _ in range(3):
+            assert oracle.query(sent, range(n)).vec.flags.writeable
+        assert oracle.responses == {} and oracle.count == 3
+
+    def test_memo_bytes_stay_within_the_bound(self, monkeypatch):
+        # through a bound of three 4-qubit responses: the rest are answered
+        # as before, unkept, and the kept bytes never pass it
+        n = 4
+        monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", 3 * 16 << n)
+        f = bf.random_truth_table(n, np.random.default_rng(47))
+        oracle = phase_oracle(f)
+        for r in [*range(1 << n), *range(1 << n)]:
+            sent = acquire._phase_mask(n, r)[0]
+            got = oracle.query(sent, range(n))
+            assert got.vec.tobytes() == qsim.apply_phase_oracle(sent, f, range(n)).vec.tobytes()
+            assert oracle.response_bytes <= adv.MEASUREMENT_MEMO_BYTES
+        assert len(oracle.responses) == 3 and oracle.response_bytes == 3 * 16 << n
+
+    def test_largest_shared_table_fits_the_bound(self):
+        # every row of the largest kept mask table: exactly the 1 MiB bound
+        n = qsim.SIGN_TABLE_QUBITS
+        oracle = phase_oracle(bf.random_truth_table(n, np.random.default_rng(48)))
+        for r in range(1 << n):
+            oracle.query(acquire._phase_mask(n, r)[0], range(n))
+        assert len(oracle.responses) == 1 << n
+        assert oracle.response_bytes == adv.MEASUREMENT_MEMO_BYTES
+
+    def test_nothing_is_kept_above_the_sign_table_size(self):
+        n = qsim.SIGN_TABLE_QUBITS + 1
+        f = bf.random_truth_table(n, np.random.default_rng(49))
+        oracle = phase_oracle(f)
+        rng = np.random.default_rng(50)
+        for _ in range(4):
+            acquire.masked_query_phase_randomness(oracle, rng)
+        frozen = qsim.uniform_state(n)
+        frozen.vec.flags.writeable = False
+        oracle.query(frozen, range(n))
+        oracle.query(frozen, range(n))
+        assert oracle.responses == {} and oracle.response_bytes == 0 and oracle.count == 6
 
 
 class TestAcquireUnidirectional:

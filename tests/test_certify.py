@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from covertsim import boolfunc as bf
 from covertsim import certify, oracles, qsim
-from reference import materialize_overlap_observable
+from reference import materialize_overlap_observable, overlap_round_all_rows
 
 
 def block_of(copies):
@@ -216,6 +217,107 @@ class TestBlockStack:
             assert block.amps.tobytes() == want[j].tobytes()
             with pytest.raises(ValueError):
                 block.amps[0, 0] = 0
+
+
+def sparse_pure(n, rng):
+    """A random state with about half its amplitudes exactly zero."""
+    v = random_pure(n, rng).vec
+    v[rng.permutation(1 << n)[: 1 << (n - 1)]] = 0
+    return v / np.linalg.norm(v)
+
+
+def collapse_rows(kind, m, q, rng):
+    """(m, 2^q) block amplitudes of one kind of row pattern."""
+    if kind == "all-equal":
+        return np.tile(random_pure(q, rng).vec, (m, 1))
+    if kind == "all-distinct":
+        return np.stack([random_pure(q, rng).vec for _ in range(m)])
+    if kind == "few-distinct":
+        # three states; row 0's state is shared by other rows or by none
+        states = [random_pure(q, rng).vec for _ in range(3)]
+        pick = rng.integers(3, size=m)
+        if rng.random() < 0.5:
+            pick[1:] = np.where(pick[1:] == pick[0], (pick[0] + 1) % 3, pick[1:])
+        return np.stack([states[k] for k in pick])
+    # signed zeros: every row is row 0 with its zeros' signs flipped at random
+    rows = np.tile(sparse_pure(q, rng), (m, 1))
+    zero = rows == 0
+    rows.real[zero & (rng.random(rows.shape) < 0.5)] = -0.0
+    rows.imag[zero & (rng.random(rows.shape) < 0.5)] = -0.0
+    return rows
+
+
+class TestSharedRowCollapse:
+    KINDS = ("all-equal", "few-distinct", "all-distinct", "signed-zeros")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", (2, 201))
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_round_matches_the_all_rows_form(self, q, m, kind):
+        # the same round fields and the same generator end state as
+        # collapsing every row by its own cumulative sum, with the X-tested
+        # copy first, last and anywhere
+        rng = np.random.default_rng(600 + 10 * q + m)
+        for trial in range(3):
+            amps = collapse_rows(kind, m, q, rng)
+            if kind == "signed-zeros" and q > 1:  # equal rows, unequal bytes
+                assert (amps == amps[0]).all() and amps.tobytes() != np.tile(
+                    amps[0], (m, 1)).tobytes()
+            block = certify.ProductBlock(amps)
+            f = bf.random_truth_table(q, rng)
+            for qubit in (0, q - 1, (m - 1) * q, m * q - 1, None):
+                seed = int(rng.integers(2**32))
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                base_a, base_b = oracles.MemOracle(f), oracles.MemOracle(f)
+                got = certify.overlap_round(
+                    block, oracles.TensorMemView(base_a, m=m, n_base=q), rng_a, qubit)
+                want = overlap_round_all_rows(
+                    block, oracles.TensorMemView(base_b, m=m, n_base=q), rng_b, qubit)
+                assert dataclasses.astuple(got) == dataclasses.astuple(want)
+                assert all(type(v) is int for v in dataclasses.astuple(got))
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+                assert base_a.count == base_b.count == 2 * m
+
+
+    def test_thresholds_on_a_cumulative_weight(self):
+        # uniforms that land exactly on cumulative weights (dyadic weights,
+        # zero-weight plateaus, u = 0): the searchsorted count keeps the
+        # compare's ties, with row 0 shared by some rows, all rows or none
+        half = np.array([0, 0.5, 0, 0.5, 0.5, 0, -0.5, 0], dtype=complex)
+        quarter = np.array([0.5, 0.5j, 0, 0, -0.5, 0, 0, 0.5])
+        assert (np.cumsum(np.abs(half) ** 2) == [0, .25, .25, .5, .75, .75, 1, 1]).all()
+        assert (np.cumsum(np.abs(quarter) ** 2) == [.25, .5, .5, .5, .75, .75, .75, 1]).all()
+        basis = np.zeros(8, dtype=complex)
+        basis[5] = -1
+        f = bf.random_truth_table(3, np.random.default_rng(25))
+        for rows in ([half] * 5, [half, quarter, half, basis, half],
+                     [quarter, half, basis, half, half], [basis] * 5):
+            block = certify.ProductBlock(np.stack(rows))
+            for qubit in range(15):
+                src_a, src_b = ScriptedUniforms(), ScriptedUniforms()
+                got = certify.overlap_round(
+                    block, oracles.TensorMemView(oracles.MemOracle(f), m=5, n_base=3),
+                    src_a, qubit)
+                want = overlap_round_all_rows(
+                    block, oracles.TensorMemView(oracles.MemOracle(f), m=5, n_base=3),
+                    src_b, qubit)
+                assert got == want and src_a.drawn == src_b.drawn
+
+
+class ScriptedUniforms:
+    """A stand-in generator whose uniforms cycle through 0, 1/4, 1/2, 3/4
+    and 1/8: each lands exactly on a dyadic cumulative weight."""
+
+    VALUES = (0.0, 0.25, 0.5, 0.75, 0.125)
+
+    def __init__(self):
+        self.drawn = 0
+
+    def random(self, size=None):
+        count = 1 if size is None else size
+        out = [self.VALUES[(self.drawn + k) % 5] for k in range(count)]
+        self.drawn += count
+        return out[0] if size is None else np.array(out)
 
 
 class TestIidEstimator:

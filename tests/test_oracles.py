@@ -196,6 +196,23 @@ class TestExMemOracles:
             x, y = z & 3, z >> 2
             assert view.query(z) == dot(y, f(x))
 
+    @pytest.mark.parametrize("make, n", [
+        (lambda base: oracles.TensorMemView(base, m=2, n_base=2), 4),
+        (lambda base: oracles.MaskedMemView(base, 2), 4),
+        (lambda base: oracles.ExampleMemView(base, 2, 1), 3),
+    ], ids=["tensor", "masked", "example"])
+    def test_view_query_outside_its_domain_is_refused(self, make, n):
+        # refused in the view's own n, before any base query is charged
+        base = oracles.MemOracle(bf.random_truth_table(2, np.random.default_rng(10)))
+        view = make(base)
+        assert view.n == n
+        for x in (-1, 1 << n):
+            with pytest.raises(ValueError, match=rf"^input {x} is outside \[0, 2\^{n}\)$"):
+                view.query(x)
+        assert base.count == 0
+        view.query((1 << n) - 1)
+        assert base.count > 0
+
 
 class TestQMeasEx:
     def test_multi_copy_weighting(self):
