@@ -247,6 +247,22 @@ def collapse_rows(kind, m, q, rng):
     return rows
 
 
+class ScriptedUniforms:
+    """A stand-in generator whose uniforms cycle through 0, 1/4, 1/2, 3/4
+    and 1/8: each lands exactly on a dyadic cumulative weight."""
+
+    VALUES = (0.0, 0.25, 0.5, 0.75, 0.125)
+
+    def __init__(self):
+        self.drawn = 0
+
+    def random(self, size=None):
+        count = 1 if size is None else size
+        out = [self.VALUES[(self.drawn + k) % 5] for k in range(count)]
+        self.drawn += count
+        return out[0] if size is None else np.array(out)
+
+
 class TestSharedRowCollapse:
     KINDS = ("all-equal", "few-distinct", "all-distinct", "signed-zeros")
 
@@ -258,7 +274,7 @@ class TestSharedRowCollapse:
         # collapsing every row by its own cumulative sum, with the X-tested
         # copy first, last and anywhere
         rng = np.random.default_rng(600 + 10 * q + m)
-        for trial in range(3):
+        for _ in range(3):
             amps = collapse_rows(kind, m, q, rng)
             if kind == "signed-zeros" and q > 1:  # equal rows, unequal bytes
                 assert (amps == amps[0]).all() and amps.tobytes() != np.tile(
@@ -277,7 +293,6 @@ class TestSharedRowCollapse:
                 assert all(type(v) is int for v in dataclasses.astuple(got))
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state
                 assert base_a.count == base_b.count == 2 * m
-
 
     def test_thresholds_on_a_cumulative_weight(self):
         # uniforms that land exactly on cumulative weights (dyadic weights,
@@ -302,22 +317,6 @@ class TestSharedRowCollapse:
                     block, oracles.TensorMemView(oracles.MemOracle(f), m=5, n_base=3),
                     src_b, qubit)
                 assert got == want and src_a.drawn == src_b.drawn
-
-
-class ScriptedUniforms:
-    """A stand-in generator whose uniforms cycle through 0, 1/4, 1/2, 3/4
-    and 1/8: each lands exactly on a dyadic cumulative weight."""
-
-    VALUES = (0.0, 0.25, 0.5, 0.75, 0.125)
-
-    def __init__(self):
-        self.drawn = 0
-
-    def random(self, size=None):
-        count = 1 if size is None else size
-        out = [self.VALUES[(self.drawn + k) % 5] for k in range(count)]
-        self.drawn += count
-        return out[0] if size is None else np.array(out)
 
 
 class TestIidEstimator:
