@@ -224,10 +224,11 @@ class ShadowSet:
 
     The set also caches, per (support, batches) pair, the per-batch counts of
     the support's mixed-radix-6 code (`batch_counts`), so that observables
-    sharing a support share one bincount. Each table has at most `shots`
-    cells, and the cache holds at most n * shots cells in all, as many as
-    `sym` (each cell a float64): a table that would pass that bound clears
-    it first."""
+    sharing a support share one bincount; on a set of at most MAX_LOCALITY
+    qubits the estimator asks for the whole register's counts, which every
+    observable shares. Each table has at most `shots` cells, and the cache
+    holds at most n * shots cells in all, as many as `sym` (each cell a
+    float64): a table that would pass that bound clears it first."""
 
     bases: np.ndarray
     bits: np.ndarray
@@ -247,9 +248,9 @@ class ShadowSet:
             if arr.size and (arr.min() < 0 or arr.max() > top):
                 raise ValueError(f"{name} must lie in 0..{top}")
         bases, bits = bases.astype(np.uint8, copy=False), bits.astype(np.uint8, copy=False)
-        sym = np.array(bases.T, order="C")
-        sym *= 2
-        sym += bits.T
+        sym = bases * np.uint8(2)
+        sym += bits
+        sym = np.ascontiguousarray(sym.T)
         for arr in (bases, bits, sym):
             arr.flags.writeable = False
         object.__setattr__(self, "bases", bases)
@@ -306,6 +307,16 @@ class PauliObservable:
     axes: tuple[tuple[int, int], ...]  # (qubit, axis 0/1/2 = X/Y/Z), sorted
     coefficient: float = 1.0
 
+    def __post_init__(self):
+        qubits, letters = [q for q, _ in self.axes], [a for _, a in self.axes]
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                   for x in qubits + letters):
+            raise ValueError(f"qubits and axes must be integers, got {self.axes}")
+        if any(q < 0 for q in qubits) or any(a >= b for a, b in zip(qubits, qubits[1:])):
+            raise ValueError(f"qubits must be non-negative, distinct and ascending, got {qubits}")
+        if any(a not in (0, 1, 2) for a in letters):
+            raise ValueError(f"axes must lie in 0..2 (X/Y/Z), got {letters}")
+
     @property
     def locality(self) -> int:
         return len(self.axes)
@@ -313,6 +324,13 @@ class PauliObservable:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.axes)
+
+
+def _check_register(obs: PauliObservable, n: int) -> None:
+    """Refuse an observable whose support does not lie in an n-qubit register."""
+    outside = [q for q in obs.support if q >= n]
+    if outside:
+        raise ValueError(f"observable qubits {outside} lie outside the {n}-qubit register")
 
 
 def shadow_batches(m_targets: int, delta_p: float) -> int:
@@ -365,6 +383,15 @@ def shadow_single_shot_estimates(shadows: ShadowSet, obs: PauliObservable) -> np
     return _weight_table(obs)[code]
 
 
+def _lifted_weights(obs: PauliObservable, n: int) -> np.ndarray:
+    """The weight table over the whole register's code sum_q sym[q] 6^q:
+    obs's table, constant in the qubits off its support. Its C-order axes
+    run from qubit n - 1 down to qubit 0, so the support's table, whose axes
+    run from its top qubit down, reshapes onto them in place."""
+    shape = [6 if q in obs.support else 1 for q in reversed(range(n))]
+    return np.broadcast_to(_weight_table(obs).reshape(shape), (6,) * n).reshape(-1)
+
+
 def _sums_exact(obs: PauliObservable, per_batch: int) -> bool:
     """Whether every partial sum of per_batch single-shot estimates is exact:
     each is an integer multiple j of scale = coef 3^k with |j| <= per_batch,
@@ -378,18 +405,32 @@ def shadow_estimate(shadows: ShadowSet, obs: PauliObservable, batches: int) -> f
 
     When a batch holds at least 6^k shots and every batch sum is exact
     (`_sums_exact`; always so for coefficient 1 at k <= 4), the batch sums
-    are the per-batch counts of the support code (`ShadowSet.batch_counts`)
-    times the weight table, bit for bit what summing the estimators gives.
-    Otherwise the estimators are gathered and averaged: a smaller batch would
-    make the (batches, 6^k) count table larger than the gather, and a
-    coefficient such as 0.37 is reproduced only by np.mean's rounding."""
+    are per-batch code counts (`ShadowSet.batch_counts`) times a weight
+    table, bit for bit what summing the estimators gives. On a set of
+    n <= MAX_LOCALITY qubits whose batches hold at least 6^n shots, the
+    counts are of the whole register's code, one table that every
+    observable shares, and the weights are lifted onto all n qubits: each
+    nonzero weight is still +-scale, so the sums stay exact. Else they are
+    of the support's code.
+
+    In the other cases the estimators are gathered and averaged: a smaller
+    batch would make the (batches, 6^k) count table larger than the gather,
+    and a coefficient such as 0.37 is reproduced only by np.mean's
+    rounding."""
+    _check_register(obs, shadows.n)
     rows = max(batches, 1)
     per = shadows.shots // rows
     if per == 0 and batches > 1:
         raise ValueError("fewer shots than batches")
     if per >= 6**obs.locality and _sums_exact(obs, per):
-        counts = shadows.batch_counts(obs.support, rows)  # checks k first
-        means = (counts @ _weight_table(obs)) / per
+        n = shadows.n
+        if n <= MAX_LOCALITY and per >= 6**n:
+            counts = shadows.batch_counts(tuple(range(n)), rows)
+            weights = _lifted_weights(obs, n)
+        else:
+            counts = shadows.batch_counts(obs.support, rows)  # checks k first
+            weights = _weight_table(obs)
+        means = (counts @ weights) / per
         return float(np.median(means)) if batches > 1 else float(means[0])
     est = shadow_single_shot_estimates(shadows, obs)
     if batches <= 1:
@@ -406,6 +447,7 @@ def pauli_expectation_exact(state: PureState, obs: PauliObservable) -> float:
     Each entry is +-1 or +-i, so the product is exact and the value is bit
     for bit that of the dense matrix product, up to the sign of a zero.
     """
+    _check_register(obs, state.n)
     flip = phased = n_y = 0
     for q, a in obs.axes:  # a = 0/1/2 = X/Y/Z
         if a != 2:

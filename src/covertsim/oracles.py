@@ -413,6 +413,21 @@ def _fill_basis_tables(tables: np.ndarray, rotated: PureState, q: int, b_idx: in
         _fill_basis_tables(tables, child, q + 1, b_idx + digit * 3**q)
 
 
+_OUTCOME_BITS: dict[int, np.ndarray] = {}
+
+
+def _outcome_bits_table(n: int) -> np.ndarray:
+    """The read-only (2^n, n) uint8 table whose row x holds the bits of x,
+    qubit 0 first; built once per n (n <= PAULI_TABLE_QUBIT_CAP, at most
+    2 KiB)."""
+    table = _OUTCOME_BITS.get(n)
+    if table is None:
+        table = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+        table.flags.writeable = False
+        _OUTCOME_BITS[n] = table
+    return table
+
+
 def _basis_index(axes: np.ndarray) -> np.ndarray:
     """sum_q axes[:, q] 3^q of uint8 axes by Horner steps in the smallest
     unsigned dtype that holds 3^n - 1 (uint8 up to n = 5, uint16 up to the
@@ -474,7 +489,7 @@ class QMeasExOracle(Oracle):
         # would not); the outcomes are uint8 as 2^n <= 2^8 by the table cap
         axes = rng.integers(0, 3, size=(shots, n), dtype=np.int32).astype(np.uint8)
         outcomes = _choice_by_group(self._pauli_cdfs, _basis_index(axes), rng)
-        bits = np.unpackbits(outcomes[:, None], axis=1, count=n, bitorder="little")
+        bits = _outcome_bits_table(n).take(outcomes, axis=0)
         self.count += shots
         if self.transcript is not None:
             self._log({"bulk_pauli_shots": shots})

@@ -350,6 +350,12 @@ def choice_by_group_searchsorted(cdfs: np.ndarray, groups: np.ndarray, rng) -> n
     return outcomes
 
 
+def outcome_bits_unpackbits(outcomes: np.ndarray, n: int) -> np.ndarray:
+    """(shots, n) uint8 bits of uint8 outcomes, qubit 0 first: the form
+    QMeasExOracle.sample_product_pauli used before its bits table."""
+    return np.unpackbits(outcomes[:, None], axis=1, count=n, bitorder="little")
+
+
 def basis_probability_tables_loop(state: qsim.PureState) -> np.ndarray:
     """QMeasExOracle._basis_probability_tables one basis at a time: every
     basis rotates a fresh copy of the state, qubit 0 first."""

@@ -464,6 +464,120 @@ class TestCountsPathEstimator:
         assert np.array_equal(collected.bases, bases) and np.array_equal(collected.bits, bits)
 
 
+def per_support_estimate(per_support_set, obs, batches):
+    """shadow_estimate's count path through the support's own table."""
+    rows = max(batches, 1)
+    counts = per_support_set.batch_counts(obs.support, rows)
+    means = counts @ csq._weight_table(obs) / (per_support_set.shots // rows)
+    return float(np.median(means)) if batches > 1 else float(means[0])
+
+
+def float_bytes(x):
+    return np.float64(x).tobytes()
+
+
+class TestWholeRegisterCounts:
+    """shadow_estimate on sets of n <= 4 qubits: one whole-register count
+    table per batches value, times the observable's lifted weights."""
+
+    BATCHES = (1, 3, 7, 67)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_both_reference_forms(self, n):
+        rng = np.random.default_rng(500 + n)
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        src = oracles.QMeasExOracle(qsim.PureState(n, v / np.linalg.norm(v)))
+        # 67 batches of exactly 6^n shots, and a tail that no batch holds
+        shadows = csq.shadow_collect(src, 67 * 6**n + 5, rng)
+        per_support = csq.ShadowSet(shadows.bases, shadows.bits)
+        for k in range(n + 1):
+            for qubits in itertools.combinations(range(n), k):
+                for letters in itertools.product(range(3), repeat=k):
+                    for coefficient in (1.0, -2.0):
+                        obs = csq.PauliObservable(tuple(zip(qubits, letters)), coefficient)
+                        est = mask_product_reference(shadows, obs)
+                        for batches in self.BATCHES:
+                            got = float_bytes(csq.shadow_estimate(shadows, obs, batches))
+                            assert got == float_bytes(batch_median_reference(est, batches))
+                            assert got == float_bytes(
+                                per_support_estimate(per_support, obs, batches)
+                            )
+                            self.check_cache(shadows, batches)
+        # at n = 1 the four tables (78 x 6 cells) pass the bound of 407
+        held = {(tuple(range(n)), b) for b in self.BATCHES} if n > 1 else set()
+        assert held <= set(shadows._counts)
+
+    @staticmethod
+    def check_cache(shadows, batches):
+        """Only whole-register tables, the one for `batches` among them, each
+        read-only and no larger than the shots, within the n * shots bound."""
+        whole = tuple(range(shadows.n))
+        assert (whole, batches) in shadows._counts
+        for (support, rows), counts in shadows._counts.items():
+            assert support == whole and counts.shape == (rows, 6**shadows.n)
+            assert not counts.flags.writeable and counts.size <= shadows.shots
+        assert sum(c.size for c in shadows._counts.values()) <= shadows.n * shadows.shots
+
+    def test_lifted_weights_are_constant_off_the_support(self):
+        obs = pauli_observable({1: "Y", 3: "X"}, coefficient=-2.0)
+        lifted = csq._lifted_weights(obs, 4).reshape((6,) * 4)  # axes: qubits 3, 2, 1, 0
+        table = csq._weight_table(obs).reshape(6, 6)  # axes: qubits 3, 1
+        for d2, d0 in itertools.product(range(6), repeat=2):
+            assert np.array_equal(lifted[:, d2, :, d0], table)
+
+    @pytest.mark.parametrize("shots, batches", [(2000, 3), (1295, 1)])
+    def test_batches_under_six_to_the_n_keep_the_support_table(self, shots, batches):
+        rng = np.random.default_rng(31)
+        src = oracles.QMeasExOracle(qsim.uniform_state(4))
+        shadows = csq.shadow_collect(src, shots, rng)
+        obs = pauli_observable({0: "X", 2: "Z"})
+        est = csq.shadow_estimate(shadows, obs, batches)
+        assert est == batch_median_reference(mask_product_reference(shadows, obs), batches)
+        assert set(shadows._counts) == {((0, 2), batches)}
+
+
+class TestObservableBoundary:
+    @pytest.mark.parametrize("axes, needle", [
+        (((-1, 0),), "non-negative, distinct and ascending"),
+        (((0, 3),), "axes must lie in 0..2"),
+        (((0, -1),), "axes must lie in 0..2"),
+        (((2, 0), (1, 1)), "non-negative, distinct and ascending"),
+        (((1, 0), (1, 2)), "non-negative, distinct and ascending"),
+        (((0, 1.0),), "integers"),
+        (((1.5, 0),), "integers"),
+        (((True, 2),), "integers"),
+    ])
+    def test_malformed_axes_rejected(self, axes, needle):
+        with pytest.raises(ValueError, match=needle):
+            csq.PauliObservable(axes)
+
+    @pytest.mark.parametrize("axes, outside", [
+        (((5, 0),), r"\[5\]"),
+        (((4, 2),), r"\[4\]"),
+        (((1, 1), (4, 0), (6, 2)), r"\[4, 6\]"),
+    ])
+    def test_qubits_outside_the_register_rejected_before_any_work(
+        self, axes, outside, monkeypatch
+    ):
+        rng = np.random.default_rng(41)
+        psi = qsim.uniform_state(4)
+        shadows = csq.shadow_collect(oracles.QMeasExOracle(psi), 2000, rng)
+
+        def refuse(*args):
+            raise AssertionError("computed before the register check")
+
+        for name in ("support_code", "batch_counts"):
+            monkeypatch.setattr(csq.ShadowSet, name, refuse)
+        monkeypatch.setattr(csq, "z_signs", refuse)
+        obs = csq.PauliObservable(axes)
+        needle = outside + " lie outside the 4-qubit register"
+        for batches in (1, 7):
+            with pytest.raises(ValueError, match=needle):
+                csq.shadow_estimate(shadows, obs, batches)
+        with pytest.raises(ValueError, match=needle):
+            csq.pauli_expectation_exact(psi, obs)
+
+
 class TestShadowSetBoundary:
     @pytest.mark.parametrize("bases, bits, needle", [
         ([[0, 3]], [[0, 0]], "bases must lie in 0..2"),

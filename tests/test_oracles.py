@@ -14,6 +14,7 @@ from covertsim.gf2 import dot
 from reference import (
     basis_probability_tables_loop,
     choice_by_group_searchsorted,
+    outcome_bits_unpackbits,
     polynomial_value,
     quadratic_from_matrix,
 )
@@ -259,6 +260,37 @@ def per_basis_choice_reference(oracle, shots, rng):
         p = np.clip(tables[b], 0, None)
         outcomes[sel] = rng.choice(1 << n, size=sel.sum(), p=p / p.sum())
     return axes, (outcomes[:, None] >> np.arange(n)) & 1
+
+
+class TestOutcomeBitsTable:
+    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
+    def test_table_equals_the_unpackbits_form(self, n):
+        table = oracles._outcome_bits_table(n)
+        assert table.dtype == np.uint8 and table.shape == (1 << n, n)
+        every = np.arange(1 << n, dtype=np.uint8)
+        assert np.array_equal(table, outcome_bits_unpackbits(every, n))
+        assert oracles._outcome_bits_table(n) is table  # built once
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+
+    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
+    def test_sampled_bits_unpack_the_drawn_outcomes(self, n, monkeypatch):
+        drawn = []
+
+        def spy(*args):
+            drawn.append(real(*args))
+            return drawn[-1]
+
+        real = oracles._choice_by_group
+        monkeypatch.setattr(oracles, "_choice_by_group", spy)
+        g = np.random.default_rng(60 + n)
+        v = g.normal(size=1 << n) + 1j * g.normal(size=1 << n)
+        oracle = oracles.QMeasExOracle(qsim.PureState(n, v / np.linalg.norm(v)))
+        _, bits = oracle.sample_product_pauli(3000, np.random.default_rng(n))
+        (outcomes,) = drawn
+        assert outcomes.dtype == np.uint8
+        assert bits.dtype == np.uint8 and bits.flags.writeable
+        assert np.array_equal(bits, outcome_bits_unpackbits(outcomes, n))
 
 
 class TestGroupedPauliSampler:
