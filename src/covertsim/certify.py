@@ -18,6 +18,16 @@ A round X-tests one copy and Z-collapses the other m - 1 together, drawing
 the same uniforms, in the same order, as collapsing the copies one at a
 time: rows equal to row 0 share its cumulative |amp|^2 sum and one
 searchsorted, and only the other rows are summed one by one.
+
+The X-tested copy's round table (its pair weights |a0|^2 + |a1|^2, their
+cumulative sum and the plus masses |a0 + a1|^2 / 2) is memoised per block
+stack (`RoundTables`), keyed by the copy's amplitude bytes and its local
+qubit: the blocks of one `ProductBlock.stacked` share one memo, a public
+`ProductBlock(amps)` has its own, and the memo goes with the blocks. It keeps
+its key and table bytes within `adversary.MEASUREMENT_MEMO_BYTES`; past that
+a table is built, used once and not kept. A round draws from a kept table
+exactly as from a fresh one (`_round_on_copy`, the unmemoised form): the
+same uniforms in the same order, and the same outcome.
 """
 from __future__ import annotations
 
@@ -28,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boolfunc import BooleanFunction, MAX_TABLE_ARITY, eval_all
-from . import qsim
+from . import adversary, qsim
 from .qsim import PureState
 
 SHADOW_OVERLAP_CONSTANT = 2  # C_so in the i.i.d. copy-count formulas
@@ -57,29 +67,33 @@ def adaptive_copy_count(n_block: int, eps: float, delta: float) -> int:
 class ProductBlock:
     """A certification block: m independent pure q-qubit copies forming one
     (m q)-qubit register, copy 0 in the low qubits, held as the stacked
-    (m, 2^q) amplitude array `amps` (which the block makes read-only)."""
+    (m, 2^q) amplitude array `amps` (which the block makes read-only).
+    `round_tables` is the memo of its overlap rounds' tables."""
 
     def __init__(self, amps: np.ndarray):
         qsim.check_rows_normalized(amps)
         amps.flags.writeable = False
-        self._hold(amps)
+        self._hold(amps, RoundTables())
 
-    def _hold(self, amps: np.ndarray) -> None:
+    def _hold(self, amps: np.ndarray, round_tables: "RoundTables") -> None:
         self.amps = amps
         self.m, self.qubits_per_copy = amps.shape[0], amps.shape[1].bit_length() - 1
+        self.round_tables = round_tables
 
     @classmethod
     def stacked(cls, stack: np.ndarray) -> list["ProductBlock"]:
         """The blocks of a (count, m, 2^q) stack, block j a view of stack[j]:
         every row is norm-checked in one pass before any block is made, and
-        the stack is made read-only, so each view is too."""
+        the stack is made read-only, so each view is too. The blocks share
+        one round-table memo."""
         if stack.ndim != 3:
             raise ValueError("a block stack needs shape (count, m, 2^q)")
         qsim.check_rows_normalized(stack.reshape(-1, stack.shape[-1]))
         stack.flags.writeable = False
+        round_tables = RoundTables()
         blocks = [object.__new__(cls) for _ in range(len(stack))]
         for block, amps in zip(blocks, stack):
-            block._hold(amps)
+            block._hold(amps, round_tables)
         return blocks
 
     @property
@@ -126,19 +140,61 @@ def _halves(v: np.ndarray, local: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0].reshape(-1), pairs[:, 1].reshape(-1)
 
 
+class _RoundTable:
+    """A copy's round table for X-tested qubit `local`: the pair weights of
+    its amplitude halves (bit `local` clear and set), their cumulative sum
+    and the plus masses."""
+
+    __slots__ = ("p_pair", "cum", "plus")
+
+    def __init__(self, vec: np.ndarray, local: int):
+        a0, a1 = _halves(vec, local)
+        self.p_pair = np.clip(np.abs(a0) ** 2 + np.abs(a1) ** 2, 0.0, None)
+        self.plus = np.abs(a0 + a1) ** 2 / 2.0
+        self.cum = np.cumsum(self.p_pair)
+
+    def draw(self, rng) -> tuple[int, int]:
+        """Z outcome j of the other qubits by `qsim.sample_index`'s rule,
+        then the X outcome bit from one more uniform."""
+        j = qsim._draw_cumulative(self.cum, rng)
+        weight = self.p_pair.item(j)  # Python floats divide as numpy scalars do
+        p_plus = self.plus.item(j) / weight if weight > 0 else 0.5
+        return j, int(rng.random() >= min(1.0, p_plus))
+
+    @property
+    def nbytes(self) -> int:
+        return self.p_pair.nbytes + self.cum.nbytes + self.plus.nbytes
+
+
+class RoundTables:
+    """The round tables of one block stack, keyed by the X-tested copy's
+    amplitude bytes and local qubit. `nbytes` counts the kept keys and
+    tables and never passes `adversary.MEASUREMENT_MEMO_BYTES`."""
+
+    def __init__(self):
+        self.memo: dict[tuple[bytes, int], _RoundTable] = {}
+        self.nbytes = 0
+
+    def table(self, vec: np.ndarray, local: int) -> _RoundTable:
+        key = (vec.tobytes(), local)
+        table = self.memo.get(key)
+        if table is None:
+            table = _RoundTable(vec, local)
+            cost = len(key[0]) + table.nbytes
+            if self.nbytes + cost <= adversary.MEASUREMENT_MEMO_BYTES:
+                self.memo[key] = table
+                self.nbytes += cost
+        return table
+
+
 def _round_on_copy(copy: PureState, local: int, rng) -> tuple[int, int]:
-    """Z-measure all qubits but `local`, then X-measure `local`.
+    """Z-measure all qubits but `local`, then X-measure `local`, from a
+    fresh round table.
 
     Returns (compact rest bits, x outcome bit). The compact index keeps the
     remaining bits in order with position `local` removed.
     """
-    a0, a1 = _halves(copy.vec, local)
-    p_pair = np.clip(np.abs(a0) ** 2 + np.abs(a1) ** 2, 0.0, None)
-    plus_mass = np.abs(a0 + a1) ** 2 / 2.0
-    j = qsim.sample_index(p_pair, rng)
-    p_plus = plus_mass[j] / p_pair[j] if p_pair[j] > 0 else 0.5
-    x_bit = int(rng.random() >= min(1.0, p_plus))
-    return j, x_bit
+    return _RoundTable(copy.vec, local).draw(rng)
 
 
 def _insert_bit(compact: int, pos: int, bit: int) -> int:
@@ -156,12 +212,20 @@ def overlap_round(
     one pass, each by `qsim.sample_index`'s rule (the first index whose
     cumulative weight exceeds u times the total) on a uniform u drawn in
     copy order: those of copies 0..c-1, then copy c's two, then the rest.
+    Copy c's table comes from the block's `round_tables`. A given `qubit`
+    must be an int (not a bool) in [0, m q); it is checked before any draw.
     """
     m, q = block.m, block.qubits_per_copy
-    i = int(rng.integers(m * q)) if qubit is None else qubit
+    if qubit is None:
+        i = int(rng.integers(m * q))
+    elif (isinstance(qubit, (int, np.integer)) and not isinstance(qubit, bool)
+          and 0 <= qubit < m * q):
+        i = int(qubit)
+    else:
+        raise ValueError(f"qubit {qubit!r} is not an int in [0, {m * q})")
     c, local = divmod(i, q)
     u_low = rng.random(c) if c else ()  # an empty draw leaves the stream as it is
-    compact, x_bit = _round_on_copy(block.state(c), local, rng)
+    compact, x_bit = block.round_tables.table(block.amps[c], local).draw(rng)
     rest = compact << (c * q)
     if m > 1:
         u = np.concatenate((u_low, [0.0], rng.random(m - 1 - c)))
@@ -302,17 +366,19 @@ def certify_state_noniid(
     not cover every setting, it falls back to a uniform re-draw: `cal_rounds`
     blocks chosen uniformly from the measured range, fresh uniform settings.
     The default cal_rounds = N - 1 realizes the estimator on every available
-    block (desk-scale override of the paper-formula schedule).
+    block (desk-scale override of the paper-formula schedule); a larger
+    `cal_rounds` is clamped down to N - 1, and one below 1 is refused.
     """
     n = len(blocks)
     if n < 2:
         raise ValueError("need at least two blocks")
+    if cal_rounds is not None and cal_rounds < 1:
+        raise ValueError(f"cal_rounds must be at least 1, got {cal_rounds}")
     n_block = blocks[0].n_block
     perm = [int(v) for v in rng.permutation(n)]
     measured_ids = perm[: n - 1]
     output_block = blocks[perm[n - 1]]
-    k_cal = cal_rounds if cal_rounds is not None else n - 1
-    k_cal = max(1, min(k_cal, n - 1))
+    k_cal = n - 1 if cal_rounds is None else min(cal_rounds, n - 1)
     settings = [int(rng.integers(n_block)) for _ in range(k_cal)]
     assignment = [int(rng.integers(k_cal)) for _ in range(n - 1)]
     covered = len(set(assignment)) == k_cal

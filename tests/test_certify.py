@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+from covertsim import adversary
 from covertsim import boolfunc as bf
 from covertsim import certify, oracles, qsim
 from reference import materialize_overlap_observable, overlap_round_all_rows
@@ -263,6 +267,18 @@ class ScriptedUniforms:
         return out[0] if size is None else np.array(out)
 
 
+class ScriptedPair:
+    """A stand-in generator whose uniforms alternate between 1 and `u`."""
+
+    def __init__(self, u):
+        self.u, self.drawn = u, 0
+
+    def random(self, size=None):
+        assert size is None
+        self.drawn += 1
+        return 1.0 if self.drawn % 2 else self.u
+
+
 class TestSharedRowCollapse:
     KINDS = ("all-equal", "few-distinct", "all-distinct", "signed-zeros")
 
@@ -317,6 +333,161 @@ class TestSharedRowCollapse:
                     block, oracles.TensorMemView(oracles.MemOracle(f), m=5, n_base=3),
                     src_b, qubit)
                 assert got == want and src_a.drawn == src_b.drawn
+
+
+def memo_rows(kind, q, rng):
+    """Three distinct copy amplitudes of one kind of row."""
+    if kind == "repeated":
+        return [random_pure(q, rng).vec for _ in range(3)]
+    if kind == "signed-zeros":
+        # one sparse state and two copies with their zeros' signs flipped
+        v = sparse_pure(q, rng)
+        rows = [v, v.copy(), v.copy()]
+        for row in rows[1:]:
+            zero = row == 0
+            row.real[zero & (rng.random(row.shape) < 0.5)] = -0.0
+            row.imag[zero & (rng.random(row.shape) < 0.5)] = -0.0
+        return rows
+    # zero-weight pair: index 0 and every 1 << local are zero, so for each
+    # local qubit the pair (0, 1 << local) weighs nothing (q = 1 has no room)
+    rows = [random_pure(q, rng).vec for _ in range(3)]
+    if q > 1:
+        for row in rows:
+            row[[0] + [1 << k for k in range(q)]] = 0
+            row /= np.linalg.norm(row)
+    return rows
+
+
+class TestRoundTableMemo:
+    @pytest.mark.parametrize("kind", ("repeated", "signed-zeros", "zero-pair"))
+    @pytest.mark.parametrize("m", (1, 3))
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_rounds_match_an_unmemoised_block(self, q, m, kind):
+        # a stack whose blocks repeat three rows: the same round fields and
+        # generator end state, on every qubit, as the reference run on an
+        # unmemoised copy of each block, while the shared memo is hit
+        rng = np.random.default_rng(900 + 10 * q + m)
+        rows = memo_rows(kind, q, rng)
+        stack = np.stack([[rows[k] for k in rng.integers(3, size=m)] for _ in range(6)])
+        blocks = certify.ProductBlock.stacked(stack)
+        f = bf.random_truth_table(q, rng)
+        rounds = 0
+        for block in blocks:
+            fresh = certify.ProductBlock(block.amps.copy())
+            for qubit in range(m * q):
+                seed = int(rng.integers(2**32))
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = certify.overlap_round(
+                    block, oracles.TensorMemView(oracles.MemOracle(f), m=m, n_base=q),
+                    rng_a, qubit)
+                want = overlap_round_all_rows(
+                    fresh, oracles.TensorMemView(oracles.MemOracle(f), m=m, n_base=q),
+                    rng_b, qubit)
+                assert dataclasses.astuple(got) == dataclasses.astuple(want)
+                assert all(type(v) is int for v in dataclasses.astuple(got))
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+                rounds += 1
+            assert block.round_tables is blocks[0].round_tables
+            assert not fresh.round_tables.memo
+        # at most 3 rows x q local qubits were built, each kept once
+        memo = blocks[0].round_tables.memo
+        assert len(memo) <= 3 * q < rounds
+        assert all(key[0] in {r.tobytes() for r in rows} for key in memo)
+
+    def test_kept_bytes_stay_within_the_bound(self):
+        # a q = 8 stack of distinct rows asks for about five times the bound:
+        # the memo stops keeping tables at the bound and every round still
+        # answers as the reference does
+        rng = np.random.default_rng(31)
+        q, count = 8, 360
+        stack = np.stack([[random_pure(q, rng).vec] for _ in range(count)])
+        blocks = certify.ProductBlock.stacked(stack)
+        tables = blocks[0].round_tables
+        f = bf.random_truth_table(q, rng)
+        for block in blocks:
+            for qubit in (0, 5):
+                seed = int(rng.integers(2**32))
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = certify.overlap_round(block, oracles.MemOracle(f), rng_a, qubit)
+                want = overlap_round_all_rows(block, oracles.MemOracle(f), rng_b, qubit)
+                assert got == want
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+                assert tables.nbytes <= adversary.MEASUREMENT_MEMO_BYTES
+        assert tables.nbytes == sum(len(key[0]) + t.nbytes for key, t in tables.memo.items())
+        assert 0 < len(tables.memo) < 2 * count
+        assert tables.nbytes + 4096 + 3 * 128 * 8 > adversary.MEASUREMENT_MEMO_BYTES
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_a_zero_weight_pair_draws_one_half(self, q):
+        # a uniform of 1 takes the clipped last pair, which weighs nothing
+        # here, so the X bit compares the next uniform with 1/2; the second
+        # pass reads every table from the memo
+        rng = np.random.default_rng(40 + q)
+        top = (1 << q) - 1
+        row = random_pure(q, rng).vec
+        row[[top] + [top ^ (1 << k) for k in range(q)]] = 0
+        block = certify.ProductBlock(np.stack([row / np.linalg.norm(row)]))
+        f = bf.random_truth_table(q, rng)
+        for _ in range(2):
+            for qubit in range(q):
+                for u in (0.4, 0.5):
+                    src_a, src_b = ScriptedPair(u), ScriptedPair(u)
+                    got = certify.overlap_round(block, oracles.MemOracle(f), src_a, qubit)
+                    want = overlap_round_all_rows(block, oracles.MemOracle(f), src_b, qubit)
+                    assert got == want and src_a.drawn == src_b.drawn == 2
+                    assert (got.rest_bits, got.x_bit) == (top >> 1, int(u >= 0.5))
+        assert len(block.round_tables.memo) == q
+
+    def test_a_public_block_keeps_its_own_memo(self):
+        rng = np.random.default_rng(32)
+        amps = np.stack([random_pure(3, rng).vec])
+        a, b = certify.ProductBlock(amps), certify.ProductBlock(amps)
+        certify.overlap_round(a, oracles.MemOracle(bf.constant_fn(3)), rng, 1)
+        assert len(a.round_tables.memo) == 1 and not b.round_tables.memo
+
+
+class TestQubitRefusal:
+    BAD = (6, 7, -1, True, False, np.True_, 1.0, "1", np.int64(6))
+
+    @pytest.mark.parametrize("qubit", BAD, ids=repr)
+    def test_bad_qubit_is_refused_before_any_draw(self, qubit):
+        rng = np.random.default_rng(33)
+        block = block_of([random_pure(2, rng) for _ in range(3)])  # m = 3, q = 2
+        mem = oracles.TensorMemView(oracles.MemOracle(bf.constant_fn(2)), m=3, n_base=2)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"qubit .* is not an int in \[0, 6\)"):
+            certify.overlap_round(block, mem, rng, qubit)
+        assert rng.bit_generator.state == before
+        assert mem.base.count == 0
+
+    def test_numpy_ints_answer_as_ints(self):
+        rng = np.random.default_rng(34)
+        block = block_of([random_pure(2, rng) for _ in range(3)])
+        f = bf.random_truth_table(6, rng)
+        for qubit in range(6):
+            rng_a, rng_b = np.random.default_rng(qubit), np.random.default_rng(qubit)
+            got = certify.overlap_round(block, oracles.MemOracle(f), rng_a, np.int64(qubit))
+            want = certify.overlap_round(block, oracles.MemOracle(f), rng_b, qubit)
+            assert got == want and type(got.qubit) is int
+
+    def test_refused_under_optimization(self):
+        # `python -O` strips asserts; the range check is a plain raise
+        code = textwrap.dedent("""
+            import numpy as np
+            from covertsim import certify
+            print("debug", __debug__)
+            block = certify.ProductBlock(np.full((3, 4), 0.5, dtype=complex))
+            try:
+                certify.overlap_round(block, None, np.random.default_rng(0), 6)
+            except ValueError as e:
+                print("raised:", e)
+        """)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert "debug False" in out.stdout
+        assert "raised: qubit 6 is not an int in [0, 6)" in out.stdout
 
 
 class TestIidEstimator:
@@ -510,3 +681,24 @@ class TestNonIid:
             fallback.append(rec.used_coverage_path)
             assert rec.accepted
         assert sum(fallback) <= 5
+
+    def test_cal_rounds_below_one_are_refused(self):
+        # refused before any draw; a count above N - 1 is clamped to N - 1
+        f = bf.constant_fn(2)
+        state = qsim.prepare_phase_state(f)
+        for bad in (0, -3):
+            rng = np.random.default_rng(15)
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match=f"cal_rounds must be at least 1, got {bad}"):
+                certify.certify_state_noniid(self.make_blocks(state, 6),
+                                             oracles.MemOracle(f), 0.2, 0.1, rng,
+                                             cal_rounds=bad)
+            assert rng.bit_generator.state == before
+        runs = []
+        for cal in (5, 50):
+            rng = np.random.default_rng(16)
+            rec, _ = certify.certify_state_noniid(self.make_blocks(state, 6),
+                                                  oracles.MemOracle(f), 0.2, 0.1, rng,
+                                                  cal_rounds=cal)
+            runs.append((rec, rng.bit_generator.state))
+        assert runs[0] == runs[1]
