@@ -113,6 +113,8 @@ def ancilla_free_schedule(qubits, m, eps, delta, delta_leak, n_blocks=None) -> S
 # states, sharing one read-only array (1 MiB at the largest n kept,
 # qsim.SIGN_TABLE_QUBITS), each beside its row of qsim.z_sign_table
 _PHASE_MASKS: dict[int, list[tuple[PureState, np.ndarray]]] = {}
+# range(n) for every n up to the cap: the register of an n-qubit masked query
+_REGISTERS = tuple(range(n) for n in range(qsim.PURE_QUBIT_CAP + 1))
 
 
 def _phase_mask(n: int, r: int) -> tuple[PureState, np.ndarray]:
@@ -160,15 +162,23 @@ def masked_query_phase_randomness(
     oracle of width w is queried by phase kickback as the phase oracle of
     f~(x, y) = y·f(x): its out register is sent as Z^rt |+>^w, rt drawn
     after r, and the n + w qubits are unmasked by r | rt << n. The input
-    mask is drawn here unless the caller passes one it drew, an int in
-    [0, 2^n). Given `out` (a block row), the unmasked amplitudes are written
-    there and nothing is returned; the block checks their norm.
+    mask is drawn here unless the caller passes one it drew, an int (not a
+    bool) in [0, 2^n), checked before any draw or query. Given `out` (a
+    block row), the unmasked amplitudes are written there and nothing is
+    returned; the block checks their norm.
     """
     n, w = oracle.f.n, oracle.out_width
+    if n + w > qsim.PURE_QUBIT_CAP:  # before a 2^(n + w) mask is built
+        raise ValueError(f"pure-state cap is {qsim.PURE_QUBIT_CAP} qubits")
     if r is None:
         r = int(rng.integers(0, 1 << n))
-    elif not 0 <= r < 1 << n:
-        raise ValueError(f"mask {r!r} is outside [0, 2^{n})")
+    else:
+        if type(r) is not int:
+            if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+                raise ValueError(f"mask {r!r} is not an int")
+            r = int(r)  # a numpy int would not widen to hold r | rt << n
+        if not 0 <= r < 1 << n:
+            raise ValueError(f"mask {r!r} is outside [0, 2^{n})")
     if w:
         rt = int(rng.integers(0, 1 << w))
         sent = qsim.tensor(_phase_mask(n, r)[0], _phase_mask(w, rt)[0])
@@ -176,10 +186,11 @@ def masked_query_phase_randomness(
         r |= rt << n
         signs = qsim.z_signs(n + w, r)
     else:
-        sent, signs = _phase_mask(n, r)
-        got = oracle.query(sent, range(n), rng=rng)
+        masks = _PHASE_MASKS.get(n)  # the shared row, without a call when kept
+        sent, signs = _phase_mask(n, r) if masks is None else masks[r]
+        got = oracle.query(sent, _REGISTERS[n], rng=rng)
     if out is None:
-        return qsim.apply_z_mask(got, r, range(n + w))
+        return qsim.apply_z_mask(got, r, _REGISTERS[n + w])
     if r:
         np.multiply(got.vec, signs, out)  # a positional out skips the ufunc's keyword parse
     else:  # as apply_z_mask: a product with +1 may flip the sign of a zero
@@ -258,6 +269,11 @@ def _collect_blocks(oracle, m, count, rng, entangled, unmask):
     state as m scalar draws (pinned by a test), without m scalar calls.
     Any other tap may draw between the masks, and a QMem copy draws its out
     mask between them, so there each query draws its own.
+
+    On that identity path a mask fixes its row's bytes: the mask row, times
+    the response (memoised or computed afresh, the same bytes either way),
+    times the mask's signs. So the (count, m) masks key the stack's rows,
+    and the stack norm-checks one row per mask.
     """
     n, w = oracle.f.n, oracle.out_width
     qubits = (n + w) * (1 if unmask or not entangled else 2)
@@ -266,15 +282,20 @@ def _collect_blocks(oracle, m, count, rng, entangled, unmask):
                          f"of {qsim.PURE_QUBIT_CAP} qubits")
     block_masks = not (entangled or w) and type(oracle.tap.strategy) is adv.identity
     stack = np.empty((count, m, 1 << qubits), dtype=complex)
-    for amps in stack:
-        masks = rng.integers(0, 1 << n, size=m).tolist() if block_masks else [None] * m
+    keys = np.empty((count, m), dtype=np.int64) if block_masks else None
+    for j, amps in enumerate(stack):
+        if block_masks:
+            keys[j] = rng.integers(0, 1 << n, size=m)
+            masks = keys[j].tolist()
+        else:
+            masks = [None] * m
         for row, r in zip(amps, masks):
             if entangled:
                 joint = masked_query_phase_entangled(oracle, rng)
                 row[:] = (unmask_entangled(joint, n + w, rng) if unmask else joint).vec
             else:
                 masked_query_phase_randomness(oracle, rng, out=row, r=r)
-    return ProductBlock.stacked(stack)
+    return ProductBlock.stacked(stack, keys)
 
 
 def _membership_view(mem: MemOracle, n: int, w: int, m: int, masked: bool):

@@ -14,15 +14,20 @@ output block untouched. A block of m pure copies is one stacked (m, 2^q)
 amplitude array, row j the amplitudes of copy j, its row norms checked once
 when the block is built; the blocks of one acquisition are read-only views
 of one (count, m, 2^q) stack, checked once for all (`ProductBlock.stacked`).
-A round X-tests one copy and Z-collapses the other m - 1 together, drawing
-the same uniforms, in the same order, as collapsing the copies one at a
-time: rows equal to row 0 share its cumulative |amp|^2 sum and one
-searchsorted, and only the other rows are summed one by one.
+A stack whose caller keys its rows (equal keys, equal bytes: the
+randomness-masked rows behind the identity tap, keyed by their masks) is
+checked one row per key, and its rows get value classes, rows of one class
+comparing equal. A round X-tests one copy and Z-collapses the other m - 1
+together, drawing the same uniforms, in the same order, as collapsing the
+copies one at a time: rows equal to row 0 (its class, or found by a compare
+on an unkeyed stack) share its cumulative |amp|^2 sum and one searchsorted,
+and only the other rows are summed one by one.
 
 The X-tested copy's round table (its pair weights |a0|^2 + |a1|^2, their
 cumulative sum and the plus masses |a0 + a1|^2 / 2) is memoised per block
-stack (`RoundTables`), keyed by the copy's amplitude bytes and its local
-qubit: the blocks of one `ProductBlock.stacked` share one memo, a public
+stack (`RoundTables`), keyed by the copy's row class, or its amplitude bytes
+on an unkeyed stack, and its local qubit: the blocks of one
+`ProductBlock.stacked` share one memo, a public
 `ProductBlock(amps)` has its own, and the memo goes with the blocks. It keeps
 its key and table bytes within `adversary.MEASUREMENT_MEMO_BYTES`; past that
 a table is built, used once and not kept. A round draws from a kept table
@@ -68,32 +73,51 @@ class ProductBlock:
     """A certification block: m independent pure q-qubit copies forming one
     (m q)-qubit register, copy 0 in the low qubits, held as the stacked
     (m, 2^q) amplitude array `amps` (which the block makes read-only).
-    `round_tables` is the memo of its overlap rounds' tables."""
+    `round_tables` is the memo of its overlap rounds' tables; `row_classes`,
+    when the block comes from a keyed stack, gives each row its value class
+    (rows of one class compare equal), else None."""
 
     def __init__(self, amps: np.ndarray):
         qsim.check_rows_normalized(amps)
         amps.flags.writeable = False
-        self._hold(amps, RoundTables())
+        self._hold(amps, RoundTables(), None)
 
-    def _hold(self, amps: np.ndarray, round_tables: "RoundTables") -> None:
+    def _hold(self, amps: np.ndarray, round_tables: "RoundTables",
+              row_classes: Optional[np.ndarray]) -> None:
         self.amps = amps
         self.m, self.qubits_per_copy = amps.shape[0], amps.shape[1].bit_length() - 1
         self.round_tables = round_tables
+        self.row_classes = row_classes
 
     @classmethod
-    def stacked(cls, stack: np.ndarray) -> list["ProductBlock"]:
-        """The blocks of a (count, m, 2^q) stack, block j a view of stack[j]:
-        every row is norm-checked in one pass before any block is made, and
-        the stack is made read-only, so each view is too. The blocks share
-        one round-table memo."""
+    def stacked(cls, stack: np.ndarray, keys: Optional[np.ndarray] = None
+                ) -> list["ProductBlock"]:
+        """The blocks of a (count, m, 2^q) stack, block j a view of stack[j].
+        The stack is norm-checked before any block is made and made
+        read-only, so each view is too. The blocks share one round-table
+        memo.
+
+        Without `keys`, every row is norm-checked in one pass. `keys`, a
+        (count, m) int array, is the caller's promise that rows with equal
+        keys are byte-equal: then one row per distinct key is norm-checked
+        (so every row is covered) and sorted into a value class by its bytes
+        after + 0.0, which for the finite rows the check lets through is
+        exactly ==. Each block gets its rows' classes."""
         if stack.ndim != 3:
             raise ValueError("a block stack needs shape (count, m, 2^q)")
-        qsim.check_rows_normalized(stack.reshape(-1, stack.shape[-1]))
+        rows = stack.reshape(-1, stack.shape[-1])
+        if keys is None:
+            qsim.check_rows_normalized(rows)
+            classes = [None] * len(stack)
+        elif keys.shape != stack.shape[:2] or keys.dtype.kind not in "iu":
+            raise ValueError("block stack keys need an int array of shape (count, m)")
+        else:
+            classes = _row_classes(rows, keys.reshape(-1)).reshape(keys.shape)
         stack.flags.writeable = False
         round_tables = RoundTables()
         blocks = [object.__new__(cls) for _ in range(len(stack))]
-        for block, amps in zip(blocks, stack):
-            block._hold(amps, round_tables)
+        for block, amps, row_classes in zip(blocks, stack, classes):
+            block._hold(amps, round_tables, row_classes)
         return blocks
 
     @property
@@ -108,6 +132,22 @@ class ProductBlock:
     @property
     def copies(self) -> list:
         return [self.state(j) for j in range(self.m)]
+
+
+def _row_classes(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The value class of each of the (k, 2^q) `rows`, whose rows with equal
+    `keys` are byte-equal: one representative row per key is norm-checked
+    and keyed by its bytes after + 0.0 (a signed zero becomes +0), one row
+    at a time, so no gathered copy of the representatives is made."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    reps = np.empty(len(distinct), dtype=np.intp)
+    reps[inverse] = np.arange(len(keys))  # a row of each key, any will do
+    reps = reps.tolist()
+    qsim.check_rows_normalized(rows, reps)
+    by_value: dict[bytes, int] = {}
+    rep_classes = [by_value.setdefault((rows[i] + 0.0).tobytes(), len(by_value))
+                   for i in reps]
+    return np.array(rep_classes)[inverse]
 
 
 @dataclass
@@ -168,19 +208,22 @@ class _RoundTable:
 
 class RoundTables:
     """The round tables of one block stack, keyed by the X-tested copy's
-    amplitude bytes and local qubit. `nbytes` counts the kept keys and
-    tables and never passes `adversary.MEASUREMENT_MEMO_BYTES`."""
+    local qubit and its row class (rows of one class compare equal, so their
+    tables are bit-equal), or its amplitude bytes where the stack has no
+    classes. `nbytes` counts the kept tables and byte keys and never passes
+    `adversary.MEASUREMENT_MEMO_BYTES`."""
 
     def __init__(self):
-        self.memo: dict[tuple[bytes, int], _RoundTable] = {}
+        self.memo: dict[tuple, _RoundTable] = {}
         self.nbytes = 0
 
-    def table(self, vec: np.ndarray, local: int) -> _RoundTable:
-        key = (vec.tobytes(), local)
+    def table(self, vec: np.ndarray, local: int,
+              row_class: Optional[int] = None) -> _RoundTable:
+        key = (vec.tobytes() if row_class is None else row_class, local)
         table = self.memo.get(key)
         if table is None:
             table = _RoundTable(vec, local)
-            cost = len(key[0]) + table.nbytes
+            cost = table.nbytes + (len(key[0]) if row_class is None else 0)
             if self.nbytes + cost <= adversary.MEASUREMENT_MEMO_BYTES:
                 self.memo[key] = table
                 self.nbytes += cost
@@ -212,8 +255,9 @@ def overlap_round(
     one pass, each by `qsim.sample_index`'s rule (the first index whose
     cumulative weight exceeds u times the total) on a uniform u drawn in
     copy order: those of copies 0..c-1, then copy c's two, then the rest.
-    Copy c's table comes from the block's `round_tables`. A given `qubit`
-    must be an int (not a bool) in [0, m q); it is checked before any draw.
+    Copy c's table comes from the block's `round_tables`, keyed by its row
+    class where the block has `row_classes`. A given `qubit` must be an int
+    (not a bool) in [0, m q); it is checked before any draw.
     """
     m, q = block.m, block.qubits_per_copy
     if qubit is None:
@@ -225,11 +269,14 @@ def overlap_round(
         raise ValueError(f"qubit {qubit!r} is not an int in [0, {m * q})")
     c, local = divmod(i, q)
     u_low = rng.random(c) if c else ()  # an empty draw leaves the stream as it is
-    compact, x_bit = block.round_tables.table(block.amps[c], local).draw(rng)
+    classes = block.row_classes
+    table = block.round_tables.table(
+        block.amps[c], local, None if classes is None else classes.item(c))
+    compact, x_bit = table.draw(rng)
     rest = compact << (c * q)
     if m > 1:
         u = np.concatenate((u_low, [0.0], rng.random(m - 1 - c)))
-        hits = _z_collapse(block.amps, u)
+        hits = _z_collapse(block.amps, u, classes)
         outcomes = np.minimum(hits, (1 << q) - 1).tolist()
         for j, z in enumerate(outcomes):
             if j != c:
@@ -242,18 +289,24 @@ def overlap_round(
     return OverlapRound(qubit=i, rest_bits=rest, x_bit=x_bit, f0=f0, f1=f1)
 
 
-def _z_collapse(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _z_collapse(amps: np.ndarray, u: np.ndarray,
+                classes: Optional[np.ndarray] = None) -> np.ndarray:
     """Per row j of the (m, 2^q) block amplitudes, the number of cumulative
     |amp|^2 weights at most u[j] times the row's total. A row that compares
     equal to row 0 (so a signed zero matches either sign) has bit-equal
     weights, and a cumulative sum of nonnegative terms never decreases, so
-    its count is a right searchsorted in row 0's sum."""
+    its count is a right searchsorted in row 0's sum. Given the rows'
+    value `classes`, the rows of row 0's class are those; else the rows are
+    compared."""
     cum0 = np.abs(amps[0])
     np.cumsum(np.square(cum0, out=cum0), out=cum0)
     hits = cum0.searchsorted(u * cum0[-1], side="right")
-    # complex == is == on both parts; compared as float64 parts it is faster
-    parts = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
-    other = np.flatnonzero(~(parts == parts[0]).all(axis=1))
+    if classes is None:
+        # complex == is == on both parts; compared as float64 parts it is faster
+        parts = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
+        other = np.flatnonzero(~(parts == parts[0]).all(axis=1))
+    else:
+        other = np.flatnonzero(classes != classes[0])
     if len(other):
         cum = np.abs(amps[other])
         np.cumsum(np.square(cum, out=cum), axis=1, out=cum)
@@ -282,9 +335,9 @@ def overlap_scores_iid_fast(
         sel = np.flatnonzero(i_draws == i)
         if len(sel) == 0:
             continue
-        a0, a1 = _halves(copy.vec, i)
-        p_pair = np.clip(np.abs(a0) ** 2 + np.abs(a1) ** 2, 0.0, None)
-        p_plus = np.abs(a0 + a1) ** 2 / 2.0 / np.where(p_pair > 0, p_pair, 1.0)
+        round_table = _RoundTable(copy.vec, i)
+        p_pair = round_table.p_pair
+        p_plus = round_table.plus / np.where(p_pair > 0, p_pair, 1.0)
         js = rng.choice(len(p_pair), size=len(sel), p=p_pair / p_pair.sum())
         x_bits = (rng.random(len(sel)) >= np.minimum(1.0, p_plus[js])).astype(int)
         t0, t1 = _halves(table, i)

@@ -557,6 +557,8 @@ class QuantumChannelOracle(Oracle):
         # width of the out register a query carries: f.w for QMem, 0 for QPh
         self.out_width = f.w if kind == "QMem" else 0
         self.tap = TapChannel(strategy)
+        # decided once: no tap acts in either direction
+        self._pass_through = not (self.tap.taps_query or self.tap.taps_response)
         # (state qubits, in_qubits) -> the QPh oracle's sign vector there
         self._phase_signs: dict[tuple, np.ndarray] = {}
         # (id of a read-only sent state, in_qubits) -> (that state, its
@@ -587,10 +589,10 @@ class QuantumChannelOracle(Oracle):
             raise ValueError(f"a {self.kind} query needs {self.f.n} in and "
                              f"{self.out_width} out qubits")
         tap = self.tap
-        if tap.taps_query or tap.taps_response:
+        if not self._pass_through:
             tapped = list(in_qubits) + out_qubits
-        if tap.taps_query:
-            state = tap.apply("query", state, tapped, rng)
+            if tap.taps_query:
+                state = tap.apply("query", state, tapped, rng)
         if self.kind == "QPh":
             # a range is hashable as it is; any other register is keyed as a tuple
             key = in_qubits if type(in_qubits) is range else tuple(in_qubits)
@@ -598,7 +600,8 @@ class QuantumChannelOracle(Oracle):
                     or state.n > qsim.SIGN_TABLE_QUBITS):
                 state = self._phase_response(state, key)
             else:
-                state = self._memoised_response(state, key)
+                hit = self.responses.get((id(state), key))
+                state = self._new_response(state, key) if hit is None else hit[1]
         else:
             state = qsim.apply_qmem_oracle(state, self.f, in_qubits, out_qubits)
         if tap.taps_response:
@@ -617,10 +620,9 @@ class QuantumChannelOracle(Oracle):
             signs = self._phase_signs[state.n, key] = qsim.phase_signs(self.f, state.n, key)
         return qsim.apply_phase_oracle(state, self.f, key, signs)
 
-    def _memoised_response(self, state: PureState, key) -> PureState:
-        hit = self.responses.get((id(state), key))
-        if hit is not None:
-            return hit[1]
+    def _new_response(self, state: PureState, key) -> PureState:
+        """A response the memo does not hold: read-only, and kept while the
+        memo's bytes stay within the bound."""
         response = self._phase_response(state, key)
         response.vec.flags.writeable = False
         cost = response.vec.nbytes

@@ -81,9 +81,9 @@ class PureState:
             raise ValueError(f"pure-state cap is {PURE_QUBIT_CAP} qubits")
         if self.vec.shape != (1 << self.n,):
             raise ValueError("amplitude vector has wrong length")
-        sq = np.vdot(self.vec, self.vec).real
-        if abs(sq - 1.0) > NORM_SQ_TOL:
-            raise ValueError(f"state not normalized: |norm^2-1| = {abs(sq-1.0):.3g}")
+        dev = abs(np.vdot(self.vec, self.vec).real - 1.0)
+        if not dev <= NORM_SQ_TOL:  # written so that NaN fails too
+            raise ValueError(f"state not normalized: |norm^2-1| = {dev:.3g}")
 
     def density(self) -> "MixedState":
         _check_mixed_cap(self.n)
@@ -106,11 +106,12 @@ class MixedState:
         dim = 1 << self.n
         if self.mat.shape != (dim, dim):
             raise ValueError("density matrix has wrong shape")
-        if np.abs(self.mat - self.mat.conj().T).max() > 1e-8:
+        # each check is written so that NaN fails it too
+        if not np.abs(self.mat - self.mat.conj().T).max() <= 1e-8:
             raise ValueError("density matrix not Hermitian")
-        if abs(np.trace(self.mat).real - 1.0) > 1e-8:
+        if not abs(np.trace(self.mat).real - 1.0) <= 1e-8:
             raise ValueError("density matrix trace != 1")
-        if np.linalg.eigvalsh(self.mat).min() < PSD_FLOOR:
+        if not np.linalg.eigvalsh(self.mat).min() >= PSD_FLOOR:
             raise ValueError("density matrix not positive semidefinite")
 
 
@@ -126,17 +127,22 @@ def _trusted(n: int, vec: np.ndarray) -> PureState:
     return state
 
 
-def check_rows_normalized(amps: np.ndarray) -> None:
+def check_rows_normalized(amps: np.ndarray, rows: Optional[Sequence[int]] = None) -> None:
     """The PureState checks on every row of a stacked (k, 2^n) amplitude
-    array, in one vectorised pass."""
+    array, in one vectorised pass; given `rows`, on those rows only, one at
+    a time (no gathered copy). A non-finite row fails."""
     if amps.ndim != 2 or amps.shape[1] & (amps.shape[1] - 1):
         raise ValueError("stacked amplitudes need shape (k, 2^n)")
     if amps.shape[1] > 1 << PURE_QUBIT_CAP:
         raise ValueError(f"pure-state cap is {PURE_QUBIT_CAP} qubits")
-    parts = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
-    dev = np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0).max(initial=0.0)
-    if dev > NORM_SQ_TOL:
-        raise ValueError(f"state not normalized: |norm^2-1| = {dev:.3g}")
+    if rows is None:
+        parts = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
+        devs = (np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0).max(initial=0.0),)
+    else:
+        devs = (abs(np.vdot(amps[i], amps[i]).real - 1.0) for i in rows)
+    for dev in devs:
+        if not dev <= NORM_SQ_TOL:  # written so that NaN fails too
+            raise ValueError(f"state not normalized: |norm^2-1| = {dev:.3g}")
 
 
 # --- state constructors ------------------------------------------------------

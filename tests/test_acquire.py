@@ -171,6 +171,19 @@ def per_copy_query(oracle, rng, mode):
     return joint
 
 
+def spy_stacks(monkeypatch):
+    """Record the (stack, keys) of every `ProductBlock.stacked` call."""
+    seen = []
+    stacked = certify.ProductBlock.stacked.__func__
+
+    def spy(cls, stack, keys=None):
+        seen.append((stack, keys))
+        return stacked(cls, stack, keys)
+
+    monkeypatch.setattr(certify.ProductBlock, "stacked", classmethod(spy))
+    return seen
+
+
 class TestStackedBlocks:
     @pytest.mark.parametrize("strategy, n, w, m, mode", list(BLOCK_CASES.values()),
                              ids=list(BLOCK_CASES))
@@ -248,6 +261,46 @@ class TestStackedBlocks:
             assert qsim.fidelity(got, qsim.prepare_phase_state(oracle.f)) > 1 - 1e-12
         assert oracle.count == 2 and rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("r", (True, False, np.True_, 3.0, np.float64(3), "3", 3 + 0j),
+                             ids=repr)
+    def test_given_mask_that_is_not_an_int_is_refused(self, r):
+        # before any draw or query; a bool is not taken as mask 0 or 1
+        n = 3
+        oracle = phase_oracle(bf.random_truth_table(n, np.random.default_rng(51)))
+        rng = np.random.default_rng(52)
+        before = rng.bit_generator.state
+        row = np.zeros(1 << n, dtype=complex)
+        for out in (row, None):
+            with pytest.raises(ValueError, match="not an int"):
+                acquire.masked_query_phase_randomness(oracle, rng, out=out, r=r)
+        assert oracle.count == 0 and rng.bit_generator.state == before
+        assert not row.any()
+
+    @pytest.mark.parametrize("w", (0, 1))
+    def test_given_numpy_int_mask_is_taken(self, w):
+        # as the Python int, also where the QMem out mask sits above an
+        # 8-bit input mask
+        n = 8
+        f = bf.random_truth_table(n, np.random.default_rng(53), w=w or 1)
+        kind = "QMem" if w else "QPh"
+        for r in (np.int64(5), np.uint8(5), np.uint8(255)):
+            got, want = (
+                acquire.masked_query_phase_randomness(
+                    oracles.QuantumChannelOracle(f, kind), np.random.default_rng(54), r=mask)
+                for mask in (r, int(r)))
+            assert got.vec.tobytes() == want.vec.tobytes()
+
+    def test_masked_query_over_the_cap_is_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(qsim, "PURE_QUBIT_CAP", 5)
+        rng = np.random.default_rng(55)
+        before = rng.bit_generator.state
+        for oracle in (phase_oracle(bf.random_truth_table(6, rng)),
+                       qmem_oracle(bf.random_truth_table(4, rng, w=2))):
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match="cap"):
+                acquire.masked_query_phase_randomness(oracle, rng)
+            assert oracle.count == 0 and rng.bit_generator.state == before
+
     def test_masked_plus_states_equal_the_z_masked_uniform_state(self):
         for n in (1, 3, 8, 9):
             for r in range(0, 1 << n, max(1, (1 << n) // 40)):
@@ -262,6 +315,91 @@ class stretch_round_four(adv.Strategy):
 
     def response_tap(self, state, qubits, memory, rng):
         return qsim._trusted(state.n, state.vec * 1.01) if memory.round == 4 else state
+
+
+class TestKeyedStacks:
+    @pytest.mark.parametrize("strategy, n, w, m, mode", list(BLOCK_CASES.values()),
+                             ids=list(BLOCK_CASES))
+    def test_only_identity_phase_stacks_are_keyed(self, strategy, n, w, m, mode,
+                                                  monkeypatch):
+        # the masks key the rows of randomness-masked phase blocks behind the
+        # identity tap; every other stack is checked and compared row by row
+        f = bf.random_truth_table(n, np.random.default_rng(60), w=w or 1)
+        oracle = oracles.QuantumChannelOracle(f, "QMem" if w else "QPh", strategy)
+        seen = spy_stacks(monkeypatch)
+        blocks = acquire._collect_blocks(oracle, m, 3, np.random.default_rng(61),
+                                         *BLOCK_MODES[mode])
+        (stack, keys), = seen
+        if strategy is None and not w and mode == "randomness":
+            assert keys.shape == (3, m) and keys.dtype == np.int64
+            assert all(b.row_classes.shape == (m,) for b in blocks)
+        else:
+            assert keys is None and all(b.row_classes is None for b in blocks)
+
+    @pytest.mark.parametrize("memo", ("kept", "full"))
+    @pytest.mark.parametrize("n, m, count", [(3, 5, 8), (8, 201, 3), (9, 40, 20)])
+    def test_rows_with_equal_keys_are_byte_equal(self, n, m, count, memo, monkeypatch):
+        # the stack's promise, also above qsim.SIGN_TABLE_QUBITS (n = 9, no
+        # kept mask table) and past the response memo's bound (responses
+        # computed afresh); every row equals the target phase state
+        if memo == "full":
+            monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", 2 * 16 << n)
+        rng = np.random.default_rng(62 + n)
+        f = bf.random_truth_table(n, rng)
+        oracle = phase_oracle(f)
+        seen = spy_stacks(monkeypatch)
+        acquire._collect_blocks(oracle, m, count, rng, entangled=False, unmask=True)
+        (stack, keys), = seen
+        rows, flat = stack.reshape(-1, 1 << n), keys.reshape(-1)
+        repeats = 0
+        for k in set(flat.tolist()):
+            same = rows[flat == k]
+            assert {row.tobytes() for row in same} == {same[0].tobytes()}
+            repeats += len(same) - 1
+        assert repeats > count
+        assert (rows == qsim.prepare_phase_state(f).vec).all()
+        if memo == "full" and n <= qsim.SIGN_TABLE_QUBITS:
+            assert oracle.response_bytes == adv.MEASUREMENT_MEMO_BYTES
+            assert len(oracle.responses) == 2
+
+    def test_a_forrelation_stack_builds_at_most_q_tables(self, monkeypatch):
+        # an honest acquisition of 20 blocks of 201 copies of an 8-qubit
+        # phase state: its rows differ only in the signs of zero imaginary
+        # parts, so they form one class and its 19 rounds build at most one
+        # table per local qubit; unkeyed, the same rounds key on bytes and
+        # build more, with the same outcome and generator end state
+        q = 8
+        f = bf.random_truth_table(q, np.random.default_rng(63))
+        builds = []
+
+        class Counting(certify._RoundTable):
+            __slots__ = ()
+
+            def __init__(self, vec, local):
+                builds.append(local)
+                super().__init__(vec, local)
+
+        monkeypatch.setattr(certify, "_RoundTable", Counting)
+        seen = spy_stacks(monkeypatch)
+        outcomes = []
+        for keyed in (True, False):
+            builds.clear()
+            if not keyed:
+                stacked = certify.ProductBlock.stacked.__func__
+                monkeypatch.setattr(certify.ProductBlock, "stacked", classmethod(
+                    lambda cls, stack, keys=None: stacked(cls, stack)))
+            rng = np.random.default_rng(64)
+            res = acquire.acquire_unidirectional(
+                phase_oracle(f), oracles.MemOracle(f), 201, 1e-4, 0.02, rng)
+            outcomes.append((acquisition_outcome(res), rng.bit_generator.state,
+                             len(builds)))
+        (got, got_state, keyed_builds), (want, want_state, plain_builds) = outcomes
+        assert got == want and got_state == want_state and got[0]
+        assert keyed_builds <= q < plain_builds
+        (stack, keys), (_, dropped) = seen
+        assert dropped is None
+        assert len({row.tobytes() for row in stack.reshape(-1, 1 << q)}) > 1
+        assert len(np.unique(keys)) > 1
 
 
 class TestBlockStack:
@@ -338,17 +476,19 @@ def kind_strategy(kind):
 
 def bypass_response_memo(monkeypatch):
     """Send writeable copies of acquire's shared sent states, which the QPh
-    response memo never keeps."""
-    phase_mask, coupled_pair = acquire._phase_mask, acquire._coupled_pair
+    response memo never keeps: with no kept mask table, every masked query
+    asks `_phase_mask`, which here builds a fresh state."""
+    coupled_pair = acquire._coupled_pair
 
     def fresh_mask(n, r):
-        state, signs = phase_mask(n, r)
-        return qsim.PureState(n, state.vec.copy()), signs
+        signs = qsim.z_signs(n, r)
+        return qsim.PureState(n, signs * complex(2 ** (-n / 2))), signs
 
     def fresh_pair(n):
         pair = coupled_pair(n)
         return qsim.PureState(pair.n, pair.vec.copy())
 
+    monkeypatch.setattr(acquire, "_PHASE_MASKS", {})
     monkeypatch.setattr(acquire, "_phase_mask", fresh_mask)
     monkeypatch.setattr(acquire, "_coupled_pair", fresh_pair)
 

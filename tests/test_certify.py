@@ -446,6 +446,99 @@ class TestRoundTableMemo:
         assert len(a.round_tables.memo) == 1 and not b.round_tables.memo
 
 
+def keyed_rows(q, rng):
+    """Six rows for keys 0-5: rows 0-2 one sparse state with its zeros'
+    signs flipped (equal under ==, different bytes), rows 3-5 distinct."""
+    return memo_rows("signed-zeros", q, rng) + memo_rows("repeated", q, rng)
+
+
+class LowBitView:
+    """A membership view of any arity: the low bit of the input."""
+
+    def query(self, x):
+        return x & 1
+
+
+class TestKeyedStack:
+    @pytest.mark.parametrize("m", (1, 3, 201))
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_rounds_match_an_unkeyed_stack(self, q, m):
+        # the same round fields and generator end state on every qubit of
+        # every block, whether the rows equal to row 0 and the round tables
+        # come from the keyed stack's classes or from compares and bytes
+        rng = np.random.default_rng(1300 + 10 * q + m)
+        rows = keyed_rows(q, rng)
+        count = 1 if m == 201 else 6
+        keys = rng.integers(6, size=(count, m))
+        keys[0, 0] = 1  # row 0 of a block in the signed-zero class
+        stack = np.stack([[rows[k] for k in block] for block in keys])
+        keyed = certify.ProductBlock.stacked(stack.copy(), keys)
+        plain = certify.ProductBlock.stacked(stack)
+        classes = np.stack([block.row_classes for block in keyed])
+        # keys 0-2 hold one class, keys 3, 4 and 5 one each
+        class_of = {k: set(classes[keys == k].tolist()) for k in set(keys.flat)}
+        assert all(len(c) == 1 for c in class_of.values())
+        group = {c for k, cs in class_of.items() if k < 3 for c in cs}
+        assert len(group) == 1
+        others = [c for k, cs in class_of.items() if k >= 3 for c in cs]
+        assert len(set(others)) == len(others) and not group & set(others)
+        if m > 1:
+            assert any(len(set(block.row_classes.tolist())) > 1 for block in keyed)
+        for a, b in zip(keyed, plain):
+            assert b.row_classes is None
+            for qubit in range(m * q):
+                seed = int(rng.integers(2**32))
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = certify.overlap_round(a, LowBitView(), rng_a, qubit)
+                want = certify.overlap_round(b, LowBitView(), rng_b, qubit)
+                assert dataclasses.astuple(got) == dataclasses.astuple(want)
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        # one table per class and local qubit at most; byte keys cost nothing
+        memo = keyed[0].round_tables
+        assert len(memo.memo) <= len(set(classes.flat)) * q
+        assert all(type(key[0]) is int for key in memo.memo)
+        assert memo.nbytes == sum(t.nbytes for t in memo.memo.values())
+
+    def test_rows_get_classes_by_value(self):
+        # rows differing only in signed zeros share a class; any other
+        # difference, however small, splits them
+        rng = np.random.default_rng(1400)
+        a, b, c = memo_rows("signed-zeros", 4, rng)
+        d = a.copy()
+        d[np.flatnonzero(a)[0]] *= 1 + 2**-52
+        stack = np.stack([[a, b], [c, d]])
+        blocks = certify.ProductBlock.stacked(stack, np.array([[0, 1], [2, 3]]))
+        assert [blk.row_classes.tolist() for blk in blocks] == [[0, 0], [0, 1]]
+        assert len({a.tobytes(), b.tobytes(), c.tobytes()}) == 3
+
+    @pytest.mark.parametrize("bad", ("stretched", "nan", "inf"))
+    def test_a_bad_row_under_the_check_is_caught(self, bad):
+        # one row per key is checked, and every row of a key is its bytes:
+        # a key whose rows are off is refused before the stack is frozen
+        rng = np.random.default_rng(1401)
+        rows = [random_pure(3, rng).vec for _ in range(3)]
+        keys = np.array([[0, 1], [2, 1], [0, 2]])
+        stack = np.stack([[rows[k] for k in block] for block in keys])
+        row = rows[1].copy()
+        if bad == "stretched":
+            row *= 1.001
+        else:
+            row[3] = np.nan if bad == "nan" else np.inf
+        stack[keys == 1] = row
+        with pytest.raises(ValueError, match="not normalized"):
+            certify.ProductBlock.stacked(stack, keys)
+        assert stack.flags.writeable
+
+    def test_keys_of_the_wrong_shape_or_kind_are_refused(self):
+        rng = np.random.default_rng(1402)
+        stack = np.stack([[random_pure(2, rng).vec for _ in range(3)] for _ in range(2)])
+        for keys in (np.zeros((3, 2), dtype=int), np.zeros(6, dtype=int),
+                     np.zeros((2, 3)), np.zeros((2, 3), dtype=bool)):
+            with pytest.raises(ValueError, match="keys"):
+                certify.ProductBlock.stacked(stack, keys)
+        assert stack.flags.writeable
+
+
 class TestQubitRefusal:
     BAD = (6, 7, -1, True, False, np.True_, 1.0, "1", np.int64(6))
 

@@ -84,6 +84,39 @@ class TestStates:
             qsim.MixedState(1, np.array([[1.5, 0], [0, -0.5]], dtype=complex))
 
 
+NON_FINITE = {
+    "all-nan": [np.nan] * 4,
+    "inf": [np.inf, 0, 0, 0],
+    "one-nan": [np.nan, 1, 0, 0],
+    "nan-imaginary": [1, 0, 0, complex(0, np.nan)],
+}
+
+
+@pytest.mark.parametrize("vec", list(NON_FINITE.values()), ids=list(NON_FINITE))
+def test_non_finite_amplitudes_are_refused(vec):
+    # a NaN norm deviation fails the check (NaN > tol would let it through)
+    vec = np.array(vec, dtype=complex)
+    with pytest.raises(ValueError, match="not normalized"):
+        qsim.PureState(2, vec)
+    rows = np.stack([qsim.uniform_state(2).vec, vec])
+    for named in (None, [1], [0, 1]):
+        with pytest.raises(ValueError, match="not normalized"):
+            qsim.check_rows_normalized(rows, named)
+    qsim.check_rows_normalized(rows, [0])  # only the named rows are checked
+
+
+@pytest.mark.parametrize("where", ("diagonal", "off-diagonal"))
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_non_finite_density_matrix_is_refused(bad, where):
+    mat = np.eye(2, dtype=complex) / 2
+    if where == "diagonal":
+        mat[0, 0] = bad
+    else:
+        mat[0, 1] = mat[1, 0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="density matrix"):
+        qsim.MixedState(1, mat)  # inf - inf is NaN in the Hermitian check
+
+
 def test_tensor_checks_the_cap_before_building_the_product(monkeypatch):
     products = []
     monkeypatch.setattr(qsim, "PURE_QUBIT_CAP", 4)
