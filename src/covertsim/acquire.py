@@ -19,10 +19,12 @@ run halts on the first rejection, and the certified rounds' answers are
 majority-voted (ell amplified unidirectional rounds, or one ancilla-free
 round).
 
-An acquisition's certification blocks are one (count, m, 2^q) amplitude
-stack, filled by one public query per copy and norm-checked once; each
-block (`certify.ProductBlock`) is a read-only (m, 2^q) view of it. Behind
-the identity tap a phase block's masks are drawn in one call. In entangled
+An acquisition's certification blocks are filled by one public query per
+copy and norm-checked once. Behind the identity tap a randomness-masked
+phase acquisition draws all its masks in one call and holds one table row
+per distinct mask, which its blocks (`certify.ProductBlock`) read through a
+(count, m) index; any other acquisition fills one (count, m, 2^q) stack,
+each block a read-only (m, 2^q) view of it. In entangled
 modes the private mask register occupies the low qubits of every copy, the
 oracle-facing register the high ones. Every entangled query sends the same
 read-only coupled pair, so a measuring ancilla-free tap sees few distinct
@@ -153,7 +155,7 @@ def _coupled_pair(n: int) -> PureState:
 
 def masked_query_phase_randomness(
     oracle: QuantumChannelOracle, rng, out: Optional[np.ndarray] = None,
-    r: Optional[int] = None,
+    r: Optional[int] = None, held: bool = False,
 ) -> Optional[PureState]:
     """One covert query from classical randomness.
 
@@ -164,8 +166,11 @@ def masked_query_phase_randomness(
     after r, and the n + w qubits are unmasked by r | rt << n. The input
     mask is drawn here unless the caller passes one it drew, an int (not a
     bool) in [0, 2^n), checked before any draw or query. Given `out` (a
-    block row), the unmasked amplitudes are written there and nothing is
-    returned; the block checks their norm.
+    table row), the unmasked amplitudes are written there and nothing is
+    returned; the table checks their norm. `held` says that `out` already
+    holds this query's unmasked amplitudes (an earlier query with the same
+    mask behind the identity tap wrote them): the query runs as any other,
+    with its count, tap round and transcript entry, and nothing is written.
     """
     n, w = oracle.f.n, oracle.out_width
     if n + w > qsim.PURE_QUBIT_CAP:  # before a 2^(n + w) mask is built
@@ -191,6 +196,8 @@ def masked_query_phase_randomness(
         got = oracle.query(sent, _REGISTERS[n], rng=rng)
     if out is None:
         return qsim.apply_z_mask(got, r, _REGISTERS[n + w])
+    if held:
+        return None
     if r:
         np.multiply(got.vec, signs, out)  # a positional out skips the ufunc's keyword parse
     else:  # as apply_z_mask: a product with +1 may flip the sign of a zero
@@ -257,45 +264,52 @@ class AcquisitionResult:
 
 
 def _collect_blocks(oracle, m, count, rng, entangled, unmask):
-    """`count` blocks of m masked copies, queried in order into one
-    (count, m, 2^q) stack and handed out as read-only views of it
-    (`ProductBlock.stacked`, one norm check for the whole stack); an
-    entangled response stays coupled to its mask register unless `unmask`
-    is set (randomness-masked responses always come back unmasked).
+    """`count` blocks of m masked copies, one public query per copy, in
+    order; an entangled response stays coupled to its mask register unless
+    `unmask` is set (randomness-masked responses always come back unmasked).
 
     Behind the identity tap the oracle round trip draws nothing from `rng`,
-    so a randomness-masked phase block's m masks are drawn in one
-    `rng.integers(..., size=m)`: the same values and the same generator end
-    state as m scalar draws (pinned by a test), without m scalar calls.
-    Any other tap may draw between the masks, and a QMem copy draws its out
-    mask between them, so there each query draws its own.
+    so a randomness-masked phase stack's count * m masks are drawn in one
+    `rng.integers(..., size=(count, m))`: the same values and the same
+    generator end state as one scalar draw per copy (pinned by a test).
+    There a mask fixes its copy's bytes: the mask row, times the response
+    (memoised or computed afresh, the same bytes either way), times the
+    mask's signs. So the copies are held as one (k, 2^q) table, a row per
+    distinct mask (at most 2^n), and the masks' (count, m) index into it
+    (`ProductBlock.indexed`, one norm check per table row). Every copy still
+    makes its masked query, in order, with its mask; only a mask's first
+    query writes its row.
 
-    On that identity path a mask fixes its row's bytes: the mask row, times
-    the response (memoised or computed afresh, the same bytes either way),
-    times the mask's signs. So the (count, m) masks key the stack's rows,
-    and the stack norm-checks one row per mask.
+    Any other tap may draw between the masks, and a QMem copy draws its out
+    mask between them, so there each query draws its own, and the copies
+    fill one (count, m, 2^q) stack, handed out as read-only views of it
+    (`ProductBlock.stacked`, one norm check for the whole stack).
     """
     n, w = oracle.f.n, oracle.out_width
     qubits = (n + w) * (1 if unmask or not entangled else 2)
     if qubits > qsim.PURE_QUBIT_CAP:  # before the (m, 2^qubits) blocks exist
         raise ValueError(f"a {qubits}-qubit copy is above the pure-state cap "
                          f"of {qsim.PURE_QUBIT_CAP} qubits")
-    block_masks = not (entangled or w) and type(oracle.tap.strategy) is adv.identity
+    if not (entangled or w) and type(oracle.tap.strategy) is adv.identity:
+        masks = rng.integers(0, 1 << n, size=(count, m))
+        _, first, index = np.unique(masks, return_index=True, return_inverse=True)
+        rows = np.empty((len(first), 1 << qubits), dtype=complex)
+        held = np.ones(masks.size, dtype=bool)
+        held[first] = False
+        targets = list(rows)
+        for r, i, done in zip(masks.reshape(-1).tolist(), index.reshape(-1).tolist(),
+                              held.tolist()):
+            masked_query_phase_randomness(oracle, rng, out=targets[i], r=r, held=done)
+        return ProductBlock.indexed(rows, index.reshape(count, m))
     stack = np.empty((count, m, 1 << qubits), dtype=complex)
-    keys = np.empty((count, m), dtype=np.int64) if block_masks else None
-    for j, amps in enumerate(stack):
-        if block_masks:
-            keys[j] = rng.integers(0, 1 << n, size=m)
-            masks = keys[j].tolist()
-        else:
-            masks = [None] * m
-        for row, r in zip(amps, masks):
+    for amps in stack:
+        for row in amps:
             if entangled:
                 joint = masked_query_phase_entangled(oracle, rng)
                 row[:] = (unmask_entangled(joint, n + w, rng) if unmask else joint).vec
             else:
-                masked_query_phase_randomness(oracle, rng, out=row, r=r)
-    return ProductBlock.stacked(stack, keys)
+                masked_query_phase_randomness(oracle, rng, out=row)
+    return ProductBlock.stacked(stack)
 
 
 def _membership_view(mem: MemOracle, n: int, w: int, m: int, masked: bool):

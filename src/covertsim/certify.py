@@ -10,24 +10,25 @@ per-round check projectors.
 
 Blocks are products of copies (cross-block entanglement never arises for the
 implemented adversaries), so measuring certification blocks leaves the
-output block untouched. A block of m pure copies is one stacked (m, 2^q)
-amplitude array, row j the amplitudes of copy j, its row norms checked once
-when the block is built; the blocks of one acquisition are read-only views
-of one (count, m, 2^q) stack, checked once for all (`ProductBlock.stacked`).
-A stack whose caller keys its rows (equal keys, equal bytes: the
-randomness-masked rows behind the identity tap, keyed by their masks) is
-checked one row per key, and its rows get value classes, rows of one class
-comparing equal. A round X-tests one copy and Z-collapses the other m - 1
-together, drawing the same uniforms, in the same order, as collapsing the
-copies one at a time: rows equal to row 0 (its class, or found by a compare
-on an unkeyed stack) share its cumulative |amp|^2 sum and one searchsorted,
-and only the other rows are summed one by one.
+output block untouched. A block of m pure copies reads its (m, 2^q)
+amplitudes, row j the amplitudes of copy j, from read-only rows whose norms
+were checked once when the rows were built. The blocks of one acquisition
+either are read-only views of one (count, m, 2^q) stack, checked once for
+all (`ProductBlock.stacked`), or share one table of distinct rows through a
+(count, m) index (`ProductBlock.indexed`: the randomness-masked rows behind
+the identity tap, one table row per mask). A table is checked once per
+table row, and its rows get value classes, rows of one class comparing
+equal. A round X-tests one copy and Z-collapses the other m - 1 together,
+drawing the same uniforms, in the same order, as collapsing the copies one
+at a time: copies equal to copy 0 (its class, or found by a compare on a
+stack) share its cumulative |amp|^2 sum and one searchsorted, and only the
+other copies are summed one by one.
 
 The X-tested copy's round table (its pair weights |a0|^2 + |a1|^2, their
 cumulative sum and the plus masses |a0 + a1|^2 / 2) is memoised per block
 stack (`RoundTables`), keyed by the copy's row class, or its amplitude bytes
-on an unkeyed stack, and its local qubit: the blocks of one
-`ProductBlock.stacked` share one memo, a public
+on a stack, and its local qubit: the blocks of one `ProductBlock.stacked` or
+`ProductBlock.indexed` share one memo, a public
 `ProductBlock(amps)` has its own, and the memo goes with the blocks. It keeps
 its key and table bytes within `adversary.MEASUREMENT_MEMO_BYTES`; past that
 a table is built, used once and not kept. A round draws from a kept table
@@ -71,54 +72,87 @@ def adaptive_copy_count(n_block: int, eps: float, delta: float) -> int:
 
 class ProductBlock:
     """A certification block: m independent pure q-qubit copies forming one
-    (m q)-qubit register, copy 0 in the low qubits, held as the stacked
-    (m, 2^q) amplitude array `amps` (which the block makes read-only).
+    (m q)-qubit register, copy 0 in the low qubits.
+
+    The block reads its copies from `rows`, a read-only (k, 2^q) amplitude
+    array: the copies themselves (k = m, `index` None), or, for a block of
+    `ProductBlock.indexed`, a table shared with the other blocks of its
+    acquisition, copy j being rows[index[j]]. `amps` is the (m, 2^q) copy
+    amplitudes, the rows themselves or a fresh read-only gather.
     `round_tables` is the memo of its overlap rounds' tables; `row_classes`,
-    when the block comes from a keyed stack, gives each row its value class
-    (rows of one class compare equal), else None."""
+    on an indexed block, gives each copy the value class of its table row
+    (copies of one class compare equal), else None."""
 
     def __init__(self, amps: np.ndarray):
         qsim.check_rows_normalized(amps)
         amps.flags.writeable = False
-        self._hold(amps, RoundTables(), None)
+        self._hold(amps, None, RoundTables(), None)
 
-    def _hold(self, amps: np.ndarray, round_tables: "RoundTables",
-              row_classes: Optional[np.ndarray]) -> None:
-        self.amps = amps
-        self.m, self.qubits_per_copy = amps.shape[0], amps.shape[1].bit_length() - 1
+    def _hold(self, rows: np.ndarray, index: Optional[np.ndarray],
+              round_tables: "RoundTables", row_classes: Optional[np.ndarray]) -> None:
+        self.rows = rows
+        self.index = index
+        self.m = len(rows if index is None else index)
+        self.qubits_per_copy = rows.shape[1].bit_length() - 1
         self.round_tables = round_tables
         self.row_classes = row_classes
 
     @classmethod
-    def stacked(cls, stack: np.ndarray, keys: Optional[np.ndarray] = None
-                ) -> list["ProductBlock"]:
+    def stacked(cls, stack: np.ndarray) -> list["ProductBlock"]:
         """The blocks of a (count, m, 2^q) stack, block j a view of stack[j].
-        The stack is norm-checked before any block is made and made
-        read-only, so each view is too. The blocks share one round-table
-        memo.
-
-        Without `keys`, every row is norm-checked in one pass. `keys`, a
-        (count, m) int array, is the caller's promise that rows with equal
-        keys are byte-equal: then one row per distinct key is norm-checked
-        (so every row is covered) and sorted into a value class by its bytes
-        after + 0.0, which for the finite rows the check lets through is
-        exactly ==. Each block gets its rows' classes."""
+        Every row is norm-checked in one pass before any block is made, and
+        the stack is made read-only, so each view is too. The blocks share
+        one round-table memo."""
         if stack.ndim != 3:
             raise ValueError("a block stack needs shape (count, m, 2^q)")
-        rows = stack.reshape(-1, stack.shape[-1])
-        if keys is None:
-            qsim.check_rows_normalized(rows)
-            classes = [None] * len(stack)
-        elif keys.shape != stack.shape[:2] or keys.dtype.kind not in "iu":
-            raise ValueError("block stack keys need an int array of shape (count, m)")
-        else:
-            classes = _row_classes(rows, keys.reshape(-1)).reshape(keys.shape)
+        qsim.check_rows_normalized(stack.reshape(-1, stack.shape[-1]))
         stack.flags.writeable = False
         round_tables = RoundTables()
         blocks = [object.__new__(cls) for _ in range(len(stack))]
-        for block, amps, row_classes in zip(blocks, stack, classes):
-            block._hold(amps, round_tables, row_classes)
+        for block, amps in zip(blocks, stack):
+            block._hold(amps, None, round_tables, None)
         return blocks
+
+    @classmethod
+    def indexed(cls, rows: np.ndarray, index: np.ndarray) -> list["ProductBlock"]:
+        """The blocks of a (count, m) `index` into a (k, 2^q) table of
+        `rows`: copy i of block j is rows[index[j, i]]. Every table row is
+        norm-checked in one pass and given a value class (`_row_classes`);
+        only then are the table and a copy of the index made read-only. The
+        blocks share the table and one round-table memo.
+
+        Refused with a ValueError before anything is frozen: rows not of
+        shape (k, 2^q), an index that is not an int array (bools included)
+        or not of shape (count, m) with m >= 1, and an index entry outside
+        [0, k)."""
+        if (not isinstance(rows, np.ndarray) or rows.ndim != 2
+                or rows.shape[1] & (rows.shape[1] - 1) or not rows.shape[1]):
+            raise ValueError("block rows need shape (k, 2^q)")
+        if not isinstance(index, np.ndarray) or index.dtype.kind not in "iu":
+            raise ValueError("block index needs an int array, not "
+                             f"{getattr(index, 'dtype', type(index).__name__)}")
+        if index.ndim != 2 or not index.shape[1]:
+            raise ValueError(f"block index needs shape (count, m), m >= 1, got {index.shape}")
+        if index.size and (index.min() < 0 or index.max() >= len(rows)):
+            raise ValueError(f"block index entry outside [0, {len(rows)})")
+        table_classes = _row_classes(rows)
+        index = index.astype(np.intp)  # a copy the caller cannot change
+        rows.flags.writeable = index.flags.writeable = False
+        round_tables = RoundTables()
+        blocks = [object.__new__(cls) for _ in range(len(index))]
+        for block, copies in zip(blocks, index):
+            block._hold(rows, copies, round_tables, table_classes[copies])
+        return blocks
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The (m, 2^q) copy amplitudes, read-only: the block's rows, or
+        gathered afresh from an indexed block's table."""
+        if self.index is None:
+            return self.rows
+        amps = self.rows[self.index]
+        amps.flags.writeable = False
+        return amps
 
     @property
     def n_block(self) -> int:
@@ -127,27 +161,29 @@ class ProductBlock:
     def state(self, j: int) -> PureState:
         """Copy j as a state, unchecked: the block checked every row's norm
         when it was built, and its rows are read-only."""
-        return qsim._trusted(self.qubits_per_copy, self.amps[j])
+        row = self.rows[j if self.index is None else self.index.item(j)]
+        return qsim._trusted(self.qubits_per_copy, row)
 
     @property
     def copies(self) -> list:
         return [self.state(j) for j in range(self.m)]
 
 
-def _row_classes(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The value class of each of the (k, 2^q) `rows`, whose rows with equal
-    `keys` are byte-equal: one representative row per key is norm-checked
-    and keyed by its bytes after + 0.0 (a signed zero becomes +0), one row
-    at a time, so no gathered copy of the representatives is made."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    reps = np.empty(len(distinct), dtype=np.intp)
-    reps[inverse] = np.arange(len(keys))  # a row of each key, any will do
-    reps = reps.tolist()
-    qsim.check_rows_normalized(rows, reps)
-    by_value: dict[bytes, int] = {}
-    rep_classes = [by_value.setdefault((rows[i] + 0.0).tobytes(), len(by_value))
-                   for i in reps]
-    return np.array(rep_classes)[inverse]
+def _row_classes(rows: np.ndarray) -> np.ndarray:
+    """The value class of each of the (k, 2^q) `rows`, after a norm check of
+    all of them: rows that compare equal share a class. One vectorised ==
+    against row 0 finds its class (0); only the rows that differ from it are
+    keyed, by their bytes after + 0.0 (a signed zero becomes +0), which for
+    the finite rows the check lets through is exactly ==."""
+    qsim.check_rows_normalized(rows)
+    classes = np.zeros(len(rows), dtype=np.intp)
+    parts = np.ascontiguousarray(rows, dtype=complex).view(np.float64)
+    other = np.flatnonzero(~(parts == parts[:1]).all(axis=1))
+    if len(other):
+        by_value: dict[bytes, int] = {}
+        classes[other] = [by_value.setdefault((rows[i] + 0.0).tobytes(), len(by_value) + 1)
+                          for i in other.tolist()]
+    return classes
 
 
 @dataclass
@@ -207,10 +243,10 @@ class _RoundTable:
 
 
 class RoundTables:
-    """The round tables of one block stack, keyed by the X-tested copy's
-    local qubit and its row class (rows of one class compare equal, so their
-    tables are bit-equal), or its amplitude bytes where the stack has no
-    classes. `nbytes` counts the kept tables and byte keys and never passes
+    """The round tables of one acquisition's blocks, keyed by the X-tested
+    copy's local qubit and its row class (rows of one class compare equal,
+    so their tables are bit-equal), or its amplitude bytes where the blocks
+    have no classes. `nbytes` counts the kept tables and byte keys and never passes
     `adversary.MEASUREMENT_MEMO_BYTES`."""
 
     def __init__(self):
@@ -256,7 +292,7 @@ def overlap_round(
     cumulative weight exceeds u times the total) on a uniform u drawn in
     copy order: those of copies 0..c-1, then copy c's two, then the rest.
     Copy c's table comes from the block's `round_tables`, keyed by its row
-    class where the block has `row_classes`. A given `qubit` must be an int
+    class on an indexed block. A given `qubit` must be an int
     (not a bool) in [0, m q); it is checked before any draw.
     """
     m, q = block.m, block.qubits_per_copy
@@ -269,14 +305,16 @@ def overlap_round(
         raise ValueError(f"qubit {qubit!r} is not an int in [0, {m * q})")
     c, local = divmod(i, q)
     u_low = rng.random(c) if c else ()  # an empty draw leaves the stream as it is
-    classes = block.row_classes
-    table = block.round_tables.table(
-        block.amps[c], local, None if classes is None else classes.item(c))
+    rows, index, classes = block.rows, block.index, block.row_classes
+    if index is None:
+        table = block.round_tables.table(rows[c], local)
+    else:
+        table = block.round_tables.table(rows[index.item(c)], local, classes.item(c))
     compact, x_bit = table.draw(rng)
     rest = compact << (c * q)
     if m > 1:
         u = np.concatenate((u_low, [0.0], rng.random(m - 1 - c)))
-        hits = _z_collapse(block.amps, u, classes)
+        hits = _z_collapse(rows, u, index, classes)
         outcomes = np.minimum(hits, (1 << q) - 1).tolist()
         for j, z in enumerate(outcomes):
             if j != c:
@@ -289,26 +327,27 @@ def overlap_round(
     return OverlapRound(qubit=i, rest_bits=rest, x_bit=x_bit, f0=f0, f1=f1)
 
 
-def _z_collapse(amps: np.ndarray, u: np.ndarray,
+def _z_collapse(rows: np.ndarray, u: np.ndarray, index: Optional[np.ndarray] = None,
                 classes: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per row j of the (m, 2^q) block amplitudes, the number of cumulative
-    |amp|^2 weights at most u[j] times the row's total. A row that compares
-    equal to row 0 (so a signed zero matches either sign) has bit-equal
-    weights, and a cumulative sum of nonnegative terms never decreases, so
-    its count is a right searchsorted in row 0's sum. Given the rows'
-    value `classes`, the rows of row 0's class are those; else the rows are
-    compared."""
-    cum0 = np.abs(amps[0])
+    """Per copy j of a block, the number of cumulative |amp|^2 weights at
+    most u[j] times the copy's total. The copies are the (m, 2^q) `rows`,
+    or rows[index] with their value `classes`. A copy that compares equal to
+    copy 0 (so a signed zero matches either sign) has bit-equal weights,
+    and a cumulative sum of nonnegative terms never decreases, so its count
+    is a right searchsorted in copy 0's sum. Given classes, the copies of
+    copy 0's class are those; else the rows are compared."""
+    cum0 = np.abs(rows[0] if index is None else rows[index.item(0)])
     np.cumsum(np.square(cum0, out=cum0), out=cum0)
     hits = cum0.searchsorted(u * cum0[-1], side="right")
-    if classes is None:
+    if index is None:
         # complex == is == on both parts; compared as float64 parts it is faster
-        parts = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
-        other = np.flatnonzero(~(parts == parts[0]).all(axis=1))
+        parts = np.ascontiguousarray(rows, dtype=complex).view(np.float64)
+        other = picked = np.flatnonzero(~(parts == parts[0]).all(axis=1))
     else:
         other = np.flatnonzero(classes != classes[0])
+        picked = index[other]
     if len(other):
-        cum = np.abs(amps[other])
+        cum = np.abs(rows[picked])
         np.cumsum(np.square(cum, out=cum), axis=1, out=cum)
         hits[other] = (cum <= (u[other] * cum[:, -1])[:, None]).sum(axis=1)
     return hits

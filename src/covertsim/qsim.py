@@ -127,22 +127,17 @@ def _trusted(n: int, vec: np.ndarray) -> PureState:
     return state
 
 
-def check_rows_normalized(amps: np.ndarray, rows: Optional[Sequence[int]] = None) -> None:
+def check_rows_normalized(amps: np.ndarray) -> None:
     """The PureState checks on every row of a stacked (k, 2^n) amplitude
-    array, in one vectorised pass; given `rows`, on those rows only, one at
-    a time (no gathered copy). A non-finite row fails."""
+    array, in one vectorised pass. A non-finite row fails."""
     if amps.ndim != 2 or amps.shape[1] & (amps.shape[1] - 1):
         raise ValueError("stacked amplitudes need shape (k, 2^n)")
     if amps.shape[1] > 1 << PURE_QUBIT_CAP:
         raise ValueError(f"pure-state cap is {PURE_QUBIT_CAP} qubits")
-    if rows is None:
-        parts = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
-        devs = (np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0).max(initial=0.0),)
-    else:
-        devs = (abs(np.vdot(amps[i], amps[i]).real - 1.0) for i in rows)
-    for dev in devs:
-        if not dev <= NORM_SQ_TOL:  # written so that NaN fails too
-            raise ValueError(f"state not normalized: |norm^2-1| = {dev:.3g}")
+    parts = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
+    dev = np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0).max(initial=0.0)
+    if not dev <= NORM_SQ_TOL:  # written so that NaN fails too
+        raise ValueError(f"state not normalized: |norm^2-1| = {dev:.3g}")
 
 
 # --- state constructors ------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,16 +173,29 @@ def per_copy_query(oracle, rng, mode):
 
 
 def spy_stacks(monkeypatch):
-    """Record the (stack, keys) of every `ProductBlock.stacked` call."""
+    """Record the (rows, index) of every `ProductBlock.indexed` call and the
+    (stack, None) of every `ProductBlock.stacked` call, in call order."""
     seen = []
     stacked = certify.ProductBlock.stacked.__func__
+    indexed = certify.ProductBlock.indexed.__func__
 
-    def spy(cls, stack, keys=None):
-        seen.append((stack, keys))
-        return stacked(cls, stack, keys)
+    def spy_stacked(cls, stack):
+        seen.append((stack, None))
+        return stacked(cls, stack)
 
-    monkeypatch.setattr(certify.ProductBlock, "stacked", classmethod(spy))
+    def spy_indexed(cls, rows, index):
+        seen.append((rows, index))
+        return indexed(cls, rows, index)
+
+    monkeypatch.setattr(certify.ProductBlock, "stacked", classmethod(spy_stacked))
+    monkeypatch.setattr(certify.ProductBlock, "indexed", classmethod(spy_indexed))
     return seen
+
+
+def unindexed(monkeypatch):
+    """Make `ProductBlock.indexed` hand out the same copies as a stack."""
+    monkeypatch.setattr(certify.ProductBlock, "indexed", classmethod(
+        lambda cls, rows, index: certify.ProductBlock.stacked(rows[index])))
 
 
 class TestStackedBlocks:
@@ -242,6 +256,20 @@ class TestStackedBlocks:
             scalars = [int(rng_b.integers(0, 1 << n)) for _ in range(k)]
             assert block == scalars
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("n", range(1, qsim.PURE_QUBIT_CAP + 1))
+    def test_one_stack_draw_equals_block_draws(self, n):
+        # the block loop's one draw of count x m masks relies on this numpy
+        # fact: the same values and the same generator end state as count
+        # draws of m masks each
+        for count in (1, 3, 20):
+            for m in (1, 7, 201):
+                seed = 700 + 10 * n + count
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                stack = rng_a.integers(0, 1 << n, size=(count, m))
+                blocks = np.stack([rng_b.integers(0, 1 << n, size=m) for _ in range(count)])
+                assert stack.dtype == blocks.dtype and (stack == blocks).all()
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_given_mask_outside_its_range_is_refused(self):
         n = 3
@@ -322,41 +350,58 @@ class TestKeyedStacks:
                              ids=list(BLOCK_CASES))
     def test_only_identity_phase_stacks_are_keyed(self, strategy, n, w, m, mode,
                                                   monkeypatch):
-        # the masks key the rows of randomness-masked phase blocks behind the
-        # identity tap; every other stack is checked and compared row by row
+        # randomness-masked phase copies behind the identity tap are held as
+        # one table row per mask, indexed by the masks; every other stack
+        # holds every copy and is compared row by row
         f = bf.random_truth_table(n, np.random.default_rng(60), w=w or 1)
         oracle = oracles.QuantumChannelOracle(f, "QMem" if w else "QPh", strategy)
         seen = spy_stacks(monkeypatch)
+        entangled, unmask = BLOCK_MODES[mode]
         blocks = acquire._collect_blocks(oracle, m, 3, np.random.default_rng(61),
-                                         *BLOCK_MODES[mode])
-        (stack, keys), = seen
+                                         entangled, unmask)
+        (rows, index), = seen
         if strategy is None and not w and mode == "randomness":
-            assert keys.shape == (3, m) and keys.dtype == np.int64
-            assert all(b.row_classes.shape == (m,) for b in blocks)
+            assert index.shape == (3, m) and index.dtype.kind in "iu"
+            assert rows.shape == (len(np.unique(index)), 1 << n)
+            assert all(b.rows is rows and b.index.shape == (m,)
+                       and b.row_classes.shape == (m,) for b in blocks)
         else:
-            assert keys is None and all(b.row_classes is None for b in blocks)
+            qubits = (n + w) * (2 if entangled and not unmask else 1)
+            assert index is None and rows.shape == (3, m, 1 << qubits)
+            assert all(b.index is None and b.row_classes is None for b in blocks)
 
     @pytest.mark.parametrize("memo", ("kept", "full"))
     @pytest.mark.parametrize("n, m, count", [(3, 5, 8), (8, 201, 3), (9, 40, 20)])
     def test_rows_with_equal_keys_are_byte_equal(self, n, m, count, memo, monkeypatch):
-        # the stack's promise, also above qsim.SIGN_TABLE_QUBITS (n = 9, no
+        # a mask's first query writes its table row, and every later query
+        # with that mask would have written the same bytes: each copy equals
+        # its own masked query, also above qsim.SIGN_TABLE_QUBITS (n = 9, no
         # kept mask table) and past the response memo's bound (responses
         # computed afresh); every row equals the target phase state
         if memo == "full":
             monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", 2 * 16 << n)
         rng = np.random.default_rng(62 + n)
         f = bf.random_truth_table(n, rng)
-        oracle = phase_oracle(f)
+        oracle, replay = phase_oracle(f), phase_oracle(f)
         seen = spy_stacks(monkeypatch)
-        acquire._collect_blocks(oracle, m, count, rng, entangled=False, unmask=True)
-        (stack, keys), = seen
-        rows, flat = stack.reshape(-1, 1 << n), keys.reshape(-1)
-        repeats = 0
-        for k in set(flat.tolist()):
-            same = rows[flat == k]
-            assert {row.tobytes() for row in same} == {same[0].tobytes()}
-            repeats += len(same) - 1
-        assert repeats > count
+        query = acquire.masked_query_phase_randomness
+        masks = []
+
+        def spy(*args, **kwargs):
+            masks.append(kwargs["r"])
+            return query(*args, **kwargs)
+
+        monkeypatch.setattr(acquire, "masked_query_phase_randomness", spy)
+        blocks = acquire._collect_blocks(oracle, m, count, rng, entangled=False,
+                                         unmask=True)
+        (rows, index), = seen
+        assert len(masks) == m * count and sorted(set(index.flat)) == list(range(len(rows)))
+        copies = np.concatenate([block.amps for block in blocks])
+        for r, copy in zip(masks, copies):
+            want = np.empty(1 << n, dtype=complex)
+            query(replay, None, out=want, r=r)
+            assert copy.tobytes() == want.tobytes()
+        assert m * count - len(rows) > count
         assert (rows == qsim.prepare_phase_state(f).vec).all()
         if memo == "full" and n <= qsim.SIGN_TABLE_QUBITS:
             assert oracle.response_bytes == adv.MEASUREMENT_MEMO_BYTES
@@ -366,7 +411,7 @@ class TestKeyedStacks:
         # an honest acquisition of 20 blocks of 201 copies of an 8-qubit
         # phase state: its rows differ only in the signs of zero imaginary
         # parts, so they form one class and its 19 rounds build at most one
-        # table per local qubit; unkeyed, the same rounds key on bytes and
+        # table per local qubit; stacked, the same rounds key on bytes and
         # build more, with the same outcome and generator end state
         q = 8
         f = bf.random_truth_table(q, np.random.default_rng(63))
@@ -385,9 +430,7 @@ class TestKeyedStacks:
         for keyed in (True, False):
             builds.clear()
             if not keyed:
-                stacked = certify.ProductBlock.stacked.__func__
-                monkeypatch.setattr(certify.ProductBlock, "stacked", classmethod(
-                    lambda cls, stack, keys=None: stacked(cls, stack)))
+                unindexed(monkeypatch)
             rng = np.random.default_rng(64)
             res = acquire.acquire_unidirectional(
                 phase_oracle(f), oracles.MemOracle(f), 201, 1e-4, 0.02, rng)
@@ -396,10 +439,35 @@ class TestKeyedStacks:
         (got, got_state, keyed_builds), (want, want_state, plain_builds) = outcomes
         assert got == want and got_state == want_state and got[0]
         assert keyed_builds <= q < plain_builds
-        (stack, keys), (_, dropped) = seen
-        assert dropped is None
-        assert len({row.tobytes() for row in stack.reshape(-1, 1 << q)}) > 1
-        assert len(np.unique(keys)) > 1
+        (rows, index), (stack, dropped) = seen
+        assert dropped is None and stack.shape == (20, 201, 1 << q)
+        assert len({row.tobytes() for row in rows}) > 1
+        assert len(np.unique(index)) == len(rows) > 1
+
+    def test_an_honest_forrelation_acquisition_holds_one_small_table(self):
+        # 20 blocks of 201 copies at q = 8 hold one table of at most 2^q
+        # rows (1 MiB), shared by every block, where a stack of every copy
+        # would take 16.5 MB; allocation peaks stay near the table's size
+        q, m, count = 8, 201, 20
+        f = bf.random_truth_table(q, np.random.default_rng(65))
+        oracle = phase_oracle(f)
+        rng = np.random.default_rng(66)
+        acquire._collect_blocks(oracle, 1, 1, rng, entangled=False, unmask=True)
+        tracemalloc.start()
+        try:
+            blocks = acquire._collect_blocks(oracle, m, count, rng, entangled=False,
+                                             unmask=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = blocks[0].rows
+        assert len(blocks) == count and all(b.rows is table for b in blocks)
+        assert table.shape[0] <= 1 << q and table.nbytes <= 1 << 20
+        assert all(b.index.shape == (m,) for b in blocks)
+        assert oracle.count == 1 + m * count
+        # the table, the memoised responses (another 1 MiB at most), the
+        # (count, m) masks and their index; 16.5 MB if every copy were held
+        assert peak < 3 << 20 < count * m * 16 << q
 
 
 class TestBlockStack:

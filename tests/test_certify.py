@@ -460,19 +460,22 @@ class LowBitView:
 
 
 class TestKeyedStack:
+    """Blocks that read a shared table of distinct rows through an index
+    (`ProductBlock.indexed`), against the same copies stacked."""
+
     @pytest.mark.parametrize("m", (1, 3, 201))
     @pytest.mark.parametrize("q", range(1, 9))
     def test_rounds_match_an_unkeyed_stack(self, q, m):
         # the same round fields and generator end state on every qubit of
-        # every block, whether the rows equal to row 0 and the round tables
-        # come from the keyed stack's classes or from compares and bytes
+        # every block, whether the copies equal to copy 0 and the round
+        # tables come from the table's classes or from compares and bytes
         rng = np.random.default_rng(1300 + 10 * q + m)
         rows = keyed_rows(q, rng)
         count = 1 if m == 201 else 6
         keys = rng.integers(6, size=(count, m))
-        keys[0, 0] = 1  # row 0 of a block in the signed-zero class
+        keys[0, 0] = 1  # copy 0 of a block in the signed-zero class
         stack = np.stack([[rows[k] for k in block] for block in keys])
-        keyed = certify.ProductBlock.stacked(stack.copy(), keys)
+        keyed = certify.ProductBlock.indexed(np.stack(rows), keys)
         plain = certify.ProductBlock.stacked(stack)
         classes = np.stack([block.row_classes for block in keyed])
         # keys 0-2 hold one class, keys 3, 4 and 5 one each
@@ -484,8 +487,9 @@ class TestKeyedStack:
         assert len(set(others)) == len(others) and not group & set(others)
         if m > 1:
             assert any(len(set(block.row_classes.tolist())) > 1 for block in keyed)
-        for a, b in zip(keyed, plain):
-            assert b.row_classes is None
+        for a, b, want_amps in zip(keyed, plain, stack):
+            assert b.row_classes is None and b.index is None
+            assert a.amps.tobytes() == want_amps.tobytes()
             for qubit in range(m * q):
                 seed = int(rng.integers(2**32))
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -493,7 +497,7 @@ class TestKeyedStack:
                 want = certify.overlap_round(b, LowBitView(), rng_b, qubit)
                 assert dataclasses.astuple(got) == dataclasses.astuple(want)
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state
-        # one table per class and local qubit at most; byte keys cost nothing
+        # one table per class and local qubit at most; class keys cost nothing
         memo = keyed[0].round_tables
         assert len(memo.memo) <= len(set(classes.flat)) * q
         assert all(type(key[0]) is int for key in memo.memo)
@@ -501,42 +505,106 @@ class TestKeyedStack:
 
     def test_rows_get_classes_by_value(self):
         # rows differing only in signed zeros share a class; any other
-        # difference, however small, splits them
+        # difference, however small, splits them, whether or not the rows
+        # compare equal to row 0 of the table
         rng = np.random.default_rng(1400)
         a, b, c = memo_rows("signed-zeros", 4, rng)
         d = a.copy()
         d[np.flatnonzero(a)[0]] *= 1 + 2**-52
-        stack = np.stack([[a, b], [c, d]])
-        blocks = certify.ProductBlock.stacked(stack, np.array([[0, 1], [2, 3]]))
+        e = random_pure(4, rng).vec
+        blocks = certify.ProductBlock.indexed(np.stack([a, b, c, d]),
+                                              np.array([[0, 1], [2, 3]]))
         assert [blk.row_classes.tolist() for blk in blocks] == [[0, 0], [0, 1]]
         assert len({a.tobytes(), b.tobytes(), c.tobytes()}) == 3
+        blocks = certify.ProductBlock.indexed(np.stack([e, a, d, b, c, e.copy()]),
+                                              np.array([[0, 1, 2], [3, 4, 5]]))
+        assert [blk.row_classes.tolist() for blk in blocks] == [[0, 1, 2], [1, 1, 0]]
 
     @pytest.mark.parametrize("bad", ("stretched", "nan", "inf"))
     def test_a_bad_row_under_the_check_is_caught(self, bad):
-        # one row per key is checked, and every row of a key is its bytes:
-        # a key whose rows are off is refused before the stack is frozen
+        # every table row is checked, one used by many copies and one used
+        # by none; a bad row is refused before the table is frozen
         rng = np.random.default_rng(1401)
-        rows = [random_pure(3, rng).vec for _ in range(3)]
-        keys = np.array([[0, 1], [2, 1], [0, 2]])
-        stack = np.stack([[rows[k] for k in block] for block in keys])
-        row = rows[1].copy()
-        if bad == "stretched":
-            row *= 1.001
-        else:
-            row[3] = np.nan if bad == "nan" else np.inf
-        stack[keys == 1] = row
-        with pytest.raises(ValueError, match="not normalized"):
-            certify.ProductBlock.stacked(stack, keys)
-        assert stack.flags.writeable
+        index = np.array([[0, 1], [2, 1], [0, 2]])
+        for at in (1, 3):
+            rows = np.stack([random_pure(3, rng).vec for _ in range(4)])
+            if bad == "stretched":
+                rows[at] *= 1.001
+            else:
+                rows[at, 3] = np.nan if bad == "nan" else np.inf
+            with pytest.raises(ValueError, match="not normalized"):
+                certify.ProductBlock.indexed(rows, index)
+            assert rows.flags.writeable and index.flags.writeable
 
     def test_keys_of_the_wrong_shape_or_kind_are_refused(self):
+        # each refusal names what it refused, before anything is frozen
         rng = np.random.default_rng(1402)
-        stack = np.stack([[random_pure(2, rng).vec for _ in range(3)] for _ in range(2)])
-        for keys in (np.zeros((3, 2), dtype=int), np.zeros(6, dtype=int),
-                     np.zeros((2, 3)), np.zeros((2, 3), dtype=bool)):
-            with pytest.raises(ValueError, match="keys"):
-                certify.ProductBlock.stacked(stack, keys)
-        assert stack.flags.writeable
+        rows = np.stack([random_pure(2, rng).vec for _ in range(3)])
+        good = np.array([[0, 1, 2], [2, 1, 0]])
+        cases = [
+            (rows, np.zeros(6, dtype=int), "index needs shape"),
+            (rows, np.zeros((2, 3, 1), dtype=int), "index needs shape"),
+            (rows, np.zeros((2, 0), dtype=int), "index needs shape"),
+            (rows, np.zeros((2, 3)), "index needs an int array"),
+            (rows, np.zeros((2, 3), dtype=bool), "index needs an int array"),
+            (rows, [[0, 1, 2], [2, 1, 0]], "index needs an int array"),
+            (rows, np.array([[0, 1, 3], [2, 1, 0]]), "index entry outside"),
+            (rows, np.array([[0, 1, -1], [2, 1, 0]]), "index entry outside"),
+            (rows, np.array([[0, 1, 2], [2, 1, 2**63]], dtype=np.uint64), "index entry outside"),
+            (rows[:, :3], good, "rows need shape"),
+            (rows[None], good, "rows need shape"),
+            (rows[0], good, "rows need shape"),
+            (rows[:, :0], good, "rows need shape"),
+            (rows.tolist(), good, "rows need shape"),
+        ]
+        for bad_rows, bad_index, what in cases:
+            with pytest.raises(ValueError, match=what):
+                certify.ProductBlock.indexed(bad_rows, bad_index)
+        assert rows.flags.writeable and good.flags.writeable
+        blocks = certify.ProductBlock.indexed(rows, good)
+        assert not rows.flags.writeable and good.flags.writeable  # the index is copied
+        assert all(not b.index.flags.writeable and b.rows is rows for b in blocks)
+
+    def test_refused_under_optimization(self):
+        # `python -O` strips asserts; the boundary checks are plain raises
+        code = textwrap.dedent("""
+            import numpy as np
+            from covertsim import certify
+            print("debug", __debug__)
+            rows = np.full((2, 4), 0.5, dtype=complex)
+            for bad_rows, index in ((rows, np.zeros(4, dtype=int)),
+                                    (rows, np.zeros((2, 2), dtype=bool)),
+                                    (rows, np.full((2, 2), 2)),
+                                    (rows[:, :3], np.zeros((2, 2), dtype=int))):
+                try:
+                    certify.ProductBlock.indexed(bad_rows, index)
+                except ValueError as e:
+                    print("raised:", e)
+            print("writeable", rows.flags.writeable)
+        """)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert "debug False" in out.stdout
+        for what in ("index needs shape", "index needs an int array, not bool",
+                     "index entry outside [0, 2)", "rows need shape"):
+            assert f"raised: block {what}" in out.stdout
+        assert out.stdout.count("raised:") == 4 and "writeable True" in out.stdout
+
+    def test_gathered_copies_and_states_read_the_table(self):
+        # amps is a fresh read-only gather; state(j) and copies read the
+        # table row of copy j without a copy
+        rng = np.random.default_rng(1403)
+        rows = np.stack([random_pure(3, rng).vec for _ in range(3)])
+        index = np.array([[2, 0, 2, 1]])
+        block, = certify.ProductBlock.indexed(rows, index)
+        assert (block.m, block.qubits_per_copy, block.n_block) == (4, 3, 12)
+        amps = block.amps
+        assert amps.tobytes() == rows[index[0]].tobytes() and not amps.flags.writeable
+        assert amps is not block.amps
+        for j, copy in enumerate(block.copies):
+            assert copy.vec.base is rows and copy.vec.tobytes() == rows[index[0, j]].tobytes()
 
 
 class TestQubitRefusal:

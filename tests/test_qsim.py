@@ -98,11 +98,8 @@ def test_non_finite_amplitudes_are_refused(vec):
     vec = np.array(vec, dtype=complex)
     with pytest.raises(ValueError, match="not normalized"):
         qsim.PureState(2, vec)
-    rows = np.stack([qsim.uniform_state(2).vec, vec])
-    for named in (None, [1], [0, 1]):
-        with pytest.raises(ValueError, match="not normalized"):
-            qsim.check_rows_normalized(rows, named)
-    qsim.check_rows_normalized(rows, [0])  # only the named rows are checked
+    with pytest.raises(ValueError, match="not normalized"):
+        qsim.check_rows_normalized(np.stack([qsim.uniform_state(2).vec, vec]))
 
 
 @pytest.mark.parametrize("where", ("diagonal", "off-diagonal"))
