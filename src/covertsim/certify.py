@@ -246,8 +246,8 @@ class RoundTables:
     """The round tables of one acquisition's blocks, keyed by the X-tested
     copy's local qubit and its row class (rows of one class compare equal,
     so their tables are bit-equal), or its amplitude bytes where the blocks
-    have no classes. `nbytes` counts the kept tables and byte keys and never passes
-    `adversary.MEASUREMENT_MEMO_BYTES`."""
+    have no classes. `nbytes` counts the kept tables and byte keys and
+    never passes `adversary.MEASUREMENT_MEMO_BYTES`."""
 
     def __init__(self):
         self.memo: dict[tuple, _RoundTable] = {}
@@ -292,8 +292,8 @@ def overlap_round(
     cumulative weight exceeds u times the total) on a uniform u drawn in
     copy order: those of copies 0..c-1, then copy c's two, then the rest.
     Copy c's table comes from the block's `round_tables`, keyed by its row
-    class on an indexed block. A given `qubit` must be an int
-    (not a bool) in [0, m q); it is checked before any draw.
+    class on an indexed block. A given `qubit` must be an int (not a bool)
+    in [0, m q); it is checked before any draw.
     """
     m, q = block.m, block.qubits_per_copy
     if qubit is None:
