@@ -147,6 +147,54 @@ def _phase_tapped(strategy, seed):
     ]
 
 
+# tapped blocks of several copies: every shipped acquisition config runs
+# blocks of one copy, or the identity tap
+
+
+def _phase_tapped_blocks(strategy, mode, seed):
+    """Ten unidirectional acquisitions of three-copy phase-state blocks
+    through one tap kind, in one masking mode."""
+    rng = np.random.default_rng(seed)
+    n = 3
+    f = bf.random_truth_table(n, rng)
+    return [
+        acquire.acquire_unidirectional(
+            _oracle(f, "QPh", strategy), oracles.MemOracle(f), 3, 0.1, 0.1,
+            np.random.default_rng(seed * 100 + t), n_blocks=20, mode=mode,
+        )
+        for t in range(10)
+    ]
+
+
+def _phase_swap_attack_blocks():
+    """Ten randomness-masked unidirectional acquisitions of three-copy
+    blocks of a parity's phase state, each through a fresh swap attack."""
+    n = 3
+    f = bf.parity_fn(0b101, n)
+    return [
+        acquire.acquire_unidirectional(
+            _oracle(f, "QPh", adv.swap_attack()), oracles.MemOracle(f), 3, 0.1, 0.1,
+            np.random.default_rng(2800 + t), n_blocks=20,
+        )
+        for t in range(10)
+    ]
+
+
+def _ancilla_free_blocks(delta_leak, seed):
+    """Ten ancilla-free acquisitions of two-copy blocks through a measuring
+    ancilla-free tap that leaks at `delta_leak`."""
+    rng = np.random.default_rng(seed)
+    n = 2
+    f = bf.random_truth_table(n, rng)
+    return [
+        acquire.acquire_ancilla_free(
+            _oracle(f, "QPh", adv.ancilla_free(delta_leak)), oracles.MemOracle(f),
+            2, 0.2, 0.1, delta_leak, np.random.default_rng(seed * 100 + t), n_blocks=30,
+        )
+        for t in range(10)
+    ]
+
+
 ACQUISITION_CASES = {
     "qmem-unidirectional": (
         _qmem_unidirectional,
@@ -171,6 +219,42 @@ ACQUISITION_CASES = {
     "phase-measure-z": (
         lambda: _phase_tapped(adv.measure_z(), 22),
         "bab094b73b9f3bb1b1e0f4c1019a4245e7e2a8c0a4a035e61624f1a7c4bda420",
+    ),
+    "phase-m3-depolarize-randomness": (
+        lambda: _phase_tapped_blocks(adv.depolarize(0.05), acquire.RANDOMNESS, 41),
+        "a0c00b04ad061267e29a69544d448fbfec2d4f4dd8ad837ec0d8c4570c3a9942",
+    ),
+    "phase-m3-depolarize-entangled": (
+        lambda: _phase_tapped_blocks(adv.depolarize(0.05), acquire.ENTANGLED, 51),
+        "dafa12ed0c2a4f59c68e07ad349391e6bb59b094c1cb76b2ec46c5671bd65e52",
+    ),
+    "phase-m3-measure-z-randomness": (
+        lambda: _phase_tapped_blocks(adv.measure_z(), acquire.RANDOMNESS, 42),
+        "6b0771426598b8f5d4ee07354aa58713111598c2f0db43fa187ddb3d094076ba",
+    ),
+    "phase-m3-measure-z-entangled": (
+        lambda: _phase_tapped_blocks(adv.measure_z(), acquire.ENTANGLED, 52),
+        "8452cf050f8fb0506ad2312fca962ac0d999531657c96ea890ec4e8105725a70",
+    ),
+    "phase-m3-replace-zero-randomness": (
+        lambda: _phase_tapped_blocks(adv.replace_zero(), acquire.RANDOMNESS, 43),
+        "727148f8fc4161eb27d0bb652e970d6192bf195599190fa97d4d35f37e0e8b42",
+    ),
+    "phase-m3-replace-zero-entangled": (
+        lambda: _phase_tapped_blocks(adv.replace_zero(), acquire.ENTANGLED, 53),
+        "27dc1f4a189b386964d2a1aeeebaca89f68a07fce2941e79c0084aec354090d7",
+    ),
+    "phase-m3-swap-attack-randomness": (
+        _phase_swap_attack_blocks,
+        "e0f9ffa41989fd7d4e44cb49d373deed1a98a3e14cf8a38679a5f9b18191717d",
+    ),
+    "phase-af-m2-leak-0.05": (
+        lambda: _ancilla_free_blocks(0.05, 61),
+        "36e0937a55cb2815e57a36e4095c4eb4d3aa74f4848203d3464d81462b728948",
+    ),
+    "phase-af-m2-leak-0.5": (
+        lambda: _ancilla_free_blocks(0.5, 62),
+        "f000217307ac5cc3269b5bdd863dcfe51ea4a6564dd4562ba77c24ffd04750ff",
     ),
 }
 
