@@ -19,12 +19,12 @@ run halts on the first rejection, and the certified rounds' answers are
 majority-voted (ell amplified unidirectional rounds, or one ancilla-free
 round).
 
-An acquisition's certification blocks are filled by one public query per
-copy and norm-checked once. Behind the identity tap a randomness-masked
-phase acquisition draws all its masks in one call and holds one table row
-per distinct mask, which its blocks (`certify.ProductBlock`) read through a
-(count, m) index; any other acquisition fills one (count, m, 2^q) stack,
-each block a read-only (m, 2^q) view of it. In entangled
+An acquisition's certification blocks (`certify.ProductBlock`) are filled
+by one public query per copy and read one table of amplitude rows through a
+(count, m) index, the table norm-checked once. Behind the identity tap a
+randomness-masked phase acquisition draws all its masks in one call and
+holds one table row per distinct mask, indexed by the masks; any other
+acquisition holds one table row per copy, in query order. In entangled
 modes the private mask register occupies the low qubits of every copy, the
 oracle-facing register the high ones. Every entangled query sends the same
 read-only coupled pair, so a measuring ancilla-free tap sees few distinct
@@ -282,8 +282,8 @@ def _collect_blocks(oracle, m, count, rng, entangled, unmask):
 
     Any other tap may draw between the masks, and a QMem copy draws its out
     mask between them, so there each query draws its own, and the copies
-    fill one (count, m, 2^q) stack, handed out as read-only views of it
-    (`ProductBlock.stacked`, one norm check for the whole stack).
+    fill one (count * m, 2^q) table, a row per copy in query order, indexed
+    by (count, m) consecutive rows.
     """
     n, w = oracle.f.n, oracle.out_width
     qubits = (n + w) * (1 if unmask or not entangled else 2)
@@ -301,15 +301,14 @@ def _collect_blocks(oracle, m, count, rng, entangled, unmask):
                               held.tolist()):
             masked_query_phase_randomness(oracle, rng, out=targets[i], r=r, held=done)
         return ProductBlock.indexed(rows, index.reshape(count, m))
-    stack = np.empty((count, m, 1 << qubits), dtype=complex)
-    for amps in stack:
-        for row in amps:
-            if entangled:
-                joint = masked_query_phase_entangled(oracle, rng)
-                row[:] = (unmask_entangled(joint, n + w, rng) if unmask else joint).vec
-            else:
-                masked_query_phase_randomness(oracle, rng, out=row)
-    return ProductBlock.stacked(stack)
+    rows = np.empty((count * m, 1 << qubits), dtype=complex)
+    for row in rows:
+        if entangled:
+            joint = masked_query_phase_entangled(oracle, rng)
+            row[:] = (unmask_entangled(joint, n + w, rng) if unmask else joint).vec
+        else:
+            masked_query_phase_randomness(oracle, rng, out=row)
+    return ProductBlock.indexed(rows, np.arange(count * m).reshape(count, m))
 
 
 def _membership_view(mem: MemOracle, n: int, w: int, m: int, masked: bool):
@@ -355,9 +354,9 @@ def acquire_unidirectional(
     record, out = certify.certify_state_noniid(blocks, view, eps, delta, rng)
     output = None
     if out is not None:
-        # a copy of the output block, so the delivered states do not keep
-        # the whole stack of blocks alive
-        output = [_delivered(c, n, w) for c in ProductBlock(out.amps.copy()).copies]
+        # the output block's own gather, so the delivered states do not keep
+        # the whole table of blocks alive
+        output = [_delivered(c, n, w) for c in ProductBlock(out.amps).copies]
     return AcquisitionResult(
         accepted=record.accepted, output=output, record=record,
         pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,

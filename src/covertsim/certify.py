@@ -10,27 +10,23 @@ per-round check projectors.
 
 Blocks are products of copies (cross-block entanglement never arises for the
 implemented adversaries), so measuring certification blocks leaves the
-output block untouched. A block of m pure copies reads its (m, 2^q)
-amplitudes, row j the amplitudes of copy j, from read-only rows whose norms
-were checked once when the rows were built. The blocks of one acquisition
-either are read-only views of one (count, m, 2^q) stack, checked once for
-all (`ProductBlock.stacked`), or share one table of distinct rows through a
-(count, m) index (`ProductBlock.indexed`: the randomness-masked rows behind
-the identity tap, one table row per mask). A table is checked once per
-table row, and its rows get value classes, rows of one class comparing
-equal. A round X-tests one copy and Z-collapses the other m - 1 together,
-drawing the same uniforms, in the same order, as collapsing the copies one
-at a time: copies equal to copy 0 (its class, or found by a compare on a
-stack) share its cumulative |amp|^2 sum and one searchsorted, and only the
-other copies are summed one by one.
+output block untouched. Every block has one form: it reads its m pure
+copies from a read-only (k, 2^q) table of amplitude rows through a (count,
+m) index, copy j of block b being the row index[b, j]
+(`ProductBlock.indexed`; a public `ProductBlock(amps)` is the one-block
+case, index row 0, ..., m - 1). The blocks of one acquisition share one
+table, whose rows are norm-checked once and given value classes, rows of
+one class comparing equal. A round X-tests one copy and Z-collapses the
+other m - 1 together, drawing the same uniforms, in the same order, as
+collapsing the copies one at a time: copies of copy 0's class share its
+cumulative |amp|^2 sum and one searchsorted, and only the other copies are
+summed one by one.
 
 The X-tested copy's round table (its pair weights |a0|^2 + |a1|^2, their
-cumulative sum and the plus masses |a0 + a1|^2 / 2) is memoised per block
-stack (`RoundTables`), keyed by the copy's row class, or its amplitude bytes
-on a stack, and its local qubit: the blocks of one `ProductBlock.stacked` or
-`ProductBlock.indexed` share one memo, a public
-`ProductBlock(amps)` has its own, and the memo goes with the blocks. It keeps
-its key and table bytes within `adversary.MEASUREMENT_MEMO_BYTES`; past that
+cumulative sum and the plus masses |a0 + a1|^2 / 2) is memoised per table
+(`RoundTables`), keyed by the copy's row class and its local qubit: the
+blocks of one table share one memo, and the memo goes with the blocks. It
+keeps its table bytes within `adversary.MEASUREMENT_MEMO_BYTES`; past that
 a table is built, used once and not kept. A round draws from a kept table
 exactly as from a fresh one (`_round_on_copy`, the unmemoised form): the
 same uniforms in the same order, and the same outcome.
@@ -75,43 +71,30 @@ class ProductBlock:
     (m q)-qubit register, copy 0 in the low qubits.
 
     The block reads its copies from `rows`, a read-only (k, 2^q) amplitude
-    array: the copies themselves (k = m, `index` None), or, for a block of
-    `ProductBlock.indexed`, a table shared with the other blocks of its
-    acquisition, copy j being rows[index[j]]. `amps` is the (m, 2^q) copy
-    amplitudes, the rows themselves or a fresh read-only gather.
-    `round_tables` is the memo of its overlap rounds' tables; `row_classes`,
-    on an indexed block, gives each copy the value class of its table row
-    (copies of one class compare equal), else None."""
+    table, through `index`, its read-only m table rows: copy j is
+    rows[index[j]]. `row_classes` gives each copy the value class of its
+    table row (copies of one class compare equal), and `round_tables` is
+    the memo of its overlap rounds' tables; the blocks of one table share
+    both the table and the memo. `amps` is the (m, 2^q) copy amplitudes, a
+    fresh read-only gather."""
+
+    __slots__ = ("rows", "index", "m", "qubits_per_copy", "round_tables", "row_classes")
 
     def __init__(self, amps: np.ndarray):
-        qsim.check_rows_normalized(amps)
-        amps.flags.writeable = False
-        self._hold(amps, None, RoundTables(), None)
+        """The one block of the (m, 2^q) copy amplitudes `amps`, copy j
+        being amps[j]: `indexed` with the one index row 0, ..., m - 1,
+        checked, classed and frozen as it is."""
+        index, classes = _frozen_table(amps, np.arange(len(amps)).reshape(1, -1))
+        self._hold(amps, index[0], RoundTables(), classes[0])
 
-    def _hold(self, rows: np.ndarray, index: Optional[np.ndarray],
-              round_tables: "RoundTables", row_classes: Optional[np.ndarray]) -> None:
+    def _hold(self, rows: np.ndarray, index: np.ndarray,
+              round_tables: "RoundTables", row_classes: np.ndarray) -> None:
         self.rows = rows
         self.index = index
-        self.m = len(rows if index is None else index)
+        self.m = len(index)
         self.qubits_per_copy = rows.shape[1].bit_length() - 1
         self.round_tables = round_tables
         self.row_classes = row_classes
-
-    @classmethod
-    def stacked(cls, stack: np.ndarray) -> list["ProductBlock"]:
-        """The blocks of a (count, m, 2^q) stack, block j a view of stack[j].
-        Every row is norm-checked in one pass before any block is made, and
-        the stack is made read-only, so each view is too. The blocks share
-        one round-table memo."""
-        if stack.ndim != 3:
-            raise ValueError("a block stack needs shape (count, m, 2^q)")
-        qsim.check_rows_normalized(stack.reshape(-1, stack.shape[-1]))
-        stack.flags.writeable = False
-        round_tables = RoundTables()
-        blocks = [object.__new__(cls) for _ in range(len(stack))]
-        for block, amps in zip(blocks, stack):
-            block._hold(amps, None, round_tables, None)
-        return blocks
 
     @classmethod
     def indexed(cls, rows: np.ndarray, index: np.ndarray) -> list["ProductBlock"]:
@@ -122,34 +105,20 @@ class ProductBlock:
         blocks share the table and one round-table memo.
 
         Refused with a ValueError before anything is frozen: rows not of
-        shape (k, 2^q), an index that is not an int array (bools included)
-        or not of shape (count, m) with m >= 1, and an index entry outside
-        [0, k)."""
-        if (not isinstance(rows, np.ndarray) or rows.ndim != 2
-                or rows.shape[1] & (rows.shape[1] - 1) or not rows.shape[1]):
-            raise ValueError("block rows need shape (k, 2^q)")
-        if not isinstance(index, np.ndarray) or index.dtype.kind not in "iu":
-            raise ValueError("block index needs an int array, not "
-                             f"{getattr(index, 'dtype', type(index).__name__)}")
-        if index.ndim != 2 or not index.shape[1]:
-            raise ValueError(f"block index needs shape (count, m), m >= 1, got {index.shape}")
-        if index.size and (index.min() < 0 or index.max() >= len(rows)):
-            raise ValueError(f"block index entry outside [0, {len(rows)})")
-        table_classes = _row_classes(rows)
-        index = index.astype(np.intp)  # a copy the caller cannot change
-        rows.flags.writeable = index.flags.writeable = False
+        shape (k, 2^q) with k >= 1, an index that is not an int array
+        (bools included) or not of shape (count, m) with m >= 1, and an
+        index entry outside [0, k)."""
+        index, classes = _frozen_table(rows, index)
         round_tables = RoundTables()
         blocks = [object.__new__(cls) for _ in range(len(index))]
-        for block, copies in zip(blocks, index):
-            block._hold(rows, copies, round_tables, table_classes[copies])
+        for block, copies, copy_classes in zip(blocks, index, classes):
+            block._hold(rows, copies, round_tables, copy_classes)
         return blocks
 
     @property
     def amps(self) -> np.ndarray:
-        """The (m, 2^q) copy amplitudes, read-only: the block's rows, or
-        gathered afresh from an indexed block's table."""
-        if self.index is None:
-            return self.rows
+        """The (m, 2^q) copy amplitudes, gathered afresh from the table and
+        read-only."""
         amps = self.rows[self.index]
         amps.flags.writeable = False
         return amps
@@ -161,29 +130,69 @@ class ProductBlock:
     def state(self, j: int) -> PureState:
         """Copy j as a state, unchecked: the block checked every row's norm
         when it was built, and its rows are read-only."""
-        row = self.rows[j if self.index is None else self.index.item(j)]
-        return qsim._trusted(self.qubits_per_copy, row)
+        return qsim._trusted(self.qubits_per_copy, self.rows[self.index.item(j)])
 
     @property
     def copies(self) -> list:
         return [self.state(j) for j in range(self.m)]
 
 
+def _frozen_table(rows, index) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only copy of the (count, m) `index` into the (k, 2^q) `rows`
+    and the value class of every copy it names, from one gather. The shapes
+    and entries are checked, and the rows norm-checked and classed, before
+    the rows and the copy are made read-only."""
+    if (not isinstance(rows, np.ndarray) or rows.ndim != 2 or not len(rows)
+            or rows.shape[1] & (rows.shape[1] - 1) or not rows.shape[1]):
+        raise ValueError("block rows need shape (k, 2^q), k >= 1, got "
+                         f"{getattr(rows, 'shape', type(rows).__name__)}")
+    if not isinstance(index, np.ndarray) or index.dtype.kind not in "iu":
+        raise ValueError("block index needs an int array, not "
+                         f"{getattr(index, 'dtype', type(index).__name__)}")
+    if index.ndim != 2 or not index.shape[1]:
+        raise ValueError(f"block index needs shape (count, m), m >= 1, got {index.shape}")
+    if index.size and (index.min() < 0 or index.max() >= len(rows)):
+        raise ValueError(f"block index entry outside [0, {len(rows)})")
+    classes = _row_classes(rows)
+    index = index.astype(np.intp)  # a copy the caller cannot change
+    rows.flags.writeable = index.flags.writeable = False
+    return index, classes[index]
+
+
+def _print_weights(width: int) -> np.ndarray:
+    """The fixed weights of a row print: sin(1), ..., sin(width)."""
+    return np.sin(np.arange(1.0, width + 1.0))
+
+
 def _row_classes(rows: np.ndarray) -> np.ndarray:
     """The value class of each of the (k, 2^q) `rows`, after a norm check of
-    all of them: rows that compare equal share a class. One vectorised ==
-    against row 0 finds its class (0); only the rows that differ from it are
-    keyed, by their bytes after + 0.0 (a signed zero becomes +0), which for
-    the finite rows the check lets through is exactly ==."""
+    all of them: rows that compare equal share a class, numbered in order
+    of first appearance (row 0's is 0).
+
+    A table whose rows all equal row 0 is one class after one vectorised
+    ==. Otherwise the rows are grouped by their print, the dot product of
+    their float parts with `_print_weights`, summed in one order for every
+    row, so equal rows share it (a signed zero adds nothing), and each row
+    is compared with its group's first row, 64 rows at a time. Should two
+    unequal rows share a print, every row is classed by its bytes after
+    + 0.0 (a signed zero becomes +0), exactly == on the finite rows the
+    check lets through. A dict finds the groups, not a sort: the first
+    numpy sort of a run pages in its code and raises the run's peak RSS."""
     qsim.check_rows_normalized(rows)
-    classes = np.zeros(len(rows), dtype=np.intp)
     parts = np.ascontiguousarray(rows, dtype=complex).view(np.float64)
-    other = np.flatnonzero(~(parts == parts[:1]).all(axis=1))
-    if len(other):
-        by_value: dict[bytes, int] = {}
-        classes[other] = [by_value.setdefault((rows[i] + 0.0).tobytes(), len(by_value) + 1)
-                          for i in other.tolist()]
-    return classes
+    if (parts == parts[:1]).all():
+        return np.zeros(len(rows), dtype=np.intp)
+    prints = np.einsum("ij,j->i", parts, _print_weights(parts.shape[1])).tolist()
+    by_print: dict[float, int] = {}  # print -> first row with it
+    first = np.array([by_print.setdefault(p, i) for i, p in enumerate(prints)])
+    for lo in range(0, len(rows), 64):  # a gather of 64 rows at a time, not of all
+        if not (parts[lo:lo + 64] == parts[first[lo:lo + 64]]).all():
+            by_value: dict[bytes, int] = {}
+            return np.array([by_value.setdefault((row + 0.0).tobytes(), len(by_value))
+                             for row in rows], dtype=np.intp)
+    group_class = np.empty(len(rows), dtype=np.intp)
+    group_class[list(by_print.values())] = np.arange(len(by_print))
+    return group_class[first]
 
 
 @dataclass
@@ -244,25 +253,23 @@ class _RoundTable:
 
 class RoundTables:
     """The round tables of one acquisition's blocks, keyed by the X-tested
-    copy's local qubit and its row class (rows of one class compare equal,
-    so their tables are bit-equal), or its amplitude bytes where the blocks
-    have no classes. `nbytes` counts the kept tables and byte keys and
-    never passes `adversary.MEASUREMENT_MEMO_BYTES`."""
+    copy's row class and local qubit (rows of one class compare equal, so
+    their tables are bit-equal). `nbytes` counts the kept tables and never
+    passes `adversary.MEASUREMENT_MEMO_BYTES`."""
 
     def __init__(self):
-        self.memo: dict[tuple, _RoundTable] = {}
+        self.memo: dict[tuple[int, int], _RoundTable] = {}
         self.nbytes = 0
 
-    def table(self, vec: np.ndarray, local: int,
-              row_class: Optional[int] = None) -> _RoundTable:
-        key = (vec.tobytes() if row_class is None else row_class, local)
+    def table(self, vec: np.ndarray, local: int, row_class: int) -> _RoundTable:
+        key = (row_class, local)
         table = self.memo.get(key)
         if table is None:
             table = _RoundTable(vec, local)
-            cost = table.nbytes + (len(key[0]) if row_class is None else 0)
-            if self.nbytes + cost <= adversary.MEASUREMENT_MEMO_BYTES:
+            nbytes = self.nbytes + table.nbytes
+            if nbytes <= adversary.MEASUREMENT_MEMO_BYTES:
                 self.memo[key] = table
-                self.nbytes += cost
+                self.nbytes = nbytes
         return table
 
 
@@ -292,8 +299,8 @@ def overlap_round(
     cumulative weight exceeds u times the total) on a uniform u drawn in
     copy order: those of copies 0..c-1, then copy c's two, then the rest.
     Copy c's table comes from the block's `round_tables`, keyed by its row
-    class on an indexed block. A given `qubit` must be an int (not a bool)
-    in [0, m q); it is checked before any draw.
+    class. A given `qubit` must be an int (not a bool) in [0, m q); it is
+    checked before any draw.
     """
     m, q = block.m, block.qubits_per_copy
     if qubit is None:
@@ -306,10 +313,7 @@ def overlap_round(
     c, local = divmod(i, q)
     u_low = rng.random(c) if c else ()  # an empty draw leaves the stream as it is
     rows, index, classes = block.rows, block.index, block.row_classes
-    if index is None:
-        table = block.round_tables.table(rows[c], local)
-    else:
-        table = block.round_tables.table(rows[index.item(c)], local, classes.item(c))
+    table = block.round_tables.table(rows[index.item(c)], local, classes.item(c))
     compact, x_bit = table.draw(rng)
     rest = compact << (c * q)
     if m > 1:
@@ -327,27 +331,20 @@ def overlap_round(
     return OverlapRound(qubit=i, rest_bits=rest, x_bit=x_bit, f0=f0, f1=f1)
 
 
-def _z_collapse(rows: np.ndarray, u: np.ndarray, index: Optional[np.ndarray] = None,
-                classes: Optional[np.ndarray] = None) -> np.ndarray:
+def _z_collapse(rows: np.ndarray, u: np.ndarray, index: np.ndarray,
+                classes: np.ndarray) -> np.ndarray:
     """Per copy j of a block, the number of cumulative |amp|^2 weights at
-    most u[j] times the copy's total. The copies are the (m, 2^q) `rows`,
-    or rows[index] with their value `classes`. A copy that compares equal to
-    copy 0 (so a signed zero matches either sign) has bit-equal weights,
-    and a cumulative sum of nonnegative terms never decreases, so its count
-    is a right searchsorted in copy 0's sum. Given classes, the copies of
-    copy 0's class are those; else the rows are compared."""
-    cum0 = np.abs(rows[0] if index is None else rows[index.item(0)])
+    most u[j] times the copy's total. The copies are rows[index], with
+    their value `classes`. A copy of copy 0's class compares equal to it
+    (so a signed zero matches either sign), so it has bit-equal weights,
+    and a cumulative sum of nonnegative terms never decreases: its count is
+    a right searchsorted in copy 0's sum."""
+    cum0 = np.abs(rows[index.item(0)])
     np.cumsum(np.square(cum0, out=cum0), out=cum0)
     hits = cum0.searchsorted(u * cum0[-1], side="right")
-    if index is None:
-        # complex == is == on both parts; compared as float64 parts it is faster
-        parts = np.ascontiguousarray(rows, dtype=complex).view(np.float64)
-        other = picked = np.flatnonzero(~(parts == parts[0]).all(axis=1))
-    else:
-        other = np.flatnonzero(classes != classes[0])
-        picked = index[other]
+    other = np.flatnonzero(classes != classes[0])
     if len(other):
-        cum = np.abs(rows[picked])
+        cum = np.abs(rows[index[other]])
         np.cumsum(np.square(cum, out=cum), axis=1, out=cum)
         hits[other] = (cum <= (u[other] * cum[:, -1])[:, None]).sum(axis=1)
     return hits

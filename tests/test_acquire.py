@@ -10,6 +10,7 @@ from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import certify, oracles, qsim
 from covertsim.gf2 import dot
+from reference import overlap_round_all_rows
 
 
 def phase_oracle(f, strategy=None):
@@ -173,29 +174,55 @@ def per_copy_query(oracle, rng, mode):
 
 
 def spy_stacks(monkeypatch):
-    """Record the (rows, index) of every `ProductBlock.indexed` call and the
-    (stack, None) of every `ProductBlock.stacked` call, in call order."""
+    """Record the (rows, index) of every `ProductBlock.indexed` call, in
+    call order."""
     seen = []
-    stacked = certify.ProductBlock.stacked.__func__
     indexed = certify.ProductBlock.indexed.__func__
-
-    def spy_stacked(cls, stack):
-        seen.append((stack, None))
-        return stacked(cls, stack)
 
     def spy_indexed(cls, rows, index):
         seen.append((rows, index))
         return indexed(cls, rows, index)
 
-    monkeypatch.setattr(certify.ProductBlock, "stacked", classmethod(spy_stacked))
     monkeypatch.setattr(certify.ProductBlock, "indexed", classmethod(spy_indexed))
     return seen
 
 
-def unindexed(monkeypatch):
-    """Make `ProductBlock.indexed` hand out the same copies as a stack."""
-    monkeypatch.setattr(certify.ProductBlock, "indexed", classmethod(
-        lambda cls, rows, index: certify.ProductBlock.stacked(rows[index])))
+def spy_rounds(monkeypatch):
+    """Record the local qubit of every round table built and, for every
+    `certify.overlap_round` call, the block's copies, the view, the qubit,
+    the generator state before and after, the round and the block's memo."""
+    builds, rounds = [], []
+
+    class Counting(certify._RoundTable):
+        __slots__ = ()
+
+        def __init__(self, vec, local):
+            builds.append(local)
+            super().__init__(vec, local)
+
+    real_round = certify.overlap_round
+
+    def spy(block, view, gen, qubit=None):
+        before = gen.bit_generator.state
+        got = real_round(block, view, gen, qubit)
+        rounds.append((block.amps, view, before, qubit, got, gen.bit_generator.state,
+                       block.round_tables))
+        return got
+
+    monkeypatch.setattr(certify, "_RoundTable", Counting)
+    monkeypatch.setattr(certify, "overlap_round", spy)
+    return builds, rounds
+
+
+def assert_rounds_match_the_reference(rounds):
+    """Each recorded round has the fields and the generator end state of
+    the all-rows reference, replayed on a fresh block of its copies."""
+    for amps, view, before, qubit, got, after, _ in rounds:
+        replay = np.random.default_rng()
+        replay.bit_generator.state = before
+        want = overlap_round_all_rows(certify.ProductBlock(amps.copy()), view, replay, qubit)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        assert replay.bit_generator.state == after
 
 
 class TestStackedBlocks:
@@ -351,8 +378,8 @@ class TestKeyedStacks:
     def test_only_identity_phase_stacks_are_keyed(self, strategy, n, w, m, mode,
                                                   monkeypatch):
         # randomness-masked phase copies behind the identity tap are held as
-        # one table row per mask, indexed by the masks; every other stack
-        # holds every copy and is compared row by row
+        # one table row per mask, indexed by the masks; every other table
+        # holds one row per copy, in query order, indexed by consecutive rows
         f = bf.random_truth_table(n, np.random.default_rng(60), w=w or 1)
         oracle = oracles.QuantumChannelOracle(f, "QMem" if w else "QPh", strategy)
         seen = spy_stacks(monkeypatch)
@@ -360,15 +387,15 @@ class TestKeyedStacks:
         blocks = acquire._collect_blocks(oracle, m, 3, np.random.default_rng(61),
                                          entangled, unmask)
         (rows, index), = seen
+        assert index.shape == (3, m) and index.dtype.kind in "iu"
+        assert all(b.rows is rows and b.index.shape == (m,)
+                   and b.row_classes.shape == (m,) for b in blocks)
         if strategy is None and not w and mode == "randomness":
-            assert index.shape == (3, m) and index.dtype.kind in "iu"
             assert rows.shape == (len(np.unique(index)), 1 << n)
-            assert all(b.rows is rows and b.index.shape == (m,)
-                       and b.row_classes.shape == (m,) for b in blocks)
         else:
             qubits = (n + w) * (2 if entangled and not unmask else 1)
-            assert index is None and rows.shape == (3, m, 1 << qubits)
-            assert all(b.index is None and b.row_classes is None for b in blocks)
+            assert rows.shape == (3 * m, 1 << qubits)
+            assert (index == np.arange(3 * m).reshape(3, m)).all()
 
     @pytest.mark.parametrize("memo", ("kept", "full"))
     @pytest.mark.parametrize("n, m, count", [(3, 5, 8), (8, 201, 3), (9, 40, 20)])
@@ -411,38 +438,41 @@ class TestKeyedStacks:
         # an honest acquisition of 20 blocks of 201 copies of an 8-qubit
         # phase state: its rows differ only in the signs of zero imaginary
         # parts, so they form one class and its 19 rounds build at most one
-        # table per local qubit; stacked, the same rounds key on bytes and
-        # build more, with the same outcome and generator end state
+        # table per local qubit, keyed by that class; each round answers as
+        # the all-rows reference on a fresh block of its copies
         q = 8
         f = bf.random_truth_table(q, np.random.default_rng(63))
-        builds = []
-
-        class Counting(certify._RoundTable):
-            __slots__ = ()
-
-            def __init__(self, vec, local):
-                builds.append(local)
-                super().__init__(vec, local)
-
-        monkeypatch.setattr(certify, "_RoundTable", Counting)
         seen = spy_stacks(monkeypatch)
-        outcomes = []
-        for keyed in (True, False):
-            builds.clear()
-            if not keyed:
-                unindexed(monkeypatch)
-            rng = np.random.default_rng(64)
-            res = acquire.acquire_unidirectional(
-                phase_oracle(f), oracles.MemOracle(f), 201, 1e-4, 0.02, rng)
-            outcomes.append((acquisition_outcome(res), rng.bit_generator.state,
-                             len(builds)))
-        (got, got_state, keyed_builds), (want, want_state, plain_builds) = outcomes
-        assert got == want and got_state == want_state and got[0]
-        assert keyed_builds <= q < plain_builds
-        (rows, index), (stack, dropped) = seen
-        assert dropped is None and stack.shape == (20, 201, 1 << q)
+        builds, rounds = spy_rounds(monkeypatch)
+        res = acquire.acquire_unidirectional(
+            phase_oracle(f), oracles.MemOracle(f), 201, 1e-4, 0.02, np.random.default_rng(64))
+        assert res.accepted and len(rounds) == 19
+        assert len(builds) <= q < len(rounds)
+        (rows, index), = seen
         assert len({row.tobytes() for row in rows}) > 1
         assert len(np.unique(index)) == len(rows) > 1
+        memo, = {id(r[-1]): r[-1] for r in rounds}.values()
+        assert {key[0] for key in memo.memo} == {0} and len(memo.memo) == len(builds)
+        monkeypatch.undo()
+        assert_rounds_match_the_reference(rounds)
+
+    def test_an_honest_simon_acquisition_reuses_its_round_tables(self, monkeypatch):
+        # simon's shape: QMem kickback copies of a 4-bit Simon function with
+        # 4 out qubits, 20 blocks of one copy, four acquisitions on one
+        # oracle. Honest copies compare equal to row 0, so they share a class
+        # and their rounds build fewer tables than they run; each round
+        # answers as the all-rows reference on a fresh block of its copies
+        rng = np.random.default_rng(67)
+        n = 4
+        f = bf.random_simon_fn(n, 0b0110, rng)
+        oracle, mem = qmem_oracle(f), oracles.MemOracle(f)
+        builds, rounds = spy_rounds(monkeypatch)
+        for _ in range(4):
+            assert acquire.acquire_unidirectional(oracle, mem, 1, 0.1, 0.1, rng).accepted
+        assert len(rounds) == 4 * (acquire.DEFAULT_BLOCKS - 1)
+        assert len(builds) < len(rounds)
+        monkeypatch.undo()
+        assert_rounds_match_the_reference(rounds)
 
     def test_an_honest_forrelation_acquisition_holds_one_small_table(self):
         # 20 blocks of 201 copies at q = 8 hold one table of at most 2^q
@@ -483,13 +513,18 @@ class TestBlockStack:
         assert oracle.count == 10
 
     def test_collected_blocks_share_one_read_only_stack(self):
+        # one read-only table row per copy, in query order; each block's
+        # copies are views of its rows
         f = bf.random_truth_table(3, np.random.default_rng(36))
         blocks = acquire._collect_blocks(phase_oracle(f, adv.ancilla_free(0.5)), 2, 4,
                                          np.random.default_rng(37),
                                          entangled=True, unmask=False)
-        base = blocks[0].amps.base
-        assert base.shape == (4, 2, 64) and not base.flags.writeable
-        assert all(b.amps.base is base for b in blocks)
+        table = blocks[0].rows
+        assert table.shape == (8, 64) and not table.flags.writeable
+        for j, block in enumerate(blocks):
+            assert block.rows is table and block.index.tolist() == [2 * j, 2 * j + 1]
+            assert all(copy.vec.base is table for copy in block.copies)
+            assert block.amps.tobytes() == table[2 * j:2 * j + 2].tobytes()
 
     def test_delivered_copies_do_not_hold_the_stack(self):
         # the output block is copied out, so the other blocks can be freed

@@ -184,6 +184,9 @@ class TestStackedBlock:
             certify.ProductBlock(amps=bad)
         with pytest.raises(ValueError):
             certify.ProductBlock(amps=amps[:, :6])
+        # no copies: refused by the shape rule of every block table
+        with pytest.raises(ValueError, match=r"rows need shape \(k, 2\^q\), k >= 1"):
+            certify.ProductBlock(amps=np.empty((0, 8), dtype=complex))
 
 
 class TestBlockStack:
@@ -197,30 +200,38 @@ class TestBlockStack:
             assert rng.bit_generator.state == before
 
     def test_bad_row_anywhere_is_refused_before_any_block(self):
+        # a table of one row per copy, as an acquisition behind a drawing
+        # tap holds it
         rng = np.random.default_rng(23)
-        stack = np.stack([[random_pure(3, rng).vec for _ in range(2)] for _ in range(4)])
-        for j in range(4):
-            for k in range(2):
-                bad = stack.copy()
-                bad[j, k] *= 1.001
-                with pytest.raises(ValueError, match="not normalized"):
-                    certify.ProductBlock.stacked(bad)
-                assert bad.flags.writeable  # refused before it was frozen
+        table = np.stack([random_pure(3, rng).vec for _ in range(8)])
+        index = np.arange(8).reshape(4, 2)
+        for k in range(8):
+            bad = table.copy()
+            bad[k] *= 1.001
+            with pytest.raises(ValueError, match="not normalized"):
+                certify.ProductBlock.indexed(bad, index)
+            assert bad.flags.writeable  # refused before it was frozen
         with pytest.raises(ValueError, match="shape"):
-            certify.ProductBlock.stacked(stack[0])
+            certify.ProductBlock.indexed(table.reshape(4, 2, 8), index)
 
     def test_blocks_are_read_only_views_of_one_stack(self):
+        # the blocks of a table of one row per copy read that table: each
+        # copy a read-only view of its row, each gather read-only
         rng = np.random.default_rng(24)
-        stack = np.stack([[random_pure(3, rng).vec for _ in range(2)] for _ in range(4)])
-        want = stack.copy()
-        blocks = certify.ProductBlock.stacked(stack)
-        assert len(blocks) == 4 and not stack.flags.writeable
+        table = np.stack([random_pure(3, rng).vec for _ in range(8)])
+        want = table.copy().reshape(4, 2, 8)
+        blocks = certify.ProductBlock.indexed(table, np.arange(8).reshape(4, 2))
+        assert len(blocks) == 4 and not table.flags.writeable
         for j, block in enumerate(blocks):
-            assert block.amps.base is stack and not block.amps.flags.writeable
+            assert block.rows is table and block.index.tolist() == [2 * j, 2 * j + 1]
+            assert all(copy.vec.base is table for copy in block.copies)
+            assert not block.amps.flags.writeable
             assert (block.m, block.qubits_per_copy, block.n_block) == (2, 3, 6)
             assert block.amps.tobytes() == want[j].tobytes()
             with pytest.raises(ValueError):
                 block.amps[0, 0] = 0
+            with pytest.raises(ValueError):
+                block.copies[1].vec[0] = 0
 
 
 def sparse_pure(n, rng):
@@ -363,13 +374,14 @@ class TestRoundTableMemo:
     @pytest.mark.parametrize("m", (1, 3))
     @pytest.mark.parametrize("q", range(1, 9))
     def test_rounds_match_an_unmemoised_block(self, q, m, kind):
-        # a stack whose blocks repeat three rows: the same round fields and
-        # generator end state, on every qubit, as the reference run on an
-        # unmemoised copy of each block, while the shared memo is hit
+        # a table of one row per copy whose blocks repeat three rows: the
+        # same round fields and generator end state, on every qubit, as the
+        # reference run on an unmemoised copy of each block, while the
+        # shared memo is hit
         rng = np.random.default_rng(900 + 10 * q + m)
         rows = memo_rows(kind, q, rng)
-        stack = np.stack([[rows[k] for k in rng.integers(3, size=m)] for _ in range(6)])
-        blocks = certify.ProductBlock.stacked(stack)
+        table = np.stack([rows[k] for k in rng.integers(3, size=6 * m)])
+        blocks = certify.ProductBlock.indexed(table, np.arange(6 * m).reshape(6, m))
         f = bf.random_truth_table(q, rng)
         rounds = 0
         for block in blocks:
@@ -389,19 +401,24 @@ class TestRoundTableMemo:
                 rounds += 1
             assert block.round_tables is blocks[0].round_tables
             assert not fresh.round_tables.memo
-        # at most 3 rows x q local qubits were built, each kept once
+        # at most 3 rows x q local qubits were built, each kept once, under
+        # the row classes: one for the three signed-zero rows, which
+        # compare equal, else one per row
         memo = blocks[0].round_tables.memo
         assert len(memo) <= 3 * q < rounds
-        assert all(key[0] in {r.tobytes() for r in rows} for key in memo)
+        classes = {key[0] for key in memo}
+        assert all(type(c) is int for c in classes)
+        assert classes <= set(np.concatenate([b.row_classes for b in blocks]).tolist())
+        assert len(classes) <= (1 if kind == "signed-zeros" else 3)
 
     def test_kept_bytes_stay_within_the_bound(self):
-        # a q = 8 stack of distinct rows asks for about five times the bound:
+        # a q = 8 table of distinct rows asks for about twice the bound:
         # the memo stops keeping tables at the bound and every round still
         # answers as the reference does
         rng = np.random.default_rng(31)
         q, count = 8, 360
-        stack = np.stack([[random_pure(q, rng).vec] for _ in range(count)])
-        blocks = certify.ProductBlock.stacked(stack)
+        table = np.stack([random_pure(q, rng).vec for _ in range(count)])
+        blocks = certify.ProductBlock.indexed(table, np.arange(count).reshape(count, 1))
         tables = blocks[0].round_tables
         f = bf.random_truth_table(q, rng)
         for block in blocks:
@@ -413,9 +430,11 @@ class TestRoundTableMemo:
                 assert got == want
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state
                 assert tables.nbytes <= adversary.MEASUREMENT_MEMO_BYTES
-        assert tables.nbytes == sum(len(key[0]) + t.nbytes for key, t in tables.memo.items())
+        # class keys cost nothing: the kept bytes are the tables' own
+        assert all(type(key[0]) is int for key in tables.memo)
+        assert tables.nbytes == sum(t.nbytes for t in tables.memo.values())
         assert 0 < len(tables.memo) < 2 * count
-        assert tables.nbytes + 4096 + 3 * 128 * 8 > adversary.MEASUREMENT_MEMO_BYTES
+        assert tables.nbytes + 3 * 128 * 8 > adversary.MEASUREMENT_MEMO_BYTES
 
     @pytest.mark.parametrize("q", range(2, 9))
     def test_a_zero_weight_pair_draws_one_half(self, q):
@@ -461,14 +480,16 @@ class LowBitView:
 
 class TestKeyedStack:
     """Blocks that read a shared table of distinct rows through an index
-    (`ProductBlock.indexed`), against the same copies stacked."""
+    (`ProductBlock.indexed`), against the all-rows reference on a fresh
+    block of the same copies."""
 
     @pytest.mark.parametrize("m", (1, 3, 201))
     @pytest.mark.parametrize("q", range(1, 9))
     def test_rounds_match_an_unkeyed_stack(self, q, m):
         # the same round fields and generator end state on every qubit of
-        # every block, whether the copies equal to copy 0 and the round
-        # tables come from the table's classes or from compares and bytes
+        # every block as the all-rows reference, which collapses every copy
+        # by its own sum and builds every round table afresh; a fresh block
+        # of the block's copies classes them alike
         rng = np.random.default_rng(1300 + 10 * q + m)
         rows = keyed_rows(q, rng)
         count = 1 if m == 201 else 6
@@ -476,7 +497,6 @@ class TestKeyedStack:
         keys[0, 0] = 1  # copy 0 of a block in the signed-zero class
         stack = np.stack([[rows[k] for k in block] for block in keys])
         keyed = certify.ProductBlock.indexed(np.stack(rows), keys)
-        plain = certify.ProductBlock.stacked(stack)
         classes = np.stack([block.row_classes for block in keyed])
         # keys 0-2 hold one class, keys 3, 4 and 5 one each
         class_of = {k: set(classes[keys == k].tolist()) for k in set(keys.flat)}
@@ -487,14 +507,17 @@ class TestKeyedStack:
         assert len(set(others)) == len(others) and not group & set(others)
         if m > 1:
             assert any(len(set(block.row_classes.tolist())) > 1 for block in keyed)
-        for a, b, want_amps in zip(keyed, plain, stack):
-            assert b.row_classes is None and b.index is None
+        for a, want_amps in zip(keyed, stack):
+            b = certify.ProductBlock(want_amps.copy())
+            assert (b.index == np.arange(m)).all()
+            same = a.row_classes[:, None] == a.row_classes
+            assert (same == (b.row_classes[:, None] == b.row_classes)).all()
             assert a.amps.tobytes() == want_amps.tobytes()
             for qubit in range(m * q):
                 seed = int(rng.integers(2**32))
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
                 got = certify.overlap_round(a, LowBitView(), rng_a, qubit)
-                want = certify.overlap_round(b, LowBitView(), rng_b, qubit)
+                want = overlap_round_all_rows(b, LowBitView(), rng_b, qubit)
                 assert dataclasses.astuple(got) == dataclasses.astuple(want)
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state
         # one table per class and local qubit at most; class keys cost nothing
@@ -519,6 +542,21 @@ class TestKeyedStack:
         blocks = certify.ProductBlock.indexed(np.stack([e, a, d, b, c, e.copy()]),
                                               np.array([[0, 1, 2], [3, 4, 5]]))
         assert [blk.row_classes.tolist() for blk in blocks] == [[0, 1, 2], [1, 1, 0]]
+
+    @pytest.mark.parametrize("q", (1, 2, 5, 8))
+    def test_rows_sharing_a_print_are_classed_by_value(self, q, monkeypatch):
+        # classes numbered by first appearance, from the prints and, with
+        # every print made equal, from the bytes after + 0.0 once the group
+        # check finds unequal rows in one group
+        rng = np.random.default_rng(1404 + q)
+        a, a1, a2 = memo_rows("signed-zeros", q, rng)
+        b, c, d = memo_rows("repeated", q, rng)
+        rows = np.stack([b, a, c, a1, b.copy(), d, a2, c.copy()])
+        want = [0, 1, 2, 1, 0, 3, 1, 2]
+        assert certify._row_classes(rows).tolist() == want
+        monkeypatch.setattr(certify, "_print_weights", lambda width: np.zeros(width))
+        assert certify._row_classes(rows).tolist() == want
+        assert certify._row_classes(rows[:1]).tolist() == [0]
 
     @pytest.mark.parametrize("bad", ("stretched", "nan", "inf"))
     def test_a_bad_row_under_the_check_is_caught(self, bad):
