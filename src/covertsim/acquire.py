@@ -269,8 +269,8 @@ def _collect_blocks(oracle, m, count, rng, entangled, unmask):
     `unmask` is set (randomness-masked responses always come back unmasked).
 
     Behind the identity tap the oracle round trip draws nothing from `rng`,
-    so a randomness-masked phase stack's count * m masks are drawn in one
-    `rng.integers(..., size=(count, m))`: the same values and the same
+    so a randomness-masked phase acquisition's count * m masks are drawn in
+    one `rng.integers(..., size=(count, m))`: the same values and the same
     generator end state as one scalar draw per copy (pinned by a test).
     There a mask fixes its copy's bytes: the mask row, times the response
     (memoised or computed afresh, the same bytes either way), times the
