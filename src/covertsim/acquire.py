@@ -354,9 +354,10 @@ def acquire_unidirectional(
     record, out = certify.certify_state_noniid(blocks, view, eps, delta, rng)
     output = None
     if out is not None:
-        # the output block's own gather, so the delivered states do not keep
-        # the whole table of blocks alive
-        output = [_delivered(c, n, w) for c in ProductBlock(out.amps).copies]
+        # rows of the output block's own read-only gather, norm-checked with
+        # the table, so the delivered states do not keep the whole table alive
+        output = [_delivered(qsim._trusted(out.qubits_per_copy, row), n, w)
+                  for row in out.amps]
     return AcquisitionResult(
         accepted=record.accepted, output=output, record=record,
         pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,

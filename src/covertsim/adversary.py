@@ -31,10 +31,31 @@ from .boolfunc import BooleanFunction, parity_fn
 from .qsim import MixedState, PureState
 
 
-# amplitude bytes one tap's measurement memo, or one QPh oracle's response
-# memo (oracles.QuantumChannelOracle), may hold (the 1 MiB scale of
-# qsim.SIGN_TABLE_QUBITS); an entry that would pass it is used once, unkept
+# bytes one BoundedMemo may keep (the 1 MiB scale of qsim.SIGN_TABLE_QUBITS)
 MEASUREMENT_MEMO_BYTES = 1 << 20
+
+
+class BoundedMemo:
+    """A per-trial memo (the tap's measurement tables, a QPh oracle's
+    responses, a block table's round tables): `memo` maps a key to its
+    value, and `nbytes` sums the costs of the kept values. A caller looks a
+    key up with `memo.get(key)` and hands a value it had to build to
+    `keep`."""
+
+    __slots__ = ("memo", "nbytes")
+
+    def __init__(self):
+        self.memo: dict = {}
+        self.nbytes = 0
+
+    def keep(self, key, value, cost: int):
+        """`value`, kept under `key` only if `nbytes + cost` stays within
+        MEASUREMENT_MEMO_BYTES, read at each call; past that the value is
+        used once and not kept."""
+        if self.nbytes + cost <= MEASUREMENT_MEMO_BYTES:
+            self.memo[key] = value
+            self.nbytes += cost
+        return value
 
 
 class TapMemory:
@@ -42,10 +63,9 @@ class TapMemory:
     event per tap action with what it measured, plus the optional quantum
     register (swap attack only).
 
-    It also holds the memo of `measure`: measurement tables keyed by the
-    tapped state's amplitude bytes, the qubits and the basis.
-    `measure_bytes` counts what the kept tables can hold, key bytes and
-    every post-state included, and never passes MEASUREMENT_MEMO_BYTES."""
+    `measure_memo` is the BoundedMemo of `measure`: measurement tables
+    keyed by the tapped state's amplitude bytes, the qubits and the basis,
+    each costing its key bytes plus every post-state it can build."""
 
     def __init__(self):
         self.quantum: Optional[PureState] = None
@@ -53,8 +73,7 @@ class TapMemory:
         self.round = 0
         self.extracting = False
         self.events: list[dict] = []  # adversary-visible log
-        self.measure_memo: dict[tuple, qsim.MeasurementTable] = {}
-        self.measure_bytes = 0
+        self.measure_memo = BoundedMemo()
 
     def measure(self, state: PureState, qubits: Sequence[int], basis: str,
                 rng) -> tuple[int, PureState]:
@@ -62,13 +81,10 @@ class TapMemory:
         bytes and generator state, without rebuilding the table of a state
         measured before. The post-state is read-only."""
         key = (state.vec.tobytes(), tuple(qubits), basis)
-        table = self.measure_memo.get(key)
+        table = self.measure_memo.memo.get(key)
         if table is None:
             table = qsim.MeasurementTable(state, key[1], basis)
-            cost = len(key[0]) + table.max_nbytes
-            if self.measure_bytes + cost <= MEASUREMENT_MEMO_BYTES:
-                self.measure_memo[key] = table
-                self.measure_bytes += cost
+            self.measure_memo.keep(key, table, len(key[0]) + table.max_nbytes)
         outcome = table.draw(rng)
         return outcome, table.post(outcome)
 

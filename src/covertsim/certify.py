@@ -24,10 +24,10 @@ summed one by one.
 
 The X-tested copy's round table (its pair weights |a0|^2 + |a1|^2, their
 cumulative sum and the plus masses |a0 + a1|^2 / 2) is memoised per table
-(`RoundTables`), keyed by the copy's row class and its local qubit: the
-blocks of one table share one memo, and the memo goes with the blocks. It
-keeps its table bytes within `adversary.MEASUREMENT_MEMO_BYTES`; past that
-a table is built, used once and not kept. A round draws from a kept table
+in an `adversary.BoundedMemo`, keyed by the copy's row class and its local
+qubit and costing the table's bytes: the blocks of one table share one
+memo, and the memo goes with the blocks. Past the memo's bound a table is
+built, used once and not kept. A round draws from a kept table
 exactly as from a fresh one (`_round_on_copy`, the unmemoised form): the
 same uniforms in the same order, and the same outcome.
 """
@@ -85,10 +85,10 @@ class ProductBlock:
         being amps[j]: `indexed` with the one index row 0, ..., m - 1,
         checked, classed and frozen as it is."""
         index, classes = _frozen_table(amps, np.arange(len(amps)).reshape(1, -1))
-        self._hold(amps, index[0], RoundTables(), classes[0])
+        self._hold(amps, index[0], adversary.BoundedMemo(), classes[0])
 
     def _hold(self, rows: np.ndarray, index: np.ndarray,
-              round_tables: "RoundTables", row_classes: np.ndarray) -> None:
+              round_tables: adversary.BoundedMemo, row_classes: np.ndarray) -> None:
         self.rows = rows
         self.index = index
         self.m = len(index)
@@ -109,7 +109,7 @@ class ProductBlock:
         (bools included) or not of shape (count, m) with m >= 1, and an
         index entry outside [0, k)."""
         index, classes = _frozen_table(rows, index)
-        round_tables = RoundTables()
+        round_tables = adversary.BoundedMemo()
         blocks = [object.__new__(cls) for _ in range(len(index))]
         for block, copies, copy_classes in zip(blocks, index, classes):
             block._hold(rows, copies, round_tables, copy_classes)
@@ -251,28 +251,6 @@ class _RoundTable:
         return self.p_pair.nbytes + self.cum.nbytes + self.plus.nbytes
 
 
-class RoundTables:
-    """The round tables of one acquisition's blocks, keyed by the X-tested
-    copy's row class and local qubit (rows of one class compare equal, so
-    their tables are bit-equal). `nbytes` counts the kept tables and never
-    passes `adversary.MEASUREMENT_MEMO_BYTES`."""
-
-    def __init__(self):
-        self.memo: dict[tuple[int, int], _RoundTable] = {}
-        self.nbytes = 0
-
-    def table(self, vec: np.ndarray, local: int, row_class: int) -> _RoundTable:
-        key = (row_class, local)
-        table = self.memo.get(key)
-        if table is None:
-            table = _RoundTable(vec, local)
-            nbytes = self.nbytes + table.nbytes
-            if nbytes <= adversary.MEASUREMENT_MEMO_BYTES:
-                self.memo[key] = table
-                self.nbytes = nbytes
-        return table
-
-
 def _round_on_copy(copy: PureState, local: int, rng) -> tuple[int, int]:
     """Z-measure all qubits but `local`, then X-measure `local`, from a
     fresh round table.
@@ -299,8 +277,9 @@ def overlap_round(
     cumulative weight exceeds u times the total) on a uniform u drawn in
     copy order: those of copies 0..c-1, then copy c's two, then the rest.
     Copy c's table comes from the block's `round_tables`, keyed by its row
-    class. A given `qubit` must be an int (not a bool) in [0, m q); it is
-    checked before any draw.
+    class and local qubit (rows of one class compare equal, so their tables
+    are bit-equal). A given `qubit` must be an int (not a bool) in
+    [0, m q); it is checked before any draw.
     """
     m, q = block.m, block.qubits_per_copy
     if qubit is None:
@@ -313,7 +292,11 @@ def overlap_round(
     c, local = divmod(i, q)
     u_low = rng.random(c) if c else ()  # an empty draw leaves the stream as it is
     rows, index, classes = block.rows, block.index, block.row_classes
-    table = block.round_tables.table(rows[index.item(c)], local, classes.item(c))
+    key = (classes.item(c), local)
+    table = block.round_tables.memo.get(key)
+    if table is None:
+        table = _RoundTable(rows[index.item(c)], local)
+        block.round_tables.keep(key, table, table.nbytes)
     compact, x_bit = table.draw(rng)
     rest = compact << (c * q)
     if m > 1:
@@ -382,6 +365,19 @@ def overlap_scores_iid_fast(
     return scores
 
 
+def _record(scores, n_block: int, eps: float, mem_used: int,
+            covered: Optional[bool] = None) -> CertificationRecord:
+    """The record of an estimate from the round `scores`: their mean
+    against the accept threshold."""
+    omega = float(np.mean(scores))
+    thr = overlap_threshold(eps, n_block)
+    return CertificationRecord(
+        block_qubits=n_block, rounds_used=len(scores), omega_hat=omega,
+        threshold=thr, accepted=omega >= thr, membership_queries=mem_used,
+        used_coverage_path=covered,
+    )
+
+
 def overlap_estimate_iid(
     blocks: Sequence[ProductBlock],
     mem_view,
@@ -405,12 +401,7 @@ def overlap_estimate_iid(
     if len(blocks) < needed:
         raise ValueError(f"insufficient copies: {len(blocks)} < {needed}")
     scores = [overlap_round(blocks[j], mem_view, rng).score for j in range(needed)]
-    omega = float(np.mean(scores))
-    thr = overlap_threshold(eps, n_block)
-    return CertificationRecord(
-        block_qubits=n_block, rounds_used=needed, omega_hat=omega,
-        threshold=thr, accepted=omega >= thr, membership_queries=2 * needed,
-    )
+    return _record(scores, n_block, eps, 2 * needed)
 
 
 def overlap_estimate_iid_state(
@@ -430,12 +421,7 @@ def overlap_estimate_iid_state(
     if rounds < 1:
         raise ValueError("the estimator needs at least one round")
     scores = overlap_scores_iid_fast(copy, f_block, rounds, rng)
-    omega = float(scores.mean())
-    thr = overlap_threshold(eps, copy.n)
-    return CertificationRecord(
-        block_qubits=copy.n, rounds_used=rounds, omega_hat=omega,
-        threshold=thr, accepted=omega >= thr, membership_queries=2 * rounds,
-    )
+    return _record(scores, copy.n, eps, 2 * rounds)
 
 
 def certify_state_noniid(
@@ -490,11 +476,5 @@ def certify_state_noniid(
             rnd = overlap_round(blocks[measured_ids[int(j)]], mem_view, rng)
             mem_used += 2
             scores.append(rnd.score)
-    omega = float(np.mean(scores))
-    thr = overlap_threshold(eps, n_block)
-    record = CertificationRecord(
-        block_qubits=n_block, rounds_used=len(scores), omega_hat=omega,
-        threshold=thr, accepted=omega >= thr, membership_queries=mem_used,
-        used_coverage_path=covered,
-    )
+    record = _record(scores, n_block, eps, mem_used, covered)
     return record, (output_block if record.accepted else None)

@@ -228,7 +228,11 @@ class ShadowSet:
     qubits the estimator asks for the whole register's counts, which every
     observable shares. Each table has at most `shots` cells, and the cache
     holds at most n * shots cells in all, as many as `sym` (each cell a
-    float64): a table that would pass that bound clears it first."""
+    float64): a table that would pass that bound clears it first. This rule
+    stays outside `adversary.BoundedMemo` on purpose: its bound scales with
+    the set (n * shots cells, not a fixed 1 MiB), and on overflow it clears
+    the cache rather than refusing the new table, so a shared `keep` would
+    have to branch on which caller it serves."""
 
     bases: np.ndarray
     bits: np.ndarray

@@ -562,11 +562,9 @@ class QuantumChannelOracle(Oracle):
         # (state qubits, in_qubits) -> the QPh oracle's sign vector there
         self._phase_signs: dict[tuple, np.ndarray] = {}
         # (id of a read-only sent state, in_qubits) -> (that state, its
-        # read-only QPh response); holding the state keeps its id from being
-        # reused. `response_bytes` counts the responses' amplitude bytes and
-        # never passes adversary.MEASUREMENT_MEMO_BYTES
-        self.responses: dict[tuple, tuple[PureState, PureState]] = {}
-        self.response_bytes = 0
+        # read-only QPh response), each costing the response's amplitude
+        # bytes; holding the state keeps its id from being reused
+        self.responses = adv.BoundedMemo()
 
     def query(
         self,
@@ -600,7 +598,7 @@ class QuantumChannelOracle(Oracle):
                     or state.n > qsim.SIGN_TABLE_QUBITS):
                 state = self._phase_response(state, key)
             else:
-                hit = self.responses.get((id(state), key))
+                hit = self.responses.memo.get((id(state), key))
                 state = self._new_response(state, key) if hit is None else hit[1]
         else:
             state = qsim.apply_qmem_oracle(state, self.f, in_qubits, out_qubits)
@@ -621,12 +619,9 @@ class QuantumChannelOracle(Oracle):
         return qsim.apply_phase_oracle(state, self.f, key, signs)
 
     def _new_response(self, state: PureState, key) -> PureState:
-        """A response the memo does not hold: read-only, and kept while the
-        memo's bytes stay within the bound."""
+        """A response the memo does not hold: read-only, and kept within the
+        memo's bound."""
         response = self._phase_response(state, key)
         response.vec.flags.writeable = False
-        cost = response.vec.nbytes
-        if self.response_bytes + cost <= adv.MEASUREMENT_MEMO_BYTES:
-            self.responses[id(state), key] = (state, response)
-            self.response_bytes += cost
-        return response
+        return self.responses.keep((id(state), key), (state, response),
+                                   response.vec.nbytes)[1]

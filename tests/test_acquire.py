@@ -431,8 +431,8 @@ class TestKeyedStacks:
         assert m * count - len(rows) > count
         assert (rows == qsim.prepare_phase_state(f).vec).all()
         if memo == "full" and n <= qsim.SIGN_TABLE_QUBITS:
-            assert oracle.response_bytes == adv.MEASUREMENT_MEMO_BYTES
-            assert len(oracle.responses) == 2
+            assert oracle.responses.nbytes == adv.MEASUREMENT_MEMO_BYTES
+            assert len(oracle.responses.memo) == 2
 
     def test_a_forrelation_stack_builds_at_most_q_tables(self, monkeypatch):
         # an honest acquisition of 20 blocks of 201 copies of an 8-qubit
@@ -639,9 +639,9 @@ class TestResponseMemo:
         assert oracle_a.count == oracle_b.count and mem_a.count == mem_b.count
         assert oracle_a.tap.memory.round == oracle_b.tap.memory.round == oracle_a.count
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
-        assert oracle_b.responses == {} and oracle_b.response_bytes == 0
-        assert bool(oracle_a.responses) == (not oracle_a.tap.taps_query)
-        for sent, response in oracle_a.responses.values():
+        assert oracle_b.responses.memo == {} and oracle_b.responses.nbytes == 0
+        assert bool(oracle_a.responses.memo) == (not oracle_a.tap.taps_query)
+        for sent, response in oracle_a.responses.memo.values():
             assert not sent.vec.flags.writeable and not response.vec.flags.writeable
 
     def test_memoised_response_is_the_oracle_response_read_only(self):
@@ -654,12 +654,12 @@ class TestResponseMemo:
             want = qsim.apply_phase_oracle(sent, f, range(n))
             assert got.vec.tobytes() == want.vec.tobytes()
             assert not got.vec.flags.writeable
-            assert oracle.responses[id(sent), range(n)][1] is got
-        assert len(oracle.responses) == 3 and oracle.count == 5
-        assert oracle.response_bytes == 3 * 16 << n
+            assert oracle.responses.memo[id(sent), range(n)][1] is got
+        assert len(oracle.responses.memo) == 3 and oracle.count == 5
+        assert oracle.responses.nbytes == 3 * 16 << n
         # another register of the same state is a separate entry
         oracle.query(sent, [3, 2, 1, 0])
-        assert (id(sent), (3, 2, 1, 0)) in oracle.responses
+        assert (id(sent), (3, 2, 1, 0)) in oracle.responses.memo
 
     @pytest.mark.parametrize("kind", ["ancilla_free", "swap_attack"])
     def test_query_taps_never_fill_the_memo(self, kind):
@@ -670,7 +670,7 @@ class TestResponseMemo:
         rng = np.random.default_rng(45)
         for r in (1, 1, 2):
             oracle.query(acquire._phase_mask(n, r)[0], range(n), rng=rng)
-        assert oracle.responses == {} and oracle.count == 3
+        assert oracle.responses.memo == {} and oracle.count == 3
 
     def test_writeable_sent_states_never_fill_the_memo(self):
         n = 3
@@ -678,7 +678,7 @@ class TestResponseMemo:
         sent = qsim.PureState(n, acquire._phase_mask(n, 6)[0].vec.copy())
         for _ in range(3):
             assert oracle.query(sent, range(n)).vec.flags.writeable
-        assert oracle.responses == {} and oracle.count == 3
+        assert oracle.responses.memo == {} and oracle.count == 3
 
     def test_memo_bytes_stay_within_the_bound(self, monkeypatch):
         # through a bound of three 4-qubit responses: the rest are answered
@@ -691,8 +691,8 @@ class TestResponseMemo:
             sent = acquire._phase_mask(n, r)[0]
             got = oracle.query(sent, range(n))
             assert got.vec.tobytes() == qsim.apply_phase_oracle(sent, f, range(n)).vec.tobytes()
-            assert oracle.response_bytes <= adv.MEASUREMENT_MEMO_BYTES
-        assert len(oracle.responses) == 3 and oracle.response_bytes == 3 * 16 << n
+            assert oracle.responses.nbytes <= adv.MEASUREMENT_MEMO_BYTES
+        assert len(oracle.responses.memo) == 3 and oracle.responses.nbytes == 3 * 16 << n
 
     def test_largest_shared_table_fits_the_bound(self):
         # every row of the largest kept mask table: exactly the 1 MiB bound
@@ -700,8 +700,8 @@ class TestResponseMemo:
         oracle = phase_oracle(bf.random_truth_table(n, np.random.default_rng(48)))
         for r in range(1 << n):
             oracle.query(acquire._phase_mask(n, r)[0], range(n))
-        assert len(oracle.responses) == 1 << n
-        assert oracle.response_bytes == adv.MEASUREMENT_MEMO_BYTES
+        assert len(oracle.responses.memo) == 1 << n
+        assert oracle.responses.nbytes == adv.MEASUREMENT_MEMO_BYTES
 
     def test_nothing_is_kept_above_the_sign_table_size(self):
         n = qsim.SIGN_TABLE_QUBITS + 1
@@ -714,7 +714,7 @@ class TestResponseMemo:
         frozen.vec.flags.writeable = False
         oracle.query(frozen, range(n))
         oracle.query(frozen, range(n))
-        assert oracle.responses == {} and oracle.response_bytes == 0 and oracle.count == 6
+        assert oracle.responses.memo == {} and oracle.responses.nbytes == 0 and oracle.count == 6
 
 
 class TestAcquireUnidirectional:

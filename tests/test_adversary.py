@@ -191,6 +191,30 @@ def tapped_queries(strategy, n, mode, queries, seed):
     return trace, oracle.tap.memory
 
 
+class TestBoundedMemo:
+    def test_keep_stores_only_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", 100)
+        memo = adv.BoundedMemo()
+        value = object()
+        assert memo.keep("a", value, 60) is value
+        # 60 + 50 would pass the bound: returned, not kept, not counted
+        rejected = object()
+        assert memo.keep("b", rejected, 50) is rejected
+        assert memo.keep("c", 3, 40) == 3  # exactly at the bound is kept
+        assert memo.memo == {"a": value, "c": 3} and memo.nbytes == 60 + 40
+        assert memo.keep("d", 4, 1) == 4 and "d" not in memo.memo
+
+    def test_the_bound_is_read_at_each_keep(self, monkeypatch):
+        memo = adv.BoundedMemo()
+        memo.keep("a", 1, 10)
+        monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", 10)
+        memo.keep("b", 2, 1)
+        assert memo.memo == {"a": 1} and memo.nbytes == 10
+        monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", 15)
+        memo.keep("b", 2, 5)
+        assert memo.memo == {"a": 1, "b": 2} and memo.nbytes == 15
+
+
 class TestMeasurementMemo:
     @pytest.mark.parametrize("mode", ["entangled", "randomness"])
     def test_memoised_tap_equals_one_without_the_memo(self, mode, monkeypatch):
@@ -206,7 +230,7 @@ class TestMeasurementMemo:
         for (trace, memory), (want, want_memory) in zip(memoised, fresh):
             assert trace == want
             assert memory.events == want_memory.events and memory.events
-            assert want_memory.measure_memo == {} and memory.measure_memo
+            assert want_memory.measure_memo.memo == {} and memory.measure_memo.memo
             rounds += len(trace)
         assert rounds == 1200
 
@@ -222,7 +246,7 @@ class TestMeasurementMemo:
                     outcome, post = memory.measure(psi, qubits, basis, rng_a)
                     want, want_post = qsim.measure_qubits(psi, qubits, basis, rng_b)
                     assert outcome == want and post.vec.tobytes() == want_post.vec.tobytes()
-        assert len(memory.measure_memo) == 6
+        assert len(memory.measure_memo.memo) == 6
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_an_acquire_af_trial_needs_three_tables(self):
@@ -232,10 +256,10 @@ class TestMeasurementMemo:
         f = bf.random_truth_table(3, rng)
         oracle = oracles.QuantumChannelOracle(f, "QPh", adv.ancilla_free(0.5))
         acquire.acquire_ancilla_free(oracle, oracles.MemOracle(f), 1, 0.1, 0.1, 0.5, rng)
-        memo = oracle.tap.memory.measure_memo
+        memo = oracle.tap.memory.measure_memo.memo
         assert oracle.count == 361 and len(memo) == 3
         assert sum(len(t.posts) for t in memo.values()) <= 18
-        assert oracle.tap.memory.measure_bytes == sum(
+        assert oracle.tap.memory.measure_memo.nbytes == sum(
             len(key[0]) + t.max_nbytes for key, t in memo.items())
 
     def test_memo_stays_under_its_bound(self, monkeypatch):
@@ -251,14 +275,14 @@ class TestMeasurementMemo:
         def watched(memory, state, qubits, basis, rng):
             out = measure(memory, state, qubits, basis, rng)
             seen.setdefault(memory, set()).add((state.vec.tobytes(), tuple(qubits), basis))
-            held.append(memory.measure_bytes)
+            held.append(memory.measure_memo.nbytes)
             return out
 
         monkeypatch.setattr(adv.TapMemory, "measure", watched)
         records = [exp.run_trial(cfg, t) for t in range(2)]
         assert len(seen) == 2 and max(held) <= adv.MEASUREMENT_MEMO_BYTES
         # each trial saw more registers than its memo kept tables for
-        assert all(len(keys) > len(memory.measure_memo) for memory, keys in seen.items())
+        assert all(len(keys) > len(memory.measure_memo.memo) for memory, keys in seen.items())
         monkeypatch.setattr(adv.TapMemory, "measure", measure_unmemoised)
         assert records == [exp.run_trial(cfg, t) for t in range(2)]
 

@@ -259,12 +259,24 @@ ACQUISITION_CASES = {
 }
 
 
+def at_memo_bounds(names):
+    """Each name at the default memo bound, under its own id, and at bound
+    0 (`-memo-0`), where every adversary.BoundedMemo keeps nothing: no memo
+    changes a byte of the records."""
+    names = sorted(names)
+    return pytest.mark.parametrize(
+        "name, memo_bound",
+        [(n, adv.MEASUREMENT_MEMO_BYTES) for n in names] + [(n, 0) for n in names],
+        ids=names + [f"{n}-memo-0" for n in names])
+
+
 def test_every_shipped_config_has_a_digest():
     assert sorted(p.stem for p in CONFIG_DIR.glob("*.json")) == sorted(RECORD_DIGESTS)
 
 
-@pytest.mark.parametrize("name", sorted(RECORD_DIGESTS))
-def test_config_records(name):
+@at_memo_bounds(RECORD_DIGESTS)
+def test_config_records(name, memo_bound, monkeypatch):
+    monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", memo_bound)
     got = records_digest(name)
     assert got == RECORD_DIGESTS[name], (
         f"golden records of configs/{name}.json changed; new digest {got}"
@@ -286,8 +298,9 @@ def test_swap_attack_forms_no_density_matrix(monkeypatch):
     assert hashlib.sha256(blob.encode()).hexdigest() == SWAP_12_QUBIT_DIGEST, record
 
 
-@pytest.mark.parametrize("name", sorted(ACQUISITION_CASES))
-def test_acquisition_results(name):
+@at_memo_bounds(ACQUISITION_CASES)
+def test_acquisition_results(name, memo_bound, monkeypatch):
+    monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", memo_bound)
     build, want = ACQUISITION_CASES[name]
     got = results_digest(build())
     assert got == want, f"golden acquisition {name!r} changed; new digest {got}"
