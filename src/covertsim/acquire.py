@@ -193,7 +193,7 @@ def masked_query_phase_randomness(
     else:
         masks = _PHASE_MASKS.get(n)  # the shared row, without a call when kept
         sent, signs = _phase_mask(n, r) if masks is None else masks[r]
-        got = oracle.query(sent, _REGISTERS[n], rng=rng)
+        got = oracle.query(sent, _REGISTERS[n], None, rng)  # positional: no keyword parse
     if out is None:
         return qsim.apply_z_mask(got, r, _REGISTERS[n + w])
     if held:
@@ -435,6 +435,8 @@ def task_rounds(
 ) -> TaskOutcome:
     """Certify-then-run rounds: halt on the first rejected acquisition, else
     run the task on every certified output and take the majority vote."""
+    if rounds < 1:
+        raise ValueError(f"task_rounds needs rounds >= 1, got {rounds}")
     votes = []
     for j in range(rounds):
         res = acquire_round()

@@ -41,6 +41,7 @@ import numpy as np
 
 from .boolfunc import BooleanFunction, MAX_TABLE_ARITY, eval_all
 from . import adversary, qsim
+from .gf2 import join_digits
 from .qsim import PureState
 
 SHADOW_OVERLAP_CONSTANT = 2  # C_so in the i.i.d. copy-count formulas
@@ -301,12 +302,10 @@ def overlap_round(
     rest = compact << (c * q)
     if m > 1:
         u = np.concatenate((u_low, [0.0], rng.random(m - 1 - c)))
-        hits = _z_collapse(rows, u, index, classes)
-        outcomes = np.minimum(hits, (1 << q) - 1).tolist()
-        for j, z in enumerate(outcomes):
-            if j != c:
-                # copy c keeps q - 1 of its bits (qubit i is X-measured)
-                rest |= z << (j * q - (j > c))
+        outcomes = np.minimum(_z_collapse(rows, u, index, classes), (1 << q) - 1)
+        # copy c keeps q - 1 of its bits (qubit i is X-measured)
+        rest |= (join_digits(outcomes[:c], q)
+                 | join_digits(outcomes[c + 1:], q) << (c * q + q - 1))
     y0 = _insert_bit(rest, i, 0)
     y1 = _insert_bit(rest, i, 1)
     f0 = mem_view.query(y0)

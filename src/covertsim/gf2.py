@@ -2,7 +2,9 @@
 
 Bit-strings are plain Python ints. Bit j of the int, i.e. ``(x >> j) & 1``,
 is coordinate x_{j+1} of the string. All linear-algebra routines work on
-lists of such ints plus an explicit length n.
+lists of such ints plus an explicit length n. A string of m copies of a
+q-bit register holds copy j's digit at bits [j q, (j + 1) q);
+`split_digits` and `join_digits` convert between the two forms.
 """
 from __future__ import annotations
 
@@ -10,10 +12,35 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 
 def dot(a: int, b: int) -> int:
     """Inner product a·b over GF(2)."""
     return (a & b).bit_count() & 1
+
+
+def split_digits(x: int, width: int, count: int) -> list[int]:
+    """The `count` width-bit digits of x, digit j from bits [j width,
+    (j + 1) width); x must lie below 2^(width count), width below 64. One
+    digit, or none, takes no numpy call."""
+    if count <= 1:
+        return [x] if count else []
+    nbits = width * count
+    raw = np.frombuffer(x.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(raw, count=nbits, bitorder="little").reshape(count, width)
+    return (bits @ (1 << np.arange(width))).tolist()
+
+
+def join_digits(digits, width: int) -> int:
+    """The int whose digit j, at bits [j width, (j + 1) width), is digits[j];
+    each digit must lie in [0, 2^width), width at most 64. One digit, or
+    none, takes no numpy call."""
+    if len(digits) <= 1:
+        return int(digits[0]) if len(digits) else 0
+    words = np.asarray(digits).astype("<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(words, axis=1, count=width, bitorder="little")
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def row_echelon(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:

@@ -19,7 +19,7 @@ import numpy as np
 from . import adversary as adv
 from . import qsim
 from .boolfunc import BooleanFunction, Parity, eval_all, evaluate, quadratic_fn, truth_table
-from .gf2 import dot
+from .gf2 import dot, split_digits
 from .qsim import PureState
 
 PUBLIC = "public"
@@ -277,6 +277,9 @@ class TensorMemView:
     """Membership view of f^(x)m: one view query costs m base queries."""
 
     def __init__(self, base, m: int, n_base: int):
+        if m < 1 or n_base < 1:
+            raise ValueError(f"a tensor view needs m >= 1 copies of n_base >= 1 "
+                             f"bits, got m={m}, n_base={n_base}")
         self.base = base
         self.m = m
         self.n_base = n_base
@@ -284,12 +287,10 @@ class TensorMemView:
 
     def query(self, x: int) -> int:
         _check_view_input(x, self.n)
-        query, n_base = self.base.query, self.n_base
-        mask = (1 << n_base) - 1
+        query = self.base.query
         acc = 0
-        for _ in range(self.m):
-            acc ^= query(x & mask)
-            x >>= n_base
+        for part in split_digits(x, self.n_base, self.m):
+            acc ^= query(part)
         return acc
 
 

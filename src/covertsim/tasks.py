@@ -131,18 +131,26 @@ def forrelation_decide(
     half, accepting with probability (1 + Phi^2) / 2. All copies are tested
     at once: one H^n on the stacked g halves, one symmetric-projection
     probability per copy, one uniform per copy in copy order (as `swap_test`
-    draws them).
+    draws them). A copy that compares equal to copy 0 (a signed zero matches
+    either sign) has copy 0's probability bit for bit, so only copy 0 and
+    the copies that differ from it are rotated.
     """
+    if not copies:
+        raise ValueError("forrelation_decide needs a nonempty copy list")
     if any(copy.n != 2 * n for copy in copies):
         raise ValueError("copies must hold 2n qubits")
     k = len(copies)
+    vecs = np.stack([copy.vec for copy in copies])
+    other = np.flatnonzero((vecs[1:] != vecs[0]).any(axis=1)) + 1
     # [copy, g index, f index]: the g half holds the high qubits
-    rotated = (qsim.z_sign_table(n) / 2 ** (n / 2)) @ np.stack(
-        [copy.vec for copy in copies]
-    ).reshape(k, 1 << n, 1 << n)
+    rotated = (qsim.z_sign_table(n) / 2 ** (n / 2)) @ vecs[
+        np.concatenate(([0], other))
+    ].reshape(-1, 1 << n, 1 << n)
     # |(B + B^T) / 2|^2 summed: the mass of the symmetric projection
     mass = np.abs(rotated + rotated.transpose(0, 2, 1))
-    p_sym = np.square(mass, out=mass).sum(axis=(1, 2)) / 4.0
+    masses = np.square(mass, out=mass).sum(axis=(1, 2)) / 4.0
+    p_sym = np.full(k, masses[0])
+    p_sym[other] = masses[1:]
     accepts = int(np.count_nonzero(rng.random(k) < p_sym))
     freq = accepts / k
     return PHI_LARGE if freq >= threshold else PHI_SMALL

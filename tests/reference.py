@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from covertsim import boolfunc as bf
-from covertsim import certify, covertsq, oracles, qsim
+from covertsim import certify, covertsq, oracles, qsim, tasks
 
 
 def apply_unitary_moveaxis(state: qsim.PureState, u: np.ndarray,
@@ -176,6 +176,35 @@ def overlap_round_all_rows(block: certify.ProductBlock, mem_view, rng,
     f0 = mem_view.query(certify._insert_bit(rest, i, 0))
     f1 = mem_view.query(certify._insert_bit(rest, i, 1))
     return certify.OverlapRound(qubit=i, rest_bits=rest, x_bit=x_bit, f0=f0, f1=f1)
+
+
+def forrelation_decide_all_copies(copies: Sequence[qsim.PureState], n: int, rng,
+                                  threshold: float = tasks.SWAP_TEST_THRESHOLD) -> str:
+    """tasks.forrelation_decide with every copy rotated and summed: one H^n
+    on all the stacked g halves, one symmetric-projection probability per
+    copy, one uniform per copy."""
+    if any(copy.n != 2 * n for copy in copies):
+        raise ValueError("copies must hold 2n qubits")
+    k = len(copies)
+    rotated = (qsim.z_sign_table(n) / 2 ** (n / 2)) @ np.stack(
+        [copy.vec for copy in copies]
+    ).reshape(k, 1 << n, 1 << n)
+    mass = np.abs(rotated + rotated.transpose(0, 2, 1))
+    p_sym = np.square(mass, out=mass).sum(axis=(1, 2)) / 4.0
+    accepts = int(np.count_nonzero(rng.random(k) < p_sym))
+    return tasks.PHI_LARGE if accepts / k >= threshold else tasks.PHI_SMALL
+
+
+def tensor_view_query_shifts(view: oracles.TensorMemView, x: int) -> int:
+    """oracles.TensorMemView.query with the base queries made on x's
+    n_base-bit chunks, low chunk first, cut off by one shift per copy."""
+    oracles._check_view_input(x, view.n)
+    mask = (1 << view.n_base) - 1
+    acc = 0
+    for _ in range(view.m):
+        acc ^= view.base.query(x & mask)
+        x >>= view.n_base
+    return acc
 
 
 def phi_double_sum(f: bf.BooleanFunction, g: bf.BooleanFunction) -> float:

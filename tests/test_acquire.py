@@ -859,6 +859,13 @@ class TestAmplifiedTask:
         with pytest.raises(ValueError):
             acquire.amplification_rounds(0.05, 0.3)
 
+    @pytest.mark.parametrize("rounds", [0, -2])
+    def test_no_rounds_is_refused_before_any_acquisition(self, rounds):
+        acquired = []
+        with pytest.raises(ValueError, match=rf"task_rounds needs rounds >= 1, got {rounds}"):
+            acquire.task_rounds(lambda copies: 0, rounds, lambda: acquired.append(1))
+        assert acquired == []
+
     def test_honest_majority(self):
         rng = np.random.default_rng(11)
         n = 2

@@ -167,3 +167,28 @@ class TestOffdiagonalQuadratic:
         # (A+A^T)(y1 xor y2) must equal z1 xor z2 = 0b11, contradicting 0b00
         with pytest.raises(ValueError):
             gf2.solve_offdiagonal_quadratic(samples, 2)
+
+
+class TestDigits:
+    @pytest.mark.parametrize("width", range(1, 13))
+    @pytest.mark.parametrize("count", [0, 1, 2, 201])
+    def test_split_then_join_is_the_identity(self, width, count):
+        rng = np.random.default_rng(1000 * width + count)
+        nbits = width * count
+        samples = [0, (1 << nbits) - 1] + [
+            int.from_bytes(rng.bytes(nbits // 8 + 1), "little") & ((1 << nbits) - 1)
+            for _ in range(5)
+        ]
+        for x in samples:
+            digits = gf2.split_digits(x, width, count)
+            assert len(digits) == count
+            # digit j is bits [j width, (j + 1) width), a Python int
+            assert digits == [(x >> (j * width)) & ((1 << width) - 1) for j in range(count)]
+            assert all(type(d) is int for d in digits)
+            for given in (digits, np.array(digits, dtype=np.int64)):
+                joined = gf2.join_digits(given, width)
+                assert joined == x and type(joined) is int
+
+    def test_join_of_no_digits_is_zero(self):
+        assert gf2.join_digits(np.array([], dtype=np.int64), 5) == 0
+        assert gf2.join_digits([], 3) == 0

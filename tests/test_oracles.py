@@ -17,6 +17,7 @@ from reference import (
     outcome_bits_unpackbits,
     polynomial_value,
     quadratic_from_matrix,
+    tensor_view_query_shifts,
 )
 
 
@@ -177,6 +178,34 @@ class TestExMemOracles:
             # F(x_1, x_2, x_3) = f(x_1) xor f(x_2) xor f(x_3), 2-bit chunks
             assert view.query(x) == (x & 1) ^ (x >> 2 & 1) ^ (x >> 4 & 1)
         assert base.count == 9  # 3 view queries x 3 base queries
+
+    @pytest.mark.parametrize("m", [1, 2, 201])
+    def test_tensor_mem_matches_the_shift_loop(self, m):
+        # same answers, base count and base transcript (so the same Python
+        # int inputs in the same order) as one shift per copy
+        rng = np.random.default_rng(80 + m)
+        n_base = 3
+        f = bf.random_truth_table(n_base, rng)
+        n = m * n_base
+        xs = [0, (1 << n) - 1] + [
+            int.from_bytes(rng.bytes(n // 8 + 1), "little") & ((1 << n) - 1)
+            for _ in range(5)
+        ]
+        runs = []
+        for query in (oracles.TensorMemView.query, tensor_view_query_shifts):
+            t = oracles.Transcript()
+            base = oracles.MemOracle(f, transcript=t)
+            view = oracles.TensorMemView(base, m=m, n_base=n_base)
+            runs.append(([query(view, x) for x in xs], base.count, t.events))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == len(xs) * m
+
+    @pytest.mark.parametrize("m, n_base", [(0, 2), (-1, 2), (2, 0), (2, -3)])
+    def test_tensor_mem_refuses_an_empty_register(self, m, n_base):
+        base = oracles.MemOracle(bf.random_truth_table(2, np.random.default_rng(81)))
+        with pytest.raises(ValueError, match=rf"m >= 1 copies of n_base >= 1 bits, "
+                                             rf"got m={m}, n_base={n_base}"):
+            oracles.TensorMemView(base, m=m, n_base=n_base)
 
     def test_masked_mem_view(self):
         rng = np.random.default_rng(8)
