@@ -54,10 +54,33 @@ SWAP_12_QUBIT_DIGEST = (
     "765b61fa6c5ec934ee9cf49f87bae3d8cbbfac6f3d1eaf60cc21a066a6f58f05")
 
 
+# first TRIALS records of task paths no shipped config reaches: the
+# forrelation decision over copies that differ from copy 0 (a depolarizing
+# tap), and the ancilla-free deliveries of forrelation and simon
+TASK_CASES = {
+    "forrelation-n2-depolarize": (
+        {"scenario": "forrelation", "params": {"n": 2},
+         "adversary": {"kind": "depolarize", "p": 0.01}, "seed": 3101},
+        "a0329730a4e9c62926e5643b9aa94b411b9a29c7b4bd1627cfb8723b30182474",
+    ),
+    "forrelation-n2-ancilla-free": (
+        {"scenario": "forrelation", "params": {"n": 2, "ancilla_free": True, "delta_leak": 0.05},
+         "adversary": {"kind": "ancilla_free", "delta_leak": 0.05}, "seed": 3102},
+        "65dac306b1427649600e8fe08fcf0961d3651890e86edc29ce8a4839e10cad82",
+    ),
+    "simon-n2-ancilla-free": (
+        {"scenario": "simon", "params": {"n": 2, "ancilla_free": True}, "seed": 3103},
+        "a78997196a9de7b02a60b57c0b62ec5a61bcc128ca593b97559683b83f286e6b",
+    ),
+}
+
+
 def records_digest(name: str) -> str:
-    cfg = exp.ExperimentConfig.from_dict(
-        json.loads((CONFIG_DIR / f"{name}.json").read_text())
-    )
+    return spec_digest(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+
+
+def spec_digest(spec: dict) -> str:
+    cfg = exp.ExperimentConfig.from_dict(spec)
     records = [exp.run_trial(cfg, i) for i in range(TRIALS)]
     blob = json.dumps(records, sort_keys=True, default=float)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -281,6 +304,14 @@ def test_config_records(name, memo_bound, monkeypatch):
     assert got == RECORD_DIGESTS[name], (
         f"golden records of configs/{name}.json changed; new digest {got}"
     )
+
+
+@at_memo_bounds(TASK_CASES)
+def test_task_records(name, memo_bound, monkeypatch):
+    monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", memo_bound)
+    spec, want = TASK_CASES[name]
+    got = spec_digest(spec)
+    assert got == want, f"golden task records {name!r} changed; new digest {got}"
 
 
 def test_swap_attack_forms_no_density_matrix(monkeypatch):
