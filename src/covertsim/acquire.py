@@ -13,16 +13,17 @@ private mask is drawn when `unmask_entangled` measures the mask register.
 
 `acquire_unidirectional` unmasks every copy at query time and certifies
 non-i.i.d.; `acquire_ancilla_free` keeps the copies masked, certifies
-i.i.d., and unmasks only the output block. `task_rounds` is the one round
-driver for a decision algorithm on top: each round is one acquisition, the
-run halts on the first rejection, and the certified rounds' answers are
-majority-voted (ell amplified unidirectional rounds, or one ancilla-free
-round).
+i.i.d., and unmasks only the output block; both deliver it as one
+`certify.ProductBlock`. `task_rounds` is the one round driver for a
+decision algorithm on top: each round is one acquisition, the run halts on
+the first rejection, and the certified rounds' answers are majority-voted
+(ell amplified unidirectional rounds, or one ancilla-free round).
 
 An acquisition's certification blocks (`certify.ProductBlock`) are filled
 by one public query per copy and read one table of amplitude rows through a
-(count, m) index, the table norm-checked once. Behind the identity tap a
-randomness-masked phase acquisition draws all its masks in one call and
+(count, m) index, the table norm-checked once. Where no tap acts
+(`QuantumChannelOracle.pass_through`) a randomness-masked phase
+acquisition draws all its masks in one call and
 holds one table row per distinct mask, indexed by the masks; any other
 acquisition holds one table row per copy, in query order. In entangled
 modes the private mask register occupies the low qubits of every copy, the
@@ -35,11 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import adversary as adv
 from . import certify, qsim
 from .certify import CertificationRecord, ProductBlock
 from .oracles import (
@@ -169,7 +169,7 @@ def masked_query_phase_randomness(
     table row), the unmasked amplitudes are written there and nothing is
     returned; the table checks their norm. `held` says that `out` already
     holds this query's unmasked amplitudes (an earlier query with the same
-    mask behind the identity tap wrote them): the query runs as any other,
+    mask where no tap acts wrote them): the query runs as any other,
     with its count, tap round and transcript entry, and nothing is written.
     """
     n, w = oracle.f.n, oracle.out_width
@@ -255,7 +255,7 @@ def _kickback_query(oracle, state: PureState, in_qubits: list[int], w: int, rng)
 @dataclass
 class AcquisitionResult:
     accepted: bool
-    output: Optional[list[PureState]]  # m copies on acceptance
+    output: Optional[ProductBlock]  # the m delivered copies on acceptance
     record: Optional[CertificationRecord]
     pub_queries: int
     pri_queries: int
@@ -268,10 +268,11 @@ def _collect_blocks(oracle, m, count, rng, entangled, unmask):
     order; an entangled response stays coupled to its mask register unless
     `unmask` is set (randomness-masked responses always come back unmasked).
 
-    Behind the identity tap the oracle round trip draws nothing from `rng`,
-    so a randomness-masked phase acquisition's count * m masks are drawn in
-    one `rng.integers(..., size=(count, m))`: the same values and the same
-    generator end state as one scalar draw per copy (pinned by a test).
+    Where no tap acts (`oracle.pass_through`) the round trip draws nothing
+    from `rng`, so a randomness-masked phase acquisition's count * m masks
+    are drawn in one `rng.integers(..., size=(count, m))`: the same values
+    and the same generator end state as one scalar draw per copy (pinned by
+    a test).
     There a mask fixes its copy's bytes: the mask row, times the response
     (memoised or computed afresh, the same bytes either way), times the
     mask's signs. So the copies are held as one (k, 2^q) table, a row per
@@ -290,7 +291,7 @@ def _collect_blocks(oracle, m, count, rng, entangled, unmask):
     if qubits > qsim.PURE_QUBIT_CAP:  # before the (m, 2^qubits) blocks exist
         raise ValueError(f"a {qubits}-qubit copy is above the pure-state cap "
                          f"of {qsim.PURE_QUBIT_CAP} qubits")
-    if not (entangled or w) and type(oracle.tap.strategy) is adv.identity:
+    if not (entangled or w) and oracle.pass_through:
         masks = rng.integers(0, 1 << n, size=(count, m))
         _, first, index = np.unique(masks, return_index=True, return_inverse=True)
         rows = np.empty((len(first), 1 << qubits), dtype=complex)
@@ -320,9 +321,11 @@ def _membership_view(mem: MemOracle, n: int, w: int, m: int, masked: bool):
     return TensorMemView(view, m=m, n_base=n + w)
 
 
-def _delivered(copy: PureState, n: int, w: int) -> PureState:
-    """A certified copy as delivered: QMem example states need H^w on out."""
-    return qsim.apply_hadamards(copy, range(n, n + w)) if w else copy
+def _delivered(copies: Iterable[PureState], n: int, w: int) -> ProductBlock:
+    """Certified copies as delivered: one block, H^w on a QMem copy's out."""
+    if w:
+        copies = (qsim.apply_hadamards(copy, range(n, n + w)) for copy in copies)
+    return ProductBlock(np.stack([copy.vec for copy in copies]))
 
 
 def acquire_unidirectional(
@@ -352,14 +355,10 @@ def acquire_unidirectional(
     )
     view = _membership_view(mem, n, w, m, masked=False)
     record, out = certify.certify_state_noniid(blocks, view, eps, delta, rng)
-    output = None
-    if out is not None:
-        # rows of the output block's own read-only gather, norm-checked with
-        # the table, so the delivered states do not keep the whole table alive
-        output = [_delivered(qsim._trusted(out.qubits_per_copy, row), n, w)
-                  for row in out.amps]
+    if out is not None:  # a phase block as its own gather: the table can go
+        out = _delivered(out, n, w) if w else ProductBlock(out.amps)
     return AcquisitionResult(
-        accepted=record.accepted, output=output, record=record,
+        accepted=record.accepted, output=out, record=record,
         pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,
         blocks_used=plan.cert_blocks, paper_blocks=plan.paper_blocks,
     )
@@ -380,7 +379,7 @@ def acquire_ancilla_free(
     (N+1) m entangled masked queries with deferred unmasking; i.i.d.
     shadow-overlap certification of the N certification blocks against the
     masked target (2(n+w) qubits per copy) at `ancilla_free_accuracy`; on
-    acceptance the output block is unmasked and returned.
+    acceptance the output block is unmasked and delivered.
     """
     n, w = oracle.f.n, oracle.out_width
     plan = ancilla_free_schedule(n + w, m, eps, delta, delta_leak, n_blocks)
@@ -391,12 +390,8 @@ def acquire_ancilla_free(
     record = certify.overlap_estimate_iid(
         blocks[:n_cert], view, plan.accuracy, delta, rng, rounds_override=n_cert
     )
-    output = None
-    if record.accepted:
-        output = [
-            _delivered(unmask_entangled(c, n + w, rng), n, w)
-            for c in blocks[n_cert].copies
-        ]
+    output = (_delivered((unmask_entangled(c, n + w, rng) for c in blocks[n_cert]), n, w)
+              if record.accepted else None)
     return AcquisitionResult(
         accepted=record.accepted, output=output, record=record,
         pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,
@@ -429,7 +424,7 @@ def majority_vote(votes: Sequence[int]):
 
 
 def task_rounds(
-    task: Callable[[list[PureState]], object],
+    task: Callable[[ProductBlock], object],
     rounds: int,
     acquire_round: Callable[[], AcquisitionResult],
 ) -> TaskOutcome:

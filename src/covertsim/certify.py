@@ -69,7 +69,8 @@ def adaptive_copy_count(n_block: int, eps: float, delta: float) -> int:
 
 class ProductBlock:
     """A certification block: m independent pure q-qubit copies forming one
-    (m q)-qubit register, copy 0 in the low qubits.
+    (m q)-qubit register, copy 0 in the low qubits: the sequence of its m
+    copies, `block[j]` being copy j as a state.
 
     The block reads its copies from `rows`, a read-only (k, 2^q) amplitude
     table, through `index`, its read-only m table rows: copy j is
@@ -128,14 +129,13 @@ class ProductBlock:
     def n_block(self) -> int:
         return self.m * self.qubits_per_copy
 
-    def state(self, j: int) -> PureState:
-        """Copy j as a state, unchecked: the block checked every row's norm
-        when it was built, and its rows are read-only."""
-        return qsim._trusted(self.qubits_per_copy, self.rows[self.index.item(j)])
+    def __len__(self) -> int:
+        return self.m
 
-    @property
-    def copies(self) -> list:
-        return [self.state(j) for j in range(self.m)]
+    def __getitem__(self, j: int) -> PureState:
+        """Copy j as a state over its read-only table row, unchecked: the
+        block checked every row's norm when it was built."""
+        return qsim._trusted(self.qubits_per_copy, self.rows[self.index.item(j)])
 
 
 def _frozen_table(rows, index) -> tuple[np.ndarray, np.ndarray]:

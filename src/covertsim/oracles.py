@@ -559,7 +559,7 @@ class QuantumChannelOracle(Oracle):
         self.out_width = f.w if kind == "QMem" else 0
         self.tap = TapChannel(strategy)
         # decided once: no tap acts in either direction
-        self._pass_through = not (self.tap.taps_query or self.tap.taps_response)
+        self.pass_through = not (self.tap.taps_query or self.tap.taps_response)
         # (state qubits, in_qubits) -> the QPh oracle's sign vector there
         self._phase_signs: dict[tuple, np.ndarray] = {}
         # (id of a read-only sent state, in_qubits) -> (that state, its
@@ -588,7 +588,7 @@ class QuantumChannelOracle(Oracle):
             raise ValueError(f"a {self.kind} query needs {self.f.n} in and "
                              f"{self.out_width} out qubits")
         tap = self.tap
-        if not self._pass_through:
+        if not self.pass_through:
             tapped = list(in_qubits) + out_qubits
             if tap.taps_query:
                 state = tap.apply("query", state, tapped, rng)

@@ -77,8 +77,7 @@ class PureState:
     vec: np.ndarray  # 2^n complex amplitudes
 
     def __post_init__(self):
-        if self.n > PURE_QUBIT_CAP:
-            raise ValueError(f"pure-state cap is {PURE_QUBIT_CAP} qubits")
+        _check_register(self.n)
         if self.vec.shape != (1 << self.n,):
             raise ValueError("amplitude vector has wrong length")
         dev = abs(np.vdot(self.vec, self.vec).real - 1.0)
@@ -88,6 +87,14 @@ class PureState:
     def density(self) -> "MixedState":
         _check_mixed_cap(self.n)
         return MixedState(self.n, np.outer(self.vec, self.vec.conj()))
+
+
+def _check_register(n: int) -> None:
+    """Refuse a pure register of n qubits outside 0..PURE_QUBIT_CAP, before
+    its 2^n amplitudes exist."""
+    if not 0 <= n <= PURE_QUBIT_CAP:
+        raise ValueError(f"a {n}-qubit pure state is outside 0..{PURE_QUBIT_CAP} "
+                         "(the pure-state cap)")
 
 
 def _check_mixed_cap(n: int) -> None:
@@ -144,12 +151,16 @@ def check_rows_normalized(amps: np.ndarray) -> None:
 
 
 def basis_state(n: int, x: int = 0) -> PureState:
+    _check_register(n)
+    if not 0 <= x < 1 << n:
+        raise ValueError(f"basis index {x} is outside [0, 2^{n})")
     vec = np.zeros(1 << n, dtype=complex)
     vec[x] = 1.0
     return PureState(n, vec)
 
 
 def uniform_state(n: int) -> PureState:
+    _check_register(n)
     vec = np.full(1 << n, 2 ** (-n / 2), dtype=complex)
     return PureState(n, vec)
 
@@ -158,8 +169,7 @@ def tensor(*states: PureState) -> PureState:
     """Product state; the first argument occupies the low qubits. The qubit
     cap is checked before the product is built."""
     n = sum(s.n for s in states)
-    if n > PURE_QUBIT_CAP:
-        raise ValueError(f"pure-state cap is {PURE_QUBIT_CAP} qubits")
+    _check_register(n)
     vec = states[0].vec
     for s in states[1:]:
         vec = np.kron(s.vec, vec)  # little-endian: later registers are high bits
@@ -170,16 +180,14 @@ def prepare_phase_state(f: BooleanFunction) -> PureState:
     """2^{-n/2} sum_x (-1)^{f(x)} |x> for a width-1 function."""
     if f.w != 1:
         raise ValueError("phase states need width-1 functions")
-    if f.n > PURE_QUBIT_CAP:
-        raise ValueError("arity over cap")
+    _check_register(f.n)
     return PureState(f.n, _signs(eval_all(f)) * 2 ** (-f.n / 2))
 
 
 def prepare_example_state(f: BooleanFunction) -> PureState:
     """2^{-n/2} sum_x |x, f(x)> on n + w qubits (input register low)."""
     n, w = f.n, f.w
-    if n + w > PURE_QUBIT_CAP:
-        raise ValueError("arity over cap")
+    _check_register(n + w)
     vals = eval_all(f)  # checks the table arity before the state is allocated
     vec = np.zeros(1 << (n + w), dtype=complex)
     xs = np.arange(1 << n, dtype=np.uint64)

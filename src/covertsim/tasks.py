@@ -6,7 +6,8 @@ the base decision algorithm swap-tests the two halves of each phase-state
 copy of h(x, y) = f(x) xor g(y) after rotating the g half. Simon instances
 carry a width-n function that is either injective or two-to-one with a
 hidden period; the base algorithm harvests period-orthogonal strings from
-quantum example states and finishes with two membership queries.
+quantum example states and finishes with two membership queries. Both
+read the `certify.ProductBlock` of copies their acquisitions deliver.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import acquire, gf2, qsim
+from . import acquire, certify, gf2, qsim
 from .boolfunc import (
     BooleanFunction,
     forrelation_phi,
@@ -121,7 +122,7 @@ def swap_test(state: PureState, reg_a: Sequence[int], reg_b: Sequence[int], rng)
 
 
 def forrelation_decide(
-    copies: Sequence[PureState], n: int, rng,
+    block: certify.ProductBlock, n: int, rng,
     threshold: float = SWAP_TEST_THRESHOLD,
 ) -> str:
     """Majority/threshold decision over per-copy swap tests.
@@ -129,30 +130,25 @@ def forrelation_decide(
     Each 2n-qubit copy holds |psi_f> (low half) (x) |psi_g> (high half) when
     honest; the g half is Hadamard-rotated and swap-tested against the f
     half, accepting with probability (1 + Phi^2) / 2. All copies are tested
-    at once: one H^n on the stacked g halves, one symmetric-projection
-    probability per copy, one uniform per copy in copy order (as `swap_test`
-    draws them). A copy that compares equal to copy 0 (a signed zero matches
-    either sign) has copy 0's probability bit for bit, so only copy 0 and
-    the copies that differ from it are rotated.
+    at once: one symmetric-projection probability per copy and one uniform
+    per copy in copy order (as `swap_test` draws them). Copies of one row
+    class compare equal (a signed zero matches either sign), so they have
+    bit-equal probabilities, and one H^n on the g halves of one copy per
+    class gives them all.
     """
-    if not copies:
-        raise ValueError("forrelation_decide needs a nonempty copy list")
-    if any(copy.n != 2 * n for copy in copies):
+    if block.qubits_per_copy != 2 * n:
         raise ValueError("copies must hold 2n qubits")
-    k = len(copies)
-    vecs = np.stack([copy.vec for copy in copies])
-    other = np.flatnonzero((vecs[1:] != vecs[0]).any(axis=1)) + 1
-    # [copy, g index, f index]: the g half holds the high qubits
-    rotated = (qsim.z_sign_table(n) / 2 ** (n / 2)) @ vecs[
-        np.concatenate(([0], other))
+    _, first, of_class = np.unique(block.row_classes, return_index=True,
+                                   return_inverse=True)
+    # [class, g index, f index]: the g half holds the high qubits
+    rotated = (qsim.z_sign_table(n) / 2 ** (n / 2)) @ block.rows[
+        block.index[first]
     ].reshape(-1, 1 << n, 1 << n)
     # |(B + B^T) / 2|^2 summed: the mass of the symmetric projection
     mass = np.abs(rotated + rotated.transpose(0, 2, 1))
     masses = np.square(mass, out=mass).sum(axis=(1, 2)) / 4.0
-    p_sym = np.full(k, masses[0])
-    p_sym[other] = masses[1:]
-    accepts = int(np.count_nonzero(rng.random(k) < p_sym))
-    freq = accepts / k
+    k = len(block)
+    freq = np.count_nonzero(rng.random(k) < masses[of_class]) / k
     return PHI_LARGE if freq >= threshold else PHI_SMALL
 
 
@@ -205,7 +201,7 @@ def covert_forrelation(
     )
     rounds = 1 if ancilla_free else acquire.amplification_rounds(delta, delta_a)
     return acquire.task_rounds(
-        lambda block_copies: forrelation_decide(block_copies, instance.n, rng),
+        lambda block: forrelation_decide(block, instance.n, rng),
         rounds, acquire_round,
     )
 

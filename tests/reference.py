@@ -163,7 +163,7 @@ def overlap_round_all_rows(block: certify.ProductBlock, mem_view, rng,
     i = int(rng.integers(m * q)) if qubit is None else qubit
     c, local = divmod(i, q)
     u_low = rng.random(c) if c else ()
-    compact, x_bit = certify._round_on_copy(block.state(c), local, rng)
+    compact, x_bit = certify._round_on_copy(block[c], local, rng)
     rest = compact << (c * q)
     if m > 1:
         u = np.concatenate((u_low, [0.0], rng.random(m - 1 - c)))

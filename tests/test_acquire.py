@@ -397,6 +397,30 @@ class TestKeyedStacks:
             assert rows.shape == (3 * m, 1 << qubits)
             assert (index == np.arange(3 * m).reshape(3, m)).all()
 
+    def test_a_strategy_that_taps_nothing_gets_the_mask_table(self, monkeypatch):
+        # a Strategy subclass that overrides neither tap passes through, as
+        # identity does: its acquisition holds one table row per distinct
+        # mask and equals identity's byte for byte
+        @dataclass(frozen=True)
+        class bystander(adv.Strategy):
+            pass
+
+        f = bf.random_truth_table(3, np.random.default_rng(67))
+        seen = spy_stacks(monkeypatch)
+        runs = []
+        for strategy in (adv.identity(), bystander()):
+            oracle = phase_oracle(f, strategy)
+            rng = np.random.default_rng(68)
+            res = acquire.acquire_unidirectional(oracle, oracles.MemOracle(f), 5, 0.1, 0.1,
+                                                 rng, n_blocks=6)
+            assert oracle.pass_through and res.accepted
+            runs.append((acquisition_outcome(res), oracle.count, oracle.tap.memory.round,
+                         rng.bit_generator.state))
+        assert runs[0] == runs[1]
+        (rows, index), (rows_b, index_b) = seen
+        assert len(rows_b) <= 1 << 3 < index_b.size
+        assert rows.tobytes() == rows_b.tobytes() and (index == index_b).all()
+
     @pytest.mark.parametrize("memo", ("kept", "full"))
     @pytest.mark.parametrize("n, m, count", [(3, 5, 8), (8, 201, 3), (9, 40, 20)])
     def test_rows_with_equal_keys_are_byte_equal(self, n, m, count, memo, monkeypatch):
@@ -523,7 +547,7 @@ class TestBlockStack:
         assert table.shape == (8, 64) and not table.flags.writeable
         for j, block in enumerate(blocks):
             assert block.rows is table and block.index.tolist() == [2 * j, 2 * j + 1]
-            assert all(copy.vec.base is table for copy in block.copies)
+            assert all(copy.vec.base is table for copy in block)
             assert block.amps.tobytes() == table[2 * j:2 * j + 2].tobytes()
 
     def test_delivered_copies_do_not_hold_the_stack(self):

@@ -1,8 +1,5 @@
 import dataclasses
 import math
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -177,7 +174,7 @@ class TestStackedBlock:
         block = certify.ProductBlock(amps=amps)
         assert (block.m, block.qubits_per_copy, block.n_block) == (4, 3, 12)
         assert not amps.flags.writeable
-        assert np.array_equal(block.copies[2].vec, amps[2])
+        assert np.array_equal(block[2].vec, amps[2])
         bad = amps.copy()
         bad[1] *= 1.001
         with pytest.raises(ValueError, match="not normalized"):
@@ -224,14 +221,14 @@ class TestBlockStack:
         assert len(blocks) == 4 and not table.flags.writeable
         for j, block in enumerate(blocks):
             assert block.rows is table and block.index.tolist() == [2 * j, 2 * j + 1]
-            assert all(copy.vec.base is table for copy in block.copies)
+            assert all(copy.vec.base is table for copy in block)
             assert not block.amps.flags.writeable
             assert (block.m, block.qubits_per_copy, block.n_block) == (2, 3, 6)
             assert block.amps.tobytes() == want[j].tobytes()
             with pytest.raises(ValueError):
                 block.amps[0, 0] = 0
             with pytest.raises(ValueError):
-                block.copies[1].vec[0] = 0
+                block[1].vec[0] = 0
 
 
 def sparse_pure(n, rng):
@@ -603,12 +600,11 @@ class TestKeyedStack:
         assert not rows.flags.writeable and good.flags.writeable  # the index is copied
         assert all(not b.index.flags.writeable and b.rows is rows for b in blocks)
 
-    def test_refused_under_optimization(self):
+    def test_refused_under_optimization(self, run_optimized):
         # `python -O` strips asserts; the boundary checks are plain raises
-        code = textwrap.dedent("""
+        out = run_optimized("""
             import numpy as np
             from covertsim import certify
-            print("debug", __debug__)
             rows = np.full((2, 4), 0.5, dtype=complex)
             for bad_rows, index in ((rows, np.zeros(4, dtype=int)),
                                     (rows, np.zeros((2, 2), dtype=bool)),
@@ -620,19 +616,14 @@ class TestKeyedStack:
                     print("raised:", e)
             print("writeable", rows.flags.writeable)
         """)
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert "debug False" in out.stdout
         for what in ("index needs shape", "index needs an int array, not bool",
                      "index entry outside [0, 2)", "rows need shape"):
             assert f"raised: block {what}" in out.stdout
         assert out.stdout.count("raised:") == 4 and "writeable True" in out.stdout
 
     def test_gathered_copies_and_states_read_the_table(self):
-        # amps is a fresh read-only gather; state(j) and copies read the
-        # table row of copy j without a copy
+        # amps is a fresh read-only gather; block[j] and the block's copies
+        # read the table row of copy j without a copy
         rng = np.random.default_rng(1403)
         rows = np.stack([random_pure(3, rng).vec for _ in range(3)])
         index = np.array([[2, 0, 2, 1]])
@@ -641,8 +632,22 @@ class TestKeyedStack:
         amps = block.amps
         assert amps.tobytes() == rows[index[0]].tobytes() and not amps.flags.writeable
         assert amps is not block.amps
-        for j, copy in enumerate(block.copies):
+        for j, copy in enumerate(block):
             assert copy.vec.base is rows and copy.vec.tobytes() == rows[index[0, j]].tobytes()
+
+    def test_a_block_is_the_sequence_of_its_copies(self):
+        # len is m, iteration stops after copy m - 1, and an index counts
+        # from the end as on a list
+        rng = np.random.default_rng(1404)
+        rows = np.stack([random_pure(2, rng).vec for _ in range(3)])
+        block, = certify.ProductBlock.indexed(rows, np.array([[2, 0, 2, 1]]))
+        copies = list(block)
+        assert len(block) == len(copies) == 4 and block
+        assert all(isinstance(c, qsim.PureState) and c.n == 2 for c in copies)
+        assert [c.vec.tobytes() for c in copies] == [rows[r].tobytes() for r in (2, 0, 2, 1)]
+        assert block[-1].vec.tobytes() == rows[1].tobytes()
+        with pytest.raises(IndexError):
+            block[4]
 
 
 class TestQubitRefusal:
@@ -669,23 +674,17 @@ class TestQubitRefusal:
             want = certify.overlap_round(block, oracles.MemOracle(f), rng_b, qubit)
             assert got == want and type(got.qubit) is int
 
-    def test_refused_under_optimization(self):
+    def test_refused_under_optimization(self, run_optimized):
         # `python -O` strips asserts; the range check is a plain raise
-        code = textwrap.dedent("""
+        out = run_optimized("""
             import numpy as np
             from covertsim import certify
-            print("debug", __debug__)
             block = certify.ProductBlock(np.full((3, 4), 0.5, dtype=complex))
             try:
                 certify.overlap_round(block, None, np.random.default_rng(0), 6)
             except ValueError as e:
                 print("raised:", e)
         """)
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert "debug False" in out.stdout
         assert "raised: qubit 6 is not an int in [0, 6)" in out.stdout
 
 
@@ -788,7 +787,7 @@ class TestNonIid:
             )
             assert rec.accepted
             assert rec.omega_hat == 1.0
-            assert qsim.fidelity(out.copies[0], state) == pytest.approx(1.0)
+            assert qsim.fidelity(out[0], state) == pytest.approx(1.0)
 
     def test_all_zero_blocks_rejected(self):
         rng = np.random.default_rng(12)
@@ -823,7 +822,7 @@ class TestNonIid:
             rec, out = certify.certify_state_noniid(
                 blocks, mem, eps=0.1, delta=0.1, rng=rng
             )
-            if rec.accepted and qsim.fidelity(out.copies[0], good) < 0.8:
+            if rec.accepted and qsim.fidelity(out[0], good) < 0.8:
                 accept_and_bad += 1
         # bad-block-in-output requires it to dodge all 19 measured slots AND
         # every measured good block scores 1: rate ~ 1/20; bound loosely

@@ -1,7 +1,4 @@
 import math
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -27,10 +24,10 @@ class TestParityLearner:
         assert cfg.m_pub == 8 - 3 + 4 + cx.PARITY_BUDGET_SLACK
         assert cfg.m_pri_cap == 16
 
-    def test_private_budget_check_survives_optimization(self):
+    def test_private_budget_check_survives_optimization(self, run_optimized):
         # a stub SQ oracle that charges 100 queries per answer overruns
         # m_pri_cap; the learner must raise even with asserts stripped
-        code = textwrap.dedent("""
+        out = run_optimized("""
             import numpy as np
             from covertsim import boolfunc as bf, covertex as cx, oracles
 
@@ -44,17 +41,11 @@ class TestParityLearner:
             rng = np.random.default_rng(0)
             pub = oracles.ExOracle(bf.parity_fn(5, 4), rng)
             cfg = cx.ParityLearnerConfig(n=4, delta_c=0.1, delta_p=0.25)
-            print("debug", __debug__)
             try:
                 cx.covert_parity_learn(pub, GreedySq(), cfg)
             except RuntimeError as e:
                 print("raised:", e)
         """)
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert "debug False" in out.stdout
         assert "raised: private SQ budget exceeded" in out.stdout
 
     def test_k_must_be_below_n(self):

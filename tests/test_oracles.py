@@ -1,7 +1,4 @@
 import functools
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -22,22 +19,16 @@ from reference import (
 
 
 class TestSqOracle:
-    def test_tolerance_audit_raises_under_optimization(self):
+    def test_tolerance_audit_raises_under_optimization(self, run_optimized):
         # `python -O` strips asserts; the audit must still reject a NaN truth
-        code = textwrap.dedent("""
+        out = run_optimized("""
             import math
             from covertsim import oracles
-            print("debug", __debug__)
             try:
                 oracles._policy_answer(oracles.EXACT, math.nan, 0.1, None)
             except RuntimeError as e:
                 print("raised:", e)
         """)
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert "debug False" in out.stdout
         assert "raised: tolerance audit failed" in out.stdout
 
     def test_parity_pair_closed_form(self):

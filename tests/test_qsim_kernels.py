@@ -1,11 +1,8 @@
 """Seeded property tests of the qubit-local engine kernels against the
 moveaxis reference forms, of the engine's qubit convention and round trips,
 and of the checks at its trust boundary."""
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,12 +349,28 @@ def trust_boundary_misses() -> list[str]:
         "measurement of a missing qubit": lambda: qsim.measure_qubits(
             three, [0, 3], "X", np.random.default_rng(0)),
     }
+    # the constructors refuse by a named ValueError, before they allocate
+    constructors = {
+        "basis state of a negative index": lambda: qsim.basis_state(3, -1),
+        "basis state of an index past 2^n": lambda: qsim.basis_state(3, 8),
+        "basis state of negative size": lambda: qsim.basis_state(-1),
+        "basis state over the cap": lambda: qsim.basis_state(qsim.PURE_QUBIT_CAP + 1),
+        "uniform state of negative size": lambda: qsim.uniform_state(-1),
+        "uniform state over the cap": lambda: qsim.uniform_state(qsim.PURE_QUBIT_CAP + 1),
+    }
     misses = []
     for name, call in cases.items():
         try:
             call()
         except (ValueError, IndexError):
             continue
+        misses.append(name)
+    for name, call in constructors.items():
+        try:
+            call()
+        except ValueError as e:
+            if "pure-state cap" in str(e) or "basis index" in str(e):
+                continue
         misses.append(name)
     return misses
 
@@ -366,18 +379,24 @@ def test_trust_boundary_checks_raise():
     assert trust_boundary_misses() == []
 
 
-def test_trust_boundary_checks_raise_under_optimization():
+@pytest.mark.parametrize("make", [lambda n: qsim.basis_state(n), qsim.uniform_state],
+                         ids=["basis", "uniform"])
+def test_over_the_cap_is_refused_before_allocating(make):
+    # a 25-qubit register would take 512 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="pure-state cap"):
+            make(qsim.PURE_QUBIT_CAP + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_trust_boundary_checks_raise_under_optimization(run_optimized):
     # `python -O` strips asserts; the checks must not be asserts
-    code = textwrap.dedent("""
+    out = run_optimized("""
         from test_qsim_kernels import trust_boundary_misses
-        print("debug", __debug__)
         print("misses", trust_boundary_misses())
     """)
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
-                                         os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.returncode == 0, out.stderr
-    assert "debug False" in out.stdout
     assert "misses []" in out.stdout

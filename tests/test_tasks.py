@@ -5,8 +5,13 @@ import pytest
 
 from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
-from covertsim import gf2, qsim, tasks
+from covertsim import certify, gf2, qsim, tasks
 from reference import forrelation_decide_all_copies
+
+
+def block_of(copies):
+    """The copies as one block, as an acquisition delivers them."""
+    return certify.ProductBlock(np.stack([copy.vec for copy in copies]))
 
 
 class TestForrelationInstances:
@@ -90,7 +95,7 @@ class TestSwapTest:
 class TestForrelationDecide:
     def exact_copies(self, inst, m):
         state = qsim.prepare_phase_state(inst.h())
-        return [state] * m
+        return block_of([state] * m)
 
     def test_base_error_at_declared_copies(self):
         rng = np.random.default_rng(6)
@@ -174,18 +179,14 @@ class TestBatchedDecision:
             seed = int(rng.integers(2**32))
             for threshold in [j / k for j in range(k + 1)]:
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = tasks.forrelation_decide(copies, n, rng_a, threshold)
+                got = tasks.forrelation_decide(block_of(copies), n, rng_a, threshold)
                 assert got == per_copy_decide(copies, n, rng_b, threshold)
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_wrong_register_size_rejected(self):
-        with pytest.raises(ValueError, match="2n qubits"):
-            tasks.forrelation_decide([qsim.uniform_state(3)], 2, np.random.default_rng(0))
-
-    def test_empty_copy_list_rejected(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="nonempty copy list"):
-            tasks.forrelation_decide([], 2, rng)
+        with pytest.raises(ValueError, match="2n qubits"):
+            tasks.forrelation_decide(block_of([qsim.uniform_state(3)]), 2, rng)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
@@ -223,8 +224,8 @@ def _all_distinct(rng, n, k):
 
 
 class TestDecisionOverDistinctCopies:
-    """forrelation_decide rotates copy 0 and the copies that differ from it;
-    the all-copies reference rotates every copy. Sweeping the threshold over
+    """forrelation_decide rotates one copy per row class of its block; the
+    all-copies reference rotates every copy. Sweeping the threshold over
     every j/k pins the accept count; the generators end in one state."""
 
     @pytest.mark.parametrize("make", [_equal_copies, _few_distinct,
@@ -238,8 +239,24 @@ class TestDecisionOverDistinctCopies:
             seed = int(rng.integers(2**32))
             for threshold in [j / k for j in range(k + 1)]:
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = tasks.forrelation_decide(copies, n, rng_a, threshold)
+                got = tasks.forrelation_decide(block_of(copies), n, rng_a, threshold)
                 assert got == forrelation_decide_all_copies(copies, n, rng_b, threshold)
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_block_of_a_shared_table(self, n):
+        # blocks that read one table through an index, as certification
+        # blocks do: a copy's class is its table row's, not numbered from
+        # copy 0 of the block
+        rng = np.random.default_rng(70 + n)
+        rows = np.stack([_random_copy(rng, n).vec for _ in range(4)])
+        index = rng.integers(0, 4, size=(6, 11))
+        for block in certify.ProductBlock.indexed(rows, index):
+            seed = int(rng.integers(2**32))
+            for threshold in [j / 11 for j in range(12)]:
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = tasks.forrelation_decide(block, n, rng_a, threshold)
+                assert got == forrelation_decide_all_copies(list(block), n, rng_b, threshold)
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_honest_output_block(self):
@@ -251,7 +268,7 @@ class TestDecisionOverDistinctCopies:
         copies = [state] * tasks.FORRELATION_COPIES
         for seed in range(5):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert (tasks.forrelation_decide(copies, n, rng_a)
+            assert (tasks.forrelation_decide(block_of(copies), n, rng_a)
                     == forrelation_decide_all_copies(copies, n, rng_b))
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
