@@ -343,7 +343,8 @@ def acquire_unidirectional(
     N m masked queries assemble N blocks of m copies (either masking mode
     unmasks at query time here); non-i.i.d. certification against the
     m-fold tensor-power function gates the output block. A copy carries the
-    oracle's n input qubits, with a QMem oracle's w out qubits on top.
+    oracle's n input qubits, with a QMem oracle's w out qubits on top. The
+    certified phase block is delivered as it is: read-only, checked, classed.
     """
     if mode not in MODES:
         raise ValueError(f"bad mode {mode!r} for acquisition")
@@ -355,8 +356,8 @@ def acquire_unidirectional(
     )
     view = _membership_view(mem, n, w, m, masked=False)
     record, out = certify.certify_state_noniid(blocks, view, eps, delta, rng)
-    if out is not None:  # a phase block as its own gather: the table can go
-        out = _delivered(out, n, w) if w else ProductBlock(out.amps)
+    if w and out is not None:
+        out = _delivered(out, n, w)
     return AcquisitionResult(
         accepted=record.accepted, output=out, record=record,
         pub_queries=oracle.count - pub0, pri_queries=mem.count - pri0,

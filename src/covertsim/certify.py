@@ -432,7 +432,7 @@ def certify_state_noniid(
     cal_rounds: Optional[int] = None,
 ) -> tuple[CertificationRecord, Optional[ProductBlock]]:
     """Non-i.i.d. certification: permute, measure the first N-1 blocks,
-    threshold, and emit the untouched last block on acceptance.
+    threshold, and emit the untouched last block itself on acceptance.
 
     The i.i.d.-to-non-i.i.d. lift plans `cal_rounds` measurement settings,
     assigns each measured block a setting index drawn with replacement, and

@@ -286,6 +286,7 @@ class ShadowSet:
         batches * (shots // batches) shots, split into `batches` equal
         consecutive batches; cached and read-only. Needs at least 6^k shots
         per batch, so that no table holds more cells than there are shots."""
+        _check_batches(batches, self.shots)
         key = (support, batches)
         counts = self._counts.get(key)
         if counts is None:
@@ -404,8 +405,17 @@ def _sums_exact(obs: PauliObservable, per_batch: int) -> bool:
     return math.isfinite(scale) and abs(scale.as_integer_ratio()[0]) * per_batch < 2**53
 
 
+def _check_batches(batches, shots: int) -> None:
+    """Refuse a batch count that is not an int (a bool included) in [1, shots]."""
+    if (isinstance(batches, bool) or not isinstance(batches, (int, np.integer))
+            or not 1 <= batches <= shots):
+        raise ValueError(f"batches {batches!r} is not an int in [1, {shots}]: "
+                         "not a count, or fewer shots than batches")
+
+
 def shadow_estimate(shadows: ShadowSet, obs: PauliObservable, batches: int) -> float:
-    """Median of `batches` batch means of the single-shot estimators.
+    """Median of `batches` batch means of the single-shot estimators, for
+    an int `batches` (not a bool) in [1, shots], refused before any work.
 
     When a batch holds at least 6^k shots and every batch sum is exact
     (`_sums_exact`; always so for coefficient 1 at k <= 4), the batch sums
@@ -422,24 +432,20 @@ def shadow_estimate(shadows: ShadowSet, obs: PauliObservable, batches: int) -> f
     and a coefficient such as 0.37 is reproduced only by np.mean's
     rounding."""
     _check_register(obs, shadows.n)
-    rows = max(batches, 1)
-    per = shadows.shots // rows
-    if per == 0 and batches > 1:
-        raise ValueError("fewer shots than batches")
+    _check_batches(batches, shadows.shots)
+    per = shadows.shots // batches
     if per >= 6**obs.locality and _sums_exact(obs, per):
         n = shadows.n
         if n <= MAX_LOCALITY and per >= 6**n:
-            counts = shadows.batch_counts(tuple(range(n)), rows)
+            counts = shadows.batch_counts(tuple(range(n)), batches)
             weights = _lifted_weights(obs, n)
         else:
-            counts = shadows.batch_counts(obs.support, rows)  # checks k first
+            counts = shadows.batch_counts(obs.support, batches)  # checks k first
             weights = _weight_table(obs)
         means = (counts @ weights) / per
-        return float(np.median(means)) if batches > 1 else float(means[0])
+        return float(np.median(means))
     est = shadow_single_shot_estimates(shadows, obs)
-    if batches <= 1:
-        return float(est.mean())
-    return float(np.median(est[: rows * per].reshape(batches, -1).mean(axis=1)))
+    return float(np.median(est[: batches * per].reshape(batches, -1).mean(axis=1)))
 
 
 def pauli_expectation_exact(state: PureState, obs: PauliObservable) -> float:

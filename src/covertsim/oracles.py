@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -516,10 +517,9 @@ class TapChannel:
 
     Pass-through rule: `taps_query` / `taps_response` say, from whether the
     strategy's class overrides `query_tap` / `response_tap`, which directions
-    act; the owner routes only those through `apply`. A pass-through
-    direction is the identity and costs no call, and the owner advances
-    `memory.round` itself after a pass-through response, so it counts one
-    per response either way."""
+    act; the owner routes only those through `apply`, which only dispatches.
+    A pass-through direction is the identity and costs no call. The owner
+    advances `memory.round`, once per response."""
 
     def __init__(self, strategy: Optional[adv.Strategy] = None):
         self.strategy = strategy or adv.identity()
@@ -529,10 +529,7 @@ class TapChannel:
         self.taps_response = cls.response_tap is not adv.Strategy.response_tap
 
     def apply(self, direction: str, state: PureState, qubits, rng) -> PureState:
-        out = adv.apply_tap(self.strategy, direction, state, qubits, self.memory, rng)
-        if direction == "response":
-            self.memory.round += 1
-        return out
+        return adv.apply_tap(self.strategy, direction, state, qubits, self.memory, rng)
 
 
 class QuantumChannelOracle(Oracle):
@@ -562,9 +559,9 @@ class QuantumChannelOracle(Oracle):
         self.pass_through = not (self.tap.taps_query or self.tap.taps_response)
         # (state qubits, in_qubits) -> the QPh oracle's sign vector there
         self._phase_signs: dict[tuple, np.ndarray] = {}
-        # (id of a read-only sent state, in_qubits) -> (that state, its
-        # read-only QPh response), each costing the response's amplitude
-        # bytes; holding the state keeps its id from being reused
+        # (id of a read-only state reaching the oracle, in_qubits) -> (that
+        # state, its read-only QPh response), each costing the response's
+        # amplitude bytes; holding the state keeps its id from being reused
         self.responses = adv.BoundedMemo()
 
     def query(
@@ -577,13 +574,13 @@ class QuantumChannelOracle(Oracle):
         """Tap -> oracle unitary -> tap round trip on the designated register;
         registers that miss f's signature are refused before the tap runs.
 
-        A QPh query no tap acts on, of a read-only state of at most
-        qsim.SIGN_TABLE_QUBITS qubits (a row of acquire's shared mask
-        tables), is answered from the response memo: the same amplitudes
-        `qsim.apply_phase_oracle` gives, read-only. The count, the tap's
-        round, the transcript entry and any response tap run as on any
-        other query."""
-        out_qubits = list(out_qubits) if out_qubits else []
+        A QPh query whose state reaches the oracle read-only (a row of
+        acquire's shared mask tables, or a measuring tap's kept post-state)
+        is answered from the response memo, within its byte bound: the same
+        amplitudes `qsim.apply_phase_oracle` gives, read-only. The count,
+        the transcript entry and any response tap run as on any other query;
+        every response then advances the tap's round once."""
+        out_qubits = [] if out_qubits is None else list(map(operator.index, out_qubits))
         if len(in_qubits) != self.f.n or len(out_qubits) != self.out_width:
             raise ValueError(f"a {self.kind} query needs {self.f.n} in and "
                              f"{self.out_width} out qubits")
@@ -595,18 +592,21 @@ class QuantumChannelOracle(Oracle):
         if self.kind == "QPh":
             # a range is hashable as it is; any other register is keyed as a tuple
             key = in_qubits if type(in_qubits) is range else tuple(in_qubits)
-            if (tap.taps_query or state.vec.flags.writeable
-                    or state.n > qsim.SIGN_TABLE_QUBITS):
+            if state.vec.flags.writeable:
                 state = self._phase_response(state, key)
             else:
-                hit = self.responses.memo.get((id(state), key))
-                state = self._new_response(state, key) if hit is None else hit[1]
+                slot = (id(state), key)
+                hit = self.responses.memo.get(slot)
+                if hit is None:  # kept read-only, within the memo's bound
+                    response = self._phase_response(state, key)
+                    response.vec.flags.writeable = False
+                    hit = self.responses.keep(slot, (state, response), response.vec.nbytes)
+                state = hit[1]
         else:
             state = qsim.apply_qmem_oracle(state, self.f, in_qubits, out_qubits)
         if tap.taps_response:
             state = tap.apply("response", state, tapped, rng)
-        else:
-            tap.memory.round += 1
+        tap.memory.round += 1
         self.count += 1
         if self.transcript is not None:
             self._log({"in_qubits": list(in_qubits), "out_qubits": out_qubits or None},
@@ -618,11 +618,3 @@ class QuantumChannelOracle(Oracle):
         if signs is None:
             signs = self._phase_signs[state.n, key] = qsim.phase_signs(self.f, state.n, key)
         return qsim.apply_phase_oracle(state, self.f, key, signs)
-
-    def _new_response(self, state: PureState, key) -> PureState:
-        """A response the memo does not hold: read-only, and kept within the
-        memo's bound."""
-        response = self._phase_response(state, key)
-        response.vec.flags.writeable = False
-        return self.responses.keep((id(state), key), (state, response),
-                                   response.vec.nbytes)[1]

@@ -550,14 +550,35 @@ class TestBlockStack:
             assert all(copy.vec.base is table for copy in block)
             assert block.amps.tobytes() == table[2 * j:2 * j + 2].tobytes()
 
-    def test_delivered_copies_do_not_hold_the_stack(self):
-        # the output block is copied out, so the other blocks can be freed
+    @pytest.mark.parametrize("mode, table_rows", [
+        ("randomness", 7),  # a row per distinct mask
+        ("entangled", 20),  # a row per copy
+    ])
+    def test_delivered_phase_block_is_the_certified_block(self, mode, table_rows, monkeypatch):
+        # the block certification emits is delivered as it is: its read-only
+        # table, index and row classes, neither gathered nor checked again
+        certify_noniid = certify.certify_state_noniid
+        emitted = []
+
+        def spy(*args, **kwargs):
+            record, out = certify_noniid(*args, **kwargs)
+            emitted.append(out)
+            return record, out
+
+        row_classes, classed = certify._row_classes, []
+        monkeypatch.setattr(certify, "certify_state_noniid", spy)
+        monkeypatch.setattr(certify, "_row_classes",
+                            lambda rows: classed.append(rows) or row_classes(rows))
         f = bf.random_truth_table(3, np.random.default_rng(38))
         res = acquire.acquire_unidirectional(phase_oracle(f), oracles.MemOracle(f), 4,
-                                             0.1, 0.1, np.random.default_rng(39), n_blocks=5)
-        assert res.accepted
-        bases = {id(c.vec.base) for c in res.output}
-        assert len(bases) == 1 and res.output[0].vec.base.shape == (4, 8)
+                                             0.1, 0.1, np.random.default_rng(39),
+                                             n_blocks=5, mode=mode)
+        (out,) = emitted
+        assert res.accepted and res.output is out
+        assert res.output.rows is out.rows and res.output.rows.shape == (table_rows, 8)
+        assert res.output.index is out.index and res.output.row_classes is out.row_classes
+        assert not out.rows.flags.writeable and not out.index.flags.writeable
+        assert len(classed) == 1 and classed[0] is out.rows  # the table, classed once
 
 
 class TestCoupledPair:
@@ -604,7 +625,9 @@ def kind_strategy(kind):
 def bypass_response_memo(monkeypatch):
     """Send writeable copies of acquire's shared sent states, which the QPh
     response memo never keeps: with no kept mask table, every masked query
-    asks `_phase_mask`, which here builds a fresh state."""
+    asks `_phase_mask`, which here builds a fresh state. A measuring query
+    tap still hands the oracle its read-only post-state, so the memo bound
+    is 0 as well, and no response is kept."""
     coupled_pair = acquire._coupled_pair
 
     def fresh_mask(n, r):
@@ -618,6 +641,7 @@ def bypass_response_memo(monkeypatch):
     monkeypatch.setattr(acquire, "_PHASE_MASKS", {})
     monkeypatch.setattr(acquire, "_phase_mask", fresh_mask)
     monkeypatch.setattr(acquire, "_coupled_pair", fresh_pair)
+    monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", 0)
 
 
 def acquisition_outcome(res):
@@ -640,8 +664,16 @@ class TestResponseMemo:
     @pytest.mark.parametrize("kind", sorted(adv.KINDS))
     def test_memoised_run_equals_a_run_without_it(self, kind, acquisition, monkeypatch):
         # the same records, transcript, tap events, counts, tap rounds and
-        # generator state; only taps that leave the query alone fill the memo
+        # generator state; the memo fills whenever a read-only state reaches
+        # the oracle, which answers it afresh the first time
         f = bf.random_truth_table(3, np.random.default_rng(41))
+        phase_response, fresh = oracles.QuantumChannelOracle._phase_response, []
+
+        def spy(oracle, state, key):
+            fresh.append(state.vec.flags.writeable)
+            return phase_response(oracle, state, key)
+
+        monkeypatch.setattr(oracles.QuantumChannelOracle, "_phase_response", spy)
 
         def run():
             oracle = oracles.QuantumChannelOracle(f, "QPh", kind_strategy(kind),
@@ -654,6 +686,7 @@ class TestResponseMemo:
             return oracle, mem, rng, outcome
 
         memoised = run()
+        read_only_reached = not all(fresh)
         bypass_response_memo(monkeypatch)
         plain = run()
         (oracle_a, mem_a, rng_a, got), (oracle_b, mem_b, rng_b, want) = memoised, plain
@@ -664,7 +697,7 @@ class TestResponseMemo:
         assert oracle_a.tap.memory.round == oracle_b.tap.memory.round == oracle_a.count
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         assert oracle_b.responses.memo == {} and oracle_b.responses.nbytes == 0
-        assert bool(oracle_a.responses.memo) == (not oracle_a.tap.taps_query)
+        assert bool(oracle_a.responses.memo) == read_only_reached
         for sent, response in oracle_a.responses.memo.values():
             assert not sent.vec.flags.writeable and not response.vec.flags.writeable
 
@@ -685,16 +718,24 @@ class TestResponseMemo:
         oracle.query(sent, [3, 2, 1, 0])
         assert (id(sent), (3, 2, 1, 0)) in oracle.responses.memo
 
-    @pytest.mark.parametrize("kind", ["ancilla_free", "swap_attack"])
-    def test_query_taps_never_fill_the_memo(self, kind):
+    def test_behind_a_query_tap_only_read_only_states_are_kept(self):
         n = 3
-        oracle = phase_oracle(bf.random_truth_table(n, np.random.default_rng(44)),
-                              kind_strategy(kind))
-        assert oracle.tap.taps_query
+        f = bf.random_truth_table(n, np.random.default_rng(44))
         rng = np.random.default_rng(45)
-        for r in (1, 1, 2):
-            oracle.query(acquire._phase_mask(n, r)[0], range(n), rng=rng)
-        assert oracle.responses.memo == {} and oracle.count == 3
+        sent = acquire._phase_mask(n, 1)[0]
+        # an ancilla-free tap that always measures hands the oracle its
+        # read-only post-state, which the memo keeps, answered as any state
+        oracle = phase_oracle(f, adv.ancilla_free(1.0, extract_post=False))
+        got = oracle.query(sent, range(n), rng=rng)
+        (post, response), = oracle.responses.memo.values()
+        assert post is not sent and not post.vec.flags.writeable and response is got
+        assert got.vec.tobytes() == qsim.apply_phase_oracle(post, f, range(n)).vec.tobytes()
+        # the swap attack's swapped-in state is writeable: never kept
+        oracle = phase_oracle(f, adv.swap_attack())
+        swapped = adv.swap_attack().query_tap(sent, range(n), adv.TapMemory(), rng)
+        assert swapped.vec.flags.writeable
+        oracle.query(sent, range(n), rng=rng)
+        assert oracle.responses.memo == {} and oracle.count == 1
 
     def test_writeable_sent_states_never_fill_the_memo(self):
         n = 3
@@ -727,18 +768,24 @@ class TestResponseMemo:
         assert len(oracle.responses.memo) == 1 << n
         assert oracle.responses.nbytes == adv.MEASUREMENT_MEMO_BYTES
 
-    def test_nothing_is_kept_above_the_sign_table_size(self):
+    def test_above_the_sign_table_size_only_read_only_states_are_kept(self):
         n = qsim.SIGN_TABLE_QUBITS + 1
         f = bf.random_truth_table(n, np.random.default_rng(49))
         oracle = phase_oracle(f)
         rng = np.random.default_rng(50)
+        # no mask table is kept at this size: each mask row is built afresh,
+        # writeable, and its response is not kept
         for _ in range(4):
             acquire.masked_query_phase_randomness(oracle, rng)
+        assert oracle.responses.memo == {} and oracle.responses.nbytes == 0
+        # a read-only state within the memo's bound is kept and answered from it
         frozen = qsim.uniform_state(n)
         frozen.vec.flags.writeable = False
-        oracle.query(frozen, range(n))
-        oracle.query(frozen, range(n))
-        assert oracle.responses.memo == {} and oracle.responses.nbytes == 0 and oracle.count == 6
+        got = oracle.query(frozen, range(n))
+        assert oracle.query(frozen, range(n)) is got
+        assert got.vec.tobytes() == qsim.apply_phase_oracle(frozen, f, range(n)).vec.tobytes()
+        assert list(oracle.responses.memo) == [(id(frozen), range(n))]
+        assert oracle.responses.nbytes == 16 << n and oracle.count == 6
 
 
 class TestAcquireUnidirectional:

@@ -447,6 +447,54 @@ class TestCountsPathEstimator:
             mask_product_reference(few, obs), 5
         )
 
+    @pytest.mark.parametrize("batches", [0, -3, True, False, 2.0, 6])
+    def test_batch_count_outside_one_to_shots_refused_before_any_work(
+        self, shadows, batches, monkeypatch
+    ):
+        # on both paths and in batch_counts: the same refusal, before any
+        # code, estimate or count table is computed
+        few = csq.ShadowSet(shadows.bases[:5], shadows.bits[:5])
+
+        def refuse(*args):
+            raise AssertionError("computed before the batch check")
+
+        monkeypatch.setattr(csq.ShadowSet, "support_code", refuse)
+        monkeypatch.setattr(csq, "shadow_single_shot_estimates", refuse)
+        needle = rf"batches {batches!r} is not an int in \[1, 5\]: .* fewer shots than batches"
+        for coefficient in (1.0, 0.37):  # counts path, gather path
+            obs = pauli_observable({0: "X", 3: "Z"}, coefficient=coefficient)
+            with pytest.raises(ValueError, match=needle):
+                csq.shadow_estimate(few, obs, batches)
+        with pytest.raises(ValueError, match=needle):
+            few.batch_counts((0,), batches)
+        assert not few._counts
+
+    def test_batch_refusals_hold_under_optimization(self, run_optimized):
+        # `python -O` strips asserts; the batch checks are plain raises
+        out = run_optimized("""
+            import numpy as np
+            from covertsim import covertsq as csq
+            from reference import pauli_observable
+            few = csq.ShadowSet(np.zeros((5, 4), dtype=int), np.zeros((5, 4), dtype=int))
+            obs = pauli_observable({0: "X"})
+            for call in (lambda: csq.shadow_estimate(few, obs, True),
+                         lambda: csq.shadow_estimate(few, obs, 6),
+                         lambda: few.batch_counts((0,), 0)):
+                try:
+                    call()
+                except ValueError as e:
+                    print("raised:", e)
+        """)
+        for batches in ("True", "6", "0"):
+            assert (f"raised: batches {batches} is not an int in [1, 5]: not a count, "
+                    "or fewer shots than batches") in out.stdout
+        assert out.stdout.count("raised:") == 3
+
+    def test_numpy_int_batch_count_equals_the_int(self, shadows):
+        obs = pauli_observable({0: "X", 3: "Z"})
+        assert csq.shadow_estimate(self.fresh(shadows), obs, np.int64(7)) == (
+            csq.shadow_estimate(self.fresh(shadows), obs, 7))
+
     def test_collected_set_equals_checked_set(self):
         v = np.random.default_rng(23).normal(size=16) + 0j
         psi = qsim.PureState(4, v / np.linalg.norm(v))
@@ -594,3 +642,11 @@ class TestShadowSetBoundary:
     def test_zero_shots_allowed(self):
         s = csq.ShadowSet(np.zeros((0, 3), dtype=int), np.zeros((0, 3), dtype=int))
         assert s.shots == 0 and s.n == 3 and s.sym.shape == (3, 0)
+
+    @pytest.mark.parametrize("coefficient", [1.0, 0.37])  # counts path, gather path
+    def test_zero_shots_cannot_be_estimated(self, coefficient):
+        # a single batch needs one shot: no NaN from an empty mean
+        s = csq.ShadowSet(np.zeros((0, 3), dtype=int), np.zeros((0, 3), dtype=int))
+        obs = pauli_observable({0: "X"}, coefficient=coefficient)
+        with pytest.raises(ValueError, match=r"batches 1 is not an int in \[1, 0\]"):
+            csq.shadow_estimate(s, obs, 1)

@@ -549,6 +549,27 @@ class TestQuantumChannelOracle:
         out = oracle.query(start, [0, 1], [2, 3], rng=rng)
         assert qsim.states_equal(out, qsim.prepare_example_state(f), 1e-12)
 
+    @pytest.mark.parametrize("out_qubits", [np.array([2, 3]), (2, 3), range(2, 4)])
+    def test_out_register_may_be_any_sequence(self, out_qubits):
+        # an array, tuple or range out register is read as the list [2, 3]:
+        # the same response bytes, count, tap round, tap events, transcript
+        # and generator state
+        f = bf.random_truth_table(2, np.random.default_rng(16), w=2)
+        start = qsim.tensor(qsim.uniform_state(2), qsim.basis_state(2))
+        runs = []
+        for out in ([2, 3], out_qubits):
+            oracle = oracles.QuantumChannelOracle(f, "QMem", adv.depolarize(0.5),
+                                                  transcript=oracles.Transcript())
+            rng = np.random.default_rng(20)
+            got = oracle.query(start, [0, 1], out, rng=rng)
+            runs.append((got.vec.tobytes(), oracle.count, oracle.tap.memory.round,
+                         oracle.tap.memory.events, oracle.transcript.to_jsonl(),
+                         rng.bit_generator.state))
+        assert runs[0] == runs[1]
+        with pytest.raises(TypeError):  # a qubit is an int, not a float
+            oracle.query(start, [0, 1], np.array([2.0, 3.0]), rng=rng)
+        assert oracle.count == 1
+
     def test_mismatched_registers_are_refused_before_the_tap(self):
         # a measuring tap would log an event and draw from rng on the query
         rng = np.random.default_rng(19)
