@@ -718,20 +718,29 @@ class TestResponseMemo:
         oracle.query(sent, [3, 2, 1, 0])
         assert (id(sent), (3, 2, 1, 0)) in oracle.responses.memo
 
-    def test_behind_a_query_tap_only_read_only_states_are_kept(self):
+    def test_a_measuring_query_tap_post_state_is_kept(self):
+        # an ancilla-free tap that always measures hands the oracle its
+        # read-only post-state, which the memo keeps, answered as any state
         n = 3
         f = bf.random_truth_table(n, np.random.default_rng(44))
         rng = np.random.default_rng(45)
         sent = acquire._phase_mask(n, 1)[0]
-        # an ancilla-free tap that always measures hands the oracle its
-        # read-only post-state, which the memo keeps, answered as any state
         oracle = phase_oracle(f, adv.ancilla_free(1.0, extract_post=False))
+        assert oracle.tap.taps_query
         got = oracle.query(sent, range(n), rng=rng)
         (post, response), = oracle.responses.memo.values()
         assert post is not sent and not post.vec.flags.writeable and response is got
         assert got.vec.tobytes() == qsim.apply_phase_oracle(post, f, range(n)).vec.tobytes()
+        assert oracle.count == 1
+
+    def test_the_swap_attacks_swapped_in_state_is_never_kept(self):
         # the swap attack's swapped-in state is writeable: never kept
+        n = 3
+        f = bf.random_truth_table(n, np.random.default_rng(44))
+        rng = np.random.default_rng(45)
+        sent = acquire._phase_mask(n, 1)[0]
         oracle = phase_oracle(f, adv.swap_attack())
+        assert oracle.tap.taps_query
         swapped = adv.swap_attack().query_tap(sent, range(n), adv.TapMemory(), rng)
         assert swapped.vec.flags.writeable
         oracle.query(sent, range(n), rng=rng)
