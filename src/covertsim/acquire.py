@@ -172,9 +172,7 @@ def masked_query_phase_randomness(
     mask where no tap acts wrote them): the query runs as any other,
     with its count, tap round and transcript entry, and nothing is written.
     """
-    n, w = oracle.f.n, oracle.out_width
-    if n + w > qsim.PURE_QUBIT_CAP:  # before a 2^(n + w) mask is built
-        raise ValueError(f"pure-state cap is {qsim.PURE_QUBIT_CAP} qubits")
+    n, w = oracle.f.n, oracle.out_width  # n + w within the cap, as the oracle was built
     if r is None:
         r = int(rng.integers(0, 1 << n))
     else:
@@ -312,13 +310,11 @@ def _collect_blocks(oracle, m, count, rng, entangled, unmask):
     return ProductBlock.indexed(rows, np.arange(count * m).reshape(count, m))
 
 
-def _membership_view(mem: MemOracle, n: int, w: int, m: int, masked: bool):
+def _membership_view(mem: MemOracle, w: int, m: int, masked: bool):
     """Private membership view of the m-fold target: f, or f~ when w > 0;
     for still-masked copies, the masked g(r, z) = r·z xor target(z)."""
-    view = ExampleMemView(mem, n, w) if w else mem
-    if masked:
-        return TensorMemView(MaskedMemView(view, n + w), m=m, n_base=2 * (n + w))
-    return TensorMemView(view, m=m, n_base=n + w)
+    view = ExampleMemView(mem) if w else mem
+    return TensorMemView(MaskedMemView(view) if masked else view, m)
 
 
 def _delivered(copies: Iterable[PureState], n: int, w: int) -> ProductBlock:
@@ -354,7 +350,7 @@ def acquire_unidirectional(
     blocks = _collect_blocks(
         oracle, m, n_blocks, rng, entangled=mode == ENTANGLED, unmask=True
     )
-    view = _membership_view(mem, n, w, m, masked=False)
+    view = _membership_view(mem, w, m, masked=False)
     record, out = certify.certify_state_noniid(blocks, view, eps, delta, rng)
     if w and out is not None:
         out = _delivered(out, n, w)
@@ -387,7 +383,7 @@ def acquire_ancilla_free(
     n_cert = plan.cert_blocks
     pub0, pri0 = oracle.count, mem.count
     blocks = _collect_blocks(oracle, m, n_cert + 1, rng, entangled=True, unmask=False)
-    view = _membership_view(mem, n, w, m, masked=True)
+    view = _membership_view(mem, w, m, masked=True)
     record = certify.overlap_estimate_iid(
         blocks[:n_cert], view, plan.accuracy, delta, rng, rounds_override=n_cert
     )

@@ -3,10 +3,10 @@
 There is one frozen dataclass per adversary kind, named by the kind a config
 spec gives, with exactly the spec's fields, checked at construction. A
 strategy's `query_tap` acts on learner->oracle traffic and its `response_tap`
-on oracle->learner traffic; both default to the identity, and only the
-bidirectional kinds override `query_tap`. The class constants say whether a
-kind taps both directions and whether it keeps a quantum register (ancilla-
-free kinds do not).
+on oracle->learner traffic; both default to the identity. A kind taps both
+directions exactly when it overrides `query_tap`; the class constant
+`quantum_memory` says whether it keeps a quantum register (ancilla-free kinds
+do not).
 
 Pass-through rule: a direction whose hook a kind's class leaves to
 `Strategy` is the identity and is never called. `oracles.TapChannel` reads
@@ -95,7 +95,6 @@ class Strategy:
     be a bool; every other field is a probability, a finite number in
     [0, 1]."""
 
-    bidirectional: ClassVar[bool] = False
     quantum_memory: ClassVar[bool] = False
 
     def __post_init__(self):
@@ -185,7 +184,6 @@ class swap_attack(Strategy):
     every later query) with the learned oracle. A register whose residual
     from a product is over 1e-9 (`_extract_product_register`) faults."""
 
-    bidirectional: ClassVar[bool] = True
     quantum_memory: ClassVar[bool] = True
 
     def query_tap(self, state, qubits, memory, rng):
@@ -226,7 +224,6 @@ class ancilla_free(Strategy):
 
     delta_leak: float
     extract_post: bool = True
-    bidirectional: ClassVar[bool] = True
 
     def query_tap(self, state, qubits, memory, rng):
         memory.extracting = rng.random() < self.delta_leak
@@ -324,13 +321,13 @@ def _extract_product_register(state: PureState, qubits: Sequence[int]) -> tuple[
 # --- exact privacy audits ----------------------------------------------------
 
 
-def factorization_distance(views: Sequence[MixedState], weights=None) -> float:
+def factorization_distance(views: Sequence[MixedState]) -> float:
     """Trace distance between rho_FA and uniform_F (x) rho_A.
 
-    rho_FA = sum_f w_f |f><f| (x) view_f is block diagonal in the classical
-    function register, so the distance is sum_f w_f * TD(view_f, mean view).
+    rho_FA = (1/k) sum_f |f><f| (x) view_f over k uniform functions is block
+    diagonal in the classical function register, so the distance is
+    (1/k) sum_f TD(view_f, mean view).
     """
-    k = len(views)
-    w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=float)
-    mean = MixedState(views[0].n, sum(wi * v.mat for wi, v in zip(w, views)))
-    return float(sum(wi * qsim.trace_distance(v, mean) for wi, v in zip(w, views)))
+    w = 1.0 / len(views)
+    mean = MixedState(views[0].n, sum(w * v.mat for v in views))
+    return float(sum(w * qsim.trace_distance(v, mean) for v in views))

@@ -178,8 +178,8 @@ def padded_xor(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
     return BooleanFunction(n=f.n + g.n, w=1, body=PaddedXor(f=f, g=g))
 
 
-def constant_fn(n: int, value: int = 0) -> BooleanFunction:
-    return truth_table([value] * (1 << n), w=max(1, value.bit_length()))
+def constant_fn(n: int) -> BooleanFunction:
+    return truth_table([0] * (1 << n), w=1)
 
 
 def simon_fn(s: int, labels: Sequence[int], n: int) -> BooleanFunction:

@@ -106,7 +106,6 @@ def run_tournament(candidates: Sequence[int], sq: SqOracle) -> TournamentState:
             state.matches.append(MatchRecord(t1, t2, alpha, winner))
             nxt.append(winner)
         alive = sorted(nxt)
-    state.candidates = sorted(candidates)
     return state
 
 

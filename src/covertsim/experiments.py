@@ -38,10 +38,11 @@ REPORT_SCHEMA = {
 }
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial rate."""
     if n == 0:
         return 0.0, 1.0
+    z = 1.96
     p = successes / n
     denom = 1 + z**2 / n
     center = (p + z**2 / (2 * n)) / denom

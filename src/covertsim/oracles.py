@@ -259,6 +259,7 @@ class MemOracle(Oracle):
     def __init__(self, f: BooleanFunction, transcript=None, visibility=PRIVATE):
         super().__init__(transcript, visibility)
         self.f = f
+        self.n = f.n
 
     def query(self, x: int) -> int:
         y = evaluate(self.f, x)
@@ -277,7 +278,8 @@ def _check_view_input(x: int, n: int) -> None:
 class TensorMemView:
     """Membership view of f^(x)m: one view query costs m base queries."""
 
-    def __init__(self, base, m: int, n_base: int):
+    def __init__(self, base, m: int):
+        n_base = base.n
         if m < 1 or n_base < 1:
             raise ValueError(f"a tensor view needs m >= 1 copies of n_base >= 1 "
                              f"bits, got m={m}, n_base={n_base}")
@@ -301,10 +303,10 @@ class MaskedMemView:
     The bilinear part is computed locally; each view query costs one base query.
     """
 
-    def __init__(self, base, n: int):
+    def __init__(self, base):
         self.base = base
-        self.n_base = n
-        self.n = 2 * n
+        self.n_base = base.n
+        self.n = 2 * base.n
 
     def query(self, z: int) -> int:
         _check_view_input(z, self.n)
@@ -316,10 +318,10 @@ class MaskedMemView:
 class ExampleMemView:
     """Membership view of f~(x, y) = y·f(x) on n+w bits (x register low)."""
 
-    def __init__(self, base, n: int, w: int):
-        self.base = base
-        self.n = n + w
-        self._n_in = n
+    def __init__(self, mem: MemOracle):
+        self.base = mem
+        self.n = mem.n + mem.f.w
+        self._n_in = mem.n
 
     def query(self, z: int) -> int:
         _check_view_input(z, self.n)
@@ -549,11 +551,15 @@ class QuantumChannelOracle(Oracle):
             raise ValueError("oracle kind must be QPh or QMem")
         if kind == "QPh" and f.w != 1:
             raise ValueError("QPh oracles need width-1 functions")
+        # width of the out register a query carries: f.w for QMem, 0 for QPh
+        out_width = f.w if kind == "QMem" else 0
+        if f.n + out_width > qsim.PURE_QUBIT_CAP:  # no state holds its register
+            raise ValueError(f"a {kind} oracle on {f.n + out_width} qubits is above "
+                             f"the pure-state cap of {qsim.PURE_QUBIT_CAP} qubits")
         super().__init__(transcript, visibility)
         self.f = f
         self.kind = kind
-        # width of the out register a query carries: f.w for QMem, 0 for QPh
-        self.out_width = f.w if kind == "QMem" else 0
+        self.out_width = out_width
         self.tap = TapChannel(strategy)
         # decided once: no tap acts in either direction
         self.pass_through = not (self.tap.taps_query or self.tap.taps_response)
@@ -579,7 +585,10 @@ class QuantumChannelOracle(Oracle):
         is answered from the response memo, within its byte bound: the same
         amplitudes `qsim.apply_phase_oracle` gives, read-only. The count,
         the transcript entry and any response tap run as on any other query;
-        every response then advances the tap's round once."""
+        every response then advances the tap's round once. Both registers
+        are read through `operator.index`; a range passes as it is."""
+        if type(in_qubits) is not range:
+            in_qubits = tuple(map(operator.index, in_qubits))
         out_qubits = [] if out_qubits is None else list(map(operator.index, out_qubits))
         if len(in_qubits) != self.f.n or len(out_qubits) != self.out_width:
             raise ValueError(f"a {self.kind} query needs {self.f.n} in and "
@@ -590,15 +599,13 @@ class QuantumChannelOracle(Oracle):
             if tap.taps_query:
                 state = tap.apply("query", state, tapped, rng)
         if self.kind == "QPh":
-            # a range is hashable as it is; any other register is keyed as a tuple
-            key = in_qubits if type(in_qubits) is range else tuple(in_qubits)
             if state.vec.flags.writeable:
-                state = self._phase_response(state, key)
+                state = self._phase_response(state, in_qubits)
             else:
-                slot = (id(state), key)
+                slot = (id(state), in_qubits)
                 hit = self.responses.memo.get(slot)
                 if hit is None:  # kept read-only, within the memo's bound
-                    response = self._phase_response(state, key)
+                    response = self._phase_response(state, in_qubits)
                     response.vec.flags.writeable = False
                     hit = self.responses.keep(slot, (state, response), response.vec.nbytes)
                 state = hit[1]

@@ -582,60 +582,54 @@ def states_equal(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
 # {E_{y,z,b}}: per-copy Hadamard on the label qubit, Z-measure both labels to
 # get b; on b = 11, transversal CNOTs copy1 -> copy2 followed by Hadamards on
 # copy 1's data register, then Z-measurements yielding (y, z) with
-# z = (A+A^T)y for quadratic-function example states.
+# z = (A+A^T)y for quadratic-function example states. Copy 1 occupies qubits
+# 0..n (label qubit n), copy 2 qubits n+1..2n+1 (label qubit 2n+1).
 
 
-def bell_sample_example_pair(joint: PureState, n: int, rng) -> tuple[int, int, tuple[int, int]]:
-    """One Bell-sampling draw on a 2(n+1)-qubit pair of example-state copies.
-
-    Copy 1 occupies qubits 0..n (label qubit n), copy 2 qubits n+1..2n+1
-    (label qubit 2n+1). Returns (y, z, b) with y from copy 2's data register,
-    z from copy 1's, and b the two label bits.
-    """
+def _bell_label_table(joint: PureState, n: int) -> MeasurementTable:
+    """The label table: both label qubits after a Hadamard on each (outcome
+    b1 + 2 b2)."""
     if joint.n != 2 * (n + 1):
         raise ValueError("joint state must hold two (n+1)-qubit copies")
     lab1, lab2 = n, 2 * n + 1
-    st = apply_gate(apply_gate(joint, "H", [lab1]), "H", [lab2])
-    b_bits, st = measure_qubits(st, [lab1, lab2], "Z", rng)
-    b = (b_bits & 1, (b_bits >> 1) & 1)
+    return MeasurementTable(apply_gate(apply_gate(joint, "H", [lab1]), "H", [lab2]),
+                            [lab1, lab2], "Z")
+
+
+def _bell_data_table(st: PureState, b: int, n: int) -> MeasurementTable:
+    """The data table of label outcome b, on that outcome's post-state: both
+    data registers (outcome z | y << n), after the CNOTs and copy 1's
+    Hadamards when b = 11."""
     data1 = list(range(n))
-    data2 = list(range(n + 1, 2 * n + 1))
-    if b == (1, 1):
-        for i in range(n):
-            st = apply_gate(st, "CNOT", [data1[i], data2[i]])
+    if b == 3:
+        for i in data1:
+            st = apply_gate(st, "CNOT", [i, n + 1 + i])
         st = apply_hadamards(st, data1)
-    out, _ = measure_qubits(st, data1 + data2, "Z", rng)
-    z = out & ((1 << n) - 1)
-    y = out >> n
-    return y, z, b
+    return MeasurementTable(st, data1 + list(range(n + 1, 2 * n + 1)), "Z")
+
+
+def bell_sample_example_pair(joint: PureState, n: int, rng) -> tuple[int, int, tuple[int, int]]:
+    """One Bell-sampling draw on a pair of example-state copies, a draw from
+    the label table and one from its outcome's data table: (y, z, b) with y
+    from copy 2's data register, z from copy 1's, b the two label bits."""
+    labels = _bell_label_table(joint, n)
+    b = labels.draw(rng)
+    out = _bell_data_table(labels.post(b), b, n).draw(rng)
+    return out >> n, out & ((1 << n) - 1), (b & 1, b >> 1)
 
 
 def bell_pair_distribution(copy: PureState, n: int) -> np.ndarray:
-    """Exact joint distribution P[b, z, y] of one Bell-sampling draw.
-
-    b indexes (b1, b2) as b1 + 2*b2; the result sums to 1.
-    """
-    joint = tensor(copy, copy)
-    lab1, lab2 = n, 2 * n + 1
-    st = apply_gate(apply_gate(joint, "H", [lab1]), "H", [lab2])
-    data1 = list(range(n))
-    data2 = list(range(n + 1, 2 * n + 1))
-    out = np.empty((4, 1 << n, 1 << n))
-    for b2 in (0, 1):
-        for b1 in (0, 1):
-            t = st.vec.reshape([2] * st.n)
-            sl: list = [slice(None)] * st.n
-            sl[st.n - 1 - lab1] = b1
-            sl[st.n - 1 - lab2] = b2
-            sub = np.ascontiguousarray(t[tuple(sl)].reshape(-1))  # 2n data qubits
-            if (b1, b2) == (1, 1):
-                nrm = np.linalg.norm(sub)
-                if nrm > 1e-14:
-                    work = PureState(2 * n, sub / nrm)
-                    for i in range(n):
-                        work = apply_gate(work, "CNOT", [i, n + i])
-                    work = apply_hadamards(work, range(n))
-                    sub = work.vec * nrm
-            probs = np.abs(sub) ** 2  # little-endian data index = z | (y << n)
-            out[b1 + 2 * b2] = probs.reshape(1 << n, 1 << n).T  # [z, y]
+    """Exact joint distribution P[b, z, y] of one Bell-sampling draw on two
+    copies, P[b] P[z, y | b] read off the sampler's tables; b indexes
+    (b1, b2) as b1 + 2*b2. The result sums to 1."""
+    labels = _bell_label_table(tensor(copy, copy), n)
+    p_label = np.diff(labels.cum, prepend=0.0)
+    out = np.zeros((4, 1 << n, 1 << n))
+    for b in range(4):
+        try:
+            post = labels.post(b)
+        except ValueError:  # a zero-probability label outcome has no post-state
+            continue
+        p_data = np.diff(_bell_data_table(post, b, n).cum, prepend=0.0)  # z | (y << n)
+        out[b] = (p_label[b] * p_data).reshape(1 << n, 1 << n).T  # [z, y]
     return out

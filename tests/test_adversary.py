@@ -17,11 +17,20 @@ def masked_query_roundtrip(f, n, strategy, rng):
     return qsim.apply_z_mask(got, r, range(n)), oracle.tap
 
 
+def taps_query(cls) -> bool:
+    """Whether a kind taps learner->oracle traffic: it overrides `query_tap`."""
+    return cls.query_tap is not adv.Strategy.query_tap
+
+
+# the kinds that tap both directions
+BIDIRECTIONAL = ["swap_attack", "ancilla_free"]
+
+
 class TestKinds:
     def test_class_constants(self):
-        bidirectional = [k for k, cls in adv.KINDS.items() if cls.bidirectional]
+        bidirectional = [k for k, cls in adv.KINDS.items() if taps_query(cls)]
         quantum = [k for k, cls in adv.KINDS.items() if cls.quantum_memory]
-        assert bidirectional == ["swap_attack", "ancilla_free"]
+        assert bidirectional == BIDIRECTIONAL
         assert quantum == ["swap_attack"]
         assert all(cls().kind == k for k, cls in adv.KINDS.items()
                    if k not in ("depolarize", "ancilla_free"))
@@ -53,10 +62,10 @@ def acting_strategy(kind):
 
 class TestPassThrough:
     def test_overridden_hooks(self):
-        # a kind overrides query_tap exactly when it taps both directions;
-        # identity alone leaves response_tap to the base
+        # exactly the two bidirectional kinds override query_tap; identity
+        # alone leaves response_tap to the base
         for kind, cls in adv.KINDS.items():
-            assert (cls.query_tap is not adv.Strategy.query_tap) == cls.bidirectional, kind
+            assert taps_query(cls) == (kind in BIDIRECTIONAL), kind
         passing = [k for k, cls in adv.KINDS.items()
                    if cls.response_tap is adv.Strategy.response_tap]
         assert passing == ["identity"]
@@ -67,7 +76,7 @@ class TestPassThrough:
         f = bf.random_truth_table(2, np.random.default_rng(60))
         oracle = oracles.QuantumChannelOracle(f, "QPh", strategy)
         tap = oracle.tap
-        assert tap.taps_query == strategy.bidirectional
+        assert tap.taps_query == (kind in BIDIRECTIONAL)
         assert tap.taps_response == (kind != "identity")
         seen = []
         apply = oracles.TapChannel.apply

@@ -93,7 +93,7 @@ class TestOverlapRound:
         state = qsim.prepare_phase_state(f)
         block = block_of([state] * m)
         base = oracles.MemOracle(f)
-        view = oracles.TensorMemView(base, m=m, n_base=n)
+        view = oracles.TensorMemView(base, m=m)
         for _ in range(200):
             assert certify.overlap_round(block, view, rng).score == 1
         assert base.count == 200 * 2 * m  # 2 view queries/round, m base each
@@ -310,9 +310,9 @@ class TestSharedRowCollapse:
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
                 base_a, base_b = oracles.MemOracle(f), oracles.MemOracle(f)
                 got = certify.overlap_round(
-                    block, oracles.TensorMemView(base_a, m=m, n_base=q), rng_a, qubit)
+                    block, oracles.TensorMemView(base_a, m=m), rng_a, qubit)
                 want = overlap_round_all_rows(
-                    block, oracles.TensorMemView(base_b, m=m, n_base=q), rng_b, qubit)
+                    block, oracles.TensorMemView(base_b, m=m), rng_b, qubit)
                 assert dataclasses.astuple(got) == dataclasses.astuple(want)
                 assert all(type(v) is int for v in dataclasses.astuple(got))
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -335,10 +335,10 @@ class TestSharedRowCollapse:
             for qubit in range(15):
                 src_a, src_b = ScriptedUniforms(), ScriptedUniforms()
                 got = certify.overlap_round(
-                    block, oracles.TensorMemView(oracles.MemOracle(f), m=5, n_base=3),
+                    block, oracles.TensorMemView(oracles.MemOracle(f), m=5),
                     src_a, qubit)
                 want = overlap_round_all_rows(
-                    block, oracles.TensorMemView(oracles.MemOracle(f), m=5, n_base=3),
+                    block, oracles.TensorMemView(oracles.MemOracle(f), m=5),
                     src_b, qubit)
                 assert got == want and src_a.drawn == src_b.drawn
 
@@ -387,10 +387,10 @@ class TestRoundTableMemo:
                 seed = int(rng.integers(2**32))
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
                 got = certify.overlap_round(
-                    block, oracles.TensorMemView(oracles.MemOracle(f), m=m, n_base=q),
+                    block, oracles.TensorMemView(oracles.MemOracle(f), m=m),
                     rng_a, qubit)
                 want = overlap_round_all_rows(
-                    fresh, oracles.TensorMemView(oracles.MemOracle(f), m=m, n_base=q),
+                    fresh, oracles.TensorMemView(oracles.MemOracle(f), m=m),
                     rng_b, qubit)
                 assert dataclasses.astuple(got) == dataclasses.astuple(want)
                 assert all(type(v) is int for v in dataclasses.astuple(got))
@@ -657,7 +657,7 @@ class TestQubitRefusal:
     def test_bad_qubit_is_refused_before_any_draw(self, qubit):
         rng = np.random.default_rng(33)
         block = block_of([random_pure(2, rng) for _ in range(3)])  # m = 3, q = 2
-        mem = oracles.TensorMemView(oracles.MemOracle(bf.constant_fn(2)), m=3, n_base=2)
+        mem = oracles.TensorMemView(oracles.MemOracle(bf.constant_fn(2)), m=3)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"qubit .* is not an int in \[0, 6\)"):
             certify.overlap_round(block, mem, rng, qubit)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from covertsim import boolfunc as bf
 from covertsim import covertex as cx
@@ -203,6 +204,40 @@ class TestBellSampling:
         rows = cx.random_quadratic_rows(3, rng)
         dist = cx.quadratic_transcript_distribution(rows, 3)
         assert dist.sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n, draws", [(1, 2000), (2, 3000), (3, 4000)])
+    def test_samples_follow_the_audited_law(self, n, draws):
+        # seeded draws of the sampler against bell_pair_distribution: no
+        # draw lands on a zero-probability cell, and a chi-square test over
+        # the others keeps the law at alpha = 1e-3 (every expected count is
+        # at least 15)
+        rng = np.random.default_rng(70 + n)
+        copy = qsim.prepare_example_state(bf.quadratic_fn(cx.random_quadratic_rows(n, rng), n))
+        law = qsim.bell_pair_distribution(copy, n)
+        joint = qsim.tensor(copy, copy)
+        counts = np.zeros_like(law)
+        for _ in range(draws):
+            y, z, b = qsim.bell_sample_example_pair(joint, n, rng)
+            counts[b[0] + 2 * b[1], z, y] += 1
+        live = law > 1e-12
+        assert counts[~live].sum() == 0
+        assert counts[3].sum() > 0  # b = 11 draws are among them
+        expected = law[live] * draws / law[live].sum()
+        assert expected.min() >= 15
+        assert stats.chisquare(counts[live], expected).pvalue > 1e-3
+
+    @pytest.mark.parametrize("copy_qubits", [1, 3, 4])
+    def test_law_refuses_a_copy_of_the_wrong_size(self, copy_qubits):
+        # a copy for n = 1 holds 2 qubits; the sampler's named refusal
+        with pytest.raises(ValueError, match=r"two \(n\+1\)-qubit copies"):
+            qsim.bell_pair_distribution(qsim.uniform_state(copy_qubits), 1)
+
+    def test_zero_probability_label_outcomes_contribute_zeros(self):
+        # a label qubit in |+> never reads b = 1 after its Hadamard
+        copy = qsim.tensor(qsim.uniform_state(2), qsim.uniform_state(1))
+        law = qsim.bell_pair_distribution(copy, 2)
+        assert (law[1:] == 0).all()
+        assert law[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestQuadraticLearner:

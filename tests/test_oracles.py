@@ -1,10 +1,11 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from covertsim import adversary as adv
+from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import covertex, covertsq, oracles, qsim
 from covertsim.gf2 import dot
@@ -164,7 +165,7 @@ class TestExMemOracles:
     def test_tensor_mem_costs_m_base_queries(self):
         f = bf.parity_fn(0b1, 2)
         base = oracles.MemOracle(f)
-        view = oracles.TensorMemView(base, m=3, n_base=2)
+        view = oracles.TensorMemView(base, m=3)
         for x in (0, 0b010101, 0b111111):
             # F(x_1, x_2, x_3) = f(x_1) xor f(x_2) xor f(x_3), 2-bit chunks
             assert view.query(x) == (x & 1) ^ (x >> 2 & 1) ^ (x >> 4 & 1)
@@ -186,23 +187,29 @@ class TestExMemOracles:
         for query in (oracles.TensorMemView.query, tensor_view_query_shifts):
             t = oracles.Transcript()
             base = oracles.MemOracle(f, transcript=t)
-            view = oracles.TensorMemView(base, m=m, n_base=n_base)
+            view = oracles.TensorMemView(base, m=m)
             runs.append(([query(view, x) for x in xs], base.count, t.events))
         assert runs[0] == runs[1]
         assert runs[0][1] == len(xs) * m
 
     @pytest.mark.parametrize("m, n_base", [(0, 2), (-1, 2), (2, 0), (2, -3)])
     def test_tensor_mem_refuses_an_empty_register(self, m, n_base):
-        base = oracles.MemOracle(bf.random_truth_table(2, np.random.default_rng(81)))
+        # the base's width is read off the base: a 0-bit function, or a stub
+        # whose n is negative
+        if n_base >= 0:
+            base = oracles.MemOracle(bf.random_truth_table(n_base, np.random.default_rng(81)))
+        else:
+            base = SimpleNamespace(n=n_base)
         with pytest.raises(ValueError, match=rf"m >= 1 copies of n_base >= 1 bits, "
                                              rf"got m={m}, n_base={n_base}"):
-            oracles.TensorMemView(base, m=m, n_base=n_base)
+            oracles.TensorMemView(base, m=m)
 
     def test_masked_mem_view(self):
         rng = np.random.default_rng(8)
         f = bf.random_truth_table(3, rng)
         base = oracles.MemOracle(f)
-        view = oracles.MaskedMemView(base, 3)
+        view = oracles.MaskedMemView(base)
+        assert view.n == 6
         for z in range(64):
             r, x = z & 7, z >> 3
             assert view.query(z) == dot(r, x) ^ f(x)
@@ -212,15 +219,16 @@ class TestExMemOracles:
         rng = np.random.default_rng(9)
         f = bf.random_truth_table(2, rng, w=2)
         base = oracles.MemOracle(f)
-        view = oracles.ExampleMemView(base, 2, 2)
+        view = oracles.ExampleMemView(base)
+        assert view.n == 4
         for z in range(16):
             x, y = z & 3, z >> 2
             assert view.query(z) == dot(y, f(x))
 
     @pytest.mark.parametrize("make, n", [
-        (lambda base: oracles.TensorMemView(base, m=2, n_base=2), 4),
-        (lambda base: oracles.MaskedMemView(base, 2), 4),
-        (lambda base: oracles.ExampleMemView(base, 2, 1), 3),
+        (lambda base: oracles.TensorMemView(base, m=2), 4),
+        (oracles.MaskedMemView, 4),
+        (oracles.ExampleMemView, 3),
     ], ids=["tensor", "masked", "example"])
     def test_view_query_outside_its_domain_is_refused(self, make, n):
         # refused in the view's own n, before any base query is charged
@@ -233,6 +241,41 @@ class TestExMemOracles:
         assert base.count == 0
         view.query((1 << n) - 1)
         assert base.count > 0
+
+    @pytest.mark.parametrize("w", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_views_read_their_widths_from_their_base(self, n, w):
+        # the target t = f, or f~(x, y) = y·f(x) over an f of width w; its
+        # masked form g(r, z) = r·z xor t(z); two copies of t; and the
+        # compositions an acquisition certifies against: each reports the
+        # composed width and answers the composed function on every input
+        f = bf.random_truth_table(n, np.random.default_rng(90 + 3 * n + w), w=max(w, 1))
+        mem = oracles.MemOracle(f)
+        assert mem.n == n
+        q = n + w
+
+        def target(z):
+            return dot(z >> n, f(z & ((1 << n) - 1))) if w else f(z)
+
+        def masked(z):
+            return dot(z & ((1 << q) - 1), z >> q) ^ target(z >> q)
+
+        def pair(z):
+            return target(z & ((1 << q) - 1)) ^ target(z >> q)
+
+        base = oracles.ExampleMemView(mem) if w else mem
+        views = [
+            (base, q, target),
+            (oracles.MaskedMemView(base), 2 * q, masked),
+            (oracles.TensorMemView(base, m=2), 2 * q, pair),
+            (oracles.TensorMemView(oracles.MaskedMemView(base), m=1), 2 * q, masked),
+            (acquire._membership_view(mem, w, 1, masked=True), 2 * q, masked),
+            (acquire._membership_view(mem, w, 2, masked=False), 2 * q, pair),
+        ]
+        for view, width, want in views:
+            assert view.n == width
+            assert [view.query(z) for z in range(1 << width)] == [
+                want(z) for z in range(1 << width)]
 
 
 class TestQMeasEx:
@@ -569,6 +612,59 @@ class TestQuantumChannelOracle:
         with pytest.raises(TypeError):  # a qubit is an int, not a float
             oracle.query(start, [0, 1], np.array([2.0, 3.0]), rng=rng)
         assert oracle.count == 1
+
+    @pytest.mark.parametrize("in_qubits", [np.array([0, 1]), (0, 1), range(2)],
+                             ids=["array", "tuple", "range"])
+    @pytest.mark.parametrize("kind", ["QPh", "QMem"])
+    def test_in_register_may_be_any_sequence(self, kind, in_qubits):
+        # an array, tuple or range in register is read as the list [0, 1]:
+        # the same response bytes, count, tap round, tap events, transcript
+        # (its payload digest included) and generator state
+        f = bf.random_truth_table(2, np.random.default_rng(17), w=2 if kind == "QMem" else 1)
+        if kind == "QMem":
+            start, out = qsim.tensor(qsim.uniform_state(2), qsim.basis_state(2)), [2, 3]
+        else:
+            start, out = qsim.uniform_state(2), None
+        runs = []
+        for register in ([0, 1], in_qubits):
+            oracle = oracles.QuantumChannelOracle(f, kind, adv.depolarize(0.5),
+                                                  transcript=oracles.Transcript())
+            rng = np.random.default_rng(21)
+            got = oracle.query(start, register, out, rng=rng)
+            runs.append((got.vec.tobytes(), oracle.count, oracle.tap.memory.round,
+                         oracle.tap.memory.events, oracle.transcript.to_jsonl(),
+                         rng.bit_generator.state))
+        assert runs[0] == runs[1]
+        assert oracle.transcript.events[0]["payload"]["in_qubits"] == [0, 1]
+        for floats in ([0.0, 1.0], np.array([0.0, 1.0])):
+            with pytest.raises(TypeError):  # a qubit is an int, not a float
+                oracle.query(start, floats, out, rng=rng)
+        assert oracle.count == 1 and len(oracle.transcript.events) == 1
+
+    def test_an_oracle_no_state_can_hold_is_refused(self, monkeypatch):
+        # n + out_width qubits over the cap, read when the oracle is built
+        monkeypatch.setattr(qsim, "PURE_QUBIT_CAP", 5)
+        rng = np.random.default_rng(22)
+        for f, kind in ((bf.random_truth_table(6, rng), "QPh"),
+                        (bf.random_truth_table(4, rng, w=2), "QMem")):
+            with pytest.raises(ValueError, match=rf"^a {kind} oracle on 6 qubits is above "
+                                                 r"the pure-state cap of 5 qubits$"):
+                oracles.QuantumChannelOracle(f, kind)
+        for f, kind in ((bf.random_truth_table(5, rng), "QPh"),
+                        (bf.random_truth_table(3, rng, w=2), "QMem")):
+            assert oracles.QuantumChannelOracle(f, kind).count == 0
+
+    def test_construction_refusal_holds_under_optimization(self, run_optimized):
+        # `python -O` strips asserts; the cap check must not be one
+        out = run_optimized("""
+            from covertsim import boolfunc as bf, oracles, qsim
+            qsim.PURE_QUBIT_CAP = 5
+            try:
+                oracles.QuantumChannelOracle(bf.constant_fn(6), "QPh")
+            except ValueError as e:
+                print("raised:", e)
+        """)
+        assert "raised: a QPh oracle on 6 qubits is above the pure-state cap" in out.stdout
 
     def test_mismatched_registers_are_refused_before_the_tap(self):
         # a measuring tap would log an event and draw from rng on the query

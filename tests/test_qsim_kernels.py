@@ -348,6 +348,9 @@ def trust_boundary_misses() -> list[str]:
         "gate on a repeated qubit": lambda: qsim.apply_gate(three, "CZ", [2, 2]),
         "measurement of a missing qubit": lambda: qsim.measure_qubits(
             three, [0, 3], "X", np.random.default_rng(0)),
+        "Bell law of a copy of the wrong size": lambda: qsim.bell_pair_distribution(three, 1),
+        "Bell draw on a pair of the wrong size": lambda: qsim.bell_sample_example_pair(
+            three, 1, np.random.default_rng(0)),
     }
     # the constructors refuse by a named ValueError, before they allocate
     constructors = {
