@@ -28,8 +28,8 @@ in an `adversary.BoundedMemo`, keyed by the copy's row class and its local
 qubit and costing the table's bytes: the blocks of one table share one
 memo, and the memo goes with the blocks. Past the memo's bound a table is
 built, used once and not kept. A round draws from a kept table
-exactly as from a fresh one (`_round_on_copy`, the unmemoised form): the
-same uniforms in the same order, and the same outcome.
+exactly as from a fresh one: the same uniforms in the same order, and the
+same outcome.
 """
 from __future__ import annotations
 
@@ -250,16 +250,6 @@ class _RoundTable:
     @property
     def nbytes(self) -> int:
         return self.p_pair.nbytes + self.cum.nbytes + self.plus.nbytes
-
-
-def _round_on_copy(copy: PureState, local: int, rng) -> tuple[int, int]:
-    """Z-measure all qubits but `local`, then X-measure `local`, from a
-    fresh round table.
-
-    Returns (compact rest bits, x outcome bit). The compact index keeps the
-    remaining bits in order with position `local` removed.
-    """
-    return _RoundTable(copy.vec, local).draw(rng)
 
 
 def _insert_bit(compact: int, pos: int, bit: int) -> int:

@@ -621,15 +621,17 @@ def bell_sample_example_pair(joint: PureState, n: int, rng) -> tuple[int, int, t
 def bell_pair_distribution(copy: PureState, n: int) -> np.ndarray:
     """Exact joint distribution P[b, z, y] of one Bell-sampling draw on two
     copies, P[b] P[z, y | b] read off the sampler's tables; b indexes
-    (b1, b2) as b1 + 2*b2. The result sums to 1."""
+    (b1, b2) as b1 + 2*b2. The result sums to 1. Each label outcome's
+    post-state is built for its data table and dropped, not kept in the
+    label table, so one lives at a time."""
     labels = _bell_label_table(tensor(copy, copy), n)
     p_label = np.diff(labels.cum, prepend=0.0)
     out = np.zeros((4, 1 << n, 1 << n))
     for b in range(4):
-        try:
-            post = labels.post(b)
+        try:  # held by no name here, so the b = 11 gates can free each step
+            cum = _bell_data_table(_project_z(labels.work, labels.qubits, b), b, n).cum
         except ValueError:  # a zero-probability label outcome has no post-state
             continue
-        p_data = np.diff(_bell_data_table(post, b, n).cum, prepend=0.0)  # z | (y << n)
+        p_data = np.diff(cum, prepend=0.0)  # z | (y << n)
         out[b] = (p_label[b] * p_data).reshape(1 << n, 1 << n).T  # [z, y]
     return out

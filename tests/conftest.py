@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+pytest.register_assert_rewrite("equivalence")
+
 TESTS = str(Path(__file__).resolve().parent)
 SRC = str(Path(TESTS).parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))

@@ -1,5 +1,7 @@
 """Reference implementations the unit tests compare the library against, or
-use as constructors: literal, slow forms kept out of the package."""
+use as constructors: literal, slow forms kept out of the package. Each
+reference form is compared with its fast path through a `Pair` in
+equivalence.py; the constructors are listed there as exempt."""
 from __future__ import annotations
 
 import math
@@ -9,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from covertsim import boolfunc as bf
-from covertsim import certify, covertsq, oracles, qsim, tasks
+from covertsim import acquire, certify, covertsq, oracles, qsim, tasks
 
 
 def apply_unitary_moveaxis(state: qsim.PureState, u: np.ndarray,
@@ -41,7 +43,8 @@ def marginal_probs_moveaxis(state: qsim.PureState, qubits: Sequence[int]) -> np.
 def project_z_sliced(state: qsim.PureState, qubits: Sequence[int],
                      outcome: int) -> np.ndarray:
     """Amplitudes after projecting the listed qubits onto `outcome` and
-    renormalizing: one slice of the (2,)*n copy zeroed per qubit."""
+    renormalizing: one slice of the (2,)*n copy zeroed per qubit. A branch
+    of zero weight is refused."""
     n = state.n
     t = state.vec.reshape([2] * n).copy()
     sl: list = [slice(None)] * n
@@ -50,7 +53,10 @@ def project_z_sliced(state: qsim.PureState, qubits: Sequence[int],
         t[tuple(sl)] = 0.0
         sl[n - 1 - q] = slice(None)
     v = t.reshape(-1)
-    return v / np.linalg.norm(v)
+    nrm = np.linalg.norm(v)
+    if nrm < 1e-12:
+        raise ValueError("projection onto a zero-probability branch")
+    return v / nrm
 
 
 def sample_index_clipped(probs: np.ndarray, rng) -> int:
@@ -60,7 +66,7 @@ def sample_index_clipped(probs: np.ndarray, rng) -> int:
     return int(np.searchsorted(cum, rng.random() * cum[-1], side="right").clip(0, len(probs) - 1))
 
 
-def rotated_moveaxis(state: qsim.PureState, qubits: Sequence[int], basis: str) -> qsim.PureState:
+def _rotated_moveaxis(state: qsim.PureState, qubits: Sequence[int], basis: str) -> qsim.PureState:
     """The listed qubits rotated into the measurement basis by checked
     single-qubit unitaries."""
     for q in qubits if basis != "Z" else ():
@@ -68,11 +74,11 @@ def rotated_moveaxis(state: qsim.PureState, qubits: Sequence[int], basis: str) -
     return state
 
 
-def post_state_moveaxis(state: qsim.PureState, qubits: Sequence[int], basis: str,
+def _post_state_moveaxis(state: qsim.PureState, qubits: Sequence[int], basis: str,
                         outcome: int) -> np.ndarray:
     """Amplitudes after measuring the listed qubits with `outcome`: checked
     basis rotations around the sliced projection."""
-    work = rotated_moveaxis(state, qubits, basis)
+    work = _rotated_moveaxis(state, qubits, basis)
     post = qsim.PureState(state.n, project_z_sliced(work, qubits, outcome))
     for q in qubits if basis != "Z" else ():
         post = qsim.apply_unitary(post, qsim.BASIS_V[basis], [q])
@@ -84,10 +90,20 @@ def measure_qubits_moveaxis(state: qsim.PureState, qubits: Sequence[int], basis:
     """qsim.measure_qubits by the forms above: checked basis rotations, the
     moveaxis marginal clipped at 0, the clipped draw and the sliced
     projection."""
-    probs = np.clip(marginal_probs_moveaxis(rotated_moveaxis(state, qubits, basis), qubits),
+    probs = np.clip(marginal_probs_moveaxis(_rotated_moveaxis(state, qubits, basis), qubits),
                     0.0, None)
     outcome = sample_index_clipped(probs, rng)
-    return outcome, post_state_moveaxis(state, qubits, basis, outcome)
+    return outcome, _post_state_moveaxis(state, qubits, basis, outcome)
+
+
+def measurement_table_moveaxis(state: qsim.PureState, qubits: Sequence[int], basis: str,
+                               outcome: int) -> tuple[np.ndarray, np.ndarray]:
+    """qsim.MeasurementTable's cumulative marginal and the post-state of
+    `outcome`, by the forms above; an outcome of zero weight is refused."""
+    probs = marginal_probs_moveaxis(_rotated_moveaxis(state, qubits, basis), qubits)
+    if probs[outcome] < 1e-24:
+        raise ValueError("projection onto a zero-probability branch")
+    return np.cumsum(probs), _post_state_moveaxis(state, qubits, basis, outcome)
 
 
 def measure_qubits_rotate_project(state: qsim.PureState, qubits: Sequence[int], basis: str,
@@ -123,19 +139,24 @@ def measure_unmemoised(memory, state: qsim.PureState, qubits: Sequence[int], bas
     return qsim.measure_qubits(state, list(qubits), basis, rng)
 
 
-def z_signs_float(n: int, mask: int) -> np.ndarray:
-    """Diagonal of Z^mask on n qubits as float64 +-1."""
-    idx = np.arange(1 << n, dtype=np.uint64)
-    return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(np.float64)
+def apply_z_mask_float(state: qsim.PureState, r: int, qubits: Sequence[int]) -> np.ndarray:
+    """Amplitudes times the diagonal of Z^r on `qubits` (bit j of r on
+    qubits[j]) as float64 +-1."""
+    mask = sum(1 << q for j, q in enumerate(qubits) if (r >> j) & 1)
+    idx = np.arange(1 << state.n, dtype=np.uint64)
+    return state.vec * (1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(mask)) & 1)
+                        .astype(np.float64))
 
 
-def phase_signs_float(f: bf.BooleanFunction, n: int, qubits: Sequence[int]) -> np.ndarray:
-    """Diagonal of the phase oracle of f on `qubits`, as float64 +-1."""
+def apply_phase_oracle_float(state: qsim.PureState, f: bf.BooleanFunction,
+                             qubits: Sequence[int]) -> np.ndarray:
+    """Amplitudes times the diagonal of the phase oracle of f on `qubits`,
+    as float64 +-1."""
     signs = 1.0 - 2.0 * bf.eval_all(f).astype(np.float64)
-    return signs[qsim._gather_bits(n, qubits)]
+    return state.vec * signs[qsim._gather_bits(state.n, qubits)]
 
 
-def pair_indices(q: int, local: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_indices(q: int, local: int) -> tuple[np.ndarray, np.ndarray]:
     """The q-bit indices with bit `local` 0, in increasing order, and the
     same indices with it set."""
     idx = np.arange(1 << q)
@@ -143,16 +164,56 @@ def pair_indices(q: int, local: int) -> tuple[np.ndarray, np.ndarray]:
     return x0, x0 | (1 << local)
 
 
+def round_on_copy(copy: qsim.PureState, local: int, rng) -> tuple[int, int]:
+    """One overlap round's draws on the X-tested copy, from a fresh round
+    table: Z-measure all qubits but `local`, then X-measure `local`.
+
+    Returns (compact rest bits, x outcome bit). The compact index keeps the
+    remaining bits in order with position `local` removed.
+    """
+    return certify._RoundTable(copy.vec, local).draw(rng)
+
+
 def round_on_copy_indexed(copy: qsim.PureState, local: int, rng) -> tuple[int, int]:
-    """certify._round_on_copy with the amplitude halves (bit `local` 0 and
+    """round_on_copy with the amplitude halves (bit `local` 0 and
     1) gathered by fancy indexing in increasing index order."""
-    x0, x1 = pair_indices(copy.n, local)
+    x0, x1 = _pair_indices(copy.n, local)
     a0, a1 = copy.vec[x0], copy.vec[x1]
     p_pair = np.clip(np.abs(a0) ** 2 + np.abs(a1) ** 2, 0.0, None)
     plus_mass = np.abs(a0 + a1) ** 2 / 2.0
     j = sample_index_clipped(p_pair, rng)
     p_plus = plus_mass[j] / p_pair[j] if p_pair[j] > 0 else 0.5
     return j, int(rng.random() >= min(1.0, p_plus))
+
+
+def overlap_round_per_copy(copies: Sequence[qsim.PureState], mem_view, rng,
+                           qubit=None) -> certify.OverlapRound:
+    """certify.overlap_round with every untested copy collapsed by its own
+    qsim.sample_index call, in copy order."""
+    q = copies[0].n
+    i = int(rng.integers(q * len(copies))) if qubit is None else qubit
+    c, local = divmod(i, q)
+    rest = shift = 0
+    for j, copy in enumerate(copies):
+        if j == c:
+            compact, x_bit = round_on_copy(copy, local, rng)
+            rest |= compact << shift
+            shift += q - 1
+        else:
+            rest |= qsim.sample_index(np.abs(copy.vec) ** 2, rng) << shift
+            shift += q
+    f0 = mem_view.query(certify._insert_bit(rest, i, 0))
+    f1 = mem_view.query(certify._insert_bit(rest, i, 1))
+    return certify.OverlapRound(qubit=i, rest_bits=rest, x_bit=x_bit, f0=f0, f1=f1)
+
+
+def overlap_scores_by_rounds(copy: qsim.PureState, f: bf.BooleanFunction, rounds: int,
+                             rng) -> np.ndarray:
+    """certify.overlap_scores_iid_fast as `rounds` overlap rounds, each on a
+    fresh one-copy block of `copy` against a membership oracle of f."""
+    return np.array([certify.overlap_round(certify.ProductBlock(np.stack([copy.vec])),
+                                           oracles.MemOracle(f), rng).score
+                     for _ in range(rounds)])
 
 
 def overlap_round_all_rows(block: certify.ProductBlock, mem_view, rng,
@@ -163,7 +224,7 @@ def overlap_round_all_rows(block: certify.ProductBlock, mem_view, rng,
     i = int(rng.integers(m * q)) if qubit is None else qubit
     c, local = divmod(i, q)
     u_low = rng.random(c) if c else ()
-    compact, x_bit = certify._round_on_copy(block[c], local, rng)
+    compact, x_bit = round_on_copy(block[c], local, rng)
     rest = compact << (c * q)
     if m > 1:
         u = np.concatenate((u_low, [0.0], rng.random(m - 1 - c)))
@@ -176,6 +237,18 @@ def overlap_round_all_rows(block: certify.ProductBlock, mem_view, rng,
     f0 = mem_view.query(certify._insert_bit(rest, i, 0))
     f1 = mem_view.query(certify._insert_bit(rest, i, 1))
     return certify.OverlapRound(qubit=i, rest_bits=rest, x_bit=x_bit, f0=f0, f1=f1)
+
+
+def forrelation_decide_per_copy(copies: Sequence[qsim.PureState], n: int, rng,
+                                threshold: float = tasks.SWAP_TEST_THRESHOLD) -> str:
+    """tasks.forrelation_decide as one rotation and one tasks.swap_test per
+    copy."""
+    accepts = 0
+    for copy in copies:
+        rotated = qsim.apply_hadamards(copy, range(n, 2 * n))
+        accepts += tasks.swap_test(rotated, range(n), range(n, 2 * n), rng)[0]
+    freq = accepts / len(copies)
+    return tasks.PHI_LARGE if freq >= threshold else tasks.PHI_SMALL
 
 
 def forrelation_decide_all_copies(copies: Sequence[qsim.PureState], n: int, rng,
@@ -193,6 +266,22 @@ def forrelation_decide_all_copies(copies: Sequence[qsim.PureState], n: int, rng,
     p_sym = np.square(mass, out=mass).sum(axis=(1, 2)) / 4.0
     accepts = int(np.count_nonzero(rng.random(k) < p_sym))
     return tasks.PHI_LARGE if accepts / k >= threshold else tasks.PHI_SMALL
+
+
+def collect_block_per_copy(oracle: oracles.QuantumChannelOracle, m: int, rng,
+                           mode: str) -> np.ndarray:
+    """(m, 2^q) amplitudes of one block as acquire._collect_blocks must
+    write it, one public masked query (and its unmask) per copy."""
+    copies = []
+    for _ in range(m):
+        if mode == "randomness":
+            copy = acquire.masked_query_phase_randomness(oracle, rng)
+        else:
+            copy = acquire.masked_query_phase_entangled(oracle, rng)
+            if mode == "entangled":
+                copy = acquire.unmask_entangled(copy, oracle.f.n + oracle.out_width, rng)
+        copies.append(copy.vec)
+    return np.stack(copies)
 
 
 def tensor_view_query_shifts(view: oracles.TensorMemView, x: int) -> int:
@@ -251,6 +340,48 @@ def sketch_answers_per_query(plan: covertsq.SketchPlan, oracle: oracles.SqOracle
             for row, tau in zip(plan.query_coeffs, plan.oracle_taus)]
 
 
+def sketch_expectations_per_query(plan: covertsq.SketchPlan, f: bf.BooleanFunction
+                                  ) -> np.ndarray:
+    """A sketch's expectations under f, one PolynomialSqQuery per
+    coefficient row."""
+    return np.array([oracles.PolynomialSqQuery(plan.supports, tuple(row)).exact_expectation(f)
+                     for row in plan.query_coeffs])
+
+
+def shadow_single_shot_estimates_mask_product(shadows: covertsq.ShadowSet,
+                                              obs: covertsq.PauliObservable) -> np.ndarray:
+    """The estimator the symbol plane replaced: one match mask and one float
+    product pass per support qubit over the (shots, n) arrays."""
+    est = np.full(shadows.shots, obs.coefficient * 3.0**obs.locality)
+    match = np.ones(shadows.shots, dtype=bool)
+    for q, axis in obs.axes:
+        match &= shadows.bases[:, q] == axis
+        est *= 1.0 - 2.0 * shadows.bits[:, q]
+    est[~match] = 0.0
+    return est
+
+
+def shadow_estimate_mask_product(shadows: covertsq.ShadowSet, obs: covertsq.PauliObservable,
+                                 batches: int) -> float:
+    """covertsq.shadow_estimate as the median of batch means of the mask
+    product estimates (the mean of them all for one batch)."""
+    est = shadow_single_shot_estimates_mask_product(shadows, obs)
+    if batches <= 1:
+        return float(est.mean())
+    usable = (len(est) // batches) * batches
+    return float(np.median(est[:usable].reshape(batches, -1).mean(axis=1)))
+
+
+def shadow_estimate_per_support(shadows: covertsq.ShadowSet, obs: covertsq.PauliObservable,
+                                batches: int) -> float:
+    """covertsq.shadow_estimate's count path through the support's own
+    count table, never the whole register's."""
+    rows = max(batches, 1)
+    counts = shadows.batch_counts(obs.support, rows)
+    means = counts @ covertsq._weight_table(obs) / (shadows.shots // rows)
+    return float(np.median(means)) if batches > 1 else float(means[0])
+
+
 def pauli_observable(spec: dict[int, str], coefficient: float = 1.0) -> covertsq.PauliObservable:
     """PauliObservable from {qubit: 'X' | 'Y' | 'Z'}."""
     axes = tuple(sorted((q, "XYZ".index(a)) for q, a in spec.items()))
@@ -266,7 +397,7 @@ def materialize_overlap_observable(f_block: bf.BooleanFunction) -> np.ndarray:
     table = bf.eval_all(f_block)
     L = np.zeros((dim, dim), dtype=complex)
     for i in range(n):
-        x0, x1 = pair_indices(n, i)
+        x0, x1 = _pair_indices(n, i)
         P = np.zeros((dim, dim), dtype=complex)
         for a, b in zip(x0, x1):
             v = np.zeros(dim, dtype=complex)
@@ -360,6 +491,25 @@ def pauli_expectation_kron(state: qsim.PureState, obs: covertsq.PauliObservable)
         m = _PAULI_MATRICES[lookup[q]] if q in lookup else np.eye(2, dtype=complex)
         full = np.kron(m, full)
     return float(obs.coefficient * np.vdot(state.vec, full @ state.vec).real)
+
+
+def sample_product_pauli_per_basis(state: qsim.PureState, shots: int, rng
+                                   ) -> tuple[np.ndarray, np.ndarray]:
+    """oracles.QMeasExOracle.sample_product_pauli as the per-basis sampler
+    it replaced: one boolean mask and one rng.choice per basis that occurs,
+    in ascending basis order; axes and bits as uint8, the shadow record's
+    type."""
+    n = state.n
+    tables = basis_probability_tables_loop(state)
+    axes = rng.integers(0, 3, size=(shots, n))
+    basis_idx = (axes * (3 ** np.arange(n))).sum(axis=1)
+    outcomes = np.empty(shots, dtype=np.int64)
+    for b in np.unique(basis_idx):
+        sel = basis_idx == b
+        p = np.clip(tables[b], 0, None)
+        outcomes[sel] = rng.choice(1 << n, size=sel.sum(), p=p / p.sum())
+    bits = (outcomes[:, None] >> np.arange(n)) & 1
+    return axes.astype(np.uint8), bits.astype(np.uint8)
 
 
 def choice_by_group_searchsorted(cdfs: np.ndarray, groups: np.ndarray, rng) -> np.ndarray:

@@ -15,6 +15,7 @@ from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import certify, covertex, covertsq, experiments as exp
 from covertsim import gf2, oracles, qsim, tasks
+from equivalence import phase_oracle
 
 
 def margin(rate, trials):
@@ -23,10 +24,6 @@ def margin(rate, trials):
 
 def report(criterion, detail, elapsed):
     print(f"\n[criterion {criterion:>2}] PASS  {detail}  ({elapsed:.1f}s)")
-
-
-def phase_oracle(f, strategy=None):
-    return oracles.QuantumChannelOracle(f, "QPh", strategy)
 
 
 def test_c01_mask_factorization_exact():

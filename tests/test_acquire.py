@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -10,15 +9,9 @@ from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import certify, oracles, qsim
 from covertsim.gf2 import dot
-from reference import overlap_round_all_rows
-
-
-def phase_oracle(f, strategy=None):
-    return oracles.QuantumChannelOracle(f, "QPh", strategy)
-
-
-def qmem_oracle(f, strategy=None):
-    return oracles.QuantumChannelOracle(f, "QMem", strategy)
+from equivalence import (
+    BLOCK_CASES, BLOCK_MODES, PAIRS, acquisition_outcome, bound, phase_oracle, qmem_oracle,
+)
 
 
 class TestMaskedQueries:
@@ -135,44 +128,6 @@ class TestSentMaskViews:
         assert len(oracle.tap.memory.events) == 16
 
 
-# mode -> (entangled, unmask) as `_collect_blocks` takes them
-BLOCK_MODES = {
-    "randomness": (False, True),
-    "entangled": (True, True),
-    "entangled-masked": (True, False),
-}
-# test id -> (tap, n, w, m, mode); w = 0 queries a QPh oracle, w > 0 a QMem
-# oracle of that width; "honest" and "depolarize" are the original cases
-BLOCK_CASES = {
-    "honest": (None, 4, 0, 7, "randomness"),
-    "depolarize": (adv.depolarize(0.5), 4, 0, 7, "randomness"),
-    "measure_z": (adv.measure_z(), 4, 0, 7, "randomness"),
-    "replace_zero": (adv.replace_zero(), 4, 0, 7, "randomness"),
-    "honest-n8": (None, 8, 0, 7, "randomness"),
-    "honest-n9": (None, 9, 0, 7, "randomness"),
-    "depolarize-n9": (adv.depolarize(0.5), 9, 0, 7, "randomness"),
-    "honest-m1": (None, 4, 0, 1, "randomness"),
-    "measure_z-m1": (adv.measure_z(), 4, 0, 1, "randomness"),
-}
-# every other path through the block loop, with and without a drawing tap
-for _n, _w in ((3, 0), (2, 1), (2, 2), (3, 2)):
-    _target = f"qmem-{_n}x{_w}" if _w else f"qph-{_n}"
-    for _mode in BLOCK_MODES:
-        if _w or _mode != "randomness":
-            BLOCK_CASES[f"{_target}-{_mode}"] = (None, _n, _w, 3, _mode)
-            BLOCK_CASES[f"{_target}-{_mode}-depolarize"] = (adv.depolarize(0.5), _n, _w, 3, _mode)
-
-
-def per_copy_query(oracle, rng, mode):
-    """One copy as the block loop must write it, from the public queries."""
-    if mode == "randomness":
-        return acquire.masked_query_phase_randomness(oracle, rng)
-    joint = acquire.masked_query_phase_entangled(oracle, rng)
-    if mode == "entangled":
-        return acquire.unmask_entangled(joint, oracle.f.n + oracle.out_width, rng)
-    return joint
-
-
 def spy_stacks(monkeypatch):
     """Record the (rows, index) of every `ProductBlock.indexed` call, in
     call order."""
@@ -189,8 +144,8 @@ def spy_stacks(monkeypatch):
 
 def spy_rounds(monkeypatch):
     """Record the local qubit of every round table built and, for every
-    `certify.overlap_round` call, the block's copies, the view, the qubit,
-    the generator state before and after, the round and the block's memo."""
+    `certify.overlap_round` call, the block, the view, the qubit, the
+    generator state before, the round and the block's memo."""
     builds, rounds = [], []
 
     class Counting(certify._RoundTable):
@@ -205,8 +160,7 @@ def spy_rounds(monkeypatch):
     def spy(block, view, gen, qubit=None):
         before = gen.bit_generator.state
         got = real_round(block, view, gen, qubit)
-        rounds.append((block.amps, view, before, qubit, got, gen.bit_generator.state,
-                       block.round_tables))
+        rounds.append((block, view, before, qubit, got, block.round_tables))
         return got
 
     monkeypatch.setattr(certify, "_RoundTable", Counting)
@@ -215,88 +169,22 @@ def spy_rounds(monkeypatch):
 
 
 def assert_rounds_match_the_reference(rounds):
-    """Each recorded round has the fields and the generator end state of
-    the all-rows reference, replayed on a fresh block of its copies."""
-    for amps, view, before, qubit, got, after, _ in rounds:
-        replay = np.random.default_rng()
-        replay.bit_generator.state = before
-        want = overlap_round_all_rows(certify.ProductBlock(amps.copy()), view, replay, qubit)
-        assert dataclasses.astuple(got) == dataclasses.astuple(want)
-        assert replay.bit_generator.state == after
+    """Each recorded round, replayed from its generator state, is the round
+    the all-rows reference draws on a fresh block of its copies (the pair
+    certify.overlap_round)."""
+    for block, view, before, qubit, got, _ in rounds:
+        fresh = certify.ProductBlock(block.amps.copy())
+        assert PAIRS["certify.overlap_round"].compare(block, fresh, view, qubit, before) == got
 
 
 class TestStackedBlocks:
-    @pytest.mark.parametrize("strategy, n, w, m, mode", list(BLOCK_CASES.values()),
-                             ids=list(BLOCK_CASES))
-    def test_block_rows_equal_per_copy_queries(self, strategy, n, w, m, mode, monkeypatch):
-        # each row bit-equal to its own masked query (plus unmask), the same
-        # oracle count, tap events and generator state afterwards; one masked
-        # query per row, with the masks drawn per block only for phase
-        # targets behind the identity tap
-        count = 3
-        f = bf.random_truth_table(n, np.random.default_rng(30), w=w or 1)
-        kind = "QMem" if w else "QPh"
-        oracle_a, oracle_b = (
-            oracles.QuantumChannelOracle(f, kind, strategy, transcript=oracles.Transcript())
-            for _ in "ab"
-        )
-        rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
-        query = acquire.masked_query_phase_randomness
-        given_masks = []
-
-        def spy(*args, **kwargs):
-            given_masks.append(kwargs.get("r"))
-            return query(*args, **kwargs)
-
-        monkeypatch.setattr(acquire, "masked_query_phase_randomness", spy)
-        entangled, unmask = BLOCK_MODES[mode]
-        blocks = acquire._collect_blocks(
-            oracle_a, m, count, rng_a, entangled=entangled, unmask=unmask
-        )
-        monkeypatch.undo()
-        if entangled:
-            assert given_masks == []
-        elif strategy is None and not w:
-            assert len(given_masks) == m * count
-            assert all(r is not None for r in given_masks)
-        else:
-            assert given_masks == [None] * (m * count)
-        for block in blocks:
-            want = [per_copy_query(oracle_b, rng_b, mode) for _ in range(m)]
-            assert block.amps.tobytes() == np.stack([c.vec for c in want]).tobytes()
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-        assert oracle_a.count == oracle_b.count == m * count
-        assert oracle_a.tap.memory.events == oracle_b.tap.memory.events
-        # one tap round per response, whether or not the tap acts on it
-        assert oracle_a.tap.memory.round == oracle_b.tap.memory.round == m * count
-        assert oracle_a.transcript.events == oracle_b.transcript.events
-        if strategy is not None:
-            assert oracle_a.tap.memory.events  # the tap acted on some queries
-
-    @pytest.mark.parametrize("n", range(1, qsim.PURE_QUBIT_CAP + 1))
-    def test_one_mask_draw_equals_scalar_draws(self, n):
-        # the block loop's one draw of m masks relies on this numpy fact:
-        # the same values and the same generator end state as m scalar draws
-        for k in (1, 7, 201):
-            rng_a, rng_b = np.random.default_rng(500 + n), np.random.default_rng(500 + n)
-            block = rng_a.integers(0, 1 << n, size=k).tolist()
-            scalars = [int(rng_b.integers(0, 1 << n)) for _ in range(k)]
-            assert block == scalars
-            assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-    @pytest.mark.parametrize("n", range(1, qsim.PURE_QUBIT_CAP + 1))
-    def test_one_stack_draw_equals_block_draws(self, n):
-        # the block loop's one draw of count x m masks relies on this numpy
-        # fact: the same values and the same generator end state as count
-        # draws of m masks each
-        for count in (1, 3, 20):
-            for m in (1, 7, 201):
-                seed = 700 + 10 * n + count
-                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                stack = rng_a.integers(0, 1 << n, size=(count, m))
-                blocks = np.stack([rng_b.integers(0, 1 << n, size=m) for _ in range(count)])
-                assert stack.dtype == blocks.dtype and (stack == blocks).all()
-                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    # each row bit-equal to its own masked query (plus unmask), with the
+    # same oracle count, tap events, transcript and generator state
+    test_block_rows_equal_per_copy_queries = staticmethod(bound("acquire._collect_blocks"))
+    test_one_mask_draw_equals_scalar_draws = staticmethod(
+        bound("numpy.Generator.integers:masks"))
+    test_one_stack_draw_equals_block_draws = staticmethod(
+        bound("numpy.Generator.integers:stack"))
 
     def test_given_mask_outside_its_range_is_refused(self):
         n = 3
@@ -616,91 +504,11 @@ class TestCoupledPair:
         assert acquire._coupled_pair(3) is pair and pair.vec.tobytes() == before
 
 
-def kind_strategy(kind):
-    """The adversary of `kind`, each required field (a probability) at 1/2."""
-    cls = adv.KINDS[kind]
-    return cls(**{f.name: 0.5 for f in dataclasses.fields(cls)
-                  if f.default is dataclasses.MISSING})
-
-
-def bypass_response_memo(monkeypatch):
-    """Send writeable copies of acquire's shared sent states, which the QPh
-    response memo never keeps: with no kept mask table, every masked query
-    asks `_phase_mask`, which here builds a fresh state. A measuring query
-    tap still hands the oracle its read-only post-state, so the memo bound
-    is 0 as well, and no response is kept."""
-    coupled_pair = acquire._coupled_pair
-
-    def fresh_mask(n, r):
-        signs = qsim.z_signs(n, r)
-        return qsim.PureState(n, signs * complex(2 ** (-n / 2))), signs
-
-    def fresh_pair(n):
-        pair = coupled_pair(n)
-        return qsim.PureState(pair.n, pair.vec.copy())
-
-    monkeypatch.setattr(acquire, "_PHASE_MASKS", {})
-    monkeypatch.setattr(acquire, "_phase_mask", fresh_mask)
-    monkeypatch.setattr(acquire, "_coupled_pair", fresh_pair)
-    monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", 0)
-
-
-def acquisition_outcome(res):
-    output = res.output and [c.vec.tobytes() for c in res.output]
-    return (res.accepted, res.record, res.pub_queries, res.pri_queries,
-            res.blocks_used, res.paper_blocks, output)
-
-
 class TestResponseMemo:
-    ACQUISITIONS = {
-        "randomness": lambda o, mem, rng: acquire.acquire_unidirectional(
-            o, mem, 2, 0.1, 0.1, rng, n_blocks=6, mode="randomness"),
-        "entangled": lambda o, mem, rng: acquire.acquire_unidirectional(
-            o, mem, 2, 0.1, 0.1, rng, n_blocks=6, mode="entangled"),
-        "ancilla-free": lambda o, mem, rng: acquire.acquire_ancilla_free(
-            o, mem, 2, 0.1, 0.1, 0.5, rng, n_blocks=6),
-    }
-
-    @pytest.mark.parametrize("acquisition", list(ACQUISITIONS))
-    @pytest.mark.parametrize("kind", sorted(adv.KINDS))
-    def test_memoised_run_equals_a_run_without_it(self, kind, acquisition, monkeypatch):
-        # the same records, transcript, tap events, counts, tap rounds and
-        # generator state; the memo fills whenever a read-only state reaches
-        # the oracle, which answers it afresh the first time
-        f = bf.random_truth_table(3, np.random.default_rng(41))
-        phase_response, fresh = oracles.QuantumChannelOracle._phase_response, []
-
-        def spy(oracle, state, key):
-            fresh.append(state.vec.flags.writeable)
-            return phase_response(oracle, state, key)
-
-        monkeypatch.setattr(oracles.QuantumChannelOracle, "_phase_response", spy)
-
-        def run():
-            oracle = oracles.QuantumChannelOracle(f, "QPh", kind_strategy(kind),
-                                                  transcript=oracles.Transcript())
-            mem, rng = oracles.MemOracle(f), np.random.default_rng(42)
-            try:
-                outcome = acquisition_outcome(self.ACQUISITIONS[acquisition](oracle, mem, rng))
-            except RuntimeError as e:  # the swap attack faults on entangled registers
-                outcome = repr(e)
-            return oracle, mem, rng, outcome
-
-        memoised = run()
-        read_only_reached = not all(fresh)
-        bypass_response_memo(monkeypatch)
-        plain = run()
-        (oracle_a, mem_a, rng_a, got), (oracle_b, mem_b, rng_b, want) = memoised, plain
-        assert got == want
-        assert oracle_a.transcript.events == oracle_b.transcript.events
-        assert oracle_a.tap.memory.events == oracle_b.tap.memory.events
-        assert oracle_a.count == oracle_b.count and mem_a.count == mem_b.count
-        assert oracle_a.tap.memory.round == oracle_b.tap.memory.round == oracle_a.count
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-        assert oracle_b.responses.memo == {} and oracle_b.responses.nbytes == 0
-        assert bool(oracle_a.responses.memo) == read_only_reached
-        for sent, response in oracle_a.responses.memo.values():
-            assert not sent.vec.flags.writeable and not response.vec.flags.writeable
+    # the same records, transcript, tap events, counts, tap rounds and
+    # generator state with the response memo and without it
+    test_memoised_run_equals_a_run_without_it = staticmethod(
+        bound("oracles.QuantumChannelOracle.responses"))
 
     def test_memoised_response_is_the_oracle_response_read_only(self):
         n = 4

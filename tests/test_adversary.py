@@ -5,7 +5,7 @@ from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import experiments as exp
 from covertsim import oracles, qsim
-from reference import extract_product_register_eigh, measure_unmemoised
+from equivalence import bound
 
 
 def masked_query_roundtrip(f, n, strategy, rng):
@@ -28,9 +28,9 @@ BIDIRECTIONAL = ["swap_attack", "ancilla_free"]
 
 class TestKinds:
     def test_class_constants(self):
-        bidirectional = [k for k, cls in adv.KINDS.items() if taps_query(cls)]
+        # which kinds override query_tap is asserted once, in
+        # TestPassThrough::test_overridden_hooks
         quantum = [k for k, cls in adv.KINDS.items() if cls.quantum_memory]
-        assert bidirectional == BIDIRECTIONAL
         assert quantum == ["swap_attack"]
         assert all(cls().kind == k for k, cls in adv.KINDS.items()
                    if k not in ("depolarize", "ancilla_free"))
@@ -186,20 +186,6 @@ class TestAncillaFree:
             assert qsim.schmidt_rank(local, q_reg) <= 1 << (n - 1)
 
 
-def tapped_queries(strategy, n, mode, queries, seed):
-    """Masked queries through one ancilla-free tapped oracle: every response's
-    bytes, the generator state after it, and the tap's memory."""
-    rng = np.random.default_rng(seed)
-    oracle = oracles.QuantumChannelOracle(bf.random_truth_table(n, rng), "QPh", strategy)
-    query = (acquire.masked_query_phase_entangled if mode == "entangled"
-             else acquire.masked_query_phase_randomness)
-    trace = []
-    for _ in range(queries):
-        got = query(oracle, rng)
-        trace.append((got.vec.tobytes(), rng.bit_generator.state["state"]["state"]))
-    return trace, oracle.tap.memory
-
-
 class TestBoundedMemo:
     def test_keep_stores_only_within_the_bound(self, monkeypatch):
         monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", 100)
@@ -225,38 +211,10 @@ class TestBoundedMemo:
 
 
 class TestMeasurementMemo:
-    @pytest.mark.parametrize("mode", ["entangled", "randomness"])
-    def test_memoised_tap_equals_one_without_the_memo(self, mode, monkeypatch):
-        # 1,200 rounds per mode over n = 1..3, both leak rates and both
-        # extract_post settings: the same events, response bytes and
-        # generator states as a fresh measure_qubits per measurement
-        cases = [(adv.ancilla_free(leak, extract_post=post), n, 100, 40 + n)
-                 for n in (1, 2, 3) for leak in (0.5, 1.0) for post in (True, False)]
-        memoised = [tapped_queries(s, n, mode, q, seed) for s, n, q, seed in cases]
-        monkeypatch.setattr(adv.TapMemory, "measure", measure_unmemoised)
-        fresh = [tapped_queries(s, n, mode, q, seed) for s, n, q, seed in cases]
-        rounds = 0
-        for (trace, memory), (want, want_memory) in zip(memoised, fresh):
-            assert trace == want
-            assert memory.events == want_memory.events and memory.events
-            assert want_memory.measure_memo.memo == {} and memory.measure_memo.memo
-            rounds += len(trace)
-        assert rounds == 1200
-
-    def test_memo_keys_on_the_qubits_and_the_basis(self):
-        # one state measured on two registers in each basis: six tables, and
-        # every draw as a fresh measure_qubits makes it
-        psi = random_state(3, np.random.default_rng(41))
-        memory = adv.TapMemory()
-        rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
-        for _ in range(20):
-            for qubits in ([0], [2, 1]):
-                for basis in ("X", "Y", "Z"):
-                    outcome, post = memory.measure(psi, qubits, basis, rng_a)
-                    want, want_post = qsim.measure_qubits(psi, qubits, basis, rng_b)
-                    assert outcome == want and post.vec.tobytes() == want_post.vec.tobytes()
-        assert len(memory.measure_memo.memo) == 6
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    test_memoised_tap_equals_one_without_the_memo = staticmethod(
+        bound("adversary.TapMemory.measure"))
+    test_memo_keys_on_the_qubits_and_the_basis = staticmethod(
+        bound("adversary.TapMemory.measure:keys"))
 
     def test_an_acquire_af_trial_needs_three_tables(self):
         # every entangled query sends the same coupled pair: one table before
@@ -273,8 +231,9 @@ class TestMeasurementMemo:
 
     def test_memo_stays_under_its_bound(self, monkeypatch):
         # randomness-mode acquire-uni at n = 6: the distinct registers' tables
-        # would pass the bound, so the memo stops admitting, the bytes it
-        # holds never pass the bound, and the records equal a memo-less run
+        # would pass the bound, so the memo stops admitting and the bytes it
+        # holds never pass the bound (the records equal a memo-less run's:
+        # the pair adversary.TapMemory.measure:trials of equivalence.py)
         cfg = exp.ExperimentConfig(
             scenario="acquire-uni", params={"n": 6, "m": 8, "n_blocks": 20},
             adversary={"kind": "ancilla_free", "delta_leak": 0.5}, seed=22)
@@ -288,12 +247,11 @@ class TestMeasurementMemo:
             return out
 
         monkeypatch.setattr(adv.TapMemory, "measure", watched)
-        records = [exp.run_trial(cfg, t) for t in range(2)]
+        for t in range(2):
+            exp.run_trial(cfg, t)
         assert len(seen) == 2 and max(held) <= adv.MEASUREMENT_MEMO_BYTES
         # each trial saw more registers than its memo kept tables for
         assert all(len(keys) > len(memory.measure_memo.memo) for memory, keys in seen.items())
-        monkeypatch.setattr(adv.TapMemory, "measure", measure_unmemoised)
-        assert records == [exp.run_trial(cfg, t) for t in range(2)]
 
 
 class TestSwapAttack:
@@ -330,60 +288,16 @@ class TestSwapAttack:
             adv.apply_tap(strat, "query", bell, [1], mem, rng)
 
 
-def random_state(n, rng):
-    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return qsim.PureState(n, v / np.linalg.norm(v))
-
-
 class TestProductRegister:
     """The amplitude form of `_extract_product_register` against the
     density-matrix form it replaced, equal up to global phase."""
 
-    def assert_split(self, reg, rest, qubits):
-        state = adv._reinsert_register(rest, reg, qubits)
-        got = adv._extract_product_register(state, qubits)
-        want = extract_product_register_eigh(state, qubits)
-        for g, w, factor in zip(got, want, (reg, rest)):
-            assert qsim.states_equal(g, w, 1e-10) and qsim.states_equal(g, factor, 1e-10)
-
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_every_split_matches_the_eigh_form(self, n):
-        rng = np.random.default_rng(300 + n)
-        for k in range(1, n):
-            for _ in range(3):
-                qubits = [int(q) for q in rng.permutation(n)[:k]]
-                self.assert_split(random_state(k, rng), random_state(n - k, rng), qubits)
-
-    def test_non_contiguous_and_whole_registers(self):
-        rng = np.random.default_rng(310)
-        self.assert_split(random_state(2, rng), random_state(2, rng), [0, 2])
-        self.assert_split(random_state(2, rng), random_state(1, rng), [2, 0])
-        # factors with a zero first amplitude: the first row and column of
-        # the reshape are zero, so each factor must come from the largest
-        self.assert_split(qsim.basis_state(2, 3), random_state(3, rng), [1, 4])
-        self.assert_split(random_state(2, rng), qsim.basis_state(3, 6), [1, 4])
-        empty = qsim.basis_state(0)  # the rest has 0 qubits
-        for n in (1, 3, 6):
-            self.assert_split(random_state(n, rng), empty, list(range(n)))
-            self.assert_split(random_state(n, rng), empty, [int(q) for q in rng.permutation(n)])
-
-    def test_weight_of_an_orthogonal_product_is_refused(self):
-        rng = np.random.default_rng(311)
-        a, b = random_state(2, rng), random_state(3, rng)
-        # the parts of two more random states orthogonal to a and to b
-        a_perp, b_perp = (
-            v - np.vdot(u.vec, v) * u.vec
-            for u, v in ((a, random_state(2, rng).vec), (b, random_state(3, rng).vec))
-        )
-        # a on qubits 3 and 4 (the high factor of kron), b on 0..2
-        near = np.sqrt(1 - 1e-6) * np.kron(a.vec, b.vec) + np.sqrt(1e-6) * np.kron(
-            a_perp / np.linalg.norm(a_perp), b_perp / np.linalg.norm(b_perp))
-        state = qsim.PureState(5, near)
-        assert qsim.states_equal(adv._reinsert_register(b, a, [3, 4]),
-                                 qsim.PureState(5, np.kron(a.vec, b.vec)), 1e-12)
-        for extract in (adv._extract_product_register, extract_product_register_eigh):
-            with pytest.raises(RuntimeError, match="entangled"):
-                extract(state, [3, 4])
+    test_every_split_matches_the_eigh_form = staticmethod(
+        bound("adversary._extract_product_register"))
+    test_non_contiguous_and_whole_registers = staticmethod(
+        bound("adversary._extract_product_register:edges"))
+    test_weight_of_an_orthogonal_product_is_refused = staticmethod(
+        bound("adversary._extract_product_register:near-product"))
 
 
 class TestExactViews:

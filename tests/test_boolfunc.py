@@ -3,7 +3,8 @@ import pytest
 
 from covertsim import boolfunc as bf
 from covertsim import gf2
-from reference import phi_double_sum, quadratic_from_matrix, simon_value
+from equivalence import bound
+from reference import quadratic_from_matrix
 
 
 def bits(x: int, n: int) -> np.ndarray:
@@ -118,32 +119,24 @@ class TestEval:
             assert h(x) == f(x & 1) ^ g(x >> 1)
 
     def test_eval_all_matches_pointwise(self):
-        # each body's table against a formula that does not read a table
+        # each body's table against a formula that does not read a table;
+        # the Simon body's is a registry pair (equivalence.py)
         rng = np.random.default_rng(3)
         mat = np.triu(rng.integers(0, 2, (5, 5)))
         lo, hi = bf.random_truth_table(2, rng), bf.random_truth_table(3, rng)
-        simon = bf.random_simon_fn(4, 0b1010, rng)
         cases = [
             (bf.parity_fn(0b1011, 4), lambda x: gf2.dot(0b1011, x)),
             (quadratic_from_matrix(mat), lambda x: int(bits(x, 5) @ mat @ bits(x, 5)) % 2),
             (bf.truth_table([5, 0, 7, 3, 1, 6, 2, 4], w=3), [5, 0, 7, 3, 1, 6, 2, 4].__getitem__),
             (bf.padded_xor(lo, hi),
              lambda x: lo.body.values[x & 3] ^ hi.body.values[x >> 2]),
-            (simon, lambda x: simon_value(simon.body.s, simon.body.labels, x)),
         ]
         for f, reference in cases:
             assert bf.eval_all(f).tolist() == [reference(x) for x in range(1 << f.n)]
 
 
 class TestSimon:
-    def test_table_matches_the_scalar_coset_formula(self):
-        rng = np.random.default_rng(9)
-        for n in range(1, 11):
-            periods = {0, (1 << n) - 1, *(int(s) for s in rng.integers(0, 1 << n, 4))}
-            for s in periods:
-                f = bf.random_simon_fn(n, s, rng)
-                expect = [simon_value(s, f.body.labels, x) for x in range(1 << n)]
-                assert bf.eval_all(f).tolist() == expect
+    test_table_matches_the_scalar_coset_formula = staticmethod(bound("boolfunc.eval_all:simon"))
 
     def test_period_wider_than_arity_is_refused(self):
         for s in (0b100, -1):
@@ -192,15 +185,7 @@ class TestForrelation:
         f = bf.constant_fn(1)
         assert bf.forrelation_phi(f, f) == pytest.approx(0.7071067812, abs=1e-9)
 
-    def test_double_sum_vs_walsh(self):
-        rng = np.random.default_rng(6)
-        for n in (2, 4, 6):
-            for _ in range(5):
-                f = bf.random_truth_table(n, rng)
-                g = bf.random_truth_table(n, rng)
-                a = phi_double_sum(f, g)
-                b = bf.forrelation_phi(f, g)
-                assert a.hex() == b.hex()
+    test_double_sum_vs_walsh = staticmethod(bound("boolfunc.forrelation_phi"))
 
     def test_random_pair_matches_literal_sum(self):
         rng = np.random.default_rng(7)

@@ -1,30 +1,16 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from covertsim import adversary
 from covertsim import boolfunc as bf
 from covertsim import certify, oracles, qsim
-from reference import materialize_overlap_observable, overlap_round_all_rows
-
-
-def block_of(copies):
-    return certify.ProductBlock(np.stack([c.vec for c in copies]))
+from equivalence import block_of, bound, flip_signs, memo_rows, random_pure
+from reference import materialize_overlap_observable
 
 
 def single_block(state):
     return block_of([state])
-
-
-def flip_signs(f, count, n):
-    """Phase state of f with `count` flipped sign amplitudes = phase state of
-    f xor indicator of `count` inputs."""
-    table = [int(v) for v in bf.eval_all(f)]
-    for x in range(count):
-        table[x] ^= 1
-    return bf.truth_table(table)
 
 
 class TestOverlapRound:
@@ -98,75 +84,16 @@ class TestOverlapRound:
             assert certify.overlap_round(block, view, rng).score == 1
         assert base.count == 200 * 2 * m  # 2 view queries/round, m base each
 
-    def test_fast_path_matches_slow_distribution(self):
-        rng = np.random.default_rng(6)
-        n = 3
-        f = bf.random_truth_table(n, rng)
-        bad = qsim.prepare_phase_state(flip_signs(f, 2, n))
-        mem = oracles.MemOracle(f)
-        slow = [
-            certify.overlap_round(single_block(bad), mem, rng).score
-            for _ in range(20_000)
-        ]
-        fast = certify.overlap_scores_iid_fast(bad, f, 20_000, rng)
-        se = math.sqrt(2 * 0.25 / 20_000)
-        assert abs(np.mean(slow) - np.mean(fast)) < 5 * se
 
-
-def random_pure(n, rng):
-    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return qsim.PureState(n, v / np.linalg.norm(v))
-
-
-def per_copy_round(copies, mem_view, rng, qubit=None):
-    """Reference round: every untested copy collapsed by its own
-    qsim.sample_index call, in copy order."""
-    q = copies[0].n
-    i = int(rng.integers(q * len(copies))) if qubit is None else qubit
-    c, local = divmod(i, q)
-    rest = shift = 0
-    for j, copy in enumerate(copies):
-        if j == c:
-            compact, x_bit = certify._round_on_copy(copy, local, rng)
-            rest |= compact << shift
-            shift += q - 1
-        else:
-            rest |= qsim.sample_index(np.abs(copy.vec) ** 2, rng) << shift
-            shift += q
-    f0 = mem_view.query(certify._insert_bit(rest, i, 0))
-    f1 = mem_view.query(certify._insert_bit(rest, i, 1))
-    return certify.OverlapRound(qubit=i, rest_bits=rest, x_bit=x_bit, f0=f0, f1=f1)
+    test_fast_path_matches_slow_distribution = staticmethod(
+        bound("certify.overlap_scores_iid_fast"))
 
 
 class TestStackedBlock:
-    def test_round_matches_per_copy_sampling(self):
-        # same rounds and the same generator state afterwards, for every
-        # tested copy position
-        rng = np.random.default_rng(20)
-        q, m = 3, 5
-        for trial in range(12):
-            copies = [random_pure(q, rng) for _ in range(m)]
-            block = block_of(copies)
-            f = bf.random_truth_table(q * m, rng)
-            for qubit in (None, 0, q * m - 1, int(rng.integers(q * m))):
-                seed = int(rng.integers(2**32))
-                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = certify.overlap_round(block, oracles.MemOracle(f), rng_a, qubit)
-                want = per_copy_round(copies, oracles.MemOracle(f), rng_b, qubit)
-                assert got == want
-                assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-    def test_single_copy_block_draws_like_one_copy(self):
-        rng = np.random.default_rng(21)
-        copy = random_pure(4, rng)
-        f = bf.random_truth_table(4, rng)
-        for _ in range(50):
-            seed = int(rng.integers(2**32))
-            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = certify.overlap_round(single_block(copy), oracles.MemOracle(f), rng_a)
-            want = per_copy_round([copy], oracles.MemOracle(f), rng_b)
-            assert got == want
-            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    test_round_matches_per_copy_sampling = staticmethod(
+        bound("certify.overlap_round:per-copy"))
+    test_single_copy_block_draws_like_one_copy = staticmethod(
+        bound("certify.overlap_round:one-copy"))
 
     def test_stacked_amplitudes_are_checked_and_frozen(self):
         rng = np.random.default_rng(22)
@@ -231,228 +158,18 @@ class TestBlockStack:
                 block[1].vec[0] = 0
 
 
-def sparse_pure(n, rng):
-    """A random state with about half its amplitudes exactly zero."""
-    v = random_pure(n, rng).vec
-    v[rng.permutation(1 << n)[: 1 << (n - 1)]] = 0
-    return v / np.linalg.norm(v)
-
-
-def collapse_rows(kind, m, q, rng):
-    """(m, 2^q) block amplitudes of one kind of row pattern."""
-    if kind == "all-equal":
-        return np.tile(random_pure(q, rng).vec, (m, 1))
-    if kind == "all-distinct":
-        return np.stack([random_pure(q, rng).vec for _ in range(m)])
-    if kind == "few-distinct":
-        # three states; row 0's state is shared by other rows or by none
-        states = [random_pure(q, rng).vec for _ in range(3)]
-        pick = rng.integers(3, size=m)
-        if rng.random() < 0.5:
-            pick[1:] = np.where(pick[1:] == pick[0], (pick[0] + 1) % 3, pick[1:])
-        return np.stack([states[k] for k in pick])
-    # signed zeros: every row is row 0 with its zeros' signs flipped at random
-    rows = np.tile(sparse_pure(q, rng), (m, 1))
-    zero = rows == 0
-    rows.real[zero & (rng.random(rows.shape) < 0.5)] = -0.0
-    rows.imag[zero & (rng.random(rows.shape) < 0.5)] = -0.0
-    return rows
-
-
-class ScriptedUniforms:
-    """A stand-in generator whose uniforms cycle through 0, 1/4, 1/2, 3/4
-    and 1/8: each lands exactly on a dyadic cumulative weight."""
-
-    VALUES = (0.0, 0.25, 0.5, 0.75, 0.125)
-
-    def __init__(self):
-        self.drawn = 0
-
-    def random(self, size=None):
-        count = 1 if size is None else size
-        out = [self.VALUES[(self.drawn + k) % 5] for k in range(count)]
-        self.drawn += count
-        return out[0] if size is None else np.array(out)
-
-
-class ScriptedPair:
-    """A stand-in generator whose uniforms alternate between 1 and `u`."""
-
-    def __init__(self, u):
-        self.u, self.drawn = u, 0
-
-    def random(self, size=None):
-        assert size is None
-        self.drawn += 1
-        return 1.0 if self.drawn % 2 else self.u
-
-
 class TestSharedRowCollapse:
-    KINDS = ("all-equal", "few-distinct", "all-distinct", "signed-zeros")
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("m", (2, 201))
-    @pytest.mark.parametrize("q", range(1, 9))
-    def test_round_matches_the_all_rows_form(self, q, m, kind):
-        # the same round fields and the same generator end state as
-        # collapsing every row by its own cumulative sum, with the X-tested
-        # copy first, last and anywhere
-        rng = np.random.default_rng(600 + 10 * q + m)
-        for _ in range(3):
-            amps = collapse_rows(kind, m, q, rng)
-            if kind == "signed-zeros" and q > 1:  # equal rows, unequal bytes
-                assert (amps == amps[0]).all() and amps.tobytes() != np.tile(
-                    amps[0], (m, 1)).tobytes()
-            block = certify.ProductBlock(amps)
-            f = bf.random_truth_table(q, rng)
-            for qubit in (0, q - 1, (m - 1) * q, m * q - 1, None):
-                seed = int(rng.integers(2**32))
-                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                base_a, base_b = oracles.MemOracle(f), oracles.MemOracle(f)
-                got = certify.overlap_round(
-                    block, oracles.TensorMemView(base_a, m=m), rng_a, qubit)
-                want = overlap_round_all_rows(
-                    block, oracles.TensorMemView(base_b, m=m), rng_b, qubit)
-                assert dataclasses.astuple(got) == dataclasses.astuple(want)
-                assert all(type(v) is int for v in dataclasses.astuple(got))
-                assert rng_a.bit_generator.state == rng_b.bit_generator.state
-                assert base_a.count == base_b.count == 2 * m
-
-    def test_thresholds_on_a_cumulative_weight(self):
-        # uniforms that land exactly on cumulative weights (dyadic weights,
-        # zero-weight plateaus, u = 0): the searchsorted count keeps the
-        # compare's ties, with row 0 shared by some rows, all rows or none
-        half = np.array([0, 0.5, 0, 0.5, 0.5, 0, -0.5, 0], dtype=complex)
-        quarter = np.array([0.5, 0.5j, 0, 0, -0.5, 0, 0, 0.5])
-        assert (np.cumsum(np.abs(half) ** 2) == [0, .25, .25, .5, .75, .75, 1, 1]).all()
-        assert (np.cumsum(np.abs(quarter) ** 2) == [.25, .5, .5, .5, .75, .75, .75, 1]).all()
-        basis = np.zeros(8, dtype=complex)
-        basis[5] = -1
-        f = bf.random_truth_table(3, np.random.default_rng(25))
-        for rows in ([half] * 5, [half, quarter, half, basis, half],
-                     [quarter, half, basis, half, half], [basis] * 5):
-            block = certify.ProductBlock(np.stack(rows))
-            for qubit in range(15):
-                src_a, src_b = ScriptedUniforms(), ScriptedUniforms()
-                got = certify.overlap_round(
-                    block, oracles.TensorMemView(oracles.MemOracle(f), m=5),
-                    src_a, qubit)
-                want = overlap_round_all_rows(
-                    block, oracles.TensorMemView(oracles.MemOracle(f), m=5),
-                    src_b, qubit)
-                assert got == want and src_a.drawn == src_b.drawn
-
-
-def memo_rows(kind, q, rng):
-    """Three distinct copy amplitudes of one kind of row."""
-    if kind == "repeated":
-        return [random_pure(q, rng).vec for _ in range(3)]
-    if kind == "signed-zeros":
-        # one sparse state and two copies with their zeros' signs flipped
-        v = sparse_pure(q, rng)
-        rows = [v, v.copy(), v.copy()]
-        for row in rows[1:]:
-            zero = row == 0
-            row.real[zero & (rng.random(row.shape) < 0.5)] = -0.0
-            row.imag[zero & (rng.random(row.shape) < 0.5)] = -0.0
-        return rows
-    # zero-weight pair: index 0 and every 1 << local are zero, so for each
-    # local qubit the pair (0, 1 << local) weighs nothing (q = 1 has no room)
-    rows = [random_pure(q, rng).vec for _ in range(3)]
-    if q > 1:
-        for row in rows:
-            row[[0] + [1 << k for k in range(q)]] = 0
-            row /= np.linalg.norm(row)
-    return rows
+    test_round_matches_the_all_rows_form = staticmethod(bound("certify.overlap_round"))
+    test_thresholds_on_a_cumulative_weight = staticmethod(
+        bound("certify.overlap_round:thresholds"))
 
 
 class TestRoundTableMemo:
-    @pytest.mark.parametrize("kind", ("repeated", "signed-zeros", "zero-pair"))
-    @pytest.mark.parametrize("m", (1, 3))
-    @pytest.mark.parametrize("q", range(1, 9))
-    def test_rounds_match_an_unmemoised_block(self, q, m, kind):
-        # a table of one row per copy whose blocks repeat three rows: the
-        # same round fields and generator end state, on every qubit, as the
-        # reference run on an unmemoised copy of each block, while the
-        # shared memo is hit
-        rng = np.random.default_rng(900 + 10 * q + m)
-        rows = memo_rows(kind, q, rng)
-        table = np.stack([rows[k] for k in rng.integers(3, size=6 * m)])
-        blocks = certify.ProductBlock.indexed(table, np.arange(6 * m).reshape(6, m))
-        f = bf.random_truth_table(q, rng)
-        rounds = 0
-        for block in blocks:
-            fresh = certify.ProductBlock(block.amps.copy())
-            for qubit in range(m * q):
-                seed = int(rng.integers(2**32))
-                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = certify.overlap_round(
-                    block, oracles.TensorMemView(oracles.MemOracle(f), m=m),
-                    rng_a, qubit)
-                want = overlap_round_all_rows(
-                    fresh, oracles.TensorMemView(oracles.MemOracle(f), m=m),
-                    rng_b, qubit)
-                assert dataclasses.astuple(got) == dataclasses.astuple(want)
-                assert all(type(v) is int for v in dataclasses.astuple(got))
-                assert rng_a.bit_generator.state == rng_b.bit_generator.state
-                rounds += 1
-            assert block.round_tables is blocks[0].round_tables
-            assert not fresh.round_tables.memo
-        # at most 3 rows x q local qubits were built, each kept once, under
-        # the row classes: one for the three signed-zero rows, which
-        # compare equal, else one per row
-        memo = blocks[0].round_tables.memo
-        assert len(memo) <= 3 * q < rounds
-        classes = {key[0] for key in memo}
-        assert all(type(c) is int for c in classes)
-        assert classes <= set(np.concatenate([b.row_classes for b in blocks]).tolist())
-        assert len(classes) <= (1 if kind == "signed-zeros" else 3)
-
-    def test_kept_bytes_stay_within_the_bound(self):
-        # a q = 8 table of distinct rows asks for about twice the bound:
-        # the memo stops keeping tables at the bound and every round still
-        # answers as the reference does
-        rng = np.random.default_rng(31)
-        q, count = 8, 360
-        table = np.stack([random_pure(q, rng).vec for _ in range(count)])
-        blocks = certify.ProductBlock.indexed(table, np.arange(count).reshape(count, 1))
-        tables = blocks[0].round_tables
-        f = bf.random_truth_table(q, rng)
-        for block in blocks:
-            for qubit in (0, 5):
-                seed = int(rng.integers(2**32))
-                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = certify.overlap_round(block, oracles.MemOracle(f), rng_a, qubit)
-                want = overlap_round_all_rows(block, oracles.MemOracle(f), rng_b, qubit)
-                assert got == want
-                assert rng_a.bit_generator.state == rng_b.bit_generator.state
-                assert tables.nbytes <= adversary.MEASUREMENT_MEMO_BYTES
-        # class keys cost nothing: the kept bytes are the tables' own
-        assert all(type(key[0]) is int for key in tables.memo)
-        assert tables.nbytes == sum(t.nbytes for t in tables.memo.values())
-        assert 0 < len(tables.memo) < 2 * count
-        assert tables.nbytes + 3 * 128 * 8 > adversary.MEASUREMENT_MEMO_BYTES
-
-    @pytest.mark.parametrize("q", range(2, 9))
-    def test_a_zero_weight_pair_draws_one_half(self, q):
-        # a uniform of 1 takes the clipped last pair, which weighs nothing
-        # here, so the X bit compares the next uniform with 1/2; the second
-        # pass reads every table from the memo
-        rng = np.random.default_rng(40 + q)
-        top = (1 << q) - 1
-        row = random_pure(q, rng).vec
-        row[[top] + [top ^ (1 << k) for k in range(q)]] = 0
-        block = certify.ProductBlock(np.stack([row / np.linalg.norm(row)]))
-        f = bf.random_truth_table(q, rng)
-        for _ in range(2):
-            for qubit in range(q):
-                for u in (0.4, 0.5):
-                    src_a, src_b = ScriptedPair(u), ScriptedPair(u)
-                    got = certify.overlap_round(block, oracles.MemOracle(f), src_a, qubit)
-                    want = overlap_round_all_rows(block, oracles.MemOracle(f), src_b, qubit)
-                    assert got == want and src_a.drawn == src_b.drawn == 2
-                    assert (got.rest_bits, got.x_bit) == (top >> 1, int(u >= 0.5))
-        assert len(block.round_tables.memo) == q
+    test_rounds_match_an_unmemoised_block = staticmethod(bound("certify.overlap_round:memo"))
+    test_kept_bytes_stay_within_the_bound = staticmethod(
+        bound("certify.overlap_round:memo-bound"))
+    test_a_zero_weight_pair_draws_one_half = staticmethod(
+        bound("certify.overlap_round:zero-pair"))
 
     def test_a_public_block_keeps_its_own_memo(self):
         rng = np.random.default_rng(32)
@@ -462,66 +179,12 @@ class TestRoundTableMemo:
         assert len(a.round_tables.memo) == 1 and not b.round_tables.memo
 
 
-def keyed_rows(q, rng):
-    """Six rows for keys 0-5: rows 0-2 one sparse state with its zeros'
-    signs flipped (equal under ==, different bytes), rows 3-5 distinct."""
-    return memo_rows("signed-zeros", q, rng) + memo_rows("repeated", q, rng)
-
-
-class LowBitView:
-    """A membership view of any arity: the low bit of the input."""
-
-    def query(self, x):
-        return x & 1
-
-
 class TestKeyedStack:
     """Blocks that read a shared table of distinct rows through an index
     (`ProductBlock.indexed`), against the all-rows reference on a fresh
     block of the same copies."""
 
-    @pytest.mark.parametrize("m", (1, 3, 201))
-    @pytest.mark.parametrize("q", range(1, 9))
-    def test_rounds_match_an_unkeyed_stack(self, q, m):
-        # the same round fields and generator end state on every qubit of
-        # every block as the all-rows reference, which collapses every copy
-        # by its own sum and builds every round table afresh; a fresh block
-        # of the block's copies classes them alike
-        rng = np.random.default_rng(1300 + 10 * q + m)
-        rows = keyed_rows(q, rng)
-        count = 1 if m == 201 else 6
-        keys = rng.integers(6, size=(count, m))
-        keys[0, 0] = 1  # copy 0 of a block in the signed-zero class
-        stack = np.stack([[rows[k] for k in block] for block in keys])
-        keyed = certify.ProductBlock.indexed(np.stack(rows), keys)
-        classes = np.stack([block.row_classes for block in keyed])
-        # keys 0-2 hold one class, keys 3, 4 and 5 one each
-        class_of = {k: set(classes[keys == k].tolist()) for k in set(keys.flat)}
-        assert all(len(c) == 1 for c in class_of.values())
-        group = {c for k, cs in class_of.items() if k < 3 for c in cs}
-        assert len(group) == 1
-        others = [c for k, cs in class_of.items() if k >= 3 for c in cs]
-        assert len(set(others)) == len(others) and not group & set(others)
-        if m > 1:
-            assert any(len(set(block.row_classes.tolist())) > 1 for block in keyed)
-        for a, want_amps in zip(keyed, stack):
-            b = certify.ProductBlock(want_amps.copy())
-            assert (b.index == np.arange(m)).all()
-            same = a.row_classes[:, None] == a.row_classes
-            assert (same == (b.row_classes[:, None] == b.row_classes)).all()
-            assert a.amps.tobytes() == want_amps.tobytes()
-            for qubit in range(m * q):
-                seed = int(rng.integers(2**32))
-                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = certify.overlap_round(a, LowBitView(), rng_a, qubit)
-                want = overlap_round_all_rows(b, LowBitView(), rng_b, qubit)
-                assert dataclasses.astuple(got) == dataclasses.astuple(want)
-                assert rng_a.bit_generator.state == rng_b.bit_generator.state
-        # one table per class and local qubit at most; class keys cost nothing
-        memo = keyed[0].round_tables
-        assert len(memo.memo) <= len(set(classes.flat)) * q
-        assert all(type(key[0]) is int for key in memo.memo)
-        assert memo.nbytes == sum(t.nbytes for t in memo.memo.values())
+    test_rounds_match_an_unkeyed_stack = staticmethod(bound("certify.overlap_round:keyed"))
 
     def test_rows_get_classes_by_value(self):
         # rows differing only in signed zeros share a class; any other
@@ -745,7 +408,7 @@ class TestIidEstimator:
         rng = np.random.default_rng(9)
         n = 4
         f = bf.constant_fn(n)
-        bad = qsim.prepare_phase_state(flip_signs(f, 1, n))
+        bad = qsim.prepare_phase_state(flip_signs(f, 1))
         fid = qsim.fidelity(bad, qsim.prepare_phase_state(f))
         assert fid == pytest.approx((1 - 2 / 16) ** 2, abs=1e-12)
         rejections = 0
@@ -763,7 +426,7 @@ class TestIidEstimator:
         f = bf.constant_fn(n)
         means = []
         for flips in (1, 2, 4, 8):
-            bad = qsim.prepare_phase_state(flip_signs(f, flips, n))
+            bad = qsim.prepare_phase_state(flip_signs(f, flips))
             scores = certify.overlap_scores_iid_fast(bad, f, 30_000, rng)
             means.append(scores.mean())
         sigma = math.sqrt(0.25 / 30_000)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,27 @@ class TestBellSampling:
         law = qsim.bell_pair_distribution(copy, 2)
         assert (law[1:] == 0).all()
         assert law[0].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_law_peaks_below_the_sampler_at_n_7(self):
+        # the law builds the tables the sampler draws from, one label
+        # outcome's post-state at a time: its traced peak is not above the
+        # sampler's costliest draw (b = 11, whose CNOTs copy the pair), where
+        # keeping all four post-states took 8.6 MiB against 5.0 MiB
+        n = 7
+        rng = np.random.default_rng(77)
+        copy = qsim.prepare_example_state(bf.quadratic_fn(cx.random_quadratic_rows(n, rng), n))
+        joint = qsim.tensor(copy, copy)
+        peaks = {}
+        while len(peaks) < 4:
+            tracemalloc.start()
+            _, _, b = qsim.bell_sample_example_pair(joint, n, rng)
+            peaks[b] = max(peaks.get(b, 0), tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        tracemalloc.start()
+        qsim.bell_pair_distribution(copy, n)
+        law_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert law_peak <= max(peaks.values())
 
 
 class TestQuadraticLearner:

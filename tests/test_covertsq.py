@@ -9,12 +9,8 @@ from covertsim import boolfunc as bf
 from covertsim import covertsq as csq
 from covertsim import experiments as exp
 from covertsim import oracles, qsim
-from reference import pauli_expectation_kron, pauli_observable, sketch_answers_per_query
-
-
-def random_target(n, d, rng, b_c=1.0):
-    c = rng.normal(size=csq.monomial_count(n, d))
-    return c / np.linalg.norm(c) * b_c * rng.uniform(0.3, 1.0)
+from equivalence import PAIRS, bound, negative_zeros, random_target, symbol_plane_shadows
+from reference import pauli_observable
 
 
 class TestBasis:
@@ -137,66 +133,6 @@ class TestSketch:
             assert noise_bound <= delta / 2 + 1e-12
 
 
-# N = 2, 15, 20 and 35 monomials: from 16 terms on, an OpenBLAS dot sums in
-# SIMD lanes, which neither a left-to-right sum nor C @ m reproduces
-SKETCH_SHAPES = [(1, 1), (4, 2), (3, 3), (4, 3)]
-
-
-def sketch_plan(n, d, seed):
-    rng = np.random.default_rng(seed)
-    return csq.sketch_encode(random_target(n, d, rng), n, d, 0.3, 0.3, 1.0, 1.0, rng)
-
-
-def sq_oracle(n, policy, transcript=None):
-    return oracles.SqOracle(bf.constant_fn(n), policy=policy, rng=np.random.default_rng(8),
-                            transcript=transcript, visibility=oracles.PUBLIC)
-
-
-class TestSketchRows:
-    """The plan's coefficient matrix and precomputed expectations against
-    one PolynomialSqQuery per public query, byte for byte."""
-
-    @pytest.mark.parametrize("n, d", SKETCH_SHAPES)
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_expectations_equal_per_query(self, n, d, seed):
-        plan = sketch_plan(n, d, seed)
-        f = bf.constant_fn(n)
-        per_query = [oracles.PolynomialSqQuery(plan.supports, tuple(row)).exact_expectation(f)
-                     for row in plan.query_coeffs]
-        assert np.array_equal(plan.expectations, per_query)
-        assert plan.expectations.tobytes() == np.array(per_query).tobytes()
-
-    @pytest.mark.parametrize("n, d", SKETCH_SHAPES)
-    @pytest.mark.parametrize("policy", oracles.POLICIES)
-    def test_answers_equal_per_query(self, n, d, policy):
-        plan = sketch_plan(n, d, 3)
-        logged, plain, per_query = (sq_oracle(n, policy, oracles.Transcript()),
-                                    sq_oracle(n, policy), sq_oracle(n, policy))
-        est_logged = csq.run_sketched_query(plan, logged)
-        est_plain = csq.run_sketched_query(plan, plain)
-        answers = sketch_answers_per_query(plan, per_query)
-        got = [e["payload"]["answer"] for e in logged.transcript.events]
-        assert np.array(got).tobytes() == np.array(answers).tobytes()
-        est = csq.sketch_decode(plan, answers)
-        assert float.hex(est_logged) == float.hex(est_plain) == float.hex(est)
-        assert logged.count == plain.count == per_query.count == plan.m_e
-
-    @pytest.mark.parametrize("n, d", [(1, 1), (4, 2)])
-    def test_transcript_equals_per_query(self, n, d):
-        plan = sketch_plan(n, d, 5)
-        logs = []
-        for send in (csq.run_sketched_query, sketch_answers_per_query):
-            oracle = sq_oracle(n, oracles.GRID, oracles.Transcript())
-            send(plan, oracle)
-            logs.append(oracle.transcript.events)
-        rows, per_query = logs
-        assert len(rows) == len(per_query) == plan.m_e
-        assert all(e["oracle_kind"] == "SQ" for e in rows)
-        for a, b in zip(rows, per_query):
-            assert set(a["payload"]) == {"query", "supports", "coeffs", "tau", "answer"}
-            assert a == b  # payload, payload_digest, seq and counters
-
-
 class TestShadows:
     def test_shot_count_formula(self):
         shots, batches = csq.shadow_shot_count(20, 2, 0.1, 0.01)
@@ -260,25 +196,23 @@ class TestShadows:
         assert errs[-1] < errs[0]
 
 
+class TestSketchRows:
+    """The plan's coefficient matrix and precomputed expectations against
+    one PolynomialSqQuery per public query, byte for byte."""
+
+    test_expectations_equal_per_query = staticmethod(bound("covertsq.SketchPlan.expectations"))
+    test_answers_equal_per_query = staticmethod(bound("covertsq.run_sketched_query"))
+    test_transcript_equals_per_query = staticmethod(
+        bound("covertsq.run_sketched_query:transcript"))
+
+
 class TestPauliExpectationExact:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_bit_equal_to_the_kron_matrix_on_every_string(self, n):
-        # every one of the 4^n Pauli strings (identity included), on seeded
-        # random states, with unit and non-unit coefficients
-        rng = np.random.default_rng(90 + n)
-        for _ in range(4):
-            v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            psi = qsim.PureState(n, v / np.linalg.norm(v))
-            for letters in itertools.product((None, 0, 1, 2), repeat=n):
-                axes = tuple((q, a) for q, a in enumerate(letters) if a is not None)
-                for coefficient in (1.0, float(rng.uniform(-2, 2))):
-                    obs = csq.PauliObservable(axes=axes, coefficient=coefficient)
-                    got = csq.pauli_expectation_exact(psi, obs)
-                    want = pauli_expectation_kron(psi, obs)
-                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    test_bit_equal_to_the_kron_matrix_on_every_string = staticmethod(
+        bound("covertsq.pauli_expectation_exact"))
 
     def test_known_values_on_basis_and_bell_states(self):
-        # zero amplitudes: equal values (the sign of a zero may differ)
+        # the Bell values against the kron matrix: the pair
+        # covertsq.pauli_expectation_exact:bell
         one = qsim.basis_state(2, 0b01)  # qubit 0 in |1>, qubit 1 in |0>
         assert csq.pauli_expectation_exact(one, pauli_observable({0: "Z"})) == -1.0
         assert csq.pauli_expectation_exact(one, pauli_observable({1: "Z"})) == 1.0
@@ -290,62 +224,18 @@ class TestPauliExpectationExact:
                            ({0: "Z", 1: "Z"}, 1.0), ({0: "X", 1: "Y"}, 0.0)):
             obs = pauli_observable(spec, coefficient=0.5)
             assert csq.pauli_expectation_exact(bell, obs) == pytest.approx(0.5 * want, abs=1e-15)
-            assert csq.pauli_expectation_exact(bell, obs) == pauli_expectation_kron(bell, obs)
-
-
-def mask_product_reference(shadows, obs):
-    """The estimator the symbol plane replaced: one match mask and one float
-    product pass per support qubit over the (shots, n) arrays."""
-    est = np.full(shadows.shots, obs.coefficient * 3.0**obs.locality)
-    match = np.ones(shadows.shots, dtype=bool)
-    for q, axis in obs.axes:
-        match &= shadows.bases[:, q] == axis
-        est *= 1.0 - 2.0 * shadows.bits[:, q]
-    est[~match] = 0.0
-    return est
-
-
-def batch_median_reference(est, batches):
-    if batches <= 1:
-        return float(est.mean())
-    usable = (len(est) // batches) * batches
-    return float(np.median(est[:usable].reshape(batches, -1).mean(axis=1)))
-
-
-def negative_zeros(a):
-    return int(np.count_nonzero((a == 0) & np.signbit(a)))
 
 
 class TestSymbolPlaneEstimator:
+    test_matches_mask_product_estimator = staticmethod(
+        bound("covertsq.shadow_single_shot_estimates", "covertsq.shadow_estimate"))
+
     @pytest.fixture(scope="class")
     def shadows(self):
-        rng = np.random.default_rng(21)
-        v = rng.normal(size=32) + 1j * rng.normal(size=32)
-        src = oracles.QMeasExOracle(qsim.PureState(5, v / np.linalg.norm(v)))
-        return csq.shadow_collect(src, 6000, rng)
-
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
-    @pytest.mark.parametrize("coefficient", [1.0, 0.37, -2.5])
-    def test_matches_mask_product_estimator(self, shadows, k, coefficient):
-        rng = np.random.default_rng(100 * k + 7)
-        for _ in range(6):
-            qubits = rng.choice(shadows.n, size=k, replace=False)
-            obs = csq.PauliObservable(
-                axes=tuple(sorted((int(q), int(rng.integers(3))) for q in qubits)),
-                coefficient=coefficient,
-            )
-            want = mask_product_reference(shadows, obs)
-            got = csq.shadow_single_shot_estimates(shadows, obs)
-            assert np.array_equal(got, want)
-            assert negative_zeros(got) == 0
-            for batches in (1, 7, 67):
-                assert csq.shadow_estimate(shadows, obs, batches) == (
-                    batch_median_reference(want, batches)
-                )
+        return symbol_plane_shadows()
 
     def test_zero_coefficient_writes_no_negative_zero(self, shadows):
         obs = pauli_observable({0: "X", 3: "Y"}, coefficient=0.0)
-        assert negative_zeros(mask_product_reference(shadows, obs)) > 0
         got = csq.shadow_single_shot_estimates(shadows, obs)
         assert not got.any() and negative_zeros(got) == 0
 
@@ -395,7 +285,7 @@ class TestCountsPathEstimator:
                 for obs, batches in calls]
         assert got == want
         assert got[0] == got[3]
-        assert got == [batch_median_reference(mask_product_reference(shadows, obs), batches)
+        assert got == [PAIRS["covertsq.shadow_estimate"].compare(self.fresh(shadows), obs, batches)
                        for obs, batches in calls]
         assert set(shared._counts) == {((0, 3), 7), ((1, 2, 4), 7), ((0, 3), 1)}
         assert not any(c.flags.writeable for c in shared._counts.values())
@@ -412,10 +302,7 @@ class TestCountsPathEstimator:
             batches = 1 if k == 4 else 7
             for qubits in itertools.combinations(range(shadows.n), k):
                 obs = csq.PauliObservable(axes=tuple((q, int(rng.integers(3))) for q in qubits))
-                est = csq.shadow_estimate(shared, obs, batches)
-                assert est == batch_median_reference(
-                    mask_product_reference(shadows, obs), batches
-                )
+                PAIRS["covertsq.shadow_estimate"].compare(shared, obs, batches)
                 sizes = [c.size for c in shared._counts.values()]
                 assert sum(sizes) <= bound and max(sizes, default=0) <= shadows.shots
                 cleared += sum(sizes) < held
@@ -429,8 +316,7 @@ class TestCountsPathEstimator:
     ])
     def test_gather_path_keeps_no_counts(self, shadows, obs, batches):
         shared = self.fresh(shadows)
-        est = csq.shadow_estimate(shared, obs, batches)
-        assert est == batch_median_reference(mask_product_reference(shadows, obs), batches)
+        PAIRS["covertsq.shadow_estimate"].compare(shared, obs, batches)
         assert not shared._counts
 
     def test_no_count_table_larger_than_the_shots(self, shadows):
@@ -443,9 +329,7 @@ class TestCountsPathEstimator:
         obs = pauli_observable({0: "X", 3: "Z"}, coefficient=coefficient)
         with pytest.raises(ValueError, match="fewer shots than batches"):
             csq.shadow_estimate(few, obs, 6)
-        assert csq.shadow_estimate(few, obs, 5) == batch_median_reference(
-            mask_product_reference(few, obs), 5
-        )
+        PAIRS["covertsq.shadow_estimate"].compare(few, obs, 5)
 
     @pytest.mark.parametrize("batches", [0, -3, True, False, 2.0, 6])
     def test_batch_count_outside_one_to_shots_refused_before_any_work(
@@ -512,59 +396,12 @@ class TestCountsPathEstimator:
         assert np.array_equal(collected.bases, bases) and np.array_equal(collected.bits, bits)
 
 
-def per_support_estimate(per_support_set, obs, batches):
-    """shadow_estimate's count path through the support's own table."""
-    rows = max(batches, 1)
-    counts = per_support_set.batch_counts(obs.support, rows)
-    means = counts @ csq._weight_table(obs) / (per_support_set.shots // rows)
-    return float(np.median(means)) if batches > 1 else float(means[0])
-
-
-def float_bytes(x):
-    return np.float64(x).tobytes()
-
-
 class TestWholeRegisterCounts:
     """shadow_estimate on sets of n <= 4 qubits: one whole-register count
     table per batches value, times the observable's lifted weights."""
 
-    BATCHES = (1, 3, 7, 67)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_equals_both_reference_forms(self, n):
-        rng = np.random.default_rng(500 + n)
-        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        src = oracles.QMeasExOracle(qsim.PureState(n, v / np.linalg.norm(v)))
-        # 67 batches of exactly 6^n shots, and a tail that no batch holds
-        shadows = csq.shadow_collect(src, 67 * 6**n + 5, rng)
-        per_support = csq.ShadowSet(shadows.bases, shadows.bits)
-        for k in range(n + 1):
-            for qubits in itertools.combinations(range(n), k):
-                for letters in itertools.product(range(3), repeat=k):
-                    for coefficient in (1.0, -2.0):
-                        obs = csq.PauliObservable(tuple(zip(qubits, letters)), coefficient)
-                        est = mask_product_reference(shadows, obs)
-                        for batches in self.BATCHES:
-                            got = float_bytes(csq.shadow_estimate(shadows, obs, batches))
-                            assert got == float_bytes(batch_median_reference(est, batches))
-                            assert got == float_bytes(
-                                per_support_estimate(per_support, obs, batches)
-                            )
-                            self.check_cache(shadows, batches)
-        # at n = 1 the four tables (78 x 6 cells) pass the bound of 407
-        held = {(tuple(range(n)), b) for b in self.BATCHES} if n > 1 else set()
-        assert held <= set(shadows._counts)
-
-    @staticmethod
-    def check_cache(shadows, batches):
-        """Only whole-register tables, the one for `batches` among them, each
-        read-only and no larger than the shots, within the n * shots bound."""
-        whole = tuple(range(shadows.n))
-        assert (whole, batches) in shadows._counts
-        for (support, rows), counts in shadows._counts.items():
-            assert support == whole and counts.shape == (rows, 6**shadows.n)
-            assert not counts.flags.writeable and counts.size <= shadows.shots
-        assert sum(c.size for c in shadows._counts.values()) <= shadows.n * shadows.shots
+    test_equals_both_reference_forms = staticmethod(
+        bound("covertsq.shadow_estimate:whole-register"))
 
     def test_lifted_weights_are_constant_off_the_support(self):
         obs = pauli_observable({1: "Y", 3: "X"}, coefficient=-2.0)
@@ -579,8 +416,7 @@ class TestWholeRegisterCounts:
         src = oracles.QMeasExOracle(qsim.uniform_state(4))
         shadows = csq.shadow_collect(src, shots, rng)
         obs = pauli_observable({0: "X", 2: "Z"})
-        est = csq.shadow_estimate(shadows, obs, batches)
-        assert est == batch_median_reference(mask_product_reference(shadows, obs), batches)
+        PAIRS["covertsq.shadow_estimate"].compare(shadows, obs, batches)
         assert set(shadows._counts) == {((0, 2), batches)}
 
 

@@ -1,4 +1,3 @@
-import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,14 +8,8 @@ from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import covertex, covertsq, oracles, qsim
 from covertsim.gf2 import dot
-from reference import (
-    basis_probability_tables_loop,
-    choice_by_group_searchsorted,
-    outcome_bits_unpackbits,
-    polynomial_value,
-    quadratic_from_matrix,
-    tensor_view_query_shifts,
-)
+from equivalence import bound
+from reference import polynomial_value, quadratic_from_matrix
 
 
 class TestSqOracle:
@@ -76,14 +69,8 @@ class TestSqOracle:
         with pytest.raises(ValueError):
             oracle.query(oracles.ParityPairSqQuery(1, 2), 0.0)
 
-    def test_polynomial_closed_form_vs_enumeration(self):
-        rng = np.random.default_rng(2)
-        n = 5
-        supports = tuple(int(v) for v in rng.integers(0, 1 << n, size=8))
-        coeffs = tuple(float(c) for c in rng.normal(size=8))
-        q = oracles.PolynomialSqQuery(supports, coeffs)
-        enum = np.mean([polynomial_value(q, x) for x in range(1 << n)])
-        assert q.exact_expectation(bf.constant_fn(n)) == pytest.approx(enum, abs=1e-12)
+    test_polynomial_closed_form_vs_enumeration = staticmethod(
+        bound("oracles.PolynomialSqQuery.exact_expectation"))
 
     def test_affine_normalization(self):
         # each public query of a sketch plan lies in [0, 1], and its affine
@@ -171,26 +158,7 @@ class TestExMemOracles:
             assert view.query(x) == (x & 1) ^ (x >> 2 & 1) ^ (x >> 4 & 1)
         assert base.count == 9  # 3 view queries x 3 base queries
 
-    @pytest.mark.parametrize("m", [1, 2, 201])
-    def test_tensor_mem_matches_the_shift_loop(self, m):
-        # same answers, base count and base transcript (so the same Python
-        # int inputs in the same order) as one shift per copy
-        rng = np.random.default_rng(80 + m)
-        n_base = 3
-        f = bf.random_truth_table(n_base, rng)
-        n = m * n_base
-        xs = [0, (1 << n) - 1] + [
-            int.from_bytes(rng.bytes(n // 8 + 1), "little") & ((1 << n) - 1)
-            for _ in range(5)
-        ]
-        runs = []
-        for query in (oracles.TensorMemView.query, tensor_view_query_shifts):
-            t = oracles.Transcript()
-            base = oracles.MemOracle(f, transcript=t)
-            view = oracles.TensorMemView(base, m=m)
-            runs.append(([query(view, x) for x in xs], base.count, t.events))
-        assert runs[0] == runs[1]
-        assert runs[0][1] == len(xs) * m
+    test_tensor_mem_matches_the_shift_loop = staticmethod(bound("oracles.TensorMemView.query"))
 
     @pytest.mark.parametrize("m, n_base", [(0, 2), (-1, 2), (2, 0), (2, -3)])
     def test_tensor_mem_refuses_an_empty_register(self, m, n_base):
@@ -310,87 +278,18 @@ class TestQMeasEx:
         assert stats.chisquare(counts).pvalue > 1e-4
 
 
-def per_basis_choice_reference(oracle, shots, rng):
-    """The per-basis sampler the grouped one replaced: one boolean mask and
-    one rng.choice per basis that occurs, in ascending basis order."""
-    n = oracle.state().n
-    tables = oracle._basis_probability_tables()
-    axes = rng.integers(0, 3, size=(shots, n))
-    basis_idx = (axes * (3 ** np.arange(n))).sum(axis=1)
-    outcomes = np.empty(shots, dtype=np.int64)
-    for b in np.unique(basis_idx):
-        sel = basis_idx == b
-        p = np.clip(tables[b], 0, None)
-        outcomes[sel] = rng.choice(1 << n, size=sel.sum(), p=p / p.sum())
-    return axes, (outcomes[:, None] >> np.arange(n)) & 1
-
-
 class TestOutcomeBitsTable:
-    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
-    def test_table_equals_the_unpackbits_form(self, n):
-        table = oracles._outcome_bits_table(n)
-        assert table.dtype == np.uint8 and table.shape == (1 << n, n)
-        every = np.arange(1 << n, dtype=np.uint8)
-        assert np.array_equal(table, outcome_bits_unpackbits(every, n))
-        assert oracles._outcome_bits_table(n) is table  # built once
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1
-
-    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
-    def test_sampled_bits_unpack_the_drawn_outcomes(self, n, monkeypatch):
-        drawn = []
-
-        def spy(*args):
-            drawn.append(real(*args))
-            return drawn[-1]
-
-        real = oracles._choice_by_group
-        monkeypatch.setattr(oracles, "_choice_by_group", spy)
-        g = np.random.default_rng(60 + n)
-        v = g.normal(size=1 << n) + 1j * g.normal(size=1 << n)
-        oracle = oracles.QMeasExOracle(qsim.PureState(n, v / np.linalg.norm(v)))
-        _, bits = oracle.sample_product_pauli(3000, np.random.default_rng(n))
-        (outcomes,) = drawn
-        assert outcomes.dtype == np.uint8
-        assert bits.dtype == np.uint8 and bits.flags.writeable
-        assert np.array_equal(bits, outcome_bits_unpackbits(outcomes, n))
+    test_table_equals_the_unpackbits_form = staticmethod(bound("oracles._outcome_bits_table"))
+    test_sampled_bits_unpack_the_drawn_outcomes = staticmethod(
+        bound("oracles.QMeasExOracle.sample_product_pauli:bits"))
 
 
 class TestGroupedPauliSampler:
-    @pytest.mark.parametrize("shots, n", [
-        *((shots, n) for n in (1, 2, 3, 4, 5) for shots in (0, 1, 7, 200, 3000)),
-        # the qubit cap, where the outcome bytes unpack to their widest
-        (3000, oracles.PAULI_TABLE_QUBIT_CAP),
-    ])
-    def test_matches_per_basis_choice(self, n, shots):
-        # shots < 3^n leaves some bases without shots
-        g = np.random.default_rng(40 + n)
-        v = g.normal(size=1 << n) + 1j * g.normal(size=1 << n)
-        psi = qsim.PureState(n, v / np.linalg.norm(v))
-        ref_rng = np.random.default_rng(1000 * n + shots)
-        rng = np.random.default_rng(1000 * n + shots)
-        want_axes, want_bits = per_basis_choice_reference(
-            oracles.QMeasExOracle(psi), shots, ref_rng
-        )
-        oracle = oracles.QMeasExOracle(psi)
-        axes, bits = oracle.sample_product_pauli(shots, rng)
-        # the reference returns int64; the oracle, the uint8 shadow record
-        assert axes.dtype == np.uint8 and bits.dtype == np.uint8
-        assert np.array_equal(axes, want_axes)
-        assert np.array_equal(bits, want_bits)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert oracle.count == shots
+    test_matches_per_basis_choice = staticmethod(
+        bound("oracles.QMeasExOracle.sample_product_pauli"))
 
-    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
-    def test_int32_basis_draw_equals_int64_draw(self, n):
-        # the sampler draws its bases in int32 and narrows them: the same
-        # values and the same generator end state as the default int64 draw
-        for shots in (1, 7, 201):
-            rng_a, rng_b = np.random.default_rng(700 + n), np.random.default_rng(700 + n)
-            narrow = rng_a.integers(0, 3, size=(shots, n), dtype=np.int32)
-            wide = rng_b.integers(0, 3, size=(shots, n))
-            assert np.array_equal(narrow, wide)
-            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    test_int32_basis_draw_equals_int64_draw = staticmethod(
+        bound("numpy.Generator.integers:int32"))
 
     @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
     def test_basis_index_in_smallest_unsigned_dtype(self, n):
@@ -419,92 +318,17 @@ class TestGroupedPauliSampler:
             oracle.sample_product_pauli(1, np.random.default_rng(0))
 
 
-_PRODUCT_FACTORS = (
-    np.array([1, 0], dtype=complex),
-    np.array([0, 1], dtype=complex),
-    np.array([1, 1], dtype=complex) / np.sqrt(2),
-    np.array([1, 1j], dtype=complex) / np.sqrt(2),
-)
-
-
-@functools.cache
-def sampler_state(n: int, kind: str) -> qsim.PureState:
-    """A random state; a product of |0>, |1>, |+> and |+i> (every Pauli
-    probability is 0 or a power of 1/2, so cdf entries sit on bucket edges
-    and often reach 1 before the last outcome); or a random state on qubits
-    0..n-2 with qubit n-1 in |0> (the top half of every outcome table with Z
-    on that qubit has probability 0)."""
-    g = np.random.default_rng(90 + n)
-    if kind == "dyadic":
-        v = np.ones(1, dtype=complex)
-        for q in range(n):
-            v = np.kron(_PRODUCT_FACTORS[q % 4], v)
-        return qsim.PureState(n, v)
-    low = n - 1 if kind == "trailing-zeros" else n
-    v = g.normal(size=1 << low) + 1j * g.normal(size=1 << low)
-    v = np.concatenate([v, np.zeros((1 << n) - len(v))])
-    return qsim.PureState(n, v / np.linalg.norm(v))
-
-
-@functools.cache
-def sampler_cdfs(n: int, kind: str) -> np.ndarray:
-    """The cdf table sample_product_pauli draws from for sampler_state."""
-    oracle = oracles.QMeasExOracle(sampler_state(n, kind))
-    oracle.sample_product_pauli(0, np.random.default_rng(0))
-    cdfs = oracle._pauli_cdfs
-    cdfs.flags.writeable = False
-    return cdfs
-
-
-class StreamStub:
-    """Generator stand-in: random(size) hands out the next `size` values of a
-    fixed stream, and `drawn` counts the values taken."""
-
-    def __init__(self, stream: np.ndarray):
-        self.stream = stream
-        self.drawn = 0
-
-    def random(self, size: int) -> np.ndarray:
-        out = self.stream[self.drawn:self.drawn + size].copy()
-        assert len(out) == size
-        self.drawn += size
-        return out
-
-
-def crafted_uniforms(cdf: np.ndarray, edges: int) -> np.ndarray:
-    """0, the largest double below 1, every bucket edge j / edges, and every
-    cdf entry below 1 with its neighbours on both sides: the uniforms where
-    a guide-table lookup and a binary search could part."""
-    t = cdf[cdf < 1]
-    u = np.concatenate([
-        [0.0, np.nextafter(1.0, 0.0)], np.arange(edges) / edges,
-        t, np.nextafter(t, 0.0), np.nextafter(t, 1.0),
-    ])
-    return u[u < 1]
-
-
 class TestGuideTableSampler:
     """The guide-table lookup against one searchsorted per group, byte for
     byte and by generator end state."""
 
-    KINDS = ("random", "dyadic", "trailing-zeros")
-
-    @staticmethod
-    def assert_same_draws(cdfs, groups, make_rng):
-        rng, ref_rng = make_rng(), make_rng()
-        got = oracles._choice_by_group(cdfs, groups, rng)
-        want = choice_by_group_searchsorted(cdfs, groups, ref_rng)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-        return rng, ref_rng
-
-    @staticmethod
-    def crafted_case(cdfs, rows, edges, seed):
-        """Shots in shuffled order whose sorted uniform stream gives each
-        listed row its crafted uniforms."""
-        parts = [crafted_uniforms(cdfs[r], edges) for r in rows]
-        groups = np.repeat(np.array(rows, dtype=np.int16), [len(p) for p in parts])
-        return np.random.default_rng(seed).permutation(groups), np.concatenate(parts)
+    test_crafted_uniforms_on_the_finest_grid = staticmethod(
+        bound("oracles._choice_by_group:crafted"))
+    test_fewer_shots_than_bases_search_every_key = staticmethod(
+        bound("oracles._choice_by_group:few-shots"))
+    test_generator_draws_and_end_state = staticmethod(bound("oracles._choice_by_group"))
+    test_depth_first_tables_match_the_basis_loop = staticmethod(
+        bound("oracles.QMeasExOracle._basis_probability_tables"))
 
     @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
     def test_bucket_count_bounds_the_table(self, n):
@@ -518,52 +342,6 @@ class TestGuideTableSampler:
                 continue
             assert width <= 64 * k and n_groups * width <= shots
             assert 2 * width > 64 * k or 2 * n_groups * width > shots
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
-    def test_crafted_uniforms_on_the_finest_grid(self, n, kind):
-        # the edges of 2^(n+6) buckets hold those of every coarser table
-        cdfs = sampler_cdfs(n, kind)
-        n_groups, k = cdfs.shape
-        rows = range(n_groups) if n_groups <= 81 else sorted(
-            {0, 1, n_groups // 3, n_groups // 2, n_groups - 2, n_groups - 1})
-        groups, stream = self.crafted_case(cdfs, rows, k << 6, seed=n)
-        assert oracles._guide_bits(len(groups), n_groups, k) >= 1
-        stub, ref_stub = self.assert_same_draws(cdfs, groups, lambda: StreamStub(stream))
-        assert stub.drawn == ref_stub.drawn == len(groups)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
-    def test_fewer_shots_than_bases_search_every_key(self, n, kind):
-        # below 3^n shots the table has one bucket per basis, so every basis
-        # with an interior cdf entry falls back to the search
-        cdfs = sampler_cdfs(n, kind)
-        n_groups, k = cdfs.shape
-        crafted = crafted_uniforms(cdfs[-1], 1)
-        for start in range(0, len(crafted), n_groups - 1):
-            stream = crafted[start:start + n_groups - 1]
-            groups = np.full(len(stream), n_groups - 1, dtype=np.int16)
-            assert oracles._guide_bits(len(groups), n_groups, k) == 0
-            stub, ref_stub = self.assert_same_draws(cdfs, groups, lambda: StreamStub(stream))
-            assert stub.drawn == ref_stub.drawn == len(groups)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
-    def test_generator_draws_and_end_state(self, n, kind):
-        cdfs = sampler_cdfs(n, kind)
-        for shots in (0, 1, len(cdfs) - 1, 3 * len(cdfs) + 5, 20_000):
-            groups = np.random.default_rng(shots).integers(0, len(cdfs), shots).astype(np.int16)
-            rng, ref_rng = self.assert_same_draws(
-                cdfs, groups, lambda: np.random.default_rng(500 + n))
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n", range(1, oracles.PAULI_TABLE_QUBIT_CAP + 1))
-    def test_depth_first_tables_match_the_basis_loop(self, n, kind):
-        state = sampler_state(n, kind)
-        tables = oracles.QMeasExOracle(state)._basis_probability_tables()
-        want = basis_probability_tables_loop(state)
-        assert tables.dtype == want.dtype and tables.tobytes() == want.tobytes()
 
 
 class TestQuantumChannelOracle:

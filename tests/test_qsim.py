@@ -6,12 +6,8 @@ from scipy import stats
 
 from covertsim import boolfunc as bf
 from covertsim import gf2, qsim
+from equivalence import random_pure
 from reference import Povm, quadratic_from_matrix
-
-
-def random_pure(n, rng):
-    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return qsim.PureState(n, v / np.linalg.norm(v))
 
 
 def kron_chain(mats):

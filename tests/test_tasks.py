@@ -5,13 +5,8 @@ import pytest
 
 from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
-from covertsim import certify, gf2, qsim, tasks
-from reference import forrelation_decide_all_copies
-
-
-def block_of(copies):
-    """The copies as one block, as an acquisition delivers them."""
-    return certify.ProductBlock(np.stack([copy.vec for copy in copies]))
+from covertsim import gf2, qsim, tasks
+from equivalence import block_of, bound
 
 
 class TestForrelationInstances:
@@ -154,34 +149,8 @@ class TestForrelationDecide:
         assert wrong / trials <= 0.25
 
 
-def per_copy_decide(copies, n, rng, threshold):
-    """Reference decision: one rotation and one swap_test per copy."""
-    accepts = 0
-    for copy in copies:
-        rotated = qsim.apply_hadamards(copy, range(n, 2 * n))
-        accepts += tasks.swap_test(rotated, range(n), range(n, 2 * n), rng)[0]
-    freq = accepts / len(copies)
-    return tasks.PHI_LARGE if freq >= threshold else tasks.PHI_SMALL
-
-
 class TestBatchedDecision:
-    @pytest.mark.parametrize("n", [1, 2, 4])
-    def test_matches_per_copy_swap_tests(self, n):
-        # random non-product copies; sweeping the threshold over every
-        # possible frequency pins the accept count, not just the label
-        rng = np.random.default_rng(40 + n)
-        k = 9
-        for _ in range(10):
-            copies = []
-            for _ in range(k):
-                v = rng.normal(size=1 << 2 * n) + 1j * rng.normal(size=1 << 2 * n)
-                copies.append(qsim.PureState(2 * n, v / np.linalg.norm(v)))
-            seed = int(rng.integers(2**32))
-            for threshold in [j / k for j in range(k + 1)]:
-                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = tasks.forrelation_decide(block_of(copies), n, rng_a, threshold)
-                assert got == per_copy_decide(copies, n, rng_b, threshold)
-                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    test_matches_per_copy_swap_tests = staticmethod(bound("tasks.forrelation_decide:per-copy"))
 
     def test_wrong_register_size_rejected(self):
         rng = np.random.default_rng(0)
@@ -190,87 +159,14 @@ class TestBatchedDecision:
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
-def _random_copy(rng, n, real=False):
-    v = rng.normal(size=1 << 2 * n) + (0 if real else 1j * rng.normal(size=1 << 2 * n))
-    return qsim.PureState(2 * n, (v / np.linalg.norm(v)).astype(complex))
-
-
-def _equal_copies(rng, n, k):
-    """k copies of copy 0, most sharing its array."""
-    copy0 = _random_copy(rng, n)
-    return [copy0] + [qsim.PureState(2 * n, copy0.vec.copy()) if j % 2 else copy0
-                      for j in range(1, k)]
-
-
-def _few_distinct(rng, n, k):
-    """Duplicates of copy 0 with three distinct copies among them."""
-    copies = _equal_copies(rng, n, k)
-    for j in rng.choice(np.arange(1, k), size=3, replace=False):
-        copies[j] = _random_copy(rng, n)
-    return copies
-
-
-def _signed_zero_duplicates(rng, n, k):
-    """A real copy 0 (imaginary parts +0.0) and copies that differ from it
-    only in the sign of a zero imaginary part, so compare equal to it."""
-    copy0 = _random_copy(rng, n, real=True)
-    flipped = qsim.PureState(2 * n, np.conj(copy0.vec))
-    assert np.signbit(flipped.vec.imag).all() and np.array_equal(flipped.vec, copy0.vec)
-    return [copy0] + [flipped if j % 3 else copy0 for j in range(1, k)]
-
-
-def _all_distinct(rng, n, k):
-    return [_random_copy(rng, n) for _ in range(k)]
-
-
 class TestDecisionOverDistinctCopies:
     """forrelation_decide rotates one copy per row class of its block; the
     all-copies reference rotates every copy. Sweeping the threshold over
     every j/k pins the accept count; the generators end in one state."""
 
-    @pytest.mark.parametrize("make", [_equal_copies, _few_distinct,
-                                      _signed_zero_duplicates, _all_distinct],
-                             ids=["equal", "few-distinct", "signed-zero", "distinct"])
-    @pytest.mark.parametrize("n, k", [(1, 7), (2, 12), (3, 9)])
-    def test_matches_all_copies_reference(self, make, n, k):
-        rng = np.random.default_rng(60 + 7 * n + k)
-        for _ in range(4):
-            copies = make(rng, n, k)
-            seed = int(rng.integers(2**32))
-            for threshold in [j / k for j in range(k + 1)]:
-                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = tasks.forrelation_decide(block_of(copies), n, rng_a, threshold)
-                assert got == forrelation_decide_all_copies(copies, n, rng_b, threshold)
-                assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_block_of_a_shared_table(self, n):
-        # blocks that read one table through an index, as certification
-        # blocks do: a copy's class is its table row's, not numbered from
-        # copy 0 of the block
-        rng = np.random.default_rng(70 + n)
-        rows = np.stack([_random_copy(rng, n).vec for _ in range(4)])
-        index = rng.integers(0, 4, size=(6, 11))
-        for block in certify.ProductBlock.indexed(rows, index):
-            seed = int(rng.integers(2**32))
-            for threshold in [j / 11 for j in range(12)]:
-                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = tasks.forrelation_decide(block, n, rng_a, threshold)
-                assert got == forrelation_decide_all_copies(list(block), n, rng_b, threshold)
-                assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-    def test_honest_output_block(self):
-        # an honest 201-copy block of one instance's phase state
-        rng = np.random.default_rng(65)
-        n = 3
-        inst = tasks.gen_forrelation_instance(n, tasks.PHI_LARGE, rng)
-        state = qsim.prepare_phase_state(inst.h())
-        copies = [state] * tasks.FORRELATION_COPIES
-        for seed in range(5):
-            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert (tasks.forrelation_decide(block_of(copies), n, rng_a)
-                    == forrelation_decide_all_copies(copies, n, rng_b))
-            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    test_matches_all_copies_reference = staticmethod(bound("tasks.forrelation_decide"))
+    test_block_of_a_shared_table = staticmethod(bound("tasks.forrelation_decide:shared-table"))
+    test_honest_output_block = staticmethod(bound("tasks.forrelation_decide:honest"))
 
 
 class TestCovertForrelation:
