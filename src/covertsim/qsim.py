@@ -437,7 +437,7 @@ class MeasurementTable:
     and the cumulative Z marginal of the outcomes (`cum`), as
     `sample_index` builds it. `draw` takes one `rng.random()`; each
     outcome's post-state is built on its first `post` call and kept,
-    read-only. Bit j of an outcome belongs to qubits[j], with 0 the +1
+    read-only (unless `keep=False`). Bit j of an outcome belongs to qubits[j], with 0 the +1
     eigenvalue (e.g. '+' for the X basis)."""
 
     __slots__ = ("qubits", "basis", "work", "cum", "posts")
@@ -459,7 +459,7 @@ class MeasurementTable:
     def draw(self, rng) -> int:
         return _draw_cumulative(self.cum, rng)
 
-    def post(self, outcome: int) -> PureState:
+    def post(self, outcome: int, keep: bool = True) -> PureState:
         post = self.posts.get(outcome)
         if post is None:
             n, vec = self.work.n, _project_z(self.work, self.qubits, outcome).vec
@@ -467,7 +467,9 @@ class MeasurementTable:
                 for q in self.qubits:
                     vec = _apply_kernel(vec, n, BASIS_V[self.basis], [q])
             vec.flags.writeable = False
-            post = self.posts[outcome] = _trusted(n, vec)
+            post = _trusted(n, vec)
+            if keep:
+                self.posts[outcome] = post
         return post
 
     @property
@@ -629,7 +631,7 @@ def bell_pair_distribution(copy: PureState, n: int) -> np.ndarray:
     out = np.zeros((4, 1 << n, 1 << n))
     for b in range(4):
         try:  # held by no name here, so the b = 11 gates can free each step
-            cum = _bell_data_table(_project_z(labels.work, labels.qubits, b), b, n).cum
+            cum = _bell_data_table(labels.post(b, keep=False), b, n).cum
         except ValueError:  # a zero-probability label outcome has no post-state
             continue
         p_data = np.diff(cum, prepend=0.0)  # z | (y << n)

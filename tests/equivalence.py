@@ -1,27 +1,27 @@
-"""Every fast path beside the literal reference form it must match.
+"""Every fast path beside the literal reference forms it must match.
 
-A `Pair` names a fast path, its reference form (or several), the seeded
-case groups it is compared on, and a kind of equivalence:
+A `Pair` names a fast path, a tuple of its reference forms, the seeded case
+groups it is compared on, and a kind of equivalence:
 
 - `Bytes`: equal outputs, arrays byte for byte (so a zero's sign counts
   unless `zero_sign=False`), scalars of one type and value;
-- `Stream`: `Bytes`, and the generator each side drew from ends in one
-  state. The case's last element is the source: a seed, a generator state
-  or a factory of stand-in generators; each side gets a fresh generator
-  from it as its last positional argument;
+- `Stream`: `Bytes`, and each side's generator ends in one state. The
+  case's argument at `at` is the source (a seed, a generator state or a
+  factory of stand-in generators); each side gets a fresh generator from it
+  there;
 - `Within`: each real and imaginary part within a tolerance the case
   states (`Bytes` where it states none);
 - `Phase`: states equal up to global phase within `tol`;
 - `Law`: samples of `draws` from each side pass a two-sample chi-square
-  test at `alpha`, drawn from one generator (from the case's source),
-  reference first.
+  test at `alpha`, drawn from one generator, reference first.
 
-Both sides refusing a case with one ValueError or RuntimeError (type and
-message) counts as equal. A case group is a generator of argument tuples;
-at each yield it is sent the fast path's output, so it can check what the
-fast path left behind. A test
-module may run pairs under its own test name (`bound`), one case group per
-test id; test_equivalence.py runs every other pair, one test each.
+A case is the fast path's argument tuple; a `Sides` argument gives the fast
+path and the reference forms each their own object. Both sides refusing a
+case with one ValueError or RuntimeError (type and message) counts as equal.
+A case group is a generator of cases; at each yield it is sent the fast
+path's output, so it can check what the fast path left behind. A test runs
+a pair under its own name: through `bound`, one id per group, or by
+`PAIRS[name].check()` in its body.
 
 A new fast path is one `Pair` below: its reference form goes into
 reference.py, its cases into a generator here.
@@ -109,9 +109,18 @@ class Refused:
     message: str
 
 
-def _run(fn: Callable, args: tuple):
+@dataclass(frozen=True)
+class Sides:
+    """An argument given per side: `fast` to the fast path, `reference` to
+    each reference form."""
+
+    fast: Any
+    reference: Any
+
+
+def _run(fn: Callable, args: tuple, side: str):
     try:
-        return fn(*args)
+        return fn(*(getattr(a, side) if isinstance(a, Sides) else a for a in args))
     except (ValueError, RuntimeError) as e:
         return Refused(type(e).__name__, str(e))
 
@@ -124,9 +133,9 @@ class Bytes:
     zero_sign: bool = True
 
     def compare(self, pair: "Pair", args: tuple):
-        got = _run(pair.fast, args)
-        for reference in pair.references:
-            assert_same(got, _run(reference, args), self.zero_sign)
+        got = _run(pair.fast, args, "fast")
+        for reference in pair.reference:
+            assert_same(got, _run(reference, args, "reference"), self.zero_sign)
         return got
 
 
@@ -144,13 +153,18 @@ def _generator(source):
 
 @dataclass(frozen=True)
 class Stream(Bytes):
+    at: int = -1
+
     def compare(self, pair: "Pair", args: tuple):
-        *args, source = args
-        rng = _generator(source)
-        got = _run(pair.fast, (*args, rng))
-        for reference in pair.references:
-            ref_rng = _generator(source)
-            assert_same(got, _run(reference, (*args, ref_rng)), self.zero_sign)
+        def side(fn, name):
+            rng, given = _generator(args[self.at]), list(args)
+            given[self.at] = rng
+            return _run(fn, given, name), rng
+
+        got, rng = side(pair.fast, "fast")
+        for reference in pair.reference:
+            want, ref_rng = side(reference, "reference")
+            assert_same(got, want, self.zero_sign)
             assert_same_stream(rng, ref_rng)
         return got
 
@@ -164,7 +178,7 @@ class Within:
 
     def compare(self, pair: "Pair", args: tuple):
         got, tol = pair.fast(*args), self.tol(*args)
-        for reference in pair.references:
+        for reference in pair.reference:
             want = reference(*args)
             if tol is None:
                 assert_same(got, want)
@@ -177,19 +191,18 @@ class Within:
 
 @dataclass(frozen=True)
 class Phase:
-    """States, or tuples of states, equal up to global phase within tol."""
+    """Tuples of states equal up to global phase within tol."""
 
     tol: float
 
     def compare(self, pair: "Pair", args: tuple):
-        got = _run(pair.fast, args)
-        for reference in pair.references:
-            want = _run(reference, args)
+        got = _run(pair.fast, args, "fast")
+        for reference in pair.reference:
+            want = _run(reference, args, "reference")
             if isinstance(got, Refused) or isinstance(want, Refused):
                 assert got == want
                 continue
-            for g, w in zip(*((x,) if isinstance(x, qsim.PureState) else x for x in (got, want))):
-                assert qsim.states_equal(g, w, self.tol)
+            assert all(qsim.states_equal(g, w, self.tol) for g, w in zip(got, want))
         return got
 
 
@@ -204,7 +217,7 @@ class Law:
     def compare(self, pair: "Pair", args: tuple):
         *args, source = args
         rng = _generator(source)
-        want = [reference(*args, self.draws, rng) for reference in pair.references]
+        want = [reference(*args, self.draws, rng) for reference in pair.reference]
         got = pair.fast(*args, self.draws, rng)
         for w in want:
             assert_same_law(got, w, self.alpha)
@@ -224,20 +237,16 @@ CaseGroups = Mapping[str, Callable[[], Iterator[tuple]]]
 class Pair:
     name: str
     fast: Callable
-    reference: Any  # a callable, or a tuple of callables the fast path equals each of
+    reference: tuple  # the reference forms; the fast path equals each
     cases: CaseGroups
     kind: Any = BYTES
-
-    @property
-    def references(self) -> tuple:
-        return self.reference if isinstance(self.reference, tuple) else (self.reference,)
 
     def compare(self, *args):
         """One case: the fast path against every reference form; returns
         the fast path's output."""
         return self.kind.compare(self, args)
 
-    def check(self, group: str) -> None:
+    def check(self, group: str = "") -> None:
         """Every case of one group; at least one case is one both sides
         answered, so a group is never passed by refusals alone."""
         cases, answered = self.cases[group](), False
@@ -262,14 +271,9 @@ def single(each: Callable[[], Iterator[tuple]]) -> CaseGroups:
     return {"": each}
 
 
-BOUND: set[str] = set()  # the pairs a test module runs under its own test name
-
-
 def bound(*names: str):
     """The test, one id per case group, that runs the named pairs (whose
-    case groups share their ids); test_equivalence.py runs the others."""
-    BOUND.update(names)
-
+    case groups share their ids)."""
     def run(case):
         for name in names:
             PAIRS[name].check(case)
@@ -278,10 +282,11 @@ def bound(*names: str):
     if ids == [""]:
         def test():
             run("")
-    else:
-        @pytest.mark.parametrize("case", ids)
-        def test(case):
-            run(case)
+        return test
+
+    @pytest.mark.parametrize("case", ids)
+    def test(case):
+        run(case)
     return test
 
 
@@ -318,14 +323,6 @@ def sparse_pure(n: int, rng) -> np.ndarray:
 def block_of(copies) -> certify.ProductBlock:
     """The copies as one block, as an acquisition delivers them."""
     return certify.ProductBlock(np.stack([copy.vec for copy in copies]))
-
-
-def phase_oracle(f: bf.BooleanFunction, strategy=None) -> oracles.QuantumChannelOracle:
-    return oracles.QuantumChannelOracle(f, "QPh", strategy)
-
-
-def qmem_oracle(f: bf.BooleanFunction, strategy=None) -> oracles.QuantumChannelOracle:
-    return oracles.QuantumChannelOracle(f, "QMem", strategy)
 
 
 # --- qsim kernels -----------------------------------------------------------
@@ -396,11 +393,11 @@ def kernel_ulps(psi, u, qubits):
 
 def _two_qubit_gates(n, seed, sparse):
     psi = random_state(n, seed, sparse)
-    for name in qsim.GATES_2Q:
+    for name, u in qsim.GATES_2Q.items():
         for a in range(n):
             for b in range(n):
                 if a != b:
-                    yield psi, name, [a, b]
+                    yield psi, Sides(name, u), [a, b]
 
 
 def _marginals(n, seed, sparse):
@@ -438,7 +435,7 @@ def _table_posts(n, basis):
         for qubits in measured_registers(n):
             table = qsim.MeasurementTable(psi, qubits, basis)
             for outcome in range(1 << len(qubits)):
-                got = yield table, psi, qubits, basis, outcome
+                got = yield Sides(table, psi), qubits, basis, outcome
                 if not isinstance(got, Refused):
                     post = got[1]
                     assert table.post(outcome) is post and not post.vec.flags.writeable
@@ -471,13 +468,13 @@ def _round_tables(n, seed, sparse):
     # one block per state, so each local qubit's table is kept after its
     # first round and every later round draws from the kept table
     psi = random_state(n, seed, sparse)
-    block = block_of([psi])
+    copy = Sides(block_of([psi]), psi)
     for local in range(n):
         for k in range(5):
-            yield psi, local, block, k
+            yield copy, local, k
 
 
-def memoised_round(copy, local, block, rng):
+def memoised_round(block, local, rng):
     """The X-tested copy's draws in `certify.overlap_round` on a one-copy
     block, from the block's memoised round table."""
     rnd = certify.overlap_round(block, LowBitView(), rng, local)
@@ -485,58 +482,52 @@ def memoised_round(copy, local, block, rng):
 
 
 QSIM_PAIRS = [
-    Pair("qsim.apply_unitary", qsim.apply_unitary, ref.apply_unitary_moveaxis,
+    Pair("qsim.apply_unitary", qsim.apply_unitary, (ref.apply_unitary_moveaxis,),
          groups(_one_qubit_gates, STATE_CASES), VALUES),
-    Pair("qsim.apply_unitary:Y-dagger", qsim.apply_unitary, ref.apply_unitary_moveaxis,
+    Pair("qsim.apply_unitary:Y-dagger", qsim.apply_unitary, (ref.apply_unitary_moveaxis,),
          groups(_y_dagger, STATE_CASES), Within(kernel_ulps)),
-    Pair("qsim.apply_gate", qsim.apply_gate,
-         lambda psi, name, qubits: ref.apply_unitary_moveaxis(psi, qsim.GATES_2Q[name], qubits),
+    Pair("qsim.apply_gate", qsim.apply_gate, (ref.apply_unitary_moveaxis,),
          groups(_two_qubit_gates, [c for c in STATE_CASES if c[0] >= 2]), VALUES),
-    Pair("qsim._marginal_probs", qsim._marginal_probs, ref.marginal_probs_moveaxis,
+    Pair("qsim._marginal_probs", qsim._marginal_probs, (ref.marginal_probs_moveaxis,),
          groups(_marginals, STATE_CASES)),
-    Pair("qsim._project_z", qsim._project_z, ref.project_z_sliced,
+    Pair("qsim._project_z", qsim._project_z, (ref.project_z_sliced,),
          groups(_projections, STATE_CASES)),
-    Pair("qsim.measure_qubits", qsim.measure_qubits, ref.measure_qubits_moveaxis,
+    Pair("qsim.measure_qubits", qsim.measure_qubits, (ref.measure_qubits_moveaxis,),
          groups(_measurements, STATE_CASES), STREAM),
     Pair("qsim.measure_qubits:registers", qsim.measure_qubits,
          (ref.measure_qubits_rotate_project, ref.measure_qubits_moveaxis),
          groups(_registers, [(n, b) for b in "XYZ" for n in range(1, 9)]), STREAM),
     Pair("qsim.MeasurementTable.post",
-         lambda table, psi, qubits, basis, outcome: (table.cum, table.post(outcome)),
-         lambda table, *case: ref.measurement_table_moveaxis(*case),
+         lambda table, qubits, basis, outcome: (table.cum, table.post(outcome)),
+         (ref.measurement_table_moveaxis,),
          groups(_table_posts, [(n, b) for b in "XYZ" for n in range(1, 7)])),
-    Pair("qsim.sample_index",
-         lambda w, rng: [qsim.sample_index(w, rng) for _ in range(50)],
-         lambda w, rng: [ref.sample_index_clipped(w, rng) for _ in range(50)],
+    Pair("qsim.sample_index", lambda w, rng: [qsim.sample_index(w, rng) for _ in range(50)],
+         (lambda w, rng: [ref.sample_index_clipped(w, rng) for _ in range(50)],),
          groups(_weights, STATE_CASES), STREAM),
-    Pair("qsim.apply_z_mask", qsim.apply_z_mask, ref.apply_z_mask_float,
+    Pair("qsim.apply_z_mask", qsim.apply_z_mask, (ref.apply_z_mask_float,),
          groups(_diagonals("z"), STATE_CASES)),
-    Pair("qsim.apply_phase_oracle", qsim.apply_phase_oracle, ref.apply_phase_oracle_float,
+    Pair("qsim.apply_phase_oracle", qsim.apply_phase_oracle, (ref.apply_phase_oracle_float,),
          groups(_diagonals("phase"), STATE_CASES)),
     Pair("certify._RoundTable.draw", memoised_round,
-         (lambda copy, local, block, rng: ref.round_on_copy(copy, local, rng),
-          lambda copy, local, block, rng: ref.round_on_copy_indexed(copy, local, rng)),
-         groups(_round_tables, STATE_CASES), STREAM),
+         (ref.round_on_copy, ref.round_on_copy_indexed), groups(_round_tables, STATE_CASES),
+         STREAM),
 ]
 
 
 # --- certification rounds ---------------------------------------------------
 #
-# An overlap-round case is (block, reference block, membership view, qubit,
-# source): the reference runs on its own block, which may be a fresh,
-# unmemoised copy of the fast path's.
+# An overlap-round case is overlap_round's (block, view, source, qubit).
+
+ROUND = Stream(at=2)
 
 
-def round_fast(block, ref_block, view, qubit, rng):
-    return certify.overlap_round(block, view, rng, qubit)
-
-
-def round_all_rows(block, ref_block, view, qubit, rng):
-    return ref.overlap_round_all_rows(ref_block, view, rng, qubit)
-
-
-def round_per_copy(block, ref_block, view, qubit, rng):
-    return ref.overlap_round_per_copy(list(ref_block), view, rng, qubit)
+def views(f, m=None) -> Sides:
+    """A membership view of f for each side: a MemOracle, or a
+    TensorMemView of m copies of one."""
+    def view():
+        return oracles.MemOracle(f) if m is None else oracles.TensorMemView(
+            oracles.MemOracle(f), m=m)
+    return Sides(view(), view())
 
 
 def collapse_rows(kind, m, q, rng):
@@ -583,32 +574,19 @@ def memo_rows(kind, q, rng):
     return rows
 
 
-class ScriptedUniforms:
-    """A stand-in generator whose uniforms cycle through 0, 1/4, 1/2, 3/4
-    and 1/8: each lands exactly on a dyadic cumulative weight."""
+class Scripted:
+    """A stand-in generator: random(size) hands out the next `size` of the
+    given uniforms (cycled, or else a draw past their end fails), and
+    `drawn` counts the uniforms taken."""
 
-    VALUES = (0.0, 0.25, 0.5, 0.75, 0.125)
-
-    def __init__(self):
-        self.drawn = 0
-
-    def random(self, size=None):
-        count = 1 if size is None else size
-        out = [self.VALUES[(self.drawn + k) % 5] for k in range(count)]
-        self.drawn += count
-        return out[0] if size is None else np.array(out)
-
-
-class ScriptedPair:
-    """A stand-in generator whose uniforms alternate between 1 and `u`."""
-
-    def __init__(self, u):
-        self.u, self.drawn = u, 0
+    def __init__(self, values, cycle: bool = True):
+        self.values, self.cycle, self.drawn = np.asarray(values, dtype=float), cycle, 0
 
     def random(self, size=None):
-        assert size is None
-        self.drawn += 1
-        return 1.0 if self.drawn % 2 else self.u
+        at = self.drawn + np.arange(1 if size is None else size)
+        out = self.values[at % len(self.values) if self.cycle else at]
+        self.drawn += len(at)
+        return float(out[0]) if size is None else out
 
 
 class LowBitView:
@@ -630,7 +608,7 @@ def _per_copy_rounds():
         block = block_of([random_pure(q, rng) for _ in range(m)])
         f = bf.random_truth_table(q * m, rng)
         for qubit in (None, 0, q * m - 1, int(rng.integers(q * m))):
-            yield block, block, oracles.MemOracle(f), qubit, int(rng.integers(2**32))
+            yield block, views(f), int(rng.integers(2**32)), qubit
 
 
 def _single_copy_rounds():
@@ -638,13 +616,12 @@ def _single_copy_rounds():
     copy = random_pure(4, rng)
     f = bf.random_truth_table(4, rng)
     for _ in range(50):
-        yield (block_of([copy]), block_of([copy]), oracles.MemOracle(f), None,
-               int(rng.integers(2**32)))
+        yield block_of([copy]), views(f), int(rng.integers(2**32)), None
 
 
 def _shared_rows(q, m, kind):
     # the X-tested copy first, last and anywhere; each side makes two view
-    # queries of m base queries each
+    # queries of m base queries each, on its own base
     rng = np.random.default_rng(600 + 10 * q + m)
     for _ in range(3):
         amps = collapse_rows(kind, m, q, rng)
@@ -654,9 +631,9 @@ def _shared_rows(q, m, kind):
         block = certify.ProductBlock(amps)
         f = bf.random_truth_table(q, rng)
         for qubit in (0, q - 1, (m - 1) * q, m * q - 1, None):
-            view = oracles.TensorMemView(oracles.MemOracle(f), m=m)
-            assert_int_fields((yield block, block, view, qubit, int(rng.integers(2**32))))
-            assert view.base.count == 2 * 2 * m
+            view = views(f, m)
+            assert_int_fields((yield block, view, int(rng.integers(2**32)), qubit))
+            assert view.fast.base.count == view.reference.base.count == 2 * m
 
 
 def _thresholds():
@@ -674,8 +651,8 @@ def _thresholds():
                  [quarter, half, basis, half, half], [basis] * 5):
         block = certify.ProductBlock(np.stack(rows))
         for qubit in range(15):
-            yield (block, block, oracles.TensorMemView(oracles.MemOracle(f), m=5), qubit,
-                   ScriptedUniforms)
+            # 0, 1/4, 1/2, 3/4 and 1/8: each on a dyadic cumulative weight
+            yield block, views(f, 5), lambda: Scripted([0.0, 0.25, 0.5, 0.75, 0.125]), qubit
 
 
 def _memo_rounds(q, m, kind):
@@ -691,8 +668,8 @@ def _memo_rounds(q, m, kind):
     for block in blocks:
         fresh = certify.ProductBlock(block.amps.copy())
         for qubit in range(m * q):
-            view = oracles.TensorMemView(oracles.MemOracle(f), m=m)
-            assert_int_fields((yield block, fresh, view, qubit, int(rng.integers(2**32))))
+            assert_int_fields((yield Sides(block, fresh), views(f, m), int(rng.integers(2**32)),
+                               qubit))
             rounds += 1
         assert block.round_tables is blocks[0].round_tables
         assert not fresh.round_tables.memo
@@ -719,7 +696,7 @@ def _memo_bound():
     f = bf.random_truth_table(q, rng)
     for block in blocks:
         for qubit in (0, 5):
-            yield block, block, oracles.MemOracle(f), qubit, int(rng.integers(2**32))
+            yield block, views(f), int(rng.integers(2**32)), qubit
             assert tables.nbytes <= adversary.MEASUREMENT_MEMO_BYTES
     # class keys cost nothing: the kept bytes are the tables' own
     assert all(type(key[0]) is int for key in tables.memo)
@@ -742,8 +719,8 @@ def _zero_pair(q):
         for qubit in range(q):
             for u in (0.4, 0.5):
                 sources = []
-                got = yield (block, block, oracles.MemOracle(f), qubit,
-                             lambda u=u: sources.append(ScriptedPair(u)) or sources[-1])
+                got = yield (block, views(f),
+                             lambda u=u: sources.append(Scripted([1.0, u])) or sources[-1], qubit)
                 assert [s.drawn for s in sources] == [2, 2]
                 assert (got.rest_bits, got.x_bit) == (top >> 1, int(u >= 0.5))
     assert len(block.round_tables.memo) == q
@@ -778,7 +755,7 @@ def _keyed(q, m):
         assert (same == (b.row_classes[:, None] == b.row_classes)).all()
         assert a.amps.tobytes() == want_amps.tobytes()
         for qubit in range(m * q):
-            yield a, b, LowBitView(), qubit, int(rng.integers(2**32))
+            yield Sides(a, b), LowBitView(), int(rng.integers(2**32)), qubit
     # one table per class and local qubit at most; class keys cost nothing
     memo = keyed[0].round_tables
     assert len(memo.memo) <= len(set(classes.flat)) * q
@@ -802,50 +779,34 @@ def _scores():
 
 
 CERTIFY_PAIRS = [
-    Pair("certify.overlap_round:per-copy", round_fast, round_per_copy,
-         single(_per_copy_rounds), STREAM),
-    Pair("certify.overlap_round:one-copy", round_fast, round_per_copy,
-         single(_single_copy_rounds), STREAM),
-    Pair("certify.overlap_round", round_fast, round_all_rows,
-         groups(_shared_rows, [(q, m, kind) for q in range(1, 9) for m in (2, 201) for kind in
-                               ("all-equal", "few-distinct", "all-distinct", "signed-zeros")]),
-         STREAM),
-    Pair("certify.overlap_round:thresholds", round_fast, round_all_rows, single(_thresholds),
-         STREAM),
-    Pair("certify.overlap_round:memo", round_fast, round_all_rows,
-         groups(_memo_rounds, [(q, m, kind) for q in range(1, 9) for m in (1, 3)
-                               for kind in ("repeated", "signed-zeros", "zero-pair")]),
-         STREAM),
-    Pair("certify.overlap_round:memo-bound", round_fast, round_all_rows, single(_memo_bound),
-         STREAM),
-    Pair("certify.overlap_round:zero-pair", round_fast, round_all_rows,
-         groups(_zero_pair, [(q,) for q in range(2, 9)]), STREAM),
-    Pair("certify.overlap_round:keyed", round_fast, round_all_rows,
-         groups(_keyed, [(q, m) for q in range(1, 9) for m in (1, 3, 201)]), STREAM),
+    Pair("certify.overlap_round:per-copy", certify.overlap_round, (ref.overlap_round_per_copy,),
+         single(_per_copy_rounds), ROUND),
+    Pair("certify.overlap_round:one-copy", certify.overlap_round, (ref.overlap_round_per_copy,),
+         single(_single_copy_rounds), ROUND),
+    *(Pair(f"certify.overlap_round{name}", certify.overlap_round, (ref.overlap_round_all_rows,),
+           cases, ROUND) for name, cases in [
+        ("", groups(_shared_rows, [(q, m, kind) for q in range(1, 9) for m in (2, 201) for kind in
+                                   ("all-equal", "few-distinct", "all-distinct", "signed-zeros")])),
+        (":thresholds", single(_thresholds)),
+        (":memo", groups(_memo_rounds, [(q, m, kind) for q in range(1, 9) for m in (1, 3)
+                                        for kind in ("repeated", "signed-zeros", "zero-pair")])),
+        (":memo-bound", single(_memo_bound)),
+        (":zero-pair", groups(_zero_pair, [(q,) for q in range(2, 9)])),
+        (":keyed", groups(_keyed, [(q, m) for q in range(1, 9) for m in (1, 3, 201)]))]),
     # 20,000 scores a side; a two-sided 5 sigma test, no looser than the
     # 5 se bound on the mean difference it replaced
     Pair("certify.overlap_scores_iid_fast", certify.overlap_scores_iid_fast,
-         ref.overlap_scores_by_rounds, single(_scores), Law(2 * stats.norm.sf(5), 20_000)),
+         (ref.overlap_scores_by_rounds,), single(_scores), Law(2 * stats.norm.sf(5), 20_000)),
 ]
 
 
 
 # --- task decisions and Boolean functions -----------------------------------
 #
-# A decision case is (block, n, threshold, source); both reference forms
-# read the block as the sequence of its copies.
+# A decision case is forrelation_decide's (block, n, source, threshold);
+# both reference forms read the block as the sequence of its copies.
 
-
-def decide_fast(block, n, threshold, rng):
-    return tasks.forrelation_decide(block, n, rng, threshold)
-
-
-def decide_all_copies(block, n, threshold, rng):
-    return ref.forrelation_decide_all_copies(block, n, rng, threshold)
-
-
-def decide_per_copy(block, n, threshold, rng):
-    return ref.forrelation_decide_per_copy(block, n, rng, threshold)
+DECIDE = Stream(at=2)
 
 
 def random_copy(rng, n, real=False) -> qsim.PureState:
@@ -898,7 +859,7 @@ def _decisions_per_copy(n):
         block = block_of([random_copy(rng, n) for _ in range(9)])
         seed = int(rng.integers(2**32))
         for threshold in thresholds(9):
-            yield block, n, threshold, seed
+            yield block, n, seed, threshold
 
 
 def _decisions(n, k, pattern):
@@ -907,7 +868,7 @@ def _decisions(n, k, pattern):
         block = block_of(COPY_PATTERNS[pattern](rng, n, k))
         seed = int(rng.integers(2**32))
         for threshold in thresholds(k):
-            yield block, n, threshold, seed
+            yield block, n, seed, threshold
 
 
 def _shared_table_decisions(n):
@@ -918,7 +879,7 @@ def _shared_table_decisions(n):
     for block in certify.ProductBlock.indexed(rows, rng.integers(0, 4, size=(6, 11))):
         seed = int(rng.integers(2**32))
         for threshold in thresholds(11):
-            yield block, n, threshold, seed
+            yield block, n, seed, threshold
 
 
 def _honest_decisions():
@@ -928,7 +889,7 @@ def _honest_decisions():
     inst = tasks.gen_forrelation_instance(n, tasks.PHI_LARGE, rng)
     block = block_of([qsim.prepare_phase_state(inst.h())] * tasks.FORRELATION_COPIES)
     for seed in range(5):
-        yield block, n, tasks.SWAP_TEST_THRESHOLD, seed
+        yield block, n, seed, tasks.SWAP_TEST_THRESHOLD
 
 
 def _simon_tables():
@@ -952,19 +913,20 @@ def _phi_pairs():
 
 
 TASK_PAIRS = [
-    Pair("tasks.forrelation_decide:per-copy", decide_fast, decide_per_copy,
-         groups(_decisions_per_copy, [(1,), (2,), (4,)]), STREAM),
-    Pair("tasks.forrelation_decide", decide_fast, decide_all_copies,
-         groups(_decisions, [(n, k, p) for n, k in [(1, 7), (2, 12), (3, 9)]
-                             for p in COPY_PATTERNS]), STREAM),
-    Pair("tasks.forrelation_decide:shared-table", decide_fast, decide_all_copies,
-         groups(_shared_table_decisions, [(1,), (2,)]), STREAM),
-    Pair("tasks.forrelation_decide:honest", decide_fast, decide_all_copies,
-         single(_honest_decisions), STREAM),
+    Pair("tasks.forrelation_decide:per-copy", tasks.forrelation_decide,
+         (ref.forrelation_decide_per_copy,), groups(_decisions_per_copy, [(1,), (2,), (4,)]),
+         DECIDE),
+    *(Pair(f"tasks.forrelation_decide{name}", tasks.forrelation_decide,
+           (ref.forrelation_decide_all_copies,), cases, DECIDE) for name, cases in [
+        ("", groups(_decisions, [(n, k, p) for n, k in [(1, 7), (2, 12), (3, 9)]
+                                 for p in COPY_PATTERNS])),
+        (":shared-table", groups(_shared_table_decisions, [(1,), (2,)])),
+        (":honest", single(_honest_decisions))]),
     Pair("boolfunc.eval_all:simon", lambda f: bf.eval_all(f).tolist(),
-         lambda f: [ref.simon_value(f.body.s, f.body.labels, x) for x in range(1 << f.n)],
+         (lambda f: [ref.simon_value(f.body.s, f.body.labels, x) for x in range(1 << f.n)],),
          single(_simon_tables)),
-    Pair("boolfunc.forrelation_phi", bf.forrelation_phi, ref.phi_double_sum, single(_phi_pairs)),
+    Pair("boolfunc.forrelation_phi", bf.forrelation_phi, (ref.phi_double_sum,),
+         single(_phi_pairs)),
 ]
 
 
@@ -1010,21 +972,6 @@ def sampler_cdfs(n: int, kind: str) -> np.ndarray:
     return cdfs
 
 
-class StreamStub:
-    """Generator stand-in: random(size) hands out the next `size` values of a
-    fixed stream, and `drawn` counts the values taken."""
-
-    def __init__(self, stream: np.ndarray):
-        self.stream = stream
-        self.drawn = 0
-
-    def random(self, size: int) -> np.ndarray:
-        out = self.stream[self.drawn:self.drawn + size].copy()
-        assert len(out) == size
-        self.drawn += size
-        return out
-
-
 def crafted_uniforms(cdf: np.ndarray, edges: int) -> np.ndarray:
     """0, the largest double below 1, every bucket edge j / edges, and every
     cdf entry below 1 with its neighbours on both sides: the uniforms where
@@ -1050,7 +997,7 @@ def _crafted_draws(n, kind):
     shots = np.random.default_rng(n).permutation(groups_)
     assert oracles._guide_bits(len(shots), n_groups, k) >= 1
     stream = np.concatenate(parts)
-    yield cdfs, shots, lambda: StreamStub(stream)
+    yield cdfs, shots, lambda: Scripted(stream, cycle=False)
 
 
 def _few_shot_draws(n, kind):
@@ -1063,7 +1010,7 @@ def _few_shot_draws(n, kind):
         stream = crafted[start:start + n_groups - 1]
         shots = np.full(len(stream), n_groups - 1, dtype=np.int16)
         assert oracles._guide_bits(len(shots), n_groups, k) == 0
-        yield cdfs, shots, lambda stream=stream: StreamStub(stream)
+        yield cdfs, shots, lambda stream=stream: Scripted(stream, cycle=False)
 
 
 def _generator_draws(n, kind):
@@ -1074,15 +1021,17 @@ def _generator_draws(n, kind):
 
 
 def _basis_tables(n, kind):
-    yield sampler_state(n, kind),
+    state = sampler_state(n, kind)
+    yield Sides(oracles.QMeasExOracle(state), state),
 
 
 def _pauli_samples(shots, n):
     # shots < 3^n leaves some bases without shots
     g = np.random.default_rng(40 + n)
     v = g.normal(size=1 << n) + 1j * g.normal(size=1 << n)
-    oracle = oracles.QMeasExOracle(qsim.PureState(n, v / np.linalg.norm(v)))
-    yield oracle, shots, 1000 * n + shots
+    psi = qsim.PureState(n, v / np.linalg.norm(v))
+    oracle = oracles.QMeasExOracle(psi)
+    yield Sides(oracle, psi), shots, 1000 * n + shots
     assert oracle.count == shots
 
 
@@ -1157,40 +1106,36 @@ ORACLE_PAIRS = [
     # the generator end state of the default int64 draw
     Pair("numpy.Generator.integers:int32",
          lambda n, shots, rng: rng.integers(0, 3, size=(shots, n), dtype=np.int32).tolist(),
-         lambda n, shots, rng: rng.integers(0, 3, size=(shots, n)).tolist(),
+         (lambda n, shots, rng: rng.integers(0, 3, size=(shots, n)).tolist(),),
          groups(_basis_draws, [(n,) for n in PAULI_QUBITS]), STREAM),
-    Pair("oracles.QMeasExOracle.sample_product_pauli",
-         lambda oracle, shots, rng: oracle.sample_product_pauli(shots, rng),
-         lambda oracle, shots, rng: ref.sample_product_pauli_per_basis(oracle.state(), shots, rng),
+    Pair("oracles.QMeasExOracle.sample_product_pauli", oracles.QMeasExOracle.sample_product_pauli,
+         (ref.sample_product_pauli_per_basis,),
          groups(_pauli_samples, [*((shots, n) for n in (1, 2, 3, 4, 5)
                                    for shots in (0, 1, 7, 200, 3000)),
                                  (3000, oracles.PAULI_TABLE_QUBIT_CAP)]), STREAM),
-    Pair("oracles._choice_by_group:crafted", oracles._choice_by_group,
-         ref.choice_by_group_searchsorted,
-         groups(_crafted_draws, [(n, k) for n in PAULI_QUBITS for k in SAMPLER_KINDS]), STREAM),
-    Pair("oracles._choice_by_group:few-shots", oracles._choice_by_group,
-         ref.choice_by_group_searchsorted,
-         groups(_few_shot_draws, [(n, k) for n in PAULI_QUBITS for k in SAMPLER_KINDS]), STREAM),
-    Pair("oracles._choice_by_group", oracles._choice_by_group, ref.choice_by_group_searchsorted,
-         groups(_generator_draws, [(n, k) for n in PAULI_QUBITS for k in SAMPLER_KINDS]), STREAM),
+    *(Pair(f"oracles._choice_by_group{name}", oracles._choice_by_group,
+           (ref.choice_by_group_searchsorted,),
+           groups(each, [(n, k) for n in PAULI_QUBITS for k in SAMPLER_KINDS]), STREAM)
+      for name, each in [(":crafted", _crafted_draws), (":few-shots", _few_shot_draws),
+                         ("", _generator_draws)]),
     Pair("oracles.QMeasExOracle._basis_probability_tables",
-         lambda state: oracles.QMeasExOracle(state)._basis_probability_tables(),
-         ref.basis_probability_tables_loop,
+         oracles.QMeasExOracle._basis_probability_tables, (ref.basis_probability_tables_loop,),
          groups(_basis_tables, [(n, k) for n in PAULI_QUBITS for k in SAMPLER_KINDS])),
     Pair("oracles._outcome_bits_table", oracles._outcome_bits_table,
-         lambda n: ref.outcome_bits_unpackbits(np.arange(1 << n, dtype=np.uint8), n),
+         (lambda n: ref.outcome_bits_unpackbits(np.arange(1 << n, dtype=np.uint8), n),),
          groups(_outcome_tables, [(n,) for n in PAULI_QUBITS])),
     Pair("oracles.QMeasExOracle.sample_product_pauli:bits",
          lambda psi, shots, seed: drawn_outcomes(
              oracles.QMeasExOracle(psi), shots, np.random.default_rng(seed))[0],
-         lambda psi, shots, seed: ref.outcome_bits_unpackbits(drawn_outcomes(
-             oracles.QMeasExOracle(psi), shots, np.random.default_rng(seed))[1], psi.n),
+         (lambda psi, shots, seed: ref.outcome_bits_unpackbits(drawn_outcomes(
+             oracles.QMeasExOracle(psi), shots, np.random.default_rng(seed))[1], psi.n),),
          groups(_sampled_bits, [(n,) for n in PAULI_QUBITS])),
     Pair("oracles.TensorMemView.query", view_answers(oracles.TensorMemView.query),
-         view_answers(ref.tensor_view_query_shifts), groups(_view_queries, [(1,), (2,), (201,)])),
+         (view_answers(ref.tensor_view_query_shifts),),
+         groups(_view_queries, [(1,), (2,), (201,)])),
     Pair("oracles.PolynomialSqQuery.exact_expectation",
          lambda q, n: q.exact_expectation(bf.constant_fn(n)),
-         lambda q, n: float(np.mean([ref.polynomial_value(q, x) for x in range(1 << n)])),
+         (lambda q, n: float(np.mean([ref.polynomial_value(q, x) for x in range(1 << n)])),),
          single(_polynomials), Within(lambda q, n: 1e-12)),
 ]
 
@@ -1203,7 +1148,7 @@ def tapped_queries(strategy, n, mode, queries, seed):
     """Masked queries through one ancilla-free tapped oracle: every response's
     bytes, the generator state after it, and the tap's memory."""
     rng = np.random.default_rng(seed)
-    oracle = phase_oracle(bf.random_truth_table(n, rng), strategy)
+    oracle = oracles.QuantumChannelOracle(bf.random_truth_table(n, rng), "QPh", strategy)
     query = (acquire.masked_query_phase_entangled if mode == "entangled"
              else acquire.masked_query_phase_randomness)
     trace = []
@@ -1273,16 +1218,10 @@ def _memo_bound_trials():
         adversary={"kind": "ancilla_free", "delta_leak": 0.5}, seed=22),
 
 
-def split_by(extract: Callable) -> Callable:
-    """extract(state, qubits) on a split case (whose factors are for the
-    case group's own check)."""
-    return lambda state, qubits, reg, rest: extract(state, qubits)
-
-
 def split_case(reg, rest, qubits):
     """The state with `reg` on `qubits` and `rest` on the others; each
     factor split off comes back as the reference's and as the given one."""
-    got = yield adversary._reinsert_register(rest, reg, qubits), qubits, reg, rest
+    got = yield adversary._reinsert_register(rest, reg, qubits), qubits
     for g, factor in zip(got, (reg, rest)):
         assert qsim.states_equal(g, factor, 1e-10)
 
@@ -1324,26 +1263,21 @@ def _near_product():
     assert qsim.states_equal(adversary._reinsert_register(b, a, [3, 4]),
                              qsim.PureState(5, np.kron(a.vec, b.vec)), 1e-12)
     yield from split_case(a, b, [3, 4])
-    got = yield qsim.PureState(5, near), [3, 4], a, b
+    got = yield qsim.PureState(5, near), [3, 4]
     assert got.error == "RuntimeError" and "entangled" in got.message
 
 
 ADVERSARY_PAIRS = [
-    Pair("adversary.TapMemory.measure", tap_trace(memoised=True), tap_trace(memoised=False),
+    Pair("adversary.TapMemory.measure", tap_trace(memoised=True), (tap_trace(memoised=False),),
          groups(_tapped, [("entangled",), ("randomness",)])),
     Pair("adversary.TapMemory.measure:keys", measure_by(adversary.TapMemory.measure),
-         measure_by(ref.measure_unmemoised), single(_memo_keys), STREAM),
+         (measure_by(ref.measure_unmemoised),), single(_memo_keys), STREAM),
     Pair("adversary.TapMemory.measure:trials", trial_records,
-         without_measurement_memo(trial_records), single(_memo_bound_trials)),
-    Pair("adversary._extract_product_register", split_by(adversary._extract_product_register),
-         split_by(ref.extract_product_register_eigh),
-         groups(_splits, [(n,) for n in range(2, 7)]), Phase(1e-10)),
-    Pair("adversary._extract_product_register:edges",
-         split_by(adversary._extract_product_register),
-         split_by(ref.extract_product_register_eigh), single(_edge_splits), Phase(1e-10)),
-    Pair("adversary._extract_product_register:near-product",
-         split_by(adversary._extract_product_register),
-         split_by(ref.extract_product_register_eigh), single(_near_product), Phase(1e-10)),
+         (without_measurement_memo(trial_records),), single(_memo_bound_trials)),
+    *(Pair(f"adversary._extract_product_register{name}", adversary._extract_product_register,
+           (ref.extract_product_register_eigh,), cases, Phase(1e-10)) for name, cases in [
+        ("", groups(_splits, [(n,) for n in range(2, 7)])), (":edges", single(_edge_splits)),
+        (":near-product", single(_near_product))]),
 ]
 
 
@@ -1450,7 +1384,7 @@ def _whole_register(n):
                 for coefficient in (1.0, -2.0):
                     obs = covertsq.PauliObservable(tuple(zip(qubits, letters)), coefficient)
                     for batches in WHOLE_REGISTER_BATCHES:
-                        yield shadows, per_support, obs, batches
+                        yield Sides(shadows, per_support), obs, batches
                         check_cache(shadows, batches)
     # at n = 1 the four tables (78 x 6 cells) pass the bound of 407
     held = {(tuple(range(n)), b) for b in WHOLE_REGISTER_BATCHES} if n > 1 else set()
@@ -1523,27 +1457,25 @@ def _sketch_transcripts(n, d):
 
 COVERTSQ_PAIRS = [
     Pair("covertsq.pauli_expectation_exact", covertsq.pauli_expectation_exact,
-         ref.pauli_expectation_kron, groups(_pauli_strings, [(n,) for n in range(1, 5)])),
+         (ref.pauli_expectation_kron,), groups(_pauli_strings, [(n,) for n in range(1, 5)])),
     Pair("covertsq.pauli_expectation_exact:bell", covertsq.pauli_expectation_exact,
-         ref.pauli_expectation_kron, single(_bell_strings), VALUES),
+         (ref.pauli_expectation_kron,), single(_bell_strings), VALUES),
     Pair("covertsq.shadow_single_shot_estimates", covertsq.shadow_single_shot_estimates,
-         ref.shadow_single_shot_estimates_mask_product, symbol_plane_groups("shots"), VALUES),
-    Pair("covertsq.shadow_estimate", covertsq.shadow_estimate, ref.shadow_estimate_mask_product,
-         symbol_plane_groups("batches")),
-    Pair("covertsq.shadow_estimate:whole-register",
-         lambda shadows, per_support, obs, b: covertsq.shadow_estimate(shadows, obs, b),
-         (lambda shadows, per_support, obs, b: ref.shadow_estimate_mask_product(shadows, obs, b),
-          lambda shadows, per_support, obs, b: ref.shadow_estimate_per_support(
-              per_support, obs, b)),
+         (ref.shadow_single_shot_estimates_mask_product,), symbol_plane_groups("shots"), VALUES),
+    Pair("covertsq.shadow_estimate", covertsq.shadow_estimate,
+         (ref.shadow_estimate_mask_product,), symbol_plane_groups("batches")),
+    # the reference forms run on a fresh set of the same shots
+    Pair("covertsq.shadow_estimate:whole-register", covertsq.shadow_estimate,
+         (ref.shadow_estimate_mask_product, ref.shadow_estimate_per_support),
          groups(_whole_register, [(n,) for n in range(1, 5)])),
     Pair("covertsq.SketchPlan.expectations", lambda plan, f: plan.expectations,
-         ref.sketch_expectations_per_query,
+         (ref.sketch_expectations_per_query,),
          groups(_sketch_expectations, [(seed, n, d) for n, d in SKETCH_SHAPES
                                        for seed in (0, 1, 2)])),
-    Pair("covertsq.run_sketched_query", sketch_answers, sketch_answers_per_query,
+    Pair("covertsq.run_sketched_query", sketch_answers, (sketch_answers_per_query,),
          groups(_sketch_answers, [(p, n, d) for n, d in SKETCH_SHAPES for p in oracles.POLICIES])),
     Pair("covertsq.run_sketched_query:transcript", sketch_transcript(covertsq.run_sketched_query),
-         sketch_transcript(ref.sketch_answers_per_query),
+         (sketch_transcript(ref.sketch_answers_per_query),),
          groups(_sketch_transcripts, [(1, 1), (4, 2)])),
 ]
 
@@ -1732,10 +1664,10 @@ def _stack_draws(n):
 
 
 ACQUIRE_PAIRS = [
-    Pair("acquire._collect_blocks", collect_blocks, collect_blocks_per_copy,
+    Pair("acquire._collect_blocks", collect_blocks, (collect_blocks_per_copy,),
          {case: functools.partial(_block_loop, case) for case in BLOCK_CASES}, STREAM),
     Pair("oracles.QuantumChannelOracle.responses", memoised_acquisition,
-         unmemoised_acquisition,
+         (unmemoised_acquisition,),
          groups(_acquisitions, [(k, a) for k in sorted(adversary.KINDS) for a in ACQUISITIONS]),
          STREAM),
     # the block loop's one draw of m masks, and of count x m masks, rely on
@@ -1743,12 +1675,12 @@ ACQUIRE_PAIRS = [
     # scalar draws, and of count draws of m masks each
     Pair("numpy.Generator.integers:masks",
          lambda n, k, rng: rng.integers(0, 1 << n, size=k).tolist(),
-         lambda n, k, rng: [int(rng.integers(0, 1 << n)) for _ in range(k)],
+         (lambda n, k, rng: [int(rng.integers(0, 1 << n)) for _ in range(k)],),
          groups(_mask_draws, [(n,) for n in range(1, qsim.PURE_QUBIT_CAP + 1)]), STREAM),
     Pair("numpy.Generator.integers:stack",
          lambda n, count, m, rng: rng.integers(0, 1 << n, size=(count, m)),
-         lambda n, count, m, rng: np.stack([rng.integers(0, 1 << n, size=m)
-                                            for _ in range(count)]),
+         (lambda n, count, m, rng: np.stack([rng.integers(0, 1 << n, size=m)
+                                             for _ in range(count)]),),
          groups(_stack_draws, [(n,) for n in range(1, qsim.PURE_QUBIT_CAP + 1)]), STREAM),
 ]
 

@@ -15,7 +15,6 @@ from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import certify, covertex, covertsq, experiments as exp
 from covertsim import gf2, oracles, qsim, tasks
-from equivalence import phase_oracle
 
 
 def margin(rate, trials):
@@ -51,7 +50,7 @@ def test_c01_mask_factorization_exact():
                     reg = qsim.MixedState(n, avg)
                 else:
                     joint = acquire.masked_query_phase_entangled(
-                        phase_oracle(f), np.random.default_rng(0)
+                        oracles.QuantumChannelOracle(f, "QPh"), np.random.default_rng(0)
                     )
                     reg = qsim.partial_trace(joint, list(range(n, 2 * n)))
                 views.append(strategy.exact_response_view(reg))
@@ -73,7 +72,8 @@ def test_c02_acquire_unidirectional_completeness():
         rng = exp.trial_rng(202, t)
         f = bf.random_truth_table(n, rng)
         res = acquire.acquire_unidirectional(
-            phase_oracle(f), oracles.MemOracle(f), 1, 0.1, 0.1, rng, n_blocks=20
+            oracles.QuantumChannelOracle(f, "QPh"), oracles.MemOracle(f), 1, 0.1, 0.1, rng,
+            n_blocks=20
         )
         assert res.accepted
         fid = qsim.fidelity(res.output[0], qsim.prepare_phase_state(f))
@@ -93,7 +93,7 @@ def test_c03_acquire_unidirectional_soundness():
     for t in range(trials):
         rng = exp.trial_rng(303, t)
         f = bf.random_truth_table(n, rng)
-        oracle = phase_oracle(f, adv.replace_zero())
+        oracle = oracles.QuantumChannelOracle(f, "QPh", adv.replace_zero())
         res = acquire.acquire_unidirectional(
             oracle, oracles.MemOracle(f), 1, 0.1, 0.1, rng, n_blocks=20
         )
@@ -142,7 +142,7 @@ def test_c05_schmidt_fidelity_drop_exact():
             f = bf.random_truth_table(n, rng)
             strategy = adv.ancilla_free(1.0, extract_post=False)
             joint = acquire.masked_query_phase_entangled(
-                phase_oracle(f, strategy), rng
+                oracles.QuantumChannelOracle(f, "QPh", strategy), rng
             )
             assert qsim.schmidt_rank(joint, list(range(n, 2 * n))) <= 1 << (n - 1)
             table = [
@@ -191,7 +191,7 @@ def test_c06_ancilla_free_privacy_detection():
     for t in range(trials):
         rng = exp.trial_rng(606, t)
         f = bf.random_truth_table(n, rng)
-        oracle = phase_oracle(f, adv.ancilla_free(0.5))
+        oracle = oracles.QuantumChannelOracle(f, "QPh", adv.ancilla_free(0.5))
         res = acquire.acquire_ancilla_free(
             oracle, oracles.MemOracle(f), 1, 0.1, 0.1, 0.5, rng
         )

@@ -9,9 +9,7 @@ from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import certify, oracles, qsim
 from covertsim.gf2 import dot
-from equivalence import (
-    BLOCK_CASES, BLOCK_MODES, PAIRS, acquisition_outcome, bound, phase_oracle, qmem_oracle,
-)
+from equivalence import BLOCK_CASES, BLOCK_MODES, PAIRS, Sides, acquisition_outcome, bound
 
 
 class TestMaskedQueries:
@@ -19,7 +17,7 @@ class TestMaskedQueries:
         rng = np.random.default_rng(0)
         for n in (2, 3, 4):
             f = bf.random_truth_table(n, rng)
-            got = acquire.masked_query_phase_randomness(phase_oracle(f), rng)
+            got = acquire.masked_query_phase_randomness(oracles.QuantumChannelOracle(f, "QPh"), rng)
             assert qsim.fidelity(got, qsim.prepare_phase_state(f)) > 1 - 1e-12
 
     def test_entangled_mode_unmask_paths(self):
@@ -28,7 +26,7 @@ class TestMaskedQueries:
         n = 3
         f = bf.random_truth_table(n, rng)
         target = qsim.prepare_phase_state(f)
-        joint = acquire.masked_query_phase_entangled(phase_oracle(f), rng)
+        joint = acquire.masked_query_phase_entangled(oracles.QuantumChannelOracle(f, "QPh"), rng)
         got = acquire.unmask_entangled(joint, n, rng)
         assert qsim.fidelity(got, target) > 1 - 1e-12
 
@@ -37,7 +35,7 @@ class TestMaskedQueries:
         rng = np.random.default_rng(2)
         n = 3
         f = bf.random_truth_table(n, rng)
-        joint = acquire.masked_query_phase_entangled(phase_oracle(f), rng)
+        joint = acquire.masked_query_phase_entangled(oracles.QuantumChannelOracle(f, "QPh"), rng)
         table = [dot(z & 7, z >> 3) ^ f(z >> 3) for z in range(64)]
         g = bf.truth_table(table)
         assert qsim.states_equal(joint, qsim.prepare_phase_state(g), 1e-12)
@@ -55,7 +53,8 @@ class TestMaskedQueries:
                 avg += np.outer(resp.vec, resp.vec.conj()) / 8
             assert np.abs(avg - np.eye(8) / 8).max() < 1e-12
             # entangled mode: trace out the private register instead
-            joint = acquire.masked_query_phase_entangled(phase_oracle(f), rng)
+            oracle = oracles.QuantumChannelOracle(f, "QPh")
+            joint = acquire.masked_query_phase_entangled(oracle, rng)
             red = qsim.partial_trace(joint, list(range(n, 2 * n)))
             assert np.abs(red.mat - np.eye(8) / 8).max() < 1e-12
 
@@ -63,7 +62,8 @@ class TestMaskedQueries:
         rng = np.random.default_rng(5)
         for n, w in ((2, 1), (2, 2), (3, 2)):
             f = bf.random_truth_table(n, rng, w=w)
-            got = acquire.masked_query_phase_randomness(qmem_oracle(f), rng)
+            oracle = oracles.QuantumChannelOracle(f, "QMem")
+            got = acquire.masked_query_phase_randomness(oracle, rng)
             expect = qsim.apply_hadamards(
                 qsim.prepare_example_state(f), range(n, n + w)
             )
@@ -73,7 +73,7 @@ class TestMaskedQueries:
         rng = np.random.default_rng(6)
         n, w = 2, 1
         f = bf.random_truth_table(n, rng, w=w)
-        joint = acquire.masked_query_phase_entangled(qmem_oracle(f), rng)
+        joint = acquire.masked_query_phase_entangled(oracles.QuantumChannelOracle(f, "QMem"), rng)
         nw = n + w
         # ideal joint = phase state of G(rho, zeta) = rho·zeta + zeta_out·f(zeta_in)
         table = []
@@ -104,7 +104,7 @@ class TestSentMaskViews:
         rng = np.random.default_rng(73)
         views = []
         for _ in range(4):
-            oracle = phase_oracle(bf.random_truth_table(n, rng), recording())
+            oracle = oracles.QuantumChannelOracle(bf.random_truth_table(n, rng), "QPh", recording())
             for r in range(1 << n):
                 acquire.masked_query_phase_randomness(oracle, rng, r=r)
             seen = [e["register"].mat for e in oracle.tap.memory.events]
@@ -115,7 +115,7 @@ class TestSentMaskViews:
     def test_each_drawn_mask_is_the_one_sent(self):
         n = 3
         f = bf.random_truth_table(n, np.random.default_rng(74))
-        oracle = phase_oracle(f, recording())
+        oracle = oracles.QuantumChannelOracle(f, "QPh", recording())
         rng = np.random.default_rng(75)
         for _ in range(16):
             acquire.masked_query_phase_randomness(oracle, rng)
@@ -173,8 +173,8 @@ def assert_rounds_match_the_reference(rounds):
     the all-rows reference draws on a fresh block of its copies (the pair
     certify.overlap_round)."""
     for block, view, before, qubit, got, _ in rounds:
-        fresh = certify.ProductBlock(block.amps.copy())
-        assert PAIRS["certify.overlap_round"].compare(block, fresh, view, qubit, before) == got
+        fresh = Sides(block, certify.ProductBlock(block.amps.copy()))
+        assert PAIRS["certify.overlap_round"].compare(fresh, view, before, qubit) == got
 
 
 class TestStackedBlocks:
@@ -188,7 +188,8 @@ class TestStackedBlocks:
 
     def test_given_mask_outside_its_range_is_refused(self):
         n = 3
-        oracle = phase_oracle(bf.random_truth_table(n, np.random.default_rng(32)))
+        f = bf.random_truth_table(n, np.random.default_rng(32))
+        oracle = oracles.QuantumChannelOracle(f, "QPh")
         rng = np.random.default_rng(33)
         before = rng.bit_generator.state
         row = np.zeros(1 << n, dtype=complex)
@@ -209,7 +210,8 @@ class TestStackedBlocks:
     def test_given_mask_that_is_not_an_int_is_refused(self, r):
         # before any draw or query; a bool is not taken as mask 0 or 1
         n = 3
-        oracle = phase_oracle(bf.random_truth_table(n, np.random.default_rng(51)))
+        f = bf.random_truth_table(n, np.random.default_rng(51))
+        oracle = oracles.QuantumChannelOracle(f, "QPh")
         rng = np.random.default_rng(52)
         before = rng.bit_generator.state
         row = np.zeros(1 << n, dtype=complex)
@@ -238,11 +240,11 @@ class TestStackedBlocks:
         # is built, so no masked query on it can draw
         monkeypatch.setattr(qsim, "PURE_QUBIT_CAP", 5)
         rng = np.random.default_rng(55)
-        for make, f in ((phase_oracle, bf.random_truth_table(6, rng)),
-                        (qmem_oracle, bf.random_truth_table(4, rng, w=2))):
+        for kind, f in (("QPh", bf.random_truth_table(6, rng)),
+                        ("QMem", bf.random_truth_table(4, rng, w=2))):
             before = rng.bit_generator.state
             with pytest.raises(ValueError, match="cap"):
-                acquire.masked_query_phase_randomness(make(f), rng)
+                acquire.masked_query_phase_randomness(oracles.QuantumChannelOracle(f, kind), rng)
             assert rng.bit_generator.state == before
 
     def test_masked_plus_states_equal_the_z_masked_uniform_state(self):
@@ -298,7 +300,7 @@ class TestKeyedStacks:
         seen = spy_stacks(monkeypatch)
         runs = []
         for strategy in (adv.identity(), bystander()):
-            oracle = phase_oracle(f, strategy)
+            oracle = oracles.QuantumChannelOracle(f, "QPh", strategy)
             rng = np.random.default_rng(68)
             res = acquire.acquire_unidirectional(oracle, oracles.MemOracle(f), 5, 0.1, 0.1,
                                                  rng, n_blocks=6)
@@ -322,7 +324,7 @@ class TestKeyedStacks:
             monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", 2 * 16 << n)
         rng = np.random.default_rng(62 + n)
         f = bf.random_truth_table(n, rng)
-        oracle, replay = phase_oracle(f), phase_oracle(f)
+        oracle, replay = (oracles.QuantumChannelOracle(f, "QPh") for _ in range(2))
         seen = spy_stacks(monkeypatch)
         query = acquire.masked_query_phase_randomness
         masks = []
@@ -358,7 +360,8 @@ class TestKeyedStacks:
         seen = spy_stacks(monkeypatch)
         builds, rounds = spy_rounds(monkeypatch)
         res = acquire.acquire_unidirectional(
-            phase_oracle(f), oracles.MemOracle(f), 201, 1e-4, 0.02, np.random.default_rng(64))
+            oracles.QuantumChannelOracle(f, "QPh"), oracles.MemOracle(f), 201, 1e-4, 0.02,
+            np.random.default_rng(64))
         assert res.accepted and len(rounds) == 19
         assert len(builds) <= q < len(rounds)
         (rows, index), = seen
@@ -378,7 +381,7 @@ class TestKeyedStacks:
         rng = np.random.default_rng(67)
         n = 4
         f = bf.random_simon_fn(n, 0b0110, rng)
-        oracle, mem = qmem_oracle(f), oracles.MemOracle(f)
+        oracle, mem = oracles.QuantumChannelOracle(f, "QMem"), oracles.MemOracle(f)
         builds, rounds = spy_rounds(monkeypatch)
         for _ in range(4):
             assert acquire.acquire_unidirectional(oracle, mem, 1, 0.1, 0.1, rng).accepted
@@ -393,7 +396,7 @@ class TestKeyedStacks:
         # would take 16.5 MB; allocation peaks stay near the table's size
         q, m, count = 8, 201, 20
         f = bf.random_truth_table(q, np.random.default_rng(65))
-        oracle = phase_oracle(f)
+        oracle = oracles.QuantumChannelOracle(f, "QPh")
         rng = np.random.default_rng(66)
         acquire._collect_blocks(oracle, 1, 1, rng, entangled=False, unmask=True)
         tracemalloc.start()
@@ -419,7 +422,7 @@ class TestBlockStack:
         # the stack is checked once, so the queries all run, and no block is
         # handed out
         f = bf.random_truth_table(2, np.random.default_rng(34))
-        oracle = phase_oracle(f, stretch_round_four())
+        oracle = oracles.QuantumChannelOracle(f, "QPh", stretch_round_four())
         with pytest.raises(ValueError, match="not normalized"):
             acquire._collect_blocks(oracle, 2, 5, np.random.default_rng(35),
                                     entangled=entangled, unmask=False)
@@ -429,8 +432,8 @@ class TestBlockStack:
         # one read-only table row per copy, in query order; each block's
         # copies are views of its rows
         f = bf.random_truth_table(3, np.random.default_rng(36))
-        blocks = acquire._collect_blocks(phase_oracle(f, adv.ancilla_free(0.5)), 2, 4,
-                                         np.random.default_rng(37),
+        oracle = oracles.QuantumChannelOracle(f, "QPh", adv.ancilla_free(0.5))
+        blocks = acquire._collect_blocks(oracle, 2, 4, np.random.default_rng(37),
                                          entangled=True, unmask=False)
         table = blocks[0].rows
         assert table.shape == (8, 64) and not table.flags.writeable
@@ -459,8 +462,9 @@ class TestBlockStack:
         monkeypatch.setattr(certify, "_row_classes",
                             lambda rows: classed.append(rows) or row_classes(rows))
         f = bf.random_truth_table(3, np.random.default_rng(38))
-        res = acquire.acquire_unidirectional(phase_oracle(f), oracles.MemOracle(f), 4,
-                                             0.1, 0.1, np.random.default_rng(39),
+        res = acquire.acquire_unidirectional(oracles.QuantumChannelOracle(f, "QPh"),
+                                             oracles.MemOracle(f), 4, 0.1, 0.1,
+                                             np.random.default_rng(39),
                                              n_blocks=5, mode=mode)
         (out,) = emitted
         assert res.accepted and res.output is out
@@ -494,8 +498,9 @@ class TestCoupledPair:
         rng = np.random.default_rng(40)
         pair = acquire._coupled_pair(3)
         before = pair.vec.tobytes()
-        phase = phase_oracle(bf.random_truth_table(3, rng), adv.ancilla_free(1.0))
-        qmem = qmem_oracle(bf.random_truth_table(2, rng), adv.ancilla_free(1.0))
+        phase, qmem = (oracles.QuantumChannelOracle(bf.random_truth_table(n, rng), kind,
+                                                    adv.ancilla_free(1.0))
+                       for n, kind in ((3, "QPh"), (2, "QMem")))
         for _ in range(10):
             acquire.masked_query_phase_entangled(phase, rng)
             acquire.masked_query_phase_entangled(qmem, rng)
@@ -513,7 +518,7 @@ class TestResponseMemo:
     def test_memoised_response_is_the_oracle_response_read_only(self):
         n = 4
         f = bf.random_truth_table(n, np.random.default_rng(43))
-        oracle = phase_oracle(f)
+        oracle = oracles.QuantumChannelOracle(f, "QPh")
         for r in (0, 5, 5, 0, 9):
             sent = acquire._phase_mask(n, r)[0]
             got = oracle.query(sent, range(n))
@@ -534,7 +539,7 @@ class TestResponseMemo:
         f = bf.random_truth_table(n, np.random.default_rng(44))
         rng = np.random.default_rng(45)
         sent = acquire._phase_mask(n, 1)[0]
-        oracle = phase_oracle(f, adv.ancilla_free(1.0, extract_post=False))
+        oracle = oracles.QuantumChannelOracle(f, "QPh", adv.ancilla_free(1.0, extract_post=False))
         assert oracle.tap.taps_query
         got = oracle.query(sent, range(n), rng=rng)
         (post, response), = oracle.responses.memo.values()
@@ -548,7 +553,7 @@ class TestResponseMemo:
         f = bf.random_truth_table(n, np.random.default_rng(44))
         rng = np.random.default_rng(45)
         sent = acquire._phase_mask(n, 1)[0]
-        oracle = phase_oracle(f, adv.swap_attack())
+        oracle = oracles.QuantumChannelOracle(f, "QPh", adv.swap_attack())
         assert oracle.tap.taps_query
         swapped = adv.swap_attack().query_tap(sent, range(n), adv.TapMemory(), rng)
         assert swapped.vec.flags.writeable
@@ -557,7 +562,8 @@ class TestResponseMemo:
 
     def test_writeable_sent_states_never_fill_the_memo(self):
         n = 3
-        oracle = phase_oracle(bf.random_truth_table(n, np.random.default_rng(46)))
+        f = bf.random_truth_table(n, np.random.default_rng(46))
+        oracle = oracles.QuantumChannelOracle(f, "QPh")
         sent = qsim.PureState(n, acquire._phase_mask(n, 6)[0].vec.copy())
         for _ in range(3):
             assert oracle.query(sent, range(n)).vec.flags.writeable
@@ -569,7 +575,7 @@ class TestResponseMemo:
         n = 4
         monkeypatch.setattr(adv, "MEASUREMENT_MEMO_BYTES", 3 * 16 << n)
         f = bf.random_truth_table(n, np.random.default_rng(47))
-        oracle = phase_oracle(f)
+        oracle = oracles.QuantumChannelOracle(f, "QPh")
         for r in [*range(1 << n), *range(1 << n)]:
             sent = acquire._phase_mask(n, r)[0]
             got = oracle.query(sent, range(n))
@@ -580,7 +586,8 @@ class TestResponseMemo:
     def test_largest_shared_table_fits_the_bound(self):
         # every row of the largest kept mask table: exactly the 1 MiB bound
         n = qsim.SIGN_TABLE_QUBITS
-        oracle = phase_oracle(bf.random_truth_table(n, np.random.default_rng(48)))
+        f = bf.random_truth_table(n, np.random.default_rng(48))
+        oracle = oracles.QuantumChannelOracle(f, "QPh")
         for r in range(1 << n):
             oracle.query(acquire._phase_mask(n, r)[0], range(n))
         assert len(oracle.responses.memo) == 1 << n
@@ -589,7 +596,7 @@ class TestResponseMemo:
     def test_above_the_sign_table_size_only_read_only_states_are_kept(self):
         n = qsim.SIGN_TABLE_QUBITS + 1
         f = bf.random_truth_table(n, np.random.default_rng(49))
-        oracle = phase_oracle(f)
+        oracle = oracles.QuantumChannelOracle(f, "QPh")
         rng = np.random.default_rng(50)
         # no mask table is kept at this size: each mask row is built afresh,
         # writeable, and its response is not kept
@@ -611,7 +618,7 @@ class TestAcquireUnidirectional:
         rng = np.random.default_rng(7)
         n, m = 3, 1
         f = bf.random_truth_table(n, rng)
-        oracle = phase_oracle(f)
+        oracle = oracles.QuantumChannelOracle(f, "QPh")
         mem = oracles.MemOracle(f)
         res = acquire.acquire_unidirectional(oracle, mem, m, 0.1, 0.1, rng)
         assert res.accepted
@@ -624,7 +631,7 @@ class TestAcquireUnidirectional:
         n, m = 2, 2
         f = bf.random_truth_table(n, rng)
         res = acquire.acquire_unidirectional(
-            phase_oracle(f), oracles.MemOracle(f), m, 0.1, 0.1, rng,
+            oracles.QuantumChannelOracle(f, "QPh"), oracles.MemOracle(f), m, 0.1, 0.1, rng,
             mode=acquire.ENTANGLED,
         )
         assert res.accepted and len(res.output) == m
@@ -640,7 +647,7 @@ class TestAcquireUnidirectional:
         bad_joint = 0
         for t in range(60):
             trng = np.random.default_rng(800 + t)
-            oracle = phase_oracle(f, adv.replace_zero())
+            oracle = oracles.QuantumChannelOracle(f, "QPh", adv.replace_zero())
             res = acquire.acquire_unidirectional(
                 oracle, oracles.MemOracle(f), 1, 0.1, 0.1, trng
             )
@@ -654,7 +661,7 @@ class TestAcquireUnidirectional:
         f = bf.random_truth_table(n, rng)
         mem = oracles.MemOracle(f)
         res = acquire.acquire_unidirectional(
-            phase_oracle(f), mem, m, 0.1, 0.1, rng, n_blocks=10
+            oracles.QuantumChannelOracle(f, "QPh"), mem, m, 0.1, 0.1, rng, n_blocks=10
         )
         # 2 view queries per round, m base queries each, 9 measured rounds
         assert res.pri_queries == 2 * m * 9
@@ -673,7 +680,8 @@ class TestRefusals:
     ], ids=["unidirectional-1", "unidirectional-entangled-0", "ancilla-free-0"])
     def test_uncertifiable_block_count(self, acquire_with):
         f = bf.random_truth_table(2, np.random.default_rng(34))
-        oracle, mem = phase_oracle(f, adv.ancilla_free(1.0)), oracles.MemOracle(f)
+        oracle = oracles.QuantumChannelOracle(f, "QPh", adv.ancilla_free(1.0))
+        mem = oracles.MemOracle(f)
         rng = np.random.default_rng(35)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="at least"):
@@ -693,7 +701,7 @@ class TestRefusals:
         monkeypatch.setattr(qsim, "PURE_QUBIT_CAP", 5)
         monkeypatch.setattr(acquire, "_COUPLED_PAIRS", {})
         f = bf.random_truth_table(3, np.random.default_rng(36))
-        oracle = phase_oracle(f)
+        oracle = oracles.QuantumChannelOracle(f, "QPh")
         with pytest.raises(ValueError, match="cap"):
             acquire.acquire_unidirectional(
                 oracle, oracles.MemOracle(f), 1, 0.1, 0.1,
@@ -705,7 +713,7 @@ class TestRefusals:
         # an ancilla-free copy keeps its 3-qubit mask register: 6 qubits
         monkeypatch.setattr(qsim, "PURE_QUBIT_CAP", 5)
         f = bf.random_truth_table(3, np.random.default_rng(38))
-        oracle = phase_oracle(f)
+        oracle = oracles.QuantumChannelOracle(f, "QPh")
         allocated = []
         monkeypatch.setattr(acquire.np, "empty", lambda *args, **kw: allocated.append(args))
         with pytest.raises(ValueError, match="6-qubit copy is above the pure-state cap"):
@@ -759,7 +767,8 @@ class TestAmplifiedTask:
         rng = np.random.default_rng(11)
         n = 2
         f = bf.parity_fn(0b11, n)
-        out = self.amplified_rounds(n, phase_oracle(f), oracles.MemOracle(f), rng)
+        oracle = oracles.QuantumChannelOracle(f, "QPh")
+        out = self.amplified_rounds(n, oracle, oracles.MemOracle(f), rng)
         assert not out.rejected
         assert out.answer == 1
         assert out.rounds == acquire.amplification_rounds(0.1, 0.1)
@@ -768,7 +777,7 @@ class TestAmplifiedTask:
         rng = np.random.default_rng(12)
         n = 2
         f = bf.parity_fn(0b01, n)
-        oracle = phase_oracle(f, adv.replace_zero())
+        oracle = oracles.QuantumChannelOracle(f, "QPh", adv.replace_zero())
         out = self.amplified_rounds(n, oracle, oracles.MemOracle(f), rng)
         assert out.rejected
 
@@ -792,7 +801,7 @@ class TestAcquireAncillaFree:
         n, m = 2, 1
         f = bf.random_truth_table(n, rng)
         res = acquire.acquire_ancilla_free(
-            phase_oracle(f), oracles.MemOracle(f), m, 0.1, 0.1, 0.5, rng,
+            oracles.QuantumChannelOracle(f, "QPh"), oracles.MemOracle(f), m, 0.1, 0.1, 0.5, rng,
             n_blocks=40,
         )
         assert res.accepted
@@ -806,7 +815,7 @@ class TestAcquireAncillaFree:
         rng = np.random.default_rng(15)
         f = bf.constant_fn(2)
         res = acquire.acquire_ancilla_free(
-            phase_oracle(f), oracles.MemOracle(f), 1, 0.1, 0.1, 0.5, rng
+            oracles.QuantumChannelOracle(f, "QPh"), oracles.MemOracle(f), 1, 0.1, 0.1, 0.5, rng
         )
         assert res.blocks_used == expect + 1
 
@@ -817,7 +826,7 @@ class TestAcquireAncillaFree:
         accepts = 0
         for t in range(30):
             trng = np.random.default_rng(900 + t)
-            oracle = phase_oracle(f, adv.ancilla_free(1.0))
+            oracle = oracles.QuantumChannelOracle(f, "QPh", adv.ancilla_free(1.0))
             res = acquire.acquire_ancilla_free(
                 oracle, oracles.MemOracle(f), m, 0.1, 0.1, 1.0, trng,
                 n_blocks=60,
@@ -832,7 +841,7 @@ class TestQMemAcquisition:
         n, w = 2, 2
         f = bf.random_simon_fn(n, 0b11, rng)
         res = acquire.acquire_unidirectional(
-            qmem_oracle(f), oracles.MemOracle(f), 1, 0.1, 0.1, rng,
+            oracles.QuantumChannelOracle(f, "QMem"), oracles.MemOracle(f), 1, 0.1, 0.1, rng,
             n_blocks=15,
         )
         assert res.accepted
@@ -843,7 +852,7 @@ class TestQMemAcquisition:
         n, w = 2, 1
         f = bf.random_truth_table(n, rng, w=w)
         res = acquire.acquire_unidirectional(
-            qmem_oracle(f), oracles.MemOracle(f), 1, 0.1, 0.1, rng,
+            oracles.QuantumChannelOracle(f, "QMem"), oracles.MemOracle(f), 1, 0.1, 0.1, rng,
             n_blocks=10, mode=acquire.ENTANGLED,
         )
         assert res.accepted and res.pub_queries == 10
@@ -853,7 +862,7 @@ class TestQMemAcquisition:
         f = bf.constant_fn(2)
         with pytest.raises(ValueError):
             acquire.acquire_unidirectional(
-                phase_oracle(f), oracles.MemOracle(f), 1, 0.1, 0.1,
+                oracles.QuantumChannelOracle(f, "QPh"), oracles.MemOracle(f), 1, 0.1, 0.1,
                 np.random.default_rng(0), mode="bogus",
             )
 
@@ -862,7 +871,7 @@ class TestQMemAcquisition:
         n, w = 2, 1
         f = bf.random_truth_table(n, rng, w=w)
         res = acquire.acquire_ancilla_free(
-            qmem_oracle(f), oracles.MemOracle(f), 1, 0.2, 0.1, 0.5, rng,
+            oracles.QuantumChannelOracle(f, "QMem"), oracles.MemOracle(f), 1, 0.2, 0.1, 0.5, rng,
             n_blocks=30,
         )
         assert res.accepted
@@ -875,7 +884,7 @@ class TestQMemAcquisition:
         accepts = 0
         for t in range(20):
             trng = np.random.default_rng(950 + t)
-            oracle = qmem_oracle(f, adv.ancilla_free(1.0))
+            oracle = oracles.QuantumChannelOracle(f, "QMem", adv.ancilla_free(1.0))
             res = acquire.acquire_ancilla_free(
                 oracle, oracles.MemOracle(f), 1, 0.1, 0.1, 1.0, trng,
                 n_blocks=40,

@@ -5,7 +5,7 @@ from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import experiments as exp
 from covertsim import oracles, qsim
-from equivalence import bound
+from equivalence import PAIRS, bound
 
 
 def masked_query_roundtrip(f, n, strategy, rng):
@@ -232,8 +232,8 @@ class TestMeasurementMemo:
     def test_memo_stays_under_its_bound(self, monkeypatch):
         # randomness-mode acquire-uni at n = 6: the distinct registers' tables
         # would pass the bound, so the memo stops admitting and the bytes it
-        # holds never pass the bound (the records equal a memo-less run's:
-        # the pair adversary.TapMemory.measure:trials of equivalence.py)
+        # holds never pass the bound, and the records equal a memo-less run's
+        PAIRS["adversary.TapMemory.measure:trials"].check()
         cfg = exp.ExperimentConfig(
             scenario="acquire-uni", params={"n": 6, "m": 8, "n_blocks": 20},
             adversary={"kind": "ancilla_free", "delta_leak": 0.5}, seed=22)

@@ -211,8 +211,7 @@ class TestPauliExpectationExact:
         bound("covertsq.pauli_expectation_exact"))
 
     def test_known_values_on_basis_and_bell_states(self):
-        # the Bell values against the kron matrix: the pair
-        # covertsq.pauli_expectation_exact:bell
+        PAIRS["covertsq.pauli_expectation_exact:bell"].check()  # against the kron matrix
         one = qsim.basis_state(2, 0b01)  # qubit 0 in |1>, qubit 1 in |0>
         assert csq.pauli_expectation_exact(one, pauli_observable({0: "Z"})) == -1.0
         assert csq.pauli_expectation_exact(one, pauli_observable({1: "Z"})) == 1.0

@@ -1,8 +1,7 @@
-"""The equivalence registry: the pairs no test module binds, one test each;
-that every reference form is named by a pair and reached only through the
-registry; and that the comparison helpers fail where they must."""
+"""The equivalence registry: every pair is run by some test, every
+reference form is named by a pair and reached only through the registry,
+and the comparison helpers fail where they must."""
 import ast
-import importlib
 import inspect
 from pathlib import Path
 
@@ -13,6 +12,7 @@ import equivalence as eq
 import reference
 
 TESTS = Path(__file__).resolve().parent
+MODULES = {path: ast.parse(path.read_text()) for path in TESTS.glob("test_*.py")}
 
 # constructors and evaluators the tests may import from reference.py: no
 # fast path stands beside them
@@ -25,64 +25,46 @@ EXEMPT = {
 }
 
 
-# the test modules bind their pairs when imported; the rest run here
-for path in sorted(TESTS.glob("test_*.py")):
-    if path.stem != __name__:
-        importlib.import_module(path.stem)
-
-
-@pytest.mark.parametrize("name", [name for name in eq.PAIRS if name not in eq.BOUND])
-def test_equivalence(name):
-    pair = eq.PAIRS[name]
-    for group in pair.cases:
-        pair.check(group)
-
-
-def reference_forms() -> set[str]:
-    return {name for name, obj in vars(reference).items()
-            if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
-            and obj.__module__ == "reference"}
-
-
-def names_in_pairs() -> set[str]:
-    """The `ref.<name>`s a Pair's fast path or reference form reaches in
-    equivalence.py, through the module's functions it calls."""
-    tree = ast.parse(Path(eq.__file__).read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-
-    def reached(node, seen):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "ref":
-                yield sub.attr
-            elif isinstance(sub, ast.Name) and sub.id in functions and sub.id not in seen:
-                seen.add(sub.id)
-                yield from reached(functions[sub.id], seen)
-
-    names = set()
-    for call in ast.walk(tree):
-        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Pair":
-            sides = call.args[1:3] + [k.value for k in call.keywords
-                                      if k.arg in ("fast", "reference")]
-            for side in sides:
-                names |= set(reached(side, set()))
-    return names
+def test_every_pair_is_run_by_a_test():
+    # a test runs a pair by its name: bound("<name>") or PAIRS["<name>"]
+    named = {node.value for tree in MODULES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert set(eq.PAIRS) - named == set()
 
 
 def test_every_reference_form_is_named_by_a_pair():
-    assert reference_forms() - EXEMPT - names_in_pairs() == set()
-    assert EXEMPT <= reference_forms()
+    forms = {name for name, obj in vars(reference).items()
+             if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+             and obj.__module__ == "reference"}
+    # the `ref.<name>`s a Pair's fast or reference side reaches in
+    # equivalence.py, through the module's functions it calls
+    tree = ast.parse(Path(eq.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    named, seen = set(), set()
+
+    def reach(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "ref":
+                named.add(sub.attr)
+            elif isinstance(sub, ast.Name) and sub.id in functions and sub.id not in seen:
+                seen.add(sub.id)
+                reach(functions[sub.id])
+
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Pair":
+            for side in call.args[1:3]:
+                reach(side)
+    assert forms - EXEMPT - named == set()
+    assert EXEMPT <= forms
 
 
 def test_reference_forms_are_reached_only_through_the_registry():
     # a test module imports only exempt names from reference.py (this one
     # reads the module itself, to list its forms)
-    imported = set()
-    for path in set(TESTS.glob("test_*.py")) - {Path(__file__).resolve()}:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.module == "reference":
-                imported |= {(path.name, alias.name) for alias in node.names}
-            elif isinstance(node, ast.Import):
-                imported |= {(path.name, a.name) for a in node.names if a.name == "reference"}
+    imported = {(path.name, alias.name) for path, tree in MODULES.items()
+                if path.name != Path(__file__).name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+                if getattr(node, "module", None) == "reference" or alias.name == "reference"}
     assert {(module, name) for module, name in imported if name not in EXEMPT} == set()
 
 
@@ -117,22 +99,20 @@ def test_a_pair_that_differs_fails():
     def one_case():
         yield 1, 0
 
-    off_by_one = eq.Pair("off-by-one", lambda x, rng: x + rng.random(),
-                         lambda x, rng: x + 1 + rng.random(), eq.single(one_case), eq.STREAM)
-    with pytest.raises(AssertionError):
-        off_by_one.check("")
-    extra_draw = eq.Pair("extra-draw", lambda x, rng: (rng.random(), x)[1],
-                         lambda x, rng: x, eq.single(one_case), eq.STREAM)
-    with pytest.raises(AssertionError):
-        extra_draw.check("")
-
     def refuse(x, rng):
         raise ValueError("refused")
 
-    one_sided = eq.Pair("one-sided refusal", lambda x, rng: x, refuse, eq.single(one_case),
-                        eq.STREAM)
-    with pytest.raises(AssertionError):
-        one_sided.check("")
-    only_refusals = eq.Pair("both refuse", refuse, refuse, eq.single(one_case), eq.STREAM)
+    for fast, reference_form in [
+            (lambda x, rng: x + rng.random(), lambda x, rng: x + 1 + rng.random()),  # off by one
+            (lambda x, rng: (rng.random(), x)[1], lambda x, rng: x),  # one extra draw
+            (lambda x, rng: x, refuse)]:  # a refusal on one side only
+        with pytest.raises(AssertionError):
+            eq.Pair("differs", fast, (reference_form,), eq.single(one_case), eq.STREAM).check()
     with pytest.raises(AssertionError, match="no answered case"):
-        only_refusals.check("")
+        eq.Pair("both refuse", refuse, (refuse,), eq.single(one_case), eq.STREAM).check()
+
+    def per_side():  # a per-side argument reaches each side as given
+        yield eq.Sides(1, 2),
+
+    with pytest.raises(AssertionError):
+        eq.Pair("sides", lambda x: x, (lambda x: x,), eq.single(per_side)).check()

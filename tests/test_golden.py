@@ -18,7 +18,6 @@ from covertsim import acquire, adversary as adv
 from covertsim import boolfunc as bf
 from covertsim import experiments as exp
 from covertsim import covertsq, oracles, qsim
-from equivalence import phase_oracle, qmem_oracle
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 TRIALS = 5
@@ -115,7 +114,7 @@ def _qmem_unidirectional():
     n = 2
     f = bf.random_simon_fn(n, 0b11, rng)
     return [acquire.acquire_unidirectional(
-        qmem_oracle(f), oracles.MemOracle(f), 1, 0.1, 0.1, rng,
+        oracles.QuantumChannelOracle(f, "QMem"), oracles.MemOracle(f), 1, 0.1, 0.1, rng,
         n_blocks=15,
     )]
 
@@ -125,7 +124,7 @@ def _qmem_ancilla_free_honest():
     n, w = 2, 1
     f = bf.random_truth_table(n, rng, w=w)
     return [acquire.acquire_ancilla_free(
-        qmem_oracle(f), oracles.MemOracle(f), 1, 0.2, 0.1, 0.5, rng,
+        oracles.QuantumChannelOracle(f, "QMem"), oracles.MemOracle(f), 1, 0.2, 0.1, 0.5, rng,
         n_blocks=30,
     )]
 
@@ -136,7 +135,7 @@ def _qmem_ancilla_free_leaky():
     f = bf.random_truth_table(n, rng, w=w)
     return [
         acquire.acquire_ancilla_free(
-            qmem_oracle(f, adv.ancilla_free(1.0)), oracles.MemOracle(f),
+            oracles.QuantumChannelOracle(f, "QMem", adv.ancilla_free(1.0)), oracles.MemOracle(f),
             1, 0.1, 0.1, 1.0, np.random.default_rng(950 + t), n_blocks=40,
         )
         for t in range(20)
@@ -148,7 +147,7 @@ def _phase_entangled_mode():
     n, m = 2, 2
     f = bf.random_truth_table(n, rng)
     return [acquire.acquire_unidirectional(
-        phase_oracle(f), oracles.MemOracle(f), m, 0.1, 0.1, rng,
+        oracles.QuantumChannelOracle(f, "QPh"), oracles.MemOracle(f), m, 0.1, 0.1, rng,
         mode=acquire.ENTANGLED,
     )]
 
@@ -160,7 +159,7 @@ def _phase_tapped(strategy, seed):
     f = bf.random_truth_table(n, rng)
     return [
         acquire.acquire_unidirectional(
-            phase_oracle(f, strategy), oracles.MemOracle(f), 1, 0.1, 0.1,
+            oracles.QuantumChannelOracle(f, "QPh", strategy), oracles.MemOracle(f), 1, 0.1, 0.1,
             np.random.default_rng(seed * 100 + t), n_blocks=20,
         )
         for t in range(10)
@@ -179,7 +178,7 @@ def _phase_tapped_blocks(strategy, mode, seed):
     f = bf.random_truth_table(n, rng)
     return [
         acquire.acquire_unidirectional(
-            phase_oracle(f, strategy), oracles.MemOracle(f), 3, 0.1, 0.1,
+            oracles.QuantumChannelOracle(f, "QPh", strategy), oracles.MemOracle(f), 3, 0.1, 0.1,
             np.random.default_rng(seed * 100 + t), n_blocks=20, mode=mode,
         )
         for t in range(10)
@@ -193,7 +192,8 @@ def _phase_swap_attack_blocks():
     f = bf.parity_fn(0b101, n)
     return [
         acquire.acquire_unidirectional(
-            phase_oracle(f, adv.swap_attack()), oracles.MemOracle(f), 3, 0.1, 0.1,
+            oracles.QuantumChannelOracle(f, "QPh", adv.swap_attack()), oracles.MemOracle(f),
+            3, 0.1, 0.1,
             np.random.default_rng(2800 + t), n_blocks=20,
         )
         for t in range(10)
@@ -208,7 +208,8 @@ def _ancilla_free_blocks(delta_leak, seed):
     f = bf.random_truth_table(n, rng)
     return [
         acquire.acquire_ancilla_free(
-            phase_oracle(f, adv.ancilla_free(delta_leak)), oracles.MemOracle(f),
+            oracles.QuantumChannelOracle(f, "QPh", adv.ancilla_free(delta_leak)),
+            oracles.MemOracle(f),
             2, 0.2, 0.1, delta_leak, np.random.default_rng(seed * 100 + t), n_blocks=30,
         )
         for t in range(10)
